@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated strategy list")
     cmp_.add_argument("--deltas", default=None,
                       help="comma-separated speculation-threshold sweep")
-    cmp_.add_argument("--parallel", type=int, default=1,
-                      help="worker threads; output is order-fixed")
     _add_config_flags(cmp_)
     cmp_.add_argument("--out-metrics", help="also write the metrics CSV here")
     cmp_.set_defaults(handler=_cmd_compare)
@@ -169,7 +167,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 label = suffix if len(strategies) == 1 else f"{strategy},{suffix}"
             cfg = replace(w.config, speculation_threshold=delta)
             variants.append((label, strategy, cfg))
-    rows = compare(w, variants, parallel=args.parallel)
+    rows = compare(w, variants)
     csv_text = reports_to_csv(rows)
     sys.stdout.write(csv_text)
     if args.out_metrics:

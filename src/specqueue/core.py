@@ -110,23 +110,27 @@ def conflicts(a: Change, b: Change) -> bool:
 
 
 def build_conflict_graph(changes: Sequence[Change]) -> ConflictGraph:
-    """Pairwise conflict graph over the given changes.
+    """Conflict graph over the given changes: the pairs `conflicts` holds for.
 
-    Raises ValueError on duplicate change ids.
+    Built from an index of the changes touching each target, so only
+    changes that share a target are ever paired. Raises ValueError on
+    duplicate change ids.
     """
-    seen: set[ChangeId] = set()
+    by_target: dict[str, list[ChangeId]] = {}
+    adjacency: dict[ChangeId, set[ChangeId]] = {}
     for c in changes:
-        if c.id in seen:
+        if c.id in adjacency:
             raise ValueError(f"duplicate change id: {c.id}")
-        seen.add(c.id)
-
-    adjacency: dict[ChangeId, set[ChangeId]] = {c.id: set() for c in changes}
-    for i, a in enumerate(changes):
-        for b in changes[i + 1 :]:
-            if conflicts(a, b):
-                adjacency[a.id].add(b.id)
-                adjacency[b.id].add(a.id)
-    return ConflictGraph({cid: frozenset(nbrs) for cid, nbrs in adjacency.items()})
+        adjacency[c.id] = set()
+        for target in c.all_targets():
+            by_target.setdefault(target, []).append(c.id)
+    for sharing in by_target.values():
+        if len(sharing) > 1:
+            for cid in sharing:
+                adjacency[cid].update(sharing)
+    return ConflictGraph(
+        {cid: frozenset(nbrs - {cid}) for cid, nbrs in adjacency.items()}
+    )
 
 
 def connected_components(

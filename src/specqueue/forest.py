@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from specqueue.core import BuildOutcome, ChangeId, ConflictGraph, connected_components
 from specqueue.prediction import DurationEstimate
@@ -112,26 +112,28 @@ class MainlineState:
         return MainlineState(self.landed + (c,))
 
 
-def _window(
-    queue: Sequence[ChangeId], index: int, g: ConflictGraph, depth_cap: int
-) -> BaseKey:
-    """The nearest depth_cap conflicting predecessors of queue[index]."""
-    c = queue[index]
-    preds = [p for p in queue[:index] if g.are_conflicting(p, c)]
-    return tuple(preds[-depth_cap:])
-
-
 def _subsets(window: BaseKey) -> Iterator[BaseKey]:
     for size in range(len(window) + 1):
         yield from combinations(window, size)
+
+
+def _ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
+    """Every base of a window, largest first, then base lexicographic."""
+    return tuple(
+        sorted(_subsets(window), key=lambda b: (-len(b), tuple(m.seq for m in b)))
+    )
 
 
 @dataclass
 class SpeculationForest:
     """All speculative builds for the current pending queue.
 
-    Mutation is single-writer (the engine); reads hand out immutable
-    node values.
+    Indexed by how it is read: ``bases`` holds each change's node bases
+    in ``nodes_for_change`` order, and ``order`` ranks the queued changes
+    (increasing along the queue, not necessarily contiguous), so a
+    window is read from the change's conflict neighbours rather than
+    from a scan of the queue. Mutation is single-writer (the engine);
+    reads hand out immutable node values.
     """
 
     queue: tuple[ChangeId, ...]
@@ -140,10 +142,8 @@ class SpeculationForest:
     windows: dict[ChangeId, BaseKey] = field(default_factory=dict)
     nodes: dict[NodeKey, BuildNode] = field(default_factory=dict)
     components: list[list[ChangeId]] = field(default_factory=list)
-
-    @property
-    def queue_snapshot(self) -> tuple[ChangeId, ...]:
-        return self.queue
+    bases: dict[ChangeId, tuple[BaseKey, ...]] = field(default_factory=dict)
+    order: dict[ChangeId, int] = field(default_factory=dict)
 
     def window(self, c: ChangeId) -> BaseKey:
         """Unresolved conflicting predecessors of c, nearest depth_cap only."""
@@ -151,33 +151,59 @@ class SpeculationForest:
             raise KeyError(f"unknown change {c}")
         return self.windows[c]
 
+    def conflicting_ahead(self, c: ChangeId) -> BaseKey:
+        """Every queued conflicting predecessor of c, in queue order."""
+        order = self.order
+        rank = order[c]
+        ahead = [p for p in self.graph.neighbors(c) if order.get(p, rank) < rank]
+        ahead.sort(key=order.__getitem__)
+        return tuple(ahead)
+
     def node(self, change: ChangeId, base: BaseKey) -> BuildNode:
         return self.nodes[(change, base)]
 
     def nodes_for_change(self, c: ChangeId) -> list[BuildNode]:
         """All nodes of c, largest base first, then base lexicographic."""
-        if c not in self.windows:
+        bases = self.bases.get(c)
+        if bases is None:
             raise KeyError(f"unknown change {c}")
-        keys = [k for k in self.nodes if k[0] == c]
-        keys.sort(key=lambda k: (-len(k[1]), tuple(b.seq for b in k[1])))
-        return [self.nodes[k] for k in keys]
+        nodes = self.nodes
+        return [nodes[(c, base)] for base in bases]
 
     def all_nodes(self) -> list[BuildNode]:
-        keys = sorted(
-            self.nodes, key=lambda k: (k[0].seq, -len(k[1]), tuple(b.seq for b in k[1]))
-        )
-        return [self.nodes[k] for k in keys]
+        """Every node, by change sequence, then in nodes_for_change order."""
+        nodes = self.nodes
+        return [
+            nodes[(c, base)]
+            for c in sorted(self.queue, key=lambda c: c.seq)
+            for base in self.bases[c]
+        ]
 
     def update_node(self, node: BuildNode) -> None:
         if node.key not in self.nodes:
             raise KeyError(f"no such node {node.key}")
         self.nodes[node.key] = node
 
-    def component_of(self, c: ChangeId) -> list[ChangeId]:
-        for members in self.components:
-            if c in members:
-                return members
-        raise KeyError(f"unknown change {c}")
+    def add_change(self, c: ChangeId) -> None:
+        """Append an arriving change with its window and pending nodes.
+
+        A later arrival never enters an earlier change's window, so every
+        existing window, base and node stays as it is.
+        """
+        if c in self.order:
+            raise ValueError(f"change {c} is already queued")
+        self.order[c] = self.order[self.queue[-1]] + 1 if self.queue else 0
+        self.queue += (c,)
+        self._set_window(c)
+        self.components = connected_components(self.graph, self.queue)
+
+    def _set_window(self, c: ChangeId) -> None:
+        """(Re)derive c's window, bases and fresh pending nodes."""
+        window = self.conflicting_ahead(c)[-self.depth_cap :]
+        self.windows[c] = window
+        self.bases[c] = _ordered_bases(window)
+        for base in self.bases[c]:
+            self.nodes[(c, base)] = BuildNode(change=c, base=base)
 
 
 def enumerate_forest(
@@ -185,21 +211,25 @@ def enumerate_forest(
 ) -> SpeculationForest:
     """Build a fresh all-pending forest; every node starts Pending."""
     queue_t = tuple(queue)
-    windows: dict[ChangeId, BaseKey] = {}
-    nodes: dict[NodeKey, BuildNode] = {}
-    for i, c in enumerate(queue_t):
-        window = _window(queue_t, i, g, depth_cap)
-        windows[c] = window
-        for base in _subsets(window):
-            nodes[(c, base)] = BuildNode(change=c, base=base)
-    components = connected_components(g, queue_t)
-    return SpeculationForest(
+    forest = SpeculationForest(
         queue=queue_t,
         graph=g,
         depth_cap=depth_cap,
-        windows=windows,
-        nodes=nodes,
-        components=components,
+        order={c: i for i, c in enumerate(queue_t)},
+    )
+    for c in queue_t:
+        forest._set_window(c)
+    forest.components = connected_components(g, queue_t)
+    return forest
+
+
+def _later_conflicting(forest: SpeculationForest, c: ChangeId) -> list[ChangeId]:
+    """Queued changes after c that conflict with it: the only windows c is in."""
+    order = forest.order
+    rank = order[c]
+    return sorted(
+        (s for s in forest.graph.neighbors(c) if order.get(s, rank) > rank),
+        key=order.__getitem__,
     )
 
 
@@ -218,26 +248,27 @@ def carry_map(
     """
     if resolved not in forest.windows:
         raise KeyError(f"unknown change {resolved}")
-    position = {c: i for i, c in enumerate(forest.queue)}
-    resolved_pos = position[resolved]
+    affected = set(_later_conflicting(forest, resolved))
     mapping: dict[NodeKey, NodeKey] = {}
-    for key in forest.nodes:
-        c, base = key
-        follows = position[c] > resolved_pos
-        if follows and forest.graph.are_conflicting(c, resolved):
-            if landed:
-                if resolved not in base:
-                    continue
-                mapping[key] = (c, tuple(b for b in base if b != resolved))
+    for c in forest.queue:
+        if c == resolved:
+            continue
+        for base in forest.bases[c]:
+            if c not in affected:
+                mapping[(c, base)] = (c, base)
             elif resolved not in base:
-                mapping[key] = key
-        elif c != resolved:
-            mapping[key] = key
+                if not landed:
+                    mapping[(c, base)] = (c, base)
+            elif landed:
+                mapping[(c, base)] = (c, tuple(b for b in base if b != resolved))
     return mapping
 
 
 def resolve_change(
-    forest: SpeculationForest, resolved: ChangeId, landed: bool
+    forest: SpeculationForest,
+    resolved: ChangeId,
+    landed: bool,
+    mapping: Mapping[NodeKey, NodeKey] | None = None,
 ) -> SpeculationForest:
     """Remove a decided change and drop every node its outcome contradicts.
 
@@ -247,12 +278,37 @@ def resolve_change(
     Nodes whose assumption was wrong (or that were built against a
     mainline now missing a landed conflicting change) come back Pending,
     including any fresh nodes from a widened speculation window.
+
+    Only the later changes that conflict with the resolved one get new
+    windows; every other change keeps its window, bases and nodes.
+    ``mapping`` is ``carry_map(forest, resolved, landed)``, for callers
+    that already computed it. The given forest is left unchanged.
     """
-    mapping = carry_map(forest, resolved, landed)
-    new_queue = tuple(c for c in forest.queue if c != resolved)
-    rebuilt = enumerate_forest(new_queue, forest.graph, forest.depth_cap)
+    if mapping is None:
+        mapping = carry_map(forest, resolved, landed)
+    affected = _later_conflicting(forest, resolved)
+    nodes = dict(forest.nodes)
+    for c in [resolved, *affected]:
+        for base in forest.bases[c]:
+            del nodes[(c, base)]
+    queue = tuple(c for c in forest.queue if c != resolved)
+    rebuilt = SpeculationForest(
+        queue=queue,
+        graph=forest.graph,
+        depth_cap=forest.depth_cap,
+        windows=dict(forest.windows),
+        nodes=nodes,
+        components=connected_components(forest.graph, queue),
+        bases=dict(forest.bases),
+        order=dict(forest.order),
+    )
+    for index in (rebuilt.windows, rebuilt.bases, rebuilt.order):
+        del index[resolved]
+    for c in affected:
+        rebuilt._set_window(c)
     for old_key, new_key in mapping.items():
-        if new_key not in rebuilt.nodes:
+        if new_key not in nodes:
             raise AssertionError(f"carried node {old_key} maps outside the forest")
-        rebuilt.nodes[new_key] = replace(forest.nodes[old_key], base=new_key[1])
+        node = forest.nodes[old_key]
+        nodes[new_key] = node if old_key == new_key else replace(node, base=new_key[1])
     return rebuilt

@@ -131,13 +131,7 @@ def decide_change(
         return Decision(
             DecisionKind.WAIT, c, reason=WaitReason.OUTCOMES_INCONSISTENT
         )
-    queue_position = forest.queue.index(c)
-    conflicting_ahead = sum(
-        1
-        for p in forest.queue[:queue_position]
-        if forest.graph.are_conflicting(p, c)
-    )
-    if not allow_bypass or conflicting_ahead > len(window):
+    if not allow_bypass or len(forest.conflicting_ahead(c)) > len(window):
         return Decision(
             DecisionKind.WAIT, c, reason=WaitReason.BLOCKED_BY_PREDECESSOR
         )

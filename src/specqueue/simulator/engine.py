@@ -14,7 +14,6 @@ import hashlib
 import heapq
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -97,7 +96,6 @@ class _Run:
     started: float
     duration: float
     outcome: BuildOutcome
-    live: bool = True
 
 
 class _Simulation:
@@ -126,6 +124,8 @@ class _Simulation:
         )
         self.mainline = MainlineState()
         self.landed_set: set[ChangeId] = set()
+        # live runs by token; a finished or aborted run leaves, so a
+        # completion event whose token is gone is stale
         self.runs: dict[int, _Run] = {}
         self.running: dict[NodeKey, _Run] = {}
         self.next_token = 0
@@ -158,26 +158,16 @@ class _Simulation:
         return self._report(), tuple(self.trace)
 
     def _arrive(self, c: ChangeId) -> None:
-        conflicts_pending = sum(
-            1 for p in self.forest.queue if self.graph.are_conflicting(p, c)
-        )
+        self.forest.add_change(c)
+        conflicts_pending = len(self.forest.conflicting_ahead(c))
         if conflicts_pending:
             self.waited_on_conflicts += 1
-        grown = enumerate_forest(
-            self.forest.queue + (c,), self.graph, self.cfg.depth_cap
-        )
-        # Earlier changes' windows are unaffected by a later arrival, so
-        # every existing node carries over under its own key.
-        for key, node in self.forest.nodes.items():
-            grown.nodes[key] = node
-        self.forest = grown
         self._log(f"arrive {c.label} pending_conflicts={conflicts_pending}")
 
     def _finish(self, token: int) -> bool:
-        run = self.runs[token]
-        if not run.live:
+        run = self.runs.pop(token, None)
+        if run is None:
             return False
-        run.live = False
         del self.running[run.key]
         node = self.forest.nodes[run.key]
         self.forest.update_node(node.completed(run.outcome, self.now))
@@ -212,16 +202,11 @@ class _Simulation:
         post_build_wait = self.now - max(n.finished_at for n in nodes)
         bypassed: tuple[ChangeId, ...] = ()
         if decision.via_bypass:
-            position = self.forest.queue.index(c)
-            bypassed = tuple(
-                p
-                for p in self.forest.queue[:position]
-                if self.graph.are_conflicting(p, c)
-            )
+            bypassed = self.forest.conflicting_ahead(c)
             self.bypass_count += 1
 
         mapping = carry_map(self.forest, c, landed)
-        self.forest = resolve_change(self.forest, c, landed)
+        self.forest = resolve_change(self.forest, c, landed, mapping)
         survivors: dict[NodeKey, _Run] = {}
         for key, run in self.running.items():
             if key in mapping:
@@ -230,7 +215,7 @@ class _Simulation:
             else:
                 # The build's base assumption just got contradicted; its
                 # node is gone from the forest, so account directly.
-                run.live = False
+                del self.runs[run.token]
                 elapsed = self.now - run.started
                 self.executor_minutes += elapsed
                 self.abort_count += 1
@@ -347,7 +332,7 @@ class _Simulation:
 
     def _abort(self, node: BuildNode) -> None:
         run = self.running.pop(node.key)
-        run.live = False
+        del self.runs[run.token]
         elapsed = self.now - run.started
         self.executor_minutes += elapsed
         self.abort_count += 1
@@ -402,21 +387,12 @@ def run_baseline(workload: WorkloadSpec) -> tuple[MetricsReport, TraceLog]:
 def compare(
     workload: WorkloadSpec,
     variants: Sequence[tuple[str, str, EngineConfig]],
-    parallel: int = 1,
 ) -> list[MetricsReport]:
-    """Run labeled (strategy, config) variants over one workload.
-
-    Results keep the input order regardless of worker scheduling.
-    """
+    """Run labeled (strategy, config) variants over one workload, in order."""
     if len(variants) < 2:
         raise ValueError("compare needs at least two variants")
-
-    def one(variant: tuple[str, str, EngineConfig]) -> MetricsReport:
-        label, strategy, config = variant
+    reports = []
+    for label, strategy, config in variants:
         report, _ = run(replace(workload, config=config), strategy)
-        return replace(report, strategy=label)
-
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(one, variants))
-    return [one(v) for v in variants]
+        reports.append(replace(report, strategy=label))
+    return reports

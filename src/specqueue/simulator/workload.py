@@ -156,7 +156,8 @@ def _generate_changes(params: GeneratorParams, p_link: float) -> tuple[ChangeSpe
     )
     specs: list[ChangeSpec] = []
     arrival = 0.0
-    targets_by_index: list[set[str]] = []
+    # indices of the changes touching each target, ascending
+    indices_by_target: dict[str, list[int]] = {}
     long_indices: list[int] = []
     conflicted: set[int] = set()
     for i in range(params.n_changes):
@@ -200,16 +201,17 @@ def _generate_changes(params: GeneratorParams, p_link: float) -> tuple[ChangeSpe
             targets.add(f"t{j}")
             conflicted.add(j)
             conflicted.add(i)
-        targets_by_index.append(targets)
         if not is_short:
             long_indices.append(i)
 
         passes_alone = rng.random() >= params.fail_rate
-        conflicting_preds = [
-            ChangeId(j, f"C{j}")
-            for j in range(i)
-            if targets_by_index[j] & targets
-        ]
+        preds: set[int] = set()
+        for t in targets:
+            touching = indices_by_target.setdefault(t, [])
+            preds.update(touching)
+            touching.append(i)
+        # ascending, so the breaker draws below consume the RNG in index order
+        conflicting_preds = [ChangeId(j, f"C{j}") for j in sorted(preds)]
         breakers = frozenset(
             p for p in conflicting_preds if rng.random() < params.breaker_rate
         )

@@ -103,13 +103,6 @@ class TestCompare:
         labels = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert labels == ["delta=0", "delta=0.3", "delta=0.7"]
 
-    def test_parallel_output_matches_serial(self, capsys, workload_file):
-        _, serial = run_cli(capsys, ["compare", "--workload", str(workload_file)])
-        _, parallel = run_cli(capsys, [
-            "compare", "--workload", str(workload_file), "--parallel", "2",
-        ])
-        assert serial == parallel
-
 
 class TestExitCodes:
     def test_success_is_zero(self, capsys):

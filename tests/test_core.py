@@ -109,6 +109,41 @@ class TestConflictGraph:
         assert g.are_conflicting(changes[0].id, changes[1].id)
         assert not g.are_conflicting(changes[0].id, changes[2].id)
 
+    def test_duplicate_ids_rejected_even_without_shared_targets(self):
+        a = make_change(0, {"x"})
+        dup = Change(
+            id=ChangeId(0, "C0"), arrival_time=5.0, targets_changed=frozenset({"y"})
+        )
+        with pytest.raises(ValueError, match="duplicate"):
+            build_conflict_graph([a, dup])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.frozensets(st.sampled_from("abcdefg"), max_size=3),
+                st.frozensets(st.sampled_from("abcdefg"), max_size=2),
+                st.frozensets(st.sampled_from("abcdefg"), max_size=2),
+            ),
+            max_size=12,
+        )
+    )
+    def test_equals_pairwise_conflicts(self, target_sets):
+        changes = [
+            Change(
+                id=ChangeId(i, f"C{i}"),
+                arrival_time=float(i),
+                targets_changed=changed,
+                targets_added=added,
+                targets_removed=removed,
+            )
+            for i, (changed, added, removed) in enumerate(target_sets)
+        ]
+        g = build_conflict_graph(changes)
+        assert set(g.adjacency) == {c.id for c in changes}
+        for a in changes:
+            expected = {b.id for b in changes if b.id != a.id and conflicts(a, b)}
+            assert g.neighbors(a.id) == expected
+
 
 class TestConnectedComponents:
     def test_chain_forms_one_component(self):

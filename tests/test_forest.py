@@ -13,11 +13,13 @@ from specqueue.core import (
     Change,
     ChangeId,
     build_conflict_graph,
+    connected_components,
 )
 from specqueue.forest import (
     BuildNode,
     BuildStatus,
     MainlineState,
+    carry_map,
     enumerate_forest,
     resolve_change,
 )
@@ -223,6 +225,127 @@ class TestResolve:
         forest = triangle_forest()
         with pytest.raises(KeyError):
             resolve_change(forest, ChangeId(99, "C99"), landed=True)
+
+
+def structure(forest) -> tuple:
+    """Everything but node status: windows, node keys, order, components."""
+    return (
+        forest.queue,
+        dict(forest.windows),
+        sorted(forest.nodes, key=lambda k: (k[0].seq, [b.seq for b in k[1]])),
+        {c: [n.key for n in forest.nodes_for_change(c)] for c in forest.queue},
+        [list(members) for members in forest.components],
+    )
+
+
+def assert_matches_fresh(forest) -> None:
+    """The incrementally kept forest equals a fresh enumeration of its queue."""
+    fresh = enumerate_forest(forest.queue, forest.graph, forest.depth_cap)
+    assert structure(forest) == structure(fresh)
+    for i, c in enumerate(forest.queue):
+        ahead = [p for p in forest.queue[:i] if forest.graph.are_conflicting(p, c)]
+        assert forest.window(c) == tuple(ahead[max(0, len(ahead) - forest.depth_cap) :])
+        keys = [n.key for n in forest.nodes_for_change(c)]
+        assert keys == sorted(keys, key=lambda k: (-len(k[1]), [b.seq for b in k[1]]))
+    assert forest.components == connected_components(forest.graph, forest.queue)
+
+
+def chain_graph(n: int):
+    changes = changes_from_targets({f"C{i}": {"t"} for i in range(1, n + 1)})
+    return [c.id for c in changes], build_conflict_graph(changes)
+
+
+class TestIncrementalForest:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_arrivals_and_resolutions_match_fresh(self, data):
+        target_sets = data.draw(
+            st.lists(
+                st.frozensets(st.sampled_from("abcd"), max_size=2),
+                min_size=1,
+                max_size=9,
+            )
+        )
+        depth_cap = data.draw(st.integers(min_value=1, max_value=3))
+        changes = [
+            Change(id=ChangeId(i, f"C{i}"), arrival_time=float(i), targets_changed=t)
+            for i, t in enumerate(target_sets, start=1)
+        ]
+        g = build_conflict_graph(changes)
+        arrivals = [c.id for c in changes]
+        forest = enumerate_forest([], g, depth_cap)
+        while arrivals or forest.queue:
+            if arrivals and (not forest.queue or data.draw(st.booleans())):
+                forest.add_change(arrivals.pop(0))
+            else:
+                # run one node so resolutions carry non-pending state too
+                node = data.draw(st.sampled_from(forest.all_nodes()))
+                if node.status is BuildStatus.PENDING:
+                    forest.update_node(node.started(0.0))
+                resolved = data.draw(st.sampled_from(forest.queue))
+                landed = data.draw(st.booleans())
+                before = structure(forest)
+                mapping = carry_map(forest, resolved, landed)
+                after = resolve_change(forest, resolved, landed, mapping)
+                assert structure(forest) == before
+                assert structure(after) == structure(
+                    resolve_change(forest, resolved, landed)
+                )
+                for old_key, new_key in mapping.items():
+                    carried = after.nodes[new_key]
+                    assert carried.status is forest.nodes[old_key].status
+                forest = after
+            assert_matches_fresh(forest)
+
+    def test_empty_queue(self):
+        queue, g = chain_graph(2)
+        forest = enumerate_forest([], g, 2)
+        assert_matches_fresh(forest)
+        assert forest.components == [] and not forest.nodes
+        forest.add_change(queue[0])
+        assert_matches_fresh(forest)
+        forest = resolve_change(forest, queue[0], landed=True)
+        assert forest.queue == () and not forest.nodes and not forest.windows
+        assert_matches_fresh(forest)
+
+    def test_depth_cap_one_resolving_the_head(self):
+        queue, g = chain_graph(4)
+        forest = enumerate_forest([], g, 1)
+        for c in queue:
+            forest.add_change(c)
+            assert_matches_fresh(forest)
+        assert forest.window(queue[3]) == (queue[2],)
+        for landed in (True, False, True, False):
+            forest = resolve_change(forest, forest.queue[0], landed)
+            assert_matches_fresh(forest)
+
+    def test_resolving_the_head_rewindows_only_conflicting_successors(self):
+        changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}, "C3": {"a", "b"}})
+        g = build_conflict_graph(changes)
+        forest = enumerate_forest([c.id for c in changes], g, 6)
+        running = forest.node(C2, ()).started(1.0)
+        forest.update_node(running)
+        after = resolve_change(forest, C1, landed=True)
+        assert_matches_fresh(after)
+        assert after.node(C2, ()) is running
+        assert after.window(C3) == (C2,)
+
+    def test_arrival_keeps_earlier_nodes(self):
+        queue, g = chain_graph(3)
+        forest = enumerate_forest(queue[:2], g, 6)
+        done = forest.node(queue[1], (queue[0],)).started(0.0).completed(
+            BuildOutcome.PASS, 3.0
+        )
+        forest.update_node(done)
+        forest.add_change(queue[2])
+        assert forest.node(queue[1], (queue[0],)) is done
+        assert_matches_fresh(forest)
+
+    def test_arrival_of_queued_change_rejected(self):
+        queue, g = chain_graph(2)
+        forest = enumerate_forest(queue, g, 6)
+        with pytest.raises(ValueError):
+            forest.add_change(queue[1])
 
 
 class TestBuildNodeTransitions:

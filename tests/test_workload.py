@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
@@ -112,6 +114,13 @@ class TestGeneratorParams:
 
 
 class TestGenerator:
+    def test_golden_digest_pins_rng_draw_order(self):
+        # Recorded before the generator indexed its conflicting
+        # predecessors; any change in the order of RNG draws moves it.
+        text = format_workload(generate_workload(GeneratorParams(n_changes=300, seed=7)))
+        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+        assert digest == "690c17aecaa3f8576ec60280f6674634"
+
     def test_deterministic_per_seed(self):
         params = GeneratorParams(n_changes=120, seed=9)
         assert generate_workload(params) == generate_workload(params)

@@ -31,14 +31,7 @@ from specqueue.simulator import (
     reports_to_csv,
     run,
 )
-
-_CONFIG_FLAGS = {
-    "delta": "speculation_threshold",
-    "tau": "bypass_eligibility_threshold",
-    "epsilon": "bypass_product_floor",
-    "capacity": "executor_capacity",
-    "depth_cap": "depth_cap",
-}
+from specqueue.simulator.workload import CONFIG_FIELDS, STRATEGIES
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workload", required=True)
     sim.add_argument("--seed", type=int, default=None,
                      help="override the workload's seed")
-    sim.add_argument("--strategy", choices=("enhanced", "baseline"), default=None,
+    sim.add_argument("--strategy", choices=STRATEGIES, default=None,
                      help="override the workload's strategy")
     _add_config_flags(sim)
     sim.add_argument("--out-metrics", help="also write the metrics CSV here")
@@ -194,7 +187,7 @@ def _load_workload(args: argparse.Namespace) -> WorkloadSpec:
         w = replace(w, seed=args.seed)
     overrides = {
         field: getattr(args, flag)
-        for flag, field in _CONFIG_FLAGS.items()
+        for flag, field in CONFIG_FIELDS.items()
         if getattr(args, flag, None) is not None
     }
     if overrides:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -25,18 +25,11 @@ class ChangeId:
 
 @dataclass(frozen=True)
 class Change:
-    """One submitted code change and its predictor-facing attributes."""
+    """One submitted code change: the targets it touches and its prior."""
 
     id: ChangeId
     arrival_time: float
     targets_changed: frozenset[str] = frozenset()
-    targets_added: frozenset[str] = frozenset()
-    targets_removed: frozenset[str] = frozenset()
-    added_lines: int = 0
-    removed_lines: int = 0
-    changeset_count: int = 0
-    commits_count: int = 0
-    developer: str = ""
     success_prior: float = 0.9
 
     def __post_init__(self) -> None:
@@ -44,12 +37,6 @@ class Change:
             raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
         if not 0.0 <= self.success_prior <= 1.0:
             raise ValueError(f"success_prior must be in [0, 1], got {self.success_prior}")
-        for name in ("added_lines", "removed_lines", "changeset_count", "commits_count"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    def all_targets(self) -> frozenset[str]:
-        return self.targets_changed | self.targets_added | self.targets_removed
 
 
 class BuildOutcome(Enum):
@@ -65,9 +52,6 @@ class ConflictGraph:
 
     def neighbors(self, c: ChangeId) -> frozenset[ChangeId]:
         return self.adjacency.get(c, frozenset())
-
-    def are_conflicting(self, a: ChangeId, b: ChangeId) -> bool:
-        return b in self.adjacency.get(a, frozenset())
 
 
 @dataclass(frozen=True)
@@ -106,7 +90,7 @@ class EngineConfig:
 
 def conflicts(a: Change, b: Change) -> bool:
     """True iff the two changes touch at least one common build target."""
-    return bool(a.all_targets() & b.all_targets())
+    return bool(a.targets_changed & b.targets_changed)
 
 
 def build_conflict_graph(changes: Sequence[Change]) -> ConflictGraph:
@@ -122,7 +106,7 @@ def build_conflict_graph(changes: Sequence[Change]) -> ConflictGraph:
         if c.id in adjacency:
             raise ValueError(f"duplicate change id: {c.id}")
         adjacency[c.id] = set()
-        for target in c.all_targets():
+        for target in c.targets_changed:
             by_target.setdefault(target, []).append(c.id)
     for sharing in by_target.values():
         if len(sharing) > 1:
@@ -162,11 +146,3 @@ def connected_components(
     for members in components:
         members.sort(key=lambda cid: order[cid])
     return components
-
-
-def pending_subgraph(g: ConflictGraph, pending: Iterable[ChangeId]) -> ConflictGraph:
-    """Restriction of the conflict graph to the given pending changes."""
-    keep = set(pending)
-    return ConflictGraph(
-        {cid: frozenset(g.neighbors(cid) & keep) for cid in keep}
-    )

@@ -98,18 +98,10 @@ class BuildNode:
         )
 
 
-@dataclass(frozen=True)
-class MainlineState:
-    """Changes landed so far, in commit order."""
-
-    landed: tuple[ChangeId, ...] = ()
-
-    @property
-    def head_label(self) -> str:
-        return f"main@{len(self.landed)}"
-
-    def with_landed(self, c: ChangeId) -> "MainlineState":
-        return MainlineState(self.landed + (c,))
+def key_order(key: NodeKey) -> tuple[int, int, tuple[int, ...]]:
+    """Sort key for node keys: by change, then base size, then base members."""
+    change, base = key
+    return (change.seq, len(base), tuple(b.seq for b in base))
 
 
 def _subsets(window: BaseKey) -> Iterator[BaseKey]:

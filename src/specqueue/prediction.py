@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 from specqueue.core import Change
-
-if TYPE_CHECKING:
-    from specqueue.forest import BuildNode
 
 _MIN_MEAN_MINUTES = 0.01
 
@@ -38,28 +35,11 @@ class PredictionFeatures:
     """Inputs available to a duration predictor for one build node."""
 
     targets_changed: int = 0
-    targets_added: int = 0
-    targets_removed: int = 0
     conflicts_count: int = 0
     speculation_height: int = 0
-    added_lines: int = 0
-    removed_lines: int = 0
-    changeset_count: int = 0
-    commits_count: int = 0
-    developer: str = ""
 
     def __post_init__(self) -> None:
-        for name in (
-            "targets_changed",
-            "targets_added",
-            "targets_removed",
-            "conflicts_count",
-            "speculation_height",
-            "added_lines",
-            "removed_lines",
-            "changeset_count",
-            "commits_count",
-        ):
+        for name in ("targets_changed", "conflicts_count", "speculation_height"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -83,14 +63,6 @@ class OracleWithNoise:
 
 
 @dataclass(frozen=True)
-class TablePredictor:
-    """Fixed per-change estimates looked up by change label."""
-
-    entries: Mapping[str, DurationEstimate] = field(default_factory=dict)
-    default: DurationEstimate | None = None
-
-
-@dataclass(frozen=True)
 class ConstantPredictor:
     mean: float = 25.0
     variance: float = 25.0
@@ -102,26 +74,26 @@ class ConstantPredictor:
             raise ValueError("variance must be >= 0")
 
 
-PredictorSpec = Union[OracleWithNoise, TablePredictor, ConstantPredictor]
+PredictorSpec = Union[OracleWithNoise, ConstantPredictor]
 
 
 def _noise_fraction(
     seed: int, features: PredictionFeatures, truth: DurationEstimate
 ) -> float:
-    """Deterministic value in [0, 1) keyed on the full prediction input."""
+    """Deterministic value in [0, 1) keyed on the full prediction input.
+
+    The constant slots stand for features the engine has no value for
+    (added and removed targets, line and commit counts, author); they
+    keep the key, and so every noise draw, stable across versions.
+    """
     key = "|".join(
         (
             str(seed),
             str(features.targets_changed),
-            str(features.targets_added),
-            str(features.targets_removed),
+            "0|0",  # targets added, targets removed
             str(features.conflicts_count),
             str(features.speculation_height),
-            str(features.added_lines),
-            str(features.removed_lines),
-            str(features.changeset_count),
-            str(features.commits_count),
-            features.developer,
+            "0|0|0|0|",  # lines added and removed, changesets, commits, author
             repr(truth.mean),
             repr(truth.variance),
         )
@@ -134,21 +106,13 @@ def predict_duration(
     spec: PredictorSpec,
     features: PredictionFeatures,
     truth: DurationEstimate | None = None,
-    change_label: str | None = None,
 ) -> DurationEstimate:
     """Estimate a build's duration distribution under the given predictor.
 
-    OracleWithNoise requires ``truth``; TablePredictor requires a
-    ``change_label`` present in its table (or a default entry).
+    OracleWithNoise requires ``truth``.
     """
     if isinstance(spec, ConstantPredictor):
         return DurationEstimate(spec.mean, spec.variance)
-    if isinstance(spec, TablePredictor):
-        if change_label is not None and change_label in spec.entries:
-            return spec.entries[change_label]
-        if spec.default is not None:
-            return spec.default
-        raise KeyError(f"no duration entry for change {change_label!r}")
     if isinstance(spec, OracleWithNoise):
         if truth is None:
             raise ValueError("OracleWithNoise requires the true duration")
@@ -163,12 +127,8 @@ def predict_duration(
     raise TypeError(f"unknown predictor spec: {spec!r}")
 
 
-def predict_success(change: Change, node: "BuildNode | None" = None) -> float:
-    """Probability the change's build passes on any base.
-
-    The default estimator returns the change's static prior; the node is
-    accepted so a model-backed estimator can condition on it.
-    """
+def predict_success(change: Change) -> float:
+    """Probability the change's build passes on any base: its static prior."""
     return change.success_prior
 
 

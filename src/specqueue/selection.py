@@ -16,13 +16,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
-from specqueue.forest import (
-    BuildNode,
-    BuildStatus,
-    MainlineState,
-    SpeculationForest,
-    resolve_change,
-)
+from specqueue.forest import BuildNode, BuildStatus, SpeculationForest, key_order
 from specqueue.prioritize import RankedBuild
 
 
@@ -85,16 +79,14 @@ def select_builds(
         running_by_key[r.node.key] for r in chosen if r.node.key in running_by_key
     )
     to_abort = tuple(
-        running_by_key[k] for k in _ordered(running_by_key) if k not in taken
+        running_by_key[k]
+        for k in sorted(running_by_key, key=key_order)
+        if k not in taken
     )
     to_start = tuple(
         r.node for r in chosen if r.node.key not in running_by_key
     )
     return ScheduleAction(to_start=to_start, to_abort=to_abort, to_keep=to_keep)
-
-
-def _ordered(keys: Iterable) -> list:
-    return sorted(keys, key=lambda k: (k[0].seq, len(k[1]), tuple(b.seq for b in k[1])))
 
 
 def decide_change(
@@ -140,17 +132,3 @@ def decide_change(
     return Decision(
         DecisionKind.REJECT, c, via_bypass=True, failing_node=nodes[0]
     )
-
-
-def commit(
-    mainline: MainlineState, d: Decision, forest: SpeculationForest
-) -> tuple[MainlineState, SpeculationForest]:
-    """Apply a decision: land updates mainline, both kinds prune the forest."""
-    if d.kind is DecisionKind.WAIT:
-        return mainline, forest
-    if d.kind is DecisionKind.LAND:
-        return (
-            mainline.with_landed(d.change),
-            resolve_change(forest, d.change, landed=True),
-        )
-    return mainline, resolve_change(forest, d.change, landed=False)

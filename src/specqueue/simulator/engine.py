@@ -28,7 +28,6 @@ from specqueue.forest import (
     BaseKey,
     BuildNode,
     BuildStatus,
-    MainlineState,
     NodeKey,
     SpeculationForest,
     carry_map,
@@ -49,7 +48,11 @@ from specqueue.prioritize import (
 )
 from specqueue.selection import DecisionKind, decide_change, select_builds
 from specqueue.simulator.metrics import MetricsReport, WaitRecord
-from specqueue.simulator.workload import WorkloadSpec, static_conflict_rate
+from specqueue.simulator.workload import (
+    STRATEGIES,
+    WorkloadSpec,
+    static_conflict_rate,
+)
 
 TraceLog = tuple[str, ...]
 
@@ -122,7 +125,6 @@ class _Simulation:
         self.forest: SpeculationForest = enumerate_forest(
             [], self.graph, self.cfg.depth_cap
         )
-        self.mainline = MainlineState()
         self.landed_set: set[ChangeId] = set()
         # live runs by token; a finished or aborted run leaves, so a
         # completion event whose token is gone is stale
@@ -226,7 +228,6 @@ class _Simulation:
         self.running = survivors
 
         if landed:
-            self.mainline = self.mainline.with_landed(c)
             self.landed_set.add(c)
         self.decided += 1
         wait = self.now - spec.arrival_time
@@ -253,9 +254,7 @@ class _Simulation:
         self._annotate()
         partitions = self._partitions()
         ranked = rank_builds(self.forest, partitions, self._success_fn)
-        running_nodes = [
-            self.forest.nodes[key] for key in sorted(self.running, key=_key_order)
-        ]
+        running_nodes = [self.forest.nodes[key] for key in self.running]
         action = select_builds(ranked, running_nodes, self.select_cfg)
         scores = {r.node.key: r for r in ranked}
         for node in action.to_abort:
@@ -296,7 +295,6 @@ class _Simulation:
                 self.workload.predictor,
                 features,
                 truth=DurationEstimate(spec.true_mean, spec.true_variance),
-                change_label=node.change.label,
             )
             self.forest.update_node(node.with_estimate(estimate))
 
@@ -365,16 +363,12 @@ def _base_str(base: Sequence[ChangeId]) -> str:
     return ",".join(b.label for b in base)
 
 
-def _key_order(key: NodeKey) -> tuple:
-    return (key[0].seq, len(key[1]), tuple(b.seq for b in key[1]))
-
-
 def run(
     workload: WorkloadSpec, strategy: str | None = None
 ) -> tuple[MetricsReport, TraceLog]:
     """Simulate the workload; deterministic for identical inputs."""
     chosen = strategy if strategy is not None else workload.strategy
-    if chosen not in ("enhanced", "baseline"):
+    if chosen not in STRATEGIES:
         raise ValueError(f"unknown strategy {chosen!r}")
     return _Simulation(workload, chosen).execute()
 

@@ -10,7 +10,8 @@ write by hand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Container
 
 from specqueue.core import Change, ChangeId, EngineConfig, build_conflict_graph
 from specqueue.prediction import (
@@ -20,6 +21,24 @@ from specqueue.prediction import (
 )
 
 STRATEGIES = ("enhanced", "baseline")
+
+# config record keys (the CLI's override flags share them) and the
+# EngineConfig fields they set
+CONFIG_FIELDS = {
+    "delta": "speculation_threshold",
+    "tau": "bypass_eligibility_threshold",
+    "epsilon": "bypass_product_floor",
+    "capacity": "executor_capacity",
+    "depth_cap": "depth_cap",
+}
+_CHANGE_KEYS = ("id", "at", "targets", "mu", "var", "passes", "breakers", "prior")
+_PREDICTOR_KEYS = {"oracle": ("bias", "spread", "seed"), "constant": ("mu", "var")}
+
+# Generated durations are bimodal: (mean, variance) in minutes per mode.
+SHORT_MEAN, SHORT_VARIANCE = 5.0, 1.0
+LONG_MEAN, LONG_VARIANCE = 60.0, 16.0
+# A generated change links only to targets of the changes this far back.
+LINK_WINDOW = 6
 
 
 class WorkloadError(ValueError):
@@ -100,23 +119,17 @@ class GeneratorParams:
 
     conflict_density is the target fraction of changes that conflict
     with at least one other change; linkage probability is solved from
-    it. Durations are bimodal: a short mode and a long mode.
+    it. short_fraction is the share of changes in the short duration
+    mode (SHORT_MEAN); the rest are long (LONG_MEAN).
     """
 
     n_changes: int = 500
     arrival_rate: float = 0.25
     conflict_density: float = 0.3
     short_fraction: float = 0.7
-    short_mean: float = 5.0
-    short_variance: float = 1.0
-    long_mean: float = 60.0
-    long_variance: float = 16.0
     fail_rate: float = 0.1
     breaker_rate: float = 0.3
     seed: int = 0
-    link_window: int = 6
-    link_fanout: int = 1
-    long_link_fanout: int | None = None
     long_target_bias: float = 0.0
     long_second_link: float = 0.0
 
@@ -135,25 +148,11 @@ class GeneratorParams:
         ):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise WorkloadError(f"{name} must be in [0, 1]")
-        for name in ("short_mean", "long_mean"):
-            if getattr(self, name) <= 0:
-                raise WorkloadError(f"{name} must be > 0")
-        if self.link_window < 1:
-            raise WorkloadError("link_window must be >= 1")
-        if self.link_fanout < 1:
-            raise WorkloadError("link_fanout must be >= 1")
-        if self.long_link_fanout is not None and self.long_link_fanout < 1:
-            raise WorkloadError("long_link_fanout must be >= 1")
 
 
 def _generate_changes(params: GeneratorParams, p_link: float) -> tuple[ChangeSpec, ...]:
     """One full change stream for a candidate link probability."""
     rng = random.Random(params.seed)
-    fanout_long = (
-        params.long_link_fanout
-        if params.long_link_fanout is not None
-        else params.link_fanout
-    )
     specs: list[ChangeSpec] = []
     arrival = 0.0
     # indices of the changes touching each target, ascending
@@ -166,31 +165,29 @@ def _generate_changes(params: GeneratorParams, p_link: float) -> tuple[ChangeSpe
 
         is_short = rng.random() < params.short_fraction
         if is_short:
-            mean, variance = params.short_mean, params.short_variance
+            mean, variance = SHORT_MEAN, SHORT_VARIANCE
         else:
-            mean, variance = params.long_mean, params.long_variance
+            mean, variance = LONG_MEAN, LONG_VARIANCE
 
         targets = {f"t{i}"}
-        window_start = max(0, i - params.link_window)
-        linked = False
-        for _ in range(params.link_fanout if is_short else fanout_long):
-            if i > 0 and rng.random() < p_link:
-                linked = True
-                recent_longs = [j for j in long_indices if j >= window_start]
-                if (
-                    params.long_target_bias > 0
-                    and recent_longs
-                    and rng.random() < params.long_target_bias
-                ):
-                    # chain-forming: extend an existing conflict run when
-                    # one is still in the window, else start a fresh one
-                    chained = [j for j in recent_longs if j in conflicted]
-                    j = chained[-1] if chained else recent_longs[-1]
-                else:
-                    j = rng.randrange(window_start, i)
-                targets.add(f"t{j}")
-                conflicted.add(j)
-                conflicted.add(i)
+        window_start = max(0, i - LINK_WINDOW)
+        linked = i > 0 and rng.random() < p_link
+        if linked:
+            recent_longs = [j for j in long_indices if j >= window_start]
+            if (
+                params.long_target_bias > 0
+                and recent_longs
+                and rng.random() < params.long_target_bias
+            ):
+                # chain-forming: extend an existing conflict run when
+                # one is still in the window, else start a fresh one
+                chained = [j for j in recent_longs if j in conflicted]
+                j = chained[-1] if chained else recent_longs[-1]
+            else:
+                j = rng.randrange(window_start, i)
+            targets.add(f"t{j}")
+            conflicted.add(j)
+            conflicted.add(i)
         if (
             linked
             and not is_short
@@ -254,8 +251,8 @@ def generate_workload(
     Each change owns a private target; with some probability it also
     touches targets of recent changes, which is what creates conflicts.
     The link probability is calibrated by bisection against the
-    realized conflict rate, so the structural knobs (fanout, bias,
-    second links) cannot drift the density. Breakers are drawn only
+    realized conflict rate, so the structural knobs (bias, second
+    links) cannot drift the density. Breakers are drawn only
     from a change's conflicting predecessors, so landing order decided
     purely among non-conflicting changes can never break anyone.
     """
@@ -324,12 +321,17 @@ def _format_predictor(p: PredictorSpec) -> str:
     raise WorkloadError(f"predictor {p!r} has no file form")
 
 
-def _parse_fields(body: str, line_no: int) -> dict[str, str]:
+def _parse_fields(body: str, line_no: int, keys: Container[str]) -> dict[str, str]:
+    """The key=value tokens of a record; every key must be one of `keys`."""
     fields: dict[str, str] = {}
     for token in body.split():
         if "=" not in token:
             raise WorkloadError(f"line {line_no}: expected key=value, got {token!r}")
         key, _, value = token.partition("=")
+        if key not in keys:
+            raise WorkloadError(f"line {line_no}: unknown field {key!r}")
+        if key in fields:
+            raise WorkloadError(f"line {line_no}: repeated field {key!r}")
         fields[key] = value
     return fields
 
@@ -347,7 +349,7 @@ def parse_workload(text: str) -> WorkloadSpec:
     seed = 0
     strategy = "enhanced"
     predictor: PredictorSpec | None = None
-    config_fields: dict[str, str] | None = None
+    config_fields: dict[str, str] = {}
     change_rows: list[tuple[int, dict[str, str]]] = []
     labels: dict[str, ChangeId] = {}
 
@@ -367,9 +369,10 @@ def parse_workload(text: str) -> WorkloadSpec:
             elif kind == "predictor":
                 predictor = _parse_predictor(body, line_no)
             elif kind == "config":
-                config_fields = _parse_fields(body, line_no)
+                config_fields = _parse_fields(body, line_no, CONFIG_FIELDS)
             elif kind == "change":
-                change_rows.append((line_no, _parse_fields(body, line_no)))
+                fields = _parse_fields(body, line_no, _CHANGE_KEYS)
+                change_rows.append((line_no, fields))
             else:
                 raise WorkloadError(f"line {line_no}: unknown record {kind!r}")
         except (ValueError, KeyError) as exc:
@@ -381,11 +384,17 @@ def parse_workload(text: str) -> WorkloadSpec:
     for seq, (line_no, f) in enumerate(change_rows):
         try:
             label = f["id"]
+            if label in labels:
+                raise WorkloadError(f"line {line_no}: duplicate change id {label!r}")
+            breakers = [b for b in f.get("breakers", "").split(",") if b]
+            for b in breakers:
+                if b not in labels:
+                    raise WorkloadError(
+                        f"line {line_no}: breaker {b!r} is not an earlier change"
+                    )
             cid = ChangeId(seq, label)
             labels[label] = cid
-            breaker_ids = frozenset(
-                labels[b] for b in f.get("breakers", "").split(",") if b
-            )
+            breaker_ids = frozenset(labels[b] for b in breakers)
             specs.append(
                 ChangeSpec(
                     id=cid,
@@ -405,18 +414,18 @@ def parse_workload(text: str) -> WorkloadSpec:
                 raise
             raise WorkloadError(f"line {line_no}: {exc}") from exc
 
-    config = EngineConfig()
-    if config_fields is not None:
-        try:
-            config = EngineConfig(
-                speculation_threshold=float(config_fields.get("delta", "0.3")),
-                bypass_eligibility_threshold=float(config_fields.get("tau", "0.5")),
-                bypass_product_floor=float(config_fields.get("epsilon", "0.05")),
-                executor_capacity=int(config_fields.get("capacity", "8")),
-                depth_cap=int(config_fields.get("depth_cap", "6")),
-            )
-        except ValueError as exc:
-            raise WorkloadError(f"config: {exc}") from exc
+    defaults = EngineConfig()
+    try:
+        # a given value takes the type of the field's default
+        config = replace(
+            defaults,
+            **{
+                CONFIG_FIELDS[key]: type(getattr(defaults, CONFIG_FIELDS[key]))(value)
+                for key, value in config_fields.items()
+            },
+        )
+    except ValueError as exc:
+        raise WorkloadError(f"config: {exc}") from exc
     return WorkloadSpec(
         changes=tuple(specs),
         seed=seed,
@@ -428,15 +437,15 @@ def parse_workload(text: str) -> WorkloadSpec:
 
 def _parse_predictor(body: str, line_no: int) -> PredictorSpec:
     kind, _, rest = body.strip().partition(" ")
-    f = _parse_fields(rest, line_no)
+    if kind not in _PREDICTOR_KEYS:
+        raise WorkloadError(f"line {line_no}: unknown predictor {kind!r}")
+    f = _parse_fields(rest, line_no, _PREDICTOR_KEYS[kind])
     if kind == "oracle":
         return OracleWithNoise(
             relative_bias=float(f.get("bias", "0")),
             relative_spread=float(f.get("spread", "0")),
             seed=int(f.get("seed", "0")),
         )
-    if kind == "constant":
-        return ConstantPredictor(
-            mean=float(f.get("mu", "25")), variance=float(f.get("var", "25"))
-        )
-    raise WorkloadError(f"line {line_no}: unknown predictor {kind!r}")
+    return ConstantPredictor(
+        mean=float(f.get("mu", "25")), variance=float(f.get("var", "25"))
+    )

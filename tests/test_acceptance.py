@@ -421,7 +421,7 @@ def test_criterion_9_enumeration_law(capsys):
         queue = [c.id for c in changes]
         forest = enumerate_forest(queue, g, depth_cap)
         for i, c in enumerate(queue):
-            ahead = [p for p in queue[:i] if g.are_conflicting(p, c)]
+            ahead = [p for p in queue[:i] if p in g.neighbors(c)]
             k = min(depth_cap, len(ahead))
             nearest = sorted(ahead, key=lambda p: p.seq)[len(ahead) - k:]
             expected = {

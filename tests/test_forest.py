@@ -18,7 +18,6 @@ from specqueue.core import (
 from specqueue.forest import (
     BuildNode,
     BuildStatus,
-    MainlineState,
     carry_map,
     enumerate_forest,
     resolve_change,
@@ -124,7 +123,7 @@ class TestNodeCountLaw:
         forest = enumerate_forest(queue, g, depth_cap)
         for i, c in enumerate(changes):
             conflicting_ahead = [
-                p.id for p in changes[:i] if g.are_conflicting(p.id, c.id)
+                p.id for p in changes[:i] if p.id in g.neighbors(c.id)
             ]
             k = min(depth_cap, len(conflicting_ahead))
             assert len(forest.nodes_for_change(c.id)) == 2**k
@@ -221,10 +220,25 @@ class TestResolve:
             assert len(forest.nodes) <= total
             total = len(forest.nodes)
 
+    def test_bypass_land_keeps_predecessor_builds(self):
+        # C2 lands past its still-building predecessor C1.
+        forest = triangle_forest()
+        forest.update_node(forest.node(C1, ()).started(0.0))
+        after = resolve_change(forest, C2, landed=True)
+        assert after.queue == (C1, C3)
+        assert after.node(C1, ()).status is BuildStatus.RUNNING
+        # C3 keeps the variants that assumed C2 landed, relabelled.
+        assert base_keys(after, C3) == {(), ("C1",)}
+
     def test_unknown_change_rejected(self):
         forest = triangle_forest()
         with pytest.raises(KeyError):
             resolve_change(forest, ChangeId(99, "C99"), landed=True)
+
+    def test_double_decision_rejected(self):
+        after = resolve_change(triangle_forest(), C1, landed=True)
+        with pytest.raises(KeyError):
+            resolve_change(after, C1, landed=True)
 
 
 def structure(forest) -> tuple:
@@ -243,7 +257,7 @@ def assert_matches_fresh(forest) -> None:
     fresh = enumerate_forest(forest.queue, forest.graph, forest.depth_cap)
     assert structure(forest) == structure(fresh)
     for i, c in enumerate(forest.queue):
-        ahead = [p for p in forest.queue[:i] if forest.graph.are_conflicting(p, c)]
+        ahead = [p for p in forest.queue[:i] if p in forest.graph.neighbors(c)]
         assert forest.window(c) == tuple(ahead[max(0, len(ahead) - forest.depth_cap) :])
         keys = [n.key for n in forest.nodes_for_change(c)]
         assert keys == sorted(keys, key=lambda k: (-len(k[1]), [b.seq for b in k[1]]))
@@ -376,13 +390,3 @@ class TestBuildNodeTransitions:
     def test_base_must_be_sorted(self):
         with pytest.raises(ValueError):
             BuildNode(change=C3, base=(C2, C1))
-
-
-class TestMainlineState:
-    def test_append_only_growth(self):
-        m = MainlineState()
-        assert m.head_label == "main@0"
-        m2 = m.with_landed(C1)
-        assert m2.landed == (C1,)
-        assert m2.head_label == "main@1"
-        assert m.landed == ()

@@ -12,13 +12,12 @@ from specqueue.prediction import (
     DurationEstimate,
     OracleWithNoise,
     PredictionFeatures,
-    TablePredictor,
     mape,
     predict_duration,
     predict_success,
 )
 
-FEATURES = PredictionFeatures(targets_changed=3, added_lines=120, developer="dev1")
+FEATURES = PredictionFeatures(targets_changed=3, conflicts_count=2, speculation_height=1)
 
 
 class TestDurationEstimate:
@@ -70,9 +69,16 @@ class TestPredictDuration:
     def test_noise_varies_with_features(self):
         spec = OracleWithNoise(relative_bias=0.0, relative_spread=0.3, seed=11)
         truth = DurationEstimate(35.0, 9.0)
-        a = predict_duration(spec, PredictionFeatures(added_lines=1), truth=truth)
-        b = predict_duration(spec, PredictionFeatures(added_lines=2), truth=truth)
+        a = predict_duration(spec, PredictionFeatures(conflicts_count=1), truth=truth)
+        b = predict_duration(spec, PredictionFeatures(conflicts_count=2), truth=truth)
         assert a != b
+
+    def test_golden_noise_pins_the_hash_key(self):
+        # Recorded while the features still carried line, commit and
+        # author fields; the noise hash key must not move.
+        spec = OracleWithNoise(relative_bias=0.0, relative_spread=0.3, seed=11)
+        got = predict_duration(spec, FEATURES, truth=DurationEstimate(35.0, 9.0))
+        assert got == DurationEstimate(31.839851298821632, 7.448151164554826)
 
     def test_mean_clamped_above_zero(self):
         spec = OracleWithNoise(relative_bias=-1.5, relative_spread=0.0, seed=0)
@@ -82,16 +88,6 @@ class TestPredictDuration:
     def test_oracle_requires_truth(self):
         with pytest.raises(ValueError):
             predict_duration(OracleWithNoise(), FEATURES)
-
-    def test_table_lookup_and_missing_label(self):
-        spec = TablePredictor({"C1": DurationEstimate(5.0, 1.0)})
-        assert predict_duration(spec, FEATURES, change_label="C1").mean == 5.0
-        with pytest.raises(KeyError):
-            predict_duration(spec, FEATURES, change_label="C2")
-
-    def test_table_default_covers_unknown_changes(self):
-        spec = TablePredictor({}, default=DurationEstimate(30.0, 4.0))
-        assert predict_duration(spec, FEATURES, change_label="C9").mean == 30.0
 
 
 class TestPredictSuccess:

@@ -11,19 +11,13 @@ from specqueue.core import (
     EngineConfig,
     build_conflict_graph,
 )
-from specqueue.forest import (
-    BuildStatus,
-    MainlineState,
-    SpeculationForest,
-    enumerate_forest,
-)
+from specqueue.forest import BuildStatus, SpeculationForest, enumerate_forest
 from specqueue.prioritize import BypassPartition, RankedBuild
 from specqueue.selection import (
     Decision,
     DecisionKind,
     ScheduleAction,
     WaitReason,
-    commit,
     decide_change,
     select_builds,
 )
@@ -213,47 +207,6 @@ class TestDecideChange:
         forest = triangle(n=1)
         with pytest.raises(KeyError):
             decide_change(ChangeId(9, "C9"), forest)
-
-
-class TestCommit:
-    def test_bypass_land_keeps_predecessor_builds(self):
-        forest = triangle(n=3)
-        forest.update_node(forest.node(C1, ()).started(0.0))
-        finish(forest, C2, (C1,), BuildOutcome.PASS)
-        finish(forest, C2, (), BuildOutcome.PASS)
-        mainline = MainlineState()
-        d = decide_change(C2, forest)
-        mainline, forest = commit(mainline, d, forest)
-        assert mainline.landed == (C2,)
-        assert forest.queue == (C1, C3)
-        assert forest.node(C1, ()).status is BuildStatus.RUNNING
-        # C3 keeps the variants that assumed C2 landed, relabelled.
-        assert {n.base for n in forest.nodes_for_change(C3)} == {(), (C1,)}
-
-    def test_reject_prunes_assuming_nodes(self):
-        forest = triangle(n=2)
-        finish(forest, C1, (), BuildOutcome.FAIL)
-        mainline, forest = commit(
-            MainlineState(), decide_change(C1, forest), forest
-        )
-        assert mainline.landed == ()
-        assert [n.base for n in forest.nodes_for_change(C2)] == [()]
-
-    def test_wait_is_a_no_op(self):
-        forest = triangle(n=2)
-        mainline = MainlineState()
-        d = Decision(DecisionKind.WAIT, C2, reason=WaitReason.BUILDS_OUTSTANDING)
-        same_mainline, same_forest = commit(mainline, d, forest)
-        assert same_mainline is mainline
-        assert same_forest is forest
-
-    def test_double_decision_rejected(self):
-        forest = triangle(n=1)
-        finish(forest, C1, (), BuildOutcome.PASS)
-        d = decide_change(C1, forest)
-        _, forest = commit(MainlineState(), d, forest)
-        with pytest.raises(KeyError):
-            commit(MainlineState(), d, forest)
 
 
 class TestDecisionValidation:

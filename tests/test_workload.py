@@ -99,13 +99,13 @@ class TestGeneratorParams:
             {"short_fraction": -0.1},
             {"fail_rate": 2.0},
             {"breaker_rate": -1.0},
-            {"short_mean": 0.0},
-            {"long_mean": -3.0},
-            {"link_window": 0},
-            {"link_fanout": 0},
-            {"long_link_fanout": 0},
             {"long_target_bias": 1.2},
             {"long_second_link": -0.2},
+            {"conflict_density": -0.1},
+            {"short_fraction": 1.5},
+            {"fail_rate": -0.5},
+            {"long_target_bias": -0.1},
+            {"long_second_link": 1.1},
         ],
     )
     def test_rejects_out_of_range(self, kw):
@@ -120,6 +120,25 @@ class TestGenerator:
         text = format_workload(generate_workload(GeneratorParams(n_changes=300, seed=7)))
         digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
         assert digest == "690c17aecaa3f8576ec60280f6674634"
+
+    def test_golden_digest_pins_the_long_chain_path(self):
+        # The criterion-5 stream: chain-forming links to long changes and
+        # second links, which the default parameters never reach.
+        params = GeneratorParams(
+            n_changes=500,
+            arrival_rate=0.45,
+            conflict_density=0.3,
+            short_fraction=0.25,
+            fail_rate=0.1,
+            breaker_rate=0.0,
+            long_target_bias=1.0,
+            long_second_link=1.0,
+            seed=3,
+        )
+        w = generate_workload(params, config=EngineConfig(executor_capacity=72))
+        text = format_workload(w)
+        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+        assert digest == "15f02c76ef9c067360f177d0e8402582"
 
     def test_deterministic_per_seed(self):
         params = GeneratorParams(n_changes=120, seed=9)
@@ -181,7 +200,7 @@ class TestGenerator:
         for s in w.changes:
             for b in s.breakers:
                 assert b.seq < s.id.seq
-                assert g.are_conflicting(b, s.id)
+                assert b in g.neighbors(s.id)
 
     def test_bimodal_durations(self):
         w = generate_workload(GeneratorParams(n_changes=300, seed=7))
@@ -210,6 +229,9 @@ class TestStaticConflictRate:
             )
         )
         assert static_conflict_rate(w) == 50.0
+
+
+CHANGE_C0 = "change id=C0 at=0.0 targets=a mu=10.0 var=4.0"
 
 
 class TestFileFormat:
@@ -270,8 +292,23 @@ class TestFileFormat:
             "config capacity=none\nchange id=C0 at=0.0 targets=a mu=10.0 var=4.0",
             "strategy greedy\nchange id=C0 at=0.0 targets=a mu=10.0 var=4.0",
             "seed 1",  # no changes at all
+            "config delta=0.3 capcity=4\n" + CHANGE_C0,  # unknown fields
+            CHANGE_C0 + " prio=0.1",
+            "predictor oracle spred=0.2\n" + CHANGE_C0,
+            "predictor constant mu=5 sigma=1\n" + CHANGE_C0,
+            CHANGE_C0 + " mu=2.0",  # repeated field
+            CHANGE_C0 + "\nchange id=C0 at=1.0 targets=a mu=10.0 var=4.0",  # duplicate id
         ],
     )
     def test_malformed_inputs_raise(self, text):
         with pytest.raises(WorkloadError):
+            parse_workload(text)
+
+    @pytest.mark.parametrize("breaker", ["C1", "C9"])
+    def test_forward_or_unknown_breaker_is_named(self, breaker):
+        text = (
+            f"change id=C0 at=0.0 targets=a mu=10.0 var=4.0 breakers={breaker}\n"
+            "change id=C1 at=1.0 targets=a mu=10.0 var=4.0"
+        )
+        with pytest.raises(WorkloadError, match=f"breaker '{breaker}'"):
             parse_workload(text)

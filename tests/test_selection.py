@@ -11,7 +11,12 @@ from specqueue.core import (
     EngineConfig,
     build_conflict_graph,
 )
-from specqueue.forest import BuildStatus, SpeculationForest, enumerate_forest
+from specqueue.forest import (
+    BuildStatus,
+    SpeculationForest,
+    enumerate_forest,
+    resolve_change,
+)
 from specqueue.prioritize import BypassPartition, RankedBuild
 from specqueue.selection import (
     Decision,
@@ -207,6 +212,17 @@ class TestDecideChange:
         forest = triangle(n=1)
         with pytest.raises(KeyError):
             decide_change(ChangeId(9, "C9"), forest)
+
+
+class TestCommit:
+    def test_reject_prunes_assuming_nodes(self):
+        forest = triangle(n=2)
+        finish(forest, C1, (), BuildOutcome.FAIL)
+        d = decide_change(C1, forest)
+        assert d.kind is DecisionKind.REJECT
+        forest = resolve_change(forest, d.change, landed=False)
+        assert forest.queue == (C2,)
+        assert [n.base for n in forest.nodes_for_change(C2)] == [()]
 
 
 class TestDecisionValidation:

@@ -151,6 +151,15 @@ class SpeculationForest:
         ahead.sort(key=order.__getitem__)
         return tuple(ahead)
 
+    def conflicting_after(self, c: ChangeId) -> BaseKey:
+        """Queued changes after c that conflict with it, in queue order:
+        the only windows c is in, so the only ones its resolution moves."""
+        order = self.order
+        rank = order[c]
+        after = [s for s in self.graph.neighbors(c) if order.get(s, rank) > rank]
+        after.sort(key=order.__getitem__)
+        return tuple(after)
+
     def node(self, change: ChangeId, base: BaseKey) -> BuildNode:
         return self.nodes[(change, base)]
 
@@ -215,16 +224,6 @@ def enumerate_forest(
     return forest
 
 
-def _later_conflicting(forest: SpeculationForest, c: ChangeId) -> list[ChangeId]:
-    """Queued changes after c that conflict with it: the only windows c is in."""
-    order = forest.order
-    rank = order[c]
-    return sorted(
-        (s for s in forest.graph.neighbors(c) if order.get(s, rank) > rank),
-        key=order.__getitem__,
-    )
-
-
 def carry_map(
     forest: SpeculationForest, resolved: ChangeId, landed: bool
 ) -> dict[NodeKey, NodeKey]:
@@ -240,7 +239,7 @@ def carry_map(
     """
     if resolved not in forest.windows:
         raise KeyError(f"unknown change {resolved}")
-    affected = set(_later_conflicting(forest, resolved))
+    affected = set(forest.conflicting_after(resolved))
     mapping: dict[NodeKey, NodeKey] = {}
     for c in forest.queue:
         if c == resolved:
@@ -278,7 +277,7 @@ def resolve_change(
     """
     if mapping is None:
         mapping = carry_map(forest, resolved, landed)
-    affected = _later_conflicting(forest, resolved)
+    affected = forest.conflicting_after(resolved)
     nodes = dict(forest.nodes)
     for c in [resolved, *affected]:
         for base in forest.bases[c]:

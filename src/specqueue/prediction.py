@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -58,8 +59,10 @@ class OracleWithNoise:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.relative_spread < 0:
-            raise ValueError("relative_spread must be >= 0")
+        if not math.isfinite(self.relative_bias):
+            raise ValueError("relative_bias must be finite")
+        if not math.isfinite(self.relative_spread) or self.relative_spread < 0:
+            raise ValueError("relative_spread must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,10 @@ class ConstantPredictor:
     variance: float = 25.0
 
     def __post_init__(self) -> None:
-        if self.mean < _MIN_MEAN_MINUTES:
-            raise ValueError(f"mean must be >= {_MIN_MEAN_MINUTES}")
-        if self.variance < 0:
-            raise ValueError("variance must be >= 0")
+        if not math.isfinite(self.mean) or self.mean < _MIN_MEAN_MINUTES:
+            raise ValueError(f"mean must be finite and >= {_MIN_MEAN_MINUTES}")
+        if not math.isfinite(self.variance) or self.variance < 0:
+            raise ValueError("variance must be finite and >= 0")
 
 
 PredictorSpec = Union[OracleWithNoise, ConstantPredictor]

@@ -97,9 +97,10 @@ def decide_change(
 ) -> Decision:
     """Resolve a change now if its builds make the outcome certain.
 
-    Head rule: no unresolved conflicting predecessors means the single
-    remaining build speaks for the real merge. Bypass rule: with
-    predecessors still pending, identical outcomes across every
+    Its only inputs are c's window, c's nodes and c's queued conflicting
+    predecessors. Head rule: no unresolved conflicting predecessors means
+    the single remaining build speaks for the real merge. Bypass rule:
+    with predecessors still pending, identical outcomes across every
     speculative variant make the result independent of how they resolve.
     Bypass is unsafe when conflicting predecessors fell outside the
     speculation window, since no build covered those combinations.

@@ -1,10 +1,11 @@
 """Virtual-time event loop driving the queue under a chosen strategy.
 
-Arrivals and build completions are the only events. After every event
-the engine resolves whatever changes have become decidable (repeating
-until nothing more resolves, since one landing can unblock the next),
-then re-profiles, re-ranks, and reconciles the executor: builds that
-fell out of the chosen set abort, newly chosen ones start. All times are
+Arrivals and build completions are the only events. An arrival decides
+nothing; a finished build can only make its own change decidable, and a
+decision can only unblock the later queued changes that conflict with
+it, which are decided next in queue order. After every event the engine
+re-profiles, re-ranks, and reconciles the executor: builds that fell
+out of the chosen set abort, newly chosen ones start. All times are
 virtual minutes; a run is a pure function of its workload.
 """
 
@@ -94,7 +95,6 @@ class GroundTruth:
 class _Run:
     """One executor occupancy; survives node relabelling via `key` updates."""
 
-    token: int
     key: NodeKey
     started: float
     duration: float
@@ -126,19 +126,15 @@ class _Simulation:
             [], self.graph, self.cfg.depth_cap
         )
         self.landed_set: set[ChangeId] = set()
-        # live runs by token; a finished or aborted run leaves, so a
-        # completion event whose token is gone is stale
-        self.runs: dict[int, _Run] = {}
+        # live runs; a finished or aborted run leaves, so a completion
+        # event whose run is no longer here is stale
         self.running: dict[NodeKey, _Run] = {}
-        self.next_token = 0
         self.trace: list[str] = []
         self.waits: list[WaitRecord] = []
         self.builds_started = 0
         self.abort_count = 0
-        self.bypass_count = 0
         self.executor_minutes = 0.0
         self.waited_on_conflicts = 0
-        self.decided = 0
 
     # -- event loop ---------------------------------------------------
 
@@ -150,9 +146,12 @@ class _Simulation:
             self.now = entry[0]
             if entry[1] == _ARRIVAL:
                 self._arrive(self.workload.changes[entry[2]].id)
-            elif not self._finish(entry[3]):
-                continue  # stale completion; nothing changed
-            self._settle()
+            else:
+                finished = self._finish(entry[4])
+                if finished is None:
+                    continue  # stale completion; nothing changed
+                self._decide(finished)
+            self._reschedule()
         if self.forest.queue or self.running:
             raise RuntimeError(
                 f"simulation drained with {len(self.forest.queue)} undecided changes"
@@ -166,10 +165,10 @@ class _Simulation:
             self.waited_on_conflicts += 1
         self._log(f"arrive {c.label} pending_conflicts={conflicts_pending}")
 
-    def _finish(self, token: int) -> bool:
-        run = self.runs.pop(token, None)
-        if run is None:
-            return False
+    def _finish(self, run: _Run) -> ChangeId | None:
+        """Complete a live run's node; None when the run was aborted."""
+        if self.running.get(run.key) is not run:
+            return None
         del self.running[run.key]
         node = self.forest.nodes[run.key]
         self.forest.update_node(node.completed(run.outcome, self.now))
@@ -178,23 +177,26 @@ class _Simulation:
             f"finish {node.change.label} base={_base_str(node.base)} "
             f"outcome={run.outcome.value} elapsed={run.duration:.2f}"
         )
-        return True
+        return node.change
 
     # -- decisions ----------------------------------------------------
 
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for c in list(self.forest.queue):
-                if c not in self.forest.windows:
-                    continue  # resolved earlier in this sweep
-                decision = decide_change(c, self.forest, allow_bypass=self.enhanced)
-                if decision.kind is DecisionKind.WAIT:
-                    continue
-                self._apply(decision)
-                progress = True
-        self._reschedule()
+    def _decide(self, finished: ChangeId) -> None:
+        """Decide the finished build's change, then whatever that unblocks.
+
+        A candidate is only ever added by an earlier one, so the heap
+        takes them in queue order, as a sweep of the queue would.
+        """
+        candidates = [finished]
+        while candidates:
+            c = heapq.heappop(candidates)
+            decision = decide_change(c, self.forest, allow_bypass=self.enhanced)
+            if decision.kind is DecisionKind.WAIT:
+                continue
+            for later in self.forest.conflicting_after(c):
+                if later not in candidates:
+                    heapq.heappush(candidates, later)
+            self._apply(decision)
 
     def _apply(self, decision) -> None:
         c = decision.change
@@ -202,10 +204,7 @@ class _Simulation:
         landed = decision.kind is DecisionKind.LAND
         nodes = self.forest.nodes_for_change(c)
         post_build_wait = self.now - max(n.finished_at for n in nodes)
-        bypassed: tuple[ChangeId, ...] = ()
-        if decision.via_bypass:
-            bypassed = self.forest.conflicting_ahead(c)
-            self.bypass_count += 1
+        bypassed = self.forest.conflicting_ahead(c) if decision.via_bypass else ()
 
         mapping = carry_map(self.forest, c, landed)
         self.forest = resolve_change(self.forest, c, landed, mapping)
@@ -216,20 +215,12 @@ class _Simulation:
                 survivors[run.key] = run
             else:
                 # The build's base assumption just got contradicted; its
-                # node is gone from the forest, so account directly.
-                del self.runs[run.token]
-                elapsed = self.now - run.started
-                self.executor_minutes += elapsed
-                self.abort_count += 1
-                self._log(
-                    f"abort {key[0].label} base={_base_str(key[1])} "
-                    f"elapsed={elapsed:.2f}"
-                )
+                # node is gone from the forest.
+                self._account_abort(run)
         self.running = survivors
 
         if landed:
             self.landed_set.add(c)
-        self.decided += 1
         wait = self.now - spec.arrival_time
         self.waits.append(
             WaitRecord(
@@ -312,15 +303,14 @@ class _Simulation:
         snapshot = frozenset(self.landed_set) | set(node.base)
         outcome = self.truth.outcome(node.change, snapshot)
         duration = self.truth.duration(node.change, node.base)
-        token = self.next_token
-        self.next_token += 1
-        run = _Run(token, node.key, self.now, duration, outcome)
-        self.runs[token] = run
+        run = _Run(node.key, self.now, duration, outcome)
         self.running[node.key] = run
         self.forest.update_node(node.started(self.now))
         self.builds_started += 1
+        # the start count breaks ties, so the run itself is never compared
         heapq.heappush(
-            self.heap, (self.now + duration, _FINISH, node.change.seq, token)
+            self.heap,
+            (self.now + duration, _FINISH, node.change.seq, self.builds_started, run),
         )
         self._log(
             f"start {node.change.label} base={_base_str(node.base)} "
@@ -329,16 +319,15 @@ class _Simulation:
         )
 
     def _abort(self, node: BuildNode) -> None:
-        run = self.running.pop(node.key)
-        del self.runs[run.token]
+        self._account_abort(self.running.pop(node.key))
+        self.forest.update_node(node.aborted(self.now))
+
+    def _account_abort(self, run: _Run) -> None:
         elapsed = self.now - run.started
         self.executor_minutes += elapsed
         self.abort_count += 1
-        self.forest.update_node(self.forest.nodes[node.key].aborted(self.now))
-        self._log(
-            f"abort {node.change.label} base={_base_str(node.base)} "
-            f"elapsed={elapsed:.2f}"
-        )
+        change, base = run.key
+        self._log(f"abort {change.label} base={_base_str(base)} elapsed={elapsed:.2f}")
 
     # -- reporting ----------------------------------------------------
 
@@ -349,9 +338,9 @@ class _Simulation:
         return MetricsReport(
             strategy=self.strategy,
             builds_started=self.builds_started,
-            changes_decided=self.decided,
+            changes_decided=len(self.waits),
             executor_minutes=self.executor_minutes,
-            bypass_count=self.bypass_count,
+            bypass_count=sum(w.via_bypass for w in self.waits),
             abort_count=self.abort_count,
             waited_on_conflicts=self.waited_on_conflicts,
             conflict_rate=static_conflict_rate(self.workload),

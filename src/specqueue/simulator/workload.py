@@ -9,6 +9,7 @@ write by hand.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Container
@@ -59,12 +60,12 @@ class ChangeSpec:
     success_prior: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise WorkloadError(f"{self.id}: arrival_time must be >= 0")
-        if self.true_mean <= 0:
-            raise WorkloadError(f"{self.id}: true_mean must be > 0")
-        if self.true_variance < 0:
-            raise WorkloadError(f"{self.id}: true_variance must be >= 0")
+        if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
+            raise WorkloadError(f"{self.id}: arrival_time must be finite and >= 0")
+        if not math.isfinite(self.true_mean) or self.true_mean <= 0:
+            raise WorkloadError(f"{self.id}: true_mean must be finite and > 0")
+        if not math.isfinite(self.true_variance) or self.true_variance < 0:
+            raise WorkloadError(f"{self.id}: true_variance must be finite and >= 0")
         if not 0.0 <= self.success_prior <= 1.0:
             raise WorkloadError(f"{self.id}: success_prior must be in [0, 1]")
 
@@ -352,12 +353,17 @@ def parse_workload(text: str) -> WorkloadSpec:
     config_fields: dict[str, str] = {}
     change_rows: list[tuple[int, dict[str, str]]] = []
     labels: dict[str, ChangeId] = {}
+    given: set[str] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         kind, _, body = line.partition(" ")
+        if kind != "change":  # any other record may be given once
+            if kind in given:
+                raise WorkloadError(f"line {line_no}: repeated {kind!r} record")
+            given.add(kind)
         try:
             if kind == "workload-version":
                 if body.strip() != "1":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +90,27 @@ class TestPredictDuration:
     def test_oracle_requires_truth(self):
         with pytest.raises(ValueError):
             predict_duration(OracleWithNoise(), FEATURES)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"relative_bias": math.nan},
+            {"relative_bias": math.inf},
+            {"relative_spread": math.nan},
+            {"relative_spread": math.inf},
+        ],
+    )
+    def test_oracle_rejects_non_finite_parameters(self, kw):
+        with pytest.raises(ValueError, match="must be finite"):
+            OracleWithNoise(**kw)
+
+    @pytest.mark.parametrize(
+        "mean, variance",
+        [(math.nan, 25.0), (math.inf, 25.0), (25.0, math.nan), (25.0, math.inf)],
+    )
+    def test_constant_rejects_non_finite_parameters(self, mean, variance):
+        with pytest.raises(ValueError, match="must be finite"):
+            ConstantPredictor(mean, variance)
 
 
 class TestPredictSuccess:

@@ -6,10 +6,16 @@ stated means exactly and event times can be checked to the minute.
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specqueue.core import ChangeId, EngineConfig
 from specqueue.prediction import OracleWithNoise
+from specqueue.selection import DecisionKind, decide_change
 from specqueue.simulator import (
     CSV_HEADER,
     GeneratorParams,
@@ -23,7 +29,7 @@ from specqueue.simulator import (
     run_baseline,
 )
 from specqueue.simulator.engine import _Simulation
-from specqueue.simulator.workload import ChangeSpec
+from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
 
 def spec(seq, label, at, targets, mu, passes=True, prior=0.9):
@@ -128,8 +134,7 @@ class TestFailingPredecessor:
         sim = _Simulation(w, "enhanced")
         report, _ = sim.execute()
         assert report.abort_count == 1
-        assert sim.next_token == report.builds_started
-        assert sim.runs == {} and sim.running == {}
+        assert sim.running == {} and sim.heap == []
 
 
 class TestConcurrency:
@@ -176,6 +181,68 @@ class TestAccounting:
             by_label = {s.id.label: s for s in w.changes}
             for rec in report.waits:
                 assert rec.decided_at >= by_label[rec.change].arrival_time
+
+
+class _SweepCheckedSimulation(_Simulation):
+    """Asserts, before every reschedule, the fixed point that sweeping the
+    whole queue until nothing resolves would reach: no queued change is
+    decidable."""
+
+    def _reschedule(self) -> None:
+        for c in self.forest.queue:
+            decision = decide_change(c, self.forest, allow_bypass=self.enhanced)
+            assert decision.kind is DecisionKind.WAIT, (self.now, decision)
+        super()._reschedule()
+
+
+def dense(n_changes, seed):
+    return generate_workload(
+        GeneratorParams(
+            n_changes=n_changes, arrival_rate=1.5, conflict_density=0.8, seed=seed
+        )
+    )
+
+
+class TestEventDecisions:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_changes=st.integers(2, 14),
+        seed=st.integers(0, 10_000),
+        capacity=st.sampled_from((1, 3, 8)),
+        depth_cap=st.sampled_from((1, 2, 6)),
+        delta=st.sampled_from((0.0, 0.3, 1.0)),
+        tau=st.sampled_from((0.0, 0.5, 1.0)),
+        strategy=st.sampled_from(STRATEGIES),
+    )
+    def test_no_queued_change_is_left_decidable(
+        self, n_changes, seed, capacity, depth_cap, delta, tau, strategy
+    ):
+        cfg = EngineConfig(
+            speculation_threshold=delta,
+            bypass_eligibility_threshold=tau,
+            executor_capacity=capacity,
+            depth_cap=depth_cap,
+        )
+        w = replace(dense(n_changes, seed), config=cfg)
+        report, trace = _SweepCheckedSimulation(w, strategy).execute()
+        assert report.changes_decided == n_changes
+        assert (report, trace) == run(w, strategy)
+
+    # Recorded with the fixed-point sweep that the event rule replaced:
+    # any change in the order decisions are taken moves a digest.
+    @pytest.mark.parametrize(
+        "strategy, config, expected",
+        [
+            ("baseline", EngineConfig(), "6bce4a4d4d981a8ba9b87665aa08c3c2"),
+            ("enhanced", EngineConfig(), "0807879965eecb8f7b1f06e626893780"),
+            ("enhanced", EngineConfig(depth_cap=1), "5827267651b4546b9d5ae90dc178af59"),
+        ],
+    )
+    def test_golden_digest_pins_decision_order(self, strategy, config, expected):
+        report, trace = run(replace(dense(20, 0), config=config), strategy)
+        text = reports_to_csv([report]) + "\n".join(trace) + "\n"
+        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+        assert digest == expected
 
 
 class TestCompare:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 
@@ -47,6 +48,21 @@ class TestChangeSpec:
     def test_rejects_prior_outside_unit_interval(self):
         with pytest.raises(WorkloadError):
             spec(0, "C0", 0.0, {"a"}, success_prior=1.5)
+
+    @pytest.mark.parametrize(
+        "at, kw",
+        [
+            (math.nan, {}),
+            (math.inf, {}),
+            (0.0, {"mu": math.nan}),
+            (0.0, {"mu": math.inf}),
+            (0.0, {"var": math.nan}),
+            (0.0, {"var": math.inf}),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, at, kw):
+        with pytest.raises(WorkloadError, match="must be finite"):
+            spec(0, "C0", at, {"a"}, **kw)
 
     def test_to_change_copies_identity_and_targets(self):
         s = spec(2, "C2", 5.0, {"a", "b"}, success_prior=0.7)
@@ -298,10 +314,30 @@ class TestFileFormat:
             "predictor constant mu=5 sigma=1\n" + CHANGE_C0,
             CHANGE_C0 + " mu=2.0",  # repeated field
             CHANGE_C0 + "\nchange id=C0 at=1.0 targets=a mu=10.0 var=4.0",  # duplicate id
+            # a record given twice would silently replace the first
+            "workload-version 1\nworkload-version 1\n" + CHANGE_C0,
+            "seed 1\nseed 2\n" + CHANGE_C0,
+            "strategy enhanced\nstrategy baseline\n" + CHANGE_C0,
+            "predictor oracle seed=1\npredictor constant mu=5\n" + CHANGE_C0,
+            "config capacity=4\nconfig delta=0.5\n" + CHANGE_C0,
+            # non-finite numbers would run and report wrong metrics
+            "change id=C0 at=nan targets=a mu=10.0 var=4.0",
+            "change id=C0 at=0.0 targets=a mu=inf var=4.0",
+            "change id=C0 at=0.0 targets=a mu=nan var=4.0",
+            "change id=C0 at=0.0 targets=a mu=10.0 var=nan",
+            "predictor oracle bias=nan\n" + CHANGE_C0,
+            "predictor oracle spread=inf\n" + CHANGE_C0,
+            "predictor constant mu=inf\n" + CHANGE_C0,
+            "predictor constant var=nan\n" + CHANGE_C0,
         ],
     )
     def test_malformed_inputs_raise(self, text):
         with pytest.raises(WorkloadError):
+            parse_workload(text)
+
+    def test_repeated_record_names_its_line(self):
+        text = "config capacity=4\n# split config\nconfig delta=0.5\n" + CHANGE_C0
+        with pytest.raises(WorkloadError, match="line 3: repeated 'config' record"):
             parse_workload(text)
 
     @pytest.mark.parametrize("breaker", ["C1", "C9"])

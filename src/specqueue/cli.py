@@ -13,6 +13,7 @@ renamed into place so a failed run never leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -169,6 +170,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_cdf(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.at_x) and math.isfinite(args.at_y)):
+        raise ValueError("--at-x and --at-y must be finite")
     z = z_score(
         args.at_x,
         DurationEstimate(args.mu_x, args.var_x),

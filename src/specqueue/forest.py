@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from specqueue.core import BuildOutcome, ChangeId, ConflictGraph, connected_components
+from specqueue.core import BuildOutcome, ChangeId, ConflictGraph
 from specqueue.prediction import DurationEstimate
 
 BaseKey = tuple[ChangeId, ...]
@@ -27,7 +27,6 @@ class BuildStatus(Enum):
     PENDING = "pending"
     RUNNING = "running"
     COMPLETED = "completed"
-    ABORTED = "aborted"
 
 
 @dataclass(frozen=True)
@@ -35,16 +34,16 @@ class BuildNode:
     """One speculative build: a change merged onto mainline plus a base set.
 
     ``base`` lists the conflicting predecessors assumed to have landed
-    under this node, in queue order.
+    under this node, in queue order. A build goes from PENDING to
+    RUNNING to COMPLETED; an abort returns it to PENDING, so it can be
+    started again. The engine's run records when it started.
     """
 
     change: ChangeId
     base: BaseKey
     status: BuildStatus = BuildStatus.PENDING
-    started_at: float | None = None
     finished_at: float | None = None
     outcome: BuildOutcome | None = None
-    aborted_at: float | None = None
     estimate: DurationEstimate | None = None
 
     def __post_init__(self) -> None:
@@ -52,14 +51,10 @@ class BuildNode:
             raise ValueError("base must be sorted in queue order")
         if any(b >= self.change for b in self.base):
             raise ValueError("base members must precede the change in queue order")
-        if self.status is BuildStatus.RUNNING and self.started_at is None:
-            raise ValueError("running node needs started_at")
         if self.status is BuildStatus.COMPLETED and (
             self.outcome is None or self.finished_at is None
         ):
             raise ValueError("completed node needs outcome and finished_at")
-        if self.status is BuildStatus.ABORTED and self.aborted_at is None:
-            raise ValueError("aborted node needs aborted_at")
 
     @property
     def key(self) -> NodeKey:
@@ -68,34 +63,23 @@ class BuildNode:
     def with_estimate(self, estimate: DurationEstimate) -> "BuildNode":
         return replace(self, estimate=estimate)
 
-    def started(self, now: float) -> "BuildNode":
-        if self.status is BuildStatus.COMPLETED:
-            raise ValueError(f"cannot restart completed build {self.key}")
-        return replace(
-            self,
-            status=BuildStatus.RUNNING,
-            started_at=now,
-            aborted_at=None,
-        )
+    def started(self) -> "BuildNode":
+        if self.status is not BuildStatus.PENDING:
+            raise ValueError(f"only pending builds start, {self.key} is {self.status}")
+        return replace(self, status=BuildStatus.RUNNING)
 
     def completed(self, outcome: BuildOutcome, now: float) -> "BuildNode":
-        if self.status is BuildStatus.COMPLETED and self.outcome is not outcome:
-            raise ValueError(f"completed build {self.key} cannot change outcome")
         if self.status is not BuildStatus.RUNNING:
             raise ValueError(f"only running builds complete, {self.key} is {self.status}")
         return replace(
             self, status=BuildStatus.COMPLETED, outcome=outcome, finished_at=now
         )
 
-    def aborted(self, now: float) -> "BuildNode":
+    def aborted(self) -> "BuildNode":
+        """Back to pending: an aborted build may be chosen and started again."""
         if self.status is not BuildStatus.RUNNING:
             raise ValueError(f"only running builds abort, {self.key} is {self.status}")
-        return replace(
-            self,
-            status=BuildStatus.ABORTED,
-            aborted_at=now,
-            started_at=None,
-        )
+        return replace(self, status=BuildStatus.PENDING)
 
 
 def key_order(key: NodeKey) -> tuple[int, int, tuple[int, ...]]:
@@ -118,46 +102,44 @@ def _ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
 
 @dataclass
 class SpeculationForest:
-    """All speculative builds for the current pending queue.
+    """All speculative builds for the current pending queue, kept in place.
 
-    Indexed by how it is read: ``bases`` holds each change's node bases
-    in ``nodes_for_change`` order, and ``order`` ranks the queued changes
-    (increasing along the queue, not necessarily contiguous), so a
+    Queue order is ChangeId order. ``windows`` holds each queued
+    change's window in that order, so its keys are the queue; ``bases``
+    holds each change's node bases in ``nodes_for_change`` order. A
     window is read from the change's conflict neighbours rather than
     from a scan of the queue. Mutation is single-writer (the engine);
     reads hand out immutable node values.
     """
 
-    queue: tuple[ChangeId, ...]
     graph: ConflictGraph
     depth_cap: int
     windows: dict[ChangeId, BaseKey] = field(default_factory=dict)
-    nodes: dict[NodeKey, BuildNode] = field(default_factory=dict)
-    components: list[list[ChangeId]] = field(default_factory=list)
     bases: dict[ChangeId, tuple[BaseKey, ...]] = field(default_factory=dict)
-    order: dict[ChangeId, int] = field(default_factory=dict)
+    nodes: dict[NodeKey, BuildNode] = field(default_factory=dict)
+
+    @property
+    def queue(self) -> tuple[ChangeId, ...]:
+        """The queued changes, in queue order."""
+        return tuple(self.windows)
 
     def window(self, c: ChangeId) -> BaseKey:
         """Unresolved conflicting predecessors of c, nearest depth_cap only."""
-        if c not in self.windows:
-            raise KeyError(f"unknown change {c}")
         return self.windows[c]
 
     def conflicting_ahead(self, c: ChangeId) -> BaseKey:
         """Every queued conflicting predecessor of c, in queue order."""
-        order = self.order
-        rank = order[c]
-        ahead = [p for p in self.graph.neighbors(c) if order.get(p, rank) < rank]
-        ahead.sort(key=order.__getitem__)
+        seq, windows = c.seq, self.windows
+        ahead = [p for p in self.graph.neighbors(c) if p.seq < seq and p in windows]
+        ahead.sort(key=lambda p: p.seq)
         return tuple(ahead)
 
     def conflicting_after(self, c: ChangeId) -> BaseKey:
         """Queued changes after c that conflict with it, in queue order:
         the only windows c is in, so the only ones its resolution moves."""
-        order = self.order
-        rank = order[c]
-        after = [s for s in self.graph.neighbors(c) if order.get(s, rank) > rank]
-        after.sort(key=order.__getitem__)
+        seq, windows = c.seq, self.windows
+        after = [s for s in self.graph.neighbors(c) if s.seq > seq and s in windows]
+        after.sort(key=lambda s: s.seq)
         return tuple(after)
 
     def node(self, change: ChangeId, base: BaseKey) -> BuildNode:
@@ -165,20 +147,13 @@ class SpeculationForest:
 
     def nodes_for_change(self, c: ChangeId) -> list[BuildNode]:
         """All nodes of c, largest base first, then base lexicographic."""
-        bases = self.bases.get(c)
-        if bases is None:
-            raise KeyError(f"unknown change {c}")
         nodes = self.nodes
-        return [nodes[(c, base)] for base in bases]
+        return [nodes[(c, base)] for base in self.bases[c]]
 
     def all_nodes(self) -> list[BuildNode]:
-        """Every node, by change sequence, then in nodes_for_change order."""
+        """Every node, in queue order, then in nodes_for_change order."""
         nodes = self.nodes
-        return [
-            nodes[(c, base)]
-            for c in sorted(self.queue, key=lambda c: c.seq)
-            for base in self.bases[c]
-        ]
+        return [nodes[(c, base)] for c, bases in self.bases.items() for base in bases]
 
     def update_node(self, node: BuildNode) -> None:
         if node.key not in self.nodes:
@@ -188,15 +163,13 @@ class SpeculationForest:
     def add_change(self, c: ChangeId) -> None:
         """Append an arriving change with its window and pending nodes.
 
-        A later arrival never enters an earlier change's window, so every
-        existing window, base and node stays as it is.
+        c must sort after the queue's tail. A later arrival never enters
+        an earlier change's window, so every existing window, base and
+        node stays as it is.
         """
-        if c in self.order:
-            raise ValueError(f"change {c} is already queued")
-        self.order[c] = self.order[self.queue[-1]] + 1 if self.queue else 0
-        self.queue += (c,)
+        if self.windows and c.seq <= next(reversed(self.windows)).seq:
+            raise ValueError(f"change {c} does not sort after the queue's tail")
         self._set_window(c)
-        self.components = connected_components(self.graph, self.queue)
 
     def _set_window(self, c: ChangeId) -> None:
         """(Re)derive c's window, bases and fresh pending nodes."""
@@ -210,48 +183,36 @@ class SpeculationForest:
 def enumerate_forest(
     queue: Sequence[ChangeId], g: ConflictGraph, depth_cap: int
 ) -> SpeculationForest:
-    """Build a fresh all-pending forest; every node starts Pending."""
-    queue_t = tuple(queue)
-    forest = SpeculationForest(
-        queue=queue_t,
-        graph=g,
-        depth_cap=depth_cap,
-        order={c: i for i, c in enumerate(queue_t)},
-    )
-    for c in queue_t:
-        forest._set_window(c)
-    forest.components = connected_components(g, queue_t)
+    """Build a fresh all-pending forest by adding the queue in order."""
+    forest = SpeculationForest(graph=g, depth_cap=depth_cap)
+    for c in queue:
+        forest.add_change(c)
     return forest
 
 
 def carry_map(
     forest: SpeculationForest, resolved: ChangeId, landed: bool
-) -> dict[NodeKey, NodeKey]:
-    """Where each surviving node goes once `resolved` leaves the queue.
+) -> dict[NodeKey, NodeKey | None]:
+    """Where each node that `resolved`'s decision moves goes.
 
-    Nodes of the resolved change itself vanish. Only successors ever
-    speculated on it; builds of earlier changes never included it and
-    stay valid under the same key (when it landed early by bypass, the
-    consistency of its own variants proved the two changes commute). A
-    successor's node survives a landing iff it assumed the landing (the
-    member moves from base to mainline), and survives a rejection iff it
-    did not.
+    Only the nodes of the resolved change and of the queued later changes
+    that conflict with it are listed; each maps to its new key, or to
+    None when it vanishes. The resolved change's own nodes always vanish.
+    Every other node keeps its key: builds of earlier changes never
+    included it (when it landed early by bypass, the consistency of its
+    own variants proved the two changes commute). A successor's node
+    survives a landing iff it assumed the landing (the member moves from
+    base to mainline), and survives a rejection iff it did not.
     """
-    if resolved not in forest.windows:
-        raise KeyError(f"unknown change {resolved}")
-    affected = set(forest.conflicting_after(resolved))
-    mapping: dict[NodeKey, NodeKey] = {}
-    for c in forest.queue:
-        if c == resolved:
-            continue
+    mapping: dict[NodeKey, NodeKey | None] = {
+        (resolved, base): None for base in forest.bases[resolved]
+    }
+    for c in forest.conflicting_after(resolved):
         for base in forest.bases[c]:
-            if c not in affected:
-                mapping[(c, base)] = (c, base)
-            elif resolved not in base:
-                if not landed:
-                    mapping[(c, base)] = (c, base)
-            elif landed:
+            if (resolved in base) == landed:
                 mapping[(c, base)] = (c, tuple(b for b in base if b != resolved))
+            else:
+                mapping[(c, base)] = None
     return mapping
 
 
@@ -259,7 +220,7 @@ def resolve_change(
     forest: SpeculationForest,
     resolved: ChangeId,
     landed: bool,
-    mapping: Mapping[NodeKey, NodeKey] | None = None,
+    mapping: Mapping[NodeKey, NodeKey | None] | None = None,
 ) -> SpeculationForest:
     """Remove a decided change and drop every node its outcome contradicts.
 
@@ -273,33 +234,26 @@ def resolve_change(
     Only the later changes that conflict with the resolved one get new
     windows; every other change keeps its window, bases and nodes.
     ``mapping`` is ``carry_map(forest, resolved, landed)``, for callers
-    that already computed it. The given forest is left unchanged.
+    that already computed it. The forest is updated in place and
+    returned; an unknown change raises KeyError before anything changes.
     """
     if mapping is None:
         mapping = carry_map(forest, resolved, landed)
     affected = forest.conflicting_after(resolved)
-    nodes = dict(forest.nodes)
-    for c in [resolved, *affected]:
-        for base in forest.bases[c]:
-            del nodes[(c, base)]
-    queue = tuple(c for c in forest.queue if c != resolved)
-    rebuilt = SpeculationForest(
-        queue=queue,
-        graph=forest.graph,
-        depth_cap=forest.depth_cap,
-        windows=dict(forest.windows),
-        nodes=nodes,
-        components=connected_components(forest.graph, queue),
-        bases=dict(forest.bases),
-        order=dict(forest.order),
-    )
-    for index in (rebuilt.windows, rebuilt.bases, rebuilt.order):
-        del index[resolved]
+    nodes = forest.nodes
+    moved = {  # bases[resolved] raises KeyError first for an unknown change
+        (c, base): nodes.pop((c, base))
+        for c in (resolved, *affected)
+        for base in forest.bases[c]
+    }
+    del forest.windows[resolved], forest.bases[resolved]
     for c in affected:
-        rebuilt._set_window(c)
+        forest._set_window(c)
     for old_key, new_key in mapping.items():
+        if new_key is None:
+            continue
         if new_key not in nodes:
             raise AssertionError(f"carried node {old_key} maps outside the forest")
-        node = forest.nodes[old_key]
+        node = moved[old_key]
         nodes[new_key] = node if old_key == new_key else replace(node, base=new_key[1])
-    return rebuilt
+    return forest

@@ -25,10 +25,10 @@ class DurationEstimate:
     variance: float
 
     def __post_init__(self) -> None:
-        if self.mean < 0:
-            raise ValueError(f"mean must be >= 0, got {self.mean}")
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
+        if not 0 <= self.mean < math.inf:
+            raise ValueError(f"mean must be finite and >= 0, got {self.mean}")
+        if not 0 <= self.variance < math.inf:
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from specqueue.completion import (
     combine_estimates,
     p_finishes_before,
 )
-from specqueue.core import ChangeId, EngineConfig
+from specqueue.core import ChangeId, EngineConfig, connected_components
 from specqueue.forest import BaseKey, BuildNode, BuildStatus, SpeculationForest
 from specqueue.prediction import DurationEstimate
 
@@ -163,26 +163,23 @@ def rank_builds(
 ) -> list[RankedBuild]:
     """Score and order every build that could still run.
 
-    Completed nodes are excluded; aborted nodes are ranked again so they
-    can re-enter the schedule. Order: higher score first, then earlier
-    change, then deeper base, then base members.
+    Completed nodes are excluded; an aborted build is pending again, so
+    it is ranked with the rest. The mainline build of each conflict
+    component's head is mandatory. Order: higher score first, then
+    earlier change, then deeper base, then base members.
     """
-    ranked: list[RankedBuild] = []
-    for comp in forest.components:
-        head = comp[0]
-        for c in comp:
-            if c not in partitions:
-                raise ValueError(f"missing partition for {c}")
-            part = partitions[c]
-            for node in forest.nodes_for_change(c):
-                if node.status is BuildStatus.COMPLETED:
-                    continue
-                ranked.append(
-                    RankedBuild(
-                        node=node,
-                        p_needed=needed_probability(node, part, success_fn),
-                        mandatory=(c == head and not node.base),
-                    )
-                )
+    for c in forest.windows:
+        if c not in partitions:
+            raise ValueError(f"missing partition for {c}")
+    heads = {comp[0] for comp in connected_components(forest.graph, forest.queue)}
+    ranked = [
+        RankedBuild(
+            node=node,
+            p_needed=needed_probability(node, partitions[node.change], success_fn),
+            mandatory=(not node.base and node.change in heads),
+        )
+        for node in forest.all_nodes()
+        if node.status is not BuildStatus.COMPLETED
+    ]
     ranked.sort(key=lambda r: r.rank_key)
     return ranked

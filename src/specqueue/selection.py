@@ -26,7 +26,6 @@ class ScheduleAction:
 
     to_start: tuple[BuildNode, ...]
     to_abort: tuple[BuildNode, ...]
-    to_keep: tuple[BuildNode, ...]
 
 
 class DecisionKind(Enum):
@@ -75,9 +74,6 @@ def select_builds(
     chosen = candidates[: cfg.executor_capacity]
     taken = {r.node.key for r in chosen}
     running_by_key = {n.key: n for n in running}
-    to_keep = tuple(
-        running_by_key[r.node.key] for r in chosen if r.node.key in running_by_key
-    )
     to_abort = tuple(
         running_by_key[k]
         for k in sorted(running_by_key, key=key_order)
@@ -86,7 +82,7 @@ def select_builds(
     to_start = tuple(
         r.node for r in chosen if r.node.key not in running_by_key
     )
-    return ScheduleAction(to_start=to_start, to_abort=to_abort, to_keep=to_keep)
+    return ScheduleAction(to_start=to_start, to_abort=to_abort)
 
 
 def decide_change(

@@ -207,16 +207,17 @@ class _Simulation:
         bypassed = self.forest.conflicting_ahead(c) if decision.via_bypass else ()
 
         mapping = carry_map(self.forest, c, landed)
-        self.forest = resolve_change(self.forest, c, landed, mapping)
+        resolve_change(self.forest, c, landed, mapping)
         survivors: dict[NodeKey, _Run] = {}
         for key, run in self.running.items():
-            if key in mapping:
-                run.key = mapping[key]
-                survivors[run.key] = run
-            else:
+            new_key = mapping.get(key, key)
+            if new_key is None:
                 # The build's base assumption just got contradicted; its
                 # node is gone from the forest.
                 self._account_abort(run)
+            else:
+                run.key = new_key
+                survivors[new_key] = run
         self.running = survivors
 
         if landed:
@@ -305,7 +306,7 @@ class _Simulation:
         duration = self.truth.duration(node.change, node.base)
         run = _Run(node.key, self.now, duration, outcome)
         self.running[node.key] = run
-        self.forest.update_node(node.started(self.now))
+        self.forest.update_node(node.started())
         self.builds_started += 1
         # the start count breaks ties, so the run itself is never compared
         heapq.heappush(
@@ -320,7 +321,7 @@ class _Simulation:
 
     def _abort(self, node: BuildNode) -> None:
         self._account_abort(self.running.pop(node.key))
-        self.forest.update_node(node.aborted(self.now))
+        self.forest.update_node(node.aborted())
 
     def _account_abort(self, run: _Run) -> None:
         elapsed = self.now - run.started

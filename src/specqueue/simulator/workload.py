@@ -60,6 +60,13 @@ class ChangeSpec:
     success_prior: float = 0.9
 
     def __post_init__(self) -> None:
+        label = self.id.label
+        # the file format splits fields on whitespace and lists on commas;
+        # split() is [label] only for a non-empty label with no whitespace
+        if "," in label or label.split() != [label]:
+            raise WorkloadError(
+                f"change id {label!r} must be non-empty, with no comma or whitespace"
+            )
         if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
             raise WorkloadError(f"{self.id}: arrival_time must be finite and >= 0")
         if not math.isfinite(self.true_mean) or self.true_mean <= 0:

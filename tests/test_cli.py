@@ -35,6 +35,25 @@ class TestCdf:
         assert z == pytest.approx(2.83, abs=0.01)
         assert p == pytest.approx(0.9977, abs=0.0005)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            ["--mu-x", "nan"],
+            ["--at-x", "nan"],
+            ["--at-y", "inf"],
+            ["--var-y", "nan"],
+            ["--mu-x", "inf", "--var-x", "inf"],
+        ],
+    )
+    def test_non_finite_input_is_usage_error(self, capsys, override):
+        argv = [
+            "cdf", "--at-x", "0", "--mu-x", "35", "--var-x", "36",
+            "--at-y", "1", "--mu-y", "15", "--var-y", "9",
+        ]
+        code, out = run_cli(capsys, argv + override)
+        assert code == 1
+        assert out == ""
+
 
 class TestGenWorkload:
     def test_writes_parseable_file(self, workload_file):

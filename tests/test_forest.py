@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from itertools import combinations
 
 import pytest
@@ -12,8 +13,8 @@ from specqueue.core import (
     BuildOutcome,
     Change,
     ChangeId,
+    ConflictGraph,
     build_conflict_graph,
-    connected_components,
 )
 from specqueue.forest import (
     BuildNode,
@@ -65,7 +66,7 @@ class TestEnumerate:
         assert len(forest.nodes) == 2
         assert base_keys(forest, C1) == {()}
         assert base_keys(forest, C2) == {()}
-        assert forest.components == [[C1], [C2]]
+        assert forest.windows == {C1: (), C2: ()}
 
     def test_independent_middle_change_never_enters_bases(self):
         # C3 conflicts with C1 only; C2 shares nothing with C3.
@@ -153,9 +154,9 @@ class TestResolve:
 
     def test_land_carries_node_state_by_assumed_base(self):
         forest = triangle_forest()
-        speculative = forest.node(C2, (C1,)).started(0.0).completed(BuildOutcome.PASS, 9.0)
+        speculative = forest.node(C2, (C1,)).started().completed(BuildOutcome.PASS, 9.0)
         forest.update_node(speculative)
-        mainline_only = forest.node(C2, ()).started(0.0)
+        mainline_only = forest.node(C2, ()).started()
         forest.update_node(mainline_only)
         after = resolve_change(forest, C1, landed=True)
         survivor = after.node(C2, ())
@@ -165,17 +166,17 @@ class TestResolve:
 
     def test_reject_carries_the_mainline_node(self):
         forest = triangle_forest()
-        forest.update_node(forest.node(C2, ()).started(1.5))
+        running = forest.node(C2, ()).started()
+        forest.update_node(running)
         after = resolve_change(forest, C1, landed=False)
-        survivor = after.node(C2, ())
-        assert survivor.status is BuildStatus.RUNNING
-        assert survivor.started_at == 1.5
+        assert after.node(C2, ()) is running
+        assert running.status is BuildStatus.RUNNING
 
     def test_resolving_independent_change_leaves_others_untouched(self):
         changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}, "C3": {"b"}})
         g = build_conflict_graph(changes)
         forest = enumerate_forest([c.id for c in changes], g, 6)
-        forest.update_node(forest.node(C3, (C2,)).started(2.0))
+        forest.update_node(forest.node(C3, (C2,)).started())
         after = resolve_change(forest, C1, landed=True)
         assert base_keys(after, C3) == {(), ("C2",)}
         assert after.node(C3, (C2,)).status is BuildStatus.RUNNING
@@ -187,7 +188,7 @@ class TestResolve:
         forest = enumerate_forest([c.id for c in changes], g, 1)
         assert forest.window(C3) == (C2,)
         forest.update_node(
-            forest.node(C3, (C2,)).started(0.0).completed(BuildOutcome.PASS, 5.0)
+            forest.node(C3, (C2,)).started().completed(BuildOutcome.PASS, 5.0)
         )
         after = resolve_change(forest, C1, landed=True)
         # Mainline gained C1, which none of C3's builds included: all fresh.
@@ -198,7 +199,7 @@ class TestResolve:
         g = build_conflict_graph(changes)
         forest = enumerate_forest([c.id for c in changes], g, 1)
         forest.update_node(
-            forest.node(C3, (C2,)).started(0.0).completed(BuildOutcome.FAIL, 5.0)
+            forest.node(C3, (C2,)).started().completed(BuildOutcome.FAIL, 5.0)
         )
         after = resolve_change(forest, C1, landed=False)
         assert after.node(C3, (C2,)).outcome is BuildOutcome.FAIL
@@ -223,7 +224,7 @@ class TestResolve:
     def test_bypass_land_keeps_predecessor_builds(self):
         # C2 lands past its still-building predecessor C1.
         forest = triangle_forest()
-        forest.update_node(forest.node(C1, ()).started(0.0))
+        forest.update_node(forest.node(C1, ()).started())
         after = resolve_change(forest, C2, landed=True)
         assert after.queue == (C1, C3)
         assert after.node(C1, ()).status is BuildStatus.RUNNING
@@ -240,15 +241,89 @@ class TestResolve:
         with pytest.raises(KeyError):
             resolve_change(after, C1, landed=True)
 
+    def test_updates_the_given_forest(self):
+        forest = triangle_forest()
+        assert resolve_change(forest, C1, landed=True) is forest
+        assert forest.queue == (C2, C3)
+
+    def test_failed_resolution_leaves_the_forest_unchanged(self):
+        forest = triangle_forest()
+        forest.update_node(forest.node(C3, (C1,)).started())
+        resolve_change(forest, C2, landed=False)
+        before = copy.deepcopy(forest)
+        for resolved, mapping in [(C2, None), (C2, {}), (ChangeId(9, "C9"), {})]:
+            with pytest.raises(KeyError):
+                resolve_change(forest, resolved, landed=True, mapping=mapping)
+            assert forest == before and forest.queue == before.queue
+
+
+class TestCarryMap:
+    def test_lists_only_the_resolved_change_and_its_conflicting_successors(self):
+        # C2 conflicts with nothing; C3 conflicts with C1 only.
+        changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}, "C3": {"a"}})
+        g = build_conflict_graph(changes)
+        forest = enumerate_forest([c.id for c in changes], g, 6)
+        assert carry_map(forest, C1, landed=True) == {
+            (C1, ()): None,
+            (C3, (C1,)): (C3, ()),
+            (C3, ()): None,
+        }
+        assert carry_map(forest, C1, landed=False) == {
+            (C1, ()): None,
+            (C3, (C1,)): None,
+            (C3, ()): (C3, ()),
+        }
+
+    def test_earlier_changes_are_not_listed(self):
+        forest = triangle_forest()
+        mapping = carry_map(forest, C2, landed=True)
+        assert {key[0] for key in mapping} == {C2, C3}
+        assert all(new is None for (c, _), new in mapping.items() if c == C2)
+
+    def test_unknown_change_rejected(self):
+        with pytest.raises(KeyError):
+            carry_map(triangle_forest(), ChangeId(9, "C9"), landed=True)
+
+
+class TestQueueOrder:
+    def test_out_of_order_arrival_rejected(self):
+        queue, g = chain_graph(3)
+        forest = enumerate_forest([queue[0], queue[2]], g, 6)
+        before = copy.deepcopy(forest)
+        with pytest.raises(ValueError):
+            forest.add_change(queue[1])
+        assert forest == before and forest.queue == before.queue
+        with pytest.raises(ValueError):
+            enumerate_forest([queue[1], queue[0]], g, 6)
+
+    def test_a_change_is_neither_ahead_of_nor_after_itself(self):
+        # ConflictGraph does not enforce irreflexivity; a self-listed
+        # change must still never enter its own window.
+        queue, chain = chain_graph(3)
+        g = ConflictGraph({c: chain.neighbors(c) | {c} for c in queue})
+        forest = enumerate_forest(queue, g, 6)
+        assert forest.conflicting_ahead(queue[1]) == (queue[0],)
+        assert forest.conflicting_after(queue[1]) == (queue[2],)
+        resolve_change(forest, queue[0], landed=True)
+        assert forest.window(queue[2]) == (queue[1],)
+
+    def test_queue_reads_the_windows_in_order(self):
+        queue, g = chain_graph(4)
+        forest = enumerate_forest(queue, g, 2)
+        resolve_change(forest, queue[1], landed=False)
+        assert forest.queue == (queue[0], queue[2], queue[3])
+        assert [n.change for n in forest.all_nodes()] == [
+            c for c in forest.queue for _ in forest.bases[c]
+        ]
+
 
 def structure(forest) -> tuple:
-    """Everything but node status: windows, node keys, order, components."""
+    """Everything but node status: queue, windows, node keys and their order."""
     return (
         forest.queue,
         dict(forest.windows),
         sorted(forest.nodes, key=lambda k: (k[0].seq, [b.seq for b in k[1]])),
         {c: [n.key for n in forest.nodes_for_change(c)] for c in forest.queue},
-        [list(members) for members in forest.components],
     )
 
 
@@ -256,12 +331,12 @@ def assert_matches_fresh(forest) -> None:
     """The incrementally kept forest equals a fresh enumeration of its queue."""
     fresh = enumerate_forest(forest.queue, forest.graph, forest.depth_cap)
     assert structure(forest) == structure(fresh)
+    assert list(forest.queue) == sorted(forest.queue, key=lambda c: c.seq)
     for i, c in enumerate(forest.queue):
         ahead = [p for p in forest.queue[:i] if p in forest.graph.neighbors(c)]
         assert forest.window(c) == tuple(ahead[max(0, len(ahead) - forest.depth_cap) :])
         keys = [n.key for n in forest.nodes_for_change(c)]
         assert keys == sorted(keys, key=lambda k: (-len(k[1]), [b.seq for b in k[1]]))
-    assert forest.components == connected_components(forest.graph, forest.queue)
 
 
 def chain_graph(n: int):
@@ -295,27 +370,47 @@ class TestIncrementalForest:
                 # run one node so resolutions carry non-pending state too
                 node = data.draw(st.sampled_from(forest.all_nodes()))
                 if node.status is BuildStatus.PENDING:
-                    forest.update_node(node.started(0.0))
+                    forest.update_node(node.started())
                 resolved = data.draw(st.sampled_from(forest.queue))
                 landed = data.draw(st.booleans())
-                before = structure(forest)
+                successors = [
+                    s for s in forest.queue
+                    if s.seq > resolved.seq and s in forest.graph.neighbors(resolved)
+                ]
+                before = dict(forest.nodes)
+                twin = copy.deepcopy(forest)
                 mapping = carry_map(forest, resolved, landed)
-                after = resolve_change(forest, resolved, landed, mapping)
-                assert structure(forest) == before
-                assert structure(after) == structure(
+                # exactly the nodes of the resolved change and its successors
+                moved = {
+                    n.key
+                    for c in (resolved, *successors)
+                    for n in forest.nodes_for_change(c)
+                }
+                assert set(mapping) == moved
+                if data.draw(st.booleans()):
+                    resolve_change(forest, resolved, landed, mapping)
+                else:
                     resolve_change(forest, resolved, landed)
-                )
-                for old_key, new_key in mapping.items():
-                    carried = after.nodes[new_key]
-                    assert carried.status is forest.nodes[old_key].status
-                forest = after
+                resolve_change(twin, resolved, landed)
+                assert structure(forest) == structure(twin)
+                assert forest.nodes == twin.nodes
+                targets = set(mapping.values())
+                for key, node in before.items():
+                    new_key = mapping.get(key, key)
+                    if new_key is not None:
+                        carried = forest.nodes[new_key]
+                        assert carried.status is node.status
+                        assert new_key != key or carried is node
+                    elif key in forest.nodes and key not in targets:
+                        # a vanished node's key may only come back fresh
+                        assert forest.nodes[key] == BuildNode(change=key[0], base=key[1])
             assert_matches_fresh(forest)
 
     def test_empty_queue(self):
         queue, g = chain_graph(2)
         forest = enumerate_forest([], g, 2)
         assert_matches_fresh(forest)
-        assert forest.components == [] and not forest.nodes
+        assert forest.queue == () and not forest.nodes
         forest.add_change(queue[0])
         assert_matches_fresh(forest)
         forest = resolve_change(forest, queue[0], landed=True)
@@ -337,7 +432,7 @@ class TestIncrementalForest:
         changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}, "C3": {"a", "b"}})
         g = build_conflict_graph(changes)
         forest = enumerate_forest([c.id for c in changes], g, 6)
-        running = forest.node(C2, ()).started(1.0)
+        running = forest.node(C2, ()).started()
         forest.update_node(running)
         after = resolve_change(forest, C1, landed=True)
         assert_matches_fresh(after)
@@ -347,7 +442,7 @@ class TestIncrementalForest:
     def test_arrival_keeps_earlier_nodes(self):
         queue, g = chain_graph(3)
         forest = enumerate_forest(queue[:2], g, 6)
-        done = forest.node(queue[1], (queue[0],)).started(0.0).completed(
+        done = forest.node(queue[1], (queue[0],)).started().completed(
             BuildOutcome.PASS, 3.0
         )
         forest.update_node(done)
@@ -365,23 +460,26 @@ class TestIncrementalForest:
 class TestBuildNodeTransitions:
     def test_lifecycle(self):
         node = BuildNode(change=C2, base=(C1,))
-        running = node.started(1.0)
+        running = node.started()
         assert running.status is BuildStatus.RUNNING
         done = running.completed(BuildOutcome.PASS, 4.0)
         assert done.status is BuildStatus.COMPLETED
         assert done.outcome is BuildOutcome.PASS
 
     def test_abort_and_restart(self):
-        node = BuildNode(change=C2, base=()).started(1.0).aborted(2.0)
-        assert node.status is BuildStatus.ABORTED
-        again = node.started(3.0)
-        assert again.status is BuildStatus.RUNNING
-        assert again.started_at == 3.0
+        pending = BuildNode(change=C2, base=())
+        node = pending.started().aborted()
+        assert node == pending
+        assert node.started().status is BuildStatus.RUNNING
+
+    def test_only_pending_builds_start(self):
+        with pytest.raises(ValueError):
+            BuildNode(change=C2, base=()).started().started()
 
     def test_completed_outcome_is_final(self):
-        node = BuildNode(change=C2, base=()).started(0.0).completed(BuildOutcome.PASS, 1.0)
+        node = BuildNode(change=C2, base=()).started().completed(BuildOutcome.PASS, 1.0)
         with pytest.raises(ValueError):
-            node.started(2.0)
+            node.started()
 
     def test_base_must_precede_change(self):
         with pytest.raises(ValueError):

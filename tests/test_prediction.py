@@ -31,6 +31,14 @@ class TestDurationEstimate:
         with pytest.raises(ValueError):
             DurationEstimate(10.0, -0.5)
 
+    @pytest.mark.parametrize(
+        "mean, variance",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_rejects_non_finite_numbers(self, mean, variance):
+        with pytest.raises(ValueError, match="must be finite"):
+            DurationEstimate(mean, variance)
+
     def test_zero_mean_allowed_for_finished_builds(self):
         DurationEstimate(0.0, 0.0)
 

@@ -55,7 +55,7 @@ def ranked_fixture(forest, scores: dict) -> list[RankedBuild]:
 def finish(forest, change, base, outcome, at=10.0):
     node = forest.node(change, base)
     if node.status is not BuildStatus.RUNNING:
-        node = node.started(0.0)
+        node = node.started()
     forest.update_node(node.completed(outcome, at))
 
 
@@ -71,7 +71,6 @@ class TestSelectBuilds:
         action = select_builds(ranked, running=[], cfg=CFG)
         assert [n.key for n in action.to_start] == [(C1, ()), (C2, (C1,))]
         assert action.to_abort == ()
-        assert action.to_keep == ()
 
     def test_equal_scores_all_start(self):
         forest = triangle(n=2)
@@ -83,24 +82,23 @@ class TestSelectBuilds:
 
     def test_running_build_out_of_the_cut_aborts(self):
         forest = triangle(n=2)
-        low = forest.node(C2, ()).started(1.0)
+        low = forest.node(C2, ()).started()
         forest.update_node(low)
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
         action = select_builds(ranked, running=[low], cfg=CFG)
         assert [n.key for n in action.to_abort] == [(C2, ())]
-        assert action.to_keep == ()
 
     def test_running_build_in_the_cut_is_kept_not_restarted(self):
         forest = triangle(n=2)
-        top = forest.node(C1, ()).started(1.0)
+        top = forest.node(C1, ()).started()
         forest.update_node(top)
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
         action = select_builds(ranked, running=[top], cfg=CFG)
-        assert [n.key for n in action.to_keep] == [(C1, ())]
+        assert action.to_abort == ()
         assert [n.key for n in action.to_start] == [(C2, (C1,))]
 
     def test_capacity_limits_starts_plus_keeps(self):
@@ -125,21 +123,21 @@ class TestSelectBuilds:
 
     def test_lists_are_disjoint(self):
         forest = triangle(n=2)
-        running = [forest.node(C1, ()).started(0.0), forest.node(C2, ()).started(0.0)]
+        running = [forest.node(C1, ()).started(), forest.node(C2, ()).started()]
         for n in running:
             forest.update_node(n)
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
         action = select_builds(ranked, running=running, cfg=CFG)
-        keys = [n.key for n in action.to_start + action.to_abort + action.to_keep]
+        keys = [n.key for n in action.to_start + action.to_abort]
         assert len(keys) == len(set(keys))
 
 
 class TestDecideChange:
     def test_consistent_passes_land_early(self):
         forest = triangle(n=2)
-        forest.update_node(forest.node(C1, ()).started(0.0))  # still running
+        forest.update_node(forest.node(C1, ()).started())  # still running
         finish(forest, C2, (C1,), BuildOutcome.PASS)
         finish(forest, C2, (), BuildOutcome.PASS)
         d = decide_change(C2, forest)

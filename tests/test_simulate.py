@@ -195,6 +195,30 @@ class _SweepCheckedSimulation(_Simulation):
         super()._reschedule()
 
 
+DELTA_TAU_CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+
+
+# by (strategy, knob set to 1), in DELTA_TAU_CORNERS order
+EDGE_DIGESTS = {
+    ("baseline", "executor_capacity"): ["5b5929aa8ec1ad7b84b64499c8118e1f"] * 4,
+    ("baseline", "depth_cap"): ["cabbd6016fcf5fc349c5cf0d63e7554f"] * 4,
+    ("enhanced", "executor_capacity"): ["1b94cba47491e5094556ec8314fb1721"] * 4,
+    ("enhanced", "depth_cap"): [
+        "551272f8361004841555ca0a3c6d8a65",
+        "0aa4b0fdc34f9cd010d2fc2f96c328e6",
+        "7231cace5f5aa9434504bc911beace57",
+        "7231cace5f5aa9434504bc911beace57",
+    ],
+}
+
+
+def edge(knob, delta, tau):
+    """Capacity 1 or depth_cap 1, with delta and tau at the given corner."""
+    return EngineConfig(
+        speculation_threshold=delta, bypass_eligibility_threshold=tau, **{knob: 1}
+    )
+
+
 def dense(n_changes, seed):
     return generate_workload(
         GeneratorParams(
@@ -228,14 +252,21 @@ class TestEventDecisions:
         assert report.changes_decided == n_changes
         assert (report, trace) == run(w, strategy)
 
-    # Recorded with the fixed-point sweep that the event rule replaced:
-    # any change in the order decisions are taken moves a digest.
+    # The first three were recorded with the fixed-point sweep that the
+    # event rule replaced, the edge configurations with the forest that
+    # copied itself on every decision: any change in the order decisions
+    # are taken, or in which builds a decision carries, moves a digest.
     @pytest.mark.parametrize(
         "strategy, config, expected",
         [
             ("baseline", EngineConfig(), "6bce4a4d4d981a8ba9b87665aa08c3c2"),
             ("enhanced", EngineConfig(), "0807879965eecb8f7b1f06e626893780"),
             ("enhanced", EngineConfig(depth_cap=1), "5827267651b4546b9d5ae90dc178af59"),
+            *(
+                (strategy, edge(knob, delta, tau), expected)
+                for (strategy, knob), digests in EDGE_DIGESTS.items()
+                for (delta, tau), expected in zip(DELTA_TAU_CORNERS, digests)
+            ),
         ],
     )
     def test_golden_digest_pins_decision_order(self, strategy, config, expected):

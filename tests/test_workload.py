@@ -64,6 +64,11 @@ class TestChangeSpec:
         with pytest.raises(WorkloadError, match="must be finite"):
             spec(0, "C0", at, {"a"}, **kw)
 
+    @pytest.mark.parametrize("label", ["", "a,b", "a b", "a\tb"])
+    def test_rejects_labels_the_file_format_splits(self, label):
+        with pytest.raises(WorkloadError, match="no comma or whitespace"):
+            spec(0, label, 0.0, {"a"})
+
     def test_to_change_copies_identity_and_targets(self):
         s = spec(2, "C2", 5.0, {"a", "b"}, success_prior=0.7)
         c = s.to_change()
@@ -329,6 +334,9 @@ class TestFileFormat:
             "predictor oracle spread=inf\n" + CHANGE_C0,
             "predictor constant mu=inf\n" + CHANGE_C0,
             "predictor constant var=nan\n" + CHANGE_C0,
+            # labels the format cannot write back or name as breakers
+            "change id= at=0.0 targets=a mu=10.0 var=4.0",
+            "change id=a,b at=0.0 targets=a mu=10.0 var=4.0",
         ],
     )
     def test_malformed_inputs_raise(self, text):

@@ -8,7 +8,6 @@ from specqueue.core import (
     EngineConfig,
     build_conflict_graph,
     conflicts,
-    connected_components,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "EngineConfig",
     "build_conflict_graph",
     "conflicts",
-    "connected_components",
 ]

@@ -22,6 +22,11 @@ class ChangeId:
     def __str__(self) -> str:
         return self.label
 
+    def __hash__(self) -> int:
+        # Equal ids have equal seq, so this agrees with the generated
+        # __eq__, and it is much cheaper than hashing (seq, label).
+        return self.seq
+
 
 @dataclass(frozen=True)
 class Change:
@@ -115,34 +120,3 @@ def build_conflict_graph(changes: Sequence[Change]) -> ConflictGraph:
     return ConflictGraph(
         {cid: frozenset(nbrs - {cid}) for cid, nbrs in adjacency.items()}
     )
-
-
-def connected_components(
-    g: ConflictGraph, changes: Sequence[ChangeId]
-) -> list[list[ChangeId]]:
-    """Partition the changes into conflict-connected components.
-
-    Components are listed in order of their earliest member; within a
-    component the original arrival order is preserved.
-    """
-    order = {cid: i for i, cid in enumerate(changes)}
-    assigned: dict[ChangeId, int] = {}
-    components: list[list[ChangeId]] = []
-    for cid in changes:
-        if cid in assigned:
-            continue
-        index = len(components)
-        members = [cid]
-        assigned[cid] = index
-        frontier = [cid]
-        while frontier:
-            current = frontier.pop()
-            for nbr in g.neighbors(current):
-                if nbr in order and nbr not in assigned:
-                    assigned[nbr] = index
-                    members.append(nbr)
-                    frontier.append(nbr)
-        components.append(members)
-    for members in components:
-        members.sort(key=lambda cid: order[cid])
-    return components

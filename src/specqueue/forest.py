@@ -150,11 +150,6 @@ class SpeculationForest:
         nodes = self.nodes
         return [nodes[(c, base)] for base in self.bases[c]]
 
-    def all_nodes(self) -> list[BuildNode]:
-        """Every node, in queue order, then in nodes_for_change order."""
-        nodes = self.nodes
-        return [nodes[(c, base)] for c, bases in self.bases.items() for base in bases]
-
     def update_node(self, node: BuildNode) -> None:
         if node.key not in self.nodes:
             raise KeyError(f"no such node {node.key}")

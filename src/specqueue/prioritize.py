@@ -5,20 +5,22 @@ groups: those the change may finish before (bypassable, weighted by the
 finish-order probability) and those it must wait out (weighted by the
 predecessor's pass/fail odds along the node's assumed path). The product
 of the group terms is the node's needed-probability, which drives build
-scheduling order.
+scheduling order. A change's partition and scores read only its own
+builds, its window and its window members' builds, so a caller can keep
+them until one of those moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from specqueue.completion import (
     FinishTimeModel,
     combine_estimates,
     p_finishes_before,
 )
-from specqueue.core import ChangeId, EngineConfig, connected_components
+from specqueue.core import ChangeId, EngineConfig
 from specqueue.forest import BaseKey, BuildNode, BuildStatus, SpeculationForest
 from specqueue.prediction import DurationEstimate
 
@@ -56,7 +58,6 @@ class BypassPartition:
 class RankedBuild:
     node: BuildNode
     p_needed: float
-    mandatory: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_needed <= 1.0:
@@ -64,6 +65,8 @@ class RankedBuild:
 
     @property
     def rank_key(self) -> tuple:
+        """Rank order: higher score first, then earlier change, then
+        deeper base, then base members."""
         return (
             -self.p_needed,
             self.node.change.seq,
@@ -157,29 +160,18 @@ def needed_probability(
 
 
 def rank_builds(
-    forest: SpeculationForest,
-    partitions: Mapping[ChangeId, BypassPartition],
+    nodes: Iterable[BuildNode],
+    partition: BypassPartition,
     success_fn: SuccessFn,
 ) -> list[RankedBuild]:
-    """Score and order every build that could still run.
+    """Score one change's builds that could still run, under its partition.
 
     Completed nodes are excluded; an aborted build is pending again, so
-    it is ranked with the rest. The mainline build of each conflict
-    component's head is mandatory. Order: higher score first, then
-    earlier change, then deeper base, then base members.
+    it is scored with the rest. The builds come back in input order;
+    `RankedBuild.rank_key` orders them against every other change's.
     """
-    for c in forest.windows:
-        if c not in partitions:
-            raise ValueError(f"missing partition for {c}")
-    heads = {comp[0] for comp in connected_components(forest.graph, forest.queue)}
-    ranked = [
-        RankedBuild(
-            node=node,
-            p_needed=needed_probability(node, partitions[node.change], success_fn),
-            mandatory=(not node.base and node.change in heads),
-        )
-        for node in forest.all_nodes()
+    return [
+        RankedBuild(node=node, p_needed=needed_probability(node, partition, success_fn))
+        for node in nodes
         if node.status is not BuildStatus.COMPLETED
     ]
-    ranked.sort(key=lambda r: r.rank_key)
-    return ranked

@@ -1,19 +1,21 @@
 """Pick which builds run and decide when changes land or reject.
 
 The selector keeps the executor full with the highest needed-probability
-builds (component heads always qualify) and aborts running builds that
-fell out of the chosen set. A change resolves either by the head rule
-(its conflicting predecessors are all decided, so its one remaining
-build is authoritative) or by bypass: if every speculative variant of
-the change finished with the same outcome, that outcome holds no matter
-how the predecessors resolve, so the change may land or reject early.
+builds at or above the speculation threshold and aborts running builds
+that fell out of the chosen set. A component head's one build always
+qualifies: with no predecessor to wait on, it scores exactly 1. A change
+resolves either by the head rule (its conflicting predecessors are all
+decided, so its one remaining build is authoritative) or by bypass: if
+every speculative variant of the change finished with the same outcome,
+that outcome holds no matter how the predecessors resolve, so the
+change may land or reject early.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.forest import BuildNode, BuildStatus, SpeculationForest, key_order
@@ -45,39 +47,36 @@ class Decision:
     kind: DecisionKind
     change: ChangeId
     via_bypass: bool = False
-    failing_node: BuildNode | None = None
     reason: WaitReason | None = None
 
     def __post_init__(self) -> None:
         if self.kind is DecisionKind.WAIT and self.reason is None:
             raise ValueError("wait decisions need a reason")
-        if self.kind is DecisionKind.REJECT and self.failing_node is None:
-            raise ValueError("reject decisions need the failing build")
 
 
 def select_builds(
-    ranked: Sequence[RankedBuild],
+    ranked: Iterable[RankedBuild],
     running: Iterable[BuildNode],
     cfg: EngineConfig,
 ) -> ScheduleAction:
     """Choose the build set for the executor's capacity.
 
-    Candidates are builds at or above the speculation threshold plus the
-    mandatory component-head builds; the top candidates fill capacity in
-    rank order. Running builds that did not make the cut are aborted.
+    ``ranked`` is in rank order, so the candidates, the builds at or
+    above the speculation threshold, are a prefix of it: they are taken
+    in order until capacity is full or a score falls below the
+    threshold. Running builds that did not make the cut are aborted.
     """
-    candidates = [
-        r
-        for r in ranked
-        if r.mandatory or r.p_needed >= cfg.speculation_threshold
-    ]
-    chosen = candidates[: cfg.executor_capacity]
+    capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
+    chosen: list[RankedBuild] = []
+    for r in ranked:
+        if len(chosen) == capacity or r.p_needed < threshold:
+            break
+        chosen.append(r)
     taken = {r.node.key for r in chosen}
     running_by_key = {n.key: n for n in running}
     to_abort = tuple(
         running_by_key[k]
-        for k in sorted(running_by_key, key=key_order)
-        if k not in taken
+        for k in sorted(running_by_key.keys() - taken, key=key_order)
     )
     to_start = tuple(
         r.node for r in chosen if r.node.key not in running_by_key
@@ -111,7 +110,7 @@ def decide_change(
             )
         if node.outcome is BuildOutcome.PASS:
             return Decision(DecisionKind.LAND, c)
-        return Decision(DecisionKind.REJECT, c, failing_node=node)
+        return Decision(DecisionKind.REJECT, c)
 
     if any(n.status is not BuildStatus.COMPLETED for n in nodes):
         return Decision(DecisionKind.WAIT, c, reason=WaitReason.BUILDS_OUTSTANDING)
@@ -126,6 +125,4 @@ def decide_change(
         )
     if outcomes == {BuildOutcome.PASS}:
         return Decision(DecisionKind.LAND, c, via_bypass=True)
-    return Decision(
-        DecisionKind.REJECT, c, via_bypass=True, failing_node=nodes[0]
-    )
+    return Decision(DecisionKind.REJECT, c, via_bypass=True)

@@ -3,10 +3,18 @@
 Arrivals and build completions are the only events. An arrival decides
 nothing; a finished build can only make its own change decidable, and a
 decision can only unblock the later queued changes that conflict with
-it, which are decided next in queue order. After every event the engine
-re-profiles, re-ranks, and reconciles the executor: builds that fell
-out of the chosen set abort, newly chosen ones start. All times are
-virtual minutes; a run is a pure function of its workload.
+it, which are decided next in queue order.
+
+After every event the engine re-profiles and re-scores only what the
+event moved. A change's finish-time model moves when it arrives, when
+one of its builds finishes, and when a decision re-derives its window;
+starts and aborts move no model. A change is re-scored when its model
+moved or its window holds a change whose model moved, since its
+partition and scores read nothing else. One rank order of every build
+that could still run is kept across events, and the executor is
+reconciled against its prefix: builds that fell out of the chosen set
+abort, newly chosen ones start. All times are virtual minutes; a run is
+a pure function of its workload.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import hashlib
 import heapq
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -118,6 +127,7 @@ class _Simulation:
         self.changes: dict[ChangeId, Change] = {
             s.id: s.to_change() for s in workload.changes
         }
+        self.arrivals = {c: ch.arrival_time for c, ch in self.changes.items()}
         self.graph = build_conflict_graph(list(self.changes.values()))
         self.truth = GroundTruth(workload)
         self.now = 0.0
@@ -129,6 +139,12 @@ class _Simulation:
         # live runs; a finished or aborted run leaves, so a completion
         # event whose run is no longer here is stale
         self.running: dict[NodeKey, _Run] = {}
+        # changes whose finish-time model moved since the last reschedule
+        self.moved: set[ChangeId] = set()
+        # every build that could still run as (rank_key, key, p_needed),
+        # in rank order, and each queued change's entries in it
+        self.ranking: list[tuple[tuple, NodeKey, float]] = []
+        self.entries: dict[ChangeId, list[tuple[tuple, NodeKey, float]]] = {}
         self.trace: list[str] = []
         self.waits: list[WaitRecord] = []
         self.builds_started = 0
@@ -160,6 +176,7 @@ class _Simulation:
 
     def _arrive(self, c: ChangeId) -> None:
         self.forest.add_change(c)
+        self.moved.add(c)
         conflicts_pending = len(self.forest.conflicting_ahead(c))
         if conflicts_pending:
             self.waited_on_conflicts += 1
@@ -172,6 +189,7 @@ class _Simulation:
         del self.running[run.key]
         node = self.forest.nodes[run.key]
         self.forest.update_node(node.completed(run.outcome, self.now))
+        self.moved.add(node.change)
         self.executor_minutes += run.duration
         self._log(
             f"finish {node.change.label} base={_base_str(node.base)} "
@@ -208,6 +226,8 @@ class _Simulation:
 
         mapping = carry_map(self.forest, c, landed)
         resolve_change(self.forest, c, landed, mapping)
+        # c itself and every change whose window the decision re-derived
+        self.moved.update(change for change, _ in mapping)
         survivors: dict[NodeKey, _Run] = {}
         for key, run in self.running.items():
             new_key = mapping.get(key, key)
@@ -243,52 +263,85 @@ class _Simulation:
     # -- scheduling ---------------------------------------------------
 
     def _reschedule(self) -> None:
-        self._annotate()
-        partitions = self._partitions()
-        ranked = rank_builds(self.forest, partitions, self._success_fn)
+        self._rescore()
+        # the chosen builds are a prefix of the rank order, capacity long at most
+        prefix = [
+            RankedBuild(self.forest.nodes[key], p_needed)
+            for _, key, p_needed in self.ranking[: self.cfg.executor_capacity]
+        ]
         running_nodes = [self.forest.nodes[key] for key in self.running]
-        action = select_builds(ranked, running_nodes, self.select_cfg)
-        scores = {r.node.key: r for r in ranked}
+        action = select_builds(prefix, running_nodes, self.select_cfg)
+        scores = {r.node.key: r.p_needed for r in prefix}
         for node in action.to_abort:
             self._abort(node)
         for node in action.to_start:
             self._start(node, scores[node.key])
 
-    def _partitions(self) -> dict[ChangeId, BypassPartition]:
-        if self.enhanced:
-            arrivals = {c: self.changes[c].arrival_time for c in self.forest.queue}
-            return {
-                c: profile_change(c, self.forest, arrivals, self.cfg)
-                for c in self.forest.queue
-            }
-        # Baseline: every conflicting predecessor is waited out.
-        return {
-            c: BypassPartition(
-                change=c,
-                non_bypassable=self.forest.window(c),
-                bypassable=(),
-                bypass_product=1.0,
-                fallback_active=False,
+    def _rescore(self) -> None:
+        """Bring the rank order up to date with the events since the last
+        reschedule, re-profiling only the changes they moved."""
+        windows = self.forest.windows
+        for c in self.moved.difference(windows):
+            self._unrank(c)  # decided, so its builds are gone
+        moved = sorted(c for c in self.moved if c in windows)
+        self.moved.clear()
+        self._annotate(moved)
+        rescore = set(moved)
+        for m in moved:
+            rescore.update(
+                d for d in self.forest.conflicting_after(m) if m in windows[d]
             )
-            for c in self.forest.queue
-        }
+        for c in sorted(rescore):
+            self._rerank(c)
 
-    def _annotate(self) -> None:
-        for node in self.forest.all_nodes():
-            if node.estimate is not None:
-                continue
-            spec = self.specs[node.change]
-            features = PredictionFeatures(
-                targets_changed=len(spec.targets),
-                conflicts_count=len(self.forest.window(node.change)),
-                speculation_height=len(node.base),
-            )
-            estimate = predict_duration(
-                self.workload.predictor,
-                features,
-                truth=DurationEstimate(spec.true_mean, spec.true_variance),
-            )
-            self.forest.update_node(node.with_estimate(estimate))
+    def _rerank(self, c: ChangeId) -> None:
+        """Re-profile and re-score c, and move its entries in the rank order."""
+        self._unrank(c)
+        ranked = rank_builds(
+            self.forest.nodes_for_change(c), self._partition(c), self._success_fn
+        )
+        entries = [(r.rank_key, r.node.key, r.p_needed) for r in ranked]
+        for entry in entries:
+            insort(self.ranking, entry)
+        self.entries[c] = entries
+
+    def _unrank(self, c: ChangeId) -> None:
+        ranking = self.ranking
+        for entry in self.entries.pop(c, ()):
+            del ranking[bisect_left(ranking, entry)]
+
+    def _partition(self, c: ChangeId) -> BypassPartition:
+        if self.enhanced:
+            return profile_change(c, self.forest, self.arrivals, self.cfg)
+        # Baseline: every conflicting predecessor is waited out.
+        return BypassPartition(
+            change=c,
+            non_bypassable=self.forest.window(c),
+            bypassable=(),
+            bypass_product=1.0,
+            fallback_active=False,
+        )
+
+    def _annotate(self, changes: Sequence[ChangeId]) -> None:
+        """Estimate the nodes that have none. Only an arrived or
+        re-windowed change has such nodes: a node carried across a
+        re-window keeps its estimate."""
+        for c in changes:
+            for node in self.forest.nodes_for_change(c):
+                if node.estimate is not None:
+                    continue
+                spec = self.specs[c]
+                features = PredictionFeatures(
+                    targets_changed=len(spec.targets),
+                    conflicts_count=len(self.forest.window(c)),
+                    speculation_height=len(node.base),
+                )
+                estimate = predict_duration(
+                    self.workload.predictor,
+                    features,
+                    truth=DurationEstimate(spec.true_mean, spec.true_variance),
+                )
+                self.forest.update_node(node.with_estimate(estimate))
 
     def _success_fn(self, pred: ChangeId, context: BaseKey) -> float:
         window = self.forest.windows.get(pred)
@@ -300,7 +353,7 @@ class _Simulation:
                 return 1.0 if node.outcome is BuildOutcome.PASS else 0.0
         return predict_success(self.changes[pred])
 
-    def _start(self, node: BuildNode, ranked: RankedBuild) -> None:
+    def _start(self, node: BuildNode, p_needed: float) -> None:
         snapshot = frozenset(self.landed_set) | set(node.base)
         outcome = self.truth.outcome(node.change, snapshot)
         duration = self.truth.duration(node.change, node.base)
@@ -313,11 +366,27 @@ class _Simulation:
             self.heap,
             (self.now + duration, _FINISH, node.change.seq, self.builds_started, run),
         )
+        head = "yes" if self._heads_component(node.change) else "no"
         self._log(
             f"start {node.change.label} base={_base_str(node.base)} "
-            f"p={ranked.p_needed:.4f} mandatory={'yes' if ranked.mandatory else 'no'} "
-            f"eta={node.estimate.mean:.2f}"
+            f"p={p_needed:.4f} mandatory={head} eta={node.estimate.mean:.2f}"
         )
+
+    def _heads_component(self, c: ChangeId) -> bool:
+        """Whether c is the first queued change of its conflict component
+        among the queued changes; the trace labels its build mandatory."""
+        windows = self.forest.windows
+        if windows[c]:
+            return False  # a conflicting predecessor is queued ahead
+        seen, frontier = {c}, [c]
+        while frontier:
+            for other in self.graph.neighbors(frontier.pop()):
+                if other in windows and other not in seen:
+                    if other.seq < c.seq:
+                        return False
+                    seen.add(other)
+                    frontier.append(other)
+        return True
 
     def _abort(self, node: BuildNode) -> None:
         self._account_abort(self.running.pop(node.key))

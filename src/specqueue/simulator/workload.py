@@ -144,8 +144,8 @@ class GeneratorParams:
     def __post_init__(self) -> None:
         if self.n_changes < 1:
             raise WorkloadError("n_changes must be >= 1")
-        if self.arrival_rate <= 0:
-            raise WorkloadError("arrival_rate must be > 0")
+        if not 0 < self.arrival_rate < math.inf:
+            raise WorkloadError("arrival_rate must be finite and > 0")
         for name in (
             "conflict_density",
             "short_fraction",

@@ -169,7 +169,7 @@ def test_criterion_3_monte_carlo_decisive_frequency(capsys):
     worst = 0.0
     for means in cases.values():
         forest = triangle()
-        for n in forest.all_nodes():
+        for n in list(forest.nodes.values()):
             forest.update_node(
                 n.with_estimate(DurationEstimate(means[n.change], sigma**2))
             )

@@ -170,6 +170,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.txt")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_arrival_rate_is_two(self, capsys, tmp_path, rate):
+        out = tmp_path / "x.txt"
+        assert main(["gen-workload", "--arrival-rate", rate, "--out", str(out)]) == 2
+        assert "arrival_rate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAtomicOutput:
     def test_failed_run_leaves_no_files(self, capsys, tmp_path):

@@ -12,8 +12,9 @@ from specqueue.core import (
     EngineConfig,
     build_conflict_graph,
     conflicts,
-    connected_components,
 )
+
+from oracles import connected_components
 
 
 def make_change(seq: int, targets: set[str], **kw) -> Change:
@@ -42,6 +43,12 @@ class TestChangeId:
         late = ChangeId(10, "C10")
         assert early < late
         assert sorted([late, early]) == [early, late]
+
+    def test_hash_is_the_sequence_and_agrees_with_equality(self):
+        assert hash(ChangeId(5, "x")) == 5
+        assert ChangeId(5, "x") == ChangeId(5, "x")
+        assert hash(ChangeId(5, "x")) == hash(ChangeId(5, "x"))
+        assert {ChangeId(5, "x"): 1}[ChangeId(5, "x")] == 1
 
 
 class TestConflicts:

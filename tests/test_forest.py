@@ -97,7 +97,7 @@ class TestEnumerate:
     def test_deterministic_rebuild(self):
         a = triangle_forest()
         b = triangle_forest()
-        assert [n.key for n in a.all_nodes()] == [n.key for n in b.all_nodes()]
+        assert list(a.nodes) == list(b.nodes)
 
 
 class TestNodeCountLaw:
@@ -312,9 +312,7 @@ class TestQueueOrder:
         forest = enumerate_forest(queue, g, 2)
         resolve_change(forest, queue[1], landed=False)
         assert forest.queue == (queue[0], queue[2], queue[3])
-        assert [n.change for n in forest.all_nodes()] == [
-            c for c in forest.queue for _ in forest.bases[c]
-        ]
+        assert tuple(forest.bases) == forest.queue
 
 
 def structure(forest) -> tuple:
@@ -368,7 +366,7 @@ class TestIncrementalForest:
                 forest.add_change(arrivals.pop(0))
             else:
                 # run one node so resolutions carry non-pending state too
-                node = data.draw(st.sampled_from(forest.all_nodes()))
+                node = data.draw(st.sampled_from(list(forest.nodes.values())))
                 if node.status is BuildStatus.PENDING:
                     forest.update_node(node.started())
                 resolved = data.draw(st.sampled_from(forest.queue))

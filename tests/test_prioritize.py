@@ -19,6 +19,8 @@ from specqueue.prioritize import (
     rank_builds,
 )
 
+from oracles import rank_all
+
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
 
@@ -37,7 +39,7 @@ def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
 
 
 def annotate(forest: SpeculationForest, mean: float = 20.0, var: float = 9.0) -> None:
-    for node in forest.all_nodes():
+    for node in list(forest.nodes.values()):
         forest.update_node(node.with_estimate(DurationEstimate(mean, var)))
 
 
@@ -287,14 +289,13 @@ class TestRankBuilds:
     def test_waiting_pair_orders_by_likely_path(self):
         forest = triangle(n=2)
         partitions = {C1: partition(C1), C2: partition(C2, fixed=(C1,))}
-        ranked = rank_builds(forest, partitions, priors_fn({C1: 0.9}))
+        ranked = rank_all(forest, partitions, priors_fn({C1: 0.9}))
         got = [(r.node.change, r.node.base, r.p_needed) for r in ranked]
         assert got == [
             (C1, (), 1.0),
             (C2, (C1,), pytest.approx(0.9)),
             (C2, (), pytest.approx(0.1)),
         ]
-        assert ranked[0].mandatory
 
     def test_bypass_pair_ties_break_deeper_first(self):
         forest = triangle(n=2)
@@ -302,7 +303,7 @@ class TestRankBuilds:
             C1: partition(C1),
             C2: partition(C2, bypassed=(C1,), product=0.9),
         }
-        ranked = rank_builds(forest, partitions, priors_fn({C1: 0.9}))
+        ranked = rank_all(forest, partitions, priors_fn({C1: 0.9}))
         got = [(r.node.change, r.node.base) for r in ranked]
         assert got == [(C1, ()), (C2, (C1,)), (C2, ())]
         assert ranked[1].p_needed == ranked[2].p_needed == pytest.approx(0.9)
@@ -315,11 +316,8 @@ class TestRankBuilds:
         g = build_conflict_graph(changes)
         forest = enumerate_forest([C1, C2], g, 6)
         partitions = {C1: partition(C1), C2: partition(C2)}
-        ranked = rank_builds(forest, partitions, priors_fn({}))
-        assert [(r.node.change, r.p_needed, r.mandatory) for r in ranked] == [
-            (C1, 1.0, True),
-            (C2, 1.0, True),
-        ]
+        ranked = rank_all(forest, partitions, priors_fn({}))
+        assert [(r.node.change, r.p_needed) for r in ranked] == [(C1, 1.0), (C2, 1.0)]
 
     def test_completed_nodes_drop_out(self):
         forest = triangle(n=2)
@@ -327,13 +325,13 @@ class TestRankBuilds:
             forest.node(C1, ()).started().completed(BuildOutcome.PASS, 3.0)
         )
         partitions = {C1: partition(C1), C2: partition(C2, fixed=(C1,))}
-        ranked = rank_builds(forest, partitions, priors_fn({C1: 0.9}))
+        ranked = rank_all(forest, partitions, priors_fn({C1: 0.9}))
         assert all(r.node.change == C2 for r in ranked)
 
-    def test_missing_partition_rejected(self):
+    def test_partition_of_another_change_rejected(self):
         forest = triangle(n=2)
         with pytest.raises(ValueError):
-            rank_builds(forest, {C1: partition(C1)}, priors_fn({}))
+            rank_builds(forest.nodes_for_change(C2), partition(C1), priors_fn({}))
 
 
 class TestRankedBuildValidation:

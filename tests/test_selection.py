@@ -17,7 +17,7 @@ from specqueue.forest import (
     enumerate_forest,
     resolve_change,
 )
-from specqueue.prioritize import BypassPartition, RankedBuild
+from specqueue.prioritize import BypassPartition, RankedBuild, rank_builds
 from specqueue.selection import (
     Decision,
     DecisionKind,
@@ -47,7 +47,7 @@ def ranked_fixture(forest, scores: dict) -> list[RankedBuild]:
     out = []
     for (change, base), p in scores.items():
         node = forest.node(change, base)
-        out.append(RankedBuild(node=node, p_needed=p, mandatory=(p == 1.0)))
+        out.append(RankedBuild(node=node, p_needed=p))
     out.sort(key=lambda r: r.rank_key)
     return out
 
@@ -115,8 +115,18 @@ class TestSelectBuilds:
         assert {n.change for n in action.to_start} == {C1, C2, C3}
 
     def test_mandatory_head_survives_high_threshold(self):
+        # A head has no predecessor to wait on, so its one build scores
+        # exactly 1 and clears even delta = 1 on its score alone.
         forest = triangle(n=1)
-        ranked = [RankedBuild(node=forest.node(C1, ()), p_needed=1.0, mandatory=True)]
+        head = BypassPartition(
+            change=C1,
+            non_bypassable=(),
+            bypassable=(),
+            bypass_product=1.0,
+            fallback_active=False,
+        )
+        ranked = rank_builds(forest.nodes_for_change(C1), head, lambda p, ctx: 0.0)
+        assert [r.p_needed for r in ranked] == [1.0]
         cfg = EngineConfig(speculation_threshold=1.0, executor_capacity=1)
         action = select_builds(ranked, running=[], cfg=cfg)
         assert [n.key for n in action.to_start] == [(C1, ())]
@@ -151,7 +161,6 @@ class TestDecideChange:
         d = decide_change(C2, forest)
         assert d.kind is DecisionKind.REJECT
         assert d.via_bypass
-        assert d.failing_node is not None
 
     def test_mixed_outcomes_wait(self):
         forest = triangle(n=2)
@@ -180,7 +189,7 @@ class TestDecideChange:
         finish(forest, C1, (), BuildOutcome.FAIL)
         d = decide_change(C1, forest)
         assert d.kind is DecisionKind.REJECT
-        assert d.failing_node.key == (C1, ())
+        assert not d.via_bypass
 
     def test_head_waits_while_building(self):
         forest = triangle(n=1)
@@ -227,7 +236,3 @@ class TestDecisionValidation:
     def test_wait_needs_reason(self):
         with pytest.raises(ValueError):
             Decision(DecisionKind.WAIT, C1)
-
-    def test_reject_needs_failing_node(self):
-        with pytest.raises(ValueError):
-            Decision(DecisionKind.REJECT, C1)

@@ -31,6 +31,8 @@ from specqueue.simulator import (
 from specqueue.simulator.engine import _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
+from oracles import connected_components, rank_all
+
 
 def spec(seq, label, at, targets, mu, passes=True, prior=0.9):
     return ChangeSpec(
@@ -195,6 +197,38 @@ class _SweepCheckedSimulation(_Simulation):
         super()._reschedule()
 
 
+class _RankCheckedSimulation(_Simulation):
+    """Asserts, before every selection, that the rank order kept across
+    events equals one made from scratch: every queued change freshly
+    profiled and scored, with the same node keys and the same floats in
+    the same order."""
+
+    def _rescore(self) -> None:
+        super()._rescore()
+        partitions = {c: self._partition(c) for c in self.forest.queue}
+        fresh = rank_all(self.forest, partitions, self._success_fn)
+        kept = [(key, p) for _, key, p in self.ranking]
+        assert kept == [(r.node.key, r.p_needed) for r in fresh], self.now
+
+
+class _HeadCheckedSimulation(_Simulation):
+    """Asserts that every start line's mandatory label marks exactly the
+    mainline build of the first queued change of a conflict component."""
+
+    def __init__(self, workload, strategy):
+        super().__init__(workload, strategy)
+        self.labels: set[str] = set()
+
+    def _start(self, node, p_needed) -> None:
+        components = connected_components(self.graph, self.forest.queue)
+        heads = {comp[0] for comp in components}
+        expected = "yes" if not node.base and node.change in heads else "no"
+        super()._start(node, p_needed)
+        fields = dict(t.split("=", 1) for t in self.trace[-1].split()[3:])
+        assert fields["mandatory"] == expected, self.trace[-1]
+        self.labels.add(expected)
+
+
 DELTA_TAU_CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
@@ -227,30 +261,52 @@ def dense(n_changes, seed):
     )
 
 
+@st.composite
+def dense_runs(draw):
+    """A small dense workload at an edge-heavy configuration, and a strategy."""
+    cfg = EngineConfig(
+        speculation_threshold=draw(st.sampled_from((0.0, 0.3, 1.0))),
+        bypass_eligibility_threshold=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        executor_capacity=draw(st.sampled_from((1, 3, 8))),
+        depth_cap=draw(st.sampled_from((1, 2, 6))),
+    )
+    w = dense(draw(st.integers(2, 14)), draw(st.integers(0, 10_000)))
+    return replace(w, config=cfg), draw(st.sampled_from(STRATEGIES))
+
+
 class TestEventDecisions:
     @settings(max_examples=100, deadline=None)
-    @given(
-        n_changes=st.integers(2, 14),
-        seed=st.integers(0, 10_000),
-        capacity=st.sampled_from((1, 3, 8)),
-        depth_cap=st.sampled_from((1, 2, 6)),
-        delta=st.sampled_from((0.0, 0.3, 1.0)),
-        tau=st.sampled_from((0.0, 0.5, 1.0)),
-        strategy=st.sampled_from(STRATEGIES),
-    )
-    def test_no_queued_change_is_left_decidable(
-        self, n_changes, seed, capacity, depth_cap, delta, tau, strategy
-    ):
-        cfg = EngineConfig(
-            speculation_threshold=delta,
-            bypass_eligibility_threshold=tau,
-            executor_capacity=capacity,
-            depth_cap=depth_cap,
-        )
-        w = replace(dense(n_changes, seed), config=cfg)
+    @given(dense_runs())
+    def test_no_queued_change_is_left_decidable(self, case):
+        w, strategy = case
         report, trace = _SweepCheckedSimulation(w, strategy).execute()
-        assert report.changes_decided == n_changes
+        assert report.changes_decided == len(w.changes)
         assert (report, trace) == run(w, strategy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_runs())
+    def test_kept_ranking_equals_a_fresh_one(self, case):
+        w, strategy = case
+        assert _RankCheckedSimulation(w, strategy).execute() == run(w, strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mandatory_label_marks_component_heads(self, strategy, seed):
+        # Long changes that touch a second target bridge conflict groups,
+        # so a change with no conflicting predecessor queued can still
+        # have its component's head ahead of it.
+        w = generate_workload(
+            GeneratorParams(
+                n_changes=120,
+                arrival_rate=1.5,
+                conflict_density=0.8,
+                long_second_link=1.0,
+                seed=seed,
+            )
+        )
+        sim = _HeadCheckedSimulation(w, strategy)
+        sim.execute()
+        assert sim.labels == {"yes", "no"}
 
     # The first three were recorded with the fixed-point sweep that the
     # event rule replaced, the edge configurations with the forest that

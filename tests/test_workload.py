@@ -133,6 +133,11 @@ class TestGeneratorParams:
         with pytest.raises(WorkloadError):
             GeneratorParams(**kw)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_non_finite_arrival_rate(self, rate):
+        with pytest.raises(WorkloadError, match="arrival_rate must be finite"):
+            GeneratorParams(arrival_rate=rate)
+
 
 class TestGenerator:
     def test_golden_digest_pins_rng_draw_order(self):

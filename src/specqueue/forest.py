@@ -12,7 +12,6 @@ rather than one tree over the whole queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
@@ -23,25 +22,18 @@ BaseKey = tuple[ChangeId, ...]
 NodeKey = tuple[ChangeId, BaseKey]
 
 
-class BuildStatus(Enum):
-    PENDING = "pending"
-    RUNNING = "running"
-    COMPLETED = "completed"
-
-
 @dataclass(frozen=True)
 class BuildNode:
     """One speculative build: a change merged onto mainline plus a base set.
 
     ``base`` lists the conflicting predecessors assumed to have landed
-    under this node, in queue order. A build goes from PENDING to
-    RUNNING to COMPLETED; an abort returns it to PENDING, so it can be
-    started again. The engine's run records when it started.
+    under this node, in queue order. A node is pending until its build
+    finishes and it gets an outcome; whether its build is running is
+    the engine's to know, not the node's.
     """
 
     change: ChangeId
     base: BaseKey
-    status: BuildStatus = BuildStatus.PENDING
     finished_at: float | None = None
     outcome: BuildOutcome | None = None
     estimate: DurationEstimate | None = None
@@ -51,10 +43,8 @@ class BuildNode:
             raise ValueError("base must be sorted in queue order")
         if any(b >= self.change for b in self.base):
             raise ValueError("base members must precede the change in queue order")
-        if self.status is BuildStatus.COMPLETED and (
-            self.outcome is None or self.finished_at is None
-        ):
-            raise ValueError("completed node needs outcome and finished_at")
+        if (self.outcome is None) != (self.finished_at is None):
+            raise ValueError("outcome and finished_at are set together")
 
     @property
     def key(self) -> NodeKey:
@@ -63,23 +53,10 @@ class BuildNode:
     def with_estimate(self, estimate: DurationEstimate) -> "BuildNode":
         return replace(self, estimate=estimate)
 
-    def started(self) -> "BuildNode":
-        if self.status is not BuildStatus.PENDING:
-            raise ValueError(f"only pending builds start, {self.key} is {self.status}")
-        return replace(self, status=BuildStatus.RUNNING)
-
     def completed(self, outcome: BuildOutcome, now: float) -> "BuildNode":
-        if self.status is not BuildStatus.RUNNING:
-            raise ValueError(f"only running builds complete, {self.key} is {self.status}")
-        return replace(
-            self, status=BuildStatus.COMPLETED, outcome=outcome, finished_at=now
-        )
-
-    def aborted(self) -> "BuildNode":
-        """Back to pending: an aborted build may be chosen and started again."""
-        if self.status is not BuildStatus.RUNNING:
-            raise ValueError(f"only running builds abort, {self.key} is {self.status}")
-        return replace(self, status=BuildStatus.PENDING)
+        if self.outcome is not None:
+            raise ValueError(f"build {self.key} already finished")
+        return replace(self, outcome=outcome, finished_at=now)
 
 
 def key_order(key: NodeKey) -> tuple[int, int, tuple[int, ...]]:
@@ -108,7 +85,9 @@ class SpeculationForest:
     change's window in that order, so its keys are the queue; ``bases``
     holds each change's node bases in ``nodes_for_change`` order. A
     window is read from the change's conflict neighbours rather than
-    from a scan of the queue. Mutation is single-writer (the engine);
+    from a scan of the queue. A node holds what is known of its build:
+    its estimate, and its outcome once it finished; which builds run is
+    kept by the engine alone. Mutation is single-writer (the engine);
     reads hand out immutable node values.
     """
 
@@ -223,7 +202,7 @@ def resolve_change(
     resolved change landed it joins mainline, so a node that assumed it
     in the base describes the same merge with the base member removed.
     Nodes whose assumption was wrong (or that were built against a
-    mainline now missing a landed conflicting change) come back Pending,
+    mainline now missing a landed conflicting change) come back pending,
     including any fresh nodes from a widened speculation window.
 
     Only the later changes that conflict with the resolved one get new

@@ -21,7 +21,7 @@ from specqueue.completion import (
     p_finishes_before,
 )
 from specqueue.core import ChangeId, EngineConfig
-from specqueue.forest import BaseKey, BuildNode, BuildStatus, SpeculationForest
+from specqueue.forest import BaseKey, BuildNode, SpeculationForest
 from specqueue.prediction import DurationEstimate
 
 # Success-probability source for a predecessor build: takes the
@@ -80,12 +80,12 @@ def finish_time_model(
 ) -> FinishTimeModel:
     """Pool the change's builds into one finish-time normal.
 
-    Completed builds have no remaining time; every other node
+    Finished builds have no remaining time; every other node
     contributes its predicted duration.
     """
     estimates = []
     for node in forest.nodes_for_change(c):
-        if node.status is BuildStatus.COMPLETED:
+        if node.outcome is not None:
             estimates.append(_ZERO_REMAINING)
         else:
             if node.estimate is None:
@@ -166,12 +166,12 @@ def rank_builds(
 ) -> list[RankedBuild]:
     """Score one change's builds that could still run, under its partition.
 
-    Completed nodes are excluded; an aborted build is pending again, so
-    it is scored with the rest. The builds come back in input order;
-    `RankedBuild.rank_key` orders them against every other change's.
+    Finished nodes are excluded; every other node is scored, running or
+    not. The builds come back in input order; `RankedBuild.rank_key`
+    orders them against every other change's.
     """
     return [
         RankedBuild(node=node, p_needed=needed_probability(node, partition, success_fn))
         for node in nodes
-        if node.status is not BuildStatus.COMPLETED
+        if node.outcome is None
     ]

@@ -15,19 +15,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Collection, Iterable
 
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
-from specqueue.forest import BuildNode, BuildStatus, SpeculationForest, key_order
+from specqueue.forest import NodeKey, SpeculationForest, key_order
 from specqueue.prioritize import RankedBuild
 
 
 @dataclass(frozen=True)
 class ScheduleAction:
-    """What the executor should do after a ranking pass."""
+    """What the executor should do after a ranking pass: start the chosen
+    builds not yet running, in rank order, and abort the running builds
+    that fell out of the chosen set, by key in `key_order`."""
 
-    to_start: tuple[BuildNode, ...]
-    to_abort: tuple[BuildNode, ...]
+    to_start: tuple[RankedBuild, ...]
+    to_abort: tuple[NodeKey, ...]
 
 
 class DecisionKind(Enum):
@@ -56,7 +58,7 @@ class Decision:
 
 def select_builds(
     ranked: Iterable[RankedBuild],
-    running: Iterable[BuildNode],
+    running: Collection[NodeKey],
     cfg: EngineConfig,
 ) -> ScheduleAction:
     """Choose the build set for the executor's capacity.
@@ -64,7 +66,9 @@ def select_builds(
     ``ranked`` is in rank order, so the candidates, the builds at or
     above the speculation threshold, are a prefix of it: they are taken
     in order until capacity is full or a score falls below the
-    threshold. Running builds that did not make the cut are aborted.
+    threshold, and no more of ``ranked`` is read. ``running`` holds the
+    keys of the builds running now; those that did not make the cut are
+    aborted.
     """
     capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
     chosen: list[RankedBuild] = []
@@ -73,14 +77,8 @@ def select_builds(
             break
         chosen.append(r)
     taken = {r.node.key for r in chosen}
-    running_by_key = {n.key: n for n in running}
-    to_abort = tuple(
-        running_by_key[k]
-        for k in sorted(running_by_key.keys() - taken, key=key_order)
-    )
-    to_start = tuple(
-        r.node for r in chosen if r.node.key not in running_by_key
-    )
+    to_abort = tuple(sorted((k for k in running if k not in taken), key=key_order))
+    to_start = tuple(r for r in chosen if r.node.key not in running)
     return ScheduleAction(to_start=to_start, to_abort=to_abort)
 
 
@@ -104,7 +102,7 @@ def decide_change(
     nodes = forest.nodes_for_change(c)
     if not window:
         node = nodes[0]
-        if node.status is not BuildStatus.COMPLETED:
+        if node.outcome is None:
             return Decision(
                 DecisionKind.WAIT, c, reason=WaitReason.BUILDS_OUTSTANDING
             )
@@ -112,7 +110,7 @@ def decide_change(
             return Decision(DecisionKind.LAND, c)
         return Decision(DecisionKind.REJECT, c)
 
-    if any(n.status is not BuildStatus.COMPLETED for n in nodes):
+    if any(n.outcome is None for n in nodes):
         return Decision(DecisionKind.WAIT, c, reason=WaitReason.BUILDS_OUTSTANDING)
     outcomes = {n.outcome for n in nodes}
     if len(outcomes) > 1:

@@ -8,7 +8,8 @@ it, which are decided next in queue order.
 After every event the engine re-profiles and re-scores only what the
 event moved. A change's finish-time model moves when it arrives, when
 one of its builds finishes, and when a decision re-derives its window;
-starts and aborts move no model. A change is re-scored when its model
+starts and aborts touch no node, since the table of live runs alone
+records which builds run. A change is re-scored when its model
 moved or its window holds a change whose model moved, since its
 partition and scores read nothing else. One rank order of every build
 that could still run is kept across events, and the executor is
@@ -25,7 +26,7 @@ import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from specqueue.core import (
     BuildOutcome,
@@ -37,7 +38,6 @@ from specqueue.core import (
 from specqueue.forest import (
     BaseKey,
     BuildNode,
-    BuildStatus,
     NodeKey,
     SpeculationForest,
     carry_map,
@@ -73,18 +73,21 @@ class GroundTruth:
     """Deterministic real outcomes and durations behind the predictor.
 
     A build fails iff its change does not pass alone or any breaker is
-    in the code the build ran against (mainline at start plus the
-    assumed base). Durations are drawn once per (change, base) from the
-    change's true normal, so reruns of the same build take equally long.
+    in the code the build ran against: the changes landed when it
+    started, or its assumed base. Durations are drawn once per (change,
+    base) from the change's true normal, so reruns of the same build
+    take equally long.
     """
 
     def __init__(self, workload: WorkloadSpec):
         self._specs = workload.by_id()
         self._seed = workload.seed
 
-    def outcome(self, change: ChangeId, snapshot: frozenset[ChangeId]) -> BuildOutcome:
+    def outcome(
+        self, change: ChangeId, landed: AbstractSet[ChangeId], base: BaseKey
+    ) -> BuildOutcome:
         spec = self._specs[change]
-        if not spec.passes_alone or (snapshot & spec.breakers):
+        if not spec.passes_alone or any(b in landed or b in base for b in spec.breakers):
             return BuildOutcome.FAIL
         return BuildOutcome.PASS
 
@@ -136,15 +139,19 @@ class _Simulation:
             [], self.graph, self.cfg.depth_cap
         )
         self.landed_set: set[ChangeId] = set()
-        # live runs; a finished or aborted run leaves, so a completion
-        # event whose run is no longer here is stale
+        # live runs, the one record of which builds run; a finished or
+        # aborted run leaves, so a completion event whose run is no
+        # longer here is stale
         self.running: dict[NodeKey, _Run] = {}
         # changes whose finish-time model moved since the last reschedule
         self.moved: set[ChangeId] = set()
-        # every build that could still run as (rank_key, key, p_needed),
-        # in rank order, and each queued change's entries in it
-        self.ranking: list[tuple[tuple, NodeKey, float]] = []
-        self.entries: dict[ChangeId, list[tuple[tuple, NodeKey, float]]] = {}
+        # every build that could still run as (rank_key, RankedBuild), in
+        # rank order, and each queued change's entries in it. A node value
+        # changes only when its change is in `moved` (estimated, finished
+        # or carried), and such a change is re-ranked before the order is
+        # read, so no held node is stale.
+        self.ranking: list[tuple[tuple, RankedBuild]] = []
+        self.entries: dict[ChangeId, list[tuple[tuple, RankedBuild]]] = {}
         self.trace: list[str] = []
         self.waits: list[WaitRecord] = []
         self.builds_started = 0
@@ -234,7 +241,7 @@ class _Simulation:
             if new_key is None:
                 # The build's base assumption just got contradicted; its
                 # node is gone from the forest.
-                self._account_abort(run)
+                self._abort(run)
             else:
                 run.key = new_key
                 survivors[new_key] = run
@@ -264,18 +271,13 @@ class _Simulation:
 
     def _reschedule(self) -> None:
         self._rescore()
-        # the chosen builds are a prefix of the rank order, capacity long at most
-        prefix = [
-            RankedBuild(self.forest.nodes[key], p_needed)
-            for _, key, p_needed in self.ranking[: self.cfg.executor_capacity]
-        ]
-        running_nodes = [self.forest.nodes[key] for key in self.running]
-        action = select_builds(prefix, running_nodes, self.select_cfg)
-        scores = {r.node.key: r.p_needed for r in prefix}
-        for node in action.to_abort:
-            self._abort(node)
-        for node in action.to_start:
-            self._start(node, scores[node.key])
+        action = select_builds(
+            (r for _, r in self.ranking), self.running, self.select_cfg
+        )
+        for key in action.to_abort:
+            self._abort(self.running.pop(key))
+        for r in action.to_start:
+            self._start(r.node, r.p_needed)
 
     def _rescore(self) -> None:
         """Bring the rank order up to date with the events since the last
@@ -300,7 +302,7 @@ class _Simulation:
         ranked = rank_builds(
             self.forest.nodes_for_change(c), self._partition(c), self._success_fn
         )
-        entries = [(r.rank_key, r.node.key, r.p_needed) for r in ranked]
+        entries = [(r.rank_key, r) for r in ranked]
         for entry in entries:
             insort(self.ranking, entry)
         self.entries[c] = entries
@@ -349,17 +351,15 @@ class _Simulation:
             members = set(window)
             key = tuple(b for b in context if b in members)
             node = self.forest.nodes.get((pred, key))
-            if node is not None and node.status is BuildStatus.COMPLETED:
+            if node is not None and node.outcome is not None:
                 return 1.0 if node.outcome is BuildOutcome.PASS else 0.0
         return predict_success(self.changes[pred])
 
     def _start(self, node: BuildNode, p_needed: float) -> None:
-        snapshot = frozenset(self.landed_set) | set(node.base)
-        outcome = self.truth.outcome(node.change, snapshot)
+        outcome = self.truth.outcome(node.change, self.landed_set, node.base)
         duration = self.truth.duration(node.change, node.base)
         run = _Run(node.key, self.now, duration, outcome)
         self.running[node.key] = run
-        self.forest.update_node(node.started())
         self.builds_started += 1
         # the start count breaks ties, so the run itself is never compared
         heapq.heappush(
@@ -388,11 +388,8 @@ class _Simulation:
                     frontier.append(other)
         return True
 
-    def _abort(self, node: BuildNode) -> None:
-        self._account_abort(self.running.pop(node.key))
-        self.forest.update_node(node.aborted())
-
-    def _account_abort(self, run: _Run) -> None:
+    def _abort(self, run: _Run) -> None:
+        """Account a run that left the executor before it finished."""
         elapsed = self.now - run.started
         self.executor_minutes += elapsed
         self.abort_count += 1

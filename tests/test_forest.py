@@ -18,7 +18,6 @@ from specqueue.core import (
 )
 from specqueue.forest import (
     BuildNode,
-    BuildStatus,
     carry_map,
     enumerate_forest,
     resolve_change,
@@ -154,32 +153,29 @@ class TestResolve:
 
     def test_land_carries_node_state_by_assumed_base(self):
         forest = triangle_forest()
-        speculative = forest.node(C2, (C1,)).started().completed(BuildOutcome.PASS, 9.0)
+        speculative = forest.node(C2, (C1,)).completed(BuildOutcome.PASS, 9.0)
         forest.update_node(speculative)
-        mainline_only = forest.node(C2, ()).started()
+        mainline_only = forest.node(C2, ()).completed(BuildOutcome.FAIL, 8.0)
         forest.update_node(mainline_only)
         after = resolve_change(forest, C1, landed=True)
         survivor = after.node(C2, ())
-        assert survivor.status is BuildStatus.COMPLETED
         assert survivor.outcome is BuildOutcome.PASS
         assert survivor.finished_at == 9.0
 
     def test_reject_carries_the_mainline_node(self):
         forest = triangle_forest()
-        running = forest.node(C2, ()).started()
-        forest.update_node(running)
+        mainline = forest.node(C2, ())
         after = resolve_change(forest, C1, landed=False)
-        assert after.node(C2, ()) is running
-        assert running.status is BuildStatus.RUNNING
+        assert after.node(C2, ()) is mainline
 
     def test_resolving_independent_change_leaves_others_untouched(self):
         changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}, "C3": {"b"}})
         g = build_conflict_graph(changes)
         forest = enumerate_forest([c.id for c in changes], g, 6)
-        forest.update_node(forest.node(C3, (C2,)).started())
+        speculative = forest.node(C3, (C2,))
         after = resolve_change(forest, C1, landed=True)
         assert base_keys(after, C3) == {(), ("C2",)}
-        assert after.node(C3, (C2,)).status is BuildStatus.RUNNING
+        assert after.node(C3, (C2,)) is speculative
 
     def test_landed_beyond_window_predecessor_invalidates_builds(self):
         # depth_cap 1: C3's window holds only C2, yet C1 conflicts too.
@@ -188,18 +184,18 @@ class TestResolve:
         forest = enumerate_forest([c.id for c in changes], g, 1)
         assert forest.window(C3) == (C2,)
         forest.update_node(
-            forest.node(C3, (C2,)).started().completed(BuildOutcome.PASS, 5.0)
+            forest.node(C3, (C2,)).completed(BuildOutcome.PASS, 5.0)
         )
         after = resolve_change(forest, C1, landed=True)
         # Mainline gained C1, which none of C3's builds included: all fresh.
-        assert all(n.status is BuildStatus.PENDING for n in after.nodes_for_change(C3))
+        assert all(n.outcome is None for n in after.nodes_for_change(C3))
 
     def test_rejected_beyond_window_predecessor_preserves_builds(self):
         changes = changes_from_targets({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
         g = build_conflict_graph(changes)
         forest = enumerate_forest([c.id for c in changes], g, 1)
         forest.update_node(
-            forest.node(C3, (C2,)).started().completed(BuildOutcome.FAIL, 5.0)
+            forest.node(C3, (C2,)).completed(BuildOutcome.FAIL, 5.0)
         )
         after = resolve_change(forest, C1, landed=False)
         assert after.node(C3, (C2,)).outcome is BuildOutcome.FAIL
@@ -224,10 +220,10 @@ class TestResolve:
     def test_bypass_land_keeps_predecessor_builds(self):
         # C2 lands past its still-building predecessor C1.
         forest = triangle_forest()
-        forest.update_node(forest.node(C1, ()).started())
+        predecessor = forest.node(C1, ())
         after = resolve_change(forest, C2, landed=True)
         assert after.queue == (C1, C3)
-        assert after.node(C1, ()).status is BuildStatus.RUNNING
+        assert after.node(C1, ()) is predecessor
         # C3 keeps the variants that assumed C2 landed, relabelled.
         assert base_keys(after, C3) == {(), ("C1",)}
 
@@ -248,7 +244,7 @@ class TestResolve:
 
     def test_failed_resolution_leaves_the_forest_unchanged(self):
         forest = triangle_forest()
-        forest.update_node(forest.node(C3, (C1,)).started())
+        forest.update_node(forest.node(C3, (C1,)).completed(BuildOutcome.PASS, 2.0))
         resolve_change(forest, C2, landed=False)
         before = copy.deepcopy(forest)
         for resolved, mapping in [(C2, None), (C2, {}), (ChangeId(9, "C9"), {})]:
@@ -316,7 +312,7 @@ class TestQueueOrder:
 
 
 def structure(forest) -> tuple:
-    """Everything but node status: queue, windows, node keys and their order."""
+    """Everything but node state: queue, windows, node keys and their order."""
     return (
         forest.queue,
         dict(forest.windows),
@@ -365,10 +361,10 @@ class TestIncrementalForest:
             if arrivals and (not forest.queue or data.draw(st.booleans())):
                 forest.add_change(arrivals.pop(0))
             else:
-                # run one node so resolutions carry non-pending state too
+                # finish one node so resolutions carry outcomes too
                 node = data.draw(st.sampled_from(list(forest.nodes.values())))
-                if node.status is BuildStatus.PENDING:
-                    forest.update_node(node.started())
+                if node.outcome is None:
+                    forest.update_node(node.completed(BuildOutcome.PASS, 1.0))
                 resolved = data.draw(st.sampled_from(forest.queue))
                 landed = data.draw(st.booleans())
                 successors = [
@@ -397,7 +393,7 @@ class TestIncrementalForest:
                     new_key = mapping.get(key, key)
                     if new_key is not None:
                         carried = forest.nodes[new_key]
-                        assert carried.status is node.status
+                        assert carried.outcome is node.outcome
                         assert new_key != key or carried is node
                     elif key in forest.nodes and key not in targets:
                         # a vanished node's key may only come back fresh
@@ -430,19 +426,16 @@ class TestIncrementalForest:
         changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}, "C3": {"a", "b"}})
         g = build_conflict_graph(changes)
         forest = enumerate_forest([c.id for c in changes], g, 6)
-        running = forest.node(C2, ()).started()
-        forest.update_node(running)
+        independent = forest.node(C2, ())
         after = resolve_change(forest, C1, landed=True)
         assert_matches_fresh(after)
-        assert after.node(C2, ()) is running
+        assert after.node(C2, ()) is independent
         assert after.window(C3) == (C2,)
 
     def test_arrival_keeps_earlier_nodes(self):
         queue, g = chain_graph(3)
         forest = enumerate_forest(queue[:2], g, 6)
-        done = forest.node(queue[1], (queue[0],)).started().completed(
-            BuildOutcome.PASS, 3.0
-        )
+        done = forest.node(queue[1], (queue[0],)).completed(BuildOutcome.PASS, 3.0)
         forest.update_node(done)
         forest.add_change(queue[2])
         assert forest.node(queue[1], (queue[0],)) is done
@@ -458,26 +451,21 @@ class TestIncrementalForest:
 class TestBuildNodeTransitions:
     def test_lifecycle(self):
         node = BuildNode(change=C2, base=(C1,))
-        running = node.started()
-        assert running.status is BuildStatus.RUNNING
-        done = running.completed(BuildOutcome.PASS, 4.0)
-        assert done.status is BuildStatus.COMPLETED
+        assert node.outcome is None and node.finished_at is None
+        done = node.completed(BuildOutcome.PASS, 4.0)
         assert done.outcome is BuildOutcome.PASS
-
-    def test_abort_and_restart(self):
-        pending = BuildNode(change=C2, base=())
-        node = pending.started().aborted()
-        assert node == pending
-        assert node.started().status is BuildStatus.RUNNING
-
-    def test_only_pending_builds_start(self):
-        with pytest.raises(ValueError):
-            BuildNode(change=C2, base=()).started().started()
+        assert done.finished_at == 4.0
 
     def test_completed_outcome_is_final(self):
-        node = BuildNode(change=C2, base=()).started().completed(BuildOutcome.PASS, 1.0)
+        node = BuildNode(change=C2, base=()).completed(BuildOutcome.PASS, 1.0)
         with pytest.raises(ValueError):
-            node.started()
+            node.completed(BuildOutcome.FAIL, 2.0)
+
+    def test_outcome_and_finish_time_come_together(self):
+        with pytest.raises(ValueError):
+            BuildNode(change=C2, base=(), outcome=BuildOutcome.PASS)
+        with pytest.raises(ValueError):
+            BuildNode(change=C2, base=(), finished_at=1.0)
 
     def test_base_must_precede_change(self):
         with pytest.raises(ValueError):

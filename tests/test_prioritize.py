@@ -208,7 +208,7 @@ class TestFinishTimeModel:
     def test_completed_nodes_contribute_zero(self):
         forest = triangle(n=2)
         annotate(forest, mean=15.0, var=9.0)
-        done = forest.node(C2, (C1,)).started().completed(BuildOutcome.PASS, 5.0)
+        done = forest.node(C2, (C1,)).completed(BuildOutcome.PASS, 5.0)
         forest.update_node(done)
         model = finish_time_model(C2, forest, arrival=1.0)
         assert model.combined == DurationEstimate(7.5, 4.5)
@@ -322,7 +322,7 @@ class TestRankBuilds:
     def test_completed_nodes_drop_out(self):
         forest = triangle(n=2)
         forest.update_node(
-            forest.node(C1, ()).started().completed(BuildOutcome.PASS, 3.0)
+            forest.node(C1, ()).completed(BuildOutcome.PASS, 3.0)
         )
         partitions = {C1: partition(C1), C2: partition(C2, fixed=(C1,))}
         ranked = rank_all(forest, partitions, priors_fn({C1: 0.9}))

@@ -12,7 +12,6 @@ from specqueue.core import (
     build_conflict_graph,
 )
 from specqueue.forest import (
-    BuildStatus,
     SpeculationForest,
     enumerate_forest,
     resolve_change,
@@ -53,10 +52,7 @@ def ranked_fixture(forest, scores: dict) -> list[RankedBuild]:
 
 
 def finish(forest, change, base, outcome, at=10.0):
-    node = forest.node(change, base)
-    if node.status is not BuildStatus.RUNNING:
-        node = node.started()
-    forest.update_node(node.completed(outcome, at))
+    forest.update_node(forest.node(change, base).completed(outcome, at))
 
 
 CFG = EngineConfig(speculation_threshold=0.3, executor_capacity=3)
@@ -69,7 +65,7 @@ class TestSelectBuilds:
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
         action = select_builds(ranked, running=[], cfg=CFG)
-        assert [n.key for n in action.to_start] == [(C1, ()), (C2, (C1,))]
+        assert [r.node.key for r in action.to_start] == [(C1, ()), (C2, (C1,))]
         assert action.to_abort == ()
 
     def test_equal_scores_all_start(self):
@@ -82,24 +78,20 @@ class TestSelectBuilds:
 
     def test_running_build_out_of_the_cut_aborts(self):
         forest = triangle(n=2)
-        low = forest.node(C2, ()).started()
-        forest.update_node(low)
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
-        action = select_builds(ranked, running=[low], cfg=CFG)
-        assert [n.key for n in action.to_abort] == [(C2, ())]
+        action = select_builds(ranked, running={(C2, ())}, cfg=CFG)
+        assert action.to_abort == ((C2, ()),)
 
     def test_running_build_in_the_cut_is_kept_not_restarted(self):
         forest = triangle(n=2)
-        top = forest.node(C1, ()).started()
-        forest.update_node(top)
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
-        action = select_builds(ranked, running=[top], cfg=CFG)
+        action = select_builds(ranked, running={(C1, ())}, cfg=CFG)
         assert action.to_abort == ()
-        assert [n.key for n in action.to_start] == [(C2, (C1,))]
+        assert [r.node.key for r in action.to_start] == [(C2, (C1,))]
 
     def test_capacity_limits_starts_plus_keeps(self):
         forest = triangle(n=3)
@@ -112,7 +104,7 @@ class TestSelectBuilds:
         action = select_builds(ranked, running=[], cfg=EngineConfig(executor_capacity=4))
         assert len(action.to_start) == 4
         # Rank order: the head, both C2 builds, then C3's deepest.
-        assert {n.change for n in action.to_start} == {C1, C2, C3}
+        assert {r.node.change for r in action.to_start} == {C1, C2, C3}
 
     def test_mandatory_head_survives_high_threshold(self):
         # A head has no predecessor to wait on, so its one build scores
@@ -129,25 +121,21 @@ class TestSelectBuilds:
         assert [r.p_needed for r in ranked] == [1.0]
         cfg = EngineConfig(speculation_threshold=1.0, executor_capacity=1)
         action = select_builds(ranked, running=[], cfg=cfg)
-        assert [n.key for n in action.to_start] == [(C1, ())]
+        assert [r.node.key for r in action.to_start] == [(C1, ())]
 
     def test_lists_are_disjoint(self):
         forest = triangle(n=2)
-        running = [forest.node(C1, ()).started(), forest.node(C2, ()).started()]
-        for n in running:
-            forest.update_node(n)
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
-        action = select_builds(ranked, running=running, cfg=CFG)
-        keys = [n.key for n in action.to_start + action.to_abort]
+        action = select_builds(ranked, running={(C1, ()), (C2, ())}, cfg=CFG)
+        keys = [r.node.key for r in action.to_start] + list(action.to_abort)
         assert len(keys) == len(set(keys))
 
 
 class TestDecideChange:
     def test_consistent_passes_land_early(self):
         forest = triangle(n=2)
-        forest.update_node(forest.node(C1, ()).started())  # still running
         finish(forest, C2, (C1,), BuildOutcome.PASS)
         finish(forest, C2, (), BuildOutcome.PASS)
         d = decide_change(C2, forest)

@@ -158,6 +158,20 @@ class TestConcurrency:
         waits = {r.change: r.wait for r in report.waits}
         assert waits == {"C0": 10.0, "C1": 20.0}
 
+    def test_deselected_build_starts_again_under_its_key(self):
+        # C2's speculative build loses its executor slot to higher-ranked
+        # builds, then wins it back while C1 is still queued.
+        w = generate_workload(
+            GeneratorParams(
+                n_changes=10, arrival_rate=1.5, conflict_density=0.8, seed=2
+            ),
+            config=EngineConfig(executor_capacity=3),
+        )
+        _, trace = run(w)
+        events = [line.split()[1:4] for line in trace]
+        aborted = events.index(["abort", "C2", "base=C1"])
+        assert ["start", "C2", "base=C1"] in events[aborted + 1 :]
+
 
 class TestDeterminism:
     def test_same_workload_gives_identical_trace_and_report(self):
@@ -200,15 +214,23 @@ class _SweepCheckedSimulation(_Simulation):
 class _RankCheckedSimulation(_Simulation):
     """Asserts, before every selection, that the rank order kept across
     events equals one made from scratch: every queued change freshly
-    profiled and scored, with the same node keys and the same floats in
-    the same order."""
+    profiled and scored, with the same nodes and the same floats in the
+    same order, so a held node that went stale fails too. After every
+    reschedule it checks the executor: no more runs than capacity, and
+    each on a node of the forest that has not finished."""
 
     def _rescore(self) -> None:
         super()._rescore()
         partitions = {c: self._partition(c) for c in self.forest.queue}
         fresh = rank_all(self.forest, partitions, self._success_fn)
-        kept = [(key, p) for _, key, p in self.ranking]
-        assert kept == [(r.node.key, r.p_needed) for r in fresh], self.now
+        assert [r for _, r in self.ranking] == fresh, self.now
+
+    def _reschedule(self) -> None:
+        super()._reschedule()
+        assert len(self.running) <= self.cfg.executor_capacity, self.now
+        for key in self.running:
+            node = self.forest.nodes.get(key)
+            assert node is not None and node.outcome is None, (self.now, key)
 
 
 class _HeadCheckedSimulation(_Simulation):

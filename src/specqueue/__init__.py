@@ -2,20 +2,16 @@
 
 from specqueue.core import (
     BuildOutcome,
-    Change,
     ChangeId,
     ConflictGraph,
     EngineConfig,
     build_conflict_graph,
-    conflicts,
 )
 
 __all__ = [
     "BuildOutcome",
-    "Change",
     "ChangeId",
     "ConflictGraph",
     "EngineConfig",
     "build_conflict_graph",
-    "conflicts",
 ]

@@ -1,10 +1,11 @@
-"""Domain types, conflict analysis, and engine configuration."""
+"""Change ids, the conflict graph built from changes' targets, and engine
+configuration."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Collection, Mapping
 
 
 @dataclass(frozen=True, order=True)
@@ -26,22 +27,6 @@ class ChangeId:
         # Equal ids have equal seq, so this agrees with the generated
         # __eq__, and it is much cheaper than hashing (seq, label).
         return self.seq
-
-
-@dataclass(frozen=True)
-class Change:
-    """One submitted code change: the targets it touches and its prior."""
-
-    id: ChangeId
-    arrival_time: float
-    targets_changed: frozenset[str] = frozenset()
-    success_prior: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
-        if not 0.0 <= self.success_prior <= 1.0:
-            raise ValueError(f"success_prior must be in [0, 1], got {self.success_prior}")
 
 
 class BuildOutcome(Enum):
@@ -93,26 +78,21 @@ class EngineConfig:
             raise ValueError("depth_cap must be >= 1")
 
 
-def conflicts(a: Change, b: Change) -> bool:
-    """True iff the two changes touch at least one common build target."""
-    return bool(a.targets_changed & b.targets_changed)
+def build_conflict_graph(
+    targets: Mapping[ChangeId, Collection[str]],
+) -> ConflictGraph:
+    """Conflict graph over the given changes, from each one's build targets.
 
-
-def build_conflict_graph(changes: Sequence[Change]) -> ConflictGraph:
-    """Conflict graph over the given changes: the pairs `conflicts` holds for.
-
-    Built from an index of the changes touching each target, so only
-    changes that share a target are ever paired. Raises ValueError on
-    duplicate change ids.
+    Two changes conflict when they touch a common target. The graph is
+    built from an index of the changes touching each target, so only
+    changes that share a target are ever paired.
     """
     by_target: dict[str, list[ChangeId]] = {}
     adjacency: dict[ChangeId, set[ChangeId]] = {}
-    for c in changes:
-        if c.id in adjacency:
-            raise ValueError(f"duplicate change id: {c.id}")
-        adjacency[c.id] = set()
-        for target in c.targets_changed:
-            by_target.setdefault(target, []).append(c.id)
+    for cid, touched in targets.items():
+        adjacency[cid] = set()
+        for target in touched:
+            by_target.setdefault(target, []).append(cid)
     for sharing in by_target.values():
         if len(sharing) > 1:
             for cid in sharing:

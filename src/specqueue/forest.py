@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from specqueue.core import BuildOutcome, ChangeId, ConflictGraph
 from specqueue.prediction import DurationEstimate
@@ -65,15 +65,16 @@ def key_order(key: NodeKey) -> tuple[int, int, tuple[int, ...]]:
     return (change.seq, len(base), tuple(b.seq for b in base))
 
 
-def _subsets(window: BaseKey) -> Iterator[BaseKey]:
-    for size in range(len(window) + 1):
-        yield from combinations(window, size)
-
-
 def _ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
-    """Every base of a window, largest first, then base lexicographic."""
+    """Every base of a window, largest first, then base lexicographic.
+
+    A window is in queue order, so `combinations` yields each size's
+    bases in base-lexicographic order already.
+    """
     return tuple(
-        sorted(_subsets(window), key=lambda b: (-len(b), tuple(m.seq for m in b)))
+        base
+        for size in range(len(window), -1, -1)
+        for base in combinations(window, size)
     )
 
 

@@ -1,4 +1,4 @@
-"""Pluggable build-duration and success estimators plus MAPE evaluation."""
+"""Pluggable build-duration estimators plus MAPE evaluation."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
-
-from specqueue.core import Change
 
 _MIN_MEAN_MINUTES = 0.01
 
@@ -128,11 +126,6 @@ def predict_duration(
         variance = truth.variance * scale * scale
         return DurationEstimate(mean, variance)
     raise TypeError(f"unknown predictor spec: {spec!r}")
-
-
-def predict_success(change: Change) -> float:
-    """Probability the change's build passes on any base: its static prior."""
-    return change.success_prior
 
 
 def mape(predicted: Sequence[float], actual: Sequence[float]) -> float:

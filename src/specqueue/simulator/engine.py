@@ -28,13 +28,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
 
-from specqueue.core import (
-    BuildOutcome,
-    Change,
-    ChangeId,
-    EngineConfig,
-    build_conflict_graph,
-)
+from specqueue.core import BuildOutcome, ChangeId, EngineConfig, build_conflict_graph
 from specqueue.forest import (
     BaseKey,
     BuildNode,
@@ -48,7 +42,6 @@ from specqueue.prediction import (
     DurationEstimate,
     PredictionFeatures,
     predict_duration,
-    predict_success,
 )
 from specqueue.prioritize import (
     BypassPartition,
@@ -127,16 +120,14 @@ class _Simulation:
             else replace(self.cfg, speculation_threshold=0.0)
         )
         self.specs = workload.by_id()
-        self.changes: dict[ChangeId, Change] = {
-            s.id: s.to_change() for s in workload.changes
-        }
-        self.arrivals = {c: ch.arrival_time for c, ch in self.changes.items()}
-        self.graph = build_conflict_graph(list(self.changes.values()))
+        self.arrivals = {c: s.arrival_time for c, s in self.specs.items()}
         self.truth = GroundTruth(workload)
         self.now = 0.0
         self.heap: list[tuple] = []
         self.forest: SpeculationForest = enumerate_forest(
-            [], self.graph, self.cfg.depth_cap
+            [],
+            build_conflict_graph({c: s.targets for c, s in self.specs.items()}),
+            self.cfg.depth_cap,
         )
         self.landed_set: set[ChangeId] = set()
         # live runs, the one record of which builds run; a finished or
@@ -353,7 +344,7 @@ class _Simulation:
             node = self.forest.nodes.get((pred, key))
             if node is not None and node.outcome is not None:
                 return 1.0 if node.outcome is BuildOutcome.PASS else 0.0
-        return predict_success(self.changes[pred])
+        return self.specs[pred].success_prior
 
     def _start(self, node: BuildNode, p_needed: float) -> None:
         outcome = self.truth.outcome(node.change, self.landed_set, node.base)
@@ -380,7 +371,7 @@ class _Simulation:
             return False  # a conflicting predecessor is queued ahead
         seen, frontier = {c}, [c]
         while frontier:
-            for other in self.graph.neighbors(frontier.pop()):
+            for other in self.forest.graph.neighbors(frontier.pop()):
                 if other in windows and other not in seen:
                     if other.seq < c.seq:
                         return False

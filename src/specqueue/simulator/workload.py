@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Container
 
-from specqueue.core import Change, ChangeId, EngineConfig, build_conflict_graph
+from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 from specqueue.prediction import (
     ConstantPredictor,
     OracleWithNoise,
@@ -46,9 +46,19 @@ class WorkloadError(ValueError):
     """Malformed workload data (bad file, bad parameters)."""
 
 
+def _is_list_item(text: str) -> bool:
+    """Whether the file format writes text back as one list item.
+
+    The format splits fields on whitespace and lists on commas; split()
+    is [text] only for a non-empty text with no whitespace.
+    """
+    return "," not in text and text.split() == [text]
+
+
 @dataclass(frozen=True)
 class ChangeSpec:
-    """One change's arrival and its true, hidden build behavior."""
+    """The one record of a change: its arrival, its build targets, its
+    success prior, and its true, hidden build behavior."""
 
     id: ChangeId
     arrival_time: float
@@ -61,11 +71,15 @@ class ChangeSpec:
 
     def __post_init__(self) -> None:
         label = self.id.label
-        # the file format splits fields on whitespace and lists on commas;
-        # split() is [label] only for a non-empty label with no whitespace
-        if "," in label or label.split() != [label]:
+        if not _is_list_item(label):
             raise WorkloadError(
                 f"change id {label!r} must be non-empty, with no comma or whitespace"
+            )
+        bad = [t for t in self.targets if not _is_list_item(t)]
+        if bad:
+            raise WorkloadError(
+                f"{self.id}: target {min(bad)!r} must be non-empty, "
+                "with no comma or whitespace"
             )
         if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
             raise WorkloadError(f"{self.id}: arrival_time must be finite and >= 0")
@@ -75,14 +89,6 @@ class ChangeSpec:
             raise WorkloadError(f"{self.id}: true_variance must be finite and >= 0")
         if not 0.0 <= self.success_prior <= 1.0:
             raise WorkloadError(f"{self.id}: success_prior must be in [0, 1]")
-
-    def to_change(self) -> Change:
-        return Change(
-            id=self.id,
-            arrival_time=self.arrival_time,
-            targets_changed=self.targets,
-            success_prior=self.success_prior,
-        )
 
 
 @dataclass(frozen=True)
@@ -158,8 +164,11 @@ class GeneratorParams:
                 raise WorkloadError(f"{name} must be in [0, 1]")
 
 
-def _generate_changes(params: GeneratorParams, p_link: float) -> tuple[ChangeSpec, ...]:
-    """One full change stream for a candidate link probability."""
+def _generate_changes(
+    params: GeneratorParams, p_link: float
+) -> tuple[tuple[ChangeSpec, ...], float]:
+    """One full change stream for a candidate link probability, and the
+    share of its changes that share a target with another."""
     rng = random.Random(params.seed)
     specs: list[ChangeSpec] = []
     arrival = 0.0
@@ -234,18 +243,7 @@ def _generate_changes(params: GeneratorParams, p_link: float) -> tuple[ChangeSpe
                 success_prior=min(1.0, max(0.0, prior)),
             )
         )
-    return tuple(specs)
-
-
-def _conflicted_fraction(specs: tuple[ChangeSpec, ...]) -> float:
-    touched: dict[str, int] = {}
-    for spec in specs:
-        for t in spec.targets:
-            touched[t] = touched.get(t, 0) + 1
-    conflicted = sum(
-        1 for spec in specs if any(touched[t] > 1 for t in spec.targets)
-    )
-    return conflicted / len(specs)
+    return tuple(specs), len(conflicted) / params.n_changes
 
 
 def generate_workload(
@@ -265,20 +263,18 @@ def generate_workload(
     purely among non-conflicting changes can never break anyone.
     """
     if params.conflict_density <= 0.0:
-        specs = _generate_changes(params, 0.0)
+        specs, _ = _generate_changes(params, 0.0)
     elif params.conflict_density >= 1.0:
-        specs = _generate_changes(params, 1.0)
+        specs, _ = _generate_changes(params, 1.0)
     else:
         lo, hi = 0.0, 1.0
         for _ in range(18):
             mid = (lo + hi) / 2.0
-            if _conflicted_fraction(_generate_changes(params, mid)) < (
-                params.conflict_density
-            ):
+            if _generate_changes(params, mid)[1] < params.conflict_density:
                 lo = mid
             else:
                 hi = mid
-        specs = _generate_changes(params, (lo + hi) / 2.0)
+        specs, _ = _generate_changes(params, (lo + hi) / 2.0)
     return WorkloadSpec(
         changes=specs,
         seed=params.seed,
@@ -292,10 +288,9 @@ def generate_workload(
 
 def static_conflict_rate(workload: WorkloadSpec) -> float:
     """Percentage of changes sharing a target with any other change."""
-    changes = [spec.to_change() for spec in workload.changes]
-    g = build_conflict_graph(changes)
-    with_conflicts = sum(1 for c in changes if g.neighbors(c.id))
-    return 100.0 * with_conflicts / len(changes)
+    g = build_conflict_graph({s.id: s.targets for s in workload.changes})
+    with_conflicts = sum(1 for s in workload.changes if g.neighbors(s.id))
+    return 100.0 * with_conflicts / len(workload.changes)
 
 
 def format_workload(w: WorkloadSpec) -> str:
@@ -358,7 +353,7 @@ def parse_workload(text: str) -> WorkloadSpec:
     strategy = "enhanced"
     predictor: PredictorSpec | None = None
     config_fields: dict[str, str] = {}
-    change_rows: list[tuple[int, dict[str, str]]] = []
+    specs: list[ChangeSpec] = []
     labels: dict[str, ChangeId] = {}
     given: set[str] = set()
 
@@ -384,48 +379,14 @@ def parse_workload(text: str) -> WorkloadSpec:
             elif kind == "config":
                 config_fields = _parse_fields(body, line_no, CONFIG_FIELDS)
             elif kind == "change":
-                fields = _parse_fields(body, line_no, _CHANGE_KEYS)
-                change_rows.append((line_no, fields))
+                specs.append(_parse_change(body, line_no, labels))
             else:
                 raise WorkloadError(f"line {line_no}: unknown record {kind!r}")
         except (ValueError, KeyError) as exc:
             if isinstance(exc, WorkloadError):
                 raise
-            raise WorkloadError(f"line {line_no}: {exc}") from exc
-
-    specs: list[ChangeSpec] = []
-    for seq, (line_no, f) in enumerate(change_rows):
-        try:
-            label = f["id"]
-            if label in labels:
-                raise WorkloadError(f"line {line_no}: duplicate change id {label!r}")
-            breakers = [b for b in f.get("breakers", "").split(",") if b]
-            for b in breakers:
-                if b not in labels:
-                    raise WorkloadError(
-                        f"line {line_no}: breaker {b!r} is not an earlier change"
-                    )
-            cid = ChangeId(seq, label)
-            labels[label] = cid
-            breaker_ids = frozenset(labels[b] for b in breakers)
-            specs.append(
-                ChangeSpec(
-                    id=cid,
-                    arrival_time=float(f["at"]),
-                    targets=frozenset(t for t in f.get("targets", "").split(",") if t),
-                    true_mean=float(f["mu"]),
-                    true_variance=float(f["var"]),
-                    passes_alone=_parse_bool(f.get("passes", "true"), line_no),
-                    breakers=breaker_ids,
-                    success_prior=float(f.get("prior", "0.9")),
-                )
-            )
-        except KeyError as exc:
-            raise WorkloadError(f"line {line_no}: missing field {exc}") from exc
-        except ValueError as exc:
-            if isinstance(exc, WorkloadError):
-                raise
-            raise WorkloadError(f"line {line_no}: {exc}") from exc
+            problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise WorkloadError(f"line {line_no}: {problem}") from exc
 
     defaults = EngineConfig()
     try:
@@ -445,6 +406,33 @@ def parse_workload(text: str) -> WorkloadSpec:
         strategy=strategy,
         predictor=predictor if predictor is not None else OracleWithNoise(seed=seed),
         config=config,
+    )
+
+
+def _parse_change(body: str, line_no: int, labels: dict[str, ChangeId]) -> ChangeSpec:
+    """One change record. `labels` maps the earlier changes' labels to
+    their ids; the new change's label is added to it."""
+    f = _parse_fields(body, line_no, _CHANGE_KEYS)
+    label = f["id"]
+    if label in labels:
+        raise WorkloadError(f"line {line_no}: duplicate change id {label!r}")
+    breakers = [b for b in f.get("breakers", "").split(",") if b]
+    for b in breakers:
+        if b not in labels:
+            raise WorkloadError(
+                f"line {line_no}: breaker {b!r} is not an earlier change"
+            )
+    cid = ChangeId(len(labels), label)
+    labels[label] = cid
+    return ChangeSpec(
+        id=cid,
+        arrival_time=float(f["at"]),
+        targets=frozenset(t for t in f.get("targets", "").split(",") if t),
+        true_mean=float(f["mu"]),
+        true_variance=float(f["var"]),
+        passes_alone=_parse_bool(f.get("passes", "true"), line_no),
+        breakers=frozenset(labels[b] for b in breakers),
+        success_prior=float(f.get("prior", "0.9")),
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from specqueue.cli import main as cli_main
 from specqueue.completion import normal_cdf, z_score
-from specqueue.core import Change, ChangeId, EngineConfig, build_conflict_graph
+from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 from specqueue.forest import enumerate_forest
 from specqueue.prediction import DurationEstimate, mape
 from specqueue.prioritize import BypassPartition, needed_probability, profile_change
@@ -37,16 +37,9 @@ def verdict(capsys, number, name, detail):
 
 
 def triangle(depth_cap=6):
-    changes = [
-        Change(
-            id=ChangeId(i, f"C{i}"),
-            arrival_time=float(i - 1),
-            targets_changed=frozenset({"t"}),
-        )
-        for i in (1, 2, 3)
-    ]
-    g = build_conflict_graph(changes)
-    return enumerate_forest([c.id for c in changes], g, depth_cap)
+    targets = {ChangeId(i, f"C{i}"): {"t"} for i in (1, 2, 3)}
+    g = build_conflict_graph(targets)
+    return enumerate_forest(list(targets), g, depth_cap)
 
 
 def partition(change, fixed=(), bypassed=(), product=1.0):
@@ -273,7 +266,7 @@ def test_criterion_5_resource_and_latency_ab(capsys):
         enhanced, _ = run(w)
         baseline, _ = run_baseline(w)
 
-        g = build_conflict_graph([s.to_change() for s in w.changes])
+        g = build_conflict_graph({s.id: s.targets for s in w.changes})
         by_label = {s.id.label: s for s in w.changes}
 
         def held_short_p95(report):
@@ -407,18 +400,14 @@ def test_criterion_9_enumeration_law(capsys):
         n = rng.randint(1, 10)
         depth_cap = rng.randint(1, 5)
         alphabet = [f"t{k}" for k in range(rng.randint(2, 6))]
-        changes = [
-            Change(
-                id=ChangeId(i, f"C{i}"),
-                arrival_time=float(i),
-                targets_changed=frozenset(
-                    rng.sample(alphabet, rng.randint(1, min(2, len(alphabet))))
-                ),
+        targets = {
+            ChangeId(i, f"C{i}"): frozenset(
+                rng.sample(alphabet, rng.randint(1, min(2, len(alphabet))))
             )
             for i in range(n)
-        ]
-        g = build_conflict_graph(changes)
-        queue = [c.id for c in changes]
+        }
+        g = build_conflict_graph(targets)
+        queue = list(targets)
         forest = enumerate_forest(queue, g, depth_cap)
         for i, c in enumerate(queue):
             ahead = [p for p in queue[:i] if p in g.neighbors(c)]

@@ -6,34 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specqueue.core import (
-    Change,
-    ChangeId,
-    EngineConfig,
-    build_conflict_graph,
-    conflicts,
-)
+from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 
 from oracles import connected_components
 
 
-def make_change(seq: int, targets: set[str], **kw) -> Change:
-    return Change(
-        id=ChangeId(seq, f"C{seq}"),
-        arrival_time=float(seq),
-        targets_changed=frozenset(targets),
-        **kw,
-    )
+C0, C1 = ChangeId(0, "C0"), ChangeId(1, "C1")
 
 
-class TestChange:
-    def test_rejects_negative_arrival(self):
-        with pytest.raises(ValueError):
-            Change(id=ChangeId(0, "C0"), arrival_time=-1.0)
-
-    def test_rejects_prior_out_of_range(self):
-        with pytest.raises(ValueError):
-            Change(id=ChangeId(0, "C0"), arrival_time=0.0, success_prior=1.5)
+def targets_by_id(*target_sets: set[str]) -> dict[ChangeId, frozenset[str]]:
+    """Change C<i> touches target_sets[i]."""
+    return {ChangeId(i, f"C{i}"): frozenset(t) for i, t in enumerate(target_sets)}
 
 
 class TestChangeId:
@@ -53,101 +36,64 @@ class TestChangeId:
 
 class TestConflicts:
     def test_shared_target_conflicts(self):
-        a = make_change(0, {"lib/auth", "lib/net"})
-        b = make_change(1, {"lib/net"})
-        assert conflicts(a, b)
+        g = build_conflict_graph(targets_by_id({"lib/auth", "lib/net"}, {"lib/net"}))
+        assert g.neighbors(C0) == {C1}
 
     def test_disjoint_targets_do_not_conflict(self):
-        a = make_change(0, {"lib/auth"})
-        b = make_change(1, {"lib/net"})
-        assert not conflicts(a, b)
+        g = build_conflict_graph(targets_by_id({"lib/auth"}, {"lib/net"}))
+        assert not g.neighbors(C0)
+        assert not g.neighbors(C1)
 
     @given(
         st.frozensets(st.sampled_from("abcdef"), max_size=4),
         st.frozensets(st.sampled_from("abcdef"), max_size=4),
     )
     def test_symmetric(self, ta, tb):
-        a = Change(id=ChangeId(0, "C0"), arrival_time=0.0, targets_changed=ta)
-        b = Change(id=ChangeId(1, "C1"), arrival_time=1.0, targets_changed=tb)
-        assert conflicts(a, b) == conflicts(b, a)
+        g = build_conflict_graph(targets_by_id(ta, tb))
+        assert (C1 in g.neighbors(C0)) == (C0 in g.neighbors(C1))
 
 
 class TestConflictGraph:
-    def test_duplicate_ids_rejected(self):
-        a = make_change(0, {"x"})
-        dup = Change(id=ChangeId(0, "C0"), arrival_time=5.0)
-        with pytest.raises(ValueError, match="duplicate"):
-            build_conflict_graph([a, dup])
-
     def test_graph_is_symmetric_and_irreflexive(self):
-        changes = [
-            make_change(0, {"x"}),
-            make_change(1, {"x", "y"}),
-            make_change(2, {"y"}),
-            make_change(3, {"z"}),
-        ]
-        g = build_conflict_graph(changes)
-        for c in changes:
-            assert c.id not in g.neighbors(c.id)
-            for nbr in g.neighbors(c.id):
-                assert c.id in g.neighbors(nbr)
-        assert changes[1].id in g.neighbors(changes[0].id)
-        assert changes[2].id not in g.neighbors(changes[0].id)
-
-    def test_duplicate_ids_rejected_even_without_shared_targets(self):
-        a = make_change(0, {"x"})
-        dup = Change(
-            id=ChangeId(0, "C0"), arrival_time=5.0, targets_changed=frozenset({"y"})
-        )
-        with pytest.raises(ValueError, match="duplicate"):
-            build_conflict_graph([a, dup])
+        targets = targets_by_id({"x"}, {"x", "y"}, {"y"}, {"z"})
+        g = build_conflict_graph(targets)
+        for c in targets:
+            assert c not in g.neighbors(c)
+            for nbr in g.neighbors(c):
+                assert c in g.neighbors(nbr)
+        ids = list(targets)
+        assert ids[1] in g.neighbors(ids[0])
+        assert ids[2] not in g.neighbors(ids[0])
 
     @given(
         st.lists(st.frozensets(st.sampled_from("abcdefg"), max_size=4), max_size=12)
     )
     def test_equals_pairwise_conflicts(self, target_sets):
-        changes = [
-            Change(id=ChangeId(i, f"C{i}"), arrival_time=float(i), targets_changed=t)
-            for i, t in enumerate(target_sets)
-        ]
-        g = build_conflict_graph(changes)
-        assert set(g.adjacency) == {c.id for c in changes}
-        for a in changes:
-            expected = {b.id for b in changes if b.id != a.id and conflicts(a, b)}
-            assert g.neighbors(a.id) == expected
+        targets = targets_by_id(*target_sets)
+        g = build_conflict_graph(targets)
+        assert set(g.adjacency) == set(targets)
+        for a in targets:
+            expected = {b for b in targets if b != a and bool(targets[a] & targets[b])}
+            assert g.neighbors(a) == expected
 
 
 class TestConnectedComponents:
     def test_chain_forms_one_component(self):
         # x-y, y-z overlap links all three even though ends are disjoint.
-        changes = [
-            make_change(0, {"x"}),
-            make_change(1, {"x", "y"}),
-            make_change(2, {"y"}),
-        ]
-        g = build_conflict_graph(changes)
-        comps = connected_components(g, [c.id for c in changes])
-        assert comps == [[c.id for c in changes]]
+        targets = targets_by_id({"x"}, {"x", "y"}, {"y"})
+        comps = connected_components(build_conflict_graph(targets), list(targets))
+        assert comps == [list(targets)]
 
     def test_isolated_changes_are_singletons(self):
-        changes = [make_change(i, {f"t{i}"}) for i in range(3)]
-        g = build_conflict_graph(changes)
-        comps = connected_components(g, [c.id for c in changes])
-        assert comps == [[c.id] for c in changes]
+        targets = targets_by_id(*({f"t{i}"} for i in range(3)))
+        comps = connected_components(build_conflict_graph(targets), list(targets))
+        assert comps == [[c] for c in targets]
 
     def test_component_order_follows_earliest_member(self):
-        changes = [
-            make_change(0, {"a"}),
-            make_change(1, {"b"}),
-            make_change(2, {"a"}),
-            make_change(3, {"b"}),
-        ]
-        g = build_conflict_graph(changes)
-        comps = connected_components(g, [c.id for c in changes])
-        assert comps == [
-            [changes[0].id, changes[2].id],
-            [changes[1].id, changes[3].id],
-        ]
+        targets = targets_by_id({"a"}, {"b"}, {"a"}, {"b"})
+        comps = connected_components(build_conflict_graph(targets), list(targets))
+        ids = list(targets)
+        assert comps == [[ids[0], ids[2]], [ids[1], ids[3]]]
 
 
 class TestEngineConfig:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from specqueue.core import (
     BuildOutcome,
-    Change,
     ChangeId,
     ConflictGraph,
     build_conflict_graph,
@@ -26,24 +25,21 @@ from specqueue.forest import (
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
 
-def changes_from_targets(targets_by_label: dict[str, set[str]]) -> list[Change]:
-    out = []
-    for i, (label, targets) in enumerate(targets_by_label.items(), start=1):
-        out.append(
-            Change(
-                id=ChangeId(i, label),
-                arrival_time=float(i),
-                targets_changed=frozenset(targets),
-            )
-        )
-    return out
+def targets_from_labels(
+    targets_by_label: dict[str, set[str]],
+) -> dict[ChangeId, frozenset[str]]:
+    """Each change's targets by id, with sequence numbers from 1 in order."""
+    return {
+        ChangeId(i, label): frozenset(targets)
+        for i, (label, targets) in enumerate(targets_by_label.items(), start=1)
+    }
 
 
 def triangle_forest(depth_cap: int = 6):
     """Three mutually conflicting changes."""
-    changes = changes_from_targets({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
-    g = build_conflict_graph(changes)
-    return enumerate_forest([c.id for c in changes], g, depth_cap)
+    targets = targets_from_labels({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
+    g = build_conflict_graph(targets)
+    return enumerate_forest(list(targets), g, depth_cap)
 
 
 def base_keys(forest, c: ChangeId) -> set[tuple[str, ...]]:
@@ -59,9 +55,9 @@ class TestEnumerate:
         assert base_keys(forest, C3) == {(), ("C1",), ("C2",), ("C1", "C2")}
 
     def test_independent_changes_get_single_nodes(self):
-        changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}})
-        g = build_conflict_graph(changes)
-        forest = enumerate_forest([c.id for c in changes], g, 6)
+        targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}})
+        g = build_conflict_graph(targets)
+        forest = enumerate_forest(list(targets), g, 6)
         assert len(forest.nodes) == 2
         assert base_keys(forest, C1) == {()}
         assert base_keys(forest, C2) == {()}
@@ -69,18 +65,19 @@ class TestEnumerate:
 
     def test_independent_middle_change_never_enters_bases(self):
         # C3 conflicts with C1 only; C2 shares nothing with C3.
-        changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}, "C3": {"a"}})
-        g = build_conflict_graph(changes)
-        forest = enumerate_forest([c.id for c in changes], g, 6)
+        targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"a"}})
+        g = build_conflict_graph(targets)
+        forest = enumerate_forest(list(targets), g, 6)
         assert base_keys(forest, C3) == {(), ("C1",)}
 
     def test_depth_cap_keeps_nearest_predecessors(self):
         labels = {f"C{i}": {"t"} for i in range(1, 6)}
-        changes = changes_from_targets(labels)
-        g = build_conflict_graph(changes)
-        forest = enumerate_forest([c.id for c in changes], g, 2)
-        last = changes[-1].id
-        assert forest.window(last) == (changes[2].id, changes[3].id)
+        targets = targets_from_labels(labels)
+        g = build_conflict_graph(targets)
+        queue = list(targets)
+        forest = enumerate_forest(queue, g, 2)
+        last = queue[-1]
+        assert forest.window(last) == (queue[2], queue[3])
         assert len(forest.nodes_for_change(last)) == 4
 
     def test_node_order_is_deepest_then_lexicographic(self):
@@ -110,30 +107,23 @@ class TestNodeCountLaw:
         st.integers(min_value=1, max_value=4),
     )
     def test_two_to_the_window(self, target_sets, depth_cap):
-        changes = [
-            Change(
-                id=ChangeId(i, f"C{i}"),
-                arrival_time=float(i),
-                targets_changed=targets,
-            )
-            for i, targets in enumerate(target_sets, start=1)
-        ]
-        g = build_conflict_graph(changes)
-        queue = [c.id for c in changes]
+        targets = {
+            ChangeId(i, f"C{i}"): t for i, t in enumerate(target_sets, start=1)
+        }
+        g = build_conflict_graph(targets)
+        queue = list(targets)
         forest = enumerate_forest(queue, g, depth_cap)
-        for i, c in enumerate(changes):
-            conflicting_ahead = [
-                p.id for p in changes[:i] if p.id in g.neighbors(c.id)
-            ]
+        for i, c in enumerate(queue):
+            conflicting_ahead = [p for p in queue[:i] if p in g.neighbors(c)]
             k = min(depth_cap, len(conflicting_ahead))
-            assert len(forest.nodes_for_change(c.id)) == 2**k
+            assert len(forest.nodes_for_change(c)) == 2**k
             # Independent oracle: bases are exactly the subsets of the
             # nearest-k conflicting predecessors.
             window = conflicting_ahead[len(conflicting_ahead) - k :]
             expected = set()
             for size in range(k + 1):
                 expected.update(combinations(window, size))
-            assert {n.base for n in forest.nodes_for_change(c.id)} == expected
+            assert {n.base for n in forest.nodes_for_change(c)} == expected
 
 
 class TestResolve:
@@ -169,9 +159,9 @@ class TestResolve:
         assert after.node(C2, ()) is mainline
 
     def test_resolving_independent_change_leaves_others_untouched(self):
-        changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}, "C3": {"b"}})
-        g = build_conflict_graph(changes)
-        forest = enumerate_forest([c.id for c in changes], g, 6)
+        targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"b"}})
+        g = build_conflict_graph(targets)
+        forest = enumerate_forest(list(targets), g, 6)
         speculative = forest.node(C3, (C2,))
         after = resolve_change(forest, C1, landed=True)
         assert base_keys(after, C3) == {(), ("C2",)}
@@ -179,9 +169,9 @@ class TestResolve:
 
     def test_landed_beyond_window_predecessor_invalidates_builds(self):
         # depth_cap 1: C3's window holds only C2, yet C1 conflicts too.
-        changes = changes_from_targets({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
-        g = build_conflict_graph(changes)
-        forest = enumerate_forest([c.id for c in changes], g, 1)
+        targets = targets_from_labels({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
+        g = build_conflict_graph(targets)
+        forest = enumerate_forest(list(targets), g, 1)
         assert forest.window(C3) == (C2,)
         forest.update_node(
             forest.node(C3, (C2,)).completed(BuildOutcome.PASS, 5.0)
@@ -191,9 +181,9 @@ class TestResolve:
         assert all(n.outcome is None for n in after.nodes_for_change(C3))
 
     def test_rejected_beyond_window_predecessor_preserves_builds(self):
-        changes = changes_from_targets({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
-        g = build_conflict_graph(changes)
-        forest = enumerate_forest([c.id for c in changes], g, 1)
+        targets = targets_from_labels({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
+        g = build_conflict_graph(targets)
+        forest = enumerate_forest(list(targets), g, 1)
         forest.update_node(
             forest.node(C3, (C2,)).completed(BuildOutcome.FAIL, 5.0)
         )
@@ -201,10 +191,10 @@ class TestResolve:
         assert after.node(C3, (C2,)).outcome is BuildOutcome.FAIL
 
     def test_window_expands_after_resolution(self):
-        changes = changes_from_targets({f"C{i}": {"t"} for i in range(1, 5)})
-        g = build_conflict_graph(changes)
-        forest = enumerate_forest([c.id for c in changes], g, 2)
-        c4 = changes[3].id
+        targets = targets_from_labels({f"C{i}": {"t"} for i in range(1, 5)})
+        g = build_conflict_graph(targets)
+        forest = enumerate_forest(list(targets), g, 2)
+        c4 = list(targets)[3]
         assert forest.window(c4) == (C2, C3)
         after = resolve_change(forest, C2, landed=False)
         assert after.window(c4) == (C1, C3)
@@ -256,9 +246,9 @@ class TestResolve:
 class TestCarryMap:
     def test_lists_only_the_resolved_change_and_its_conflicting_successors(self):
         # C2 conflicts with nothing; C3 conflicts with C1 only.
-        changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}, "C3": {"a"}})
-        g = build_conflict_graph(changes)
-        forest = enumerate_forest([c.id for c in changes], g, 6)
+        targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"a"}})
+        g = build_conflict_graph(targets)
+        forest = enumerate_forest(list(targets), g, 6)
         assert carry_map(forest, C1, landed=True) == {
             (C1, ()): None,
             (C3, (C1,)): (C3, ()),
@@ -334,8 +324,8 @@ def assert_matches_fresh(forest) -> None:
 
 
 def chain_graph(n: int):
-    changes = changes_from_targets({f"C{i}": {"t"} for i in range(1, n + 1)})
-    return [c.id for c in changes], build_conflict_graph(changes)
+    targets = targets_from_labels({f"C{i}": {"t"} for i in range(1, n + 1)})
+    return list(targets), build_conflict_graph(targets)
 
 
 class TestIncrementalForest:
@@ -350,12 +340,11 @@ class TestIncrementalForest:
             )
         )
         depth_cap = data.draw(st.integers(min_value=1, max_value=3))
-        changes = [
-            Change(id=ChangeId(i, f"C{i}"), arrival_time=float(i), targets_changed=t)
-            for i, t in enumerate(target_sets, start=1)
-        ]
-        g = build_conflict_graph(changes)
-        arrivals = [c.id for c in changes]
+        targets = {
+            ChangeId(i, f"C{i}"): t for i, t in enumerate(target_sets, start=1)
+        }
+        g = build_conflict_graph(targets)
+        arrivals = list(targets)
         forest = enumerate_forest([], g, depth_cap)
         while arrivals or forest.queue:
             if arrivals and (not forest.queue or data.draw(st.booleans())):
@@ -423,9 +412,9 @@ class TestIncrementalForest:
             assert_matches_fresh(forest)
 
     def test_resolving_the_head_rewindows_only_conflicting_successors(self):
-        changes = changes_from_targets({"C1": {"a"}, "C2": {"b"}, "C3": {"a", "b"}})
-        g = build_conflict_graph(changes)
-        forest = enumerate_forest([c.id for c in changes], g, 6)
+        targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"a", "b"}})
+        g = build_conflict_graph(targets)
+        forest = enumerate_forest(list(targets), g, 6)
         independent = forest.node(C2, ())
         after = resolve_change(forest, C1, landed=True)
         assert_matches_fresh(after)

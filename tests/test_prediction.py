@@ -1,4 +1,4 @@
-"""Tests for duration/success estimators and MAPE."""
+"""Tests for duration estimators and MAPE."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specqueue.core import Change, ChangeId
 from specqueue.prediction import (
     ConstantPredictor,
     DurationEstimate,
@@ -16,7 +15,6 @@ from specqueue.prediction import (
     PredictionFeatures,
     mape,
     predict_duration,
-    predict_success,
 )
 
 FEATURES = PredictionFeatures(targets_changed=3, conflicts_count=2, speculation_height=1)
@@ -119,13 +117,6 @@ class TestPredictDuration:
     def test_constant_rejects_non_finite_parameters(self, mean, variance):
         with pytest.raises(ValueError, match="must be finite"):
             ConstantPredictor(mean, variance)
-
-
-class TestPredictSuccess:
-    @pytest.mark.parametrize("prior", [0.0, 0.9, 1.0])
-    def test_returns_the_change_prior(self, prior):
-        c = Change(id=ChangeId(0, "C0"), arrival_time=0.0, success_prior=prior)
-        assert predict_success(c) == prior
 
 
 class TestMape:

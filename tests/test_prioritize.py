@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specqueue.completion import FinishTimeModel, p_finishes_before
-from specqueue.core import Change, ChangeId, EngineConfig, build_conflict_graph
+from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 from specqueue.forest import BuildOutcome, SpeculationForest, enumerate_forest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import (
@@ -26,16 +26,9 @@ C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
 def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
     """First n of C1..C3, all touching one target."""
-    changes = [
-        Change(
-            id=ChangeId(i, f"C{i}"),
-            arrival_time=float(i - 1),
-            targets_changed=frozenset({"t"}),
-        )
-        for i in range(1, n + 1)
-    ]
-    g = build_conflict_graph(changes)
-    return enumerate_forest([c.id for c in changes], g, depth_cap)
+    targets = {ChangeId(i, f"C{i}"): {"t"} for i in range(1, n + 1)}
+    g = build_conflict_graph(targets)
+    return enumerate_forest(list(targets), g, depth_cap)
 
 
 def annotate(forest: SpeculationForest, mean: float = 20.0, var: float = 9.0) -> None:
@@ -309,11 +302,7 @@ class TestRankBuilds:
         assert ranked[1].p_needed == ranked[2].p_needed == pytest.approx(0.9)
 
     def test_independent_heads_order_by_arrival(self):
-        changes = [
-            Change(id=C1, arrival_time=0.0, targets_changed=frozenset({"a"})),
-            Change(id=C2, arrival_time=5.0, targets_changed=frozenset({"b"})),
-        ]
-        g = build_conflict_graph(changes)
+        g = build_conflict_graph({C1: {"a"}, C2: {"b"}})
         forest = enumerate_forest([C1, C2], g, 6)
         partitions = {C1: partition(C1), C2: partition(C2)}
         ranked = rank_all(forest, partitions, priors_fn({}))

@@ -6,7 +6,6 @@ import pytest
 
 from specqueue.core import (
     BuildOutcome,
-    Change,
     ChangeId,
     EngineConfig,
     build_conflict_graph,
@@ -30,16 +29,9 @@ C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
 
 def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
-    changes = [
-        Change(
-            id=ChangeId(i, f"C{i}"),
-            arrival_time=float(i - 1),
-            targets_changed=frozenset({"t"}),
-        )
-        for i in range(1, n + 1)
-    ]
-    g = build_conflict_graph(changes)
-    return enumerate_forest([c.id for c in changes], g, depth_cap)
+    targets = {ChangeId(i, f"C{i}"): {"t"} for i in range(1, n + 1)}
+    g = build_conflict_graph(targets)
+    return enumerate_forest(list(targets), g, depth_cap)
 
 
 def ranked_fixture(forest, scores: dict) -> list[RankedBuild]:

@@ -242,7 +242,7 @@ class _HeadCheckedSimulation(_Simulation):
         self.labels: set[str] = set()
 
     def _start(self, node, p_needed) -> None:
-        components = connected_components(self.graph, self.forest.queue)
+        components = connected_components(self.forest.graph, self.forest.queue)
         heads = {comp[0] for comp in components}
         expected = "yes" if not node.base and node.change in heads else "no"
         super()._start(node, p_needed)

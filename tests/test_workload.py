@@ -69,12 +69,10 @@ class TestChangeSpec:
         with pytest.raises(WorkloadError, match="no comma or whitespace"):
             spec(0, label, 0.0, {"a"})
 
-    def test_to_change_copies_identity_and_targets(self):
-        s = spec(2, "C2", 5.0, {"a", "b"}, success_prior=0.7)
-        c = s.to_change()
-        assert c.id == ChangeId(2, "C2")
-        assert c.targets_changed == frozenset({"a", "b"})
-        assert c.success_prior == 0.7
+    @pytest.mark.parametrize("target", ["", "lib,net", "a b"])
+    def test_rejects_targets_the_file_format_splits(self, target):
+        with pytest.raises(WorkloadError, match="C0: target .* no comma or whitespace"):
+            spec(0, "C0", 0.0, {"a", target})
 
 
 class TestWorkloadSpec:
@@ -182,7 +180,7 @@ class TestGenerator:
 
     def test_zero_density_yields_empty_conflict_graph(self):
         w = generate_workload(GeneratorParams(n_changes=200, conflict_density=0.0))
-        g = build_conflict_graph([s.to_change() for s in w.changes])
+        g = build_conflict_graph({s.id: s.targets for s in w.changes})
         assert all(not g.neighbors(s.id) for s in w.changes)
         assert static_conflict_rate(w) == 0.0
 
@@ -222,7 +220,7 @@ class TestGenerator:
         w = generate_workload(
             GeneratorParams(n_changes=300, conflict_density=0.5, breaker_rate=0.8, seed=6)
         )
-        g = build_conflict_graph([s.to_change() for s in w.changes])
+        g = build_conflict_graph({s.id: s.targets for s in w.changes})
         for s in w.changes:
             for b in s.breakers:
                 assert b.seq < s.id.seq
@@ -346,6 +344,17 @@ class TestFileFormat:
     )
     def test_malformed_inputs_raise(self, text):
         with pytest.raises(WorkloadError):
+            parse_workload(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "change id=C0 at=0.0 targets=a mu=10.0 var=4.0 breakers=X\nseed x",
+            "change id=C0 at=0.0 targets=a mu=ten var=4.0\nbogus",
+        ],
+    )
+    def test_first_malformed_line_is_named(self, text):
+        with pytest.raises(WorkloadError, match="^line 1: "):
             parse_workload(text)
 
     def test_repeated_record_names_its_line(self):

@@ -2,7 +2,12 @@
 
 The selector keeps the executor full with the highest needed-probability
 builds at or above the speculation threshold and aborts running builds
-that fell out of the chosen set. A component head's one build always
+that fell out of the chosen set. The chosen set is a prefix of the rank
+order, so it is remembered by its cut, the rank key of its last build;
+a build whose rank key did not move since the last selection can only
+enter or leave the set when it lies between the old cut and the new
+one, and a selection reads only those and the re-ranked builds, never
+the whole prefix. A component head's one build always
 qualifies: with no predecessor to wait on, it scores exactly 1. A change
 resolves either by the head rule (its conflicting predecessors are all
 decided, so its one remaining build is authoritative) or by bypass: if
@@ -13,23 +18,33 @@ change may land or reject early.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable
+from operator import itemgetter
+from typing import Collection, Iterable, Sequence
 
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.forest import NodeKey, SpeculationForest, key_order
 from specqueue.prioritize import RankedBuild
 
 
+# one build in the rank order: (RankedBuild.rank_key, the build)
+RankEntry = tuple[tuple, RankedBuild]
+
+
 @dataclass(frozen=True)
 class ScheduleAction:
     """What the executor should do after a ranking pass: start the chosen
     builds not yet running, in rank order, and abort the running builds
-    that fell out of the chosen set, by key in `key_order`."""
+    that fell out of the chosen set, by key in `key_order`. ``cut`` is
+    the rank key of the last chosen build, None when none is chosen; the
+    next selection takes it as the previous cut."""
 
     to_start: tuple[RankedBuild, ...]
     to_abort: tuple[NodeKey, ...]
+    cut: tuple | None
 
 
 class DecisionKind(Enum):
@@ -57,29 +72,49 @@ class Decision:
 
 
 def select_builds(
-    ranked: Iterable[RankedBuild],
+    ranking: Sequence[RankEntry],
+    fresh: Iterable[RankEntry],
+    cut: tuple | None,
     running: Collection[NodeKey],
     cfg: EngineConfig,
 ) -> ScheduleAction:
-    """Choose the build set for the executor's capacity.
+    """Reconcile the running builds with the chosen set.
 
-    ``ranked`` is in rank order, so the candidates, the builds at or
-    above the speculation threshold, are a prefix of it: they are taken
-    in order until capacity is full or a score falls below the
-    threshold, and no more of ``ranked`` is read. ``running`` holds the
-    keys of the builds running now; those that did not make the cut are
-    aborted.
+    ``ranking`` is every build that could run, in rank order. The chosen
+    set is its prefix of builds at or above the speculation threshold,
+    at most capacity long. ``fresh`` holds the entries inserted into
+    ``ranking`` since the previous selection, whose cut is ``cut``, and
+    ``running`` the keys of the builds running now. Every entry that is
+    not fresh must be running iff its rank key is at most ``cut``: the
+    previous selection's builds all started, and a build that finished,
+    aborted or was relabelled since has only fresh entries. Such an entry
+    keeps its key, so it changes sides only when it lies between the old
+    cut and the new one; only that band and the fresh entries are read.
+    On a first selection ``cut`` is None and every entry is fresh.
     """
+    first = itemgetter(0)
     capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
-    chosen: list[RankedBuild] = []
-    for r in ranked:
-        if len(chosen) == capacity or r.p_needed < threshold:
-            break
-        chosen.append(r)
-    taken = {r.node.key for r in chosen}
-    to_abort = tuple(sorted((k for k in running if k not in taken), key=key_order))
-    to_start = tuple(r for r in chosen if r.node.key not in running)
-    return ScheduleAction(to_start=to_start, to_abort=to_abort)
+    # rank keys start with -p_needed, so the builds at or above the
+    # threshold come first
+    chosen = min(capacity, bisect_left(ranking, (-threshold, math.inf), key=first))
+    new_cut = ranking[chosen - 1][0] if chosen else None
+    old = 0 if cut is None else bisect_right(ranking, cut, key=first)
+    touched = dict(ranking[min(old, chosen) : max(old, chosen)])
+    touched.update(fresh)
+    to_start: list[RankedBuild] = []
+    to_abort: list[NodeKey] = []
+    for key in sorted(touched):
+        build = touched[key]
+        if new_cut is not None and key <= new_cut:
+            if build.node.key not in running:
+                to_start.append(build)
+        elif build.node.key in running:
+            to_abort.append(build.node.key)
+    return ScheduleAction(
+        to_start=tuple(to_start),
+        to_abort=tuple(sorted(to_abort, key=key_order)),
+        cut=new_cut,
+    )
 
 
 def decide_change(

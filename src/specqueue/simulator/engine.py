@@ -12,10 +12,12 @@ starts and aborts touch no node, since the table of live runs alone
 records which builds run. A change is re-scored when its model
 moved or its window holds a change whose model moved, since its
 partition and scores read nothing else. One rank order of every build
-that could still run is kept across events, and the executor is
-reconciled against its prefix: builds that fell out of the chosen set
-abort, newly chosen ones start. All times are virtual minutes; a run is
-a pure function of its workload.
+that could still run is kept across events, and the running builds are
+always its chosen prefix. A selection reads only the entries re-ranked
+since the last one and those between the old and the new end of the
+prefix: builds that fell out of the chosen set abort, newly chosen ones
+start. A decision re-keys only the runs its carry map lists. All times
+are virtual minutes; a run is a pure function of its workload.
 """
 
 from __future__ import annotations
@@ -45,11 +47,15 @@ from specqueue.prediction import (
 )
 from specqueue.prioritize import (
     BypassPartition,
-    RankedBuild,
     profile_change,
     rank_builds,
 )
-from specqueue.selection import DecisionKind, decide_change, select_builds
+from specqueue.selection import (
+    DecisionKind,
+    RankEntry,
+    decide_change,
+    select_builds,
+)
 from specqueue.simulator.metrics import MetricsReport, WaitRecord
 from specqueue.simulator.workload import (
     STRATEGIES,
@@ -104,6 +110,7 @@ class _Run:
     started: float
     duration: float
     outcome: BuildOutcome
+    number: int  # start order; a decision logs its aborts in this order
 
 
 class _Simulation:
@@ -141,8 +148,13 @@ class _Simulation:
         # changes only when its change is in `moved` (estimated, finished
         # or carried), and such a change is re-ranked before the order is
         # read, so no held node is stale.
-        self.ranking: list[tuple[tuple, RankedBuild]] = []
-        self.entries: dict[ChangeId, list[tuple[tuple, RankedBuild]]] = {}
+        self.ranking: list[RankEntry] = []
+        self.entries: dict[ChangeId, list[RankEntry]] = {}
+        # the entries inserted into `ranking` since the last selection, and
+        # the rank key of that selection's last chosen build: the running
+        # builds are exactly the entries at or before it that are not fresh
+        self.fresh: list[RankEntry] = []
+        self.cut: tuple | None = None
         self.trace: list[str] = []
         self.waits: list[WaitRecord] = []
         self.builds_started = 0
@@ -226,17 +238,18 @@ class _Simulation:
         resolve_change(self.forest, c, landed, mapping)
         # c itself and every change whose window the decision re-derived
         self.moved.update(change for change, _ in mapping)
-        survivors: dict[NodeKey, _Run] = {}
-        for key, run in self.running.items():
-            new_key = mapping.get(key, key)
+        # pop every moved run before re-keying any, since a new key can
+        # be another moved run's old one
+        runs = [self.running.pop(key) for key in mapping.keys() & self.running.keys()]
+        for run in sorted(runs, key=lambda run: run.number):
+            new_key = mapping[run.key]
             if new_key is None:
                 # The build's base assumption just got contradicted; its
                 # node is gone from the forest.
                 self._abort(run)
             else:
                 run.key = new_key
-                survivors[new_key] = run
-        self.running = survivors
+                self.running[new_key] = run
 
         if landed:
             self.landed_set.add(c)
@@ -263,8 +276,10 @@ class _Simulation:
     def _reschedule(self) -> None:
         self._rescore()
         action = select_builds(
-            (r for _, r in self.ranking), self.running, self.select_cfg
+            self.ranking, self.fresh, self.cut, self.running, self.select_cfg
         )
+        self.fresh.clear()
+        self.cut = action.cut
         for key in action.to_abort:
             self._abort(self.running.pop(key))
         for r in action.to_start:
@@ -297,6 +312,7 @@ class _Simulation:
         for entry in entries:
             insort(self.ranking, entry)
         self.entries[c] = entries
+        self.fresh.extend(entries)
 
     def _unrank(self, c: ChangeId) -> None:
         ranking = self.ranking
@@ -349,13 +365,13 @@ class _Simulation:
     def _start(self, node: BuildNode, p_needed: float) -> None:
         outcome = self.truth.outcome(node.change, self.landed_set, node.base)
         duration = self.truth.duration(node.change, node.base)
-        run = _Run(node.key, self.now, duration, outcome)
-        self.running[node.key] = run
         self.builds_started += 1
+        run = _Run(node.key, self.now, duration, outcome, self.builds_started)
+        self.running[node.key] = run
         # the start count breaks ties, so the run itself is never compared
         heapq.heappush(
             self.heap,
-            (self.now + duration, _FINISH, node.change.seq, self.builds_started, run),
+            (self.now + duration, _FINISH, node.change.seq, run.number, run),
         )
         head = "yes" if self._heads_component(node.change) else "no"
         self._log(

@@ -166,11 +166,16 @@ class GeneratorParams:
 
 def _generate_changes(
     params: GeneratorParams, p_link: float
-) -> tuple[tuple[ChangeSpec, ...], float]:
+) -> tuple[list[tuple], float]:
     """One full change stream for a candidate link probability, and the
-    share of its changes that share a target with another."""
+    share of its changes that share a target with another.
+
+    A change is a plain row, (arrival, targets, mean, variance, passes
+    alone, breaker indices, prior), since the bisection discards all but
+    one stream; `generate_workload` makes specs of the kept one.
+    """
     rng = random.Random(params.seed)
-    specs: list[ChangeSpec] = []
+    rows: list[tuple] = []
     arrival = 0.0
     # indices of the changes touching each target, ascending
     indices_by_target: dict[str, list[int]] = {}
@@ -224,26 +229,22 @@ def _generate_changes(
             touching = indices_by_target.setdefault(t, [])
             preds.update(touching)
             touching.append(i)
-        # ascending, so the breaker draws below consume the RNG in index order
-        conflicting_preds = [ChangeId(j, f"C{j}") for j in sorted(preds)]
-        breakers = frozenset(
-            p for p in conflicting_preds if rng.random() < params.breaker_rate
-        )
+        # ascending, so the breaker draws consume the RNG in index order
+        breakers = [j for j in sorted(preds) if rng.random() < params.breaker_rate]
         prior_jitter = rng.uniform(-0.04, 0.04)
         prior = (0.92 if passes_alone else 0.15) + prior_jitter
-        specs.append(
-            ChangeSpec(
-                id=ChangeId(i, f"C{i}"),
-                arrival_time=round(arrival, 2),
-                targets=frozenset(targets),
-                true_mean=mean,
-                true_variance=variance,
-                passes_alone=passes_alone,
-                breakers=breakers,
-                success_prior=min(1.0, max(0.0, prior)),
+        rows.append(
+            (
+                round(arrival, 2),
+                targets,
+                mean,
+                variance,
+                passes_alone,
+                breakers,
+                min(1.0, max(0.0, prior)),
             )
         )
-    return tuple(specs), len(conflicted) / params.n_changes
+    return rows, len(conflicted) / params.n_changes
 
 
 def generate_workload(
@@ -263,9 +264,9 @@ def generate_workload(
     purely among non-conflicting changes can never break anyone.
     """
     if params.conflict_density <= 0.0:
-        specs, _ = _generate_changes(params, 0.0)
+        p_link = 0.0
     elif params.conflict_density >= 1.0:
-        specs, _ = _generate_changes(params, 1.0)
+        p_link = 1.0
     else:
         lo, hi = 0.0, 1.0
         for _ in range(18):
@@ -274,7 +275,24 @@ def generate_workload(
                 lo = mid
             else:
                 hi = mid
-        specs, _ = _generate_changes(params, (lo + hi) / 2.0)
+        p_link = (lo + hi) / 2.0
+    rows, _ = _generate_changes(params, p_link)
+    ids = [ChangeId(i, f"C{i}") for i in range(params.n_changes)]
+    specs = tuple(
+        ChangeSpec(
+            id=cid,
+            arrival_time=arrival,
+            targets=frozenset(targets),
+            true_mean=mean,
+            true_variance=variance,
+            passes_alone=passes,
+            breakers=frozenset(ids[j] for j in breakers),
+            success_prior=prior,
+        )
+        for cid, (arrival, targets, mean, variance, passes, breakers, prior) in zip(
+            ids, rows
+        )
+    )
     return WorkloadSpec(
         changes=specs,
         seed=params.seed,

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from specqueue.core import ChangeId, ConflictGraph
-from specqueue.forest import SpeculationForest
+from specqueue.core import ChangeId, ConflictGraph, EngineConfig
+from specqueue.forest import NodeKey, SpeculationForest
 from specqueue.prioritize import BypassPartition, RankedBuild, SuccessFn, rank_builds
 
 
@@ -21,6 +21,18 @@ def rank_all(
         for r in rank_builds(forest.nodes_for_change(c), partitions[c], success)
     ]
     return sorted(ranked, key=lambda r: r.rank_key)
+
+
+def chosen_keys(ranked: Iterable[RankedBuild], cfg: EngineConfig) -> set[NodeKey]:
+    """The keys of the builds a rank order chooses: taken in order until
+    capacity is full or a score falls below the speculation threshold."""
+    capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
+    chosen: set[NodeKey] = set()
+    for r in ranked:
+        if len(chosen) == capacity or r.p_needed < threshold:
+            break
+        chosen.add(r.node.key)
+    return chosen
 
 
 def connected_components(

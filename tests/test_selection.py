@@ -34,13 +34,18 @@ def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
     return enumerate_forest(list(targets), g, depth_cap)
 
 
-def ranked_fixture(forest, scores: dict) -> list[RankedBuild]:
+def ranked_fixture(forest, scores: dict) -> list[tuple]:
+    """Rank-order entries, (rank_key, RankedBuild), for node scores."""
     out = []
     for (change, base), p in scores.items():
-        node = forest.node(change, base)
-        out.append(RankedBuild(node=node, p_needed=p))
-    out.sort(key=lambda r: r.rank_key)
-    return out
+        r = RankedBuild(node=forest.node(change, base), p_needed=p)
+        out.append((r.rank_key, r))
+    return sorted(out)
+
+
+def first_call(ranking, running, cfg):
+    """A selection with no previous cut, where every entry is fresh."""
+    return select_builds(ranking, ranking, None, running, cfg)
 
 
 def finish(forest, change, base, outcome, at=10.0):
@@ -56,16 +61,17 @@ class TestSelectBuilds:
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
-        action = select_builds(ranked, running=[], cfg=CFG)
+        action = first_call(ranked, running=[], cfg=CFG)
         assert [r.node.key for r in action.to_start] == [(C1, ()), (C2, (C1,))]
         assert action.to_abort == ()
+        assert action.cut == ranked[1][0]
 
     def test_equal_scores_all_start(self):
         forest = triangle(n=2)
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.9}
         )
-        action = select_builds(ranked, running=[], cfg=CFG)
+        action = first_call(ranked, running=[], cfg=CFG)
         assert len(action.to_start) == 3
 
     def test_running_build_out_of_the_cut_aborts(self):
@@ -73,7 +79,7 @@ class TestSelectBuilds:
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
-        action = select_builds(ranked, running={(C2, ())}, cfg=CFG)
+        action = first_call(ranked, running={(C2, ())}, cfg=CFG)
         assert action.to_abort == ((C2, ()),)
 
     def test_running_build_in_the_cut_is_kept_not_restarted(self):
@@ -81,7 +87,7 @@ class TestSelectBuilds:
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
-        action = select_builds(ranked, running={(C1, ())}, cfg=CFG)
+        action = first_call(ranked, running={(C1, ())}, cfg=CFG)
         assert action.to_abort == ()
         assert [r.node.key for r in action.to_start] == [(C2, (C1,))]
 
@@ -93,10 +99,11 @@ class TestSelectBuilds:
         for node in forest.nodes_for_change(C3):
             scores[node.key] = 0.7
         ranked = ranked_fixture(forest, scores)
-        action = select_builds(ranked, running=[], cfg=EngineConfig(executor_capacity=4))
+        action = first_call(ranked, running=[], cfg=EngineConfig(executor_capacity=4))
         assert len(action.to_start) == 4
         # Rank order: the head, both C2 builds, then C3's deepest.
         assert {r.node.change for r in action.to_start} == {C1, C2, C3}
+        assert action.cut == ranked[3][0]
 
     def test_mandatory_head_survives_high_threshold(self):
         # A head has no predecessor to wait on, so its one build scores
@@ -112,7 +119,7 @@ class TestSelectBuilds:
         ranked = rank_builds(forest.nodes_for_change(C1), head, lambda p, ctx: 0.0)
         assert [r.p_needed for r in ranked] == [1.0]
         cfg = EngineConfig(speculation_threshold=1.0, executor_capacity=1)
-        action = select_builds(ranked, running=[], cfg=cfg)
+        action = first_call([(r.rank_key, r) for r in ranked], running=[], cfg=cfg)
         assert [r.node.key for r in action.to_start] == [(C1, ())]
 
     def test_lists_are_disjoint(self):
@@ -120,9 +127,80 @@ class TestSelectBuilds:
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
-        action = select_builds(ranked, running={(C1, ()), (C2, ())}, cfg=CFG)
+        action = first_call(ranked, running={(C1, ()), (C2, ())}, cfg=CFG)
         keys = [r.node.key for r in action.to_start] + list(action.to_abort)
         assert len(keys) == len(set(keys))
+
+
+class TestSelectBuildsAfterACut:
+    """Second selections: ``cut`` and ``running`` are the previous
+    choice, and only the listed entries were re-ranked since."""
+
+    A, B, C = (C1, ()), (C2, (C1,)), (C3, (C1, C2))
+
+    def setup_method(self):
+        self.forest = triangle(n=3)
+
+    def entry(self, key, p):
+        r = RankedBuild(node=self.forest.node(*key), p_needed=p)
+        return (r.rank_key, r)
+
+    def test_cut_moves_down_past_a_fresh_entry_that_aborts(self):
+        # B is re-ranked below C: C now fills the capacity B held
+        a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.9)
+        c = self.entry(self.C, 0.8)
+        moved_b = self.entry(self.B, 0.5)
+        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
+        action = select_builds([a, c, moved_b], [moved_b], b[0], {self.A, self.B}, cfg)
+        assert [r.node.key for r in action.to_start] == [self.C]
+        assert action.to_abort == (self.B,)
+        assert action.cut == c[0]
+
+    def test_finished_build_leaves_and_the_next_unchanged_entry_starts(self):
+        b, c = self.entry(self.B, 0.9), self.entry(self.C, 0.8)
+        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
+        # A finished: its entry left the rank order and its run the executor
+        action = select_builds([b, c], [], b[0], {self.B}, cfg)
+        assert [r.node.key for r in action.to_start] == [self.C]
+        assert action.to_abort == ()
+        assert action.cut == c[0]
+
+    def test_fresh_entry_above_the_cut_displaces_the_last_chosen(self):
+        a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.9)
+        c = self.entry(self.C, 0.5)
+        moved_c = self.entry(self.C, 0.95)
+        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
+        action = select_builds([a, moved_c, b], [moved_c], b[0], {self.A, self.B}, cfg)
+        assert [r.node.key for r in action.to_start] == [self.C]
+        assert action.to_abort == (self.B,)
+        assert action.cut == moved_c[0]
+
+    def test_threshold_cuts_before_capacity(self):
+        b, c = self.entry(self.B, 0.9), self.entry(self.C, 0.2)
+        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
+        # A finished and frees a slot, but C is below the threshold
+        action = select_builds([b, c], [], b[0], {self.B}, cfg)
+        assert action.to_start == ()
+        assert action.to_abort == ()
+        assert action.cut == b[0]
+
+    def test_nothing_chosen_leaves_no_cut(self):
+        a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.2)
+        moved_a = self.entry(self.A, 0.1)
+        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
+        action = select_builds(sorted([moved_a, b]), [moved_a], a[0], {self.A}, cfg)
+        assert action.to_start == ()
+        assert action.to_abort == (self.A,)
+        assert action.cut is None
+
+    def test_running_build_whose_fresh_entry_is_still_chosen_is_kept(self):
+        a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.9)
+        moved_b = self.entry(self.B, 0.95)
+        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
+        action = select_builds([a, moved_b], [moved_b], b[0], {self.A, self.B}, cfg)
+        assert action.to_start == ()
+        assert action.to_abort == ()
+        assert action.cut == moved_b[0]
 
 
 class TestDecideChange:

@@ -31,7 +31,7 @@ from specqueue.simulator import (
 from specqueue.simulator.engine import _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
-from oracles import connected_components, rank_all
+from oracles import chosen_keys, connected_components, rank_all
 
 
 def spec(seq, label, at, targets, mu, passes=True, prior=0.9):
@@ -172,6 +172,29 @@ class TestConcurrency:
         aborted = events.index(["abort", "C2", "base=C1"])
         assert ["start", "C2", "base=C1"] in events[aborted + 1 :]
 
+    def test_a_decision_aborts_its_runs_in_start_order(self):
+        # C3's build on C1 starts when C3 arrives and displaces C2's; C2's
+        # build on C1 starts only once C0 lands. C1's rejection aborts
+        # both, C3's first, though key_order puts C2's first.
+        w = generate_workload(
+            GeneratorParams(
+                n_changes=5, arrival_rate=1.5, conflict_density=0.8, seed=259
+            ),
+            config=EngineConfig(executor_capacity=3),
+        )
+        _, trace = run(w)
+        events = [line.split()[1:4] for line in trace]
+        rejected = next(i for i, e in enumerate(events) if e[:2] == ["reject", "C1"])
+        assert events[rejected - 3 : rejected] == [
+            ["finish", "C1", "base="],
+            ["abort", "C3", "base=C1"],
+            ["abort", "C2", "base=C1"],
+        ]
+        started = [e for e in events[:rejected] if e[0] == "start"]
+        assert started.index(["start", "C3", "base=C1"]) < started.index(
+            ["start", "C2", "base=C1"]
+        )
+
 
 class TestDeterminism:
     def test_same_workload_gives_identical_trace_and_report(self):
@@ -216,8 +239,9 @@ class _RankCheckedSimulation(_Simulation):
     events equals one made from scratch: every queued change freshly
     profiled and scored, with the same nodes and the same floats in the
     same order, so a held node that went stale fails too. After every
-    reschedule it checks the executor: no more runs than capacity, and
-    each on a node of the forest that has not finished."""
+    reschedule it checks the executor: the running builds are exactly
+    the ones a walk of the whole rank order chooses, no more than
+    capacity, each on a node of the forest that has not finished."""
 
     def _rescore(self) -> None:
         super()._rescore()
@@ -227,6 +251,8 @@ class _RankCheckedSimulation(_Simulation):
 
     def _reschedule(self) -> None:
         super()._reschedule()
+        chosen = chosen_keys((r for _, r in self.ranking), self.select_cfg)
+        assert set(self.running) == chosen, self.now
         assert len(self.running) <= self.cfg.executor_capacity, self.now
         for key in self.running:
             node = self.forest.nodes.get(key)
@@ -309,6 +335,25 @@ class TestEventDecisions:
     @given(dense_runs())
     def test_kept_ranking_equals_a_fresh_one(self, case):
         w, strategy = case
+        assert _RankCheckedSimulation(w, strategy).execute() == run(w, strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kept_ranking_and_choice_hold_on_a_wide_executor(self, strategy, seed):
+        # dense_runs draws capacities of at most 8; the contended
+        # benchmark's criterion-5 streams on 72 executors have long
+        # chosen prefixes, whose cut moves by many builds at a time
+        params = GeneratorParams(
+            n_changes=60,
+            arrival_rate=0.45,
+            conflict_density=0.3,
+            short_fraction=0.25,
+            breaker_rate=0.0,
+            long_target_bias=1.0,
+            long_second_link=1.0,
+            seed=seed,
+        )
+        w = generate_workload(params, config=EngineConfig(executor_capacity=72))
         assert _RankCheckedSimulation(w, strategy).execute() == run(w, strategy)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)

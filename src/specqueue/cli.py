@@ -5,9 +5,10 @@ runs one and prints its metrics, compare runs several strategy or
 threshold variants side by side, and cdf evaluates a single
 finish-order probability for manual inspection.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed workload). Output files are written to a temp file and
-renamed into place so a failed run never leaves a partial file.
+Exit codes: 0 success, 1 usage error, 2 data error (unreadable, not
+UTF-8 or malformed workload). Output files are written to a temp file
+and renamed into place so a failed run never leaves a partial file;
+they get the mode a plain open() would give them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import replace
@@ -185,7 +187,11 @@ def _cmd_cdf(args: argparse.Namespace) -> int:
 
 def _load_workload(args: argparse.Namespace) -> WorkloadSpec:
     with open(args.workload, "r", encoding="utf-8") as fh:
-        w = parse_workload(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise WorkloadError(f"{args.workload}: not UTF-8 text ({exc})") from None
+    w = parse_workload(text)
     if args.seed is not None:
         w = replace(w, seed=args.seed)
     overrides = {
@@ -199,10 +205,20 @@ def _load_workload(args: argparse.Namespace) -> WorkloadSpec:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a renamed temp file. The file gets the
+    mode open() would give it: an overwritten file keeps its mode, a new
+    one gets 0o666 less the umask, where mkstemp alone would give 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".specqueue-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

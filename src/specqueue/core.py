@@ -8,25 +8,38 @@ from enum import Enum
 from typing import Collection, Mapping
 
 
-@dataclass(frozen=True, order=True)
-class ChangeId:
-    """Identifier for one submitted change.
+class ChangeId(int):
+    """Identifier for one submitted change: the int ``seq`` with a label.
 
-    ``seq`` is the enqueue index; the total order over ids equals the order
-    in which changes entered the queue. ``label`` is the human-facing name
-    used in workload files and traces.
+    ``seq`` is the enqueue index and the id's int value, so ids hash,
+    compare and order as their seq, in C; the total order over ids
+    equals the order in which changes entered the queue. ``label`` is
+    the human-facing name used in workload files and traces. Ids are
+    immutable.
     """
 
-    seq: int
     label: str
+    seq = property(int)
+
+    def __new__(cls, seq: int, label: str) -> "ChangeId":
+        self = super().__new__(cls, seq)
+        self.__dict__["label"] = label
+        return self
+
+    def __getnewargs__(self) -> tuple[int, str]:
+        return (int(self), self.label)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of ChangeId")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of ChangeId")
 
     def __str__(self) -> str:
         return self.label
 
-    def __hash__(self) -> int:
-        # Equal ids have equal seq, so this agrees with the generated
-        # __eq__, and it is much cheaper than hashing (seq, label).
-        return self.seq
+    def __repr__(self) -> str:
+        return f"ChangeId(seq={int(self)}, label={self.label!r})"
 
 
 class BuildOutcome(Enum):

@@ -7,11 +7,16 @@ that differ only in an independent change would produce identical merge
 results, so they are merged away. Changes in different conflict
 components therefore speculate independently, giving a forest of trees
 rather than one tree over the whole queue.
+
+The forest is kept in place. A node is the one record of its build's
+estimate and outcome, and is updated where it stands: an estimate is
+set on it, a finished build completes it, and a decision that carries
+it rewrites its base and files it under its new key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -22,14 +27,16 @@ BaseKey = tuple[ChangeId, ...]
 NodeKey = tuple[ChangeId, BaseKey]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BuildNode:
     """One speculative build: a change merged onto mainline plus a base set.
 
     ``base`` lists the conflicting predecessors assumed to have landed
     under this node, in queue order. A node is pending until its build
     finishes and it gets an outcome; whether its build is running is
-    the engine's to know, not the node's.
+    the engine's to know, not the node's. A node is the one record of
+    its build's estimate and outcome: the forest and the engine update
+    it in place, and it is validated once, when it is created.
     """
 
     change: ChangeId
@@ -50,19 +57,17 @@ class BuildNode:
     def key(self) -> NodeKey:
         return (self.change, self.base)
 
-    def with_estimate(self, estimate: DurationEstimate) -> "BuildNode":
-        return replace(self, estimate=estimate)
-
-    def completed(self, outcome: BuildOutcome, now: float) -> "BuildNode":
+    def complete(self, outcome: BuildOutcome, now: float) -> None:
         if self.outcome is not None:
             raise ValueError(f"build {self.key} already finished")
-        return replace(self, outcome=outcome, finished_at=now)
+        self.outcome = outcome
+        self.finished_at = now
 
 
-def key_order(key: NodeKey) -> tuple[int, int, tuple[int, ...]]:
+def key_order(key: NodeKey) -> tuple[ChangeId, int, BaseKey]:
     """Sort key for node keys: by change, then base size, then base members."""
     change, base = key
-    return (change.seq, len(base), tuple(b.seq for b in base))
+    return (change, len(base), base)
 
 
 def _ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
@@ -88,8 +93,10 @@ class SpeculationForest:
     window is read from the change's conflict neighbours rather than
     from a scan of the queue. A node holds what is known of its build:
     its estimate, and its outcome once it finished; which builds run is
-    kept by the engine alone. Mutation is single-writer (the engine);
-    reads hand out immutable node values.
+    kept by the engine alone. Mutation is single-writer (the engine),
+    and reads hand out the nodes themselves, so a held node sees every
+    later update to it; one carried to a new base has ``node.key`` equal
+    to its new key.
     """
 
     graph: ConflictGraph
@@ -109,17 +116,17 @@ class SpeculationForest:
 
     def conflicting_ahead(self, c: ChangeId) -> BaseKey:
         """Every queued conflicting predecessor of c, in queue order."""
-        seq, windows = c.seq, self.windows
-        ahead = [p for p in self.graph.neighbors(c) if p.seq < seq and p in windows]
-        ahead.sort(key=lambda p: p.seq)
+        windows = self.windows
+        ahead = [p for p in self.graph.neighbors(c) if p < c and p in windows]
+        ahead.sort()
         return tuple(ahead)
 
     def conflicting_after(self, c: ChangeId) -> BaseKey:
         """Queued changes after c that conflict with it, in queue order:
         the only windows c is in, so the only ones its resolution moves."""
-        seq, windows = c.seq, self.windows
-        after = [s for s in self.graph.neighbors(c) if s.seq > seq and s in windows]
-        after.sort(key=lambda s: s.seq)
+        windows = self.windows
+        after = [s for s in self.graph.neighbors(c) if s > c and s in windows]
+        after.sort()
         return tuple(after)
 
     def node(self, change: ChangeId, base: BaseKey) -> BuildNode:
@@ -130,11 +137,6 @@ class SpeculationForest:
         nodes = self.nodes
         return [nodes[(c, base)] for base in self.bases[c]]
 
-    def update_node(self, node: BuildNode) -> None:
-        if node.key not in self.nodes:
-            raise KeyError(f"no such node {node.key}")
-        self.nodes[node.key] = node
-
     def add_change(self, c: ChangeId) -> None:
         """Append an arriving change with its window and pending nodes.
 
@@ -142,7 +144,7 @@ class SpeculationForest:
         an earlier change's window, so every existing window, base and
         node stays as it is.
         """
-        if self.windows and c.seq <= next(reversed(self.windows)).seq:
+        if self.windows and c <= next(reversed(self.windows)):
             raise ValueError(f"change {c} does not sort after the queue's tail")
         self._set_window(c)
 
@@ -199,9 +201,9 @@ def resolve_change(
 ) -> SpeculationForest:
     """Remove a decided change and drop every node its outcome contradicts.
 
-    A surviving node keeps its state under its rewritten base: when the
-    resolved change landed it joins mainline, so a node that assumed it
-    in the base describes the same merge with the base member removed.
+    A surviving node is the same node, its base rewritten in place: when
+    the resolved change landed it joins mainline, so a node that assumed
+    it in the base describes the same merge with the base member removed.
     Nodes whose assumption was wrong (or that were built against a
     mainline now missing a landed conflicting change) come back pending,
     including any fresh nodes from a widened speculation window.
@@ -230,5 +232,6 @@ def resolve_change(
         if new_key not in nodes:
             raise AssertionError(f"carried node {old_key} maps outside the forest")
         node = moved[old_key]
-        nodes[new_key] = node if old_key == new_key else replace(node, base=new_key[1])
+        node.base = new_key[1]
+        nodes[new_key] = node
     return forest

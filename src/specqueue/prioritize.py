@@ -67,12 +67,8 @@ class RankedBuild:
     def rank_key(self) -> tuple:
         """Rank order: higher score first, then earlier change, then
         deeper base, then base members."""
-        return (
-            -self.p_needed,
-            self.node.change.seq,
-            -len(self.node.base),
-            tuple(b.seq for b in self.node.base),
-        )
+        node = self.node
+        return (-self.p_needed, node.change, -len(node.base), node.base)
 
 
 def finish_time_model(

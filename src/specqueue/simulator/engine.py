@@ -144,10 +144,11 @@ class _Simulation:
         # changes whose finish-time model moved since the last reschedule
         self.moved: set[ChangeId] = set()
         # every build that could still run as (rank_key, RankedBuild), in
-        # rank order, and each queued change's entries in it. A node value
-        # changes only when its change is in `moved` (estimated, finished
-        # or carried), and such a change is re-ranked before the order is
-        # read, so no held node is stale.
+        # rank order, and each queued change's entries in it. An entry
+        # keeps the rank key computed when it was inserted. Nodes are
+        # updated in place, but only when their change is in `moved`
+        # (estimated, finished or carried), and such a change is re-ranked
+        # before the order is read, so no held node or key is stale.
         self.ranking: list[RankEntry] = []
         self.entries: dict[ChangeId, list[RankEntry]] = {}
         # the entries inserted into `ranking` since the last selection, and
@@ -198,7 +199,7 @@ class _Simulation:
             return None
         del self.running[run.key]
         node = self.forest.nodes[run.key]
-        self.forest.update_node(node.completed(run.outcome, self.now))
+        node.complete(run.outcome, self.now)
         self.moved.add(node.change)
         self.executor_minutes += run.duration
         self._log(
@@ -345,12 +346,11 @@ class _Simulation:
                     conflicts_count=len(self.forest.window(c)),
                     speculation_height=len(node.base),
                 )
-                estimate = predict_duration(
+                node.estimate = predict_duration(
                     self.workload.predictor,
                     features,
                     truth=DurationEstimate(spec.true_mean, spec.true_variance),
                 )
-                self.forest.update_node(node.with_estimate(estimate))
 
     def _success_fn(self, pred: ChangeId, context: BaseKey) -> float:
         window = self.forest.windows.get(pred)
@@ -389,7 +389,7 @@ class _Simulation:
         while frontier:
             for other in self.forest.graph.neighbors(frontier.pop()):
                 if other in windows and other not in seen:
-                    if other.seq < c.seq:
+                    if other < c:
                         return False
                     seen.add(other)
                     frontier.append(other)

@@ -163,9 +163,7 @@ def test_criterion_3_monte_carlo_decisive_frequency(capsys):
     for means in cases.values():
         forest = triangle()
         for n in list(forest.nodes.values()):
-            forest.update_node(
-                n.with_estimate(DurationEstimate(means[n.change], sigma**2))
-            )
+            n.estimate = DurationEstimate(means[n.change], sigma**2)
         parts = {c: profile_change(c, forest, arrivals, cfg) for c in (C1, C2, C3)}
         finish = {
             c: arrivals[c] + rng.normal(means[c], sigma, trials) for c in (C1, C2, C3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import stat
 
 import pytest
 
@@ -170,6 +171,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.txt")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_undecodable_workload_is_two(self, capsys, tmp_path, command):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("change C0 caf\xe9\n".encode("latin-1"))
+        assert main([command, "--workload", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+
     @pytest.mark.parametrize("rate", ["inf", "nan"])
     def test_non_finite_arrival_rate_is_two(self, capsys, tmp_path, rate):
         out = tmp_path / "x.txt"
@@ -189,3 +198,31 @@ class TestAtomicOutput:
         assert not out.exists()
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".specqueue-")]
         assert leftovers == []
+
+    @pytest.fixture
+    def umask_027(self):
+        """Run under umask 027, restoring the process umask afterwards."""
+        previous = os.umask(0o027)
+        try:
+            yield
+        finally:
+            os.umask(previous)
+
+    def test_new_files_get_the_umask_mode(self, capsys, tmp_path, umask_027):
+        workload = tmp_path / "w.txt"
+        metrics = tmp_path / "m.csv"
+        assert main(["gen-workload", "--n-changes", "5", "--out", str(workload)]) == 0
+        assert main(["simulate", "--workload", str(workload),
+                     "--out-metrics", str(metrics)]) == 0
+        capsys.readouterr()
+        for path in (workload, metrics):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640, path
+
+    def test_an_overwritten_file_keeps_its_mode(self, capsys, tmp_path, umask_027):
+        out = tmp_path / "w.txt"
+        out.write_text("old\n")
+        out.chmod(0o604)
+        assert main(["gen-workload", "--n-changes", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+        assert out.read_text() != "old\n"

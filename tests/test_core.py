@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +35,48 @@ class TestChangeId:
         assert ChangeId(5, "x") == ChangeId(5, "x")
         assert hash(ChangeId(5, "x")) == hash(ChangeId(5, "x"))
         assert {ChangeId(5, "x"): 1}[ChangeId(5, "x")] == 1
+
+    @given(st.lists(st.integers(0, 10_000), unique=True))
+    def test_order_is_sequence_order(self, seqs):
+        ids = [ChangeId(seq, f"C{seq}") for seq in seqs]
+        assert [c.seq for c in sorted(ids)] == sorted(seqs)
+        for a in ids:
+            for b in ids:
+                assert (a < b) == (a.seq < b.seq)
+                assert (a == b) == (a.seq == b.seq)
+
+    @given(st.lists(st.integers(0, 10_000), unique=True))
+    def test_a_set_iterates_as_a_set_of_the_sequences(self, seqs):
+        ids = {ChangeId(seq, f"C{seq}") for seq in seqs}
+        assert [c.seq for c in ids] == list(set(seqs))
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_sequence_and_label(self, round_trip):
+        c = ChangeId(7, "change-7")
+        copied = round_trip(c)
+        assert type(copied) is ChangeId
+        assert (copied.seq, copied.label) == (7, "change-7")
+        assert copied == c and hash(copied) == hash(c)
+
+    def test_is_immutable(self):
+        c = ChangeId(3, "C3")
+        for name, value in (("label", "other"), ("seq", 4), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(c, name, value)
+        with pytest.raises(AttributeError):
+            del c.label
+        assert (c.seq, c.label) == (3, "C3")
+
+    def test_str_is_the_label_and_repr_names_both(self):
+        c = ChangeId(12, "C12")
+        assert str(c) == "C12"
+        assert f"{c}" == "C12"
+        assert repr(c) == "ChangeId(seq=12, label='C12')"
+        assert type(c.seq) is int
 
 
 class TestConflicts:

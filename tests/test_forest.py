@@ -21,6 +21,7 @@ from specqueue.forest import (
     enumerate_forest,
     resolve_change,
 )
+from specqueue.prediction import DurationEstimate
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
@@ -143,14 +144,38 @@ class TestResolve:
 
     def test_land_carries_node_state_by_assumed_base(self):
         forest = triangle_forest()
-        speculative = forest.node(C2, (C1,)).completed(BuildOutcome.PASS, 9.0)
-        forest.update_node(speculative)
-        mainline_only = forest.node(C2, ()).completed(BuildOutcome.FAIL, 8.0)
-        forest.update_node(mainline_only)
+        speculative = forest.node(C2, (C1,))
+        speculative.estimate = DurationEstimate(12.0, 4.0)
+        speculative.complete(BuildOutcome.PASS, 9.0)
+        forest.node(C2, ()).complete(BuildOutcome.FAIL, 8.0)
         after = resolve_change(forest, C1, landed=True)
-        survivor = after.node(C2, ())
-        assert survivor.outcome is BuildOutcome.PASS
-        assert survivor.finished_at == 9.0
+        # the same node, its base rewritten in place
+        assert after.node(C2, ()) is speculative
+        assert speculative.key == (C2, ())
+        assert speculative.outcome is BuildOutcome.PASS
+        assert speculative.finished_at == 9.0
+        assert speculative.estimate == DurationEstimate(12.0, 4.0)
+
+    def test_a_node_carried_across_a_rewindow_is_the_same_object(self):
+        # landing C1 re-derives C3's window; its pending node on (C1, C2)
+        # moves to (C2,) and keeps its estimate, and its finished node on
+        # (C1,) moves to () and keeps its outcome
+        forest = triangle_forest()
+        pending = forest.node(C3, (C1, C2))
+        pending.estimate = DurationEstimate(30.0, 9.0)
+        done = forest.node(C3, (C1,))
+        done.estimate = DurationEstimate(20.0, 1.0)
+        done.complete(BuildOutcome.FAIL, 7.0)
+        resolve_change(forest, C1, landed=True)
+        assert forest.window(C3) == (C2,)
+        assert forest.node(C3, (C2,)) is pending
+        assert pending.key == (C3, (C2,))
+        assert pending.estimate == DurationEstimate(30.0, 9.0)
+        assert pending.outcome is None and pending.finished_at is None
+        assert forest.node(C3, ()) is done
+        assert done.key == (C3, ())
+        assert done.estimate == DurationEstimate(20.0, 1.0)
+        assert (done.outcome, done.finished_at) == (BuildOutcome.FAIL, 7.0)
 
     def test_reject_carries_the_mainline_node(self):
         forest = triangle_forest()
@@ -173,9 +198,7 @@ class TestResolve:
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 1)
         assert forest.window(C3) == (C2,)
-        forest.update_node(
-            forest.node(C3, (C2,)).completed(BuildOutcome.PASS, 5.0)
-        )
+        forest.node(C3, (C2,)).complete(BuildOutcome.PASS, 5.0)
         after = resolve_change(forest, C1, landed=True)
         # Mainline gained C1, which none of C3's builds included: all fresh.
         assert all(n.outcome is None for n in after.nodes_for_change(C3))
@@ -184,9 +207,7 @@ class TestResolve:
         targets = targets_from_labels({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 1)
-        forest.update_node(
-            forest.node(C3, (C2,)).completed(BuildOutcome.FAIL, 5.0)
-        )
+        forest.node(C3, (C2,)).complete(BuildOutcome.FAIL, 5.0)
         after = resolve_change(forest, C1, landed=False)
         assert after.node(C3, (C2,)).outcome is BuildOutcome.FAIL
 
@@ -234,7 +255,7 @@ class TestResolve:
 
     def test_failed_resolution_leaves_the_forest_unchanged(self):
         forest = triangle_forest()
-        forest.update_node(forest.node(C3, (C1,)).completed(BuildOutcome.PASS, 2.0))
+        forest.node(C3, (C1,)).complete(BuildOutcome.PASS, 2.0)
         resolve_change(forest, C2, landed=False)
         before = copy.deepcopy(forest)
         for resolved, mapping in [(C2, None), (C2, {}), (ChangeId(9, "C9"), {})]:
@@ -353,14 +374,17 @@ class TestIncrementalForest:
                 # finish one node so resolutions carry outcomes too
                 node = data.draw(st.sampled_from(list(forest.nodes.values())))
                 if node.outcome is None:
-                    forest.update_node(node.completed(BuildOutcome.PASS, 1.0))
+                    node.complete(BuildOutcome.PASS, 1.0)
                 resolved = data.draw(st.sampled_from(forest.queue))
                 landed = data.draw(st.booleans())
                 successors = [
                     s for s in forest.queue
                     if s.seq > resolved.seq and s in forest.graph.neighbors(resolved)
                 ]
-                before = dict(forest.nodes)
+                before = {
+                    key: (node, node.outcome, node.finished_at)
+                    for key, node in forest.nodes.items()
+                }
                 twin = copy.deepcopy(forest)
                 mapping = carry_map(forest, resolved, landed)
                 # exactly the nodes of the resolved change and its successors
@@ -377,13 +401,15 @@ class TestIncrementalForest:
                 resolve_change(twin, resolved, landed)
                 assert structure(forest) == structure(twin)
                 assert forest.nodes == twin.nodes
+                assert all(node.key == k for k, node in forest.nodes.items())
                 targets = set(mapping.values())
-                for key, node in before.items():
+                for key, (node, outcome, finished_at) in before.items():
                     new_key = mapping.get(key, key)
                     if new_key is not None:
-                        carried = forest.nodes[new_key]
-                        assert carried.outcome is node.outcome
-                        assert new_key != key or carried is node
+                        # carried in place: the same node, under its new key
+                        assert forest.nodes[new_key] is node
+                        assert node.key == new_key
+                        assert (node.outcome, node.finished_at) == (outcome, finished_at)
                     elif key in forest.nodes and key not in targets:
                         # a vanished node's key may only come back fresh
                         assert forest.nodes[key] == BuildNode(change=key[0], base=key[1])
@@ -424,8 +450,8 @@ class TestIncrementalForest:
     def test_arrival_keeps_earlier_nodes(self):
         queue, g = chain_graph(3)
         forest = enumerate_forest(queue[:2], g, 6)
-        done = forest.node(queue[1], (queue[0],)).completed(BuildOutcome.PASS, 3.0)
-        forest.update_node(done)
+        done = forest.node(queue[1], (queue[0],))
+        done.complete(BuildOutcome.PASS, 3.0)
         forest.add_change(queue[2])
         assert forest.node(queue[1], (queue[0],)) is done
         assert_matches_fresh(forest)
@@ -441,14 +467,17 @@ class TestBuildNodeTransitions:
     def test_lifecycle(self):
         node = BuildNode(change=C2, base=(C1,))
         assert node.outcome is None and node.finished_at is None
-        done = node.completed(BuildOutcome.PASS, 4.0)
-        assert done.outcome is BuildOutcome.PASS
-        assert done.finished_at == 4.0
+        node.complete(BuildOutcome.PASS, 4.0)
+        assert node.outcome is BuildOutcome.PASS
+        assert node.finished_at == 4.0
 
     def test_completed_outcome_is_final(self):
-        node = BuildNode(change=C2, base=()).completed(BuildOutcome.PASS, 1.0)
+        node = BuildNode(change=C2, base=())
+        node.complete(BuildOutcome.PASS, 1.0)
         with pytest.raises(ValueError):
-            node.completed(BuildOutcome.FAIL, 2.0)
+            node.complete(BuildOutcome.FAIL, 2.0)
+        assert node.outcome is BuildOutcome.PASS
+        assert node.finished_at == 1.0
 
     def test_outcome_and_finish_time_come_together(self):
         with pytest.raises(ValueError):

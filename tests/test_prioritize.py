@@ -33,7 +33,7 @@ def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
 
 def annotate(forest: SpeculationForest, mean: float = 20.0, var: float = 9.0) -> None:
     for node in list(forest.nodes.values()):
-        forest.update_node(node.with_estimate(DurationEstimate(mean, var)))
+        node.estimate = DurationEstimate(mean, var)
 
 
 def priors_fn(priors: dict[ChangeId, float]):
@@ -201,8 +201,7 @@ class TestFinishTimeModel:
     def test_completed_nodes_contribute_zero(self):
         forest = triangle(n=2)
         annotate(forest, mean=15.0, var=9.0)
-        done = forest.node(C2, (C1,)).completed(BuildOutcome.PASS, 5.0)
-        forest.update_node(done)
+        forest.node(C2, (C1,)).complete(BuildOutcome.PASS, 5.0)
         model = finish_time_model(C2, forest, arrival=1.0)
         assert model.combined == DurationEstimate(7.5, 4.5)
 
@@ -218,9 +217,9 @@ class TestProfileChange:
     def build(self, pred_est, succ_est, pred_arrival=0.0, succ_arrival=1.0):
         forest = triangle(n=2)
         for node in forest.nodes_for_change(C1):
-            forest.update_node(node.with_estimate(pred_est))
+            node.estimate = pred_est
         for node in forest.nodes_for_change(C2):
-            forest.update_node(node.with_estimate(succ_est))
+            node.estimate = succ_est
         arrivals = {C1: pred_arrival, C2: succ_arrival}
         return forest, arrivals
 
@@ -251,7 +250,7 @@ class TestProfileChange:
         forest = triangle(n=3)
         annotate(forest)
         for node in forest.nodes_for_change(C3):
-            forest.update_node(node.with_estimate(DurationEstimate(60.0, 9.0)))
+            node.estimate = DurationEstimate(60.0, 9.0)
         arrivals = {C1: 0.0, C2: 0.0, C3: 0.0}
         part = profile_change(C3, forest, arrivals, self.CFG)
         assert part.non_bypassable == (C1, C2)
@@ -263,7 +262,7 @@ class TestProfileChange:
         forest = triangle(n=3)
         annotate(forest, mean=40.0, var=16.0)
         for node in forest.nodes_for_change(C3):
-            forest.update_node(node.with_estimate(DurationEstimate(10.0, 4.0)))
+            node.estimate = DurationEstimate(10.0, 4.0)
         arrivals = {C1: 0.0, C2: 0.5, C3: 1.0}
         part = profile_change(C3, forest, arrivals, self.CFG)
         assert part.bypassable == (C1, C2)
@@ -310,9 +309,7 @@ class TestRankBuilds:
 
     def test_completed_nodes_drop_out(self):
         forest = triangle(n=2)
-        forest.update_node(
-            forest.node(C1, ()).completed(BuildOutcome.PASS, 3.0)
-        )
+        forest.node(C1, ()).complete(BuildOutcome.PASS, 3.0)
         partitions = {C1: partition(C1), C2: partition(C2, fixed=(C1,))}
         ranked = rank_all(forest, partitions, priors_fn({C1: 0.9}))
         assert all(r.node.change == C2 for r in ranked)

@@ -49,7 +49,7 @@ def first_call(ranking, running, cfg):
 
 
 def finish(forest, change, base, outcome, at=10.0):
-    forest.update_node(forest.node(change, base).completed(outcome, at))
+    forest.node(change, base).complete(outcome, at)
 
 
 CFG = EngineConfig(speculation_threshold=0.3, executor_capacity=3)

@@ -241,7 +241,10 @@ class _RankCheckedSimulation(_Simulation):
     same order, so a held node that went stale fails too. After every
     reschedule it checks the executor: the running builds are exactly
     the ones a walk of the whole rank order chooses, no more than
-    capacity, each on a node of the forest that has not finished."""
+    capacity, each on a node of the forest that has not finished. It
+    also checks that every entry's stored rank key is its build's, and
+    that its node is the forest's node under that node's key, so a node
+    updated in place that drifted from its key or its entry fails."""
 
     def _rescore(self) -> None:
         super()._rescore()
@@ -257,6 +260,9 @@ class _RankCheckedSimulation(_Simulation):
         for key in self.running:
             node = self.forest.nodes.get(key)
             assert node is not None and node.outcome is None, (self.now, key)
+        for k, r in self.ranking:
+            assert k == r.rank_key, (self.now, k)
+            assert self.forest.nodes[r.node.key] is r.node, (self.now, k)
 
 
 class _HeadCheckedSimulation(_Simulation):
@@ -309,6 +315,21 @@ def dense(n_changes, seed):
     )
 
 
+def wide_params(seed):
+    """The criterion-5 generator at 60 changes, as the contended benchmark
+    draws it; run on capacity 72."""
+    return GeneratorParams(
+        n_changes=60,
+        arrival_rate=0.45,
+        conflict_density=0.3,
+        short_fraction=0.25,
+        breaker_rate=0.0,
+        long_target_bias=1.0,
+        long_second_link=1.0,
+        seed=seed,
+    )
+
+
 @st.composite
 def dense_runs(draw):
     """A small dense workload at an edge-heavy configuration, and a strategy."""
@@ -343,17 +364,7 @@ class TestEventDecisions:
         # dense_runs draws capacities of at most 8; the contended
         # benchmark's criterion-5 streams on 72 executors have long
         # chosen prefixes, whose cut moves by many builds at a time
-        params = GeneratorParams(
-            n_changes=60,
-            arrival_rate=0.45,
-            conflict_density=0.3,
-            short_fraction=0.25,
-            breaker_rate=0.0,
-            long_target_bias=1.0,
-            long_second_link=1.0,
-            seed=seed,
-        )
-        w = generate_workload(params, config=EngineConfig(executor_capacity=72))
+        w = generate_workload(wide_params(seed), config=EngineConfig(executor_capacity=72))
         assert _RankCheckedSimulation(w, strategy).execute() == run(w, strategy)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -394,6 +405,25 @@ class TestEventDecisions:
     )
     def test_golden_digest_pins_decision_order(self, strategy, config, expected):
         report, trace = run(replace(dense(20, 0), config=config), strategy)
+        text = reports_to_csv([report]) + "\n".join(trace) + "\n"
+        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+        assert digest == expected
+
+    # Recorded before build nodes were updated in place: on 72 executors
+    # decisions carry many running builds to rewritten bases, and enhanced
+    # runs bypass, so a carried node that drifted from its key moves these.
+    @pytest.mark.parametrize(
+        "strategy, seed, expected",
+        [
+            ("baseline", 0, "f63f74639d8c579556b69779c112f992"),
+            ("enhanced", 0, "c1dfe4e6867810455f1113b83d8d1872"),
+            ("baseline", 1, "e00dad5a0a72cdf84cefb41b5a99b15c"),
+            ("enhanced", 1, "fc69345306e8f7a7750aefc83cad7380"),
+        ],
+    )
+    def test_golden_digest_pins_a_wide_stream(self, strategy, seed, expected):
+        w = generate_workload(wide_params(seed), config=EngineConfig(executor_capacity=72))
+        report, trace = run(w, strategy)
         text = reports_to_csv([report]) + "\n".join(trace) + "\n"
         digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
         assert digest == expected

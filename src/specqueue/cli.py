@@ -22,6 +22,7 @@ import tempfile
 from dataclasses import replace
 
 from specqueue.completion import normal_cdf, z_score
+from specqueue.core import EngineConfig
 from specqueue.prediction import DurationEstimate
 from specqueue.simulator import (
     GeneratorParams,
@@ -105,16 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta", type=float, default=None,
-                   help="speculation threshold override")
-    p.add_argument("--tau", type=float, default=None,
-                   help="bypass eligibility threshold override")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="bypass product floor override")
-    p.add_argument("--capacity", type=int, default=None,
-                   help="executor capacity override")
-    p.add_argument("--depth-cap", type=int, default=None,
-                   help="speculation window size override")
+    """One override flag per config record key, typed like its field."""
+    defaults = EngineConfig()
+    for key, field in CONFIG_FIELDS.items():
+        p.add_argument("--" + key.replace("_", "-"),
+                       type=type(getattr(defaults, field)), default=None,
+                       help=field.replace("_", " ") + " override")
 
 
 def _cmd_gen_workload(args: argparse.Namespace) -> int:

@@ -59,9 +59,7 @@ def z_score(
 
 
 def normal_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    if math.isinf(z):
-        return 1.0 if z > 0 else 0.0
+    """Standard normal CDF; exactly 1.0 and 0.0 at +inf and -inf."""
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 

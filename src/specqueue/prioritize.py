@@ -13,7 +13,7 @@ them until one of those moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from specqueue.completion import (
     FinishTimeModel,
@@ -93,7 +93,7 @@ def finish_time_model(
 def profile_change(
     c: ChangeId,
     forest: SpeculationForest,
-    arrivals: Mapping[ChangeId, float],
+    arrivals: Mapping[ChangeId, float] | Sequence[float],
     cfg: EngineConfig,
 ) -> BypassPartition:
     """Partition c's window predecessors by finish-order probability.
@@ -102,7 +102,8 @@ def profile_change(
     (threshold tau). When the joint probability of finishing before all
     bypassable predecessors drops below the floor (epsilon), speculation
     on finish order is pointless and scoring falls back to pass/fail
-    terms for every predecessor.
+    terms for every predecessor. `arrivals[c]` is change c's arrival
+    time: a map by id, or a sequence indexed by id.
     """
     model_c = finish_time_model(c, forest, arrivals[c])
     non_bypassable: list[ChangeId] = []

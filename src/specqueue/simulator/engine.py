@@ -18,6 +18,9 @@ since the last one and those between the old and the new end of the
 prefix: builds that fell out of the chosen set abort, newly chosen ones
 start. A decision re-keys only the runs its carry map lists. All times
 are virtual minutes; a run is a pure function of its workload.
+
+Per-change data is indexed by change id, which is the change's
+position in the workload's change tuple.
 """
 
 from __future__ import annotations
@@ -79,19 +82,19 @@ class GroundTruth:
     """
 
     def __init__(self, workload: WorkloadSpec):
-        self._specs = workload.by_id()
+        self._changes = workload.changes
         self._seed = workload.seed
 
     def outcome(
         self, change: ChangeId, landed: AbstractSet[ChangeId], base: BaseKey
     ) -> BuildOutcome:
-        spec = self._specs[change]
+        spec = self._changes[change]
         if not spec.passes_alone or any(b in landed or b in base for b in spec.breakers):
             return BuildOutcome.FAIL
         return BuildOutcome.PASS
 
     def duration(self, change: ChangeId, base: BaseKey) -> float:
-        spec = self._specs[change]
+        spec = self._changes[change]
         key = f"{self._seed}|{change.label}|{','.join(b.label for b in base)}"
         seed = int.from_bytes(
             hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
@@ -126,14 +129,14 @@ class _Simulation:
             if self.enhanced
             else replace(self.cfg, speculation_threshold=0.0)
         )
-        self.specs = workload.by_id()
-        self.arrivals = {c: s.arrival_time for c, s in self.specs.items()}
+        # indexed by change id: an id is its position in workload.changes
+        self.arrivals = tuple(s.arrival_time for s in workload.changes)
         self.truth = GroundTruth(workload)
         self.now = 0.0
         self.heap: list[tuple] = []
         self.forest: SpeculationForest = enumerate_forest(
             [],
-            build_conflict_graph({c: s.targets for c, s in self.specs.items()}),
+            build_conflict_graph({s.id: s.targets for s in workload.changes}),
             self.cfg.depth_cap,
         )
         self.landed_set: set[ChangeId] = set()
@@ -229,7 +232,7 @@ class _Simulation:
 
     def _apply(self, decision) -> None:
         c = decision.change
-        spec = self.specs[c]
+        spec = self.workload.changes[c]
         landed = decision.kind is DecisionKind.LAND
         nodes = self.forest.nodes_for_change(c)
         post_build_wait = self.now - max(n.finished_at for n in nodes)
@@ -262,7 +265,6 @@ class _Simulation:
                 decided_at=self.now,
                 landed=landed,
                 via_bypass=decision.via_bypass,
-                post_build_wait=post_build_wait,
             )
         )
         verb = "land" if landed else "reject"
@@ -340,7 +342,7 @@ class _Simulation:
             for node in self.forest.nodes_for_change(c):
                 if node.estimate is not None:
                     continue
-                spec = self.specs[c]
+                spec = self.workload.changes[c]
                 features = PredictionFeatures(
                     targets_changed=len(spec.targets),
                     conflicts_count=len(self.forest.window(c)),
@@ -360,7 +362,7 @@ class _Simulation:
             node = self.forest.nodes.get((pred, key))
             if node is not None and node.outcome is not None:
                 return 1.0 if node.outcome is BuildOutcome.PASS else 0.0
-        return self.specs[pred].success_prior
+        return self.workload.changes[pred].success_prior
 
     def _start(self, node: BuildNode, p_needed: float) -> None:
         outcome = self.truth.outcome(node.change, self.landed_set, node.base)

@@ -21,7 +21,6 @@ class WaitRecord:
     decided_at: float
     landed: bool
     via_bypass: bool
-    post_build_wait: float
 
     @property
     def wait(self) -> float:

@@ -5,14 +5,18 @@ true build behavior (duration distribution, standalone pass/fail, which
 predecessors break it), plus the predictor, engine thresholds, strategy,
 and seed. One text line per change keeps files diffable and easy to
 write by hand.
+
+A change's id is its position in the change tuple, the only index of
+changes. One field table per record (CONFIG_FIELDS, PREDICTORS) feeds
+one parse path and one format path; a bad value names its line.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Container
+from dataclasses import dataclass
+from typing import Container, Mapping
 
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 from specqueue.prediction import (
@@ -23,8 +27,9 @@ from specqueue.prediction import (
 
 STRATEGIES = ("enhanced", "baseline")
 
-# config record keys (the CLI's override flags share them) and the
-# EngineConfig fields they set
+# A record's keys and the dataclass fields they set, in file order. A value
+# takes the type of its field's default, and an omitted field keeps that
+# default. The CLI's override flags share the config keys.
 CONFIG_FIELDS = {
     "delta": "speculation_threshold",
     "tau": "bypass_eligibility_threshold",
@@ -32,8 +37,15 @@ CONFIG_FIELDS = {
     "capacity": "executor_capacity",
     "depth_cap": "depth_cap",
 }
+# predictor kind -> (class, record fields)
+PREDICTORS = {
+    "oracle": (
+        OracleWithNoise,
+        {"bias": "relative_bias", "spread": "relative_spread", "seed": "seed"},
+    ),
+    "constant": (ConstantPredictor, {"mu": "mean", "var": "variance"}),
+}
 _CHANGE_KEYS = ("id", "at", "targets", "mu", "var", "passes", "breakers", "prior")
-_PREDICTOR_KEYS = {"oracle": ("bias", "spread", "seed"), "constant": ("mu", "var")}
 
 # Generated durations are bimodal: (mean, variance) in minutes per mode.
 SHORT_MEAN, SHORT_VARIANCE = 5.0, 1.0
@@ -93,6 +105,8 @@ class ChangeSpec:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
+    """A change stream and how to run it; `changes[c]` is change c's record."""
+
     changes: tuple[ChangeSpec, ...]
     seed: int = 0
     strategy: str = "enhanced"
@@ -104,10 +118,10 @@ class WorkloadSpec:
             raise WorkloadError("workload needs at least one change")
         if self.strategy not in STRATEGIES:
             raise WorkloadError(f"unknown strategy {self.strategy!r}")
-        seen: set[ChangeId] = set()
+        seqs: dict[str, int] = {}  # the earlier changes' labels to their seqs
         previous_arrival = 0.0
         for i, spec in enumerate(self.changes):
-            if spec.id in seen:
+            if spec.id.label in seqs:
                 raise WorkloadError(f"duplicate change id {spec.id}")
             if spec.id.seq != i:
                 raise WorkloadError(
@@ -115,16 +129,14 @@ class WorkloadSpec:
                 )
             if spec.arrival_time < previous_arrival:
                 raise WorkloadError(f"{spec.id}: arrival times must be nondecreasing")
-            unknown = spec.breakers - seen
+            # ids compare by seq alone, so a breaker must match in label too
+            unknown = [b for b in spec.breakers if seqs.get(b.label) != b]
             if unknown:
                 raise WorkloadError(
                     f"{spec.id}: breakers must be earlier changes, got {sorted(unknown)}"
                 )
-            seen.add(spec.id)
+            seqs[spec.id.label] = i
             previous_arrival = spec.arrival_time
-
-    def by_id(self) -> dict[ChangeId, ChangeSpec]:
-        return {spec.id: spec for spec in self.changes}
 
 
 @dataclass(frozen=True)
@@ -313,15 +325,18 @@ def static_conflict_rate(workload: WorkloadSpec) -> float:
 
 def format_workload(w: WorkloadSpec) -> str:
     """Render the one-line-per-change text form (parse round-trips it)."""
-    lines = ["workload-version 1", f"seed {w.seed}", f"strategy {w.strategy}"]
-    lines.append("predictor " + _format_predictor(w.predictor))
-    cfg = w.config
-    lines.append(
-        "config "
-        f"delta={cfg.speculation_threshold!r} tau={cfg.bypass_eligibility_threshold!r} "
-        f"epsilon={cfg.bypass_product_floor!r} capacity={cfg.executor_capacity} "
-        f"depth_cap={cfg.depth_cap}"
-    )
+    for kind, (cls, fields) in PREDICTORS.items():
+        if isinstance(w.predictor, cls):
+            break
+    else:
+        raise WorkloadError(f"predictor {w.predictor!r} has no file form")
+    lines = [
+        "workload-version 1",
+        f"seed {w.seed}",
+        f"strategy {w.strategy}",
+        f"predictor {kind} {_format_record(w.predictor, fields)}",
+        f"config {_format_record(w.config, CONFIG_FIELDS)}",
+    ]
     for s in w.changes:
         lines.append(
             "change "
@@ -334,12 +349,19 @@ def format_workload(w: WorkloadSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_predictor(p: PredictorSpec) -> str:
-    if isinstance(p, OracleWithNoise):
-        return f"oracle bias={p.relative_bias!r} spread={p.relative_spread!r} seed={p.seed}"
-    if isinstance(p, ConstantPredictor):
-        return f"constant mu={p.mean!r} var={p.variance!r}"
-    raise WorkloadError(f"predictor {p!r} has no file form")
+def _format_record(record: object, fields: Mapping[str, str]) -> str:
+    return " ".join(f"{key}={getattr(record, field)!r}" for key, field in fields.items())
+
+
+def _parse_record(cls: type, fields: Mapping[str, str], body: str, line_no: int):
+    """A `cls` from a record's key=value tokens; see CONFIG_FIELDS."""
+    defaults = cls()
+    return cls(
+        **{
+            fields[key]: type(getattr(defaults, fields[key]))(value)
+            for key, value in _parse_fields(body, line_no, fields).items()
+        }
+    )
 
 
 def _parse_fields(body: str, line_no: int, keys: Container[str]) -> dict[str, str]:
@@ -370,7 +392,7 @@ def parse_workload(text: str) -> WorkloadSpec:
     seed = 0
     strategy = "enhanced"
     predictor: PredictorSpec | None = None
-    config_fields: dict[str, str] = {}
+    config = EngineConfig()
     specs: list[ChangeSpec] = []
     labels: dict[str, ChangeId] = {}
     given: set[str] = set()
@@ -393,9 +415,12 @@ def parse_workload(text: str) -> WorkloadSpec:
             elif kind == "strategy":
                 strategy = body.strip()
             elif kind == "predictor":
-                predictor = _parse_predictor(body, line_no)
+                name, _, rest = body.strip().partition(" ")
+                if name not in PREDICTORS:
+                    raise WorkloadError(f"line {line_no}: unknown predictor {name!r}")
+                predictor = _parse_record(*PREDICTORS[name], rest, line_no)
             elif kind == "config":
-                config_fields = _parse_fields(body, line_no, CONFIG_FIELDS)
+                config = _parse_record(EngineConfig, CONFIG_FIELDS, body, line_no)
             elif kind == "change":
                 specs.append(_parse_change(body, line_no, labels))
             else:
@@ -406,18 +431,6 @@ def parse_workload(text: str) -> WorkloadSpec:
             problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise WorkloadError(f"line {line_no}: {problem}") from exc
 
-    defaults = EngineConfig()
-    try:
-        # a given value takes the type of the field's default
-        config = replace(
-            defaults,
-            **{
-                CONFIG_FIELDS[key]: type(getattr(defaults, CONFIG_FIELDS[key]))(value)
-                for key, value in config_fields.items()
-            },
-        )
-    except ValueError as exc:
-        raise WorkloadError(f"config: {exc}") from exc
     return WorkloadSpec(
         changes=tuple(specs),
         seed=seed,
@@ -451,20 +464,4 @@ def _parse_change(body: str, line_no: int, labels: dict[str, ChangeId]) -> Chang
         passes_alone=_parse_bool(f.get("passes", "true"), line_no),
         breakers=frozenset(labels[b] for b in breakers),
         success_prior=float(f.get("prior", "0.9")),
-    )
-
-
-def _parse_predictor(body: str, line_no: int) -> PredictorSpec:
-    kind, _, rest = body.strip().partition(" ")
-    if kind not in _PREDICTOR_KEYS:
-        raise WorkloadError(f"line {line_no}: unknown predictor {kind!r}")
-    f = _parse_fields(rest, line_no, _PREDICTOR_KEYS[kind])
-    if kind == "oracle":
-        return OracleWithNoise(
-            relative_bias=float(f.get("bias", "0")),
-            relative_spread=float(f.get("spread", "0")),
-            seed=int(f.get("seed", "0")),
-        )
-    return ConstantPredictor(
-        mean=float(f.get("mu", "25")), variance=float(f.get("var", "25"))
     )

@@ -7,7 +7,7 @@ import stat
 
 import pytest
 
-from specqueue.cli import main
+from specqueue.cli import build_parser, main
 from specqueue.simulator import parse_workload
 
 
@@ -97,6 +97,17 @@ class TestSimulate:
         assert first == second
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_config_flags_take_their_field_types(self, command):
+        args = build_parser().parse_args([
+            command, "--workload", "w.txt", "--delta", "1", "--tau", "0.5",
+            "--epsilon", "0.1", "--capacity", "3", "--depth-cap", "2",
+        ])
+        expected = {"delta": 1.0, "tau": 0.5, "epsilon": 0.1, "capacity": 3, "depth_cap": 2}
+        for dest, value in expected.items():
+            assert getattr(args, dest) == value
+            assert type(getattr(args, dest)) is type(value)
+
     def test_config_overrides_change_the_run(self, capsys, workload_file):
         _, default_out = run_cli(capsys, ["simulate", "--workload", str(workload_file)])
         _, starved = run_cli(capsys, [
@@ -122,6 +133,14 @@ class TestCompare:
         assert code == 0
         labels = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert labels == ["delta=0", "delta=0.3", "delta=0.7"]
+
+    def test_out_metrics_holds_the_printed_table(self, capsys, workload_file, tmp_path):
+        path = tmp_path / "m.csv"
+        code, out = run_cli(capsys, [
+            "compare", "--workload", str(workload_file), "--out-metrics", str(path),
+        ])
+        assert code == 0
+        assert path.read_text() == out
 
 
 class TestExitCodes:

@@ -103,9 +103,22 @@ class TestWorkloadSpec:
                 )
             )
 
-    def test_by_id_round_trips(self):
-        w = WorkloadSpec(changes=(spec(0, "C0", 0.0, {"a"}),))
-        assert w.by_id()[ChangeId(0, "C0")] is w.changes[0]
+    def test_rejects_duplicate_labels(self):
+        # ids compare by seq, so two C0s at seqs 0 and 1 are distinct ids
+        with pytest.raises(WorkloadError, match="duplicate change id C0"):
+            WorkloadSpec(
+                changes=(spec(0, "C0", 0.0, {"a"}), spec(1, "C0", 1.0, {"a"}))
+            )
+
+    @pytest.mark.parametrize("breaker", [ChangeId(0, "X"), ChangeId(-1, "C1")])
+    def test_rejects_breaker_that_is_not_an_earlier_change(self, breaker):
+        with pytest.raises(WorkloadError, match="breakers must be earlier changes"):
+            WorkloadSpec(
+                changes=(
+                    spec(0, "C0", 0.0, {"a"}),
+                    spec(1, "C1", 1.0, {"a"}, breakers=frozenset({breaker})),
+                )
+            )
 
 
 class TestGeneratorParams:
@@ -177,6 +190,10 @@ class TestGenerator:
         w = generate_workload(GeneratorParams(n_changes=1, seed=3))
         assert len(w.changes) == 1
         assert not w.changes[0].breakers
+
+    def test_full_density_links_every_change(self):
+        w = generate_workload(GeneratorParams(n_changes=50, conflict_density=1.0))
+        assert static_conflict_rate(w) == 100.0
 
     def test_zero_density_yields_empty_conflict_graph(self):
         w = generate_workload(GeneratorParams(n_changes=200, conflict_density=0.0))
@@ -304,6 +321,14 @@ class TestFileFormat:
         assert w.config == EngineConfig()
 
     @pytest.mark.parametrize(
+        "record, expected",
+        [("oracle", OracleWithNoise()), ("constant", ConstantPredictor())],
+    )
+    def test_omitted_predictor_fields_take_the_class_defaults(self, record, expected):
+        w = parse_workload(f"seed 5\npredictor {record}\n{CHANGE_C0}\n")
+        assert w.predictor == expected
+
+    @pytest.mark.parametrize(
         "text",
         [
             "workload-version 2\nchange id=C0 at=0.0 targets=a mu=10.0 var=4.0",
@@ -321,6 +346,7 @@ class TestFileFormat:
             "predictor oracle spred=0.2\n" + CHANGE_C0,
             "predictor constant mu=5 sigma=1\n" + CHANGE_C0,
             CHANGE_C0 + " mu=2.0",  # repeated field
+            CHANGE_C0 + " prior",  # a token without '='
             CHANGE_C0 + "\nchange id=C0 at=1.0 targets=a mu=10.0 var=4.0",  # duplicate id
             # a record given twice would silently replace the first
             "workload-version 1\nworkload-version 1\n" + CHANGE_C0,
@@ -351,6 +377,8 @@ class TestFileFormat:
         [
             "change id=C0 at=0.0 targets=a mu=10.0 var=4.0 breakers=X\nseed x",
             "change id=C0 at=0.0 targets=a mu=ten var=4.0\nbogus",
+            "config capacity=none\nbogus",
+            "config delta=1.5\n" + CHANGE_C0,
         ],
     )
     def test_first_malformed_line_is_named(self, text):

@@ -54,7 +54,8 @@ class ConflictGraph:
     adjacency: Mapping[ChangeId, frozenset[ChangeId]] = field(default_factory=dict)
 
     def neighbors(self, c: ChangeId) -> frozenset[ChangeId]:
-        return self.adjacency.get(c, frozenset())
+        """The changes c conflicts with; KeyError if c is not in the graph."""
+        return self.adjacency[c]
 
 
 @dataclass(frozen=True)

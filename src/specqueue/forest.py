@@ -87,8 +87,9 @@ def _ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
 class SpeculationForest:
     """All speculative builds for the current pending queue, kept in place.
 
-    Queue order is ChangeId order. ``windows`` holds each queued
-    change's window in that order, so its keys are the queue; ``bases``
+    Queue order is ChangeId order. ``windows[c]`` is c's window, its
+    nearest ``depth_cap`` queued conflicting predecessors, and the keys
+    of ``windows`` are the queue, in that order; ``bases``
     holds each change's node bases in ``nodes_for_change`` order. A
     window is read from the change's conflict neighbours rather than
     from a scan of the queue. A node holds what is known of its build:
@@ -109,10 +110,6 @@ class SpeculationForest:
     def queue(self) -> tuple[ChangeId, ...]:
         """The queued changes, in queue order."""
         return tuple(self.windows)
-
-    def window(self, c: ChangeId) -> BaseKey:
-        """Unresolved conflicting predecessors of c, nearest depth_cap only."""
-        return self.windows[c]
 
     def conflicting_ahead(self, c: ChangeId) -> BaseKey:
         """Every queued conflicting predecessor of c, in queue order."""

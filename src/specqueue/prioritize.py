@@ -109,7 +109,7 @@ def profile_change(
     non_bypassable: list[ChangeId] = []
     bypassable: list[ChangeId] = []
     product = 1.0
-    for pred in forest.window(c):
+    for pred in forest.windows[c]:
         model_pred = finish_time_model(pred, forest, arrivals[pred])
         p_first = p_finishes_before(model_c, model_pred)
         if p_first >= cfg.bypass_eligibility_threshold:

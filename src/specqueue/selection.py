@@ -8,12 +8,12 @@ a build whose rank key did not move since the last selection can only
 enter or leave the set when it lies between the old cut and the new
 one, and a selection reads only those and the re-ranked builds, never
 the whole prefix. A component head's one build always
-qualifies: with no predecessor to wait on, it scores exactly 1. A change
-resolves either by the head rule (its conflicting predecessors are all
-decided, so its one remaining build is authoritative) or by bypass: if
-every speculative variant of the change finished with the same outcome,
-that outcome holds no matter how the predecessors resolve, so the
-change may land or reject early.
+qualifies: with no predecessor to wait on, it scores exactly 1. One rule
+decides a change: once every speculative variant of it finished with the
+same outcome, that outcome holds no matter how its queued predecessors
+resolve, so it lands or rejects. A change with no predecessor left in
+its window has one variant, its build against the mainline; one with
+predecessors decides early, by bypass.
 """
 
 from __future__ import annotations
@@ -126,36 +126,28 @@ def decide_change(
     """Resolve a change now if its builds make the outcome certain.
 
     Its only inputs are c's window, c's nodes and c's queued conflicting
-    predecessors. Head rule: no unresolved conflicting predecessors means
-    the single remaining build speaks for the real merge. Bypass rule:
-    with predecessors still pending, identical outcomes across every
-    speculative variant make the result independent of how they resolve.
-    Bypass is unsafe when conflicting predecessors fell outside the
-    speculation window, since no build covered those combinations.
+    predecessors. The change waits while a variant is pending or the
+    variants disagree; otherwise it lands on a unanimous pass and
+    rejects on a unanimous fail. With an empty window its one build
+    speaks for the real merge. With predecessors in the window the
+    decision bypasses them, which is blocked when bypass is off or when
+    conflicting predecessors fell outside the window, since no build
+    covered those combinations.
     """
-    window = forest.window(c)
-    nodes = forest.nodes_for_change(c)
-    if not window:
-        node = nodes[0]
-        if node.outcome is None:
-            return Decision(
-                DecisionKind.WAIT, c, reason=WaitReason.BUILDS_OUTSTANDING
-            )
-        if node.outcome is BuildOutcome.PASS:
-            return Decision(DecisionKind.LAND, c)
-        return Decision(DecisionKind.REJECT, c)
-
-    if any(n.outcome is None for n in nodes):
+    window = forest.windows[c]
+    outcomes = {n.outcome for n in forest.nodes_for_change(c)}
+    if None in outcomes:
         return Decision(DecisionKind.WAIT, c, reason=WaitReason.BUILDS_OUTSTANDING)
-    outcomes = {n.outcome for n in nodes}
     if len(outcomes) > 1:
         return Decision(
             DecisionKind.WAIT, c, reason=WaitReason.OUTCOMES_INCONSISTENT
         )
-    if not allow_bypass or len(forest.conflicting_ahead(c)) > len(window):
+    if window and (
+        not allow_bypass or len(forest.conflicting_ahead(c)) > len(window)
+    ):
         return Decision(
             DecisionKind.WAIT, c, reason=WaitReason.BLOCKED_BY_PREDECESSOR
         )
     if outcomes == {BuildOutcome.PASS}:
-        return Decision(DecisionKind.LAND, c, via_bypass=True)
-    return Decision(DecisionKind.REJECT, c, via_bypass=True)
+        return Decision(DecisionKind.LAND, c, via_bypass=bool(window))
+    return Decision(DecisionKind.REJECT, c, via_bypass=bool(window))

@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation of the merge queue."""
 
-from specqueue.simulator.engine import GroundTruth, compare, run, run_baseline
+from specqueue.simulator.engine import GroundTruth, run
 from specqueue.simulator.metrics import (
     CSV_HEADER,
     MetricsReport,
@@ -28,13 +28,11 @@ __all__ = [
     "WaitRecord",
     "WorkloadError",
     "WorkloadSpec",
-    "compare",
     "format_workload",
     "generate_workload",
     "nearest_rank",
     "parse_workload",
     "reports_to_csv",
     "run",
-    "run_baseline",
     "static_conflict_rate",
 ]

@@ -33,7 +33,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
 
-from specqueue.core import BuildOutcome, ChangeId, EngineConfig, build_conflict_graph
+from specqueue.core import BuildOutcome, ChangeId, build_conflict_graph
 from specqueue.forest import (
     BaseKey,
     BuildNode,
@@ -328,7 +328,7 @@ class _Simulation:
         # Baseline: every conflicting predecessor is waited out.
         return BypassPartition(
             change=c,
-            non_bypassable=self.forest.window(c),
+            non_bypassable=self.forest.windows[c],
             bypassable=(),
             bypass_product=1.0,
             fallback_active=False,
@@ -345,7 +345,7 @@ class _Simulation:
                 spec = self.workload.changes[c]
                 features = PredictionFeatures(
                     targets_changed=len(spec.targets),
-                    conflicts_count=len(self.forest.window(c)),
+                    conflicts_count=len(self.forest.windows[c]),
                     speculation_height=len(node.base),
                 )
                 node.estimate = predict_duration(
@@ -355,14 +355,14 @@ class _Simulation:
                 )
 
     def _success_fn(self, pred: ChangeId, context: BaseKey) -> float:
-        window = self.forest.windows.get(pred)
-        if window is not None:
-            members = set(window)
-            key = tuple(b for b in context if b in members)
-            node = self.forest.nodes.get((pred, key))
-            if node is not None and node.outcome is not None:
-                return 1.0 if node.outcome is BuildOutcome.PASS else 0.0
-        return self.workload.changes[pred].success_prior
+        """pred's observed outcome on the path `context` assumes, else its
+        prior. A scored predecessor is in a queued change's window, so it
+        is queued, and `context` within its window is one of its bases."""
+        window = self.forest.windows[pred]
+        node = self.forest.nodes[(pred, tuple(b for b in context if b in window))]
+        if node.outcome is None:
+            return self.workload.changes[pred].success_prior
+        return 1.0 if node.outcome is BuildOutcome.PASS else 0.0
 
     def _start(self, node: BuildNode, p_needed: float) -> None:
         outcome = self.truth.outcome(node.change, self.landed_set, node.base)
@@ -436,22 +436,3 @@ def run(
     if chosen not in STRATEGIES:
         raise ValueError(f"unknown strategy {chosen!r}")
     return _Simulation(workload, chosen).execute()
-
-
-def run_baseline(workload: WorkloadSpec) -> tuple[MetricsReport, TraceLog]:
-    """Simulate under the prior model: no bypassing, no threshold pruning."""
-    return run(workload, "baseline")
-
-
-def compare(
-    workload: WorkloadSpec,
-    variants: Sequence[tuple[str, str, EngineConfig]],
-) -> list[MetricsReport]:
-    """Run labeled (strategy, config) variants over one workload, in order."""
-    if len(variants) < 2:
-        raise ValueError("compare needs at least two variants")
-    reports = []
-    for label, strategy, config in variants:
-        report, _ = run(replace(workload, config=config), strategy)
-        reports.append(replace(report, strategy=label))
-    return reports

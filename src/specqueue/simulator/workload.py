@@ -8,7 +8,9 @@ write by hand.
 
 A change's id is its position in the change tuple, the only index of
 changes. One field table per record (CONFIG_FIELDS, PREDICTORS) feeds
-one parse path and one format path; a bad value names its line.
+one parse path and one format path. An error in a line names that line;
+the checks that span lines (arrival order, a breaker's targets, an empty
+file) name the change instead.
 """
 
 from __future__ import annotations
@@ -135,6 +137,13 @@ class WorkloadSpec:
                 raise WorkloadError(
                     f"{spec.id}: breakers must be earlier changes, got {sorted(unknown)}"
                 )
+            # the engine orders only conflicting changes, so a breaker that
+            # shares no target could land after the change it breaks
+            for b in sorted(spec.breakers):
+                if spec.targets.isdisjoint(self.changes[b].targets):
+                    raise WorkloadError(
+                        f"{spec.id}: breaker {b.label!r} shares no target with it"
+                    )
             seqs[spec.id.label] = i
             previous_arrival = spec.arrival_time
 
@@ -353,42 +362,42 @@ def _format_record(record: object, fields: Mapping[str, str]) -> str:
     return " ".join(f"{key}={getattr(record, field)!r}" for key, field in fields.items())
 
 
-def _parse_record(cls: type, fields: Mapping[str, str], body: str, line_no: int):
+def _parse_record(cls: type, fields: Mapping[str, str], body: str):
     """A `cls` from a record's key=value tokens; see CONFIG_FIELDS."""
     defaults = cls()
     return cls(
         **{
             fields[key]: type(getattr(defaults, fields[key]))(value)
-            for key, value in _parse_fields(body, line_no, fields).items()
+            for key, value in _parse_fields(body, fields).items()
         }
     )
 
 
-def _parse_fields(body: str, line_no: int, keys: Container[str]) -> dict[str, str]:
+def _parse_fields(body: str, keys: Container[str]) -> dict[str, str]:
     """The key=value tokens of a record; every key must be one of `keys`."""
     fields: dict[str, str] = {}
     for token in body.split():
         if "=" not in token:
-            raise WorkloadError(f"line {line_no}: expected key=value, got {token!r}")
+            raise WorkloadError(f"expected key=value, got {token!r}")
         key, _, value = token.partition("=")
         if key not in keys:
-            raise WorkloadError(f"line {line_no}: unknown field {key!r}")
+            raise WorkloadError(f"unknown field {key!r}")
         if key in fields:
-            raise WorkloadError(f"line {line_no}: repeated field {key!r}")
+            raise WorkloadError(f"repeated field {key!r}")
         fields[key] = value
     return fields
 
 
-def _parse_bool(value: str, line_no: int) -> bool:
+def _parse_bool(value: str) -> bool:
     if value == "true":
         return True
     if value == "false":
         return False
-    raise WorkloadError(f"line {line_no}: expected true/false, got {value!r}")
+    raise WorkloadError(f"expected true/false, got {value!r}")
 
 
 def parse_workload(text: str) -> WorkloadSpec:
-    """Parse the text form; raises WorkloadError on any malformed line."""
+    """Parse the text form; a WorkloadError names the first malformed line."""
     seed = 0
     strategy = "enhanced"
     predictor: PredictorSpec | None = None
@@ -402,11 +411,11 @@ def parse_workload(text: str) -> WorkloadSpec:
         if not line or line.startswith("#"):
             continue
         kind, _, body = line.partition(" ")
-        if kind != "change":  # any other record may be given once
-            if kind in given:
-                raise WorkloadError(f"line {line_no}: repeated {kind!r} record")
-            given.add(kind)
         try:
+            if kind != "change":  # any other record may be given once
+                if kind in given:
+                    raise WorkloadError(f"repeated {kind!r} record")
+                given.add(kind)
             if kind == "workload-version":
                 if body.strip() != "1":
                     raise WorkloadError(f"unsupported workload version {body!r}")
@@ -414,20 +423,20 @@ def parse_workload(text: str) -> WorkloadSpec:
                 seed = int(body)
             elif kind == "strategy":
                 strategy = body.strip()
+                if strategy not in STRATEGIES:
+                    raise WorkloadError(f"unknown strategy {strategy!r}")
             elif kind == "predictor":
                 name, _, rest = body.strip().partition(" ")
                 if name not in PREDICTORS:
-                    raise WorkloadError(f"line {line_no}: unknown predictor {name!r}")
-                predictor = _parse_record(*PREDICTORS[name], rest, line_no)
+                    raise WorkloadError(f"unknown predictor {name!r}")
+                predictor = _parse_record(*PREDICTORS[name], rest)
             elif kind == "config":
-                config = _parse_record(EngineConfig, CONFIG_FIELDS, body, line_no)
+                config = _parse_record(EngineConfig, CONFIG_FIELDS, body)
             elif kind == "change":
-                specs.append(_parse_change(body, line_no, labels))
+                specs.append(_parse_change(body, labels))
             else:
-                raise WorkloadError(f"line {line_no}: unknown record {kind!r}")
+                raise WorkloadError(f"unknown record {kind!r}")
         except (ValueError, KeyError) as exc:
-            if isinstance(exc, WorkloadError):
-                raise
             problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise WorkloadError(f"line {line_no}: {problem}") from exc
 
@@ -440,28 +449,31 @@ def parse_workload(text: str) -> WorkloadSpec:
     )
 
 
-def _parse_change(body: str, line_no: int, labels: dict[str, ChangeId]) -> ChangeSpec:
+def _parse_change(body: str, labels: dict[str, ChangeId]) -> ChangeSpec:
     """One change record. `labels` maps the earlier changes' labels to
-    their ids; the new change's label is added to it."""
-    f = _parse_fields(body, line_no, _CHANGE_KEYS)
+    their ids; the new change's label is added to it. An omitted
+    `passes` or `prior` keeps ChangeSpec's default."""
+    f = _parse_fields(body, _CHANGE_KEYS)
     label = f["id"]
     if label in labels:
-        raise WorkloadError(f"line {line_no}: duplicate change id {label!r}")
+        raise WorkloadError(f"duplicate change id {label!r}")
     breakers = [b for b in f.get("breakers", "").split(",") if b]
     for b in breakers:
         if b not in labels:
-            raise WorkloadError(
-                f"line {line_no}: breaker {b!r} is not an earlier change"
-            )
+            raise WorkloadError(f"breaker {b!r} is not an earlier change")
     cid = ChangeId(len(labels), label)
     labels[label] = cid
+    optional = {}
+    if "passes" in f:
+        optional["passes_alone"] = _parse_bool(f["passes"])
+    if "prior" in f:
+        optional["success_prior"] = float(f["prior"])
     return ChangeSpec(
         id=cid,
         arrival_time=float(f["at"]),
         targets=frozenset(t for t in f.get("targets", "").split(",") if t),
         true_mean=float(f["mu"]),
         true_variance=float(f["var"]),
-        passes_alone=_parse_bool(f.get("passes", "true"), line_no),
         breakers=frozenset(labels[b] for b in breakers),
-        success_prior=float(f.get("prior", "0.9")),
+        **optional,
     )

@@ -25,7 +25,6 @@ from specqueue.simulator import (
     generate_workload,
     nearest_rank,
     run,
-    run_baseline,
 )
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
@@ -262,7 +261,7 @@ def test_criterion_5_resource_and_latency_ab(capsys):
         )
         w = generate_workload(params, config=config)
         enhanced, _ = run(w)
-        baseline, _ = run_baseline(w)
+        baseline, _ = run(w, "baseline")
 
         g = build_conflict_graph({s.id: s.targets for s in w.changes})
         by_label = {s.id.label: s for s in w.changes}

@@ -218,6 +218,20 @@ class TestAtomicOutput:
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".specqueue-")]
         assert leftovers == []
 
+    def test_out_path_naming_a_directory_is_two_and_leaves_no_temp_file(
+        self, capsys, workload_file, tmp_path
+    ):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        (taken / "keep.txt").write_text("kept\n")
+        assert main(["simulate", "--workload", str(workload_file),
+                     "--out-metrics", str(taken)]) == 2
+        capsys.readouterr()
+        assert os.listdir(taken) == ["keep.txt"]
+        assert (taken / "keep.txt").read_text() == "kept\n"
+        leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".specqueue-")]
+        assert leftovers == []
+
     @pytest.fixture
     def umask_027(self):
         """Run under umask 027, restoring the process umask afterwards."""

@@ -78,7 +78,7 @@ class TestEnumerate:
         queue = list(targets)
         forest = enumerate_forest(queue, g, 2)
         last = queue[-1]
-        assert forest.window(last) == (queue[2], queue[3])
+        assert forest.windows[last] == (queue[2], queue[3])
         assert len(forest.nodes_for_change(last)) == 4
 
     def test_node_order_is_deepest_then_lexicographic(self):
@@ -167,7 +167,7 @@ class TestResolve:
         done.estimate = DurationEstimate(20.0, 1.0)
         done.complete(BuildOutcome.FAIL, 7.0)
         resolve_change(forest, C1, landed=True)
-        assert forest.window(C3) == (C2,)
+        assert forest.windows[C3] == (C2,)
         assert forest.node(C3, (C2,)) is pending
         assert pending.key == (C3, (C2,))
         assert pending.estimate == DurationEstimate(30.0, 9.0)
@@ -197,7 +197,7 @@ class TestResolve:
         targets = targets_from_labels({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 1)
-        assert forest.window(C3) == (C2,)
+        assert forest.windows[C3] == (C2,)
         forest.node(C3, (C2,)).complete(BuildOutcome.PASS, 5.0)
         after = resolve_change(forest, C1, landed=True)
         # Mainline gained C1, which none of C3's builds included: all fresh.
@@ -216,9 +216,9 @@ class TestResolve:
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 2)
         c4 = list(targets)[3]
-        assert forest.window(c4) == (C2, C3)
+        assert forest.windows[c4] == (C2, C3)
         after = resolve_change(forest, C2, landed=False)
-        assert after.window(c4) == (C1, C3)
+        assert after.windows[c4] == (C1, C3)
 
     def test_total_node_count_never_increases(self):
         forest = triangle_forest()
@@ -312,7 +312,7 @@ class TestQueueOrder:
         assert forest.conflicting_ahead(queue[1]) == (queue[0],)
         assert forest.conflicting_after(queue[1]) == (queue[2],)
         resolve_change(forest, queue[0], landed=True)
-        assert forest.window(queue[2]) == (queue[1],)
+        assert forest.windows[queue[2]] == (queue[1],)
 
     def test_queue_reads_the_windows_in_order(self):
         queue, g = chain_graph(4)
@@ -339,7 +339,8 @@ def assert_matches_fresh(forest) -> None:
     assert list(forest.queue) == sorted(forest.queue, key=lambda c: c.seq)
     for i, c in enumerate(forest.queue):
         ahead = [p for p in forest.queue[:i] if p in forest.graph.neighbors(c)]
-        assert forest.window(c) == tuple(ahead[max(0, len(ahead) - forest.depth_cap) :])
+        nearest = ahead[max(0, len(ahead) - forest.depth_cap) :]
+        assert forest.windows[c] == tuple(nearest)
         keys = [n.key for n in forest.nodes_for_change(c)]
         assert keys == sorted(keys, key=lambda k: (-len(k[1]), [b.seq for b in k[1]]))
 
@@ -432,7 +433,7 @@ class TestIncrementalForest:
         for c in queue:
             forest.add_change(c)
             assert_matches_fresh(forest)
-        assert forest.window(queue[3]) == (queue[2],)
+        assert forest.windows[queue[3]] == (queue[2],)
         for landed in (True, False, True, False):
             forest = resolve_change(forest, forest.queue[0], landed)
             assert_matches_fresh(forest)
@@ -445,7 +446,7 @@ class TestIncrementalForest:
         after = resolve_change(forest, C1, landed=True)
         assert_matches_fresh(after)
         assert after.node(C2, ()) is independent
-        assert after.window(C3) == (C2,)
+        assert after.windows[C3] == (C2,)
 
     def test_arrival_keeps_earlier_nodes(self):
         queue, g = chain_graph(3)

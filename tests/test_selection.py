@@ -235,25 +235,29 @@ class TestDecideChange:
         assert d.kind is DecisionKind.WAIT
         assert d.reason is WaitReason.BUILDS_OUTSTANDING
 
+    # a head has an empty window, so turning bypass off must not block it
     def test_head_pass_lands_without_bypass(self):
         forest = triangle(n=1)
         finish(forest, C1, (), BuildOutcome.PASS)
-        d = decide_change(C1, forest)
-        assert d.kind is DecisionKind.LAND
-        assert not d.via_bypass
+        for allow_bypass in (True, False):
+            d = decide_change(C1, forest, allow_bypass=allow_bypass)
+            assert d.kind is DecisionKind.LAND
+            assert not d.via_bypass
 
     def test_head_failure_rejects(self):
         forest = triangle(n=1)
         finish(forest, C1, (), BuildOutcome.FAIL)
-        d = decide_change(C1, forest)
-        assert d.kind is DecisionKind.REJECT
-        assert not d.via_bypass
+        for allow_bypass in (True, False):
+            d = decide_change(C1, forest, allow_bypass=allow_bypass)
+            assert d.kind is DecisionKind.REJECT
+            assert not d.via_bypass
 
     def test_head_waits_while_building(self):
         forest = triangle(n=1)
-        d = decide_change(C1, forest)
-        assert d.kind is DecisionKind.WAIT
-        assert d.reason is WaitReason.BUILDS_OUTSTANDING
+        for allow_bypass in (True, False):
+            d = decide_change(C1, forest, allow_bypass=allow_bypass)
+            assert d.kind is DecisionKind.WAIT
+            assert d.reason is WaitReason.BUILDS_OUTSTANDING
 
     def test_bypass_disabled_waits_on_predecessor(self):
         forest = triangle(n=2)

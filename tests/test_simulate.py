@@ -21,12 +21,10 @@ from specqueue.simulator import (
     GeneratorParams,
     MetricsReport,
     WorkloadSpec,
-    compare,
     generate_workload,
     nearest_rank,
     reports_to_csv,
     run,
-    run_baseline,
 )
 from specqueue.simulator.engine import _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
@@ -95,7 +93,7 @@ class TestShortBehindLongConflict:
         assert report.abort_count == 0
 
     def test_baseline_holds_the_short_change_behind_the_head(self):
-        report, _ = run_baseline(self.build())
+        report, _ = run(self.build(), "baseline")
         waits = {r.change: r for r in report.waits}
         assert waits["C1"].wait == 59.0
         assert waits["C1"].via_bypass is False
@@ -103,7 +101,7 @@ class TestShortBehindLongConflict:
 
     def test_both_strategies_build_the_full_fork(self):
         # one build for C0 plus C1 with and without C0 in the base
-        for report in (run(self.build())[0], run_baseline(self.build())[0]):
+        for report in (run(self.build())[0], run(self.build(), "baseline")[0]):
             assert report.builds_started == 3
 
 
@@ -211,7 +209,7 @@ class TestAccounting:
         w = generate_workload(
             GeneratorParams(n_changes=150, conflict_density=0.4, seed=22)
         )
-        for report, trace in (run(w), run_baseline(w)):
+        for report, trace in (run(w), run(w, "baseline")):
             assert report.changes_decided == 150
             assert len(report.waits) == 150
             assert len({r.change for r in report.waits}) == 150
@@ -430,29 +428,15 @@ class TestEventDecisions:
 
 
 class TestCompare:
-    def variants(self):
-        return [
-            ("delta=0", "enhanced", EngineConfig(speculation_threshold=0.0)),
-            ("delta=0.3", "enhanced", EngineConfig()),
-            ("delta=0.7", "enhanced", EngineConfig(speculation_threshold=0.7)),
-        ]
-
-    def test_rows_keep_input_order_and_labels(self):
-        w = generate_workload(GeneratorParams(n_changes=80, seed=13))
-        rows = compare(w, self.variants())
-        assert [r.strategy for r in rows] == ["delta=0", "delta=0.3", "delta=0.7"]
-
     def test_threshold_zero_starts_at_least_as_many_builds(self):
         w = generate_workload(
             GeneratorParams(n_changes=200, conflict_density=0.4, seed=14)
         )
-        rows = compare(w, self.variants())
+        rows = [
+            run(replace(w, config=EngineConfig(speculation_threshold=delta)))[0]
+            for delta in (0.0, 0.3, 0.7)
+        ]
         assert rows[0].builds_started >= rows[1].builds_started >= rows[2].builds_started
-
-    def test_needs_two_variants(self):
-        w = generate_workload(GeneratorParams(n_changes=10, seed=1))
-        with pytest.raises(ValueError):
-            compare(w, self.variants()[:1])
 
 
 class TestNearestRank:
@@ -472,7 +456,7 @@ class TestNearestRank:
 class TestCsvExport:
     def test_shape(self):
         w = generate_workload(GeneratorParams(n_changes=50, seed=2))
-        text = reports_to_csv([run(w)[0], run_baseline(w)[0]])
+        text = reports_to_csv([run(w)[0], run(w, "baseline")[0]])
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3

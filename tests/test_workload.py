@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -117,6 +118,17 @@ class TestWorkloadSpec:
                 changes=(
                     spec(0, "C0", 0.0, {"a"}),
                     spec(1, "C1", 1.0, {"a"}, breakers=frozenset({breaker})),
+                )
+            )
+
+
+    def test_rejects_breaker_that_shares_no_target(self):
+        # the engine never orders C0 before C1, so C1 could land first
+        with pytest.raises(WorkloadError, match="C1: breaker 'C0' shares no target"):
+            WorkloadSpec(
+                changes=(
+                    spec(0, "C0", 0.0, {"a"}),
+                    spec(1, "C1", 0.0, {"b"}, breakers=frozenset({ChangeId(0, "C0")})),
                 )
             )
 
@@ -328,6 +340,12 @@ class TestFileFormat:
         w = parse_workload(f"seed 5\npredictor {record}\n{CHANGE_C0}\n")
         assert w.predictor == expected
 
+    def test_omitted_change_fields_take_the_class_defaults(self):
+        (parsed,) = parse_workload(CHANGE_C0).changes
+        defaults = {f.name: f.default for f in dataclasses.fields(ChangeSpec)}
+        assert parsed.passes_alone is defaults["passes_alone"]
+        assert parsed.success_prior == defaults["success_prior"]
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -379,6 +397,9 @@ class TestFileFormat:
             "change id=C0 at=0.0 targets=a mu=ten var=4.0\nbogus",
             "config capacity=none\nbogus",
             "config delta=1.5\n" + CHANGE_C0,
+            "strategy bogus\nbogus",
+            "workload-version 2\nbogus",
+            "change id=C0 at=0.0 targets=a mu=-1.0 var=4.0\nbogus",
         ],
     )
     def test_first_malformed_line_is_named(self, text):

@@ -152,6 +152,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         deltas = [w.config.speculation_threshold]
     variants = []
     for strategy in strategies:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
         for delta in deltas:
             label = strategy
             if len(deltas) > 1:

@@ -27,7 +27,7 @@ BaseKey = tuple[ChangeId, ...]
 NodeKey = tuple[ChangeId, BaseKey]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class BuildNode:
     """One speculative build: a change merged onto mainline plus a base set.
 
@@ -36,7 +36,8 @@ class BuildNode:
     finishes and it gets an outcome; whether its build is running is
     the engine's to know, not the node's. A node is the one record of
     its build's estimate and outcome: the forest and the engine update
-    it in place, and it is validated once, when it is created.
+    it in place, and it is validated once, when it is created. Nodes
+    compare and hash by identity, so a node can key a table of its own.
     """
 
     change: ChangeId
@@ -64,10 +65,9 @@ class BuildNode:
         self.finished_at = now
 
 
-def key_order(key: NodeKey) -> tuple[ChangeId, int, BaseKey]:
-    """Sort key for node keys: by change, then base size, then base members."""
-    change, base = key
-    return (change, len(base), base)
+def key_order(node: BuildNode) -> tuple[ChangeId, int, BaseKey]:
+    """Sort key for nodes: by change, then base size, then base members."""
+    return (node.change, len(node.base), node.base)
 
 
 def _ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
@@ -97,7 +97,7 @@ class SpeculationForest:
     kept by the engine alone. Mutation is single-writer (the engine),
     and reads hand out the nodes themselves, so a held node sees every
     later update to it; one carried to a new base has ``node.key`` equal
-    to its new key.
+    to its new key. Only the forest files nodes by key.
     """
 
     graph: ConflictGraph
@@ -166,27 +166,28 @@ def enumerate_forest(
 
 def carry_map(
     forest: SpeculationForest, resolved: ChangeId, landed: bool
-) -> dict[NodeKey, NodeKey | None]:
+) -> dict[BuildNode, BaseKey | None]:
     """Where each node that `resolved`'s decision moves goes.
 
     Only the nodes of the resolved change and of the queued later changes
-    that conflict with it are listed; each maps to its new key, or to
+    that conflict with it are listed; each maps to its new base, or to
     None when it vanishes. The resolved change's own nodes always vanish.
-    Every other node keeps its key: builds of earlier changes never
+    Every other node keeps its base: builds of earlier changes never
     included it (when it landed early by bypass, the consistency of its
     own variants proved the two changes commute). A successor's node
     survives a landing iff it assumed the landing (the member moves from
     base to mainline), and survives a rejection iff it did not.
     """
-    mapping: dict[NodeKey, NodeKey | None] = {
-        (resolved, base): None for base in forest.bases[resolved]
+    nodes = forest.nodes
+    mapping: dict[BuildNode, BaseKey | None] = {
+        nodes[(resolved, base)]: None for base in forest.bases[resolved]
     }
     for c in forest.conflicting_after(resolved):
         for base in forest.bases[c]:
             if (resolved in base) == landed:
-                mapping[(c, base)] = (c, tuple(b for b in base if b != resolved))
+                mapping[nodes[(c, base)]] = tuple(b for b in base if b != resolved)
             else:
-                mapping[(c, base)] = None
+                mapping[nodes[(c, base)]] = None
     return mapping
 
 
@@ -194,7 +195,7 @@ def resolve_change(
     forest: SpeculationForest,
     resolved: ChangeId,
     landed: bool,
-    mapping: Mapping[NodeKey, NodeKey | None] | None = None,
+    mapping: Mapping[BuildNode, BaseKey | None] | None = None,
 ) -> SpeculationForest:
     """Remove a decided change and drop every node its outcome contradicts.
 
@@ -214,21 +215,17 @@ def resolve_change(
     if mapping is None:
         mapping = carry_map(forest, resolved, landed)
     affected = forest.conflicting_after(resolved)
-    nodes = forest.nodes
-    moved = {  # bases[resolved] raises KeyError first for an unknown change
-        (c, base): nodes.pop((c, base))
-        for c in (resolved, *affected)
-        for base in forest.bases[c]
-    }
     del forest.windows[resolved], forest.bases[resolved]
+    nodes = forest.nodes
+    for node in mapping:
+        del nodes[node.key]
     for c in affected:
         forest._set_window(c)
-    for old_key, new_key in mapping.items():
-        if new_key is None:
+    for node, base in mapping.items():
+        if base is None:
             continue
-        if new_key not in nodes:
-            raise AssertionError(f"carried node {old_key} maps outside the forest")
-        node = moved[old_key]
-        node.base = new_key[1]
-        nodes[new_key] = node
+        if (node.change, base) not in nodes:
+            raise AssertionError(f"carried node {node.key} maps outside the forest")
+        node.base = base
+        nodes[node.key] = node
     return forest

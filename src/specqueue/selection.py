@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
-from specqueue.forest import NodeKey, SpeculationForest, key_order
+from specqueue.forest import BuildNode, SpeculationForest, key_order
 from specqueue.prioritize import RankedBuild
 
 
@@ -38,12 +38,12 @@ RankEntry = tuple[tuple, RankedBuild]
 class ScheduleAction:
     """What the executor should do after a ranking pass: start the chosen
     builds not yet running, in rank order, and abort the running builds
-    that fell out of the chosen set, by key in `key_order`. ``cut`` is
+    that fell out of the chosen set, their nodes in `key_order`. ``cut`` is
     the rank key of the last chosen build, None when none is chosen; the
     next selection takes it as the previous cut."""
 
     to_start: tuple[RankedBuild, ...]
-    to_abort: tuple[NodeKey, ...]
+    to_abort: tuple[BuildNode, ...]
     cut: tuple | None
 
 
@@ -75,7 +75,7 @@ def select_builds(
     ranking: Sequence[RankEntry],
     fresh: Iterable[RankEntry],
     cut: tuple | None,
-    running: Collection[NodeKey],
+    running: Collection[BuildNode],
     cfg: EngineConfig,
 ) -> ScheduleAction:
     """Reconcile the running builds with the chosen set.
@@ -84,10 +84,10 @@ def select_builds(
     set is its prefix of builds at or above the speculation threshold,
     at most capacity long. ``fresh`` holds the entries inserted into
     ``ranking`` since the previous selection, whose cut is ``cut``, and
-    ``running`` the keys of the builds running now. Every entry that is
+    ``running`` the nodes of the builds running now. Every entry that is
     not fresh must be running iff its rank key is at most ``cut``: the
     previous selection's builds all started, and a build that finished,
-    aborted or was relabelled since has only fresh entries. Such an entry
+    aborted or was carried since has only fresh entries. Such an entry
     keeps its key, so it changes sides only when it lies between the old
     cut and the new one; only that band and the fresh entries are read.
     On a first selection ``cut`` is None and every entry is fresh.
@@ -102,14 +102,14 @@ def select_builds(
     touched = dict(ranking[min(old, chosen) : max(old, chosen)])
     touched.update(fresh)
     to_start: list[RankedBuild] = []
-    to_abort: list[NodeKey] = []
+    to_abort: list[BuildNode] = []
     for key in sorted(touched):
         build = touched[key]
         if new_cut is not None and key <= new_cut:
-            if build.node.key not in running:
+            if build.node not in running:
                 to_start.append(build)
-        elif build.node.key in running:
-            to_abort.append(build.node.key)
+        elif build.node in running:
+            to_abort.append(build.node)
     return ScheduleAction(
         to_start=tuple(to_start),
         to_abort=tuple(sorted(to_abort, key=key_order)),

@@ -16,7 +16,8 @@ that could still run is kept across events, and the running builds are
 always its chosen prefix. A selection reads only the entries re-ranked
 since the last one and those between the old and the new end of the
 prefix: builds that fell out of the chosen set abort, newly chosen ones
-start. A decision re-keys only the runs its carry map lists. All times
+start. A run holds its build's node, so a decision leaves the runs it
+carries as they are and aborts only those whose nodes vanish. All times
 are virtual minutes; a run is a pure function of its workload.
 
 Per-change data is indexed by change id, which is the change's
@@ -37,7 +38,6 @@ from specqueue.core import BuildOutcome, ChangeId, build_conflict_graph
 from specqueue.forest import (
     BaseKey,
     BuildNode,
-    NodeKey,
     SpeculationForest,
     carry_map,
     enumerate_forest,
@@ -107,9 +107,9 @@ class GroundTruth:
 
 @dataclass
 class _Run:
-    """One executor occupancy; survives node relabelling via `key` updates."""
+    """One executor occupancy of a node's build, whatever base it is carried to."""
 
-    key: NodeKey
+    node: BuildNode
     started: float
     duration: float
     outcome: BuildOutcome
@@ -143,7 +143,7 @@ class _Simulation:
         # live runs, the one record of which builds run; a finished or
         # aborted run leaves, so a completion event whose run is no
         # longer here is stale
-        self.running: dict[NodeKey, _Run] = {}
+        self.running: dict[BuildNode, _Run] = {}
         # changes whose finish-time model moved since the last reschedule
         self.moved: set[ChangeId] = set()
         # every build that could still run as (rank_key, RankedBuild), in
@@ -154,10 +154,9 @@ class _Simulation:
         # before the order is read, so no held node or key is stale.
         self.ranking: list[RankEntry] = []
         self.entries: dict[ChangeId, list[RankEntry]] = {}
-        # the entries inserted into `ranking` since the last selection, and
-        # the rank key of that selection's last chosen build: the running
-        # builds are exactly the entries at or before it that are not fresh
-        self.fresh: list[RankEntry] = []
+        # the rank key of the last selection's last chosen build: the
+        # running builds are exactly the entries at or before it that
+        # were not re-ranked since
         self.cut: tuple | None = None
         self.trace: list[str] = []
         self.waits: list[WaitRecord] = []
@@ -198,10 +197,10 @@ class _Simulation:
 
     def _finish(self, run: _Run) -> ChangeId | None:
         """Complete a live run's node; None when the run was aborted."""
-        if self.running.get(run.key) is not run:
+        node = run.node
+        if self.running.get(node) is not run:
             return None
-        del self.running[run.key]
-        node = self.forest.nodes[run.key]
+        del self.running[node]
         node.complete(run.outcome, self.now)
         self.moved.add(node.change)
         self.executor_minutes += run.duration
@@ -236,24 +235,18 @@ class _Simulation:
         landed = decision.kind is DecisionKind.LAND
         nodes = self.forest.nodes_for_change(c)
         post_build_wait = self.now - max(n.finished_at for n in nodes)
-        bypassed = self.forest.conflicting_ahead(c) if decision.via_bypass else ()
+        # the whole conflicting prefix on a bypass, else empty
+        bypassed = self.forest.windows[c]
 
         mapping = carry_map(self.forest, c, landed)
         resolve_change(self.forest, c, landed, mapping)
         # c itself and every change whose window the decision re-derived
-        self.moved.update(change for change, _ in mapping)
-        # pop every moved run before re-keying any, since a new key can
-        # be another moved run's old one
-        runs = [self.running.pop(key) for key in mapping.keys() & self.running.keys()]
-        for run in sorted(runs, key=lambda run: run.number):
-            new_key = mapping[run.key]
-            if new_key is None:
-                # The build's base assumption just got contradicted; its
-                # node is gone from the forest.
-                self._abort(run)
-            else:
-                run.key = new_key
-                self.running[new_key] = run
+        self.moved.update(node.change for node in mapping)
+        # a run whose base assumption was contradicted aborts; its node is
+        # gone from the forest
+        gone = [n for n, new in mapping.items() if new is None and n in self.running]
+        for run in sorted(map(self.running.pop, gone), key=lambda run: run.number):
+            self._abort(run)
 
         if landed:
             self.landed_set.add(c)
@@ -277,20 +270,20 @@ class _Simulation:
     # -- scheduling ---------------------------------------------------
 
     def _reschedule(self) -> None:
-        self._rescore()
+        fresh = self._rescore()
         action = select_builds(
-            self.ranking, self.fresh, self.cut, self.running, self.select_cfg
+            self.ranking, fresh, self.cut, self.running, self.select_cfg
         )
-        self.fresh.clear()
         self.cut = action.cut
-        for key in action.to_abort:
-            self._abort(self.running.pop(key))
+        for node in action.to_abort:
+            self._abort(self.running.pop(node))
         for r in action.to_start:
             self._start(r.node, r.p_needed)
 
-    def _rescore(self) -> None:
+    def _rescore(self) -> list[RankEntry]:
         """Bring the rank order up to date with the events since the last
-        reschedule, re-profiling only the changes they moved."""
+        reschedule, re-profiling only the changes they moved; returns the
+        entries it inserted."""
         windows = self.forest.windows
         for c in self.moved.difference(windows):
             self._unrank(c)  # decided, so its builds are gone
@@ -302,10 +295,12 @@ class _Simulation:
             rescore.update(
                 d for d in self.forest.conflicting_after(m) if m in windows[d]
             )
+        fresh: list[RankEntry] = []
         for c in sorted(rescore):
-            self._rerank(c)
+            fresh.extend(self._rerank(c))
+        return fresh
 
-    def _rerank(self, c: ChangeId) -> None:
+    def _rerank(self, c: ChangeId) -> list[RankEntry]:
         """Re-profile and re-score c, and move its entries in the rank order."""
         self._unrank(c)
         ranked = rank_builds(
@@ -315,7 +310,7 @@ class _Simulation:
         for entry in entries:
             insort(self.ranking, entry)
         self.entries[c] = entries
-        self.fresh.extend(entries)
+        return entries
 
     def _unrank(self, c: ChangeId) -> None:
         ranking = self.ranking
@@ -368,8 +363,8 @@ class _Simulation:
         outcome = self.truth.outcome(node.change, self.landed_set, node.base)
         duration = self.truth.duration(node.change, node.base)
         self.builds_started += 1
-        run = _Run(node.key, self.now, duration, outcome, self.builds_started)
-        self.running[node.key] = run
+        run = _Run(node, self.now, duration, outcome, self.builds_started)
+        self.running[node] = run
         # the start count breaks ties, so the run itself is never compared
         heapq.heappush(
             self.heap,
@@ -402,7 +397,7 @@ class _Simulation:
         elapsed = self.now - run.started
         self.executor_minutes += elapsed
         self.abort_count += 1
-        change, base = run.key
+        change, base = run.node.key
         self._log(f"abort {change.label} base={_base_str(base)} elapsed={elapsed:.2f}")
 
     # -- reporting ----------------------------------------------------

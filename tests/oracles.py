@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from specqueue.core import ChangeId, ConflictGraph, EngineConfig
-from specqueue.forest import NodeKey, SpeculationForest
+from specqueue.forest import BuildNode, SpeculationForest
 from specqueue.prioritize import BypassPartition, RankedBuild, SuccessFn, rank_builds
 
 
@@ -23,15 +23,15 @@ def rank_all(
     return sorted(ranked, key=lambda r: r.rank_key)
 
 
-def chosen_keys(ranked: Iterable[RankedBuild], cfg: EngineConfig) -> set[NodeKey]:
-    """The keys of the builds a rank order chooses: taken in order until
+def chosen_nodes(ranked: Iterable[RankedBuild], cfg: EngineConfig) -> set[BuildNode]:
+    """The nodes of the builds a rank order chooses: taken in order until
     capacity is full or a score falls below the speculation threshold."""
     capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
-    chosen: set[NodeKey] = set()
+    chosen: set[BuildNode] = set()
     for r in ranked:
         if len(chosen) == capacity or r.p_needed < threshold:
             break
-        chosen.add(r.node.key)
+        chosen.add(r.node)
     return chosen
 
 

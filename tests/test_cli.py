@@ -7,6 +7,7 @@ import stat
 
 import pytest
 
+from specqueue import cli
 from specqueue.cli import build_parser, main
 from specqueue.simulator import parse_workload
 
@@ -174,6 +175,21 @@ class TestExitCodes:
         assert main(["compare", "--workload", str(workload_file),
                      "--strategies", "enhanced"]) == 1
         capsys.readouterr()
+
+    def test_unknown_compare_strategy_fails_before_any_run(
+        self, capsys, workload_file, monkeypatch
+    ):
+        runs, real_run = [], cli.run
+
+        def counted_run(*args):
+            runs.append(args)
+            return real_run(*args)
+
+        monkeypatch.setattr(cli, "run", counted_run)
+        assert main(["compare", "--workload", str(workload_file),
+                     "--strategies", "enhanced,bogus"]) == 1
+        assert "unknown strategy 'bogus'" in capsys.readouterr().err
+        assert runs == []
 
     def test_missing_file_is_two(self, capsys, tmp_path):
         assert main(["simulate", "--workload", str(tmp_path / "nope.txt")]) == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from dataclasses import asdict
 from itertools import combinations
 
 import pytest
@@ -257,11 +258,11 @@ class TestResolve:
         forest = triangle_forest()
         forest.node(C3, (C1,)).complete(BuildOutcome.PASS, 2.0)
         resolve_change(forest, C2, landed=False)
-        before = copy.deepcopy(forest)
+        before, queue = asdict(forest), forest.queue
         for resolved, mapping in [(C2, None), (C2, {}), (ChangeId(9, "C9"), {})]:
             with pytest.raises(KeyError):
                 resolve_change(forest, resolved, landed=True, mapping=mapping)
-            assert forest == before and forest.queue == before.queue
+            assert asdict(forest) == before and forest.queue == queue
 
 
 class TestCarryMap:
@@ -270,22 +271,23 @@ class TestCarryMap:
         targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"a"}})
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 6)
+        c1, c3_on_c1, c3 = forest.node(C1, ()), forest.node(C3, (C1,)), forest.node(C3, ())
         assert carry_map(forest, C1, landed=True) == {
-            (C1, ()): None,
-            (C3, (C1,)): (C3, ()),
-            (C3, ()): None,
+            c1: None,
+            c3_on_c1: (),
+            c3: None,
         }
         assert carry_map(forest, C1, landed=False) == {
-            (C1, ()): None,
-            (C3, (C1,)): None,
-            (C3, ()): (C3, ()),
+            c1: None,
+            c3_on_c1: None,
+            c3: (),
         }
 
     def test_earlier_changes_are_not_listed(self):
         forest = triangle_forest()
         mapping = carry_map(forest, C2, landed=True)
-        assert {key[0] for key in mapping} == {C2, C3}
-        assert all(new is None for (c, _), new in mapping.items() if c == C2)
+        assert {node.change for node in mapping} == {C2, C3}
+        assert all(new is None for node, new in mapping.items() if node.change == C2)
 
     def test_unknown_change_rejected(self):
         with pytest.raises(KeyError):
@@ -296,10 +298,10 @@ class TestQueueOrder:
     def test_out_of_order_arrival_rejected(self):
         queue, g = chain_graph(3)
         forest = enumerate_forest([queue[0], queue[2]], g, 6)
-        before = copy.deepcopy(forest)
+        before, order = asdict(forest), forest.queue
         with pytest.raises(ValueError):
             forest.add_change(queue[1])
-        assert forest == before and forest.queue == before.queue
+        assert asdict(forest) == before and forest.queue == order
         with pytest.raises(ValueError):
             enumerate_forest([queue[1], queue[0]], g, 6)
 
@@ -390,22 +392,26 @@ class TestIncrementalForest:
                 mapping = carry_map(forest, resolved, landed)
                 # exactly the nodes of the resolved change and its successors
                 moved = {
-                    n.key
+                    n
                     for c in (resolved, *successors)
                     for n in forest.nodes_for_change(c)
                 }
                 assert set(mapping) == moved
+                new_keys = {
+                    n.key: None if base is None else (n.change, base)
+                    for n, base in mapping.items()
+                }
                 if data.draw(st.booleans()):
                     resolve_change(forest, resolved, landed, mapping)
                 else:
                     resolve_change(forest, resolved, landed)
                 resolve_change(twin, resolved, landed)
                 assert structure(forest) == structure(twin)
-                assert forest.nodes == twin.nodes
+                assert asdict(forest)["nodes"] == asdict(twin)["nodes"]
                 assert all(node.key == k for k, node in forest.nodes.items())
-                targets = set(mapping.values())
+                targets = set(new_keys.values())
                 for key, (node, outcome, finished_at) in before.items():
-                    new_key = mapping.get(key, key)
+                    new_key = new_keys.get(key, key)
                     if new_key is not None:
                         # carried in place: the same node, under its new key
                         assert forest.nodes[new_key] is node
@@ -413,7 +419,10 @@ class TestIncrementalForest:
                         assert (node.outcome, node.finished_at) == (outcome, finished_at)
                     elif key in forest.nodes and key not in targets:
                         # a vanished node's key may only come back fresh
-                        assert forest.nodes[key] == BuildNode(change=key[0], base=key[1])
+                        assert forest.nodes[key] is not node
+                        assert asdict(forest.nodes[key]) == asdict(
+                            BuildNode(change=key[0], base=key[1])
+                        )
             assert_matches_fresh(forest)
 
     def test_empty_queue(self):

@@ -79,15 +79,15 @@ class TestSelectBuilds:
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
-        action = first_call(ranked, running={(C2, ())}, cfg=CFG)
-        assert action.to_abort == ((C2, ()),)
+        action = first_call(ranked, running={forest.node(C2, ())}, cfg=CFG)
+        assert action.to_abort == (forest.node(C2, ()),)
 
     def test_running_build_in_the_cut_is_kept_not_restarted(self):
         forest = triangle(n=2)
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
-        action = first_call(ranked, running={(C1, ())}, cfg=CFG)
+        action = first_call(ranked, running={forest.node(C1, ())}, cfg=CFG)
         assert action.to_abort == ()
         assert [r.node.key for r in action.to_start] == [(C2, (C1,))]
 
@@ -127,9 +127,10 @@ class TestSelectBuilds:
         ranked = ranked_fixture(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
         )
-        action = first_call(ranked, running={(C1, ()), (C2, ())}, cfg=CFG)
-        keys = [r.node.key for r in action.to_start] + list(action.to_abort)
-        assert len(keys) == len(set(keys))
+        running = {forest.node(C1, ()), forest.node(C2, ())}
+        action = first_call(ranked, running=running, cfg=CFG)
+        nodes = [r.node for r in action.to_start] + list(action.to_abort)
+        assert len(nodes) == len(set(nodes))
 
 
 class TestSelectBuildsAfterACut:
@@ -145,22 +146,26 @@ class TestSelectBuildsAfterACut:
         r = RankedBuild(node=self.forest.node(*key), p_needed=p)
         return (r.rank_key, r)
 
+    def nodes(self, *keys):
+        return tuple(self.forest.node(*key) for key in keys)
+
     def test_cut_moves_down_past_a_fresh_entry_that_aborts(self):
         # B is re-ranked below C: C now fills the capacity B held
         a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.9)
         c = self.entry(self.C, 0.8)
         moved_b = self.entry(self.B, 0.5)
         cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
-        action = select_builds([a, c, moved_b], [moved_b], b[0], {self.A, self.B}, cfg)
+        running = self.nodes(self.A, self.B)
+        action = select_builds([a, c, moved_b], [moved_b], b[0], running, cfg)
         assert [r.node.key for r in action.to_start] == [self.C]
-        assert action.to_abort == (self.B,)
+        assert action.to_abort == self.nodes(self.B)
         assert action.cut == c[0]
 
     def test_finished_build_leaves_and_the_next_unchanged_entry_starts(self):
         b, c = self.entry(self.B, 0.9), self.entry(self.C, 0.8)
         cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
         # A finished: its entry left the rank order and its run the executor
-        action = select_builds([b, c], [], b[0], {self.B}, cfg)
+        action = select_builds([b, c], [], b[0], self.nodes(self.B), cfg)
         assert [r.node.key for r in action.to_start] == [self.C]
         assert action.to_abort == ()
         assert action.cut == c[0]
@@ -170,16 +175,17 @@ class TestSelectBuildsAfterACut:
         c = self.entry(self.C, 0.5)
         moved_c = self.entry(self.C, 0.95)
         cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
-        action = select_builds([a, moved_c, b], [moved_c], b[0], {self.A, self.B}, cfg)
+        running = self.nodes(self.A, self.B)
+        action = select_builds([a, moved_c, b], [moved_c], b[0], running, cfg)
         assert [r.node.key for r in action.to_start] == [self.C]
-        assert action.to_abort == (self.B,)
+        assert action.to_abort == self.nodes(self.B)
         assert action.cut == moved_c[0]
 
     def test_threshold_cuts_before_capacity(self):
         b, c = self.entry(self.B, 0.9), self.entry(self.C, 0.2)
         cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
         # A finished and frees a slot, but C is below the threshold
-        action = select_builds([b, c], [], b[0], {self.B}, cfg)
+        action = select_builds([b, c], [], b[0], self.nodes(self.B), cfg)
         assert action.to_start == ()
         assert action.to_abort == ()
         assert action.cut == b[0]
@@ -188,16 +194,18 @@ class TestSelectBuildsAfterACut:
         a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.2)
         moved_a = self.entry(self.A, 0.1)
         cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
-        action = select_builds(sorted([moved_a, b]), [moved_a], a[0], {self.A}, cfg)
+        running = self.nodes(self.A)
+        action = select_builds(sorted([moved_a, b]), [moved_a], a[0], running, cfg)
         assert action.to_start == ()
-        assert action.to_abort == (self.A,)
+        assert action.to_abort == self.nodes(self.A)
         assert action.cut is None
 
     def test_running_build_whose_fresh_entry_is_still_chosen_is_kept(self):
         a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.9)
         moved_b = self.entry(self.B, 0.95)
         cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
-        action = select_builds([a, moved_b], [moved_b], b[0], {self.A, self.B}, cfg)
+        running = self.nodes(self.A, self.B)
+        action = select_builds([a, moved_b], [moved_b], b[0], running, cfg)
         assert action.to_start == ()
         assert action.to_abort == ()
         assert action.cut == moved_b[0]

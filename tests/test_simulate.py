@@ -29,7 +29,7 @@ from specqueue.simulator import (
 from specqueue.simulator.engine import _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
-from oracles import chosen_keys, connected_components, rank_all
+from oracles import chosen_nodes, connected_components, rank_all
 
 
 def spec(seq, label, at, targets, mu, passes=True, prior=0.9):
@@ -194,6 +194,40 @@ class TestConcurrency:
         )
 
 
+class TestCarriedRuns:
+    """C1 conflicts with C0 and runs longer, so C0's landing at t=10
+    carries C1's build on base=C0 to the mainline while it runs."""
+
+    def c1_builds(self, delta):
+        w = workload(
+            (spec(0, "C0", 0.0, {"a"}, 10.0), spec(1, "C1", 0.0, {"a"}, 20.0)),
+            config=EngineConfig(speculation_threshold=delta),
+        )
+        report, trace = run(w)
+        return report, [line for line in trace if " C1 base=" in line]
+
+    def test_a_carried_run_finishes_under_its_new_base(self):
+        report, c1 = self.c1_builds(0.3)
+        assert c1 == [
+            "t=0.00 start C1 base=C0 p=0.9000 mandatory=no eta=20.00",
+            "t=20.00 finish C1 base= outcome=pass elapsed=20.00",
+        ]
+        assert (report.builds_started, report.abort_count) == (2, 0)
+
+    def test_a_carried_run_takes_the_key_of_a_run_it_outlives(self):
+        # Both C1 builds run. C0's landing aborts the one on the mainline,
+        # and the carried run, now under that same key, finishes at t=20.
+        report, c1 = self.c1_builds(0.0)
+        assert c1 == [
+            "t=0.00 start C1 base=C0 p=0.9000 mandatory=no eta=20.00",
+            "t=0.00 start C1 base= p=0.1000 mandatory=no eta=20.00",
+            "t=10.00 abort C1 base= elapsed=10.00",
+            "t=20.00 finish C1 base= outcome=pass elapsed=20.00",
+        ]
+        assert report.abort_count == 1
+        assert report.executor_minutes == 40.0
+
+
 class TestDeterminism:
     def test_same_workload_gives_identical_trace_and_report(self):
         w = generate_workload(GeneratorParams(n_changes=100, seed=21))
@@ -239,25 +273,27 @@ class _RankCheckedSimulation(_Simulation):
     same order, so a held node that went stale fails too. After every
     reschedule it checks the executor: the running builds are exactly
     the ones a walk of the whole rank order chooses, no more than
-    capacity, each on a node of the forest that has not finished. It
-    also checks that every entry's stored rank key is its build's, and
-    that its node is the forest's node under that node's key, so a node
+    capacity, each the forest's node under its key, its run's node, and
+    not finished, so a carried run that lost its node fails. It also
+    checks that every entry's stored rank key is its build's, and that
+    its node is the forest's node under that node's key, so a node
     updated in place that drifted from its key or its entry fails."""
 
-    def _rescore(self) -> None:
-        super()._rescore()
+    def _rescore(self):
+        inserted = super()._rescore()
         partitions = {c: self._partition(c) for c in self.forest.queue}
         fresh = rank_all(self.forest, partitions, self._success_fn)
         assert [r for _, r in self.ranking] == fresh, self.now
+        return inserted
 
     def _reschedule(self) -> None:
         super()._reschedule()
-        chosen = chosen_keys((r for _, r in self.ranking), self.select_cfg)
+        chosen = chosen_nodes((r for _, r in self.ranking), self.select_cfg)
         assert set(self.running) == chosen, self.now
         assert len(self.running) <= self.cfg.executor_capacity, self.now
-        for key in self.running:
-            node = self.forest.nodes.get(key)
-            assert node is not None and node.outcome is None, (self.now, key)
+        for node, run in self.running.items():
+            assert self.forest.nodes.get(node.key) is node, (self.now, node.key)
+            assert run.node is node and node.outcome is None, (self.now, node.key)
         for k, r in self.ranking:
             assert k == r.rank_key, (self.now, k)
             assert self.forest.nodes[r.node.key] is r.node, (self.now, k)

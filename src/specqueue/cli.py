@@ -63,14 +63,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-workload", help="write a synthetic workload file")
-    gen.add_argument("--n-changes", type=int, default=500)
-    gen.add_argument("--arrival-rate", type=float, default=0.25)
-    gen.add_argument("--density", type=float, default=0.3,
+    defaults = GeneratorParams()
+    gen.add_argument("--n-changes", type=int, default=defaults.n_changes)
+    gen.add_argument("--arrival-rate", type=float, default=defaults.arrival_rate)
+    gen.add_argument("--density", type=float, default=defaults.conflict_density,
                      help="target conflict density")
-    gen.add_argument("--short-fraction", type=float, default=0.7)
-    gen.add_argument("--fail-rate", type=float, default=0.1)
-    gen.add_argument("--breaker-rate", type=float, default=0.3)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--short-fraction", type=float, default=defaults.short_fraction)
+    gen.add_argument("--fail-rate", type=float, default=defaults.fail_rate)
+    gen.add_argument("--breaker-rate", type=float, default=defaults.breaker_rate)
+    gen.add_argument("--seed", type=int, default=defaults.seed)
     gen.add_argument("--out", help="output path (default: stdout)")
     gen.set_defaults(handler=_cmd_gen_workload)
 
@@ -150,6 +151,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         deltas = [float(d) for d in args.deltas.split(",") if d.strip()]
     else:
         deltas = [w.config.speculation_threshold]
+    # a repeated variant would run twice and print the same row twice
+    for name, values in (("strategy", strategies), ("delta", deltas)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"repeated {name} {value!r}")
     variants = []
     for strategy in strategies:
         if strategy not in STRATEGIES:
@@ -158,7 +164,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             label = strategy
             if len(deltas) > 1:
                 suffix = f"delta={delta:g}"
-                label = suffix if len(strategies) == 1 else f"{strategy},{suffix}"
+                # no comma: the CSV writes the label unquoted
+                label = suffix if len(strategies) == 1 else f"{strategy} {suffix}"
             cfg = replace(w.config, speculation_threshold=delta)
             variants.append((label, strategy, cfg))
     if len(variants) < 2:

@@ -53,22 +53,14 @@ class DecisionKind(Enum):
     WAIT = "wait"
 
 
-class WaitReason(Enum):
-    BUILDS_OUTSTANDING = "builds_outstanding"
-    OUTCOMES_INCONSISTENT = "outcomes_inconsistent"
-    BLOCKED_BY_PREDECESSOR = "blocked_by_predecessor"
-
-
 @dataclass(frozen=True)
 class Decision:
+    """A verdict on a queued change: land, reject or wait. Whether a land
+    or reject bypassed anything is not part of it: the predecessors in
+    the change's window when it is decided are the ones it bypassed."""
+
     kind: DecisionKind
     change: ChangeId
-    via_bypass: bool = False
-    reason: WaitReason | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is DecisionKind.WAIT and self.reason is None:
-            raise ValueError("wait decisions need a reason")
 
 
 def select_builds(
@@ -126,28 +118,25 @@ def decide_change(
     """Resolve a change now if its builds make the outcome certain.
 
     Its only inputs are c's window, c's nodes and c's queued conflicting
-    predecessors. The change waits while a variant is pending or the
-    variants disagree; otherwise it lands on a unanimous pass and
-    rejects on a unanimous fail. With an empty window its one build
-    speaks for the real merge. With predecessors in the window the
-    decision bypasses them, which is blocked when bypass is off or when
-    conflicting predecessors fell outside the window, since no build
-    covered those combinations.
+    predecessors. The change waits while a variant is pending, while the
+    variants disagree, or while it is blocked; otherwise it lands on a
+    unanimous pass and rejects on a unanimous fail. With an empty window
+    its one build speaks for the real merge. With predecessors in the
+    window the decision bypasses them, which is blocked when bypass is
+    off or when conflicting predecessors fell outside the window, since
+    no build covered those combinations.
     """
     window = forest.windows[c]
     outcomes = {n.outcome for n in forest.nodes_for_change(c)}
-    if None in outcomes:
-        return Decision(DecisionKind.WAIT, c, reason=WaitReason.BUILDS_OUTSTANDING)
-    if len(outcomes) > 1:
-        return Decision(
-            DecisionKind.WAIT, c, reason=WaitReason.OUTCOMES_INCONSISTENT
+    if (
+        None in outcomes
+        or len(outcomes) > 1
+        or (
+            window
+            and (not allow_bypass or len(forest.conflicting_ahead(c)) > len(window))
         )
-    if window and (
-        not allow_bypass or len(forest.conflicting_ahead(c)) > len(window)
     ):
-        return Decision(
-            DecisionKind.WAIT, c, reason=WaitReason.BLOCKED_BY_PREDECESSOR
-        )
+        return Decision(DecisionKind.WAIT, c)
     if outcomes == {BuildOutcome.PASS}:
-        return Decision(DecisionKind.LAND, c, via_bypass=bool(window))
-    return Decision(DecisionKind.REJECT, c, via_bypass=bool(window))
+        return Decision(DecisionKind.LAND, c)
+    return Decision(DecisionKind.REJECT, c)

@@ -230,12 +230,13 @@ class _Simulation:
             self._apply(decision)
 
     def _apply(self, decision) -> None:
+        """Land or reject the decided change. It bypassed exactly the
+        predecessors in its window, read before the forest resolves it."""
         c = decision.change
         spec = self.workload.changes[c]
         landed = decision.kind is DecisionKind.LAND
         nodes = self.forest.nodes_for_change(c)
         post_build_wait = self.now - max(n.finished_at for n in nodes)
-        # the whole conflicting prefix on a bypass, else empty
         bypassed = self.forest.windows[c]
 
         mapping = carry_map(self.forest, c, landed)
@@ -250,20 +251,18 @@ class _Simulation:
 
         if landed:
             self.landed_set.add(c)
-        wait = self.now - spec.arrival_time
-        self.waits.append(
-            WaitRecord(
-                change=c.label,
-                arrival=spec.arrival_time,
-                decided_at=self.now,
-                landed=landed,
-                via_bypass=decision.via_bypass,
-            )
+        record = WaitRecord(
+            change=c.label,
+            arrival=spec.arrival_time,
+            decided_at=self.now,
+            landed=landed,
+            via_bypass=bool(bypassed),
         )
+        self.waits.append(record)
         verb = "land" if landed else "reject"
         self._log(
-            f"{verb} {c.label} via_bypass={'yes' if decision.via_bypass else 'no'} "
-            f"bypassed={_base_str(bypassed)} wait={wait:.2f} "
+            f"{verb} {c.label} via_bypass={'yes' if record.via_bypass else 'no'} "
+            f"bypassed={_base_str(bypassed)} wait={record.wait:.2f} "
             f"post_wait={post_build_wait:.2f}"
         )
 

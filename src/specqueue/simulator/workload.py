@@ -193,14 +193,16 @@ def _generate_changes(
 
     A change is a plain row, (arrival, targets, mean, variance, passes
     alone, breaker indices, prior), since the bisection discards all but
-    one stream; `generate_workload` makes specs of the kept one.
+    one stream; `generate_workload` makes specs of the kept one. A link
+    reaches back LINK_WINDOW rows at most, and a chain-forming link reads
+    only those; a row is long iff its mean is LONG_MEAN. A change shares
+    a target iff it has a predecessor on its targets or is one.
     """
     rng = random.Random(params.seed)
     rows: list[tuple] = []
     arrival = 0.0
     # indices of the changes touching each target, ascending
     indices_by_target: dict[str, list[int]] = {}
-    long_indices: list[int] = []
     conflicted: set[int] = set()
     for i in range(params.n_changes):
         if i > 0:
@@ -216,7 +218,9 @@ def _generate_changes(
         window_start = max(0, i - LINK_WINDOW)
         linked = i > 0 and rng.random() < p_link
         if linked:
-            recent_longs = [j for j in long_indices if j >= window_start]
+            recent_longs = [
+                j for j in range(window_start, i) if rows[j][2] == LONG_MEAN
+            ]
             if (
                 params.long_target_bias > 0
                 and recent_longs
@@ -229,20 +233,13 @@ def _generate_changes(
             else:
                 j = rng.randrange(window_start, i)
             targets.add(f"t{j}")
-            conflicted.add(j)
-            conflicted.add(i)
         if (
             linked
             and not is_short
             and params.long_second_link > 0
             and rng.random() < params.long_second_link
         ):
-            j = rng.randrange(window_start, i)
-            targets.add(f"t{j}")
-            conflicted.add(j)
-            conflicted.add(i)
-        if not is_short:
-            long_indices.append(i)
+            targets.add(f"t{rng.randrange(window_start, i)}")
 
         passes_alone = rng.random() >= params.fail_rate
         preds: set[int] = set()
@@ -250,6 +247,9 @@ def _generate_changes(
             touching = indices_by_target.setdefault(t, [])
             preds.update(touching)
             touching.append(i)
+        if preds:
+            conflicted.add(i)
+            conflicted.update(preds)
         # ascending, so the breaker draws consume the RNG in index order
         breakers = [j for j in sorted(preds) if rng.random() < params.breaker_rate]
         prior_jitter = rng.uniform(-0.04, 0.04)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import stat
 
@@ -9,7 +11,12 @@ import pytest
 
 from specqueue import cli
 from specqueue.cli import build_parser, main
-from specqueue.simulator import parse_workload
+from specqueue.simulator import (
+    GeneratorParams,
+    format_workload,
+    generate_workload,
+    parse_workload,
+)
 
 
 @pytest.fixture
@@ -23,6 +30,19 @@ def workload_file(tmp_path):
 def run_cli(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The argument tuples of every `run` the CLI makes from here on."""
+    calls, real_run = [], cli.run
+
+    def counted_run(*args):
+        calls.append(args)
+        return real_run(*args)
+
+    monkeypatch.setattr(cli, "run", counted_run)
+    return calls
 
 
 class TestCdf:
@@ -67,6 +87,11 @@ class TestGenWorkload:
         code, out = run_cli(capsys, ["gen-workload", "--n-changes", "5"])
         assert code == 0
         assert len(parse_workload(out).changes) == 5
+
+    def test_flag_defaults_are_the_generator_defaults(self, capsys):
+        code, out = run_cli(capsys, ["gen-workload"])
+        assert code == 0
+        assert out == format_workload(generate_workload(GeneratorParams()))
 
 
 class TestSimulate:
@@ -135,6 +160,18 @@ class TestCompare:
         labels = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert labels == ["delta=0", "delta=0.3", "delta=0.7"]
 
+    def test_strategy_by_delta_sweep_keeps_the_columns(self, capsys, workload_file):
+        code, out = run_cli(capsys, [
+            "compare", "--workload", str(workload_file), "--deltas", "0,0.3",
+        ])
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert [row[0] for row in rows] == [
+            "baseline delta=0", "baseline delta=0.3",
+            "enhanced delta=0", "enhanced delta=0.3",
+        ]
+        assert all(len(row) == len(header) for row in rows)
+
     def test_out_metrics_holds_the_printed_table(self, capsys, workload_file, tmp_path):
         path = tmp_path / "m.csv"
         code, out = run_cli(capsys, [
@@ -177,18 +214,25 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_unknown_compare_strategy_fails_before_any_run(
-        self, capsys, workload_file, monkeypatch
+        self, capsys, workload_file, runs
     ):
-        runs, real_run = [], cli.run
-
-        def counted_run(*args):
-            runs.append(args)
-            return real_run(*args)
-
-        monkeypatch.setattr(cli, "run", counted_run)
         assert main(["compare", "--workload", str(workload_file),
                      "--strategies", "enhanced,bogus"]) == 1
         assert "unknown strategy 'bogus'" in capsys.readouterr().err
+        assert runs == []
+
+    @pytest.mark.parametrize(
+        "variants, repeated",
+        [
+            (["--strategies", "enhanced,enhanced"], "strategy 'enhanced'"),
+            (["--strategies", "enhanced", "--deltas", "0.3,0.3"], "delta 0.3"),
+        ],
+    )
+    def test_repeated_compare_variant_fails_before_any_run(
+        self, capsys, workload_file, runs, variants, repeated
+    ):
+        assert main(["compare", "--workload", str(workload_file), *variants]) == 1
+        assert f"repeated {repeated}" in capsys.readouterr().err
         assert runs == []
 
     def test_missing_file_is_two(self, capsys, tmp_path):

@@ -17,10 +17,8 @@ from specqueue.forest import (
 )
 from specqueue.prioritize import BypassPartition, RankedBuild, rank_builds
 from specqueue.selection import (
-    Decision,
     DecisionKind,
     ScheduleAction,
-    WaitReason,
     decide_change,
     select_builds,
 )
@@ -218,7 +216,6 @@ class TestDecideChange:
         finish(forest, C2, (), BuildOutcome.PASS)
         d = decide_change(C2, forest)
         assert d.kind is DecisionKind.LAND
-        assert d.via_bypass
 
     def test_consistent_failures_reject_early(self):
         forest = triangle(n=2)
@@ -226,7 +223,6 @@ class TestDecideChange:
         finish(forest, C2, (), BuildOutcome.FAIL)
         d = decide_change(C2, forest)
         assert d.kind is DecisionKind.REJECT
-        assert d.via_bypass
 
     def test_mixed_outcomes_wait(self):
         forest = triangle(n=2)
@@ -234,14 +230,12 @@ class TestDecideChange:
         finish(forest, C2, (), BuildOutcome.FAIL)
         d = decide_change(C2, forest)
         assert d.kind is DecisionKind.WAIT
-        assert d.reason is WaitReason.OUTCOMES_INCONSISTENT
 
     def test_outstanding_builds_wait(self):
         forest = triangle(n=2)
         finish(forest, C2, (C1,), BuildOutcome.PASS)
         d = decide_change(C2, forest)
         assert d.kind is DecisionKind.WAIT
-        assert d.reason is WaitReason.BUILDS_OUTSTANDING
 
     # a head has an empty window, so turning bypass off must not block it
     def test_head_pass_lands_without_bypass(self):
@@ -250,7 +244,6 @@ class TestDecideChange:
         for allow_bypass in (True, False):
             d = decide_change(C1, forest, allow_bypass=allow_bypass)
             assert d.kind is DecisionKind.LAND
-            assert not d.via_bypass
 
     def test_head_failure_rejects(self):
         forest = triangle(n=1)
@@ -258,14 +251,12 @@ class TestDecideChange:
         for allow_bypass in (True, False):
             d = decide_change(C1, forest, allow_bypass=allow_bypass)
             assert d.kind is DecisionKind.REJECT
-            assert not d.via_bypass
 
     def test_head_waits_while_building(self):
         forest = triangle(n=1)
         for allow_bypass in (True, False):
             d = decide_change(C1, forest, allow_bypass=allow_bypass)
             assert d.kind is DecisionKind.WAIT
-            assert d.reason is WaitReason.BUILDS_OUTSTANDING
 
     def test_bypass_disabled_waits_on_predecessor(self):
         forest = triangle(n=2)
@@ -273,7 +264,6 @@ class TestDecideChange:
         finish(forest, C2, (), BuildOutcome.PASS)
         d = decide_change(C2, forest, allow_bypass=False)
         assert d.kind is DecisionKind.WAIT
-        assert d.reason is WaitReason.BLOCKED_BY_PREDECESSOR
 
     def test_conflicting_predecessor_outside_window_blocks_bypass(self):
         # depth_cap 1 leaves C1 out of C3's window, so consistent
@@ -283,7 +273,6 @@ class TestDecideChange:
         finish(forest, C3, (), BuildOutcome.PASS)
         d = decide_change(C3, forest)
         assert d.kind is DecisionKind.WAIT
-        assert d.reason is WaitReason.BLOCKED_BY_PREDECESSOR
 
     def test_unknown_change_rejected(self):
         forest = triangle(n=1)
@@ -300,9 +289,3 @@ class TestCommit:
         forest = resolve_change(forest, d.change, landed=False)
         assert forest.queue == (C2,)
         assert [n.base for n in forest.nodes_for_change(C2)] == [()]
-
-
-class TestDecisionValidation:
-    def test_wait_needs_reason(self):
-        with pytest.raises(ValueError):
-            Decision(DecisionKind.WAIT, C1)

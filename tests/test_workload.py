@@ -15,6 +15,7 @@ from specqueue.simulator.workload import (
     GeneratorParams,
     WorkloadError,
     WorkloadSpec,
+    _generate_changes,
     format_workload,
     generate_workload,
     parse_workload,
@@ -238,6 +239,34 @@ class TestGenerator:
             seed=5,
         )
         assert abs(static_conflict_rate(generate_workload(params)) - 30.0) <= 5.0
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GeneratorParams(n_changes=200),
+            GeneratorParams(  # criterion 5: chain-forming and second links
+                n_changes=200,
+                arrival_rate=0.45,
+                short_fraction=0.25,
+                breaker_rate=0.0,
+                long_target_bias=1.0,
+                long_second_link=1.0,
+            ),
+            GeneratorParams(n_changes=200, long_second_link=1.0),
+        ],
+        ids=["default", "criterion-5", "bridged"],
+    )
+    def test_probe_share_is_the_conflict_graphs_share(self, params):
+        # the probe counts a change as conflicted from its predecessors on
+        # its targets; the conflict graph of the same rows must agree
+        for seed in range(6):
+            for p_link in (0.0, 0.2, 0.5, 1.0):
+                rows, share = _generate_changes(
+                    dataclasses.replace(params, seed=seed), p_link
+                )
+                g = build_conflict_graph({i: row[1] for i, row in enumerate(rows)})
+                with_neighbours = sum(1 for i in range(len(rows)) if g.neighbors(i))
+                assert share == with_neighbours / len(rows)
 
     def test_arrivals_nondecreasing_and_ids_sequential(self):
         w = generate_workload(GeneratorParams(n_changes=150, seed=4))

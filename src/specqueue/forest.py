@@ -195,7 +195,7 @@ def resolve_change(
     forest: SpeculationForest,
     resolved: ChangeId,
     landed: bool,
-    mapping: Mapping[BuildNode, BaseKey | None] | None = None,
+    mapping: Mapping[BuildNode, BaseKey | None],
 ) -> SpeculationForest:
     """Remove a decided change and drop every node its outcome contradicts.
 
@@ -208,12 +208,10 @@ def resolve_change(
 
     Only the later changes that conflict with the resolved one get new
     windows; every other change keeps its window, bases and nodes.
-    ``mapping`` is ``carry_map(forest, resolved, landed)``, for callers
-    that already computed it. The forest is updated in place and
-    returned; an unknown change raises KeyError before anything changes.
+    ``mapping`` is ``carry_map(forest, resolved, landed)``. The forest is
+    updated in place and returned; an unknown change raises KeyError
+    before anything changes.
     """
-    if mapping is None:
-        mapping = carry_map(forest, resolved, landed)
     affected = forest.conflicting_after(resolved)
     del forest.windows[resolved], forest.bases[resolved]
     nodes = forest.nodes

@@ -90,6 +90,14 @@ def finish_time_model(
     return FinishTimeModel(arrival, combine_estimates(estimates))
 
 
+def outcome_partition(
+    c: ChangeId, forest: SpeculationForest, fallback_active: bool = False
+) -> BypassPartition:
+    """The partition that waits out every predecessor in c's window, so
+    each build scores by pass/fail terms alone."""
+    return BypassPartition(c, forest.windows[c], (), 1.0, fallback_active)
+
+
 def profile_change(
     c: ChangeId,
     forest: SpeculationForest,
@@ -101,9 +109,9 @@ def profile_change(
     A predecessor is bypassable when c is likely enough to finish first
     (threshold tau). When the joint probability of finishing before all
     bypassable predecessors drops below the floor (epsilon), speculation
-    on finish order is pointless and scoring falls back to pass/fail
-    terms for every predecessor. `arrivals[c]` is change c's arrival
-    time: a map by id, or a sequence indexed by id.
+    on finish order is pointless and scoring falls back to the
+    `outcome_partition`, flagged as a fallback. `arrivals[c]` is change
+    c's arrival time: a map by id, or a sequence indexed by id.
     """
     model_c = finish_time_model(c, forest, arrivals[c])
     non_bypassable: list[ChangeId] = []
@@ -117,12 +125,14 @@ def profile_change(
             product *= p_first
         else:
             non_bypassable.append(pred)
+    if product < cfg.bypass_product_floor:
+        return outcome_partition(c, forest, fallback_active=True)
     return BypassPartition(
         change=c,
         non_bypassable=tuple(non_bypassable),
         bypassable=tuple(bypassable),
         bypass_product=product,
-        fallback_active=product < cfg.bypass_product_floor,
+        fallback_active=False,
     )
 
 
@@ -135,21 +145,15 @@ def needed_probability(
     the node assumes it landed, else its fail probability; bypassable
     predecessors contribute the joint finish-first probability once,
     so sibling nodes differing only in bypassable membership score
-    equally. Under fallback every predecessor contributes a pass/fail
-    term and the finish-first factor is dropped.
+    equally.
     """
     if node.change != part.change:
         raise ValueError(f"node {node.key} does not belong to change {part.change}")
     if not set(node.base) <= part.predecessors:
         raise ValueError(f"node base {node.base} outside partition predecessors")
-    if part.fallback_active:
-        outcome_preds = tuple(sorted(part.predecessors))
-        p = 1.0
-    else:
-        outcome_preds = part.non_bypassable
-        p = part.bypass_product
+    p = part.bypass_product
     assumed = set(node.base)
-    for pred in outcome_preds:
+    for pred in part.non_bypassable:
         context = tuple(b for b in node.base if b < pred)
         p_pass = success_fn(pred, context)
         p *= p_pass if pred in assumed else 1.0 - p_pass

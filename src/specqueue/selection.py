@@ -2,12 +2,13 @@
 
 The selector keeps the executor full with the highest needed-probability
 builds at or above the speculation threshold and aborts running builds
-that fell out of the chosen set. The chosen set is a prefix of the rank
-order, so it is remembered by its cut, the rank key of its last build;
-a build whose rank key did not move since the last selection can only
-enter or leave the set when it lies between the old cut and the new
-one, and a selection reads only those and the re-ranked builds, never
-the whole prefix. A component head's one build always
+that fell out of the chosen set. `RankOrder` is the one rank order of
+every build that could still run, kept across selections. The chosen
+set is a prefix of it, so it is remembered by its cut, the rank key of
+its last build; a build whose change was not put since the last
+selection can only enter or leave the set when it lies between the old
+cut and the new one, and a selection reads only those and the builds
+put since, never the whole prefix. A component head's one build always
 qualifies: with no predecessor to wait on, it scores exactly 1. One rule
 decides a change: once every speculative variant of it finished with the
 same outcome, that outcome holds no matter how its queued predecessors
@@ -19,32 +20,54 @@ predecessors decides early, by bypass.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable
 
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.forest import BuildNode, SpeculationForest, key_order
 from specqueue.prioritize import RankedBuild
 
 
-# one build in the rank order: (RankedBuild.rank_key, the build)
-RankEntry = tuple[tuple, RankedBuild]
+class RankOrder:
+    """Every build that could still run, in rank order, kept across
+    selections.
 
+    ``entries`` holds ``(rank_key, RankedBuild)`` pairs, sorted; an entry
+    keeps the rank key computed when its change was put. ``cut`` is the
+    rank key of the last selection's last chosen build, None when it
+    chose none. The caller keeps one contract: it starts and aborts what
+    each selection returns, puts a change whenever a node, score or run
+    of the change may have moved (estimated, finished, carried or
+    aborted outside a selection) and drops it once decided, both before
+    the next selection. Then every entry not put since the last
+    selection is running iff its key is at most ``cut``.
+    """
 
-@dataclass(frozen=True)
-class ScheduleAction:
-    """What the executor should do after a ranking pass: start the chosen
-    builds not yet running, in rank order, and abort the running builds
-    that fell out of the chosen set, their nodes in `key_order`. ``cut`` is
-    the rank key of the last chosen build, None when none is chosen; the
-    next selection takes it as the previous cut."""
+    def __init__(self) -> None:
+        self.entries: list[tuple[tuple, RankedBuild]] = []
+        self.cut: tuple | None = None
+        self._by_change: dict[ChangeId, list[tuple[tuple, RankedBuild]]] = {}
+        # changes put since the last selection
+        self._fresh: set[ChangeId] = set()
 
-    to_start: tuple[RankedBuild, ...]
-    to_abort: tuple[BuildNode, ...]
-    cut: tuple | None
+    def put(self, c: ChangeId, builds: Iterable[RankedBuild]) -> None:
+        """Replace c's builds with ``builds``."""
+        self.drop(c)
+        placed = [(r.rank_key, r) for r in builds]
+        for entry in placed:
+            insort(self.entries, entry)
+        self._by_change[c] = placed
+        self._fresh.add(c)
+
+    def drop(self, c: ChangeId) -> None:
+        """Remove c's builds; a dropped change has nothing left to start."""
+        entries = self.entries
+        for entry in self._by_change.pop(c, ()):
+            del entries[bisect_left(entries, entry)]
+        self._fresh.discard(c)
 
 
 class DecisionKind(Enum):
@@ -64,35 +87,32 @@ class Decision:
 
 
 def select_builds(
-    ranking: Sequence[RankEntry],
-    fresh: Iterable[RankEntry],
-    cut: tuple | None,
-    running: Collection[BuildNode],
-    cfg: EngineConfig,
-) -> ScheduleAction:
-    """Reconcile the running builds with the chosen set.
+    order: RankOrder, running: Collection[BuildNode], cfg: EngineConfig
+) -> tuple[tuple[RankedBuild, ...], tuple[BuildNode, ...]]:
+    """Reconcile the running builds with the chosen set and move the cut.
 
-    ``ranking`` is every build that could run, in rank order. The chosen
-    set is its prefix of builds at or above the speculation threshold,
-    at most capacity long. ``fresh`` holds the entries inserted into
-    ``ranking`` since the previous selection, whose cut is ``cut``, and
-    ``running`` the nodes of the builds running now. Every entry that is
-    not fresh must be running iff its rank key is at most ``cut``: the
-    previous selection's builds all started, and a build that finished,
-    aborted or was carried since has only fresh entries. Such an entry
-    keeps its key, so it changes sides only when it lies between the old
-    cut and the new one; only that band and the fresh entries are read.
-    On a first selection ``cut`` is None and every entry is fresh.
+    The chosen set is the rank order's prefix of builds at or above the
+    speculation threshold, at most capacity long; ``running`` holds the
+    nodes of the builds running now. Returns the chosen builds not yet
+    running, in rank order, and the nodes of the running builds that
+    fell out of the set, in `key_order`. An entry not put since the
+    previous selection keeps its key, so it changes sides only when it
+    lies between the old cut and the new one; only that band and the
+    changes put since are read.
     """
+    ranking = order.entries
     first = itemgetter(0)
     capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
     # rank keys start with -p_needed, so the builds at or above the
     # threshold come first
     chosen = min(capacity, bisect_left(ranking, (-threshold, math.inf), key=first))
     new_cut = ranking[chosen - 1][0] if chosen else None
-    old = 0 if cut is None else bisect_right(ranking, cut, key=first)
+    old = 0 if order.cut is None else bisect_right(ranking, order.cut, key=first)
     touched = dict(ranking[min(old, chosen) : max(old, chosen)])
-    touched.update(fresh)
+    for c in order._fresh:
+        touched.update(order._by_change[c])
+    order.cut = new_cut
+    order._fresh.clear()
     to_start: list[RankedBuild] = []
     to_abort: list[BuildNode] = []
     for key in sorted(touched):
@@ -102,11 +122,7 @@ def select_builds(
                 to_start.append(build)
         elif build.node in running:
             to_abort.append(build.node)
-    return ScheduleAction(
-        to_start=tuple(to_start),
-        to_abort=tuple(sorted(to_abort, key=key_order)),
-        cut=new_cut,
-    )
+    return tuple(to_start), tuple(sorted(to_abort, key=key_order))
 
 
 def decide_change(

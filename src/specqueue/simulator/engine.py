@@ -11,14 +11,12 @@ one of its builds finishes, and when a decision re-derives its window;
 starts and aborts touch no node, since the table of live runs alone
 records which builds run. A change is re-scored when its model
 moved or its window holds a change whose model moved, since its
-partition and scores read nothing else. One rank order of every build
-that could still run is kept across events, and the running builds are
-always its chosen prefix. A selection reads only the entries re-ranked
-since the last one and those between the old and the new end of the
-prefix: builds that fell out of the chosen set abort, newly chosen ones
-start. A run holds its build's node, so a decision leaves the runs it
-carries as they are and aborts only those whose nodes vanish. All times
-are virtual minutes; a run is a pure function of its workload.
+partition and scores read nothing else; its scores replace its builds
+in the `selection.RankOrder` kept across events, and a decided change
+leaves it. Builds that fell out of the chosen set abort, newly chosen
+ones start. A run holds its build's node, so a decision leaves the runs
+it carries as they are and aborts only those whose nodes vanish. All
+times are virtual minutes; a run is a pure function of its workload.
 
 Per-change data is indexed by change id, which is the change's
 position in the workload's change tuple.
@@ -30,7 +28,6 @@ import hashlib
 import heapq
 import math
 import random
-from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
 
@@ -50,12 +47,13 @@ from specqueue.prediction import (
 )
 from specqueue.prioritize import (
     BypassPartition,
+    outcome_partition,
     profile_change,
     rank_builds,
 )
 from specqueue.selection import (
     DecisionKind,
-    RankEntry,
+    RankOrder,
     decide_change,
     select_builds,
 )
@@ -146,18 +144,7 @@ class _Simulation:
         self.running: dict[BuildNode, _Run] = {}
         # changes whose finish-time model moved since the last reschedule
         self.moved: set[ChangeId] = set()
-        # every build that could still run as (rank_key, RankedBuild), in
-        # rank order, and each queued change's entries in it. An entry
-        # keeps the rank key computed when it was inserted. Nodes are
-        # updated in place, but only when their change is in `moved`
-        # (estimated, finished or carried), and such a change is re-ranked
-        # before the order is read, so no held node or key is stale.
-        self.ranking: list[RankEntry] = []
-        self.entries: dict[ChangeId, list[RankEntry]] = {}
-        # the rank key of the last selection's last chosen build: the
-        # running builds are exactly the entries at or before it that
-        # were not re-ranked since
-        self.cut: tuple | None = None
+        self.order = RankOrder()
         self.trace: list[str] = []
         self.waits: list[WaitRecord] = []
         self.builds_started = 0
@@ -269,23 +256,19 @@ class _Simulation:
     # -- scheduling ---------------------------------------------------
 
     def _reschedule(self) -> None:
-        fresh = self._rescore()
-        action = select_builds(
-            self.ranking, fresh, self.cut, self.running, self.select_cfg
-        )
-        self.cut = action.cut
-        for node in action.to_abort:
+        self._rescore()
+        to_start, to_abort = select_builds(self.order, self.running, self.select_cfg)
+        for node in to_abort:
             self._abort(self.running.pop(node))
-        for r in action.to_start:
+        for r in to_start:
             self._start(r.node, r.p_needed)
 
-    def _rescore(self) -> list[RankEntry]:
+    def _rescore(self) -> None:
         """Bring the rank order up to date with the events since the last
-        reschedule, re-profiling only the changes they moved; returns the
-        entries it inserted."""
+        reschedule, re-profiling only the changes they moved."""
         windows = self.forest.windows
         for c in self.moved.difference(windows):
-            self._unrank(c)  # decided, so its builds are gone
+            self.order.drop(c)  # decided, so its builds are gone
         moved = sorted(c for c in self.moved if c in windows)
         self.moved.clear()
         self._annotate(moved)
@@ -294,39 +277,17 @@ class _Simulation:
             rescore.update(
                 d for d in self.forest.conflicting_after(m) if m in windows[d]
             )
-        fresh: list[RankEntry] = []
         for c in sorted(rescore):
-            fresh.extend(self._rerank(c))
-        return fresh
-
-    def _rerank(self, c: ChangeId) -> list[RankEntry]:
-        """Re-profile and re-score c, and move its entries in the rank order."""
-        self._unrank(c)
-        ranked = rank_builds(
-            self.forest.nodes_for_change(c), self._partition(c), self._success_fn
-        )
-        entries = [(r.rank_key, r) for r in ranked]
-        for entry in entries:
-            insort(self.ranking, entry)
-        self.entries[c] = entries
-        return entries
-
-    def _unrank(self, c: ChangeId) -> None:
-        ranking = self.ranking
-        for entry in self.entries.pop(c, ()):
-            del ranking[bisect_left(ranking, entry)]
+            ranked = rank_builds(
+                self.forest.nodes_for_change(c), self._partition(c), self._success_fn
+            )
+            self.order.put(c, ranked)
 
     def _partition(self, c: ChangeId) -> BypassPartition:
         if self.enhanced:
             return profile_change(c, self.forest, self.arrivals, self.cfg)
         # Baseline: every conflicting predecessor is waited out.
-        return BypassPartition(
-            change=c,
-            non_bypassable=self.forest.windows[c],
-            bypassable=(),
-            bypass_product=1.0,
-            fallback_active=False,
-        )
+        return outcome_partition(c, self.forest)
 
     def _annotate(self, changes: Sequence[ChangeId]) -> None:
         """Estimate the nodes that have none. Only an arrived or

@@ -131,7 +131,7 @@ class TestNodeCountLaw:
 class TestResolve:
     def test_land_head_filters_and_relabels(self):
         forest = triangle_forest()
-        after = resolve_change(forest, C1, landed=True)
+        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
         assert after.queue == (C2, C3)
         assert base_keys(after, C2) == {()}
         assert base_keys(after, C3) == {(), ("C2",)}
@@ -139,7 +139,7 @@ class TestResolve:
 
     def test_reject_head_filters_without_relabel(self):
         forest = triangle_forest()
-        after = resolve_change(forest, C1, landed=False)
+        after = resolve_change(forest, C1, False, carry_map(forest, C1, False))
         assert base_keys(after, C2) == {()}
         assert base_keys(after, C3) == {(), ("C2",)}
 
@@ -149,7 +149,7 @@ class TestResolve:
         speculative.estimate = DurationEstimate(12.0, 4.0)
         speculative.complete(BuildOutcome.PASS, 9.0)
         forest.node(C2, ()).complete(BuildOutcome.FAIL, 8.0)
-        after = resolve_change(forest, C1, landed=True)
+        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
         # the same node, its base rewritten in place
         assert after.node(C2, ()) is speculative
         assert speculative.key == (C2, ())
@@ -167,7 +167,7 @@ class TestResolve:
         done = forest.node(C3, (C1,))
         done.estimate = DurationEstimate(20.0, 1.0)
         done.complete(BuildOutcome.FAIL, 7.0)
-        resolve_change(forest, C1, landed=True)
+        resolve_change(forest, C1, True, carry_map(forest, C1, True))
         assert forest.windows[C3] == (C2,)
         assert forest.node(C3, (C2,)) is pending
         assert pending.key == (C3, (C2,))
@@ -181,7 +181,7 @@ class TestResolve:
     def test_reject_carries_the_mainline_node(self):
         forest = triangle_forest()
         mainline = forest.node(C2, ())
-        after = resolve_change(forest, C1, landed=False)
+        after = resolve_change(forest, C1, False, carry_map(forest, C1, False))
         assert after.node(C2, ()) is mainline
 
     def test_resolving_independent_change_leaves_others_untouched(self):
@@ -189,7 +189,7 @@ class TestResolve:
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 6)
         speculative = forest.node(C3, (C2,))
-        after = resolve_change(forest, C1, landed=True)
+        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
         assert base_keys(after, C3) == {(), ("C2",)}
         assert after.node(C3, (C2,)) is speculative
 
@@ -200,7 +200,7 @@ class TestResolve:
         forest = enumerate_forest(list(targets), g, 1)
         assert forest.windows[C3] == (C2,)
         forest.node(C3, (C2,)).complete(BuildOutcome.PASS, 5.0)
-        after = resolve_change(forest, C1, landed=True)
+        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
         # Mainline gained C1, which none of C3's builds included: all fresh.
         assert all(n.outcome is None for n in after.nodes_for_change(C3))
 
@@ -209,7 +209,7 @@ class TestResolve:
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 1)
         forest.node(C3, (C2,)).complete(BuildOutcome.FAIL, 5.0)
-        after = resolve_change(forest, C1, landed=False)
+        after = resolve_change(forest, C1, False, carry_map(forest, C1, False))
         assert after.node(C3, (C2,)).outcome is BuildOutcome.FAIL
 
     def test_window_expands_after_resolution(self):
@@ -218,14 +218,15 @@ class TestResolve:
         forest = enumerate_forest(list(targets), g, 2)
         c4 = list(targets)[3]
         assert forest.windows[c4] == (C2, C3)
-        after = resolve_change(forest, C2, landed=False)
+        after = resolve_change(forest, C2, False, carry_map(forest, C2, False))
         assert after.windows[c4] == (C1, C3)
 
     def test_total_node_count_never_increases(self):
         forest = triangle_forest()
         total = len(forest.nodes)
         for resolved, landed in [(C1, True), (C2, False)]:
-            forest = resolve_change(forest, resolved, landed)
+            mapping = carry_map(forest, resolved, landed)
+            forest = resolve_change(forest, resolved, landed, mapping)
             assert len(forest.nodes) <= total
             total = len(forest.nodes)
 
@@ -233,7 +234,7 @@ class TestResolve:
         # C2 lands past its still-building predecessor C1.
         forest = triangle_forest()
         predecessor = forest.node(C1, ())
-        after = resolve_change(forest, C2, landed=True)
+        after = resolve_change(forest, C2, True, carry_map(forest, C2, True))
         assert after.queue == (C1, C3)
         assert after.node(C1, ()) is predecessor
         # C3 keeps the variants that assumed C2 landed, relabelled.
@@ -242,26 +243,28 @@ class TestResolve:
     def test_unknown_change_rejected(self):
         forest = triangle_forest()
         with pytest.raises(KeyError):
-            resolve_change(forest, ChangeId(99, "C99"), landed=True)
+            c99 = ChangeId(99, "C99")
+            resolve_change(forest, c99, True, carry_map(forest, c99, True))
 
     def test_double_decision_rejected(self):
-        after = resolve_change(triangle_forest(), C1, landed=True)
+        forest = triangle_forest()
+        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
         with pytest.raises(KeyError):
-            resolve_change(after, C1, landed=True)
+            resolve_change(after, C1, True, carry_map(after, C1, True))
 
     def test_updates_the_given_forest(self):
         forest = triangle_forest()
-        assert resolve_change(forest, C1, landed=True) is forest
+        assert resolve_change(forest, C1, True, carry_map(forest, C1, True)) is forest
         assert forest.queue == (C2, C3)
 
     def test_failed_resolution_leaves_the_forest_unchanged(self):
         forest = triangle_forest()
         forest.node(C3, (C1,)).complete(BuildOutcome.PASS, 2.0)
-        resolve_change(forest, C2, landed=False)
+        resolve_change(forest, C2, False, carry_map(forest, C2, False))
         before, queue = asdict(forest), forest.queue
-        for resolved, mapping in [(C2, None), (C2, {}), (ChangeId(9, "C9"), {})]:
+        for resolved in (C2, ChangeId(9, "C9")):
             with pytest.raises(KeyError):
-                resolve_change(forest, resolved, landed=True, mapping=mapping)
+                resolve_change(forest, resolved, True, {})
             assert asdict(forest) == before and forest.queue == queue
 
 
@@ -313,13 +316,13 @@ class TestQueueOrder:
         forest = enumerate_forest(queue, g, 6)
         assert forest.conflicting_ahead(queue[1]) == (queue[0],)
         assert forest.conflicting_after(queue[1]) == (queue[2],)
-        resolve_change(forest, queue[0], landed=True)
+        resolve_change(forest, queue[0], True, carry_map(forest, queue[0], True))
         assert forest.windows[queue[2]] == (queue[1],)
 
     def test_queue_reads_the_windows_in_order(self):
         queue, g = chain_graph(4)
         forest = enumerate_forest(queue, g, 2)
-        resolve_change(forest, queue[1], landed=False)
+        resolve_change(forest, queue[1], False, carry_map(forest, queue[1], False))
         assert forest.queue == (queue[0], queue[2], queue[3])
         assert tuple(forest.bases) == forest.queue
 
@@ -401,11 +404,9 @@ class TestIncrementalForest:
                     n.key: None if base is None else (n.change, base)
                     for n, base in mapping.items()
                 }
-                if data.draw(st.booleans()):
-                    resolve_change(forest, resolved, landed, mapping)
-                else:
-                    resolve_change(forest, resolved, landed)
-                resolve_change(twin, resolved, landed)
+                resolve_change(forest, resolved, landed, mapping)
+                twin_mapping = carry_map(twin, resolved, landed)
+                resolve_change(twin, resolved, landed, twin_mapping)
                 assert structure(forest) == structure(twin)
                 assert asdict(forest)["nodes"] == asdict(twin)["nodes"]
                 assert all(node.key == k for k, node in forest.nodes.items())
@@ -432,7 +433,8 @@ class TestIncrementalForest:
         assert forest.queue == () and not forest.nodes
         forest.add_change(queue[0])
         assert_matches_fresh(forest)
-        forest = resolve_change(forest, queue[0], landed=True)
+        mapping = carry_map(forest, queue[0], True)
+        forest = resolve_change(forest, queue[0], True, mapping)
         assert forest.queue == () and not forest.nodes and not forest.windows
         assert_matches_fresh(forest)
 
@@ -444,7 +446,9 @@ class TestIncrementalForest:
             assert_matches_fresh(forest)
         assert forest.windows[queue[3]] == (queue[2],)
         for landed in (True, False, True, False):
-            forest = resolve_change(forest, forest.queue[0], landed)
+            head = forest.queue[0]
+            mapping = carry_map(forest, head, landed)
+            forest = resolve_change(forest, head, landed, mapping)
             assert_matches_fresh(forest)
 
     def test_resolving_the_head_rewindows_only_conflicting_successors(self):
@@ -452,7 +456,7 @@ class TestIncrementalForest:
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 6)
         independent = forest.node(C2, ())
-        after = resolve_change(forest, C1, landed=True)
+        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
         assert_matches_fresh(after)
         assert after.node(C2, ()) is independent
         assert after.windows[C3] == (C2,)

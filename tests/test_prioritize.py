@@ -40,13 +40,13 @@ def priors_fn(priors: dict[ChangeId, float]):
     return lambda pred, context: priors[pred]
 
 
-def partition(change, fixed=(), bypassed=(), product=1.0, fallback=False):
+def partition(change, fixed=(), bypassed=(), product=1.0):
     return BypassPartition(
         change=change,
         non_bypassable=tuple(fixed),
         bypassable=tuple(bypassed),
         bypass_product=product,
-        fallback_active=fallback,
+        fallback_active=False,
     )
 
 
@@ -132,11 +132,15 @@ class TestFiveCaseConformance:
 
 class TestNeededProbability:
     def test_fallback_scores_every_predecessor_by_outcome(self):
+        # dead heats: each predecessor is bypassable at tau = 0.5, but the
+        # joint chance of finishing first, 0.25, is below epsilon
         forest = triangle()
+        annotate(forest)
+        cfg = EngineConfig(bypass_eligibility_threshold=0.5, bypass_product_floor=0.3)
+        part = profile_change(C3, forest, {C1: 0.0, C2: 0.0, C3: 0.0}, cfg)
+        assert part.fallback_active
+        assert (part.non_bypassable, part.bypassable) == ((C1, C2), ())
         success = priors_fn({C1: 0.8, C2: 0.7})
-        part = partition(
-            C3, bypassed=(C1, C2), product=0.001, fallback=True
-        )
         got = needed_probability(forest.node(C3, (C1,)), part, success)
         assert got == pytest.approx(0.8 * (1 - 0.7))
 

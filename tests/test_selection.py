@@ -12,13 +12,14 @@ from specqueue.core import (
 )
 from specqueue.forest import (
     SpeculationForest,
+    carry_map,
     enumerate_forest,
     resolve_change,
 )
-from specqueue.prioritize import BypassPartition, RankedBuild, rank_builds
+from specqueue.prioritize import RankedBuild, outcome_partition, rank_builds
 from specqueue.selection import (
     DecisionKind,
-    ScheduleAction,
+    RankOrder,
     decide_change,
     select_builds,
 )
@@ -32,18 +33,19 @@ def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
     return enumerate_forest(list(targets), g, depth_cap)
 
 
-def ranked_fixture(forest, scores: dict) -> list[tuple]:
-    """Rank-order entries, (rank_key, RankedBuild), for node scores."""
-    out = []
+def first_call(forest, scores: dict, running, cfg):
+    """A first selection: each change's builds, scored by node key, put
+    into an empty rank order. Returns the order, the builds to start and
+    the nodes to abort."""
+    builds: dict[ChangeId, list[RankedBuild]] = {}
     for (change, base), p in scores.items():
-        r = RankedBuild(node=forest.node(change, base), p_needed=p)
-        out.append((r.rank_key, r))
-    return sorted(out)
-
-
-def first_call(ranking, running, cfg):
-    """A selection with no previous cut, where every entry is fresh."""
-    return select_builds(ranking, ranking, None, running, cfg)
+        builds.setdefault(change, []).append(
+            RankedBuild(node=forest.node(change, base), p_needed=p)
+        )
+    order = RankOrder()
+    for change, ranked in builds.items():
+        order.put(change, ranked)
+    return (order, *select_builds(order, running, cfg))
 
 
 def finish(forest, change, base, outcome, at=10.0):
@@ -56,38 +58,40 @@ CFG = EngineConfig(speculation_threshold=0.3, executor_capacity=3)
 class TestSelectBuilds:
     def test_threshold_filters_unlikely_path(self):
         forest = triangle(n=2)
-        ranked = ranked_fixture(
-            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
+        order, to_start, to_abort = first_call(
+            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}, [], CFG
         )
-        action = first_call(ranked, running=[], cfg=CFG)
-        assert [r.node.key for r in action.to_start] == [(C1, ()), (C2, (C1,))]
-        assert action.to_abort == ()
-        assert action.cut == ranked[1][0]
+        assert [r.node.key for r in to_start] == [(C1, ()), (C2, (C1,))]
+        assert to_abort == ()
+        assert order.cut == order.entries[1][0]
 
     def test_equal_scores_all_start(self):
         forest = triangle(n=2)
-        ranked = ranked_fixture(
-            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.9}
+        _, to_start, _ = first_call(
+            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.9}, [], CFG
         )
-        action = first_call(ranked, running=[], cfg=CFG)
-        assert len(action.to_start) == 3
+        assert len(to_start) == 3
 
     def test_running_build_out_of_the_cut_aborts(self):
         forest = triangle(n=2)
-        ranked = ranked_fixture(
-            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
+        _, _, to_abort = first_call(
+            forest,
+            {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1},
+            {forest.node(C2, ())},
+            CFG,
         )
-        action = first_call(ranked, running={forest.node(C2, ())}, cfg=CFG)
-        assert action.to_abort == (forest.node(C2, ()),)
+        assert to_abort == (forest.node(C2, ()),)
 
     def test_running_build_in_the_cut_is_kept_not_restarted(self):
         forest = triangle(n=2)
-        ranked = ranked_fixture(
-            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
+        _, to_start, to_abort = first_call(
+            forest,
+            {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1},
+            {forest.node(C1, ())},
+            CFG,
         )
-        action = first_call(ranked, running={forest.node(C1, ())}, cfg=CFG)
-        assert action.to_abort == ()
-        assert [r.node.key for r in action.to_start] == [(C2, (C1,))]
+        assert to_abort == ()
+        assert [r.node.key for r in to_start] == [(C2, (C1,))]
 
     def test_capacity_limits_starts_plus_keeps(self):
         forest = triangle(n=3)
@@ -96,117 +100,132 @@ class TestSelectBuilds:
             scores[node.key] = 0.8
         for node in forest.nodes_for_change(C3):
             scores[node.key] = 0.7
-        ranked = ranked_fixture(forest, scores)
-        action = first_call(ranked, running=[], cfg=EngineConfig(executor_capacity=4))
-        assert len(action.to_start) == 4
+        order, to_start, _ = first_call(
+            forest, scores, [], EngineConfig(executor_capacity=4)
+        )
+        assert len(to_start) == 4
         # Rank order: the head, both C2 builds, then C3's deepest.
-        assert {r.node.change for r in action.to_start} == {C1, C2, C3}
-        assert action.cut == ranked[3][0]
+        assert {r.node.change for r in to_start} == {C1, C2, C3}
+        assert order.cut == order.entries[3][0]
 
     def test_mandatory_head_survives_high_threshold(self):
         # A head has no predecessor to wait on, so its one build scores
         # exactly 1 and clears even delta = 1 on its score alone.
         forest = triangle(n=1)
-        head = BypassPartition(
-            change=C1,
-            non_bypassable=(),
-            bypassable=(),
-            bypass_product=1.0,
-            fallback_active=False,
-        )
+        head = outcome_partition(C1, forest)
         ranked = rank_builds(forest.nodes_for_change(C1), head, lambda p, ctx: 0.0)
         assert [r.p_needed for r in ranked] == [1.0]
         cfg = EngineConfig(speculation_threshold=1.0, executor_capacity=1)
-        action = first_call([(r.rank_key, r) for r in ranked], running=[], cfg=cfg)
-        assert [r.node.key for r in action.to_start] == [(C1, ())]
+        order = RankOrder()
+        order.put(C1, ranked)
+        to_start, _ = select_builds(order, [], cfg)
+        assert [r.node.key for r in to_start] == [(C1, ())]
 
     def test_lists_are_disjoint(self):
         forest = triangle(n=2)
-        ranked = ranked_fixture(
-            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}
-        )
         running = {forest.node(C1, ()), forest.node(C2, ())}
-        action = first_call(ranked, running=running, cfg=CFG)
-        nodes = [r.node for r in action.to_start] + list(action.to_abort)
+        _, to_start, to_abort = first_call(
+            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}, running, CFG
+        )
+        nodes = [r.node for r in to_start] + list(to_abort)
         assert len(nodes) == len(set(nodes))
 
 
 class TestSelectBuildsAfterACut:
-    """Second selections: ``cut`` and ``running`` are the previous
-    choice, and only the listed entries were re-ranked since."""
+    """Second selections: a first one chose builds, which started, and
+    then only the changes put or dropped since changed."""
 
     A, B, C = (C1, ()), (C2, (C1,)), (C3, (C1, C2))
+    CFG = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
 
     def setup_method(self):
         self.forest = triangle(n=3)
+        self.order = RankOrder()
+        self.running: set = set()
 
-    def entry(self, key, p):
-        r = RankedBuild(node=self.forest.node(*key), p_needed=p)
-        return (r.rank_key, r)
+    def put(self, key, p):
+        """Put key's change with its one build at score p; its rank key."""
+        build = RankedBuild(node=self.forest.node(*key), p_needed=p)
+        self.order.put(key[0], [build])
+        return build.rank_key
 
-    def nodes(self, *keys):
-        return tuple(self.forest.node(*key) for key in keys)
+    def finish(self, key):
+        """The build finished: its run leaves, and its change has no build
+        left that could run."""
+        self.running.discard(self.forest.node(*key))
+        self.order.put(key[0], [])
+
+    def select(self):
+        """Select, then start and abort as told; the keys of both."""
+        to_start, to_abort = select_builds(self.order, self.running, self.CFG)
+        self.running.difference_update(to_abort)
+        self.running.update(r.node for r in to_start)
+        return [r.node.key for r in to_start], [n.key for n in to_abort]
 
     def test_cut_moves_down_past_a_fresh_entry_that_aborts(self):
         # B is re-ranked below C: C now fills the capacity B held
-        a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.9)
-        c = self.entry(self.C, 0.8)
-        moved_b = self.entry(self.B, 0.5)
-        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
-        running = self.nodes(self.A, self.B)
-        action = select_builds([a, c, moved_b], [moved_b], b[0], running, cfg)
-        assert [r.node.key for r in action.to_start] == [self.C]
-        assert action.to_abort == self.nodes(self.B)
-        assert action.cut == c[0]
+        self.put(self.A, 1.0)
+        self.put(self.B, 0.9)
+        c = self.put(self.C, 0.8)
+        assert self.select() == ([self.A, self.B], [])
+        self.put(self.B, 0.5)
+        assert self.select() == ([self.C], [self.B])
+        assert self.order.cut == c
 
     def test_finished_build_leaves_and_the_next_unchanged_entry_starts(self):
-        b, c = self.entry(self.B, 0.9), self.entry(self.C, 0.8)
-        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
-        # A finished: its entry left the rank order and its run the executor
-        action = select_builds([b, c], [], b[0], self.nodes(self.B), cfg)
-        assert [r.node.key for r in action.to_start] == [self.C]
-        assert action.to_abort == ()
-        assert action.cut == c[0]
+        self.put(self.A, 1.0)
+        self.put(self.B, 0.9)
+        c = self.put(self.C, 0.8)
+        assert self.select() == ([self.A, self.B], [])
+        self.finish(self.A)
+        assert self.select() == ([self.C], [])
+        assert self.order.cut == c
 
     def test_fresh_entry_above_the_cut_displaces_the_last_chosen(self):
-        a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.9)
-        c = self.entry(self.C, 0.5)
-        moved_c = self.entry(self.C, 0.95)
-        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
-        running = self.nodes(self.A, self.B)
-        action = select_builds([a, moved_c, b], [moved_c], b[0], running, cfg)
-        assert [r.node.key for r in action.to_start] == [self.C]
-        assert action.to_abort == self.nodes(self.B)
-        assert action.cut == moved_c[0]
+        self.put(self.A, 1.0)
+        self.put(self.B, 0.9)
+        self.put(self.C, 0.5)
+        assert self.select() == ([self.A, self.B], [])
+        moved_c = self.put(self.C, 0.95)
+        assert self.select() == ([self.C], [self.B])
+        assert self.order.cut == moved_c
 
     def test_threshold_cuts_before_capacity(self):
-        b, c = self.entry(self.B, 0.9), self.entry(self.C, 0.2)
-        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
+        self.put(self.A, 1.0)
+        self.put(self.C, 0.2)
+        b = self.put(self.B, 0.9)
+        assert self.select() == ([self.A, self.B], [])
         # A finished and frees a slot, but C is below the threshold
-        action = select_builds([b, c], [], b[0], self.nodes(self.B), cfg)
-        assert action.to_start == ()
-        assert action.to_abort == ()
-        assert action.cut == b[0]
+        self.finish(self.A)
+        assert self.select() == ([], [])
+        assert self.order.cut == b
 
     def test_nothing_chosen_leaves_no_cut(self):
-        a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.2)
-        moved_a = self.entry(self.A, 0.1)
-        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
-        running = self.nodes(self.A)
-        action = select_builds(sorted([moved_a, b]), [moved_a], a[0], running, cfg)
-        assert action.to_start == ()
-        assert action.to_abort == self.nodes(self.A)
-        assert action.cut is None
+        self.put(self.A, 1.0)
+        self.put(self.B, 0.2)
+        assert self.select() == ([self.A], [])
+        self.put(self.A, 0.1)
+        assert self.select() == ([], [self.A])
+        assert self.order.cut is None
 
     def test_running_build_whose_fresh_entry_is_still_chosen_is_kept(self):
-        a, b = self.entry(self.A, 1.0), self.entry(self.B, 0.9)
-        moved_b = self.entry(self.B, 0.95)
-        cfg = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
-        running = self.nodes(self.A, self.B)
-        action = select_builds([a, moved_b], [moved_b], b[0], running, cfg)
-        assert action.to_start == ()
-        assert action.to_abort == ()
-        assert action.cut == moved_b[0]
+        self.put(self.A, 1.0)
+        self.put(self.B, 0.9)
+        assert self.select() == ([self.A, self.B], [])
+        moved_b = self.put(self.B, 0.95)
+        assert self.select() == ([], [])
+        assert self.order.cut == moved_b
+
+    def test_change_dropped_before_a_selection_never_starts(self):
+        a = self.put(self.A, 1.0)
+        self.put(self.B, 0.9)
+        self.order.drop(self.B[0])
+        assert self.select() == ([self.A], [])
+        self.put(self.C, 0.95)
+        self.order.drop(self.C[0])
+        assert self.select() == ([], [])
+        assert self.order.cut == a
+        assert [r.node.key for _, r in self.order.entries] == [self.A]
 
 
 class TestDecideChange:
@@ -286,6 +305,8 @@ class TestCommit:
         finish(forest, C1, (), BuildOutcome.FAIL)
         d = decide_change(C1, forest)
         assert d.kind is DecisionKind.REJECT
-        forest = resolve_change(forest, d.change, landed=False)
+        forest = resolve_change(
+            forest, d.change, False, carry_map(forest, d.change, False)
+        )
         assert forest.queue == (C2,)
         assert [n.base for n in forest.nodes_for_change(C2)] == [()]

@@ -279,22 +279,21 @@ class _RankCheckedSimulation(_Simulation):
     its node is the forest's node under that node's key, so a node
     updated in place that drifted from its key or its entry fails."""
 
-    def _rescore(self):
-        inserted = super()._rescore()
+    def _rescore(self) -> None:
+        super()._rescore()
         partitions = {c: self._partition(c) for c in self.forest.queue}
         fresh = rank_all(self.forest, partitions, self._success_fn)
-        assert [r for _, r in self.ranking] == fresh, self.now
-        return inserted
+        assert [r for _, r in self.order.entries] == fresh, self.now
 
     def _reschedule(self) -> None:
         super()._reschedule()
-        chosen = chosen_nodes((r for _, r in self.ranking), self.select_cfg)
+        chosen = chosen_nodes((r for _, r in self.order.entries), self.select_cfg)
         assert set(self.running) == chosen, self.now
         assert len(self.running) <= self.cfg.executor_capacity, self.now
         for node, run in self.running.items():
             assert self.forest.nodes.get(node.key) is node, (self.now, node.key)
             assert run.node is node and node.outcome is None, (self.now, node.key)
-        for k, r in self.ranking:
+        for k, r in self.order.entries:
             assert k == r.rank_key, (self.now, k)
             assert self.forest.nodes[r.node.key] is r.node, (self.now, k)
 

@@ -187,20 +187,29 @@ class GeneratorParams:
 
 def _generate_changes(
     params: GeneratorParams, p_link: float
-) -> tuple[list[tuple], float]:
-    """One full change stream for a candidate link probability, and the
-    share of its changes that share a target with another.
+) -> tuple[list[tuple], float, float, float]:
+    """One full change stream for a candidate link probability, the
+    share of its changes that share a target with another, and the
+    interval (below, above] of link probabilities that draw this stream.
 
     A change is a plain row, (arrival, targets, mean, variance, passes
     alone, breaker indices, prior), since the bisection discards all but
-    one stream; `generate_workload` makes specs of the kept one. A link
-    reaches back LINK_WINDOW rows at most, and a chain-forming link reads
-    only those; a row is long iff its mean is LONG_MEAN. A change shares
-    a target iff it has a predecessor on its targets or is one.
+    one stream; `generate_workload` makes specs of the kept one, and
+    rounds the arrival and clamps the prior as it does. A link reaches
+    back LINK_WINDOW rows at most, and a chain-forming link reads only
+    those; a row is long iff its mean is LONG_MEAN. A change shares a
+    target iff it has a predecessor on its targets or is one.
+
+    The stream depends on p_link only through its link draws' `u <
+    p_link`, and every other draw follows from those. So every p in
+    (below, above] draws the same stream, where below is the largest
+    link draw under p_link and above the smallest at or over it (each
+    infinite if there is none).
     """
     rng = random.Random(params.seed)
     rows: list[tuple] = []
     arrival = 0.0
+    below, above = -math.inf, math.inf
     # indices of the changes touching each target, ascending
     indices_by_target: dict[str, list[int]] = {}
     conflicted: set[int] = set()
@@ -215,9 +224,17 @@ def _generate_changes(
             mean, variance = LONG_MEAN, LONG_VARIANCE
 
         targets = {f"t{i}"}
-        window_start = max(0, i - LINK_WINDOW)
-        linked = i > 0 and rng.random() < p_link
+        linked = False
+        if i > 0:
+            u = rng.random()
+            linked = u < p_link
+            if linked:
+                if u > below:
+                    below = u
+            elif u < above:
+                above = u
         if linked:
+            window_start = max(0, i - LINK_WINDOW)
             recent_longs = [
                 j for j in range(window_start, i) if rows[j][2] == LONG_MEAN
             ]
@@ -233,13 +250,12 @@ def _generate_changes(
             else:
                 j = rng.randrange(window_start, i)
             targets.add(f"t{j}")
-        if (
-            linked
-            and not is_short
-            and params.long_second_link > 0
-            and rng.random() < params.long_second_link
-        ):
-            targets.add(f"t{rng.randrange(window_start, i)}")
+            if (
+                not is_short
+                and params.long_second_link > 0
+                and rng.random() < params.long_second_link
+            ):
+                targets.add(f"t{rng.randrange(window_start, i)}")
 
         passes_alone = rng.random() >= params.fail_rate
         preds: set[int] = set()
@@ -247,25 +263,47 @@ def _generate_changes(
             touching = indices_by_target.setdefault(t, [])
             preds.update(touching)
             touching.append(i)
+        breakers: list[int] = []
         if preds:
             conflicted.add(i)
             conflicted.update(preds)
-        # ascending, so the breaker draws consume the RNG in index order
-        breakers = [j for j in sorted(preds) if rng.random() < params.breaker_rate]
-        prior_jitter = rng.uniform(-0.04, 0.04)
-        prior = (0.92 if passes_alone else 0.15) + prior_jitter
-        rows.append(
-            (
-                round(arrival, 2),
-                targets,
-                mean,
-                variance,
-                passes_alone,
-                breakers,
-                min(1.0, max(0.0, prior)),
-            )
-        )
-    return rows, len(conflicted) / params.n_changes
+            # ascending, so the breaker draws consume the RNG in index order
+            breakers = [j for j in sorted(preds) if rng.random() < params.breaker_rate]
+        prior = (0.92 if passes_alone else 0.15) + rng.uniform(-0.04, 0.04)
+        rows.append((arrival, targets, mean, variance, passes_alone, breakers, prior))
+    return rows, len(conflicted) / params.n_changes, below, above
+
+
+def _calibrated_rows(params: GeneratorParams) -> list[tuple]:
+    """The rows of the stream whose link probability is bisected against
+    params.conflict_density, drawing each distinct stream once.
+
+    Only the streams last probed below the target (`low`) and at or over
+    it (`high`) are kept, as (rows, share, below, above). A midpoint
+    inside either's interval takes its answer without drawing. That is
+    enough: an interval is convex, and every earlier probe lies at or
+    under lo or at or over hi, so an earlier stream whose interval holds
+    the midpoint also holds lo or hi, and draws the stream kept there.
+    """
+    if params.conflict_density in (0.0, 1.0):  # no link, or every link
+        return _generate_changes(params, params.conflict_density)[0]
+
+    def stream_at(p: float) -> tuple:
+        for kept in (low, high):
+            if kept is not None and kept[2] < p <= kept[3]:
+                return kept
+        return _generate_changes(params, p)
+
+    lo, hi = 0.0, 1.0
+    low = high = None
+    for _ in range(18):
+        mid = (lo + hi) / 2.0
+        stream = stream_at(mid)
+        if stream[1] < params.conflict_density:
+            lo, low = mid, stream
+        else:
+            hi, high = mid, stream
+    return stream_at((lo + hi) / 2.0)[0]
 
 
 def generate_workload(
@@ -284,34 +322,20 @@ def generate_workload(
     from a change's conflicting predecessors, so landing order decided
     purely among non-conflicting changes can never break anyone.
     """
-    if params.conflict_density <= 0.0:
-        p_link = 0.0
-    elif params.conflict_density >= 1.0:
-        p_link = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(18):
-            mid = (lo + hi) / 2.0
-            if _generate_changes(params, mid)[1] < params.conflict_density:
-                lo = mid
-            else:
-                hi = mid
-        p_link = (lo + hi) / 2.0
-    rows, _ = _generate_changes(params, p_link)
     ids = [ChangeId(i, f"C{i}") for i in range(params.n_changes)]
     specs = tuple(
         ChangeSpec(
             id=cid,
-            arrival_time=arrival,
+            arrival_time=round(arrival, 2),
             targets=frozenset(targets),
             true_mean=mean,
             true_variance=variance,
             passes_alone=passes,
             breakers=frozenset(ids[j] for j in breakers),
-            success_prior=prior,
+            success_prior=min(1.0, max(0.0, prior)),
         )
         for cid, (arrival, targets, mean, variance, passes, breakers, prior) in zip(
-            ids, rows
+            ids, _calibrated_rows(params)
         )
     )
     return WorkloadSpec(

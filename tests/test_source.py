@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "specqueue"
+SOURCES = sorted(PACKAGE.rglob("*.py"))
 # an __init__.py imports names to re-export them, not to use them
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +36,29 @@ def test_no_module_imports_a_name_it_never_uses(path):
 def test_the_check_sees_an_unused_import():
     source = "import os, sys\nfrom typing import Iterable, Sequence\nos.sep\nx: Sequence"
     assert unused_imports(source) == ["Iterable", "sys"]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The top-level modules a module imports from outside the standard
+    library and this package, sorted."""
+    roots: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return sorted(roots - sys.stdlib_module_names - {"specqueue"})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_the_package_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_foreign_import():
+    source = (
+        "from __future__ import annotations\nimport numpy as np, os.path\n"
+        "from specqueue.core import ChangeId\nfrom . import forest\n"
+        "from hypothesis.strategies import integers"
+    )
+    assert foreign_imports(source) == ["hypothesis", "numpy"]

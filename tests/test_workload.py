@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import specqueue.simulator.workload as workload
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 from specqueue.prediction import ConstantPredictor, OracleWithNoise
 from specqueue.simulator.workload import (
@@ -261,7 +265,7 @@ class TestGenerator:
         # its targets; the conflict graph of the same rows must agree
         for seed in range(6):
             for p_link in (0.0, 0.2, 0.5, 1.0):
-                rows, share = _generate_changes(
+                rows, share, _, _ = _generate_changes(
                     dataclasses.replace(params, seed=seed), p_link
                 )
                 g = build_conflict_graph({i: row[1] for i, row in enumerate(rows)})
@@ -297,6 +301,114 @@ class TestGenerator:
                 assert s.success_prior > 0.5
             else:
                 assert s.success_prior < 0.5
+
+
+GENERATORS = {
+    "default": GeneratorParams(),
+    "criterion-5": GeneratorParams(
+        arrival_rate=0.45,
+        short_fraction=0.25,
+        breaker_rate=0.0,
+        long_target_bias=1.0,
+        long_second_link=1.0,
+    ),
+    "bridged": GeneratorParams(long_second_link=1.0),
+    "failing": GeneratorParams(fail_rate=0.5, breaker_rate=0.8),
+}
+
+
+def full_bisection_rows(params):
+    """The kept stream's rows as found by drawing all 18 probes and the
+    kept stream in full, reusing none."""
+    if params.conflict_density <= 0.0:
+        p_link = 0.0
+    elif params.conflict_density >= 1.0:
+        p_link = 1.0
+    else:
+        lo, hi = 0.0, 1.0
+        for _ in range(18):
+            mid = (lo + hi) / 2.0
+            if _generate_changes(params, mid)[1] < params.conflict_density:
+                lo = mid
+            else:
+                hi = mid
+        p_link = (lo + hi) / 2.0
+    return _generate_changes(params, p_link)[0]
+
+
+class TestStreamReuse:
+    @pytest.mark.parametrize("n_changes", [1, 2, 7, 300])
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_same_text_as_drawing_every_probe(
+        self, monkeypatch, generator, n_changes
+    ):
+        for seed, density in itertools.product(
+            range(10), (0.0, 0.05, 0.3, 0.6, 0.95, 1.0)
+        ):
+            params = dataclasses.replace(
+                GENERATORS[generator],
+                n_changes=n_changes,
+                seed=seed,
+                conflict_density=density,
+            )
+            text = format_workload(generate_workload(params))
+            with monkeypatch.context() as m:
+                m.setattr(workload, "_calibrated_rows", full_bisection_rows)
+                assert format_workload(generate_workload(params)) == text, params
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        generator=st.sampled_from(sorted(GENERATORS)),
+        n_changes=st.integers(1, 40),
+        seed=st.integers(0, 1000),
+        p_link=st.floats(0.0, 1.0),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_every_link_probability_in_the_interval_draws_the_stream(
+        self, generator, n_changes, seed, p_link, fraction
+    ):
+        params = dataclasses.replace(
+            GENERATORS[generator], n_changes=n_changes, seed=seed
+        )
+        rows, share, below, above = _generate_changes(params, p_link)
+        assert below < p_link <= above
+        # (below, above] cut to the probabilities that mean anything
+        first = 0.0 if below == -math.inf else math.nextafter(below, math.inf)
+        last = min(above, 1.0)
+        between = min(last, max(first, first + fraction * (last - first)))
+        for p in (first, between, last):
+            assert _generate_changes(params, p)[:2] == (rows, share), p
+        if above < math.inf:
+            assert _generate_changes(params, above) == (rows, share, below, above)
+        if below > -math.inf:
+            # the half-open edge: at below, that link draw is no longer taken
+            assert _generate_changes(params, below)[0] != rows
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The link probabilities of the streams drawn, in order."""
+        calls = []
+
+        def counted(params, p_link):
+            calls.append(p_link)
+            return _generate_changes(params, p_link)
+
+        monkeypatch.setattr(workload, "_generate_changes", counted)
+        return calls
+
+    def test_steady_stream_draws_at_most_eleven_streams(self, drawn):
+        # the benchmark's steady stream shape; drawing every probe takes 19
+        params = GeneratorParams(
+            n_changes=1000, arrival_rate=0.25, conflict_density=0.3, seed=1000
+        )
+        generate_workload(params)
+        assert len(drawn) <= 11
+
+    @pytest.mark.parametrize("density", [0.0, 1.0])
+    def test_extreme_density_draws_one_stream(self, drawn, density):
+        params = GeneratorParams(n_changes=1000, conflict_density=density, seed=1000)
+        generate_workload(params)
+        assert drawn == [density]
 
 
 class TestStaticConflictRate:

@@ -89,21 +89,22 @@ class SpeculationForest:
 
     Queue order is ChangeId order. ``windows[c]`` is c's window, its
     nearest ``depth_cap`` queued conflicting predecessors, and the keys
-    of ``windows`` are the queue, in that order; ``bases``
-    holds each change's node bases in ``nodes_for_change`` order. A
-    window is read from the change's conflict neighbours rather than
-    from a scan of the queue. A node holds what is known of its build:
-    its estimate, and its outcome once it finished; which builds run is
-    kept by the engine alone. Mutation is single-writer (the engine),
-    and reads hand out the nodes themselves, so a held node sees every
-    later update to it; one carried to a new base has ``node.key`` equal
-    to its new key. Only the forest files nodes by key.
+    of ``windows`` are the queue, in that order. Each node is built
+    once and filed twice: in ``by_change[c]``, c's nodes in read order,
+    and in ``nodes``, by key. A window is read from the change's
+    conflict neighbours rather than from a scan of the queue. A node
+    holds what is known of its build: its estimate, and its outcome once
+    it finished; which builds run is kept by the engine alone. Mutation
+    is single-writer (the engine), and reads hand out the nodes
+    themselves, so a held node sees every later update to it; one
+    carried to a new base has ``node.key`` equal to its new key. Only
+    the forest files nodes.
     """
 
     graph: ConflictGraph
     depth_cap: int
     windows: dict[ChangeId, BaseKey] = field(default_factory=dict)
-    bases: dict[ChangeId, tuple[BaseKey, ...]] = field(default_factory=dict)
+    by_change: dict[ChangeId, tuple[BuildNode, ...]] = field(default_factory=dict)
     nodes: dict[NodeKey, BuildNode] = field(default_factory=dict)
 
     @property
@@ -129,10 +130,9 @@ class SpeculationForest:
     def node(self, change: ChangeId, base: BaseKey) -> BuildNode:
         return self.nodes[(change, base)]
 
-    def nodes_for_change(self, c: ChangeId) -> list[BuildNode]:
+    def nodes_for_change(self, c: ChangeId) -> tuple[BuildNode, ...]:
         """All nodes of c, largest base first, then base lexicographic."""
-        nodes = self.nodes
-        return [nodes[(c, base)] for base in self.bases[c]]
+        return self.by_change[c]
 
     def add_change(self, c: ChangeId) -> None:
         """Append an arriving change with its window and pending nodes.
@@ -143,15 +143,21 @@ class SpeculationForest:
         """
         if self.windows and c <= next(reversed(self.windows)):
             raise ValueError(f"change {c} does not sort after the queue's tail")
-        self._set_window(c)
+        self._set_window(c, {})
 
-    def _set_window(self, c: ChangeId) -> None:
-        """(Re)derive c's window, bases and fresh pending nodes."""
+    def _set_window(self, c: ChangeId, carried: Mapping[BaseKey, BuildNode]) -> None:
+        """(Re)derive c's window and file per base the node carried to it,
+        else a fresh pending one. A carried node that finds no base raises."""
         window = self.conflicting_ahead(c)[-self.depth_cap :]
         self.windows[c] = window
-        self.bases[c] = _ordered_bases(window)
-        for base in self.bases[c]:
-            self.nodes[(c, base)] = BuildNode(change=c, base=base)
+        filed = self.by_change[c] = tuple(
+            carried[base] if base in carried else BuildNode(change=c, base=base)
+            for base in _ordered_bases(window)
+        )
+        self.nodes.update((node.key, node) for node in filed)
+        for node in carried.values():
+            if self.nodes.get(node.key) is not node:
+                raise AssertionError(f"carried node {node.key} maps outside the forest")
 
 
 def enumerate_forest(
@@ -178,52 +184,42 @@ def carry_map(
     survives a landing iff it assumed the landing (the member moves from
     base to mainline), and survives a rejection iff it did not.
     """
-    nodes = forest.nodes
-    mapping: dict[BuildNode, BaseKey | None] = {
-        nodes[(resolved, base)]: None for base in forest.bases[resolved]
-    }
+    by_change = forest.by_change
+    mapping: dict[BuildNode, BaseKey | None] = dict.fromkeys(by_change[resolved])
     for c in forest.conflicting_after(resolved):
-        for base in forest.bases[c]:
-            if (resolved in base) == landed:
-                mapping[nodes[(c, base)]] = tuple(b for b in base if b != resolved)
+        for node in by_change[c]:
+            if (resolved in node.base) == landed:
+                mapping[node] = tuple(b for b in node.base if b != resolved)
             else:
-                mapping[nodes[(c, base)]] = None
+                mapping[node] = None
     return mapping
 
 
 def resolve_change(
     forest: SpeculationForest,
     resolved: ChangeId,
-    landed: bool,
     mapping: Mapping[BuildNode, BaseKey | None],
 ) -> SpeculationForest:
     """Remove a decided change and drop every node its outcome contradicts.
 
-    A surviving node is the same node, its base rewritten in place: when
-    the resolved change landed it joins mainline, so a node that assumed
-    it in the base describes the same merge with the base member removed.
-    Nodes whose assumption was wrong (or that were built against a
-    mainline now missing a landed conflicting change) come back pending,
-    including any fresh nodes from a widened speculation window.
-
-    Only the later changes that conflict with the resolved one get new
-    windows; every other change keeps its window, bases and nodes.
-    ``mapping`` is ``carry_map(forest, resolved, landed)``. The forest is
-    updated in place and returned; an unknown change raises KeyError
-    before anything changes.
+    ``mapping`` is ``carry_map(forest, resolved, landed)``. A surviving
+    node is the same node, its base rewritten in place: when the resolved
+    change landed it joins mainline, so a node that assumed it in the
+    base describes the same merge with the base member removed. Only the
+    later changes that conflict with the resolved one get new windows;
+    a base no carried node fills gets a fresh pending node, built once.
+    Every other change keeps its window and nodes. The forest is updated
+    in place and returned; an unknown change raises KeyError before
+    anything changes.
     """
     affected = forest.conflicting_after(resolved)
-    del forest.windows[resolved], forest.bases[resolved]
-    nodes = forest.nodes
-    for node in mapping:
-        del nodes[node.key]
-    for c in affected:
-        forest._set_window(c)
+    del forest.windows[resolved], forest.by_change[resolved]
+    carried: dict[ChangeId, dict[BaseKey, BuildNode]] = {c: {} for c in affected}
     for node, base in mapping.items():
-        if base is None:
-            continue
-        if (node.change, base) not in nodes:
-            raise AssertionError(f"carried node {node.key} maps outside the forest")
-        node.base = base
-        nodes[node.key] = node
+        del forest.nodes[node.key]
+        if base is not None:
+            node.base = base
+            carried[node.change][base] = node
+    for c in affected:
+        forest._set_window(c, carried[c])
     return forest

@@ -31,6 +31,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
 
+# bench/spans.py wraps the layer functions imported below by name in this
+# module's namespace, so they stay imported and called here
 from specqueue.core import BuildOutcome, ChangeId, build_conflict_graph
 from specqueue.forest import (
     BaseKey,
@@ -227,7 +229,7 @@ class _Simulation:
         bypassed = self.forest.windows[c]
 
         mapping = carry_map(self.forest, c, landed)
-        resolve_change(self.forest, c, landed, mapping)
+        resolve_change(self.forest, c, mapping)
         # c itself and every change whose window the decision re-derived
         self.moved.update(node.change for node in mapping)
         # a run whose base assumption was contradicted aborts; its node is

@@ -16,6 +16,7 @@ from specqueue.core import (
     ConflictGraph,
     build_conflict_graph,
 )
+import specqueue.forest as forest_module
 from specqueue.forest import (
     BuildNode,
     carry_map,
@@ -131,7 +132,7 @@ class TestNodeCountLaw:
 class TestResolve:
     def test_land_head_filters_and_relabels(self):
         forest = triangle_forest()
-        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
+        after = resolve_change(forest, C1, carry_map(forest, C1, True))
         assert after.queue == (C2, C3)
         assert base_keys(after, C2) == {()}
         assert base_keys(after, C3) == {(), ("C2",)}
@@ -139,7 +140,7 @@ class TestResolve:
 
     def test_reject_head_filters_without_relabel(self):
         forest = triangle_forest()
-        after = resolve_change(forest, C1, False, carry_map(forest, C1, False))
+        after = resolve_change(forest, C1, carry_map(forest, C1, False))
         assert base_keys(after, C2) == {()}
         assert base_keys(after, C3) == {(), ("C2",)}
 
@@ -149,7 +150,7 @@ class TestResolve:
         speculative.estimate = DurationEstimate(12.0, 4.0)
         speculative.complete(BuildOutcome.PASS, 9.0)
         forest.node(C2, ()).complete(BuildOutcome.FAIL, 8.0)
-        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
+        after = resolve_change(forest, C1, carry_map(forest, C1, True))
         # the same node, its base rewritten in place
         assert after.node(C2, ()) is speculative
         assert speculative.key == (C2, ())
@@ -167,7 +168,7 @@ class TestResolve:
         done = forest.node(C3, (C1,))
         done.estimate = DurationEstimate(20.0, 1.0)
         done.complete(BuildOutcome.FAIL, 7.0)
-        resolve_change(forest, C1, True, carry_map(forest, C1, True))
+        resolve_change(forest, C1, carry_map(forest, C1, True))
         assert forest.windows[C3] == (C2,)
         assert forest.node(C3, (C2,)) is pending
         assert pending.key == (C3, (C2,))
@@ -181,7 +182,7 @@ class TestResolve:
     def test_reject_carries_the_mainline_node(self):
         forest = triangle_forest()
         mainline = forest.node(C2, ())
-        after = resolve_change(forest, C1, False, carry_map(forest, C1, False))
+        after = resolve_change(forest, C1, carry_map(forest, C1, False))
         assert after.node(C2, ()) is mainline
 
     def test_resolving_independent_change_leaves_others_untouched(self):
@@ -189,7 +190,7 @@ class TestResolve:
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 6)
         speculative = forest.node(C3, (C2,))
-        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
+        after = resolve_change(forest, C1, carry_map(forest, C1, True))
         assert base_keys(after, C3) == {(), ("C2",)}
         assert after.node(C3, (C2,)) is speculative
 
@@ -200,7 +201,7 @@ class TestResolve:
         forest = enumerate_forest(list(targets), g, 1)
         assert forest.windows[C3] == (C2,)
         forest.node(C3, (C2,)).complete(BuildOutcome.PASS, 5.0)
-        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
+        after = resolve_change(forest, C1, carry_map(forest, C1, True))
         # Mainline gained C1, which none of C3's builds included: all fresh.
         assert all(n.outcome is None for n in after.nodes_for_change(C3))
 
@@ -209,7 +210,7 @@ class TestResolve:
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 1)
         forest.node(C3, (C2,)).complete(BuildOutcome.FAIL, 5.0)
-        after = resolve_change(forest, C1, False, carry_map(forest, C1, False))
+        after = resolve_change(forest, C1, carry_map(forest, C1, False))
         assert after.node(C3, (C2,)).outcome is BuildOutcome.FAIL
 
     def test_window_expands_after_resolution(self):
@@ -218,7 +219,7 @@ class TestResolve:
         forest = enumerate_forest(list(targets), g, 2)
         c4 = list(targets)[3]
         assert forest.windows[c4] == (C2, C3)
-        after = resolve_change(forest, C2, False, carry_map(forest, C2, False))
+        after = resolve_change(forest, C2, carry_map(forest, C2, False))
         assert after.windows[c4] == (C1, C3)
 
     def test_total_node_count_never_increases(self):
@@ -226,7 +227,7 @@ class TestResolve:
         total = len(forest.nodes)
         for resolved, landed in [(C1, True), (C2, False)]:
             mapping = carry_map(forest, resolved, landed)
-            forest = resolve_change(forest, resolved, landed, mapping)
+            forest = resolve_change(forest, resolved, mapping)
             assert len(forest.nodes) <= total
             total = len(forest.nodes)
 
@@ -234,7 +235,7 @@ class TestResolve:
         # C2 lands past its still-building predecessor C1.
         forest = triangle_forest()
         predecessor = forest.node(C1, ())
-        after = resolve_change(forest, C2, True, carry_map(forest, C2, True))
+        after = resolve_change(forest, C2, carry_map(forest, C2, True))
         assert after.queue == (C1, C3)
         assert after.node(C1, ()) is predecessor
         # C3 keeps the variants that assumed C2 landed, relabelled.
@@ -244,27 +245,58 @@ class TestResolve:
         forest = triangle_forest()
         with pytest.raises(KeyError):
             c99 = ChangeId(99, "C99")
-            resolve_change(forest, c99, True, carry_map(forest, c99, True))
+            resolve_change(forest, c99, carry_map(forest, c99, True))
 
     def test_double_decision_rejected(self):
         forest = triangle_forest()
-        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
+        after = resolve_change(forest, C1, carry_map(forest, C1, True))
         with pytest.raises(KeyError):
-            resolve_change(after, C1, True, carry_map(after, C1, True))
+            resolve_change(after, C1, carry_map(after, C1, True))
 
     def test_updates_the_given_forest(self):
         forest = triangle_forest()
-        assert resolve_change(forest, C1, True, carry_map(forest, C1, True)) is forest
+        assert resolve_change(forest, C1, carry_map(forest, C1, True)) is forest
         assert forest.queue == (C2, C3)
+
+    @pytest.mark.parametrize("landed", [True, False])
+    def test_a_carried_base_gets_no_fresh_node(self, landed, monkeypatch):
+        # every node of C2 and C3 survives C1's decision, so none is built;
+        # an arrival still builds one node per base of its window
+        queue, g = chain_graph(4)
+        forest = enumerate_forest(queue[:3], g, 6)
+        built = []
+
+        def build(**fields):
+            built.append(BuildNode(**fields))
+            return built[-1]
+
+        monkeypatch.setattr(forest_module, "BuildNode", build)
+        resolve_change(forest, C1, carry_map(forest, C1, landed))
+        assert built == []
+        forest.add_change(queue[3])
+        assert forest.windows[queue[3]] == (queue[1], queue[2])
+        assert len(built) == 2**2
+        assert built == list(forest.nodes_for_change(queue[3]))
+        monkeypatch.undo()
+        assert_matches_fresh(forest)
+
+    def test_a_node_carried_outside_its_new_window_raises(self):
+        # a rejection's map that keeps C3's node on (C1,) under C1
+        forest = triangle_forest()
+        mapping = carry_map(forest, C1, False)
+        mapping[forest.node(C3, (C1,))] = (C1,)
+        with pytest.raises(AssertionError) as raised:
+            resolve_change(forest, C1, mapping)
+        assert str(raised.value) == f"carried node {(C3, (C1,))} maps outside the forest"
 
     def test_failed_resolution_leaves_the_forest_unchanged(self):
         forest = triangle_forest()
         forest.node(C3, (C1,)).complete(BuildOutcome.PASS, 2.0)
-        resolve_change(forest, C2, False, carry_map(forest, C2, False))
+        resolve_change(forest, C2, carry_map(forest, C2, False))
         before, queue = asdict(forest), forest.queue
         for resolved in (C2, ChangeId(9, "C9")):
             with pytest.raises(KeyError):
-                resolve_change(forest, resolved, True, {})
+                resolve_change(forest, resolved, {})
             assert asdict(forest) == before and forest.queue == queue
 
 
@@ -316,15 +348,15 @@ class TestQueueOrder:
         forest = enumerate_forest(queue, g, 6)
         assert forest.conflicting_ahead(queue[1]) == (queue[0],)
         assert forest.conflicting_after(queue[1]) == (queue[2],)
-        resolve_change(forest, queue[0], True, carry_map(forest, queue[0], True))
+        resolve_change(forest, queue[0], carry_map(forest, queue[0], True))
         assert forest.windows[queue[2]] == (queue[1],)
 
     def test_queue_reads_the_windows_in_order(self):
         queue, g = chain_graph(4)
         forest = enumerate_forest(queue, g, 2)
-        resolve_change(forest, queue[1], False, carry_map(forest, queue[1], False))
+        resolve_change(forest, queue[1], carry_map(forest, queue[1], False))
         assert forest.queue == (queue[0], queue[2], queue[3])
-        assert tuple(forest.bases) == forest.queue
+        assert tuple(forest.by_change) == forest.queue
 
 
 def structure(forest) -> tuple:
@@ -404,9 +436,9 @@ class TestIncrementalForest:
                     n.key: None if base is None else (n.change, base)
                     for n, base in mapping.items()
                 }
-                resolve_change(forest, resolved, landed, mapping)
+                resolve_change(forest, resolved, mapping)
                 twin_mapping = carry_map(twin, resolved, landed)
-                resolve_change(twin, resolved, landed, twin_mapping)
+                resolve_change(twin, resolved, twin_mapping)
                 assert structure(forest) == structure(twin)
                 assert asdict(forest)["nodes"] == asdict(twin)["nodes"]
                 assert all(node.key == k for k, node in forest.nodes.items())
@@ -425,6 +457,11 @@ class TestIncrementalForest:
                             BuildNode(change=key[0], base=key[1])
                         )
             assert_matches_fresh(forest)
+            # both indexes file the same nodes: each read-order node is the
+            # one filed under its key, and nothing else is filed
+            filed = [n for c in forest.queue for n in forest.nodes_for_change(c)]
+            assert all(forest.nodes[n.key] is n for n in filed)
+            assert len(forest.nodes) == len(filed)
 
     def test_empty_queue(self):
         queue, g = chain_graph(2)
@@ -434,7 +471,7 @@ class TestIncrementalForest:
         forest.add_change(queue[0])
         assert_matches_fresh(forest)
         mapping = carry_map(forest, queue[0], True)
-        forest = resolve_change(forest, queue[0], True, mapping)
+        forest = resolve_change(forest, queue[0], mapping)
         assert forest.queue == () and not forest.nodes and not forest.windows
         assert_matches_fresh(forest)
 
@@ -448,7 +485,7 @@ class TestIncrementalForest:
         for landed in (True, False, True, False):
             head = forest.queue[0]
             mapping = carry_map(forest, head, landed)
-            forest = resolve_change(forest, head, landed, mapping)
+            forest = resolve_change(forest, head, mapping)
             assert_matches_fresh(forest)
 
     def test_resolving_the_head_rewindows_only_conflicting_successors(self):
@@ -456,7 +493,7 @@ class TestIncrementalForest:
         g = build_conflict_graph(targets)
         forest = enumerate_forest(list(targets), g, 6)
         independent = forest.node(C2, ())
-        after = resolve_change(forest, C1, True, carry_map(forest, C1, True))
+        after = resolve_change(forest, C1, carry_map(forest, C1, True))
         assert_matches_fresh(after)
         assert after.node(C2, ()) is independent
         assert after.windows[C3] == (C2,)

@@ -305,8 +305,6 @@ class TestCommit:
         finish(forest, C1, (), BuildOutcome.FAIL)
         d = decide_change(C1, forest)
         assert d.kind is DecisionKind.REJECT
-        forest = resolve_change(
-            forest, d.change, False, carry_map(forest, d.change, False)
-        )
+        forest = resolve_change(forest, d.change, carry_map(forest, d.change, False))
         assert forest.queue == (C2,)
         assert [n.base for n in forest.nodes_for_change(C2)] == [()]

@@ -62,3 +62,37 @@ def test_the_check_sees_a_foreign_import():
         "from hypothesis.strategies import integers"
     )
     assert foreign_imports(source) == ["hypothesis", "numpy"]
+
+
+MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def mutable_defaults(source: str) -> list[str]:
+    """The functions and lambdas with a list, dict or set display or
+    comprehension as a default, one evaluated once and shared by every
+    call, as `name:line`, sorted by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults = [*node.args.defaults, *node.args.kw_defaults]
+            if any(isinstance(d, MUTABLE_DISPLAYS) for d in defaults):
+                found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return [f"{name}:{line}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_default_is_a_mutable_display(path):
+    assert mutable_defaults(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_mutable_default():
+    source = (
+        "def a(x, y=()): ...\n"
+        "def b(x, y=[]): ...\n"
+        "async def c(*, y={}): ...\n"
+        "class K:\n    def d(self, y={1}): ...\n"
+        "e = lambda y=[i for i in ()]: y\n"
+        "def f(y=None, *, z=frozenset(), w=None): ...\n"
+        "def g(y={k: k for k in ()}): ...\n"
+    )
+    assert mutable_defaults(source) == ["b:2", "c:3", "d:5", "<lambda>:6", "g:8"]

@@ -6,14 +6,16 @@ threshold variants side by side, and cdf evaluates a single
 finish-order probability for manual inspection.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable, not
-UTF-8 or malformed workload). Output files are written to a temp file
-and renamed into place so a failed run never leaves a partial file;
-they get the mode a plain open() would give them.
+UTF-8 or malformed workload). A command's output files are each
+written to a temp file and renamed into place only once all are
+written, so a failed run leaves no output behind; they get the mode a
+plain open() would give them.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import stat
@@ -126,7 +128,7 @@ def _cmd_gen_workload(args: argparse.Namespace) -> int:
     )
     text = format_workload(generate_workload(params))
     if args.out:
-        _write_atomic(args.out, text)
+        _write_outputs({args.out: text})
     else:
         sys.stdout.write(text)
     return 0
@@ -136,15 +138,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     w = _load_workload(args)
     report, trace = run(w, args.strategy)
     csv_text = reports_to_csv([report])
-    sys.stdout.write(csv_text)
-    if args.out_metrics:
-        _write_atomic(args.out_metrics, csv_text)
+    outputs = {args.out_metrics: csv_text}
     if args.out_trace:
-        _write_atomic(args.out_trace, "\n".join(trace) + "\n")
+        outputs[args.out_trace] = "\n".join(trace) + "\n"
+    _write_outputs(outputs)
+    sys.stdout.write(csv_text)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.delta is not None and args.deltas is not None:
+        raise ValueError("--delta and --deltas both set the threshold; give one")
     w = _load_workload(args)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if args.deltas is not None:
@@ -175,9 +179,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         for label, strategy, cfg in variants
     ]
     csv_text = reports_to_csv(rows)
+    _write_outputs({args.out_metrics: csv_text})
     sys.stdout.write(csv_text)
-    if args.out_metrics:
-        _write_atomic(args.out_metrics, csv_text)
     return 0
 
 
@@ -214,26 +217,45 @@ def _load_workload(args: argparse.Namespace) -> WorkloadSpec:
     return w
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to path through a renamed temp file. The file gets the
+def _write_outputs(outputs: dict[str | None, str]) -> None:
+    """Write each text to its path, skipping a None path, all or none.
+
+    Every text goes to a temp file beside its path, and the temp files
+    are renamed into place only once all are written. A file gets the
     mode open() would give it: an overwritten file keeps its mode, a new
-    one gets 0o666 less the umask, where mkstemp alone would give 0o600."""
-    directory = os.path.dirname(os.path.abspath(path))
+    one gets 0o666 less the umask, where mkstemp alone would give 0o600.
+    An error names the path it was given, never a temp file.
+    """
+    staged: list[tuple[str, str]] = []  # (path, temp file), not yet renamed
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0o022)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".specqueue-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fh.fileno(), mode)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        for path, text in outputs.items():
+            if path is None:
+                continue
+            try:
+                st = os.stat(path)
+            except FileNotFoundError:
+                umask = os.umask(0o022)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            else:
+                if stat.S_ISDIR(st.st_mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                mode = stat.S_IMODE(st.st_mode)
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".specqueue-")
+            staged.append((path, tmp))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.fchmod(fh.fileno(), mode)
+                fh.write(text)
+        while staged:
+            path, tmp = staged[-1]
+            os.replace(tmp, path)
+            staged.pop()
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        for _, tmp in staged:
+            os.unlink(tmp)
 
 
 if __name__ == "__main__":

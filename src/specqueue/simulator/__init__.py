@@ -1,10 +1,9 @@
 """Deterministic discrete-event simulation of the merge queue."""
 
-from specqueue.simulator.engine import GroundTruth, run
+from specqueue.simulator.engine import run
 from specqueue.simulator.metrics import (
     CSV_HEADER,
     MetricsReport,
-    WaitRecord,
     nearest_rank,
     reports_to_csv,
 )
@@ -23,9 +22,7 @@ __all__ = [
     "CSV_HEADER",
     "ChangeSpec",
     "GeneratorParams",
-    "GroundTruth",
     "MetricsReport",
-    "WaitRecord",
     "WorkloadError",
     "WorkloadSpec",
     "format_workload",

@@ -107,15 +107,21 @@ class ChangeSpec:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A change stream and how to run it; `changes[c]` is change c's record."""
+    """A change stream and how to run it; `changes[c]` is change c's record.
+    The one place that decides an omitted field: a None predictor is the
+    noiseless oracle seeded with `seed`, and a None config EngineConfig()."""
 
     changes: tuple[ChangeSpec, ...]
     seed: int = 0
     strategy: str = "enhanced"
-    predictor: PredictorSpec = OracleWithNoise()
-    config: EngineConfig = EngineConfig()
+    predictor: PredictorSpec | None = None
+    config: EngineConfig | None = None
 
     def __post_init__(self) -> None:
+        if self.predictor is None:
+            object.__setattr__(self, "predictor", OracleWithNoise(seed=self.seed))
+        if self.config is None:
+            object.__setattr__(self, "config", EngineConfig())
         if not self.changes:
             raise WorkloadError("workload needs at least one change")
         if self.strategy not in STRATEGIES:
@@ -307,10 +313,7 @@ def _calibrated_rows(params: GeneratorParams) -> list[tuple]:
 
 
 def generate_workload(
-    params: GeneratorParams,
-    strategy: str = "enhanced",
-    predictor: PredictorSpec | None = None,
-    config: EngineConfig | None = None,
+    params: GeneratorParams, config: EngineConfig | None = None
 ) -> WorkloadSpec:
     """Deterministic synthetic change stream.
 
@@ -320,7 +323,8 @@ def generate_workload(
     realized conflict rate, so the structural knobs (bias, second
     links) cannot drift the density. Breakers are drawn only
     from a change's conflicting predecessors, so landing order decided
-    purely among non-conflicting changes can never break anyone.
+    purely among non-conflicting changes can never break anyone. Every
+    field but the seed and config keeps WorkloadSpec's default.
     """
     ids = [ChangeId(i, f"C{i}") for i in range(params.n_changes)]
     specs = tuple(
@@ -338,15 +342,7 @@ def generate_workload(
             ids, _calibrated_rows(params)
         )
     )
-    return WorkloadSpec(
-        changes=specs,
-        seed=params.seed,
-        strategy=strategy,
-        predictor=predictor
-        if predictor is not None
-        else OracleWithNoise(seed=params.seed),
-        config=config if config is not None else EngineConfig(),
-    )
+    return WorkloadSpec(changes=specs, seed=params.seed, config=config)
 
 
 def static_conflict_rate(workload: WorkloadSpec) -> float:
@@ -421,11 +417,9 @@ def _parse_bool(value: str) -> bool:
 
 
 def parse_workload(text: str) -> WorkloadSpec:
-    """Parse the text form; a WorkloadError names the first malformed line."""
-    seed = 0
-    strategy = "enhanced"
-    predictor: PredictorSpec | None = None
-    config = EngineConfig()
+    """Parse the text form; a WorkloadError names the first malformed line.
+    An omitted seed, strategy, predictor or config keeps WorkloadSpec's."""
+    records: dict[str, object] = {}
     specs: list[ChangeSpec] = []
     labels: dict[str, ChangeId] = {}
     given: set[str] = set()
@@ -444,18 +438,18 @@ def parse_workload(text: str) -> WorkloadSpec:
                 if body.strip() != "1":
                     raise WorkloadError(f"unsupported workload version {body!r}")
             elif kind == "seed":
-                seed = int(body)
+                records["seed"] = int(body)
             elif kind == "strategy":
-                strategy = body.strip()
+                records["strategy"] = strategy = body.strip()
                 if strategy not in STRATEGIES:
                     raise WorkloadError(f"unknown strategy {strategy!r}")
             elif kind == "predictor":
                 name, _, rest = body.strip().partition(" ")
                 if name not in PREDICTORS:
                     raise WorkloadError(f"unknown predictor {name!r}")
-                predictor = _parse_record(*PREDICTORS[name], rest)
+                records["predictor"] = _parse_record(*PREDICTORS[name], rest)
             elif kind == "config":
-                config = _parse_record(EngineConfig, CONFIG_FIELDS, body)
+                records["config"] = _parse_record(EngineConfig, CONFIG_FIELDS, body)
             elif kind == "change":
                 specs.append(_parse_change(body, labels))
             else:
@@ -464,13 +458,7 @@ def parse_workload(text: str) -> WorkloadSpec:
             problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise WorkloadError(f"line {line_no}: {problem}") from exc
 
-    return WorkloadSpec(
-        changes=tuple(specs),
-        seed=seed,
-        strategy=strategy,
-        predictor=predictor if predictor is not None else OracleWithNoise(seed=seed),
-        config=config,
-    )
+    return WorkloadSpec(changes=tuple(specs), **records)
 
 
 def _parse_change(body: str, labels: dict[str, ChangeId]) -> ChangeSpec:

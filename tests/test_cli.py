@@ -221,6 +221,12 @@ class TestExitCodes:
         assert "unknown strategy 'bogus'" in capsys.readouterr().err
         assert runs == []
 
+    def test_delta_with_deltas_fails_before_any_run(self, capsys, workload_file, runs):
+        assert main(["compare", "--workload", str(workload_file),
+                     "--delta", "0.9", "--deltas", "0.1,0.2"]) == 1
+        assert "--delta and --deltas" in capsys.readouterr().err
+        assert runs == []
+
     @pytest.mark.parametrize(
         "variants, repeated",
         [
@@ -291,6 +297,26 @@ class TestAtomicOutput:
         assert (taken / "keep.txt").read_text() == "kept\n"
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".specqueue-")]
         assert leftovers == []
+
+    def test_an_unwritable_output_is_two_and_named_as_given(
+        self, capsys, workload_file, tmp_path
+    ):
+        trace = tmp_path / "missing" / "t.log"
+        assert main(["simulate", "--workload", str(workload_file),
+                     "--out-trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(trace) in err
+        assert ".specqueue-" not in err
+
+    def test_one_failed_output_leaves_no_other_output(
+        self, capsys, workload_file, tmp_path
+    ):
+        metrics = tmp_path / "m.csv"
+        assert main(["simulate", "--workload", str(workload_file),
+                     "--out-metrics", str(metrics),
+                     "--out-trace", str(tmp_path / "missing" / "t.log")]) == 2
+        assert capsys.readouterr().out == ""
+        assert sorted(os.listdir(tmp_path)) == ["w.txt"]
 
     @pytest.fixture
     def umask_027(self):

@@ -433,11 +433,13 @@ class TestFileFormat:
         return parse_workload(format_workload(w))
 
     def test_generated_workload_round_trips(self):
-        w = generate_workload(
-            GeneratorParams(n_changes=60, conflict_density=0.4, seed=11),
+        w = dataclasses.replace(
+            generate_workload(
+                GeneratorParams(n_changes=60, conflict_density=0.4, seed=11),
+                config=EngineConfig(speculation_threshold=0.4, executor_capacity=16),
+            ),
             strategy="baseline",
             predictor=OracleWithNoise(relative_bias=0.1, relative_spread=0.2, seed=3),
-            config=EngineConfig(speculation_threshold=0.4, executor_capacity=16),
         )
         assert self.round_trip(w) == w
 
@@ -468,6 +470,15 @@ class TestFileFormat:
     def test_missing_predictor_defaults_to_oracle_with_seed(self):
         w = parse_workload("seed 5\nchange id=C0 at=0.0 targets=a mu=10.0 var=4.0\n")
         assert w.predictor == OracleWithNoise(seed=5)
+
+    def test_a_file_without_a_predictor_parses_like_a_spec_built_without_one(self):
+        changes = (spec(0, "C0", 0.0, {"a"}),)
+        assert parse_workload(f"seed 5\n{CHANGE_C0}\n") == WorkloadSpec(changes, seed=5)
+
+    def test_the_default_predictor_is_written_with_the_workload_seed(self):
+        text = format_workload(WorkloadSpec((spec(0, "C0", 0.0, {"a"}),), seed=5))
+        (line,) = [line for line in text.splitlines() if line.startswith("predictor ")]
+        assert line.startswith("predictor oracle ") and line.endswith(" seed=5")
 
     def test_missing_config_defaults(self):
         w = parse_workload("change id=C0 at=0.0 targets=a mu=10.0 var=4.0\n")

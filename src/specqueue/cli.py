@@ -6,10 +6,11 @@ threshold variants side by side, and cdf evaluates a single
 finish-order probability for manual inspection.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable, not
-UTF-8 or malformed workload). A command's output files are each
-written to a temp file and renamed into place only once all are
-written, so a failed run leaves no output behind; they get the mode a
-plain open() would give them.
+UTF-8 or malformed workload). A command's outputs must name distinct
+files other than its workload. Its output files are each written to a
+temp file and renamed into place only once all are written, so a
+failed run leaves no output behind; they get the mode a plain open()
+would give them.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ def _cmd_gen_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _check_outputs(args, "out_metrics", "out_trace")
     w = _load_workload(args)
     report, trace = run(w, args.strategy)
     csv_text = reports_to_csv([report])
@@ -149,6 +151,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.delta is not None and args.deltas is not None:
         raise ValueError("--delta and --deltas both set the threshold; give one")
+    _check_outputs(args, "out_metrics")
     w = _load_workload(args)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if args.deltas is not None:
@@ -196,6 +199,21 @@ def _cmd_cdf(args: argparse.Namespace) -> int:
     print(f"Z = {z:.4f}")
     print(f"P(y finishes before x) = {normal_cdf(z):.6f}")
     return 0
+
+
+def _check_outputs(args: argparse.Namespace, *dests: str) -> None:
+    """Reject, as a usage error, an output that resolves to the workload
+    file or to another output: one of them would be lost."""
+    seen = {os.path.realpath(args.workload): "--workload"}
+    for dest in dests:
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{flag} names the same file as {seen[real]}")
+        seen[real] = flag
 
 
 def _load_workload(args: argparse.Namespace) -> WorkloadSpec:

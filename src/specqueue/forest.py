@@ -65,11 +65,6 @@ class BuildNode:
         self.finished_at = now
 
 
-def key_order(node: BuildNode) -> tuple[ChangeId, int, BaseKey]:
-    """Sort key for nodes: by change, then base size, then base members."""
-    return (node.change, len(node.base), node.base)
-
-
 def _ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
     """Every base of a window, largest first, then base lexicographic.
 

@@ -54,23 +54,6 @@ class BypassPartition:
         return frozenset(self.non_bypassable) | frozenset(self.bypassable)
 
 
-@dataclass(frozen=True)
-class RankedBuild:
-    node: BuildNode
-    p_needed: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_needed <= 1.0:
-            raise ValueError("p_needed must be in [0, 1]")
-
-    @property
-    def rank_key(self) -> tuple:
-        """Rank order: higher score first, then earlier change, then
-        deeper base, then base members."""
-        node = self.node
-        return (-self.p_needed, node.change, -len(node.base), node.base)
-
-
 def finish_time_model(
     c: ChangeId, forest: SpeculationForest, arrival: float
 ) -> FinishTimeModel:
@@ -164,15 +147,18 @@ def rank_builds(
     nodes: Iterable[BuildNode],
     partition: BypassPartition,
     success_fn: SuccessFn,
-) -> list[RankedBuild]:
+) -> list[tuple[BuildNode, float]]:
     """Score one change's builds that could still run, under its partition.
 
     Finished nodes are excluded; every other node is scored, running or
-    not. The builds come back in input order; `RankedBuild.rank_key`
-    orders them against every other change's.
+    not. The `(node, p)` pairs come back in input order; selection ranks
+    them against every other change's. A score outside [0, 1] raises.
     """
-    return [
-        RankedBuild(node=node, p_needed=needed_probability(node, partition, success_fn))
-        for node in nodes
-        if node.outcome is None
-    ]
+    scored = []
+    for node in nodes:
+        if node.outcome is None:
+            p = needed_probability(node, partition, success_fn)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"node {node.key} scores {p}, outside [0, 1]")
+            scored.append((node, p))
+    return scored

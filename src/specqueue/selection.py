@@ -2,19 +2,21 @@
 
 The selector keeps the executor full with the highest needed-probability
 builds at or above the speculation threshold and aborts running builds
-that fell out of the chosen set. `RankOrder` is the one rank order of
-every build that could still run, kept across selections. The chosen
-set is a prefix of it, so it is remembered by its cut, the rank key of
-its last build; a build whose change was not put since the last
-selection can only enter or leave the set when it lies between the old
-cut and the new one, and a selection reads only those and the builds
-put since, never the whole prefix. A component head's one build always
-qualifies: with no predecessor to wait on, it scores exactly 1. One rule
-decides a change: once every speculative variant of it finished with the
-same outcome, that outcome holds no matter how its queued predecessors
-resolve, so it lands or rejects. A change with no predecessor left in
-its window has one variant, its build against the mainline; one with
-predecessors decides early, by bypass.
+that fell out of the chosen set. `prioritize` scores the builds and
+this module alone orders them: `rank_key` is the rank order, `key_order`
+the abort order. `RankOrder` is the one rank order of every build that
+could still run, kept across selections. The chosen set is a prefix of
+it, so it is remembered by its cut, the rank key of its last build; a
+build whose change was not put since the last selection can only enter
+or leave the set when it lies between the old cut and the new one, and
+a selection reads only those and the builds put since, never the whole
+prefix. A component head's one build always qualifies: with no
+predecessor to wait on, it scores exactly 1. One rule decides a change:
+once every speculative variant of it finished with the same outcome,
+that outcome holds no matter how its queued predecessors resolve, so it
+lands or rejects. A change with no predecessor left in its window has
+one variant, its build against the mainline; one with predecessors
+decides early, by bypass.
 """
 
 from __future__ import annotations
@@ -27,18 +29,28 @@ from operator import itemgetter
 from typing import Collection, Iterable
 
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
-from specqueue.forest import BuildNode, SpeculationForest, key_order
-from specqueue.prioritize import RankedBuild
+from specqueue.forest import BaseKey, BuildNode, SpeculationForest
+
+
+def rank_key(node: BuildNode, p: float) -> tuple:
+    """Rank order of a build scored p: higher score first, then earlier
+    change, then deeper base, then base members."""
+    return (-p, node.change, -len(node.base), node.base)
+
+
+def key_order(node: BuildNode) -> tuple[ChangeId, int, BaseKey]:
+    """Abort order of nodes: by change, then base size, then base members."""
+    return (node.change, len(node.base), node.base)
 
 
 class RankOrder:
     """Every build that could still run, in rank order, kept across
     selections.
 
-    ``entries`` holds ``(rank_key, RankedBuild)`` pairs, sorted; an entry
-    keeps the rank key computed when its change was put. ``cut`` is the
-    rank key of the last selection's last chosen build, None when it
-    chose none. The caller keeps one contract: it starts and aborts what
+    ``entries`` holds ``(rank_key, node)`` pairs, sorted; an entry keeps
+    the rank key computed when its change was put. ``cut`` is the rank
+    key of the last selection's last chosen build, None when it chose
+    none. The caller keeps one contract: it starts and aborts what
     each selection returns, puts a change whenever a node, score or run
     of the change may have moved (estimated, finished, carried or
     aborted outside a selection) and drops it once decided, both before
@@ -47,16 +59,16 @@ class RankOrder:
     """
 
     def __init__(self) -> None:
-        self.entries: list[tuple[tuple, RankedBuild]] = []
+        self.entries: list[tuple[tuple, BuildNode]] = []
         self.cut: tuple | None = None
-        self._by_change: dict[ChangeId, list[tuple[tuple, RankedBuild]]] = {}
+        self._by_change: dict[ChangeId, list[tuple[tuple, BuildNode]]] = {}
         # changes put since the last selection
         self._fresh: set[ChangeId] = set()
 
-    def put(self, c: ChangeId, builds: Iterable[RankedBuild]) -> None:
-        """Replace c's builds with ``builds``."""
+    def put(self, c: ChangeId, scored: Iterable[tuple[BuildNode, float]]) -> None:
+        """Replace c's builds with the ``(node, p)`` pairs ``scored``."""
         self.drop(c)
-        placed = [(r.rank_key, r) for r in builds]
+        placed = [(rank_key(node, p), node) for node, p in scored]
         for entry in placed:
             insort(self.entries, entry)
         self._by_change[c] = placed
@@ -88,23 +100,24 @@ class Decision:
 
 def select_builds(
     order: RankOrder, running: Collection[BuildNode], cfg: EngineConfig
-) -> tuple[tuple[RankedBuild, ...], tuple[BuildNode, ...]]:
+) -> tuple[tuple[tuple[BuildNode, float], ...], tuple[BuildNode, ...]]:
     """Reconcile the running builds with the chosen set and move the cut.
 
     The chosen set is the rank order's prefix of builds at or above the
     speculation threshold, at most capacity long; ``running`` holds the
     nodes of the builds running now. Returns the chosen builds not yet
-    running, in rank order, and the nodes of the running builds that
-    fell out of the set, in `key_order`. An entry not put since the
-    previous selection keeps its key, so it changes sides only when it
-    lies between the old cut and the new one; only that band and the
-    changes put since are read.
+    running as ``(node, p)`` pairs in rank order, p read back exactly from
+    the key, and the nodes of the running builds that fell out of the
+    set, in `key_order`. An entry not put since the previous selection
+    keeps its key, so it changes sides only when it lies between the old
+    cut and the new one; only that band and the changes put since are
+    read.
     """
     ranking = order.entries
     first = itemgetter(0)
     capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
-    # rank keys start with -p_needed, so the builds at or above the
-    # threshold come first
+    # rank keys start with -p, so the builds at or above the threshold
+    # come first
     chosen = min(capacity, bisect_left(ranking, (-threshold, math.inf), key=first))
     new_cut = ranking[chosen - 1][0] if chosen else None
     old = 0 if order.cut is None else bisect_right(ranking, order.cut, key=first)
@@ -113,15 +126,15 @@ def select_builds(
         touched.update(order._by_change[c])
     order.cut = new_cut
     order._fresh.clear()
-    to_start: list[RankedBuild] = []
+    to_start: list[tuple[BuildNode, float]] = []
     to_abort: list[BuildNode] = []
     for key in sorted(touched):
-        build = touched[key]
+        node = touched[key]
         if new_cut is not None and key <= new_cut:
-            if build.node not in running:
-                to_start.append(build)
-        elif build.node in running:
-            to_abort.append(build.node)
+            if node not in running:
+                to_start.append((node, -key[0]))
+        elif node in running:
+            to_abort.append(node)
     return tuple(to_start), tuple(sorted(to_abort, key=key_order))
 
 

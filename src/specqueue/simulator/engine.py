@@ -262,8 +262,8 @@ class _Simulation:
         to_start, to_abort = select_builds(self.order, self.running, self.select_cfg)
         for node in to_abort:
             self._abort(self.running.pop(node))
-        for r in to_start:
-            self._start(r.node, r.p_needed)
+        for node, p in to_start:
+            self._start(node, p)
 
     def _rescore(self) -> None:
         """Bring the rank order up to date with the events since the last

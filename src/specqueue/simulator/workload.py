@@ -416,6 +416,13 @@ def _parse_bool(value: str) -> bool:
     raise WorkloadError(f"expected true/false, got {value!r}")
 
 
+def _split_kind(text: str) -> tuple[str, str]:
+    """A record's or predictor's kind and the rest, split at the first run
+    of any whitespace, as `_parse_fields` splits fields."""
+    kind, *rest = text.split(None, 1) or [""]
+    return kind, "".join(rest)
+
+
 def parse_workload(text: str) -> WorkloadSpec:
     """Parse the text form; a WorkloadError names the first malformed line.
     An omitted seed, strategy, predictor or config keeps WorkloadSpec's."""
@@ -428,23 +435,23 @@ def parse_workload(text: str) -> WorkloadSpec:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        kind, _, body = line.partition(" ")
+        kind, body = _split_kind(line)
         try:
             if kind != "change":  # any other record may be given once
                 if kind in given:
                     raise WorkloadError(f"repeated {kind!r} record")
                 given.add(kind)
             if kind == "workload-version":
-                if body.strip() != "1":
+                if body != "1":
                     raise WorkloadError(f"unsupported workload version {body!r}")
             elif kind == "seed":
                 records["seed"] = int(body)
             elif kind == "strategy":
-                records["strategy"] = strategy = body.strip()
+                records["strategy"] = strategy = body
                 if strategy not in STRATEGIES:
                     raise WorkloadError(f"unknown strategy {strategy!r}")
             elif kind == "predictor":
-                name, _, rest = body.strip().partition(" ")
+                name, rest = _split_kind(body)
                 if name not in PREDICTORS:
                     raise WorkloadError(f"unknown predictor {name!r}")
                 records["predictor"] = _parse_record(*PREDICTORS[name], rest)

@@ -6,32 +6,36 @@ from typing import Iterable, Mapping, Sequence
 
 from specqueue.core import ChangeId, ConflictGraph, EngineConfig
 from specqueue.forest import BuildNode, SpeculationForest
-from specqueue.prioritize import BypassPartition, RankedBuild, SuccessFn, rank_builds
+from specqueue.prioritize import BypassPartition, SuccessFn, rank_builds
+from specqueue.selection import rank_key
 
 
 def rank_all(
     forest: SpeculationForest,
     partitions: Mapping[ChangeId, BypassPartition],
     success: SuccessFn,
-) -> list[RankedBuild]:
-    """Every queued change's builds scored from scratch, in rank order."""
-    ranked = [
-        r
+) -> list[tuple[tuple, BuildNode]]:
+    """Every queued change's builds scored from scratch, as sorted
+    `(rank_key, node)` entries."""
+    return sorted(
+        (rank_key(node, p), node)
         for c in forest.queue
-        for r in rank_builds(forest.nodes_for_change(c), partitions[c], success)
-    ]
-    return sorted(ranked, key=lambda r: r.rank_key)
+        for node, p in rank_builds(forest.nodes_for_change(c), partitions[c], success)
+    )
 
 
-def chosen_nodes(ranked: Iterable[RankedBuild], cfg: EngineConfig) -> set[BuildNode]:
-    """The nodes of the builds a rank order chooses: taken in order until
-    capacity is full or a score falls below the speculation threshold."""
+def chosen_nodes(
+    entries: Iterable[tuple[tuple, BuildNode]], cfg: EngineConfig
+) -> set[BuildNode]:
+    """The nodes a rank order's sorted `(rank_key, node)` entries choose:
+    taken in order until capacity is full or a score falls below the
+    speculation threshold."""
     capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
     chosen: set[BuildNode] = set()
-    for r in ranked:
-        if len(chosen) == capacity or r.p_needed < threshold:
+    for key, node in entries:
+        if len(chosen) == capacity or -key[0] < threshold:
             break
-        chosen.add(r.node)
+        chosen.add(node)
     return chosen
 
 

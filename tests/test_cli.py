@@ -241,6 +241,34 @@ class TestExitCodes:
         assert f"repeated {repeated}" in capsys.readouterr().err
         assert runs == []
 
+    @pytest.mark.parametrize("metrics, trace", [("p", "p"), ("./p", "p")])
+    def test_two_outputs_naming_one_file_fail_before_any_run(
+        self, capsys, workload_file, runs, monkeypatch, metrics, trace
+    ):
+        monkeypatch.chdir(workload_file.parent)
+        before = workload_file.read_bytes()
+        assert main(["simulate", "--workload", str(workload_file),
+                     "--out-metrics", metrics, "--out-trace", trace]) == 1
+        assert "--out-trace names the same file as --out-metrics" in (
+            capsys.readouterr().err
+        )
+        assert runs == []
+        assert os.listdir(workload_file.parent) == ["w.txt"]
+        assert workload_file.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_an_output_naming_the_workload_fails_before_any_run(
+        self, capsys, workload_file, runs, command
+    ):
+        before = workload_file.read_bytes()
+        assert main([command, "--workload", str(workload_file),
+                     "--out-metrics", str(workload_file)]) == 1
+        assert "--out-metrics names the same file as --workload" in (
+            capsys.readouterr().err
+        )
+        assert runs == []
+        assert workload_file.read_bytes() == before
+
     def test_missing_file_is_two(self, capsys, tmp_path):
         assert main(["simulate", "--workload", str(tmp_path / "nope.txt")]) == 2
         capsys.readouterr()

@@ -12,7 +12,6 @@ from specqueue.forest import BuildOutcome, SpeculationForest, enumerate_forest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import (
     BypassPartition,
-    RankedBuild,
     finish_time_model,
     needed_probability,
     profile_change,
@@ -286,7 +285,7 @@ class TestRankBuilds:
         forest = triangle(n=2)
         partitions = {C1: partition(C1), C2: partition(C2, fixed=(C1,))}
         ranked = rank_all(forest, partitions, priors_fn({C1: 0.9}))
-        got = [(r.node.change, r.node.base, r.p_needed) for r in ranked]
+        got = [(node.change, node.base, -key[0]) for key, node in ranked]
         assert got == [
             (C1, (), 1.0),
             (C2, (C1,), pytest.approx(0.9)),
@@ -300,23 +299,24 @@ class TestRankBuilds:
             C2: partition(C2, bypassed=(C1,), product=0.9),
         }
         ranked = rank_all(forest, partitions, priors_fn({C1: 0.9}))
-        got = [(r.node.change, r.node.base) for r in ranked]
+        got = [(node.change, node.base) for _, node in ranked]
         assert got == [(C1, ()), (C2, (C1,)), (C2, ())]
-        assert ranked[1].p_needed == ranked[2].p_needed == pytest.approx(0.9)
+        assert -ranked[1][0][0] == -ranked[2][0][0] == pytest.approx(0.9)
 
     def test_independent_heads_order_by_arrival(self):
         g = build_conflict_graph({C1: {"a"}, C2: {"b"}})
         forest = enumerate_forest([C1, C2], g, 6)
         partitions = {C1: partition(C1), C2: partition(C2)}
         ranked = rank_all(forest, partitions, priors_fn({}))
-        assert [(r.node.change, r.p_needed) for r in ranked] == [(C1, 1.0), (C2, 1.0)]
+        got = [(node.change, -key[0]) for key, node in ranked]
+        assert got == [(C1, 1.0), (C2, 1.0)]
 
     def test_completed_nodes_drop_out(self):
         forest = triangle(n=2)
         forest.node(C1, ()).complete(BuildOutcome.PASS, 3.0)
         partitions = {C1: partition(C1), C2: partition(C2, fixed=(C1,))}
         ranked = rank_all(forest, partitions, priors_fn({C1: 0.9}))
-        assert all(r.node.change == C2 for r in ranked)
+        assert all(node.change == C2 for _, node in ranked)
 
     def test_partition_of_another_change_rejected(self):
         forest = triangle(n=2)
@@ -324,8 +324,22 @@ class TestRankBuilds:
             rank_builds(forest.nodes_for_change(C2), partition(C1), priors_fn({}))
 
 
-class TestRankedBuildValidation:
+    def test_builds_come_back_in_input_order_with_their_scores(self):
+        forest = triangle(n=2)
+        nodes = forest.nodes_for_change(C2)
+        scored = rank_builds(nodes, partition(C2, fixed=(C1,)), priors_fn({C1: 0.9}))
+        assert [node for node, _ in scored] == list(nodes)
+        assert dict(scored) == {
+            forest.node(C2, (C1,)): pytest.approx(0.9),
+            forest.node(C2, ()): pytest.approx(0.1),
+        }
+
     def test_score_must_be_probability(self):
-        forest = triangle(n=1)
-        with pytest.raises(ValueError):
-            RankedBuild(node=forest.node(C1, ()), p_needed=1.5)
+        # a success function outside [0, 1] scores the landed path 1.5
+        forest = triangle(n=2)
+        with pytest.raises(ValueError, match="outside"):
+            rank_builds(
+                [forest.node(C2, (C1,))],
+                partition(C2, fixed=(C1,)),
+                priors_fn({C1: 1.5}),
+            )

@@ -11,16 +11,18 @@ from specqueue.core import (
     build_conflict_graph,
 )
 from specqueue.forest import (
+    BuildNode,
     SpeculationForest,
     carry_map,
     enumerate_forest,
     resolve_change,
 )
-from specqueue.prioritize import RankedBuild, outcome_partition, rank_builds
+from specqueue.prioritize import outcome_partition, rank_builds
 from specqueue.selection import (
     DecisionKind,
     RankOrder,
     decide_change,
+    rank_key,
     select_builds,
 )
 
@@ -37,14 +39,12 @@ def first_call(forest, scores: dict, running, cfg):
     """A first selection: each change's builds, scored by node key, put
     into an empty rank order. Returns the order, the builds to start and
     the nodes to abort."""
-    builds: dict[ChangeId, list[RankedBuild]] = {}
+    builds: dict[ChangeId, list[tuple[BuildNode, float]]] = {}
     for (change, base), p in scores.items():
-        builds.setdefault(change, []).append(
-            RankedBuild(node=forest.node(change, base), p_needed=p)
-        )
+        builds.setdefault(change, []).append((forest.node(change, base), p))
     order = RankOrder()
-    for change, ranked in builds.items():
-        order.put(change, ranked)
+    for change, scored in builds.items():
+        order.put(change, scored)
     return (order, *select_builds(order, running, cfg))
 
 
@@ -61,7 +61,7 @@ class TestSelectBuilds:
         order, to_start, to_abort = first_call(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}, [], CFG
         )
-        assert [r.node.key for r in to_start] == [(C1, ()), (C2, (C1,))]
+        assert to_start == ((forest.node(C1, ()), 1.0), (forest.node(C2, (C1,)), 0.9))
         assert to_abort == ()
         assert order.cut == order.entries[1][0]
 
@@ -91,7 +91,7 @@ class TestSelectBuilds:
             CFG,
         )
         assert to_abort == ()
-        assert [r.node.key for r in to_start] == [(C2, (C1,))]
+        assert [node.key for node, _ in to_start] == [(C2, (C1,))]
 
     def test_capacity_limits_starts_plus_keeps(self):
         forest = triangle(n=3)
@@ -105,7 +105,7 @@ class TestSelectBuilds:
         )
         assert len(to_start) == 4
         # Rank order: the head, both C2 builds, then C3's deepest.
-        assert {r.node.change for r in to_start} == {C1, C2, C3}
+        assert {node.change for node, _ in to_start} == {C1, C2, C3}
         assert order.cut == order.entries[3][0]
 
     def test_mandatory_head_survives_high_threshold(self):
@@ -113,13 +113,13 @@ class TestSelectBuilds:
         # exactly 1 and clears even delta = 1 on its score alone.
         forest = triangle(n=1)
         head = outcome_partition(C1, forest)
-        ranked = rank_builds(forest.nodes_for_change(C1), head, lambda p, ctx: 0.0)
-        assert [r.p_needed for r in ranked] == [1.0]
+        scored = rank_builds(forest.nodes_for_change(C1), head, lambda p, ctx: 0.0)
+        assert [p for _, p in scored] == [1.0]
         cfg = EngineConfig(speculation_threshold=1.0, executor_capacity=1)
         order = RankOrder()
-        order.put(C1, ranked)
+        order.put(C1, scored)
         to_start, _ = select_builds(order, [], cfg)
-        assert [r.node.key for r in to_start] == [(C1, ())]
+        assert [node.key for node, _ in to_start] == [(C1, ())]
 
     def test_lists_are_disjoint(self):
         forest = triangle(n=2)
@@ -127,7 +127,7 @@ class TestSelectBuilds:
         _, to_start, to_abort = first_call(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}, running, CFG
         )
-        nodes = [r.node for r in to_start] + list(to_abort)
+        nodes = [node for node, _ in to_start] + list(to_abort)
         assert len(nodes) == len(set(nodes))
 
 
@@ -145,9 +145,9 @@ class TestSelectBuildsAfterACut:
 
     def put(self, key, p):
         """Put key's change with its one build at score p; its rank key."""
-        build = RankedBuild(node=self.forest.node(*key), p_needed=p)
-        self.order.put(key[0], [build])
-        return build.rank_key
+        node = self.forest.node(*key)
+        self.order.put(key[0], [(node, p)])
+        return rank_key(node, p)
 
     def finish(self, key):
         """The build finished: its run leaves, and its change has no build
@@ -159,8 +159,8 @@ class TestSelectBuildsAfterACut:
         """Select, then start and abort as told; the keys of both."""
         to_start, to_abort = select_builds(self.order, self.running, self.CFG)
         self.running.difference_update(to_abort)
-        self.running.update(r.node for r in to_start)
-        return [r.node.key for r in to_start], [n.key for n in to_abort]
+        self.running.update(node for node, _ in to_start)
+        return [node.key for node, _ in to_start], [n.key for n in to_abort]
 
     def test_cut_moves_down_past_a_fresh_entry_that_aborts(self):
         # B is re-ranked below C: C now fills the capacity B held
@@ -225,7 +225,7 @@ class TestSelectBuildsAfterACut:
         self.order.drop(self.C[0])
         assert self.select() == ([], [])
         assert self.order.cut == a
-        assert [r.node.key for _, r in self.order.entries] == [self.A]
+        assert [node.key for _, node in self.order.entries] == [self.A]
 
 
 class TestDecideChange:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from specqueue.core import ChangeId, EngineConfig
 from specqueue.prediction import OracleWithNoise
-from specqueue.selection import DecisionKind, decide_change
+from specqueue.selection import DecisionKind, decide_change, rank_key
 from specqueue.simulator import (
     CSV_HEADER,
     GeneratorParams,
@@ -283,19 +283,19 @@ class _RankCheckedSimulation(_Simulation):
         super()._rescore()
         partitions = {c: self._partition(c) for c in self.forest.queue}
         fresh = rank_all(self.forest, partitions, self._success_fn)
-        assert [r for _, r in self.order.entries] == fresh, self.now
+        assert self.order.entries == fresh, self.now
 
     def _reschedule(self) -> None:
         super()._reschedule()
-        chosen = chosen_nodes((r for _, r in self.order.entries), self.select_cfg)
+        chosen = chosen_nodes(self.order.entries, self.select_cfg)
         assert set(self.running) == chosen, self.now
         assert len(self.running) <= self.cfg.executor_capacity, self.now
         for node, run in self.running.items():
             assert self.forest.nodes.get(node.key) is node, (self.now, node.key)
             assert run.node is node and node.outcome is None, (self.now, node.key)
-        for k, r in self.order.entries:
-            assert k == r.rank_key, (self.now, k)
-            assert self.forest.nodes[r.node.key] is r.node, (self.now, k)
+        for k, node in self.order.entries:
+            assert k == rank_key(node, -k[0]), (self.now, k)
+            assert self.forest.nodes[node.key] is node, (self.now, k)
 
 
 class _HeadCheckedSimulation(_Simulation):

@@ -96,3 +96,50 @@ def test_the_check_sees_a_mutable_default():
         "def g(y={k: k for k in ()}): ...\n"
     )
     assert mutable_defaults(source) == ["b:2", "c:3", "d:5", "<lambda>:6", "g:8"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a top-level module of the package imports, as
+    dotted names; `from specqueue import m` and relative imports count."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = node.module or ""
+            if node.level:
+                module = "specqueue." + module if module else "specqueue"
+            found.add(module)
+            found.update(f"{module}.{a.name}" for a in node.names)
+    return {m for m in found if m.startswith("specqueue.")}
+
+
+# prioritize scores builds and selection ranks, chooses and decides; the
+# forest below them knows neither
+APART = [
+    ("prioritize", "selection"),
+    ("selection", "prioritize"),
+    ("forest", "prioritize"),
+    ("forest", "selection"),
+]
+
+
+@pytest.mark.parametrize("module, other", APART)
+def test_scoring_ranking_and_the_forest_stay_apart(module, other):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert f"specqueue.{other}" not in package_imports(source)
+
+
+def test_the_check_sees_each_import_form():
+    source = (
+        "from __future__ import annotations\nimport specqueue.core, os\n"
+        "from specqueue import forest\nfrom .prioritize import rank_builds\n"
+        "from . import selection\n"
+    )
+    assert package_imports(source) == {
+        "specqueue.core",
+        "specqueue.forest",
+        "specqueue.prioritize",
+        "specqueue.prioritize.rank_builds",
+        "specqueue.selection",
+    }

@@ -492,6 +492,25 @@ class TestFileFormat:
         w = parse_workload(f"seed 5\npredictor {record}\n{CHANGE_C0}\n")
         assert w.predictor == expected
 
+    @pytest.mark.parametrize(
+        "text, spaced",
+        [
+            ("seed\t5\n" + CHANGE_C0, "seed 5\n" + CHANGE_C0),
+            (CHANGE_C0.replace(" ", "\t", 1), CHANGE_C0),
+            (
+                "predictor oracle\tspread=0.5\n" + CHANGE_C0,
+                "predictor oracle spread=0.5\n" + CHANGE_C0,
+            ),
+            (
+                "predictor\t oracle \t spread=0.5\n" + CHANGE_C0,
+                "predictor oracle spread=0.5\n" + CHANGE_C0,
+            ),
+        ],
+        ids=["seed", "change", "predictor", "predictor-mixed"],
+    )
+    def test_tabs_split_a_record_kind_as_they_split_fields(self, text, spaced):
+        assert parse_workload(text) == parse_workload(spaced)
+
     def test_omitted_change_fields_take_the_class_defaults(self):
         (parsed,) = parse_workload(CHANGE_C0).changes
         defaults = {f.name: f.default for f in dataclasses.fields(ChangeSpec)}

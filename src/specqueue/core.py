@@ -42,6 +42,18 @@ class ChangeId(int):
         return f"ChangeId(seq={int(self)}, label={self.label!r})"
 
 
+def require_ints(
+    record: object, names: tuple[str, ...], error: type[ValueError] = ValueError
+) -> None:
+    """Raise `error` naming the first of the record's fields `names` whose
+    value is not an int. A float or a bool is not one: the file format
+    would write it in a form that its parser rejects."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not int:
+            raise error(f"{name} must be an int, got {value!r}")
+
+
 class BuildOutcome(Enum):
     PASS = "pass"
     FAIL = "fail"
@@ -80,6 +92,7 @@ class EngineConfig:
     depth_cap: int = 6
 
     def __post_init__(self) -> None:
+        require_ints(self, ("executor_capacity", "depth_cap"))
         if not 0.0 <= self.speculation_threshold <= 1.0:
             raise ValueError("speculation_threshold must be in [0, 1]")
         if not 0.0 <= self.bypass_eligibility_threshold <= 1.0:

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+from specqueue.core import require_ints
+
 _MIN_MEAN_MINUTES = 0.01
 
 
@@ -57,6 +59,7 @@ class OracleWithNoise:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_ints(self, ("seed",))
         if not math.isfinite(self.relative_bias):
             raise ValueError("relative_bias must be finite")
         if not math.isfinite(self.relative_spread) or self.relative_spread < 0:

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Container, Mapping
 
-from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
+from specqueue.core import ChangeId, EngineConfig, build_conflict_graph, require_ints
 from specqueue.prediction import (
     ConstantPredictor,
     OracleWithNoise,
@@ -47,7 +47,7 @@ PREDICTORS = {
     ),
     "constant": (ConstantPredictor, {"mu": "mean", "var": "variance"}),
 }
-_CHANGE_KEYS = ("id", "at", "targets", "mu", "var", "passes", "breakers", "prior")
+_CHANGE_KEYS = frozenset("id at targets mu var passes breakers prior".split())
 
 # Generated durations are bimodal: (mean, variance) in minutes per mode.
 SHORT_MEAN, SHORT_VARIANCE = 5.0, 1.0
@@ -95,11 +95,11 @@ class ChangeSpec:
                 f"{self.id}: target {min(bad)!r} must be non-empty, "
                 "with no comma or whitespace"
             )
-        if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
+        if not 0 <= self.arrival_time < math.inf:
             raise WorkloadError(f"{self.id}: arrival_time must be finite and >= 0")
-        if not math.isfinite(self.true_mean) or self.true_mean <= 0:
+        if not 0 < self.true_mean < math.inf:
             raise WorkloadError(f"{self.id}: true_mean must be finite and > 0")
-        if not math.isfinite(self.true_variance) or self.true_variance < 0:
+        if not 0 <= self.true_variance < math.inf:
             raise WorkloadError(f"{self.id}: true_variance must be finite and >= 0")
         if not 0.0 <= self.success_prior <= 1.0:
             raise WorkloadError(f"{self.id}: success_prior must be in [0, 1]")
@@ -118,6 +118,7 @@ class WorkloadSpec:
     config: EngineConfig | None = None
 
     def __post_init__(self) -> None:
+        require_ints(self, ("seed",), WorkloadError)
         if self.predictor is None:
             object.__setattr__(self, "predictor", OracleWithNoise(seed=self.seed))
         if self.config is None:
@@ -137,19 +138,21 @@ class WorkloadSpec:
                 )
             if spec.arrival_time < previous_arrival:
                 raise WorkloadError(f"{spec.id}: arrival times must be nondecreasing")
-            # ids compare by seq alone, so a breaker must match in label too
-            unknown = [b for b in spec.breakers if seqs.get(b.label) != b]
-            if unknown:
-                raise WorkloadError(
-                    f"{spec.id}: breakers must be earlier changes, got {sorted(unknown)}"
-                )
-            # the engine orders only conflicting changes, so a breaker that
-            # shares no target could land after the change it breaks
-            for b in sorted(spec.breakers):
-                if spec.targets.isdisjoint(self.changes[b].targets):
+            if spec.breakers:
+                # ids compare by seq alone, so a breaker must match in label too
+                unknown = [b for b in spec.breakers if seqs.get(b.label) != b]
+                if unknown:
                     raise WorkloadError(
-                        f"{spec.id}: breaker {b.label!r} shares no target with it"
+                        f"{spec.id}: breakers must be earlier changes, "
+                        f"got {sorted(unknown)}"
                     )
+                # the engine orders only conflicting changes, so a breaker that
+                # shares no target could land after the change it breaks
+                for b in sorted(spec.breakers):
+                    if spec.targets.isdisjoint(self.changes[b].targets):
+                        raise WorkloadError(
+                            f"{spec.id}: breaker {b.label!r} shares no target with it"
+                        )
             seqs[spec.id.label] = i
             previous_arrival = spec.arrival_time
 
@@ -175,6 +178,7 @@ class GeneratorParams:
     long_second_link: float = 0.0
 
     def __post_init__(self) -> None:
+        require_ints(self, ("n_changes", "seed"), WorkloadError)
         if self.n_changes < 1:
             raise WorkloadError("n_changes must be >= 1")
         if not 0 < self.arrival_rate < math.inf:
@@ -199,12 +203,15 @@ def _generate_changes(
     interval (below, above] of link probabilities that draw this stream.
 
     A change is a plain row, (arrival, targets, mean, variance, passes
-    alone, breaker indices, prior), since the bisection discards all but
-    one stream; `generate_workload` makes specs of the kept one, and
-    rounds the arrival and clamps the prior as it does. A link reaches
-    back LINK_WINDOW rows at most, and a chain-forming link reads only
-    those; a row is long iff its mean is LONG_MEAN. A change shares a
-    target iff it has a predecessor on its targets or is one.
+    alone, breakers, prior), since the bisection discards all but one
+    stream; `generate_workload` makes specs of the kept one, names its
+    targets, and rounds the arrival and clamps the prior as it does.
+    Targets and breakers are row indices, and row i owns target i. A
+    link reaches back LINK_WINDOW rows at most, and a chain-forming link
+    reads only those; a row is long iff its mean is LONG_MEAN. A change
+    shares a target iff it has a predecessor on its targets or is one.
+    A target's members (the rows touching it) are ascending, and all
+    but its owner are conflicted already, since each linked to it.
 
     The stream depends on p_link only through its link draws' `u <
     p_link`, and every other draw follows from those. So every p in
@@ -213,71 +220,68 @@ def _generate_changes(
     infinite if there is none).
     """
     rng = random.Random(params.seed)
+    draw = rng.random
+    n = params.n_changes
     rows: list[tuple] = []
     arrival = 0.0
     below, above = -math.inf, math.inf
-    # indices of the changes touching each target, ascending
-    indices_by_target: dict[str, list[int]] = {}
-    conflicted: set[int] = set()
-    for i in range(params.n_changes):
+    members: list[list[int]] = []  # members[t]: the rows touching target t
+    conflicted = bytearray(n)
+    for i in range(n):
         if i > 0:
             arrival += rng.expovariate(params.arrival_rate)
 
-        is_short = rng.random() < params.short_fraction
+        is_short = draw() < params.short_fraction
         if is_short:
             mean, variance = SHORT_MEAN, SHORT_VARIANCE
         else:
             mean, variance = LONG_MEAN, LONG_VARIANCE
+        members.append([i])
 
-        targets = {f"t{i}"}
         linked = False
         if i > 0:
-            u = rng.random()
+            u = draw()
             linked = u < p_link
             if linked:
                 if u > below:
                     below = u
             elif u < above:
                 above = u
-        if linked:
+        if not linked:
+            passes_alone = draw() >= params.fail_rate
+            targets, breakers = (i,), []
+        else:
             window_start = max(0, i - LINK_WINDOW)
-            recent_longs = [
+            recent_longs = params.long_target_bias > 0 and [
                 j for j in range(window_start, i) if rows[j][2] == LONG_MEAN
             ]
-            if (
-                params.long_target_bias > 0
-                and recent_longs
-                and rng.random() < params.long_target_bias
-            ):
+            if recent_longs and draw() < params.long_target_bias:
                 # chain-forming: extend an existing conflict run when
                 # one is still in the window, else start a fresh one
-                chained = [j for j in recent_longs if j in conflicted]
+                chained = [j for j in recent_longs if conflicted[j]]
                 j = chained[-1] if chained else recent_longs[-1]
             else:
                 j = rng.randrange(window_start, i)
-            targets.add(f"t{j}")
+            k = j
             if (
                 not is_short
                 and params.long_second_link > 0
-                and rng.random() < params.long_second_link
+                and draw() < params.long_second_link
             ):
-                targets.add(f"t{rng.randrange(window_start, i)}")
-
-        passes_alone = rng.random() >= params.fail_rate
-        preds: set[int] = set()
-        for t in targets:
-            touching = indices_by_target.setdefault(t, [])
-            preds.update(touching)
-            touching.append(i)
-        breakers: list[int] = []
-        if preds:
-            conflicted.add(i)
-            conflicted.update(preds)
-            # ascending, so the breaker draws consume the RNG in index order
-            breakers = [j for j in sorted(preds) if rng.random() < params.breaker_rate]
+                k = rng.randrange(window_start, i)
+            passes_alone = draw() >= params.fail_rate
+            if k == j:
+                targets, preds = (i, j), members[j]
+            else:
+                targets, preds = (i, j, k), sorted({*members[j], *members[k]})
+                members[k].append(i)
+                conflicted[k] = 1
+            breakers = [p for p in preds if draw() < params.breaker_rate]
+            members[j].append(i)
+            conflicted[i] = conflicted[j] = 1
         prior = (0.92 if passes_alone else 0.15) + rng.uniform(-0.04, 0.04)
         rows.append((arrival, targets, mean, variance, passes_alone, breakers, prior))
-    return rows, len(conflicted) / params.n_changes, below, above
+    return rows, conflicted.count(1) / n, below, above
 
 
 def _calibrated_rows(params: GeneratorParams) -> list[tuple]:
@@ -327,16 +331,17 @@ def generate_workload(
     field but the seed and config keeps WorkloadSpec's default.
     """
     ids = [ChangeId(i, f"C{i}") for i in range(params.n_changes)]
+    names = [f"t{i}" for i in range(params.n_changes)]
     specs = tuple(
         ChangeSpec(
-            id=cid,
-            arrival_time=round(arrival, 2),
-            targets=frozenset(targets),
-            true_mean=mean,
-            true_variance=variance,
-            passes_alone=passes,
-            breakers=frozenset(ids[j] for j in breakers),
-            success_prior=min(1.0, max(0.0, prior)),
+            cid,
+            round(arrival, 2),
+            frozenset(map(names.__getitem__, targets)),
+            mean,
+            variance,
+            passes,
+            frozenset(map(ids.__getitem__, breakers)),
+            min(1.0, max(0.0, prior)),
         )
         for cid, (arrival, targets, mean, variance, passes, breakers, prior) in zip(
             ids, _calibrated_rows(params)
@@ -366,15 +371,15 @@ def format_workload(w: WorkloadSpec) -> str:
         f"predictor {kind} {_format_record(w.predictor, fields)}",
         f"config {_format_record(w.config, CONFIG_FIELDS)}",
     ]
-    for s in w.changes:
-        lines.append(
-            "change "
-            f"id={s.id.label} at={s.arrival_time!r} targets={','.join(sorted(s.targets))} "
-            f"mu={s.true_mean!r} var={s.true_variance!r} "
-            f"passes={'true' if s.passes_alone else 'false'} "
-            f"breakers={','.join(b.label for b in sorted(s.breakers))} "
-            f"prior={s.success_prior!r}"
-        )
+    lines += [
+        "change "
+        f"id={s.id.label} at={s.arrival_time!r} targets={','.join(sorted(s.targets))} "
+        f"mu={s.true_mean!r} var={s.true_variance!r} "
+        f"passes={'true' if s.passes_alone else 'false'} breakers="
+        f"{','.join([b.label for b in sorted(s.breakers)]) if s.breakers else ''} "
+        f"prior={s.success_prior!r}"
+        for s in w.changes
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -382,24 +387,24 @@ def _format_record(record: object, fields: Mapping[str, str]) -> str:
     return " ".join(f"{key}={getattr(record, field)!r}" for key, field in fields.items())
 
 
-def _parse_record(cls: type, fields: Mapping[str, str], body: str):
+def _parse_record(cls: type, fields: Mapping[str, str], tokens: list[str]):
     """A `cls` from a record's key=value tokens; see CONFIG_FIELDS."""
     defaults = cls()
     return cls(
         **{
             fields[key]: type(getattr(defaults, fields[key]))(value)
-            for key, value in _parse_fields(body, fields).items()
+            for key, value in _parse_fields(tokens, fields).items()
         }
     )
 
 
-def _parse_fields(body: str, keys: Container[str]) -> dict[str, str]:
-    """The key=value tokens of a record; every key must be one of `keys`."""
+def _parse_fields(tokens: list[str], keys: Container[str]) -> dict[str, str]:
+    """A record's key=value tokens; every key must be one of `keys`."""
     fields: dict[str, str] = {}
-    for token in body.split():
-        if "=" not in token:
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq:
             raise WorkloadError(f"expected key=value, got {token!r}")
-        key, _, value = token.partition("=")
         if key not in keys:
             raise WorkloadError(f"unknown field {key!r}")
         if key in fields:
@@ -416,49 +421,44 @@ def _parse_bool(value: str) -> bool:
     raise WorkloadError(f"expected true/false, got {value!r}")
 
 
-def _split_kind(text: str) -> tuple[str, str]:
-    """A record's or predictor's kind and the rest, split at the first run
-    of any whitespace, as `_parse_fields` splits fields."""
-    kind, *rest = text.split(None, 1) or [""]
-    return kind, "".join(rest)
-
-
 def parse_workload(text: str) -> WorkloadSpec:
     """Parse the text form; a WorkloadError names the first malformed line.
-    An omitted seed, strategy, predictor or config keeps WorkloadSpec's."""
+    An omitted seed, strategy, predictor or config keeps WorkloadSpec's.
+    A line is split once; its first token is the record's kind."""
     records: dict[str, object] = {}
     specs: list[ChangeSpec] = []
     labels: dict[str, ChangeId] = {}
     given: set[str] = set()
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        kind, body = _split_kind(line)
+        kind = tokens[0]
         try:
-            if kind != "change":  # any other record may be given once
-                if kind in given:
-                    raise WorkloadError(f"repeated {kind!r} record")
-                given.add(kind)
+            if kind == "change":
+                specs.append(_parse_change(tokens[1:], labels))
+                continue
+            if kind in given:  # any other record may be given once
+                raise WorkloadError(f"repeated {kind!r} record")
+            given.add(kind)
+            body = line.strip()[len(kind) :].lstrip()
             if kind == "workload-version":
                 if body != "1":
                     raise WorkloadError(f"unsupported workload version {body!r}")
             elif kind == "seed":
                 records["seed"] = int(body)
             elif kind == "strategy":
-                records["strategy"] = strategy = body
-                if strategy not in STRATEGIES:
-                    raise WorkloadError(f"unknown strategy {strategy!r}")
+                records["strategy"] = body
+                if body not in STRATEGIES:
+                    raise WorkloadError(f"unknown strategy {body!r}")
             elif kind == "predictor":
-                name, rest = _split_kind(body)
+                name = tokens[1] if len(tokens) > 1 else ""
                 if name not in PREDICTORS:
                     raise WorkloadError(f"unknown predictor {name!r}")
-                records["predictor"] = _parse_record(*PREDICTORS[name], rest)
+                records["predictor"] = _parse_record(*PREDICTORS[name], tokens[2:])
             elif kind == "config":
-                records["config"] = _parse_record(EngineConfig, CONFIG_FIELDS, body)
-            elif kind == "change":
-                specs.append(_parse_change(body, labels))
+                records["config"] = _parse_record(EngineConfig, CONFIG_FIELDS, tokens[1:])
             else:
                 raise WorkloadError(f"unknown record {kind!r}")
         except (ValueError, KeyError) as exc:
@@ -468,31 +468,30 @@ def parse_workload(text: str) -> WorkloadSpec:
     return WorkloadSpec(changes=tuple(specs), **records)
 
 
-def _parse_change(body: str, labels: dict[str, ChangeId]) -> ChangeSpec:
-    """One change record. `labels` maps the earlier changes' labels to
-    their ids; the new change's label is added to it. An omitted
-    `passes` or `prior` keeps ChangeSpec's default."""
-    f = _parse_fields(body, _CHANGE_KEYS)
+def _parse_change(tokens: list[str], labels: dict[str, ChangeId]) -> ChangeSpec:
+    """One change record's key=value tokens. `labels` maps the earlier
+    changes' labels to their ids; the new change's label is added to it.
+    An omitted `passes` or `prior` keeps ChangeSpec's default."""
+    f = _parse_fields(tokens, _CHANGE_KEYS)
     label = f["id"]
     if label in labels:
         raise WorkloadError(f"duplicate change id {label!r}")
-    breakers = [b for b in f.get("breakers", "").split(",") if b]
+    listed = f.get("breakers")
+    breakers = [b for b in listed.split(",") if b] if listed else []
     for b in breakers:
         if b not in labels:
             raise WorkloadError(f"breaker {b!r} is not an earlier change")
     cid = ChangeId(len(labels), label)
     labels[label] = cid
-    optional = {}
-    if "passes" in f:
-        optional["passes_alone"] = _parse_bool(f["passes"])
-    if "prior" in f:
-        optional["success_prior"] = float(f["prior"])
+    passes_alone = _parse_bool(f["passes"]) if "passes" in f else ChangeSpec.passes_alone
+    success_prior = float(f["prior"]) if "prior" in f else ChangeSpec.success_prior
     return ChangeSpec(
-        id=cid,
-        arrival_time=float(f["at"]),
-        targets=frozenset(t for t in f.get("targets", "").split(",") if t),
-        true_mean=float(f["mu"]),
-        true_variance=float(f["var"]),
-        breakers=frozenset(labels[b] for b in breakers),
-        **optional,
+        cid,
+        float(f["at"]),
+        frozenset(filter(None, f.get("targets", "").split(","))),
+        float(f["mu"]),
+        float(f["var"]),
+        passes_alone,
+        frozenset(map(labels.__getitem__, breakers)),
+        success_prior,
     )

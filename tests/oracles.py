@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import math
+import random
 from typing import Iterable, Mapping, Sequence
 
 from specqueue.core import ChangeId, ConflictGraph, EngineConfig
 from specqueue.forest import BuildNode, SpeculationForest
 from specqueue.prioritize import BypassPartition, SuccessFn, rank_builds
 from specqueue.selection import rank_key
+from specqueue.simulator.workload import (
+    LINK_WINDOW,
+    LONG_MEAN,
+    LONG_VARIANCE,
+    SHORT_MEAN,
+    SHORT_VARIANCE,
+    GeneratorParams,
+)
 
 
 def rank_all(
@@ -69,3 +79,95 @@ def connected_components(
     for members in components:
         members.sort(key=lambda cid: order[cid])
     return components
+
+
+# The generator's row loop as it was before its rows kept targets as
+# row indices, kept verbatim: targets are named, and each row's
+# predecessors are gathered in a set and sorted.
+def reference_generate_changes(
+    params: GeneratorParams, p_link: float
+) -> tuple[list[tuple], float, float, float]:
+    """One full change stream for a candidate link probability, the
+    share of its changes that share a target with another, and the
+    interval (below, above] of link probabilities that draw this stream.
+
+    A change is a plain row, (arrival, targets, mean, variance, passes
+    alone, breaker indices, prior), since the bisection discards all but
+    one stream; `generate_workload` makes specs of the kept one, and
+    rounds the arrival and clamps the prior as it does. A link reaches
+    back LINK_WINDOW rows at most, and a chain-forming link reads only
+    those; a row is long iff its mean is LONG_MEAN. A change shares a
+    target iff it has a predecessor on its targets or is one.
+
+    The stream depends on p_link only through its link draws' `u <
+    p_link`, and every other draw follows from those. So every p in
+    (below, above] draws the same stream, where below is the largest
+    link draw under p_link and above the smallest at or over it (each
+    infinite if there is none).
+    """
+    rng = random.Random(params.seed)
+    rows: list[tuple] = []
+    arrival = 0.0
+    below, above = -math.inf, math.inf
+    # indices of the changes touching each target, ascending
+    indices_by_target: dict[str, list[int]] = {}
+    conflicted: set[int] = set()
+    for i in range(params.n_changes):
+        if i > 0:
+            arrival += rng.expovariate(params.arrival_rate)
+
+        is_short = rng.random() < params.short_fraction
+        if is_short:
+            mean, variance = SHORT_MEAN, SHORT_VARIANCE
+        else:
+            mean, variance = LONG_MEAN, LONG_VARIANCE
+
+        targets = {f"t{i}"}
+        linked = False
+        if i > 0:
+            u = rng.random()
+            linked = u < p_link
+            if linked:
+                if u > below:
+                    below = u
+            elif u < above:
+                above = u
+        if linked:
+            window_start = max(0, i - LINK_WINDOW)
+            recent_longs = [
+                j for j in range(window_start, i) if rows[j][2] == LONG_MEAN
+            ]
+            if (
+                params.long_target_bias > 0
+                and recent_longs
+                and rng.random() < params.long_target_bias
+            ):
+                # chain-forming: extend an existing conflict run when
+                # one is still in the window, else start a fresh one
+                chained = [j for j in recent_longs if j in conflicted]
+                j = chained[-1] if chained else recent_longs[-1]
+            else:
+                j = rng.randrange(window_start, i)
+            targets.add(f"t{j}")
+            if (
+                not is_short
+                and params.long_second_link > 0
+                and rng.random() < params.long_second_link
+            ):
+                targets.add(f"t{rng.randrange(window_start, i)}")
+
+        passes_alone = rng.random() >= params.fail_rate
+        preds: set[int] = set()
+        for t in targets:
+            touching = indices_by_target.setdefault(t, [])
+            preds.update(touching)
+            touching.append(i)
+        breakers: list[int] = []
+        if preds:
+            conflicted.add(i)
+            conflicted.update(preds)
+            # ascending, so the breaker draws consume the RNG in index order
+            breakers = [j for j in sorted(preds) if rng.random() < params.breaker_rate]
+        prior = (0.92 if passes_alone else 0.15) + rng.uniform(-0.04, 0.04)
+        rows.append((arrival, targets, mean, variance, passes_alone, breakers, prior))
+    return rows, len(conflicted) / params.n_changes, below, above

@@ -1,0 +1,63 @@
+"""The benchmark's pinned workload digests, checked on every test run.
+
+The benchmark's set-up generates each workload's batch of streams for
+its pinned seed and hashes their text; `bench/reference.json` pins that
+hash. Rebuilding the batches here the same way shows a moved generator
+or formatter without running the benchmark. Nothing under `bench/` is
+written.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from specqueue.cli import main
+from specqueue.core import EngineConfig
+from specqueue.simulator import GeneratorParams, format_workload, generate_workload
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text(
+        encoding="utf-8"
+    )
+)
+# stream k of a run with seed s gets seed s * SEED_STRIDE + k
+SEED_STRIDE = 1000
+# the gen-workload flags of the generator fields a workload sets
+CLI_FLAGS = {
+    "n_changes": "--n-changes",
+    "arrival_rate": "--arrival-rate",
+    "conflict_density": "--density",
+}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def stream_text(definition: dict, seed: int, path: Path) -> str:
+    """One stream's workload text, made as the benchmark's set-up makes it."""
+    if definition["via_cli"]:
+        argv = ["gen-workload", "--seed", str(seed), "--out", str(path)]
+        for key, value in definition["generator"].items():
+            argv += [CLI_FLAGS[key], str(value)]
+        assert main(argv) == 0
+        return path.read_text(encoding="utf-8")
+    params = GeneratorParams(seed=seed, **definition["generator"])
+    config = EngineConfig(**definition.get("config", {}))
+    return format_workload(generate_workload(params, config=config))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE["workloads"]))
+def test_the_pinned_seed_draws_the_pinned_workloads(name, tmp_path):
+    definition = REFERENCE["workloads"][name]
+    seed = REFERENCE["pinned_seed"]
+    texts = [
+        stream_text(definition, seed * SEED_STRIDE + k, tmp_path / f"w{k}.txt")
+        for k in range(definition["instances"])
+    ]
+    batch = " ".join(digest(text.encode("utf-8")) for text in texts)
+    assert digest(batch.encode()) == definition["pinned_digests"]["workload"]

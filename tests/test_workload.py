@@ -26,6 +26,8 @@ from specqueue.simulator.workload import (
     static_conflict_rate,
 )
 
+from oracles import reference_generate_changes
+
 
 def spec(seq, label, at, targets, **kw):
     return ChangeSpec(
@@ -411,6 +413,50 @@ class TestStreamReuse:
         assert drawn == [density]
 
 
+def named(rows):
+    """Rows with their targets named as `generate_workload` names them."""
+    return [(row[0], {f"t{t}" for t in row[1]}, *row[2:]) for row in rows]
+
+
+# the benchmark's stream shapes; at density 0.3 their bisection settles
+# p_link near 0.13-0.18
+BENCH_SHAPES = {
+    "steady": GeneratorParams(n_changes=1000, arrival_rate=0.25),
+    "overload": GeneratorParams(n_changes=100, arrival_rate=1.0),
+    "contended": dataclasses.replace(GENERATORS["criterion-5"], n_changes=500),
+}
+
+
+class TestRowLoop:
+    """The row loop against the one it replaced, kept in tests/oracles.py."""
+
+    def assert_same_stream(self, params, p_link):
+        rows, share, below, above = _generate_changes(params, p_link)
+        reference = reference_generate_changes(params, p_link)
+        assert (named(rows), share, below, above) == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        generator=st.sampled_from(sorted(GENERATORS)),
+        n_changes=st.integers(1, 60),
+        seed=st.integers(0, 2**32),
+        p_link=st.floats(0.0, 1.0),
+    )
+    def test_small_streams_match(self, generator, n_changes, seed, p_link):
+        params = dataclasses.replace(
+            GENERATORS[generator], n_changes=n_changes, seed=seed
+        )
+        self.assert_same_stream(params, p_link)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    @pytest.mark.parametrize("p_link", [0.1, 0.18, 0.5])
+    @pytest.mark.parametrize("shape", BENCH_SHAPES)
+    def test_bench_streams_match(self, shape, p_link, seed):
+        params = dataclasses.replace(BENCH_SHAPES[shape], seed=seed)
+        self.assert_same_stream(params, p_link)
+
+
 class TestStaticConflictRate:
     def test_hand_computed_share(self):
         # two of four changes share a target
@@ -590,3 +636,325 @@ class TestFileFormat:
         )
         with pytest.raises(WorkloadError, match=f"breaker '{breaker}'"):
             parse_workload(text)
+
+
+CHANGE_C1 = "change id=C1 at=1.0 targets=a mu=10.0 var=4.0"
+
+# Every check a file can reach, and the exact message it raises; recorded
+# before the change-line parse was rewritten as one pass.
+PARSE_ERRORS = [
+    ("no-equals", CHANGE_C0 + " prior", "line 1: expected key=value, got 'prior'"),
+    ("unknown-field", CHANGE_C0 + " prio=0.1", "line 1: unknown field 'prio'"),
+    ("repeated-field", CHANGE_C0 + " mu=2.0", "line 1: repeated field 'mu'"),
+    (
+        "missing-id",
+        "change at=0.0 targets=a mu=10.0 var=4.0",
+        "line 1: missing field 'id'",
+    ),
+    (
+        "missing-at",
+        "change id=C0 targets=a mu=10.0 var=4.0",
+        "line 1: missing field 'at'",
+    ),
+    ("missing-mu", "change id=C0 at=0.0 targets=a var=4.0", "line 1: missing field 'mu'"),
+    (
+        "missing-var",
+        "change id=C0 at=0.0 targets=a mu=10.0",
+        "line 1: missing field 'var'",
+    ),
+    (
+        "bad-passes",
+        CHANGE_C0 + " passes=maybe",
+        "line 1: expected true/false, got 'maybe'",
+    ),
+    (
+        "bad-number",
+        "change id=C0 at=0.0 targets=a mu=ten var=4.0",
+        "line 1: could not convert string to float: 'ten'",
+    ),
+    (
+        "bad-prior",
+        CHANGE_C0 + " prior=high",
+        "line 1: could not convert string to float: 'high'",
+    ),
+    (
+        "duplicate-id",
+        CHANGE_C0 + "\n" + CHANGE_C0.replace("at=0.0", "at=1.0"),
+        "line 2: duplicate change id 'C0'",
+    ),
+    (
+        "forward-breaker",
+        CHANGE_C0 + " breakers=C1\n" + CHANGE_C1,
+        "line 1: breaker 'C1' is not an earlier change",
+    ),
+    (
+        "unknown-breaker",
+        CHANGE_C0 + "\n" + CHANGE_C1 + " breakers=C9",
+        "line 2: breaker 'C9' is not an earlier change",
+    ),
+    (
+        "self-breaker",
+        CHANGE_C0 + " breakers=C0",
+        "line 1: breaker 'C0' is not an earlier change",
+    ),
+    (
+        "nan-arrival",
+        "change id=C0 at=nan targets=a mu=10.0 var=4.0",
+        "line 1: C0: arrival_time must be finite and >= 0",
+    ),
+    (
+        "inf-mean",
+        "change id=C0 at=0.0 targets=a mu=inf var=4.0",
+        "line 1: C0: true_mean must be finite and > 0",
+    ),
+    (
+        "nan-variance",
+        "change id=C0 at=0.0 targets=a mu=10.0 var=nan",
+        "line 1: C0: true_variance must be finite and >= 0",
+    ),
+    (
+        "negative-arrival",
+        "change id=C0 at=-1.0 targets=a mu=10.0 var=4.0",
+        "line 1: C0: arrival_time must be finite and >= 0",
+    ),
+    (
+        "zero-mean",
+        "change id=C0 at=0.0 targets=a mu=0.0 var=4.0",
+        "line 1: C0: true_mean must be finite and > 0",
+    ),
+    (
+        "negative-variance",
+        "change id=C0 at=0.0 targets=a mu=10.0 var=-1.0",
+        "line 1: C0: true_variance must be finite and >= 0",
+    ),
+    (
+        "prior-above-one",
+        CHANGE_C0 + " prior=1.5",
+        "line 1: C0: success_prior must be in [0, 1]",
+    ),
+    (
+        "empty-label",
+        "change id= at=0.0 targets=a mu=10.0 var=4.0",
+        "line 1: change id '' must be non-empty, with no comma or whitespace",
+    ),
+    (
+        "comma-label",
+        "change id=a,b at=0.0 targets=a mu=10.0 var=4.0",
+        "line 1: change id 'a,b' must be non-empty, with no comma or whitespace",
+    ),
+    (
+        "decreasing-arrivals",
+        "change id=C0 at=5.0 targets=a mu=10.0 var=4.0\n"
+        "change id=C1 at=4.0 targets=b mu=10.0 var=4.0",
+        "C1: arrival times must be nondecreasing",
+    ),
+    (
+        "breaker-shares-no-target",
+        CHANGE_C0 + "\nchange id=C1 at=1.0 targets=b mu=10.0 var=4.0 breakers=C0",
+        "C1: breaker 'C0' shares no target with it",
+    ),
+    ("empty-file", "", "workload needs at least one change"),
+    ("only-records", "seed 1\n# no change\n", "workload needs at least one change"),
+    (
+        "version",
+        "workload-version 2\n" + CHANGE_C0,
+        "line 1: unsupported workload version '2'",
+    ),
+    ("unknown-record", "bogus record\n" + CHANGE_C0, "line 1: unknown record 'bogus'"),
+    (
+        "repeated-record",
+        "seed 1\n\nseed 2\n" + CHANGE_C0,
+        "line 3: repeated 'seed' record",
+    ),
+    (
+        "bad-seed",
+        "seed x\n" + CHANGE_C0,
+        "line 1: invalid literal for int() with base 10: 'x'",
+    ),
+    (
+        "unknown-strategy",
+        "strategy greedy\n" + CHANGE_C0,
+        "line 1: unknown strategy 'greedy'",
+    ),
+    (
+        "unknown-predictor",
+        "predictor magic mu=1\n" + CHANGE_C0,
+        "line 1: unknown predictor 'magic'",
+    ),
+    (
+        "predictor-field",
+        "predictor oracle spred=0.2\n" + CHANGE_C0,
+        "line 1: unknown field 'spred'",
+    ),
+    (
+        "predictor-value",
+        "predictor constant mu=inf\n" + CHANGE_C0,
+        "line 1: mean must be finite and >= 0.01",
+    ),
+    (
+        "config-field",
+        "config delta=0.3 capcity=4\n" + CHANGE_C0,
+        "line 1: unknown field 'capcity'",
+    ),
+    (
+        "config-int",
+        "config capacity=8.0\n" + CHANGE_C0,
+        "line 1: invalid literal for int() with base 10: '8.0'",
+    ),
+    (
+        "config-range",
+        "config delta=1.5\n" + CHANGE_C0,
+        "line 1: speculation_threshold must be in [0, 1]",
+    ),
+    (
+        "later-line",
+        "seed 1\n# comment\n\n" + CHANGE_C0 + "\n" + CHANGE_C1 + " mu=x",
+        "line 5: repeated field 'mu'",
+    ),
+]
+
+# The checks of the specs that no file reaches, since the parser splits
+# targets on commas, numbers changes itself and checks strategies and
+# breakers first.
+SPEC_ERRORS = {
+    "target-comma": (
+        lambda: spec(0, "C0", 0.0, {"a", "lib,net"}),
+        "C0: target 'lib,net' must be non-empty, with no comma or whitespace",
+    ),
+    "target-space": (
+        lambda: spec(0, "C0", 0.0, {"a b", "c d"}),
+        "C0: target 'a b' must be non-empty, with no comma or whitespace",
+    ),
+    "label-tab": (
+        lambda: spec(0, "a\tb", 0.0, {"a"}),
+        "change id 'a\\tb' must be non-empty, with no comma or whitespace",
+    ),
+    "sequence-gap": (
+        lambda: WorkloadSpec((spec(1, "C1", 0.0, {"a"}),)),
+        "C1: sequence 1 does not match position 0",
+    ),
+    "unknown-strategy": (
+        lambda: WorkloadSpec((spec(0, "C0", 0.0, {"a"}),), strategy="greedy"),
+        "unknown strategy 'greedy'",
+    ),
+    "duplicate-label": (
+        lambda: WorkloadSpec(
+            (spec(0, "C0", 0.0, {"a"}), spec(1, "C0", 1.0, {"a"}))
+        ),
+        "duplicate change id C0",
+    ),
+    "breaker-label": (
+        lambda: WorkloadSpec(
+            (
+                spec(0, "C0", 0.0, {"a"}),
+                spec(
+                    1,
+                    "C1",
+                    1.0,
+                    {"a"},
+                    breakers=frozenset({ChangeId(0, "X"), ChangeId(2, "C2")}),
+                ),
+            )
+        ),
+        "C1: breakers must be earlier changes, got "
+        "[ChangeId(seq=0, label='X'), ChangeId(seq=2, label='C2')]",
+    ),
+    "empty": (lambda: WorkloadSpec(()), "workload needs at least one change"),
+}
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        "text, message",
+        [case[1:] for case in PARSE_ERRORS],
+        ids=[case[0] for case in PARSE_ERRORS],
+    )
+    def test_parse_error_message(self, text, message):
+        with pytest.raises(WorkloadError) as info:
+            parse_workload(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", SPEC_ERRORS)
+    def test_spec_error_message(self, case):
+        build, message = SPEC_ERRORS[case]
+        with pytest.raises(WorkloadError) as info:
+            build()
+        assert str(info.value) == message
+
+
+class TestIntegerFields:
+    """A float or bool where an int belongs would be written in a form the
+    parser rejects, so each record refuses it and names the field."""
+
+    @pytest.mark.parametrize("value", [8.0, True, 1.5])
+    @pytest.mark.parametrize(
+        "build, field, error",
+        [
+            (EngineConfig, "executor_capacity", ValueError),
+            (EngineConfig, "depth_cap", ValueError),
+            (OracleWithNoise, "seed", ValueError),
+            (GeneratorParams, "seed", WorkloadError),
+            (GeneratorParams, "n_changes", WorkloadError),
+            (
+                lambda **kw: WorkloadSpec((spec(0, "C0", 0.0, {"a"}),), **kw),
+                "seed",
+                WorkloadError,
+            ),
+        ],
+        ids=[
+            "capacity",
+            "depth_cap",
+            "oracle-seed",
+            "generator-seed",
+            "n_changes",
+            "workload-seed",
+        ],
+    )
+    def test_rejects_a_non_int(self, build, field, error, value):
+        with pytest.raises(error, match=f"^{field} must be an int, got {value!r}$"):
+            build(**{field: value})
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        generator=st.sampled_from(sorted(GENERATORS)),
+        n_changes=st.integers(1, 30),
+        seed=st.integers(-(2**40), 2**40),
+        density=st.floats(0.0, 1.0),
+        strategy=st.sampled_from(workload.STRATEGIES),
+        config=st.none()
+        | st.builds(
+            EngineConfig,
+            speculation_threshold=st.floats(0.0, 1.0),
+            bypass_eligibility_threshold=st.floats(0.0, 1.0),
+            bypass_product_floor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            executor_capacity=st.integers(1, 10**6),
+            depth_cap=st.integers(1, 20),
+        ),
+        predictor=st.none()
+        | st.builds(
+            OracleWithNoise,
+            relative_bias=st.floats(allow_nan=False, allow_infinity=False),
+            relative_spread=st.floats(0.0, allow_infinity=False),
+            seed=st.integers(-(2**64), 2**64),
+        )
+        | st.builds(
+            ConstantPredictor,
+            mean=st.floats(0.01, allow_infinity=False),
+            variance=st.floats(0.0, allow_infinity=False),
+        ),
+    )
+    def test_a_written_workload_reads_back_equal(
+        self, generator, n_changes, seed, density, strategy, config, predictor
+    ):
+        params = dataclasses.replace(
+            GENERATORS[generator],
+            n_changes=n_changes,
+            seed=seed,
+            conflict_density=density,
+        )
+        w = dataclasses.replace(
+            generate_workload(params, config=config),
+            strategy=strategy,
+            predictor=predictor,
+        )
+        assert parse_workload(format_workload(w)) == w

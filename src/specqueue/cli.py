@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import stat
@@ -41,9 +42,9 @@ from specqueue.simulator.workload import CONFIG_FIELDS, STRATEGIES
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; main may be called repeatedly in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage problems
         return 0 if not exc.code else 1
@@ -106,6 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     cdf.set_defaults(handler=_cmd_cdf)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parse_args keeps no
+    state between calls, and the parser holds nothing of a workload."""
+    return build_parser()
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:

@@ -12,7 +12,7 @@ them until one of those moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from specqueue.completion import (
@@ -42,16 +42,16 @@ class BypassPartition:
     bypassable: BaseKey
     bypass_product: float
     fallback_active: bool
+    # every predecessor of either kind, set once from the two above
+    predecessors: frozenset[ChangeId] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if set(self.non_bypassable) & set(self.bypassable):
+        waited = frozenset(self.non_bypassable)
+        if not waited.isdisjoint(self.bypassable):
             raise ValueError("a predecessor cannot be both bypassable and not")
         if not 0.0 <= self.bypass_product <= 1.0:
             raise ValueError("bypass_product must be in [0, 1]")
-
-    @property
-    def predecessors(self) -> frozenset[ChangeId]:
-        return frozenset(self.non_bypassable) | frozenset(self.bypassable)
+        object.__setattr__(self, "predecessors", waited.union(self.bypassable))
 
 
 def finish_time_model(
@@ -132,10 +132,10 @@ def needed_probability(
     """
     if node.change != part.change:
         raise ValueError(f"node {node.key} does not belong to change {part.change}")
-    if not set(node.base) <= part.predecessors:
+    assumed = set(node.base)
+    if not assumed <= part.predecessors:
         raise ValueError(f"node base {node.base} outside partition predecessors")
     p = part.bypass_product
-    assumed = set(node.base)
     for pred in part.non_bypassable:
         context = tuple(b for b in node.base if b < pred)
         p_pass = success_fn(pred, context)

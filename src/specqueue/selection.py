@@ -32,6 +32,9 @@ from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest
 
 
+_FIRST = itemgetter(0)  # an entry's rank key
+
+
 def rank_key(node: BuildNode, p: float) -> tuple:
     """Rank order of a build scored p: higher score first, then earlier
     change, then deeper base, then base members."""
@@ -114,13 +117,12 @@ def select_builds(
     read.
     """
     ranking = order.entries
-    first = itemgetter(0)
     capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
     # rank keys start with -p, so the builds at or above the threshold
     # come first
-    chosen = min(capacity, bisect_left(ranking, (-threshold, math.inf), key=first))
+    chosen = min(capacity, bisect_left(ranking, (-threshold, math.inf), key=_FIRST))
     new_cut = ranking[chosen - 1][0] if chosen else None
-    old = 0 if order.cut is None else bisect_right(ranking, order.cut, key=first)
+    old = 0 if order.cut is None else bisect_right(ranking, order.cut, key=_FIRST)
     touched = dict(ranking[min(old, chosen) : max(old, chosen)])
     for c in order._fresh:
         touched.update(order._by_change[c])

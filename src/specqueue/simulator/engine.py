@@ -78,12 +78,20 @@ class GroundTruth:
     in the code the build ran against: the changes landed when it
     started, or its assumed base. Durations are drawn once per (change,
     base) from the change's true normal, so reruns of the same build
-    take equally long.
+    take equally long. A draw is `Random(s).gauss(mean, sd)` for s the
+    blake2b hash of "seed|change|base"; one generator is reseeded per
+    draw, and a reseed also clears gauss's cached spare, so no draw
+    depends on an earlier one.
     """
 
     def __init__(self, workload: WorkloadSpec):
         self._changes = workload.changes
-        self._seed = workload.seed
+        # per change, by id: its hash key's prefix and its true (mean, sd)
+        self._prefix = tuple(f"{workload.seed}|{s.id.label}|" for s in self._changes)
+        self._normal = tuple(
+            (s.true_mean, math.sqrt(s.true_variance)) for s in self._changes
+        )
+        self._rng = random.Random()
 
     def outcome(
         self, change: ChangeId, landed: AbstractSet[ChangeId], base: BaseKey
@@ -94,15 +102,13 @@ class GroundTruth:
         return BuildOutcome.PASS
 
     def duration(self, change: ChangeId, base: BaseKey) -> float:
-        spec = self._changes[change]
-        key = f"{self._seed}|{change.label}|{','.join(b.label for b in base)}"
-        seed = int.from_bytes(
-            hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
+        key = self._prefix[change] + ",".join(b.label for b in base)
+        self._rng.seed(
+            int.from_bytes(
+                hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
+            )
         )
-        sample = random.Random(seed).gauss(
-            spec.true_mean, math.sqrt(spec.true_variance)
-        )
-        return max(0.01, sample)
+        return max(0.01, self._rng.gauss(*self._normal[change]))
 
 
 @dataclass
@@ -133,6 +139,7 @@ class _Simulation:
         self.arrivals = tuple(s.arrival_time for s in workload.changes)
         self.truth = GroundTruth(workload)
         self.now = 0.0
+        self._stamp = ""  # "t=<now> ", the prefix of every line an event logs
         self.heap: list[tuple] = []
         self.forest: SpeculationForest = enumerate_forest(
             [],
@@ -161,14 +168,14 @@ class _Simulation:
             heapq.heappush(self.heap, (spec.arrival_time, _ARRIVAL, spec.id.seq))
         while self.heap:
             entry = heapq.heappop(self.heap)
+            if entry[1] == _FINISH and self.running.get(entry[4].node) is not entry[4]:
+                continue  # stale completion: the run was aborted; nothing changed
             self.now = entry[0]
+            self._stamp = f"t={self.now:.2f} "
             if entry[1] == _ARRIVAL:
                 self._arrive(self.workload.changes[entry[2]].id)
             else:
-                finished = self._finish(entry[4])
-                if finished is None:
-                    continue  # stale completion; nothing changed
-                self._decide(finished)
+                self._decide(self._finish(entry[4]))
             self._reschedule()
         if self.forest.queue or self.running:
             raise RuntimeError(
@@ -184,11 +191,9 @@ class _Simulation:
             self.waited_on_conflicts += 1
         self._log(f"arrive {c.label} pending_conflicts={conflicts_pending}")
 
-    def _finish(self, run: _Run) -> ChangeId | None:
-        """Complete a live run's node; None when the run was aborted."""
+    def _finish(self, run: _Run) -> ChangeId:
+        """Complete a live run's node."""
         node = run.node
-        if self.running.get(node) is not run:
-            return None
         del self.running[node]
         node.complete(run.outcome, self.now)
         self.moved.add(node.change)
@@ -365,7 +370,7 @@ class _Simulation:
     # -- reporting ----------------------------------------------------
 
     def _log(self, message: str) -> None:
-        self.trace.append(f"t={self.now:.2f} {message}")
+        self.trace.append(self._stamp + message)
 
     def _report(self) -> MetricsReport:
         return MetricsReport(

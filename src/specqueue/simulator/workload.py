@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Container, Mapping
 
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph, require_ints
@@ -69,10 +69,12 @@ def _is_list_item(text: str) -> bool:
     return "," not in text and text.split() == [text]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeSpec:
     """The one record of a change: its arrival, its build targets, its
-    success prior, and its true, hidden build behavior."""
+    success prior, and its true, hidden build behavior. The generator
+    and the parser give every change without breakers the one default
+    empty set."""
 
     id: ChangeId
     arrival_time: float
@@ -103,6 +105,11 @@ class ChangeSpec:
             raise WorkloadError(f"{self.id}: true_variance must be finite and >= 0")
         if not 0.0 <= self.success_prior <= 1.0:
             raise WorkloadError(f"{self.id}: success_prior must be in [0, 1]")
+
+
+# ChangeSpec's field defaults; with slots, its class attributes are descriptors
+_CHANGE_DEFAULTS = {f.name: f.default for f in fields(ChangeSpec)}
+_NO_BREAKERS = _CHANGE_DEFAULTS["breakers"]
 
 
 @dataclass(frozen=True)
@@ -340,7 +347,7 @@ def generate_workload(
             mean,
             variance,
             passes,
-            frozenset(map(ids.__getitem__, breakers)),
+            frozenset(map(ids.__getitem__, breakers)) if breakers else _NO_BREAKERS,
             min(1.0, max(0.0, prior)),
         )
         for cid, (arrival, targets, mean, variance, passes, breakers, prior) in zip(
@@ -483,8 +490,12 @@ def _parse_change(tokens: list[str], labels: dict[str, ChangeId]) -> ChangeSpec:
             raise WorkloadError(f"breaker {b!r} is not an earlier change")
     cid = ChangeId(len(labels), label)
     labels[label] = cid
-    passes_alone = _parse_bool(f["passes"]) if "passes" in f else ChangeSpec.passes_alone
-    success_prior = float(f["prior"]) if "prior" in f else ChangeSpec.success_prior
+    passes_alone = (
+        _parse_bool(f["passes"]) if "passes" in f else _CHANGE_DEFAULTS["passes_alone"]
+    )
+    success_prior = (
+        float(f["prior"]) if "prior" in f else _CHANGE_DEFAULTS["success_prior"]
+    )
     return ChangeSpec(
         cid,
         float(f["at"]),
@@ -492,6 +503,6 @@ def _parse_change(tokens: list[str], labels: dict[str, ChangeId]) -> ChangeSpec:
         float(f["mu"]),
         float(f["var"]),
         passes_alone,
-        frozenset(map(labels.__getitem__, breakers)),
+        frozenset(map(labels.__getitem__, breakers)) if breakers else _NO_BREAKERS,
         success_prior,
     )

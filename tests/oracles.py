@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from typing import Iterable, Mapping, Sequence
@@ -16,6 +17,7 @@ from specqueue.simulator.workload import (
     LONG_VARIANCE,
     SHORT_MEAN,
     SHORT_VARIANCE,
+    ChangeSpec,
     GeneratorParams,
 )
 
@@ -171,3 +173,16 @@ def reference_generate_changes(
         prior = (0.92 if passes_alone else 0.15) + rng.uniform(-0.04, 0.04)
         rows.append((arrival, targets, mean, variance, passes_alone, breakers, prior))
     return rows, len(conflicted) / params.n_changes, below, above
+
+
+def reference_duration(seed: int, spec: ChangeSpec, base: Sequence[ChangeId]) -> float:
+    """A build's true duration as `GroundTruth.duration` first drew it: a
+    fresh generator seeded by the blake2b hash of "seed|change|base"."""
+    key = f"{seed}|{spec.id.label}|{','.join(b.label for b in base)}"
+    draw_seed = int.from_bytes(
+        hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
+    )
+    sample = random.Random(draw_seed).gauss(
+        spec.true_mean, math.sqrt(spec.true_variance)
+    )
+    return max(0.01, sample)

@@ -6,6 +6,7 @@ import csv
 import io
 import os
 import stat
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,8 @@ from specqueue.simulator import (
     format_workload,
     generate_workload,
     parse_workload,
+    reports_to_csv,
+    run,
 )
 
 
@@ -140,6 +143,66 @@ class TestSimulate:
             "simulate", "--workload", str(workload_file), "--capacity", "1",
         ])
         assert default_out != starved
+
+
+class TestParserReuse:
+    """main builds one parser per process and keeps nothing of a call."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The parsers built from here on, counting from a fresh process."""
+        built, real_build = [], cli.build_parser
+
+        def counted_build():
+            built.append(real_build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        cli._parser.cache_clear()
+        yield built
+        cli._parser.cache_clear()
+
+    def test_simulate_calls_in_one_process(self, capsys, builds, workload_file,
+                                           tmp_path):
+        def bare(tag):
+            metrics, trace = tmp_path / f"m{tag}.csv", tmp_path / f"t{tag}.log"
+            assert main(["simulate", "--workload", str(workload_file),
+                         "--out-metrics", str(metrics), "--out-trace", str(trace)]) == 0
+            capsys.readouterr()
+            return metrics.read_bytes(), trace.read_bytes()
+
+        first = bare(1)
+        code, out = run_cli(capsys, [
+            "simulate", "--workload", str(workload_file), "--seed", "9",
+            "--strategy", "baseline", "--capacity", "3", "--delta", "0.5",
+        ])
+        w = parse_workload(workload_file.read_text())
+        overridden = replace(w, seed=9, config=replace(
+            w.config, executor_capacity=3, speculation_threshold=0.5))
+        assert code == 0
+        assert out == reports_to_csv([run(overridden, "baseline")[0]])
+        assert main(["simulate", "--workload", str(workload_file),
+                     "--capacity", "three"]) == 1
+        assert main(["simulate", "--help"]) == 0
+        assert "--out-trace" in capsys.readouterr().out
+        assert bare(2) == first
+        assert len(builds) == 1
+
+    def test_gen_workload_flags_then_defaults(self, capsys, builds):
+        code, out = run_cli(capsys, [
+            "gen-workload", "--n-changes", "30", "--arrival-rate", "0.5",
+            "--density", "0.6", "--short-fraction", "0.4", "--fail-rate", "0.2",
+            "--breaker-rate", "0.5", "--seed", "11",
+        ])
+        assert code == 0
+        assert out == format_workload(generate_workload(GeneratorParams(
+            n_changes=30, arrival_rate=0.5, conflict_density=0.6,
+            short_fraction=0.4, fail_rate=0.2, breaker_rate=0.5, seed=11,
+        )))
+        code, out = run_cli(capsys, ["gen-workload"])
+        assert code == 0
+        assert out == format_workload(generate_workload(GeneratorParams()))
+        assert len(builds) == 1
 
 
 class TestCompare:

@@ -26,10 +26,15 @@ from specqueue.simulator import (
     reports_to_csv,
     run,
 )
-from specqueue.simulator.engine import _Simulation
+from specqueue.simulator.engine import GroundTruth, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
-from oracles import chosen_nodes, connected_components, rank_all
+from oracles import (
+    chosen_nodes,
+    connected_components,
+    rank_all,
+    reference_duration,
+)
 
 
 def spec(seq, label, at, targets, mu, passes=True, prior=0.9):
@@ -236,6 +241,52 @@ class TestDeterminism:
         assert first[0] == second[0]
         assert first[1] == second[1]
         assert reports_to_csv([first[0]]) == reports_to_csv([second[0]])
+
+
+# a change label the file format writes back as one list item, often not ASCII
+LABELS = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                  blacklist_characters=","),
+    min_size=1,
+    max_size=6,
+).filter(lambda t: t.split() == [t])
+
+
+@st.composite
+def truths_and_draws(draw):
+    """A workload of up to 7 changes and a sequence of (change, base) draws
+    on it, repeats and interleavings included; a base holds 0-6 of the
+    other changes."""
+    labels = draw(st.lists(LABELS, min_size=1, max_size=7, unique=True))
+    changes = tuple(
+        ChangeSpec(
+            id=ChangeId(i, label),
+            arrival_time=0.0,
+            targets=frozenset({f"t{i}"}),
+            true_mean=draw(st.floats(1e-3, 1e4)),
+            true_variance=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e4))),
+        )
+        for i, label in enumerate(labels)
+    )
+    w = WorkloadSpec(changes=changes, seed=draw(st.integers(-(2**70), 2**70)))
+    ids = [s.id for s in changes]
+    picks = st.tuples(st.sampled_from(ids), st.sets(st.sampled_from(ids))).map(
+        lambda pick: (pick[0], tuple(sorted(pick[1] - {pick[0]})))
+    )
+    draws = draw(st.lists(picks, min_size=1, max_size=8))
+    return w, draws + draw(st.permutations(draws))
+
+
+class TestGroundTruthDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(truths_and_draws())
+    def test_draws_equal_a_fresh_generator_per_draw(self, case):
+        w, draws = case
+        truth = GroundTruth(w)
+        for change, base in draws:
+            assert truth.duration(change, base) == reference_duration(
+                w.seed, w.changes[change], base
+            )
 
 
 class TestAccounting:

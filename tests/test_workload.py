@@ -563,6 +563,25 @@ class TestFileFormat:
         assert parsed.passes_alone is defaults["passes_alone"]
         assert parsed.success_prior == defaults["success_prior"]
 
+    def test_a_parsed_change_is_slotted_and_keeps_the_field_defaults(self):
+        given, omitted = parse_workload(
+            "change id=C0 at=0.0 targets=a mu=10.0 var=4.0 passes=false prior=0.5\n"
+            "change id=C1 at=1.0 targets=b mu=10.0 var=4.0\n"
+        ).changes
+        defaults = {f.name: f.default for f in dataclasses.fields(ChangeSpec)}
+        for parsed in (given, omitted):
+            assert not hasattr(parsed, "__dict__")
+        assert (given.passes_alone, given.success_prior) == (False, 0.5)
+        assert omitted.passes_alone is defaults["passes_alone"]
+        assert omitted.success_prior == defaults["success_prior"]
+
+    def test_changes_without_breakers_share_the_default_empty_set(self):
+        default = {f.name: f.default for f in dataclasses.fields(ChangeSpec)}
+        generated = generate_workload(GeneratorParams(n_changes=60, seed=3))
+        for w in (generated, parse_workload(format_workload(generated))):
+            empty = [s.breakers for s in w.changes if not s.breakers]
+            assert empty and all(b is default["breakers"] for b in empty)
+
     @pytest.mark.parametrize(
         "text",
         [

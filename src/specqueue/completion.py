@@ -29,8 +29,8 @@ def combine_estimates(builds: Sequence[DurationEstimate]) -> DurationEstimate:
     if not builds:
         raise ValueError("combine_estimates requires at least one build")
     n = len(builds)
-    mean = sum(b.mean for b in builds) / n
-    variance = sum(b.variance for b in builds) / n
+    mean = sum([b.mean for b in builds]) / n
+    variance = sum([b.variance for b in builds]) / n
     return DurationEstimate(mean, variance)
 
 

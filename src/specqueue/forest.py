@@ -47,10 +47,13 @@ class BuildNode:
     estimate: DurationEstimate | None = None
 
     def __post_init__(self) -> None:
-        if list(self.base) != sorted(self.base):
-            raise ValueError("base must be sorted in queue order")
-        if any(b >= self.change for b in self.base):
-            raise ValueError("base members must precede the change in queue order")
+        base = self.base
+        if base:
+            if list(base) != sorted(base):
+                raise ValueError("base must be sorted in queue order")
+            # sorted, so its last member is its largest
+            if base[-1] >= self.change:
+                raise ValueError("base members must precede the change in queue order")
         if (self.outcome is None) != (self.finished_at is None):
             raise ValueError("outcome and finished_at are set together")
 
@@ -71,10 +74,14 @@ def _ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
     A window is in queue order, so `combinations` yields each size's
     bases in base-lexicographic order already.
     """
+    if not window:
+        return ((),)
     return tuple(
-        base
-        for size in range(len(window), -1, -1)
-        for base in combinations(window, size)
+        [
+            base
+            for size in range(len(window), -1, -1)
+            for base in combinations(window, size)
+        ]
     )
 
 
@@ -110,7 +117,7 @@ class SpeculationForest:
     def conflicting_ahead(self, c: ChangeId) -> BaseKey:
         """Every queued conflicting predecessor of c, in queue order."""
         windows = self.windows
-        ahead = [p for p in self.graph.neighbors(c) if p < c and p in windows]
+        ahead = [p for p in self.graph.adjacency[c] if p < c and p in windows]
         ahead.sort()
         return tuple(ahead)
 
@@ -118,7 +125,7 @@ class SpeculationForest:
         """Queued changes after c that conflict with it, in queue order:
         the only windows c is in, so the only ones its resolution moves."""
         windows = self.windows
-        after = [s for s in self.graph.neighbors(c) if s > c and s in windows]
+        after = [s for s in self.graph.adjacency[c] if s > c and s in windows]
         after.sort()
         return tuple(after)
 
@@ -129,8 +136,9 @@ class SpeculationForest:
         """All nodes of c, largest base first, then base lexicographic."""
         return self.by_change[c]
 
-    def add_change(self, c: ChangeId) -> None:
-        """Append an arriving change with its window and pending nodes.
+    def add_change(self, c: ChangeId) -> BaseKey:
+        """Append an arriving change with its window and pending nodes,
+        and return `conflicting_ahead(c)`.
 
         c must sort after the queue's tail. A later arrival never enters
         an earlier change's window, so every existing window, base and
@@ -138,21 +146,29 @@ class SpeculationForest:
         """
         if self.windows and c <= next(reversed(self.windows)):
             raise ValueError(f"change {c} does not sort after the queue's tail")
-        self._set_window(c, {})
+        return self._set_window(c, {})
 
-    def _set_window(self, c: ChangeId, carried: Mapping[BaseKey, BuildNode]) -> None:
+    def _set_window(
+        self, c: ChangeId, carried: Mapping[BaseKey, BuildNode]
+    ) -> BaseKey:
         """(Re)derive c's window and file per base the node carried to it,
-        else a fresh pending one. A carried node that finds no base raises."""
-        window = self.conflicting_ahead(c)[-self.depth_cap :]
-        self.windows[c] = window
+        else a fresh pending one. A carried node that finds no base raises.
+        Returns `conflicting_ahead(c)`, the window before its cap."""
+        ahead = self.conflicting_ahead(c)
+        window = self.windows[c] = ahead[-self.depth_cap :]
         filed = self.by_change[c] = tuple(
-            carried[base] if base in carried else BuildNode(change=c, base=base)
-            for base in _ordered_bases(window)
+            [
+                carried[base] if base in carried else BuildNode(change=c, base=base)
+                for base in _ordered_bases(window)
+            ]
         )
-        self.nodes.update((node.key, node) for node in filed)
-        for node in carried.values():
-            if self.nodes.get(node.key) is not node:
+        nodes = self.nodes
+        for node in filed:
+            nodes[(c, node.base)] = node
+        for base, node in carried.items():
+            if nodes.get((c, base)) is not node:
                 raise AssertionError(f"carried node {node.key} maps outside the forest")
+        return ahead
 
 
 def enumerate_forest(
@@ -184,7 +200,7 @@ def carry_map(
     for c in forest.conflicting_after(resolved):
         for node in by_change[c]:
             if (resolved in node.base) == landed:
-                mapping[node] = tuple(b for b in node.base if b != resolved)
+                mapping[node] = tuple([b for b in node.base if b != resolved])
             else:
                 mapping[node] = None
     return mapping
@@ -211,7 +227,7 @@ def resolve_change(
     del forest.windows[resolved], forest.by_change[resolved]
     carried: dict[ChangeId, dict[BaseKey, BuildNode]] = {c: {} for c in affected}
     for node, base in mapping.items():
-        del forest.nodes[node.key]
+        del forest.nodes[(node.change, node.base)]
         if base is not None:
             node.base = base
             carried[node.change][base] = node

@@ -12,6 +12,7 @@ them until one of those moves.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -54,14 +55,10 @@ class BypassPartition:
         object.__setattr__(self, "predecessors", waited.union(self.bypassable))
 
 
-def finish_time_model(
-    c: ChangeId, forest: SpeculationForest, arrival: float
-) -> FinishTimeModel:
-    """Pool the change's builds into one finish-time normal.
-
-    Finished builds have no remaining time; every other node
-    contributes its predicted duration.
-    """
+def _remaining(c: ChangeId, forest: SpeculationForest) -> list[DurationEstimate]:
+    """The remaining time of each of c's builds: none for a finished
+    one, else its predicted duration. A pending node with no estimate
+    raises."""
     estimates = []
     for node in forest.nodes_for_change(c):
         if node.outcome is not None:
@@ -70,7 +67,18 @@ def finish_time_model(
             if node.estimate is None:
                 raise ValueError(f"node {node.key} has no duration estimate")
             estimates.append(node.estimate)
-    return FinishTimeModel(arrival, combine_estimates(estimates))
+    return estimates
+
+
+def finish_time_model(
+    c: ChangeId, forest: SpeculationForest, arrival: float
+) -> FinishTimeModel:
+    """Pool the change's builds into one finish-time normal.
+
+    Finished builds have no remaining time; every other node
+    contributes its predicted duration.
+    """
+    return FinishTimeModel(arrival, combine_estimates(_remaining(c, forest)))
 
 
 def outcome_partition(
@@ -94,13 +102,19 @@ def profile_change(
     bypassable predecessors drops below the floor (epsilon), speculation
     on finish order is pointless and scoring falls back to the
     `outcome_partition`, flagged as a fallback. `arrivals[c]` is change
-    c's arrival time: a map by id, or a sequence indexed by id.
+    c's arrival time: a map by id, or a sequence indexed by id. A
+    change with an empty window has nothing to partition, so no model
+    is built for it; its nodes are still checked for estimates.
     """
+    window = forest.windows[c]
+    if not window:
+        _remaining(c, forest)
+        return outcome_partition(c, forest)
     model_c = finish_time_model(c, forest, arrivals[c])
     non_bypassable: list[ChangeId] = []
     bypassable: list[ChangeId] = []
     product = 1.0
-    for pred in forest.windows[c]:
+    for pred in window:
         model_pred = finish_time_model(pred, forest, arrivals[pred])
         p_first = p_finishes_before(model_c, model_pred)
         if p_first >= cfg.bypass_eligibility_threshold:
@@ -136,9 +150,10 @@ def needed_probability(
     if not assumed <= part.predecessors:
         raise ValueError(f"node base {node.base} outside partition predecessors")
     p = part.bypass_product
+    base = node.base
     for pred in part.non_bypassable:
-        context = tuple(b for b in node.base if b < pred)
-        p_pass = success_fn(pred, context)
+        # a base is in queue order, so the members before pred lead it
+        p_pass = success_fn(pred, base[: bisect_left(base, pred)])
         p *= p_pass if pred in assumed else 1.0 - p_pass
     return p
 

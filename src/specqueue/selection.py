@@ -158,16 +158,16 @@ def decide_change(
     no build covered those combinations.
     """
     window = forest.windows[c]
-    outcomes = {n.outcome for n in forest.nodes_for_change(c)}
-    if (
-        None in outcomes
-        or len(outcomes) > 1
-        or (
-            window
-            and (not allow_bypass or len(forest.conflicting_ahead(c)) > len(window))
-        )
+    nodes = forest.nodes_for_change(c)
+    # outcomes compare by identity: an Enum member hashes in Python
+    outcome = nodes[0].outcome
+    if outcome is None or (
+        window and (not allow_bypass or len(forest.conflicting_ahead(c)) > len(window))
     ):
         return Decision(DecisionKind.WAIT, c)
-    if outcomes == {BuildOutcome.PASS}:
+    for node in nodes:
+        if node.outcome is not outcome:
+            return Decision(DecisionKind.WAIT, c)
+    if outcome is BuildOutcome.PASS:
         return Decision(DecisionKind.LAND, c)
     return Decision(DecisionKind.REJECT, c)

@@ -29,6 +29,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import AbstractSet, Sequence
 
 # bench/spans.py wraps the layer functions imported below by name in this
@@ -69,6 +70,8 @@ from specqueue.simulator.workload import (
 TraceLog = tuple[str, ...]
 
 _ARRIVAL, _FINISH = 0, 1
+_TWOPI = 2.0 * math.pi
+_LABEL = attrgetter("label")
 
 
 class GroundTruth:
@@ -79,9 +82,9 @@ class GroundTruth:
     started, or its assumed base. Durations are drawn once per (change,
     base) from the change's true normal, so reruns of the same build
     take equally long. A draw is `Random(s).gauss(mean, sd)` for s the
-    blake2b hash of "seed|change|base"; one generator is reseeded per
-    draw, and a reseed also clears gauss's cached spare, so no draw
-    depends on an earlier one.
+    blake2b hash of "seed|change|base". One generator's C-level state is
+    reseeded per draw and gauss's first Box-Muller value is taken from
+    its next two uniforms, so no draw depends on an earlier one.
     """
 
     def __init__(self, workload: WorkloadSpec):
@@ -91,27 +94,39 @@ class GroundTruth:
         self._normal = tuple(
             (s.true_mean, math.sqrt(s.true_variance)) for s in self._changes
         )
-        self._rng = random.Random()
+        rng = random.Random()
+        # Random.seed's Python wrapper only adds clearing gauss's spare,
+        # which a draw never reads
+        self._seed = super(random.Random, rng).seed
+        self._uniform = rng.random
 
     def outcome(
         self, change: ChangeId, landed: AbstractSet[ChangeId], base: BaseKey
     ) -> BuildOutcome:
         spec = self._changes[change]
-        if not spec.passes_alone or any(b in landed or b in base for b in spec.breakers):
+        if not spec.passes_alone:
             return BuildOutcome.FAIL
+        for b in spec.breakers:
+            if b in landed or b in base:
+                return BuildOutcome.FAIL
         return BuildOutcome.PASS
 
     def duration(self, change: ChangeId, base: BaseKey) -> float:
-        key = self._prefix[change] + ",".join(b.label for b in base)
-        self._rng.seed(
+        key = self._prefix[change] + _base_str(base)
+        self._seed(
             int.from_bytes(
                 hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
             )
         )
-        return max(0.01, self._rng.gauss(*self._normal[change]))
+        # Random.gauss's Box-Muller step, as it runs with no spare cached
+        uniform = self._uniform
+        x2pi = uniform() * _TWOPI
+        g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+        mu, sigma = self._normal[change]
+        return max(0.01, mu + (math.cos(x2pi) * g2rad) * sigma)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Run:
     """One executor occupancy of a node's build, whatever base it is carried to."""
 
@@ -137,6 +152,11 @@ class _Simulation:
         )
         # indexed by change id: an id is its position in workload.changes
         self.arrivals = tuple(s.arrival_time for s in workload.changes)
+        self.true_durations = tuple(
+            DurationEstimate(s.true_mean, s.true_variance) for s in workload.changes
+        )
+        # one immutable record per distinct (targets, conflicts, height)
+        self._features: dict[tuple[int, int, int], PredictionFeatures] = {}
         self.truth = GroundTruth(workload)
         self.now = 0.0
         self._stamp = ""  # "t=<now> ", the prefix of every line an event logs
@@ -184,9 +204,8 @@ class _Simulation:
         return self._report(), tuple(self.trace)
 
     def _arrive(self, c: ChangeId) -> None:
-        self.forest.add_change(c)
+        conflicts_pending = len(self.forest.add_change(c))
         self.moved.add(c)
-        conflicts_pending = len(self.forest.conflicting_ahead(c))
         if conflicts_pending:
             self.waited_on_conflicts += 1
         self._log(f"arrive {c.label} pending_conflicts={conflicts_pending}")
@@ -230,13 +249,13 @@ class _Simulation:
         spec = self.workload.changes[c]
         landed = decision.kind is DecisionKind.LAND
         nodes = self.forest.nodes_for_change(c)
-        post_build_wait = self.now - max(n.finished_at for n in nodes)
+        post_build_wait = self.now - max([n.finished_at for n in nodes])
         bypassed = self.forest.windows[c]
 
         mapping = carry_map(self.forest, c, landed)
         resolve_change(self.forest, c, mapping)
         # c itself and every change whose window the decision re-derived
-        self.moved.update(node.change for node in mapping)
+        self.moved.update([node.change for node in mapping])
         # a run whose base assumption was contradicted aborts; its node is
         # gone from the forest
         gone = [n for n, new in mapping.items() if new is None and n in self.running]
@@ -276,13 +295,13 @@ class _Simulation:
         windows = self.forest.windows
         for c in self.moved.difference(windows):
             self.order.drop(c)  # decided, so its builds are gone
-        moved = sorted(c for c in self.moved if c in windows)
+        moved = sorted(self.moved.intersection(windows))
         self.moved.clear()
         self._annotate(moved)
         rescore = set(moved)
         for m in moved:
             rescore.update(
-                d for d in self.forest.conflicting_after(m) if m in windows[d]
+                [d for d in self.forest.conflicting_after(m) if m in windows[d]]
             )
         for c in sorted(rescore):
             ranked = rank_builds(
@@ -301,19 +320,19 @@ class _Simulation:
         re-windowed change has such nodes: a node carried across a
         re-window keeps its estimate."""
         for c in changes:
+            targets = len(self.workload.changes[c].targets)
+            conflicts = len(self.forest.windows[c])
             for node in self.forest.nodes_for_change(c):
                 if node.estimate is not None:
                     continue
-                spec = self.workload.changes[c]
-                features = PredictionFeatures(
-                    targets_changed=len(spec.targets),
-                    conflicts_count=len(self.forest.windows[c]),
-                    speculation_height=len(node.base),
-                )
+                key = (targets, conflicts, len(node.base))
+                features = self._features.get(key)
+                if features is None:
+                    features = self._features[key] = PredictionFeatures(*key)
                 node.estimate = predict_duration(
                     self.workload.predictor,
                     features,
-                    truth=DurationEstimate(spec.true_mean, spec.true_variance),
+                    truth=self.true_durations[c],
                 )
 
     def _success_fn(self, pred: ChangeId, context: BaseKey) -> float:
@@ -321,7 +340,7 @@ class _Simulation:
         prior. A scored predecessor is in a queued change's window, so it
         is queued, and `context` within its window is one of its bases."""
         window = self.forest.windows[pred]
-        node = self.forest.nodes[(pred, tuple(b for b in context if b in window))]
+        node = self.forest.nodes[(pred, tuple([b for b in context if b in window]))]
         if node.outcome is None:
             return self.workload.changes[pred].success_prior
         return 1.0 if node.outcome is BuildOutcome.PASS else 0.0
@@ -349,9 +368,10 @@ class _Simulation:
         windows = self.forest.windows
         if windows[c]:
             return False  # a conflicting predecessor is queued ahead
+        adjacency = self.forest.graph.adjacency
         seen, frontier = {c}, [c]
         while frontier:
-            for other in self.forest.graph.neighbors(frontier.pop()):
+            for other in adjacency[frontier.pop()]:
                 if other in windows and other not in seen:
                     if other < c:
                         return False
@@ -387,7 +407,7 @@ class _Simulation:
 
 
 def _base_str(base: Sequence[ChangeId]) -> str:
-    return ",".join(b.label for b in base)
+    return ",".join(map(_LABEL, base))
 
 
 def run(

@@ -5,12 +5,14 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from specqueue.core import ChangeId, ConflictGraph, EngineConfig
-from specqueue.forest import BuildNode, SpeculationForest
+from specqueue.core import BuildOutcome, ChangeId, ConflictGraph, EngineConfig
+from specqueue.forest import BaseKey, BuildNode, SpeculationForest
+from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import BypassPartition, SuccessFn, rank_builds
-from specqueue.selection import rank_key
+from specqueue.selection import Decision, DecisionKind, rank_key
 from specqueue.simulator.workload import (
     LINK_WINDOW,
     LONG_MEAN,
@@ -186,3 +188,45 @@ def reference_duration(seed: int, spec: ChangeSpec, base: Sequence[ChangeId]) ->
         spec.true_mean, math.sqrt(spec.true_variance)
     )
     return max(0.01, sample)
+
+
+# The three rules below, kept as they were written before the engine's
+# event path compared outcomes by identity and built its tuples and sums
+# without generators.
+def reference_decide_change(
+    c: ChangeId, forest: SpeculationForest, *, allow_bypass: bool = True
+) -> Decision:
+    """`decide_change` over the set of c's node outcomes."""
+    window = forest.windows[c]
+    outcomes = {n.outcome for n in forest.nodes_for_change(c)}
+    if (
+        None in outcomes
+        or len(outcomes) > 1
+        or (
+            window
+            and (not allow_bypass or len(forest.conflicting_ahead(c)) > len(window))
+        )
+    ):
+        return Decision(DecisionKind.WAIT, c)
+    if outcomes == {BuildOutcome.PASS}:
+        return Decision(DecisionKind.LAND, c)
+    return Decision(DecisionKind.REJECT, c)
+
+
+def reference_combine_estimates(builds: Sequence[DurationEstimate]) -> DurationEstimate:
+    """`combine_estimates` summing generator expressions."""
+    if not builds:
+        raise ValueError("combine_estimates requires at least one build")
+    n = len(builds)
+    mean = sum(b.mean for b in builds) / n
+    variance = sum(b.variance for b in builds) / n
+    return DurationEstimate(mean, variance)
+
+
+def reference_ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
+    """Every base of a window, largest first, then base lexicographic."""
+    return tuple(
+        base
+        for size in range(len(window), -1, -1)
+        for base in combinations(window, size)
+    )

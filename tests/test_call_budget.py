@@ -1,0 +1,77 @@
+"""A budget on the interpreter work the engine does per event.
+
+Python-level calls made by `run`, counted with `sys.setprofile`, are
+divided by the run's events, its arrivals and build completions. The
+count is deterministic for a given interpreter, so a change that adds
+per-event work to the event path fails here before any timing shows it.
+Each budget is the count measured on Python 3.11 plus 10%. Python 3.12
+and later inline comprehensions, so their counts can only be lower.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from specqueue.core import EngineConfig
+from specqueue.simulator import GeneratorParams, generate_workload, run
+
+# the benchmark's `contended` stream parameters, and an `overload`-shaped
+# stream of 100 changes arriving faster than capacity 8 clears them
+STREAMS = {
+    "contended": (
+        GeneratorParams(
+            seed=1000,
+            n_changes=500,
+            arrival_rate=0.45,
+            conflict_density=0.3,
+            short_fraction=0.25,
+            breaker_rate=0.0,
+            long_target_bias=1.0,
+            long_second_link=1.0,
+        ),
+        EngineConfig(executor_capacity=72),
+    ),
+    "overload": (
+        GeneratorParams(
+            seed=1000, n_changes=100, arrival_rate=1.0, conflict_density=0.3
+        ),
+        EngineConfig(executor_capacity=8),
+    ),
+}
+
+# Python calls per event, measured plus 10%. Before the event path built
+# no generator frames or unread records the counts were 77.09 and 69.73
+# (contended) and 70.09 and 63.06 (overload), enhanced and baseline.
+BUDGET = {
+    ("contended", "enhanced"): 52.38 * 1.1,
+    ("contended", "baseline"): 48.46 * 1.1,
+    ("overload", "enhanced"): 47.92 * 1.1,
+    ("overload", "baseline"): 44.60 * 1.1,
+}
+
+
+def calls_per_event(workload, strategy: str) -> float:
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        _, trace = run(workload, strategy)
+    finally:
+        sys.setprofile(previous)
+    events = sum(1 for line in trace if line.split()[1] in ("arrive", "finish"))
+    return calls / events
+
+
+@pytest.mark.parametrize("stream, strategy", sorted(BUDGET))
+def test_python_calls_per_event_within_budget(stream, strategy):
+    params, config = STREAMS[stream]
+    workload = generate_workload(params, config=config)
+    assert calls_per_event(workload, strategy) <= BUDGET[(stream, strategy)]

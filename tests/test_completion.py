@@ -17,6 +17,8 @@ from specqueue.completion import (
 )
 from specqueue.prediction import DurationEstimate
 
+from oracles import reference_combine_estimates
+
 
 def phi_by_quadrature(z: float, steps: int = 20000) -> float:
     """Simpson integration of the standard normal density from 0 to |z|."""
@@ -47,6 +49,22 @@ class TestCombineEstimates:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine_estimates([])
+
+    @given(
+        st.lists(
+            st.builds(
+                DurationEstimate,
+                st.floats(0, 1e6, allow_nan=False),
+                st.floats(0, 1e6, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=70,
+        )
+    )
+    def test_equals_the_generator_sums(self, builds):
+        got = combine_estimates(builds)
+        expected = reference_combine_estimates(builds)
+        assert (got.mean, got.variance) == (expected.mean, expected.variance)
 
 
 class TestZScore:

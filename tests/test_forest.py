@@ -25,6 +25,8 @@ from specqueue.forest import (
 )
 from specqueue.prediction import DurationEstimate
 
+from oracles import reference_ordered_bases
+
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
 
@@ -543,3 +545,25 @@ class TestBuildNodeTransitions:
     def test_base_must_be_sorted(self):
         with pytest.raises(ValueError):
             BuildNode(change=C3, base=(C2, C1))
+
+    @pytest.mark.parametrize(
+        "change, base, message",
+        [
+            (C3, (C2, C1), "base must be sorted in queue order"),
+            (C3, (C1, C3), "base members must precede the change in queue order"),
+            (C2, (C1, C3), "base members must precede the change in queue order"),
+            # both wrong: the order is checked first
+            (C1, (C3, C2), "base must be sorted in queue order"),
+            (C2, (C3, C1), "base must be sorted in queue order"),
+        ],
+    )
+    def test_invalid_base_messages(self, change, base, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BuildNode(change=change, base=base)
+
+
+class TestOrderedBases:
+    @given(st.lists(st.integers(0, 40), unique=True, max_size=6))
+    def test_equals_the_generator_form(self, seqs):
+        window = tuple(ChangeId(s, f"C{s}") for s in sorted(seqs))
+        assert forest_module._ordered_bases(window) == reference_ordered_bases(window)

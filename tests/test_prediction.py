@@ -41,6 +41,22 @@ class TestDurationEstimate:
         DurationEstimate(0.0, 0.0)
 
 
+class TestPredictionFeatures:
+    @pytest.mark.parametrize(
+        "fields, first",
+        [
+            ((-1, 0, 0), "targets_changed"),
+            ((0, -1, 0), "conflicts_count"),
+            ((0, 0, -1), "speculation_height"),
+            ((0, -2, -1), "conflicts_count"),
+            ((-1, -1, -1), "targets_changed"),
+        ],
+    )
+    def test_negative_field_names_the_first(self, fields, first):
+        with pytest.raises(ValueError, match=f"^{first} must be >= 0$"):
+            PredictionFeatures(*fields)
+
+
 class TestPredictDuration:
     def test_constant_ignores_features(self):
         spec = ConstantPredictor(25.0, 25.0)

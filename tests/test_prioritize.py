@@ -213,6 +213,13 @@ class TestFinishTimeModel:
         with pytest.raises(ValueError):
             finish_time_model(C1, forest, arrival=0.0)
 
+    def test_empty_window_profile_still_checks_estimates(self):
+        # C1 has no predecessor, so profiling builds no model of it, but
+        # its pending node without an estimate still raises
+        forest = triangle(n=1)
+        with pytest.raises(ValueError, match="has no duration estimate"):
+            profile_change(C1, forest, {C1: 0.0}, EngineConfig())
+
 
 class TestProfileChange:
     CFG = EngineConfig(bypass_eligibility_threshold=0.5, bypass_product_floor=0.05)

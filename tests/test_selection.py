@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specqueue.core import (
     BuildOutcome,
@@ -25,6 +27,8 @@ from specqueue.selection import (
     rank_key,
     select_builds,
 )
+
+from oracles import reference_decide_change
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
@@ -297,6 +301,32 @@ class TestDecideChange:
         forest = triangle(n=1)
         with pytest.raises(KeyError):
             decide_change(ChangeId(9, "C9"), forest)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_set_based_rule(self, data):
+        # every change touches one target, so a depth cap below a
+        # change's position leaves conflicting predecessors out of its
+        # window
+        n = data.draw(st.integers(1, 6), label="queue length")
+        forest = triangle(n, depth_cap=data.draw(st.integers(1, 4)))
+        c = data.draw(st.sampled_from(forest.queue), label="change")
+        nodes = forest.nodes_for_change(c)
+        choices = st.sampled_from([None, BuildOutcome.PASS, BuildOutcome.FAIL])
+        outcomes = data.draw(
+            st.one_of(
+                choices.map(lambda o: [o] * len(nodes)),
+                st.lists(choices, min_size=len(nodes), max_size=len(nodes)),
+            ),
+            label="outcomes",
+        )
+        for node, outcome in zip(nodes, outcomes):
+            if outcome is not None:
+                node.complete(outcome, 1.0)
+        for allow_bypass in (True, False):
+            assert decide_change(
+                c, forest, allow_bypass=allow_bypass
+            ) == reference_decide_change(c, forest, allow_bypass=allow_bypass)
 
 
 class TestCommit:

@@ -166,19 +166,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         deltas = [float(d) for d in args.deltas.split(",") if d.strip()]
     else:
         deltas = [w.config.speculation_threshold]
-    # a repeated variant would run twice and print the same row twice
-    for name, values in (("strategy", strategies), ("delta", deltas)):
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ValueError(f"repeated {name} {value!r}")
+    # a repeated variant would run twice and print the same row twice;
+    # two deltas repeat when they are equal or print alike
+    for i, strategy in enumerate(strategies):
+        if strategy in strategies[:i]:
+            raise ValueError(f"repeated strategy {strategy!r}")
+    shown = [f"{d:g}" for d in deltas]
+    for i, delta in enumerate(deltas):
+        if delta in deltas[:i] or shown[i] in shown[:i]:
+            raise ValueError(f"repeated delta {shown[i]}")
     variants = []
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        for delta in deltas:
+        for delta, text in zip(deltas, shown):
             label = strategy
             if len(deltas) > 1:
-                suffix = f"delta={delta:g}"
+                suffix = f"delta={text}"
                 # no comma: the CSV writes the label unquoted
                 label = suffix if len(strategies) == 1 else f"{strategy} {suffix}"
             cfg = replace(w.config, speculation_threshold=delta)

@@ -6,23 +6,20 @@ that fell out of the chosen set. `prioritize` scores the builds and
 this module alone orders them: `rank_key` is the rank order, `key_order`
 the abort order. `RankOrder` is the one rank order of every build that
 could still run, kept across selections. The chosen set is a prefix of
-it, so it is remembered by its cut, the rank key of its last build; a
-build whose change was not put since the last selection can only enter
-or leave the set when it lies between the old cut and the new one, and
-a selection reads only those and the builds put since, never the whole
-prefix. A component head's one build always qualifies: with no
-predecessor to wait on, it scores exactly 1. One rule decides a change:
-once every speculative variant of it finished with the same outcome,
-that outcome holds no matter how its queued predecessors resolve, so it
-lands or rejects. A change with no predecessor left in its window has
-one variant, its build against the mainline; one with predecessors
-decides early, by bypass.
+it, and a selection compares that prefix with the running builds. A
+component head's one build always qualifies: with no predecessor to
+wait on, it scores exactly 1. One rule decides a change: once every
+speculative variant of it finished with the same outcome, that outcome
+holds no matter how its queued predecessors resolve, so it lands or
+rejects. A change with no predecessor left in its window has one
+variant, its build against the mainline; one with predecessors decides
+early, by bypass.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -51,22 +48,14 @@ class RankOrder:
     selections.
 
     ``entries`` holds ``(rank_key, node)`` pairs, sorted; an entry keeps
-    the rank key computed when its change was put. ``cut`` is the rank
-    key of the last selection's last chosen build, None when it chose
-    none. The caller keeps one contract: it starts and aborts what
-    each selection returns, puts a change whenever a node, score or run
-    of the change may have moved (estimated, finished, carried or
-    aborted outside a selection) and drops it once decided, both before
-    the next selection. Then every entry not put since the last
-    selection is running iff its key is at most ``cut``.
+    the rank key computed when its change was put. The caller puts a
+    change whenever a node or score of it may have moved and drops it
+    once decided.
     """
 
     def __init__(self) -> None:
         self.entries: list[tuple[tuple, BuildNode]] = []
-        self.cut: tuple | None = None
         self._by_change: dict[ChangeId, list[tuple[tuple, BuildNode]]] = {}
-        # changes put since the last selection
-        self._fresh: set[ChangeId] = set()
 
     def put(self, c: ChangeId, scored: Iterable[tuple[BuildNode, float]]) -> None:
         """Replace c's builds with the ``(node, p)`` pairs ``scored``."""
@@ -75,14 +64,12 @@ class RankOrder:
         for entry in placed:
             insort(self.entries, entry)
         self._by_change[c] = placed
-        self._fresh.add(c)
 
     def drop(self, c: ChangeId) -> None:
         """Remove c's builds; a dropped change has nothing left to start."""
         entries = self.entries
         for entry in self._by_change.pop(c, ()):
             del entries[bisect_left(entries, entry)]
-        self._fresh.discard(c)
 
 
 class DecisionKind(Enum):
@@ -104,39 +91,27 @@ class Decision:
 def select_builds(
     order: RankOrder, running: Collection[BuildNode], cfg: EngineConfig
 ) -> tuple[tuple[tuple[BuildNode, float], ...], tuple[BuildNode, ...]]:
-    """Reconcile the running builds with the chosen set and move the cut.
+    """Reconcile the running builds with the chosen set.
 
     The chosen set is the rank order's prefix of builds at or above the
     speculation threshold, at most capacity long; ``running`` holds the
-    nodes of the builds running now. Returns the chosen builds not yet
-    running as ``(node, p)`` pairs in rank order, p read back exactly from
-    the key, and the nodes of the running builds that fell out of the
-    set, in `key_order`. An entry not put since the previous selection
-    keeps its key, so it changes sides only when it lies between the old
-    cut and the new one; only that band and the changes put since are
-    read.
+    nodes of the builds running now, each once. Returns the chosen builds
+    not yet running as ``(node, p)`` pairs in rank order, p read back
+    exactly from the key, and the nodes of the running builds outside the
+    set, in `key_order`.
     """
     ranking = order.entries
     capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
     # rank keys start with -p, so the builds at or above the threshold
     # come first
-    chosen = min(capacity, bisect_left(ranking, (-threshold, math.inf), key=_FIRST))
-    new_cut = ranking[chosen - 1][0] if chosen else None
-    old = 0 if order.cut is None else bisect_right(ranking, order.cut, key=_FIRST)
-    touched = dict(ranking[min(old, chosen) : max(old, chosen)])
-    for c in order._fresh:
-        touched.update(order._by_change[c])
-    order.cut = new_cut
-    order._fresh.clear()
-    to_start: list[tuple[BuildNode, float]] = []
-    to_abort: list[BuildNode] = []
-    for key in sorted(touched):
-        node = touched[key]
-        if new_cut is not None and key <= new_cut:
-            if node not in running:
-                to_start.append((node, -key[0]))
-        elif node in running:
-            to_abort.append(node)
+    chosen = ranking[
+        : min(capacity, bisect_left(ranking, (-threshold, math.inf), key=_FIRST))
+    ]
+    to_start = [(node, -key[0]) for key, node in chosen if node not in running]
+    if len(running) + len(to_start) == len(chosen):
+        return tuple(to_start), ()  # every running build is still chosen
+    chosen_set = {node for _, node in chosen}
+    to_abort = [node for node in running if node not in chosen_set]
     return tuple(to_start), tuple(sorted(to_abort, key=key_order))
 
 

@@ -295,6 +295,7 @@ class TestExitCodes:
         [
             (["--strategies", "enhanced,enhanced"], "strategy 'enhanced'"),
             (["--strategies", "enhanced", "--deltas", "0.3,0.3"], "delta 0.3"),
+            (["--strategies", "enhanced", "--deltas", "0.3,0.3000001"], "delta 0.3"),
         ],
     )
     def test_repeated_compare_variant_fails_before_any_run(

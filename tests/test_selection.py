@@ -24,11 +24,12 @@ from specqueue.selection import (
     DecisionKind,
     RankOrder,
     decide_change,
+    key_order,
     rank_key,
     select_builds,
 )
 
-from oracles import reference_decide_change
+from oracles import chosen_nodes, reference_decide_change
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
@@ -67,7 +68,6 @@ class TestSelectBuilds:
         )
         assert to_start == ((forest.node(C1, ()), 1.0), (forest.node(C2, (C1,)), 0.9))
         assert to_abort == ()
-        assert order.cut == order.entries[1][0]
 
     def test_equal_scores_all_start(self):
         forest = triangle(n=2)
@@ -110,7 +110,6 @@ class TestSelectBuilds:
         assert len(to_start) == 4
         # Rank order: the head, both C2 builds, then C3's deepest.
         assert {node.change for node, _ in to_start} == {C1, C2, C3}
-        assert order.cut == order.entries[3][0]
 
     def test_mandatory_head_survives_high_threshold(self):
         # A head has no predecessor to wait on, so its one build scores
@@ -148,10 +147,8 @@ class TestSelectBuildsAfterACut:
         self.running: set = set()
 
     def put(self, key, p):
-        """Put key's change with its one build at score p; its rank key."""
-        node = self.forest.node(*key)
-        self.order.put(key[0], [(node, p)])
-        return rank_key(node, p)
+        """Put key's change with its one build at score p."""
+        self.order.put(key[0], [(self.forest.node(*key), p)])
 
     def finish(self, key):
         """The build finished: its run leaves, and its change has no build
@@ -170,39 +167,35 @@ class TestSelectBuildsAfterACut:
         # B is re-ranked below C: C now fills the capacity B held
         self.put(self.A, 1.0)
         self.put(self.B, 0.9)
-        c = self.put(self.C, 0.8)
+        self.put(self.C, 0.8)
         assert self.select() == ([self.A, self.B], [])
         self.put(self.B, 0.5)
         assert self.select() == ([self.C], [self.B])
-        assert self.order.cut == c
 
     def test_finished_build_leaves_and_the_next_unchanged_entry_starts(self):
         self.put(self.A, 1.0)
         self.put(self.B, 0.9)
-        c = self.put(self.C, 0.8)
+        self.put(self.C, 0.8)
         assert self.select() == ([self.A, self.B], [])
         self.finish(self.A)
         assert self.select() == ([self.C], [])
-        assert self.order.cut == c
 
     def test_fresh_entry_above_the_cut_displaces_the_last_chosen(self):
         self.put(self.A, 1.0)
         self.put(self.B, 0.9)
         self.put(self.C, 0.5)
         assert self.select() == ([self.A, self.B], [])
-        moved_c = self.put(self.C, 0.95)
+        self.put(self.C, 0.95)
         assert self.select() == ([self.C], [self.B])
-        assert self.order.cut == moved_c
 
     def test_threshold_cuts_before_capacity(self):
         self.put(self.A, 1.0)
         self.put(self.C, 0.2)
-        b = self.put(self.B, 0.9)
+        self.put(self.B, 0.9)
         assert self.select() == ([self.A, self.B], [])
         # A finished and frees a slot, but C is below the threshold
         self.finish(self.A)
         assert self.select() == ([], [])
-        assert self.order.cut == b
 
     def test_nothing_chosen_leaves_no_cut(self):
         self.put(self.A, 1.0)
@@ -210,26 +203,68 @@ class TestSelectBuildsAfterACut:
         assert self.select() == ([self.A], [])
         self.put(self.A, 0.1)
         assert self.select() == ([], [self.A])
-        assert self.order.cut is None
 
     def test_running_build_whose_fresh_entry_is_still_chosen_is_kept(self):
         self.put(self.A, 1.0)
         self.put(self.B, 0.9)
         assert self.select() == ([self.A, self.B], [])
-        moved_b = self.put(self.B, 0.95)
+        self.put(self.B, 0.95)
         assert self.select() == ([], [])
-        assert self.order.cut == moved_b
 
     def test_change_dropped_before_a_selection_never_starts(self):
-        a = self.put(self.A, 1.0)
+        self.put(self.A, 1.0)
         self.put(self.B, 0.9)
         self.order.drop(self.B[0])
         assert self.select() == ([self.A], [])
         self.put(self.C, 0.95)
         self.order.drop(self.C[0])
         assert self.select() == ([], [])
-        assert self.order.cut == a
         assert [node.key for _, node in self.order.entries] == [self.A]
+
+    def test_run_that_left_without_a_put_restarts(self):
+        # a selection reads only the order and the running builds, so a
+        # chosen build whose run left is started again even though its
+        # change was not put since
+        self.put(self.A, 1.0)
+        self.put(self.B, 0.9)
+        assert self.select() == ([self.A, self.B], [])
+        self.running.discard(self.forest.node(*self.B))
+        assert self.select() == ([self.B], [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_selection_matches_the_prefix_walk(data):
+    """Whatever was put, dropped or left running, a selection starts the
+    chosen builds not running, in rank order, and aborts the running
+    builds not chosen, in abort order."""
+    forest = triangle(data.draw(st.integers(1, 4), label="queue length"))
+    scores = st.sampled_from([0.0, 0.2, 0.3, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+    order = RankOrder()
+    put: dict[ChangeId, list[tuple[BuildNode, float]]] = {}
+    for c in data.draw(st.lists(st.sampled_from(forest.queue)), label="puts"):
+        if data.draw(st.booleans(), label="drop"):
+            order.drop(c)
+            put.pop(c, None)
+            continue
+        put[c] = [(node, data.draw(scores)) for node in forest.nodes_for_change(c)]
+        order.put(c, put[c])
+    fresh = sorted(
+        (rank_key(node, p), node) for scored in put.values() for node, p in scored
+    )
+    assert order.entries == fresh
+    delta = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="delta")
+    capacity = data.draw(st.integers(1, 5), label="capacity")
+    cfg = EngineConfig(speculation_threshold=delta, executor_capacity=capacity)
+    # nodes of changes never put, or dropped, are running outside the order
+    nodes = sorted(forest.nodes.values(), key=key_order)
+    running = set(data.draw(st.lists(st.sampled_from(nodes)), label="running"))
+    chosen = chosen_nodes(fresh, cfg)
+    to_start, to_abort = select_builds(order, running, cfg)
+    assert to_start == tuple(
+        (node, -key[0]) for key, node in fresh if node in chosen and node not in running
+    )
+    assert to_abort == tuple(sorted(running - chosen, key=key_order))
 
 
 class TestDecideChange:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from specqueue.core import ChangeId, EngineConfig
 from specqueue.prediction import OracleWithNoise
-from specqueue.selection import DecisionKind, decide_change, rank_key
+from specqueue.selection import DecisionKind, decide_change, rank_key, select_builds
 from specqueue.simulator import (
     CSV_HEADER,
     GeneratorParams,
@@ -324,8 +324,9 @@ class _RankCheckedSimulation(_Simulation):
     same order, so a held node that went stale fails too. After every
     reschedule it checks the executor: the running builds are exactly
     the ones a walk of the whole rank order chooses, no more than
-    capacity, each the forest's node under its key, its run's node, and
-    not finished, so a carried run that lost its node fails. It also
+    capacity, so a second selection on the same state starts and aborts
+    nothing, and each is the forest's node under its key, its run's node,
+    and not finished, so a carried run that lost its node fails. It also
     checks that every entry's stored rank key is its build's, and that
     its node is the forest's node under that node's key, so a node
     updated in place that drifted from its key or its entry fails."""
@@ -341,6 +342,7 @@ class _RankCheckedSimulation(_Simulation):
         chosen = chosen_nodes(self.order.entries, self.select_cfg)
         assert set(self.running) == chosen, self.now
         assert len(self.running) <= self.cfg.executor_capacity, self.now
+        assert select_builds(self.order, self.running, self.select_cfg) == ((), ())
         for node, run in self.running.items():
             assert self.forest.nodes.get(node.key) is node, (self.now, node.key)
             assert run.node is node and node.outcome is None, (self.now, node.key)
@@ -447,7 +449,7 @@ class TestEventDecisions:
     def test_kept_ranking_and_choice_hold_on_a_wide_executor(self, strategy, seed):
         # dense_runs draws capacities of at most 8; the contended
         # benchmark's criterion-5 streams on 72 executors have long
-        # chosen prefixes, whose cut moves by many builds at a time
+        # chosen prefixes, where one event can start or abort many builds
         w = generate_workload(wide_params(seed), config=EngineConfig(executor_capacity=72))
         assert _RankCheckedSimulation(w, strategy).execute() == run(w, strategy)
 

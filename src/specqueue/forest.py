@@ -213,24 +213,24 @@ def resolve_change(
 ) -> SpeculationForest:
     """Remove a decided change and drop every node its outcome contradicts.
 
-    ``mapping`` is ``carry_map(forest, resolved, landed)``. A surviving
-    node is the same node, its base rewritten in place: when the resolved
-    change landed it joins mainline, so a node that assumed it in the
-    base describes the same merge with the base member removed. Only the
-    later changes that conflict with the resolved one get new windows;
-    a base no carried node fills gets a fresh pending node, built once.
-    Every other change keeps its window and nodes. The forest is updated
-    in place and returned; an unknown change raises KeyError before
-    anything changes.
+    It re-windows exactly the other changes whose nodes ``mapping`` lists,
+    so ``mapping`` must be ``carry_map(forest, resolved, landed)``. A
+    surviving node is the same node, its base rewritten in place: when the
+    resolved change landed it joins mainline, so a node that assumed it in
+    the base describes the same merge with the base member removed. A base
+    no carried node fills gets a fresh pending node, built once; every other
+    change keeps its window and nodes. The forest is updated in place and
+    returned; an unknown change raises KeyError before anything changes.
     """
-    affected = forest.conflicting_after(resolved)
     del forest.windows[resolved], forest.by_change[resolved]
-    carried: dict[ChangeId, dict[BaseKey, BuildNode]] = {c: {} for c in affected}
+    carried: dict[ChangeId, dict[BaseKey, BuildNode]] = {}
     for node, base in mapping.items():
         del forest.nodes[(node.change, node.base)]
+        kept = carried.setdefault(node.change, {})
         if base is not None:
             node.base = base
-            carried[node.change][base] = node
-    for c in affected:
-        forest._set_window(c, carried[c])
+            kept[base] = node
+    del carried[resolved]
+    for c, kept in carried.items():
+        forest._set_window(c, kept)
     return forest

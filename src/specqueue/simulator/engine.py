@@ -9,12 +9,12 @@ After every event the engine re-profiles and re-scores only what the
 event moved. A change's finish-time model moves when it arrives, when
 one of its builds finishes, and when a decision re-derives its window;
 starts and aborts touch no node, since the table of live runs alone
-records which builds run. A change is re-scored when its model
-moved or its window holds a change whose model moved, since its
-partition and scores read nothing else; its scores replace its builds
-in the `selection.RankOrder` kept across events, and a decided change
-leaves it. Builds that fell out of the chosen set abort, newly chosen
-ones start. A run holds its build's node, so a decision leaves the runs
+records which builds run. A change is re-scored when its model moved
+or its window holds a change whose model moved, since its partition
+and scores read nothing else; its scores replace its builds in the
+`selection.RankOrder` kept across events, and a change leaves it when
+it is decided. Builds that fell out of the chosen set abort, newly
+chosen ones start. A run holds its build's node, so a decision leaves the runs
 it carries as they are and aborts only those whose nodes vanish. All
 times are virtual minutes; a run is a pure function of its workload.
 
@@ -226,25 +226,24 @@ class _Simulation:
     # -- decisions ----------------------------------------------------
 
     def _decide(self, finished: ChangeId) -> None:
-        """Decide the finished build's change, then whatever that unblocks.
-
-        A candidate is only ever added by an earlier one, so the heap
-        takes them in queue order, as a sweep of the queue would.
-        """
+        """Decide the finished build's change, then whatever that unblocks:
+        the changes each decision re-windowed. A candidate is only ever
+        added by an earlier one, so the heap takes them in queue order,
+        as a sweep of the queue would."""
         candidates = [finished]
         while candidates:
             c = heapq.heappop(candidates)
             decision = decide_change(c, self.forest, allow_bypass=self.enhanced)
             if decision.kind is DecisionKind.WAIT:
                 continue
-            for later in self.forest.conflicting_after(c):
+            for later in self._apply(decision):
                 if later not in candidates:
                     heapq.heappush(candidates, later)
-            self._apply(decision)
 
-    def _apply(self, decision) -> None:
-        """Land or reject the decided change. It bypassed exactly the
-        predecessors in its window, read before the forest resolves it."""
+    def _apply(self, decision) -> dict[ChangeId, None]:
+        """Land or reject the decided change, which leaves the rank order
+        and `moved`, and return the changes it re-windowed. It bypassed
+        the predecessors in its window, read before the forest resolves it."""
         c = decision.change
         spec = self.workload.changes[c]
         landed = decision.kind is DecisionKind.LAND
@@ -254,8 +253,10 @@ class _Simulation:
 
         mapping = carry_map(self.forest, c, landed)
         resolve_change(self.forest, c, mapping)
-        # c itself and every change whose window the decision re-derived
-        self.moved.update([node.change for node in mapping])
+        rewindowed = dict.fromkeys([n.change for n in mapping if n.change != c])
+        self.moved.update(rewindowed)
+        self.moved.discard(c)
+        self.order.drop(c)
         # a run whose base assumption was contradicted aborts; its node is
         # gone from the forest
         gone = [n for n, new in mapping.items() if new is None and n in self.running]
@@ -278,6 +279,7 @@ class _Simulation:
             f"bypassed={_base_str(bypassed)} wait={record.wait:.2f} "
             f"post_wait={post_build_wait:.2f}"
         )
+        return rewindowed
 
     # -- scheduling ---------------------------------------------------
 
@@ -293,9 +295,7 @@ class _Simulation:
         """Bring the rank order up to date with the events since the last
         reschedule, re-profiling only the changes they moved."""
         windows = self.forest.windows
-        for c in self.moved.difference(windows):
-            self.order.drop(c)  # decided, so its builds are gone
-        moved = sorted(self.moved.intersection(windows))
+        moved = sorted(self.moved)
         self.moved.clear()
         self._annotate(moved)
         rescore = set(moved)

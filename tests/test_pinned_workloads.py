@@ -1,10 +1,12 @@
-"""The benchmark's pinned workload digests, checked on every test run.
+"""The benchmark's pinned digests, checked on every test run.
 
 The benchmark's set-up generates each workload's batch of streams for
-its pinned seed and hashes their text; `bench/reference.json` pins that
-hash. Rebuilding the batches here the same way shows a moved generator
-or formatter without running the benchmark. Nothing under `bench/` is
-written.
+its pinned seed and hashes their text; its pass simulates every stream
+through `specqueue simulate`, once per strategy, and hashes the metrics
+CSVs and the traces. `bench/reference.json` pins all three hashes.
+Rebuilding the batches and rerunning the pass here the same way shows a
+moved generator, formatter or engine without running the benchmark.
+Nothing under `bench/` is written.
 """
 
 from __future__ import annotations
@@ -61,3 +63,27 @@ def test_the_pinned_seed_draws_the_pinned_workloads(name, tmp_path):
     ]
     batch = " ".join(digest(text.encode("utf-8")) for text in texts)
     assert digest(batch.encode()) == definition["pinned_digests"]["workload"]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE["workloads"]))
+def test_the_pinned_seed_gives_the_pinned_metrics_and_traces(name, tmp_path):
+    definition = REFERENCE["workloads"][name]
+    seed = REFERENCE["pinned_seed"]
+    metrics_path, trace_path = tmp_path / "metrics.csv", tmp_path / "trace.log"
+    metrics, traces = [], []
+    for k in range(definition["instances"]):
+        path = tmp_path / f"w{k}.txt"
+        path.write_text(
+            stream_text(definition, seed * SEED_STRIDE + k, path), encoding="utf-8"
+        )
+        for strategy in definition["strategies"]:
+            argv = [
+                "simulate", "--workload", str(path), "--strategy", strategy,
+                "--out-metrics", str(metrics_path), "--out-trace", str(trace_path),
+            ]
+            assert main(argv) == 0
+            metrics.append(digest(metrics_path.read_bytes()))
+            traces.append(digest(trace_path.read_bytes()))
+    pinned = definition["pinned_digests"]
+    assert digest(" ".join(metrics).encode()) == pinned["metrics"]
+    assert digest(" ".join(traces).encode()) == pinned["trace"]

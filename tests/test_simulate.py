@@ -369,6 +369,33 @@ class _HeadCheckedSimulation(_Simulation):
         self.labels.add(expected)
 
 
+class _DecisionCheckedSimulation(_Simulation):
+    """Asserts, after every cascade of decisions, that no table the engine
+    keeps between events holds a decided change: every change in `moved`
+    and in the rank order is still queued. It also asserts that the
+    cascade scans for successors once per decision, in `carry_map`: a
+    decision's map already lists the changes it re-windows."""
+
+    def __init__(self, workload, strategy):
+        super().__init__(workload, strategy)
+        self.scans = 0
+        scan = self.forest.conflicting_after
+
+        def counted(c):
+            self.scans += 1
+            return scan(c)
+
+        self.forest.conflicting_after = counted
+
+    def _decide(self, finished) -> None:
+        scans, decided = self.scans, len(self.waits)
+        super()._decide(finished)
+        assert self.scans - scans == len(self.waits) - decided, self.now
+        queued = self.forest.windows
+        assert all(c in queued for c in self.moved), (self.now, self.moved)
+        assert all(node.change in queued for _, node in self.order.entries), self.now
+
+
 DELTA_TAU_CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
@@ -452,6 +479,16 @@ class TestEventDecisions:
         # chosen prefixes, where one event can start or abort many builds
         w = generate_workload(wide_params(seed), config=EngineConfig(executor_capacity=72))
         assert _RankCheckedSimulation(w, strategy).execute() == run(w, strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_decision_leaves_no_table_and_scans_once(self, strategy):
+        # the contended benchmark's stream at seed 1000, where decisions
+        # cascade and carry many builds
+        w = generate_workload(
+            replace(wide_params(1000), n_changes=500),
+            config=EngineConfig(executor_capacity=72),
+        )
+        assert _DecisionCheckedSimulation(w, strategy).execute() == run(w, strategy)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("seed", range(3))

@@ -5,9 +5,10 @@ groups: those the change may finish before (bypassable, weighted by the
 finish-order probability) and those it must wait out (weighted by the
 predecessor's pass/fail odds along the node's assumed path). The product
 of the group terms is the node's needed-probability, which drives build
-scheduling order. A change's partition and scores read only its own
-builds, its window and its window members' builds, so a caller can keep
-them until one of those moves.
+scheduling order. A build below its strategy's floor, the speculation
+threshold, never runs, so scoring stops early and drops it. A change's
+partition and scores read only its own builds, its window and its window
+members' builds, so a caller can keep them until one of those moves.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def profile_change(
 
 
 def needed_probability(
-    node: BuildNode, part: BypassPartition, success_fn: SuccessFn
+    node: BuildNode, part: BypassPartition, success_fn: SuccessFn, floor: float = 0.0
 ) -> float:
     """Probability this node's result decides its change.
 
@@ -142,7 +143,8 @@ def needed_probability(
     the node assumes it landed, else its fail probability; bypassable
     predecessors contribute the joint finish-first probability once,
     so sibling nodes differing only in bypassable membership score
-    equally.
+    equally. Every term is in [0, 1], so the product only falls; once
+    below ``floor`` it stops, and is then only known to be below it.
     """
     if node.change != part.change:
         raise ValueError(f"node {node.key} does not belong to change {part.change}")
@@ -152,6 +154,8 @@ def needed_probability(
     p = part.bypass_product
     base = node.base
     for pred in part.non_bypassable:
+        if p < floor:
+            break
         # a base is in queue order, so the members before pred lead it
         p_pass = success_fn(pred, base[: bisect_left(base, pred)])
         p *= p_pass if pred in assumed else 1.0 - p_pass
@@ -162,18 +166,21 @@ def rank_builds(
     nodes: Iterable[BuildNode],
     partition: BypassPartition,
     success_fn: SuccessFn,
+    floor: float = 0.0,
 ) -> list[tuple[BuildNode, float]]:
-    """Score one change's builds that could still run, under its partition.
+    """Score one change's builds that can run, under its partition.
 
     Finished nodes are excluded; every other node is scored, running or
-    not. The `(node, p)` pairs come back in input order; selection ranks
-    them against every other change's. A score outside [0, 1] raises.
+    not, and kept if it scores at or above ``floor``. The `(node, p)`
+    pairs come back in input order; selection ranks them against every
+    other change's. A score outside [0, 1] raises.
     """
     scored = []
     for node in nodes:
         if node.outcome is None:
-            p = needed_probability(node, partition, success_fn)
+            p = needed_probability(node, partition, success_fn, floor)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"node {node.key} scores {p}, outside [0, 1]")
-            scored.append((node, p))
+            if p >= floor:
+                scored.append((node, p))
     return scored

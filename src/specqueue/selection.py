@@ -1,35 +1,30 @@
 """Pick which builds run and decide when changes land or reject.
 
 The selector keeps the executor full with the highest needed-probability
-builds at or above the speculation threshold and aborts running builds
-that fell out of the chosen set. `prioritize` scores the builds and
-this module alone orders them: `rank_key` is the rank order, `key_order`
-the abort order. `RankOrder` is the one rank order of every build that
-could still run, kept across selections. The chosen set is a prefix of
-it, and a selection compares that prefix with the running builds. A
-component head's one build always qualifies: with no predecessor to
-wait on, it scores exactly 1. One rule decides a change: once every
-speculative variant of it finished with the same outcome, that outcome
-holds no matter how its queued predecessors resolve, so it lands or
-rejects. A change with no predecessor left in its window has one
-variant, its build against the mainline; one with predecessors decides
-early, by bypass.
+builds and aborts running builds that fell out of the chosen set.
+`prioritize` scores the builds and keeps those at or above the
+speculation threshold; this module alone orders them: `rank_key` is the
+rank order, `key_order` the abort order. `RankOrder` is the one rank
+order of every build that can run, kept across selections. The chosen
+set is its first capacity builds, which a selection compares with the
+running builds. A component head's one build always qualifies: with no
+predecessor to wait on, it scores exactly 1. One rule decides a change:
+once every speculative variant of it finished with the same outcome,
+that outcome holds no matter how its queued predecessors resolve, so it
+lands or rejects. A change with no predecessor left in its window has
+one variant, its build against the mainline; one with predecessors
+decides early, by bypass.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import Collection, Iterable
 
-from specqueue.core import BuildOutcome, ChangeId, EngineConfig
+from specqueue.core import BuildOutcome, ChangeId
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest
-
-
-_FIRST = itemgetter(0)  # an entry's rank key
 
 
 def rank_key(node: BuildNode, p: float) -> tuple:
@@ -44,8 +39,8 @@ def key_order(node: BuildNode) -> tuple[ChangeId, int, BaseKey]:
 
 
 class RankOrder:
-    """Every build that could still run, in rank order, kept across
-    selections.
+    """Every build at or above its strategy's floor, in rank order, kept
+    across selections.
 
     ``entries`` holds ``(rank_key, node)`` pairs, sorted; an entry keeps
     the rank key computed when its change was put. The caller puts a
@@ -89,24 +84,17 @@ class Decision:
 
 
 def select_builds(
-    order: RankOrder, running: Collection[BuildNode], cfg: EngineConfig
+    order: RankOrder, running: Collection[BuildNode], capacity: int
 ) -> tuple[tuple[tuple[BuildNode, float], ...], tuple[BuildNode, ...]]:
     """Reconcile the running builds with the chosen set.
 
-    The chosen set is the rank order's prefix of builds at or above the
-    speculation threshold, at most capacity long; ``running`` holds the
-    nodes of the builds running now, each once. Returns the chosen builds
-    not yet running as ``(node, p)`` pairs in rank order, p read back
-    exactly from the key, and the nodes of the running builds outside the
-    set, in `key_order`.
+    The chosen set is the rank order's first ``capacity`` builds;
+    ``running`` holds the nodes of the builds running now, each once.
+    Returns the chosen builds not yet running as ``(node, p)`` pairs in
+    rank order, p read back exactly from the key, and the nodes of the
+    running builds outside the set, in `key_order`.
     """
-    ranking = order.entries
-    capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
-    # rank keys start with -p, so the builds at or above the threshold
-    # come first
-    chosen = ranking[
-        : min(capacity, bisect_left(ranking, (-threshold, math.inf), key=_FIRST))
-    ]
+    chosen = order.entries[:capacity]
     to_start = [(node, -key[0]) for key, node in chosen if node not in running]
     if len(running) + len(to_start) == len(chosen):
         return tuple(to_start), ()  # every running build is still chosen

@@ -11,12 +11,13 @@ one of its builds finishes, and when a decision re-derives its window;
 starts and aborts touch no node, since the table of live runs alone
 records which builds run. A change is re-scored when its model moved
 or its window holds a change whose model moved, since its partition
-and scores read nothing else; its scores replace its builds in the
-`selection.RankOrder` kept across events, and a change leaves it when
-it is decided. Builds that fell out of the chosen set abort, newly
-chosen ones start. A run holds its build's node, so a decision leaves the runs
-it carries as they are and aborts only those whose nodes vanish. All
-times are virtual minutes; a run is a pure function of its workload.
+and scores read nothing else; its builds at or above the strategy's
+floor replace its builds in the `selection.RankOrder` kept across
+events, and a change leaves it when it is decided. Builds that fell out
+of the order's first capacity abort, newly chosen ones start. A run
+holds its build's node, so a decision leaves the runs it carries as
+they are and aborts only those whose nodes vanish. All times are
+virtual minutes; a run is a pure function of its workload.
 
 Per-change data is indexed by change id, which is the change's
 position in the workload's change tuple.
@@ -28,7 +29,7 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import AbstractSet, Sequence
 
@@ -143,13 +144,9 @@ class _Simulation:
         self.strategy = strategy
         self.enhanced = strategy == "enhanced"
         self.cfg = workload.config
-        # The baseline model has no speculation threshold: it fills
-        # capacity with the most likely paths regardless of score.
-        self.select_cfg = (
-            self.cfg
-            if self.enhanced
-            else replace(self.cfg, speculation_threshold=0.0)
-        )
+        # the lowest score a build may run at: the baseline has no
+        # speculation threshold, it fills capacity regardless of score
+        self.floor = self.cfg.speculation_threshold if self.enhanced else 0.0
         # indexed by change id: an id is its position in workload.changes
         self.arrivals = tuple(s.arrival_time for s in workload.changes)
         self.true_durations = tuple(
@@ -285,7 +282,9 @@ class _Simulation:
 
     def _reschedule(self) -> None:
         self._rescore()
-        to_start, to_abort = select_builds(self.order, self.running, self.select_cfg)
+        to_start, to_abort = select_builds(
+            self.order, self.running, self.cfg.executor_capacity
+        )
         for node in to_abort:
             self._abort(self.running.pop(node))
         for node, p in to_start:
@@ -299,13 +298,18 @@ class _Simulation:
         self.moved.clear()
         self._annotate(moved)
         rescore = set(moved)
+        tail = next(reversed(windows), None)
         for m in moved:
-            rescore.update(
-                [d for d in self.forest.conflicting_after(m) if m in windows[d]]
-            )
+            if m != tail:  # no queued change follows the tail
+                rescore.update(
+                    [d for d in self.forest.conflicting_after(m) if m in windows[d]]
+                )
         for c in sorted(rescore):
             ranked = rank_builds(
-                self.forest.nodes_for_change(c), self._partition(c), self._success_fn
+                self.forest.nodes_for_change(c),
+                self._partition(c),
+                self._success_fn,
+                self.floor,
             )
             self.order.put(c, ranked)
 

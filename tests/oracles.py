@@ -8,7 +8,7 @@ import random
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from specqueue.core import BuildOutcome, ChangeId, ConflictGraph, EngineConfig
+from specqueue.core import BuildOutcome, ChangeId, ConflictGraph
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import BypassPartition, SuccessFn, rank_builds
@@ -39,12 +39,11 @@ def rank_all(
 
 
 def chosen_nodes(
-    entries: Iterable[tuple[tuple, BuildNode]], cfg: EngineConfig
+    entries: Iterable[tuple[tuple, BuildNode]], capacity: int, threshold: float
 ) -> set[BuildNode]:
     """The nodes a rank order's sorted `(rank_key, node)` entries choose:
     taken in order until capacity is full or a score falls below the
     speculation threshold."""
-    capacity, threshold = cfg.executor_capacity, cfg.speculation_threshold
     chosen: set[BuildNode] = set()
     for key, node in entries:
         if len(chosen) == capacity or -key[0] < threshold:

@@ -35,6 +35,10 @@ def annotate(forest: SpeculationForest, mean: float = 20.0, var: float = 9.0) ->
         node.estimate = DurationEstimate(mean, var)
 
 
+# probabilities, drawn often at the edges and at values a floor is set to
+ODDS = st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
 def priors_fn(priors: dict[ChangeId, float]):
     return lambda pred, context: priors[pred]
 
@@ -192,6 +196,38 @@ class TestNeededProbability:
         for node in forest.nodes_for_change(C3):
             assert 0.0 <= needed_probability(node, part, success) <= 1.0
 
+    def test_stops_once_below_the_floor(self):
+        # every term is in [0, 1], so a product below the floor stays there
+        forest = triangle()
+        seen = []
+
+        def recording(pred, context):
+            seen.append(pred)
+            return 0.2
+
+        part = partition(C3, fixed=(C1, C2), product=0.9)
+        got = needed_probability(forest.node(C3, (C1, C2)), part, recording, 0.5)
+        assert got == pytest.approx(0.9 * 0.2)
+        assert seen == [C1]
+        low = partition(C3, fixed=(C1, C2), product=0.4)
+        assert needed_probability(forest.node(C3, ()), low, recording, 0.5) == 0.4
+        assert seen == [C1]
+
+    @given(ODDS, st.floats(0.0, 1.0), st.floats(0.0, 1.0), ODDS)
+    def test_floor_keeps_every_score_at_or_above_it(self, product, p1, p2, floor):
+        # at or above the floor the score is the full product, exactly;
+        # below it, it is only known to be below
+        forest = triangle()
+        part = partition(C3, fixed=(C1, C2), product=product)
+        success = priors_fn({C1: p1, C2: p2})
+        for node in forest.nodes_for_change(C3):
+            full = needed_probability(node, part, success)
+            got = needed_probability(node, part, success, floor)
+            if full >= floor:
+                assert got == full
+            else:
+                assert got < floor
+
 
 class TestFinishTimeModel:
     def test_pools_all_nodes(self):
@@ -330,6 +366,35 @@ class TestRankBuilds:
         with pytest.raises(ValueError):
             rank_builds(forest.nodes_for_change(C2), partition(C1), priors_fn({}))
 
+    def test_build_at_the_floor_is_kept(self):
+        forest = triangle(n=2)
+        part = partition(C2, bypassed=(C1,), product=0.3)
+        scored = rank_builds(forest.nodes_for_change(C2), part, priors_fn({}), 0.3)
+        assert [p for _, p in scored] == [0.3, 0.3]
+
+    def test_build_below_the_floor_is_dropped(self):
+        # the path where C1 fails scores 0.1, below delta = 0.3
+        forest = triangle(n=2)
+        part = partition(C2, fixed=(C1,))
+        scored = rank_builds(
+            forest.nodes_for_change(C2), part, priors_fn({C1: 0.9}), 0.3
+        )
+        assert scored == [(forest.node(C2, (C1,)), pytest.approx(0.9))]
+
+    def test_head_clears_a_floor_of_one(self):
+        # a head has no predecessor to wait on, so its one build scores
+        # exactly 1 whatever the success odds
+        forest = triangle(n=1)
+        nodes = forest.nodes_for_change(C1)
+        scored = rank_builds(nodes, partition(C1), priors_fn({}), 1.0)
+        assert scored == [(forest.node(C1, ()), 1.0)]
+
+    def test_floor_zero_keeps_a_zero_score(self):
+        # C1 surely passes, so the path where it fails scores exactly 0
+        forest = triangle(n=2)
+        part = partition(C2, fixed=(C1,))
+        scored = rank_builds(forest.nodes_for_change(C2), part, priors_fn({C1: 1.0}))
+        assert dict(scored) == {forest.node(C2, (C1,)): 1.0, forest.node(C2, ()): 0.0}
 
     def test_builds_come_back_in_input_order_with_their_scores(self):
         forest = triangle(n=2)

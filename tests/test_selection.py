@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specqueue.core import (
-    BuildOutcome,
-    ChangeId,
-    EngineConfig,
-    build_conflict_graph,
-)
+from specqueue.core import BuildOutcome, ChangeId, build_conflict_graph
 from specqueue.forest import (
     BuildNode,
     SpeculationForest,
@@ -19,7 +14,7 @@ from specqueue.forest import (
     enumerate_forest,
     resolve_change,
 )
-from specqueue.prioritize import outcome_partition, rank_builds
+from specqueue.prioritize import BypassPartition, outcome_partition, rank_builds
 from specqueue.selection import (
     DecisionKind,
     RankOrder,
@@ -40,31 +35,49 @@ def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
     return enumerate_forest(list(targets), g, depth_cap)
 
 
-def first_call(forest, scores: dict, running, cfg):
-    """A first selection: each change's builds, scored by node key, put
-    into an empty rank order. Returns the order, the builds to start and
-    the nodes to abort."""
+DELTA = 0.3  # the speculation threshold, the floor builds are kept at
+
+
+def at_floor(
+    scored: list[tuple[BuildNode, float]], floor: float
+) -> list[tuple[BuildNode, float]]:
+    """The ``(node, p)`` pairs that `rank_builds` keeps at ``floor``, as
+    the engine puts a change: each node is scored exactly p by a
+    partition that bypasses its whole base with joint probability p."""
+    return [
+        kept
+        for node, p in scored
+        for kept in rank_builds(
+            [node],
+            BypassPartition(node.change, (), node.base, p, False),
+            lambda pred, context: 1.0,
+            floor,
+        )
+    ]
+
+
+def first_call(forest, scores: dict, running, capacity):
+    """A first selection: each change's builds, scored by node key and
+    kept at DELTA, put into an empty rank order. Returns the order,
+    the builds to start and the nodes to abort."""
     builds: dict[ChangeId, list[tuple[BuildNode, float]]] = {}
     for (change, base), p in scores.items():
         builds.setdefault(change, []).append((forest.node(change, base), p))
     order = RankOrder()
     for change, scored in builds.items():
-        order.put(change, scored)
-    return (order, *select_builds(order, running, cfg))
+        order.put(change, at_floor(scored, DELTA))
+    return (order, *select_builds(order, running, capacity))
 
 
 def finish(forest, change, base, outcome, at=10.0):
     forest.node(change, base).complete(outcome, at)
 
 
-CFG = EngineConfig(speculation_threshold=0.3, executor_capacity=3)
-
-
 class TestSelectBuilds:
     def test_threshold_filters_unlikely_path(self):
         forest = triangle(n=2)
         order, to_start, to_abort = first_call(
-            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}, [], CFG
+            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}, [], 3
         )
         assert to_start == ((forest.node(C1, ()), 1.0), (forest.node(C2, (C1,)), 0.9))
         assert to_abort == ()
@@ -72,7 +85,7 @@ class TestSelectBuilds:
     def test_equal_scores_all_start(self):
         forest = triangle(n=2)
         _, to_start, _ = first_call(
-            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.9}, [], CFG
+            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.9}, [], 3
         )
         assert len(to_start) == 3
 
@@ -82,7 +95,7 @@ class TestSelectBuilds:
             forest,
             {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1},
             {forest.node(C2, ())},
-            CFG,
+            3,
         )
         assert to_abort == (forest.node(C2, ()),)
 
@@ -92,7 +105,7 @@ class TestSelectBuilds:
             forest,
             {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1},
             {forest.node(C1, ())},
-            CFG,
+            3,
         )
         assert to_abort == ()
         assert [node.key for node, _ in to_start] == [(C2, (C1,))]
@@ -104,9 +117,7 @@ class TestSelectBuilds:
             scores[node.key] = 0.8
         for node in forest.nodes_for_change(C3):
             scores[node.key] = 0.7
-        order, to_start, _ = first_call(
-            forest, scores, [], EngineConfig(executor_capacity=4)
-        )
+        order, to_start, _ = first_call(forest, scores, [], 4)
         assert len(to_start) == 4
         # Rank order: the head, both C2 builds, then C3's deepest.
         assert {node.change for node, _ in to_start} == {C1, C2, C3}
@@ -116,19 +127,20 @@ class TestSelectBuilds:
         # exactly 1 and clears even delta = 1 on its score alone.
         forest = triangle(n=1)
         head = outcome_partition(C1, forest)
-        scored = rank_builds(forest.nodes_for_change(C1), head, lambda p, ctx: 0.0)
+        scored = rank_builds(
+            forest.nodes_for_change(C1), head, lambda p, ctx: 0.0, floor=1.0
+        )
         assert [p for _, p in scored] == [1.0]
-        cfg = EngineConfig(speculation_threshold=1.0, executor_capacity=1)
         order = RankOrder()
         order.put(C1, scored)
-        to_start, _ = select_builds(order, [], cfg)
+        to_start, _ = select_builds(order, [], 1)
         assert [node.key for node, _ in to_start] == [(C1, ())]
 
     def test_lists_are_disjoint(self):
         forest = triangle(n=2)
         running = {forest.node(C1, ()), forest.node(C2, ())}
         _, to_start, to_abort = first_call(
-            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}, running, CFG
+            forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}, running, 3
         )
         nodes = [node for node, _ in to_start] + list(to_abort)
         assert len(nodes) == len(set(nodes))
@@ -139,7 +151,7 @@ class TestSelectBuildsAfterACut:
     then only the changes put or dropped since changed."""
 
     A, B, C = (C1, ()), (C2, (C1,)), (C3, (C1, C2))
-    CFG = EngineConfig(speculation_threshold=0.3, executor_capacity=2)
+    CAPACITY = 2
 
     def setup_method(self):
         self.forest = triangle(n=3)
@@ -147,8 +159,8 @@ class TestSelectBuildsAfterACut:
         self.running: set = set()
 
     def put(self, key, p):
-        """Put key's change with its one build at score p."""
-        self.order.put(key[0], [(self.forest.node(*key), p)])
+        """Put key's change with its one build scored p, kept at DELTA."""
+        self.order.put(key[0], at_floor([(self.forest.node(*key), p)], DELTA))
 
     def finish(self, key):
         """The build finished: its run leaves, and its change has no build
@@ -158,7 +170,7 @@ class TestSelectBuildsAfterACut:
 
     def select(self):
         """Select, then start and abort as told; the keys of both."""
-        to_start, to_abort = select_builds(self.order, self.running, self.CFG)
+        to_start, to_abort = select_builds(self.order, self.running, self.CAPACITY)
         self.running.difference_update(to_abort)
         self.running.update(node for node, _ in to_start)
         return [node.key for node, _ in to_start], [n.key for n in to_abort]
@@ -235,11 +247,14 @@ class TestSelectBuildsAfterACut:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_selection_matches_the_prefix_walk(data):
-    """Whatever was put, dropped or left running, a selection starts the
-    chosen builds not running, in rank order, and aborts the running
-    builds not chosen, in abort order."""
+    """Whatever was put at the floor, dropped or left running, the rank
+    order holds the builds at or above it, and a selection starts the
+    builds the threshold walk of every put build chooses that are not
+    running, in rank order, and aborts the running builds not chosen, in
+    abort order."""
     forest = triangle(data.draw(st.integers(1, 4), label="queue length"))
     scores = st.sampled_from([0.0, 0.2, 0.3, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+    delta = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="delta")
     order = RankOrder()
     put: dict[ChangeId, list[tuple[BuildNode, float]]] = {}
     for c in data.draw(st.lists(st.sampled_from(forest.queue)), label="puts"):
@@ -248,19 +263,17 @@ def test_selection_matches_the_prefix_walk(data):
             put.pop(c, None)
             continue
         put[c] = [(node, data.draw(scores)) for node in forest.nodes_for_change(c)]
-        order.put(c, put[c])
+        order.put(c, at_floor(put[c], delta))
     fresh = sorted(
         (rank_key(node, p), node) for scored in put.values() for node, p in scored
     )
-    assert order.entries == fresh
-    delta = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="delta")
+    assert order.entries == [(k, node) for k, node in fresh if -k[0] >= delta]
     capacity = data.draw(st.integers(1, 5), label="capacity")
-    cfg = EngineConfig(speculation_threshold=delta, executor_capacity=capacity)
     # nodes of changes never put, or dropped, are running outside the order
     nodes = sorted(forest.nodes.values(), key=key_order)
     running = set(data.draw(st.lists(st.sampled_from(nodes)), label="running"))
-    chosen = chosen_nodes(fresh, cfg)
-    to_start, to_abort = select_builds(order, running, cfg)
+    chosen = chosen_nodes(fresh, capacity, delta)
+    to_start, to_abort = select_builds(order, running, capacity)
     assert to_start == tuple(
         (node, -key[0]) for key, node in fresh if node in chosen and node not in running
     )

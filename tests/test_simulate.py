@@ -319,11 +319,13 @@ class _SweepCheckedSimulation(_Simulation):
 
 class _RankCheckedSimulation(_Simulation):
     """Asserts, before every selection, that the rank order kept across
-    events equals one made from scratch: every queued change freshly
-    profiled and scored, with the same nodes and the same floats in the
-    same order, so a held node that went stale fails too. After every
-    reschedule it checks the executor: the running builds are exactly
-    the ones a walk of the whole rank order chooses, no more than
+    events equals one made from scratch filtered at the floor: every
+    queued change freshly profiled and scored, with the same nodes and
+    the same floats in the same order, so a held node that went stale
+    fails too, and no kept entry scores below the floor. After every
+    reschedule it checks the executor against the threshold law on the
+    unfiltered fresh ranking: the running builds are exactly the ones a
+    walk of it chooses with the strategy's threshold, no more than
     capacity, so a second selection on the same state starts and aborts
     nothing, and each is the forest's node under its key, its run's node,
     and not finished, so a carried run that lost its node fails. It also
@@ -331,18 +333,26 @@ class _RankCheckedSimulation(_Simulation):
     its node is the forest's node under that node's key, so a node
     updated in place that drifted from its key or its entry fails."""
 
+    def __init__(self, workload, strategy):
+        super().__init__(workload, strategy)
+        # the baseline model has no speculation threshold
+        self.delta = self.cfg.speculation_threshold if strategy == "enhanced" else 0.0
+
     def _rescore(self) -> None:
         super()._rescore()
         partitions = {c: self._partition(c) for c in self.forest.queue}
-        fresh = rank_all(self.forest, partitions, self._success_fn)
-        assert self.order.entries == fresh, self.now
+        self.fresh = rank_all(self.forest, partitions, self._success_fn)
+        kept = [(k, node) for k, node in self.fresh if -k[0] >= self.floor]
+        assert self.order.entries == kept, self.now
+        assert all(-k[0] >= self.floor for k, _ in self.order.entries), self.now
 
     def _reschedule(self) -> None:
         super()._reschedule()
-        chosen = chosen_nodes(self.order.entries, self.select_cfg)
+        capacity = self.cfg.executor_capacity
+        chosen = chosen_nodes(self.fresh, capacity, self.delta)
         assert set(self.running) == chosen, self.now
-        assert len(self.running) <= self.cfg.executor_capacity, self.now
-        assert select_builds(self.order, self.running, self.select_cfg) == ((), ())
+        assert len(self.running) <= capacity, self.now
+        assert select_builds(self.order, self.running, capacity) == ((), ())
         for node, run in self.running.items():
             assert self.forest.nodes.get(node.key) is node, (self.now, node.key)
             assert run.node is node and node.outcome is None, (self.now, node.key)
@@ -546,6 +556,29 @@ class TestEventDecisions:
     )
     def test_golden_digest_pins_a_wide_stream(self, strategy, seed, expected):
         w = generate_workload(wide_params(seed), config=EngineConfig(executor_capacity=72))
+        report, trace = run(w, strategy)
+        text = reports_to_csv([report]) + "\n".join(trace) + "\n"
+        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+        assert digest == expected
+
+    # Recorded before the speculation threshold was applied where builds
+    # are scored: 87% of this dense stream's enhanced scores fall below it.
+    @pytest.mark.parametrize(
+        "strategy, expected",
+        [
+            ("enhanced", "c79c8f84612c90bfe157b2f0734aaeca"),
+            ("baseline", "ece6983ea3d7b65b19af5af3e237bd3e"),
+        ],
+    )
+    def test_golden_digest_pins_a_dense_stream(self, strategy, expected):
+        params = GeneratorParams(
+            n_changes=300,
+            arrival_rate=1.0,
+            conflict_density=0.9,
+            long_target_bias=1.0,
+            seed=3,
+        )
+        w = generate_workload(params, config=EngineConfig(executor_capacity=72))
         report, trace = run(w, strategy)
         text = reports_to_csv([report]) + "\n".join(trace) + "\n"
         digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()

@@ -41,6 +41,22 @@ from specqueue.simulator import (
 from specqueue.simulator.workload import CONFIG_FIELDS, STRATEGIES
 
 
+# gen-workload's flag keys and the GeneratorParams fields they set, one
+# for each field. A flag is "--" and its key with "-" for "_", and takes
+# its field's type and default.
+GENERATOR_FLAGS = {
+    "n_changes": "n_changes",
+    "arrival_rate": "arrival_rate",
+    "density": "conflict_density",
+    "short_fraction": "short_fraction",
+    "fail_rate": "fail_rate",
+    "breaker_rate": "breaker_rate",
+    "seed": "seed",
+    "long_target_bias": "long_target_bias",
+    "long_second_link": "long_second_link",
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; main may be called repeatedly in one process."""
     try:
@@ -68,14 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-workload", help="write a synthetic workload file")
     defaults = GeneratorParams()
-    gen.add_argument("--n-changes", type=int, default=defaults.n_changes)
-    gen.add_argument("--arrival-rate", type=float, default=defaults.arrival_rate)
-    gen.add_argument("--density", type=float, default=defaults.conflict_density,
-                     help="target conflict density")
-    gen.add_argument("--short-fraction", type=float, default=defaults.short_fraction)
-    gen.add_argument("--fail-rate", type=float, default=defaults.fail_rate)
-    gen.add_argument("--breaker-rate", type=float, default=defaults.breaker_rate)
-    gen.add_argument("--seed", type=int, default=defaults.seed)
+    for key, field in GENERATOR_FLAGS.items():
+        default = getattr(defaults, field)
+        gen.add_argument("--" + key.replace("_", "-"), type=type(default),
+                         default=default, help=field.replace("_", " "))
     gen.add_argument("--out", help="output path (default: stdout)")
     gen.set_defaults(handler=_cmd_gen_workload)
 
@@ -127,13 +139,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_gen_workload(args: argparse.Namespace) -> int:
     params = GeneratorParams(
-        n_changes=args.n_changes,
-        arrival_rate=args.arrival_rate,
-        conflict_density=args.density,
-        short_fraction=args.short_fraction,
-        fail_rate=args.fail_rate,
-        breaker_rate=args.breaker_rate,
-        seed=args.seed,
+        **{field: getattr(args, key) for key, field in GENERATOR_FLAGS.items()}
     )
     text = format_workload(generate_workload(params))
     if args.out:

@@ -22,7 +22,7 @@ class ChangeId(int):
     seq = property(int)
 
     def __new__(cls, seq: int, label: str) -> "ChangeId":
-        self = super().__new__(cls, seq)
+        self = int.__new__(cls, seq)
         self.__dict__["label"] = label
         return self
 

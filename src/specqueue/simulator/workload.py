@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
+from math import log
 from typing import Container, Mapping
 
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph, require_ints
@@ -69,12 +70,22 @@ def _is_list_item(text: str) -> bool:
     return "," not in text and text.split() == [text]
 
 
-@dataclass(frozen=True, slots=True)
+# the breakers of every change without any, one set for all of them
+_NO_BREAKERS: frozenset[ChangeId] = frozenset()
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ChangeSpec:
     """The one record of a change: its arrival, its build targets, its
     success prior, and its true, hidden build behavior. The generator
     and the parser give every change without breakers the one default
-    empty set."""
+    empty set.
+
+    `__init__` is written out, since set-up builds every record twice:
+    it sets each slot through its member descriptor, in about half the
+    time of the `object.__setattr__` calls that a frozen dataclass's
+    generated `__init__` makes, then makes the record's checks. Its
+    parameters are the fields, in order, with their defaults."""
 
     id: ChangeId
     arrival_time: float
@@ -82,34 +93,63 @@ class ChangeSpec:
     true_mean: float
     true_variance: float
     passes_alone: bool = True
-    breakers: frozenset[ChangeId] = frozenset()
+    breakers: frozenset[ChangeId] = _NO_BREAKERS
     success_prior: float = 0.9
 
-    def __post_init__(self) -> None:
-        label = self.id.label
+    def __init__(
+        self,
+        id: ChangeId,
+        arrival_time: float,
+        targets: frozenset[str],
+        true_mean: float,
+        true_variance: float,
+        passes_alone: bool = True,
+        breakers: frozenset[ChangeId] = _NO_BREAKERS,
+        success_prior: float = 0.9,
+    ) -> None:
+        _set_id(self, id)
+        _set_arrival_time(self, arrival_time)
+        _set_targets(self, targets)
+        _set_true_mean(self, true_mean)
+        _set_true_variance(self, true_variance)
+        _set_passes_alone(self, passes_alone)
+        _set_breakers(self, breakers)
+        _set_success_prior(self, success_prior)
+        label = id.label
         if not _is_list_item(label):
             raise WorkloadError(
                 f"change id {label!r} must be non-empty, with no comma or whitespace"
             )
-        bad = [t for t in self.targets if not _is_list_item(t)]
-        if bad:
-            raise WorkloadError(
-                f"{self.id}: target {min(bad)!r} must be non-empty, "
-                "with no comma or whitespace"
-            )
-        if not 0 <= self.arrival_time < math.inf:
-            raise WorkloadError(f"{self.id}: arrival_time must be finite and >= 0")
-        if not 0 < self.true_mean < math.inf:
-            raise WorkloadError(f"{self.id}: true_mean must be finite and > 0")
-        if not 0 <= self.true_variance < math.inf:
-            raise WorkloadError(f"{self.id}: true_variance must be finite and >= 0")
-        if not 0.0 <= self.success_prior <= 1.0:
-            raise WorkloadError(f"{self.id}: success_prior must be in [0, 1]")
+        for target in targets:
+            if not _is_list_item(target):
+                bad = min(t for t in targets if not _is_list_item(t))
+                raise WorkloadError(
+                    f"{id}: target {bad!r} must be non-empty, "
+                    "with no comma or whitespace"
+                )
+        if not 0 <= arrival_time < math.inf:
+            raise WorkloadError(f"{id}: arrival_time must be finite and >= 0")
+        if not 0 < true_mean < math.inf:
+            raise WorkloadError(f"{id}: true_mean must be finite and > 0")
+        if not 0 <= true_variance < math.inf:
+            raise WorkloadError(f"{id}: true_variance must be finite and >= 0")
+        if not 0.0 <= success_prior <= 1.0:
+            raise WorkloadError(f"{id}: success_prior must be in [0, 1]")
 
 
+# ChangeSpec.__init__'s setters: each slot's member descriptor's __set__
+(
+    _set_id,
+    _set_arrival_time,
+    _set_targets,
+    _set_true_mean,
+    _set_true_variance,
+    _set_passes_alone,
+    _set_breakers,
+    _set_success_prior,
+) = (getattr(ChangeSpec, f.name).__set__ for f in fields(ChangeSpec))
 # ChangeSpec's field defaults; with slots, its class attributes are descriptors
 _CHANGE_DEFAULTS = {f.name: f.default for f in fields(ChangeSpec)}
-_NO_BREAKERS = _CHANGE_DEFAULTS["breakers"]
 
 
 @dataclass(frozen=True)
@@ -137,20 +177,23 @@ class WorkloadSpec:
         seqs: dict[str, int] = {}  # the earlier changes' labels to their seqs
         previous_arrival = 0.0
         for i, spec in enumerate(self.changes):
-            if spec.id.label in seqs:
-                raise WorkloadError(f"duplicate change id {spec.id}")
-            if spec.id.seq != i:
+            cid = spec.id
+            label = cid.label
+            if label in seqs:
+                raise WorkloadError(f"duplicate change id {cid}")
+            if cid.seq != i:
                 raise WorkloadError(
-                    f"{spec.id}: sequence {spec.id.seq} does not match position {i}"
+                    f"{cid}: sequence {cid.seq} does not match position {i}"
                 )
-            if spec.arrival_time < previous_arrival:
-                raise WorkloadError(f"{spec.id}: arrival times must be nondecreasing")
+            arrival = spec.arrival_time
+            if arrival < previous_arrival:
+                raise WorkloadError(f"{cid}: arrival times must be nondecreasing")
             if spec.breakers:
                 # ids compare by seq alone, so a breaker must match in label too
                 unknown = [b for b in spec.breakers if seqs.get(b.label) != b]
                 if unknown:
                     raise WorkloadError(
-                        f"{spec.id}: breakers must be earlier changes, "
+                        f"{cid}: breakers must be earlier changes, "
                         f"got {sorted(unknown)}"
                     )
                 # the engine orders only conflicting changes, so a breaker that
@@ -158,10 +201,10 @@ class WorkloadSpec:
                 for b in sorted(spec.breakers):
                     if spec.targets.isdisjoint(self.changes[b].targets):
                         raise WorkloadError(
-                            f"{spec.id}: breaker {b.label!r} shares no target with it"
+                            f"{cid}: breaker {b.label!r} shares no target with it"
                         )
-            seqs[spec.id.label] = i
-            previous_arrival = spec.arrival_time
+            seqs[label] = i
+            previous_arrival = arrival
 
 
 @dataclass(frozen=True)
@@ -225,25 +268,39 @@ def _generate_changes(
     (below, above] draws the same stream, where below is the largest
     link draw under p_link and above the smallest at or over it (each
     infinite if there is none).
+
+    A draw of `expovariate`, `uniform` or `randrange(start, stop)` is
+    made inline: one call of `rng.random`, in C, or of `rng._randbelow`,
+    then that method's own arithmetic on the result, so it must equal
+    what the method returns. tests/oracles.py keeps the loop that calls
+    the methods. The parameters are read into locals once per stream.
     """
     rng = random.Random(params.seed)
     draw = rng.random
+    randbelow = rng._randbelow  # randrange(a, b) is a + randbelow(b - a)
+    rate = params.arrival_rate
+    short_fraction = params.short_fraction
+    fail_rate = params.fail_rate
+    breaker_rate = params.breaker_rate
+    long_target_bias = params.long_target_bias
+    long_second_link = params.long_second_link
     n = params.n_changes
     rows: list[tuple] = []
     arrival = 0.0
     below, above = -math.inf, math.inf
-    members: list[list[int]] = []  # members[t]: the rows touching target t
+    # members[t]: the rows touching target t, once a later row links to it
+    members: dict[int, list[int]] = {}
     conflicted = bytearray(n)
+    # the breakers of every row without any, one list for all of them: a
+    # list per row would be one more object for the garbage collector to
+    # track (nothing mutates a row)
+    no_breakers: list[int] = []
     for i in range(n):
-        if i > 0:
-            arrival += rng.expovariate(params.arrival_rate)
-
-        is_short = draw() < params.short_fraction
+        is_short = draw() < short_fraction
         if is_short:
             mean, variance = SHORT_MEAN, SHORT_VARIANCE
         else:
             mean, variance = LONG_MEAN, LONG_VARIANCE
-        members.append([i])
 
         linked = False
         if i > 0:
@@ -255,39 +312,40 @@ def _generate_changes(
             elif u < above:
                 above = u
         if not linked:
-            passes_alone = draw() >= params.fail_rate
-            targets, breakers = (i,), []
+            passes_alone = draw() >= fail_rate
+            targets, breakers = (i,), no_breakers
         else:
             window_start = max(0, i - LINK_WINDOW)
-            recent_longs = params.long_target_bias > 0 and [
+            recent_longs = long_target_bias > 0 and [
                 j for j in range(window_start, i) if rows[j][2] == LONG_MEAN
             ]
-            if recent_longs and draw() < params.long_target_bias:
+            if recent_longs and draw() < long_target_bias:
                 # chain-forming: extend an existing conflict run when
                 # one is still in the window, else start a fresh one
                 chained = [j for j in recent_longs if conflicted[j]]
                 j = chained[-1] if chained else recent_longs[-1]
             else:
-                j = rng.randrange(window_start, i)
+                j = window_start + randbelow(i - window_start)
             k = j
-            if (
-                not is_short
-                and params.long_second_link > 0
-                and draw() < params.long_second_link
-            ):
-                k = rng.randrange(window_start, i)
-            passes_alone = draw() >= params.fail_rate
+            if not is_short and long_second_link > 0 and draw() < long_second_link:
+                k = window_start + randbelow(i - window_start)
+            passes_alone = draw() >= fail_rate
+            on_j = members.setdefault(j, [j])
             if k == j:
-                targets, preds = (i, j), members[j]
+                targets, preds = (i, j), on_j
             else:
-                targets, preds = (i, j, k), sorted({*members[j], *members[k]})
-                members[k].append(i)
+                on_k = members.setdefault(k, [k])
+                targets, preds = (i, j, k), sorted({*on_j, *on_k})
+                on_k.append(i)
                 conflicted[k] = 1
-            breakers = [p for p in preds if draw() < params.breaker_rate]
-            members[j].append(i)
+            breakers = [p for p in preds if draw() < breaker_rate]
+            on_j.append(i)
             conflicted[i] = conflicted[j] = 1
-        prior = (0.92 if passes_alone else 0.15) + rng.uniform(-0.04, 0.04)
+        # uniform(-0.04, 0.04)
+        prior = (0.92 if passes_alone else 0.15) + (-0.04 + (0.04 - -0.04) * draw())
         rows.append((arrival, targets, mean, variance, passes_alone, breakers, prior))
+        # the next row's expovariate(rate), drawn where it falls in the sequence
+        arrival += -log(1.0 - draw()) / rate
     return rows, conflicted.count(1) / n, below, above
 
 
@@ -339,7 +397,7 @@ def generate_workload(
     """
     ids = [ChangeId(i, f"C{i}") for i in range(params.n_changes)]
     names = [f"t{i}" for i in range(params.n_changes)]
-    specs = tuple(
+    specs = [
         ChangeSpec(
             cid,
             round(arrival, 2),
@@ -353,8 +411,8 @@ def generate_workload(
         for cid, (arrival, targets, mean, variance, passes, breakers, prior) in zip(
             ids, _calibrated_rows(params)
         )
-    )
-    return WorkloadSpec(changes=specs, seed=params.seed, config=config)
+    ]
+    return WorkloadSpec(changes=tuple(specs), seed=params.seed, config=config)
 
 
 def static_conflict_rate(workload: WorkloadSpec) -> float:

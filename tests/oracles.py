@@ -176,6 +176,131 @@ def reference_generate_changes(
     return rows, len(conflicted) / params.n_changes, below, above
 
 
+# The generator's row loop and bisection as they were before the loop
+# made its draws' arithmetic inline, kept verbatim: each draw calls the
+# `random` method it stands for (`expovariate`, `uniform`, `randrange`),
+# and each parameter is read from `params` where it is used.
+def reference_generate_rows(
+    params: GeneratorParams, p_link: float
+) -> tuple[list[tuple], float, float, float]:
+    """One full change stream for a candidate link probability, the
+    share of its changes that share a target with another, and the
+    interval (below, above] of link probabilities that draw this stream.
+
+    A change is a plain row, (arrival, targets, mean, variance, passes
+    alone, breakers, prior), since the bisection discards all but one
+    stream; `generate_workload` makes specs of the kept one, names its
+    targets, and rounds the arrival and clamps the prior as it does.
+    Targets and breakers are row indices, and row i owns target i. A
+    link reaches back LINK_WINDOW rows at most, and a chain-forming link
+    reads only those; a row is long iff its mean is LONG_MEAN. A change
+    shares a target iff it has a predecessor on its targets or is one.
+    A target's members (the rows touching it) are ascending, and all
+    but its owner are conflicted already, since each linked to it.
+
+    The stream depends on p_link only through its link draws' `u <
+    p_link`, and every other draw follows from those. So every p in
+    (below, above] draws the same stream, where below is the largest
+    link draw under p_link and above the smallest at or over it (each
+    infinite if there is none).
+    """
+    rng = random.Random(params.seed)
+    draw = rng.random
+    n = params.n_changes
+    rows: list[tuple] = []
+    arrival = 0.0
+    below, above = -math.inf, math.inf
+    members: list[list[int]] = []  # members[t]: the rows touching target t
+    conflicted = bytearray(n)
+    for i in range(n):
+        if i > 0:
+            arrival += rng.expovariate(params.arrival_rate)
+
+        is_short = draw() < params.short_fraction
+        if is_short:
+            mean, variance = SHORT_MEAN, SHORT_VARIANCE
+        else:
+            mean, variance = LONG_MEAN, LONG_VARIANCE
+        members.append([i])
+
+        linked = False
+        if i > 0:
+            u = draw()
+            linked = u < p_link
+            if linked:
+                if u > below:
+                    below = u
+            elif u < above:
+                above = u
+        if not linked:
+            passes_alone = draw() >= params.fail_rate
+            targets, breakers = (i,), []
+        else:
+            window_start = max(0, i - LINK_WINDOW)
+            recent_longs = params.long_target_bias > 0 and [
+                j for j in range(window_start, i) if rows[j][2] == LONG_MEAN
+            ]
+            if recent_longs and draw() < params.long_target_bias:
+                # chain-forming: extend an existing conflict run when
+                # one is still in the window, else start a fresh one
+                chained = [j for j in recent_longs if conflicted[j]]
+                j = chained[-1] if chained else recent_longs[-1]
+            else:
+                j = rng.randrange(window_start, i)
+            k = j
+            if (
+                not is_short
+                and params.long_second_link > 0
+                and draw() < params.long_second_link
+            ):
+                k = rng.randrange(window_start, i)
+            passes_alone = draw() >= params.fail_rate
+            if k == j:
+                targets, preds = (i, j), members[j]
+            else:
+                targets, preds = (i, j, k), sorted({*members[j], *members[k]})
+                members[k].append(i)
+                conflicted[k] = 1
+            breakers = [p for p in preds if draw() < params.breaker_rate]
+            members[j].append(i)
+            conflicted[i] = conflicted[j] = 1
+        prior = (0.92 if passes_alone else 0.15) + rng.uniform(-0.04, 0.04)
+        rows.append((arrival, targets, mean, variance, passes_alone, breakers, prior))
+    return rows, conflicted.count(1) / n, below, above
+
+
+def reference_calibrated_rows(params: GeneratorParams) -> list[tuple]:
+    """The rows of the stream whose link probability is bisected against
+    params.conflict_density, drawing each distinct stream once.
+
+    Only the streams last probed below the target (`low`) and at or over
+    it (`high`) are kept, as (rows, share, below, above). A midpoint
+    inside either's interval takes its answer without drawing. That is
+    enough: an interval is convex, and every earlier probe lies at or
+    under lo or at or over hi, so an earlier stream whose interval holds
+    the midpoint also holds lo or hi, and draws the stream kept there.
+    """
+    if params.conflict_density in (0.0, 1.0):  # no link, or every link
+        return reference_generate_rows(params, params.conflict_density)[0]
+
+    def stream_at(p: float) -> tuple:
+        for kept in (low, high):
+            if kept is not None and kept[2] < p <= kept[3]:
+                return kept
+        return reference_generate_rows(params, p)
+
+    lo, hi = 0.0, 1.0
+    low = high = None
+    for _ in range(18):
+        mid = (lo + hi) / 2.0
+        stream = stream_at(mid)
+        if stream[1] < params.conflict_density:
+            lo, low = mid, stream
+        else:
+            hi, high = mid, stream
+    return stream_at((lo + hi) / 2.0)[0]
+
+
 def reference_duration(seed: int, spec: ChangeSpec, base: Sequence[ChangeId]) -> float:
     """A build's true duration as `GroundTruth.duration` first drew it: a
     fresh generator seeded by the blake2b hash of "seed|change|base"."""

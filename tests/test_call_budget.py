@@ -1,11 +1,14 @@
-"""A budget on the interpreter work the engine does per event.
+"""A budget on the interpreter work the engine does per event, and on
+the work of setting up a workload per change.
 
 Python-level calls made by `run`, counted with `sys.setprofile`, are
 divided by the run's events, its arrivals and build completions. The
-count is deterministic for a given interpreter, so a change that adds
-per-event work to the event path fails here before any timing shows it.
-Each budget is the count measured on Python 3.11 plus 10%. Python 3.12
-and later inline comprehensions, so their counts can only be lower.
+calls that generate, format and parse a workload are divided by its
+changes. The count is deterministic for a given interpreter, so a
+change that adds per-event or per-change work fails here before any
+timing shows it. Each budget is the count measured on Python 3.11 plus
+10%. Python 3.12 and later inline comprehensions, so their counts can
+only be lower.
 """
 
 from __future__ import annotations
@@ -15,7 +18,13 @@ import sys
 import pytest
 
 from specqueue.core import EngineConfig
-from specqueue.simulator import GeneratorParams, generate_workload, run
+from specqueue.simulator import (
+    GeneratorParams,
+    format_workload,
+    generate_workload,
+    parse_workload,
+    run,
+)
 
 # the benchmark's `contended` stream parameters, and an `overload`-shaped
 # stream of 100 changes arriving faster than capacity 8 clears them
@@ -57,7 +66,16 @@ BUDGET = {
 }
 
 
-def calls_per_event(workload, strategy: str) -> float:
+# Python calls per change to generate a `steady`-shaped stream, format it
+# and parse the text back, measured plus 10%. Before the generator made
+# its draws' arithmetic inline and ChangeSpec set its slots through their
+# descriptors, the count was 40.27 (30.94 generating, 0.06 formatting
+# and 9.28 parsing).
+SET_UP_BUDGET = 15.40 * 1.1
+
+
+def python_calls(work):
+    """The Python-level calls `work()` makes, and what it returns."""
     calls = 0
 
     def count(frame, event, arg):
@@ -68,9 +86,14 @@ def calls_per_event(workload, strategy: str) -> float:
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        _, trace = run(workload, strategy)
+        result = work()
     finally:
         sys.setprofile(previous)
+    return calls, result
+
+
+def calls_per_event(workload, strategy: str) -> float:
+    calls, (_, trace) = python_calls(lambda: run(workload, strategy))
     events = sum(1 for line in trace if line.split()[1] in ("arrive", "finish"))
     return calls / events
 
@@ -80,3 +103,14 @@ def test_python_calls_per_event_within_budget(stream, strategy):
     params, config = STREAMS[stream]
     workload = generate_workload(params, config=config)
     assert calls_per_event(workload, strategy) <= BUDGET[(stream, strategy)]
+
+
+def test_python_calls_per_change_to_set_up_within_budget():
+    params = GeneratorParams(
+        seed=1000, n_changes=1000, arrival_rate=0.25, conflict_density=0.3
+    )
+    calls, w = python_calls(
+        lambda: parse_workload(format_workload(generate_workload(params)))
+    )
+    assert len(w.changes) == params.n_changes
+    assert calls / params.n_changes <= SET_UP_BUDGET

@@ -6,7 +6,7 @@ import csv
 import io
 import os
 import stat
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -199,10 +199,29 @@ class TestParserReuse:
             n_changes=30, arrival_rate=0.5, conflict_density=0.6,
             short_fraction=0.4, fail_rate=0.2, breaker_rate=0.5, seed=11,
         )))
+        # the benchmark's contended stream, which sets the two long-change knobs
+        code, out = run_cli(capsys, [
+            "gen-workload", "--n-changes", "500", "--arrival-rate", "0.45",
+            "--density", "0.3", "--short-fraction", "0.25", "--breaker-rate", "0.0",
+            "--long-target-bias", "1.0", "--long-second-link", "1.0",
+            "--seed", "1000",
+        ])
+        assert code == 0
+        assert out == format_workload(generate_workload(GeneratorParams(
+            n_changes=500, arrival_rate=0.45, conflict_density=0.3,
+            short_fraction=0.25, breaker_rate=0.0, long_target_bias=1.0,
+            long_second_link=1.0, seed=1000,
+        )))
         code, out = run_cli(capsys, ["gen-workload"])
         assert code == 0
         assert out == format_workload(generate_workload(GeneratorParams()))
         assert len(builds) == 1
+
+
+def test_gen_workload_has_one_flag_per_generator_field():
+    assert sorted(cli.GENERATOR_FLAGS.values()) == sorted(
+        f.name for f in fields(GeneratorParams)
+    )
 
 
 class TestCompare:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 
@@ -26,7 +27,11 @@ from specqueue.simulator.workload import (
     static_conflict_rate,
 )
 
-from oracles import reference_generate_changes
+from oracles import (
+    reference_calibrated_rows,
+    reference_generate_changes,
+    reference_generate_rows,
+)
 
 
 def spec(seq, label, at, targets, **kw):
@@ -81,6 +86,39 @@ class TestChangeSpec:
     def test_rejects_targets_the_file_format_splits(self, target):
         with pytest.raises(WorkloadError, match="C0: target .* no comma or whitespace"):
             spec(0, "C0", 0.0, {"a", target})
+
+
+    def test_init_takes_the_fields_in_order_with_their_defaults(self):
+        # the hand-written __init__ must follow the fields, so a new field
+        # cannot be missed
+        params = list(inspect.signature(ChangeSpec.__init__).parameters.values())
+        assert params[0].name == "self"
+        # a default's repr tells True from 1 and 1.0 from 1
+        assert [(p.name, p.kind, repr(p.default)) for p in params[1:]] == [
+            (
+                f.name,
+                inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                repr(
+                    inspect.Parameter.empty
+                    if f.default is dataclasses.MISSING
+                    else f.default
+                ),
+            )
+            for f in dataclasses.fields(ChangeSpec)
+        ]
+        default = {f.name: f.default for f in dataclasses.fields(ChangeSpec)}
+        assert spec(0, "C0", 0.0, {"a"}).breakers is default["breakers"]
+
+    def test_stays_frozen_and_replace_checks_the_new_record(self):
+        s = spec(0, "C0", 0.0, {"a"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.arrival_time = 1.0
+        moved = dataclasses.replace(s, arrival_time=2.5, success_prior=0.5)
+        assert (moved.arrival_time, moved.success_prior) == (2.5, 0.5)
+        assert moved == spec(0, "C0", 2.5, {"a"}, success_prior=0.5)
+        with pytest.raises(WorkloadError) as info:
+            dataclasses.replace(s, true_mean=0.0)
+        assert str(info.value) == "C0: true_mean must be finite and > 0"
 
 
 class TestWorkloadSpec:
@@ -455,6 +493,54 @@ class TestRowLoop:
     def test_bench_streams_match(self, shape, p_link, seed):
         params = dataclasses.replace(BENCH_SHAPES[shape], seed=seed)
         self.assert_same_stream(params, p_link)
+
+
+class TestInlinedDraws:
+    """The row loop and bisection against the versions that call the
+    `random` methods whose arithmetic the loop makes inline, kept in
+    tests/oracles.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_changes=st.integers(1, 200),
+        density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        arrival_rate=st.floats(0.01, 10.0),
+        short_fraction=st.floats(0.0, 1.0),
+        fail_rate=st.floats(0.0, 1.0),
+        breaker_rate=st.floats(0.0, 1.0),
+        long_target_bias=st.floats(0.0, 1.0),
+        long_second_link=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32),
+        p_link=st.floats(0.0, 1.0),
+    )
+    def test_rows_equal_the_random_method_draws(
+        self,
+        n_changes,
+        density,
+        arrival_rate,
+        short_fraction,
+        fail_rate,
+        breaker_rate,
+        long_target_bias,
+        long_second_link,
+        seed,
+        p_link,
+    ):
+        params = GeneratorParams(
+            n_changes=n_changes,
+            arrival_rate=arrival_rate,
+            conflict_density=density,
+            short_fraction=short_fraction,
+            fail_rate=fail_rate,
+            breaker_rate=breaker_rate,
+            seed=seed,
+            long_target_bias=long_target_bias,
+            long_second_link=long_second_link,
+        )
+        assert workload._calibrated_rows(params) == reference_calibrated_rows(params)
+        assert _generate_changes(params, p_link) == reference_generate_rows(
+            params, p_link
+        )
 
 
 class TestStaticConflictRate:

@@ -1,4 +1,5 @@
-"""Reference implementations that tests compare the package against."""
+"""Reference implementations that tests compare the package against, and
+the engine with its kept state checked after every event."""
 
 from __future__ import annotations
 
@@ -12,7 +13,14 @@ from specqueue.core import BuildOutcome, ChangeId, ConflictGraph
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import BypassPartition, SuccessFn, rank_builds
-from specqueue.selection import Decision, DecisionKind, rank_key
+from specqueue.selection import (
+    Decision,
+    DecisionKind,
+    decide_change,
+    rank_key,
+    select_builds,
+)
+from specqueue.simulator.engine import _Simulation
 from specqueue.simulator.workload import (
     LINK_WINDOW,
     LONG_MEAN,
@@ -82,6 +90,70 @@ def connected_components(
     for members in components:
         members.sort(key=lambda cid: order[cid])
     return components
+
+
+class CheckedSimulation(_Simulation):
+    """The engine, asserting after every event that the state it keeps
+    across events is what a pass from scratch derives. Selection, starts
+    and aborts change no node, the rank order or the queue, so what is
+    read around a reschedule is what scoring and its start lines saw.
+    `labels` collects the mandatory labels logged."""
+
+    def __init__(self, workload, strategy):
+        super().__init__(workload, strategy)
+        self.labels: set[str] = set()
+        self.scans = 0
+        scan = self.forest.conflicting_after
+
+        def counted(c):
+            self.scans += 1
+            return scan(c)
+
+        self.forest.conflicting_after = counted
+
+    def _decide(self, finished) -> None:
+        scans, decided = self.scans, len(self.waits)
+        super()._decide(finished)
+        # one successor scan per decision, and no decided change kept
+        assert self.scans - scans == len(self.waits) - decided, self.now
+        queued = self.forest.windows
+        assert all(c in queued for c in self.moved), (self.now, self.moved)
+        assert all(node.change in queued for _, node in self.order.entries), self.now
+
+    def _reschedule(self) -> None:
+        forest = self.forest
+        # sweeping the queue until nothing resolves would decide nothing
+        for c in forest.queue:
+            decision = decide_change(c, forest, allow_bypass=self.enhanced)
+            assert decision.kind is DecisionKind.WAIT, (self.now, decision)
+        components = connected_components(forest.graph, forest.queue)
+        heads = {members[0].label for members in components}
+        logged = len(self.trace)
+        super()._reschedule()
+        # the kept order is a fresh one filtered at the floor, the runs are
+        # what the fresh one chooses, and every node is the forest's
+        partitions = {c: self._partition(c) for c in forest.queue}
+        fresh = rank_all(forest, partitions, self._success_fn)
+        kept = [(k, node) for k, node in fresh if -k[0] >= self.floor]
+        assert self.order.entries == kept, self.now
+        capacity = self.cfg.executor_capacity
+        assert set(self.running) == chosen_nodes(fresh, capacity, self.floor), self.now
+        assert len(self.running) <= capacity, self.now
+        assert select_builds(self.order, self.running, capacity) == ((), ())
+        for node, run in self.running.items():
+            assert forest.nodes.get(node.key) is node, (self.now, node.key)
+            assert run.node is node and node.outcome is None, (self.now, node.key)
+        for k, node in self.order.entries:
+            assert k == rank_key(node, -k[0]), (self.now, k)
+            assert forest.nodes[node.key] is node, (self.now, k)
+        # a start is mandatory iff it is its component head's mainline build
+        for line in self.trace[logged:]:
+            _, verb, label, *rest = line.split()
+            if verb == "start":
+                fields = dict(t.split("=", 1) for t in rest)
+                expected = "yes" if not fields["base"] and label in heads else "no"
+                assert fields["mandatory"] == expected, line
+                self.labels.add(expected)
 
 
 # The generator's row loop as it was before its rows kept targets as

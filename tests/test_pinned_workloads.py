@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from specqueue.cli import main
+from specqueue.cli import GENERATOR_FLAGS, main
 from specqueue.core import EngineConfig
 from specqueue.simulator import GeneratorParams, format_workload, generate_workload
 
@@ -28,11 +28,9 @@ REFERENCE = json.loads(
 )
 # stream k of a run with seed s gets seed s * SEED_STRIDE + k
 SEED_STRIDE = 1000
-# the gen-workload flags of the generator fields a workload sets
+# the gen-workload flag of each generator field
 CLI_FLAGS = {
-    "n_changes": "--n-changes",
-    "arrival_rate": "--arrival-rate",
-    "conflict_density": "--density",
+    field: "--" + key.replace("_", "-") for key, field in GENERATOR_FLAGS.items()
 }
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from specqueue.core import ChangeId, EngineConfig
 from specqueue.prediction import OracleWithNoise
-from specqueue.selection import DecisionKind, decide_change, rank_key, select_builds
 from specqueue.simulator import (
     CSV_HEADER,
     GeneratorParams,
@@ -29,12 +28,7 @@ from specqueue.simulator import (
 from specqueue.simulator.engine import GroundTruth, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
-from oracles import (
-    chosen_nodes,
-    connected_components,
-    rank_all,
-    reference_duration,
-)
+from oracles import CheckedSimulation, reference_duration
 
 
 def spec(seq, label, at, targets, mu, passes=True, prior=0.9):
@@ -305,107 +299,6 @@ class TestAccounting:
                 assert rec.decided_at >= by_label[rec.change].arrival_time
 
 
-class _SweepCheckedSimulation(_Simulation):
-    """Asserts, before every reschedule, the fixed point that sweeping the
-    whole queue until nothing resolves would reach: no queued change is
-    decidable."""
-
-    def _reschedule(self) -> None:
-        for c in self.forest.queue:
-            decision = decide_change(c, self.forest, allow_bypass=self.enhanced)
-            assert decision.kind is DecisionKind.WAIT, (self.now, decision)
-        super()._reschedule()
-
-
-class _RankCheckedSimulation(_Simulation):
-    """Asserts, before every selection, that the rank order kept across
-    events equals one made from scratch filtered at the floor: every
-    queued change freshly profiled and scored, with the same nodes and
-    the same floats in the same order, so a held node that went stale
-    fails too, and no kept entry scores below the floor. After every
-    reschedule it checks the executor against the threshold law on the
-    unfiltered fresh ranking: the running builds are exactly the ones a
-    walk of it chooses with the strategy's threshold, no more than
-    capacity, so a second selection on the same state starts and aborts
-    nothing, and each is the forest's node under its key, its run's node,
-    and not finished, so a carried run that lost its node fails. It also
-    checks that every entry's stored rank key is its build's, and that
-    its node is the forest's node under that node's key, so a node
-    updated in place that drifted from its key or its entry fails."""
-
-    def __init__(self, workload, strategy):
-        super().__init__(workload, strategy)
-        # the baseline model has no speculation threshold
-        self.delta = self.cfg.speculation_threshold if strategy == "enhanced" else 0.0
-
-    def _rescore(self) -> None:
-        super()._rescore()
-        partitions = {c: self._partition(c) for c in self.forest.queue}
-        self.fresh = rank_all(self.forest, partitions, self._success_fn)
-        kept = [(k, node) for k, node in self.fresh if -k[0] >= self.floor]
-        assert self.order.entries == kept, self.now
-        assert all(-k[0] >= self.floor for k, _ in self.order.entries), self.now
-
-    def _reschedule(self) -> None:
-        super()._reschedule()
-        capacity = self.cfg.executor_capacity
-        chosen = chosen_nodes(self.fresh, capacity, self.delta)
-        assert set(self.running) == chosen, self.now
-        assert len(self.running) <= capacity, self.now
-        assert select_builds(self.order, self.running, capacity) == ((), ())
-        for node, run in self.running.items():
-            assert self.forest.nodes.get(node.key) is node, (self.now, node.key)
-            assert run.node is node and node.outcome is None, (self.now, node.key)
-        for k, node in self.order.entries:
-            assert k == rank_key(node, -k[0]), (self.now, k)
-            assert self.forest.nodes[node.key] is node, (self.now, k)
-
-
-class _HeadCheckedSimulation(_Simulation):
-    """Asserts that every start line's mandatory label marks exactly the
-    mainline build of the first queued change of a conflict component."""
-
-    def __init__(self, workload, strategy):
-        super().__init__(workload, strategy)
-        self.labels: set[str] = set()
-
-    def _start(self, node, p_needed) -> None:
-        components = connected_components(self.forest.graph, self.forest.queue)
-        heads = {comp[0] for comp in components}
-        expected = "yes" if not node.base and node.change in heads else "no"
-        super()._start(node, p_needed)
-        fields = dict(t.split("=", 1) for t in self.trace[-1].split()[3:])
-        assert fields["mandatory"] == expected, self.trace[-1]
-        self.labels.add(expected)
-
-
-class _DecisionCheckedSimulation(_Simulation):
-    """Asserts, after every cascade of decisions, that no table the engine
-    keeps between events holds a decided change: every change in `moved`
-    and in the rank order is still queued. It also asserts that the
-    cascade scans for successors once per decision, in `carry_map`: a
-    decision's map already lists the changes it re-windows."""
-
-    def __init__(self, workload, strategy):
-        super().__init__(workload, strategy)
-        self.scans = 0
-        scan = self.forest.conflicting_after
-
-        def counted(c):
-            self.scans += 1
-            return scan(c)
-
-        self.forest.conflicting_after = counted
-
-    def _decide(self, finished) -> None:
-        scans, decided = self.scans, len(self.waits)
-        super()._decide(finished)
-        assert self.scans - scans == len(self.waits) - decided, self.now
-        queued = self.forest.windows
-        assert all(c in queued for c in self.moved), (self.now, self.moved)
-        assert all(node.change in queued for _, node in self.order.entries), self.now
-
-
 DELTA_TAU_CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
@@ -466,58 +359,57 @@ def dense_runs(draw):
     return replace(w, config=cfg), draw(st.sampled_from(STRATEGIES))
 
 
+WIDE = EngineConfig(executor_capacity=72)
+DENSE_STREAM = GeneratorParams(
+    n_changes=300, arrival_rate=1.0, conflict_density=0.9, long_target_bias=1.0, seed=3
+)
+# Long changes that touch a second target bridge conflict groups, so a
+# change with no conflicting predecessor queued can still have its
+# component's head ahead of it.
+BRIDGED = GeneratorParams(
+    n_changes=120, arrival_rate=1.5, conflict_density=0.8, long_second_link=1.0
+)
+# dense_runs draws at most 14 changes and capacities of at most 8
+CHECKED_STREAMS = {
+    # criterion-5 streams on 72 executors have long chosen prefixes, where
+    # one event can start or abort many builds
+    **{f"wide-{s}": (wide_params(s), WIDE) for s in range(5)},
+    # the contended benchmark's stream at seed 1000, where decisions
+    # cascade and carry many builds
+    "contended-1000": (replace(wide_params(1000), n_changes=500), WIDE),
+    **{f"bridged-{s}": (replace(BRIDGED, seed=s), EngineConfig()) for s in range(3)},
+    # where most scored builds fall below the speculation threshold
+    "dense-3": (replace(DENSE_STREAM, n_changes=70), WIDE),
+}
+
+
+def checked_run(w, strategy):
+    """A run that checks the engine's kept state after every event; it
+    must equal the plain run."""
+    sim = CheckedSimulation(w, strategy)
+    assert sim.execute() == run(w, strategy)
+    return sim
+
+
+def run_digest(w, strategy):
+    report, trace = run(w, strategy)
+    text = reports_to_csv([report]) + "\n".join(trace) + "\n"
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+
+
 class TestEventDecisions:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(dense_runs())
-    def test_no_queued_change_is_left_decidable(self, case):
-        w, strategy = case
-        report, trace = _SweepCheckedSimulation(w, strategy).execute()
-        assert report.changes_decided == len(w.changes)
-        assert (report, trace) == run(w, strategy)
-
-    @settings(max_examples=100, deadline=None)
-    @given(dense_runs())
-    def test_kept_ranking_equals_a_fresh_one(self, case):
-        w, strategy = case
-        assert _RankCheckedSimulation(w, strategy).execute() == run(w, strategy)
+    def test_kept_state_holds_after_every_event(self, case):
+        checked_run(*case)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("seed", range(5))
-    def test_kept_ranking_and_choice_hold_on_a_wide_executor(self, strategy, seed):
-        # dense_runs draws capacities of at most 8; the contended
-        # benchmark's criterion-5 streams on 72 executors have long
-        # chosen prefixes, where one event can start or abort many builds
-        w = generate_workload(wide_params(seed), config=EngineConfig(executor_capacity=72))
-        assert _RankCheckedSimulation(w, strategy).execute() == run(w, strategy)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_a_decision_leaves_no_table_and_scans_once(self, strategy):
-        # the contended benchmark's stream at seed 1000, where decisions
-        # cascade and carry many builds
-        w = generate_workload(
-            replace(wide_params(1000), n_changes=500),
-            config=EngineConfig(executor_capacity=72),
-        )
-        assert _DecisionCheckedSimulation(w, strategy).execute() == run(w, strategy)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("seed", range(3))
-    def test_mandatory_label_marks_component_heads(self, strategy, seed):
-        # Long changes that touch a second target bridge conflict groups,
-        # so a change with no conflicting predecessor queued can still
-        # have its component's head ahead of it.
-        w = generate_workload(
-            GeneratorParams(
-                n_changes=120,
-                arrival_rate=1.5,
-                conflict_density=0.8,
-                long_second_link=1.0,
-                seed=seed,
-            )
-        )
-        sim = _HeadCheckedSimulation(w, strategy)
-        sim.execute()
-        assert sim.labels == {"yes", "no"}
+    @pytest.mark.parametrize("stream", CHECKED_STREAMS)
+    def test_kept_state_holds_on_a_stream(self, stream, strategy):
+        params, config = CHECKED_STREAMS[stream]
+        sim = checked_run(generate_workload(params, config=config), strategy)
+        if stream.startswith("bridged"):
+            assert sim.labels == {"yes", "no"}
 
     # The first three were recorded with the fixed-point sweep that the
     # event rule replaced, the edge configurations with the forest that
@@ -537,10 +429,7 @@ class TestEventDecisions:
         ],
     )
     def test_golden_digest_pins_decision_order(self, strategy, config, expected):
-        report, trace = run(replace(dense(20, 0), config=config), strategy)
-        text = reports_to_csv([report]) + "\n".join(trace) + "\n"
-        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
-        assert digest == expected
+        assert run_digest(replace(dense(20, 0), config=config), strategy) == expected
 
     # Recorded before build nodes were updated in place: on 72 executors
     # decisions carry many running builds to rewritten bases, and enhanced
@@ -555,14 +444,11 @@ class TestEventDecisions:
         ],
     )
     def test_golden_digest_pins_a_wide_stream(self, strategy, seed, expected):
-        w = generate_workload(wide_params(seed), config=EngineConfig(executor_capacity=72))
-        report, trace = run(w, strategy)
-        text = reports_to_csv([report]) + "\n".join(trace) + "\n"
-        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
-        assert digest == expected
+        w = generate_workload(wide_params(seed), config=WIDE)
+        assert run_digest(w, strategy) == expected
 
     # Recorded before the speculation threshold was applied where builds
-    # are scored: 87% of this dense stream's enhanced scores fall below it.
+    # are scored: 87% of this stream's enhanced scores fall below it.
     @pytest.mark.parametrize(
         "strategy, expected",
         [
@@ -571,18 +457,8 @@ class TestEventDecisions:
         ],
     )
     def test_golden_digest_pins_a_dense_stream(self, strategy, expected):
-        params = GeneratorParams(
-            n_changes=300,
-            arrival_rate=1.0,
-            conflict_density=0.9,
-            long_target_bias=1.0,
-            seed=3,
-        )
-        w = generate_workload(params, config=EngineConfig(executor_capacity=72))
-        report, trace = run(w, strategy)
-        text = reports_to_csv([report]) + "\n".join(trace) + "\n"
-        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
-        assert digest == expected
+        w = generate_workload(DENSE_STREAM, config=WIDE)
+        assert run_digest(w, strategy) == expected
 
 
 class TestCompare:

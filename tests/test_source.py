@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "specqueue"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "specqueue"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 # an __init__.py imports names to re-export them, not to use them
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -143,3 +144,52 @@ def test_the_check_sees_each_import_form():
         "specqueue.prioritize.rank_builds",
         "specqueue.selection",
     }
+
+
+def wrapped_names(source: str) -> list[tuple[str, str]]:
+    """(module, name) for each wrap that a span module's `_targets` returns
+    in the namespace of a module it imports whole."""
+    tree = ast.parse(source)
+    imports = [n for n in tree.body if isinstance(n, ast.Import)]
+    modules = {a.asname or a.name: a.name for n in imports for a in n.names}
+    targets = next(n for n in tree.body if getattr(n, "name", None) == "_targets")
+    wraps = next(n for n in ast.walk(targets) if isinstance(n, ast.Return)).value.elts
+    return [
+        (modules[owner.id], attr.value)
+        for owner, attr, *_ in (w.elts for w in wraps)
+        if isinstance(owner, ast.Name)
+    ]
+
+
+def called_names(source: str) -> set[str]:
+    """The names a module calls directly, as `name(...)`."""
+    calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    return {c.func.id for c in calls if isinstance(c.func, ast.Name)}
+
+
+# forest's wraps and the simulator package's re-exports are outside this rule
+CALLERS = ["cli", "prioritize", "simulator.engine", "simulator.workload"]
+
+
+def test_layer_functions_the_benchmark_wraps_are_called_where_it_wraps_them():
+    # a wrapped name that is imported and read but never called keeps its
+    # per-layer span at 0 calls while every other test passes
+    wraps = wrapped_names((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    calls = {
+        f"specqueue.{m}": called_names(
+            (PACKAGE / f"{m.replace('.', '/')}.py").read_text(encoding="utf-8")
+        )
+        for m in CALLERS
+    }
+    assert calls.keys() <= {m for m, _ in wraps}
+    uncalled = [(m, name) for m, name in wraps if m in calls and name not in calls[m]]
+    assert uncalled == []
+
+
+def test_the_check_sees_the_wraps_and_the_calls():
+    spans = (
+        "import specqueue.cli as cli\nfrom specqueue import forest\ndef _targets(r):\n"
+        "    return ((cli, 'main', 'cli.main', None), (forest.F, 'f', 'f', None))\n"
+    )
+    assert wrapped_names(spans) == [("specqueue.cli", "main")]
+    assert called_names("from m import f, g, h\nf(1)\nx = g\nobj.h()\n") == {"f"}

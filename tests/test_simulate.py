@@ -398,9 +398,16 @@ def run_digest(w, strategy):
 
 
 class TestEventDecisions:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(dense_runs())
-    def test_kept_state_holds_after_every_event(self, case):
+    def test_no_queued_change_is_left_decidable(self, case):
+        w, strategy = case
+        sim = checked_run(w, strategy)
+        assert len(sim.waits) == len(w.changes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_runs())
+    def test_kept_ranking_equals_a_fresh_one(self, case):
         checked_run(*case)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)

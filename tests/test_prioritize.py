@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specqueue.completion import FinishTimeModel, p_finishes_before
+from specqueue.completion import p_finishes_before
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 from specqueue.forest import BuildOutcome, SpeculationForest, enumerate_forest
 from specqueue.prediction import DurationEstimate
@@ -51,86 +51,6 @@ def partition(change, fixed=(), bypassed=(), product=1.0):
         bypass_product=product,
         fallback_active=False,
     )
-
-
-class TestFiveCaseConformance:
-    """The worked three-change scenarios, reproduced term for term.
-
-    C3 conflicts with both predecessors, so its four builds cover every
-    landed/failed combination; which formula applies depends only on the
-    expected finish order.
-    """
-
-    PS1 = 0.8
-    PS2 = 0.7
-
-    def setup_method(self):
-        self.forest = triangle()
-        self.success = priors_fn({C1: self.PS1, C2: self.PS2})
-
-    def node(self, change, base):
-        return self.forest.node(change, base)
-
-    def test_case_one_everyone_waits(self):
-        # FT1 < FT2 < FT3: no bypassing anywhere.
-        p1 = partition(C1)
-        p2 = partition(C2, fixed=(C1,))
-        p3 = partition(C3, fixed=(C1, C2))
-        assert needed_probability(self.node(C1, ()), p1, self.success) == 1.0
-        assert needed_probability(self.node(C2, (C1,)), p2, self.success) == self.PS1
-        assert needed_probability(self.node(C2, ()), p2, self.success) == 1 - self.PS1
-        assert (
-            needed_probability(self.node(C3, (C1, C2)), p3, self.success)
-            == self.PS1 * self.PS2
-        )
-
-    def test_case_two_second_change_may_pass_first(self):
-        # FT2 < FT1: both of C2's builds carry the finish-order chance.
-        p_ft = 0.7
-        p2 = partition(C2, bypassed=(C1,), product=p_ft)
-        assert needed_probability(self.node(C2, (C1,)), p2, self.success) == p_ft
-        assert needed_probability(self.node(C2, ()), p2, self.success) == p_ft
-
-    def test_case_three_third_change_may_pass_second_only(self):
-        # FT1 < FT3 < FT2: C3 bypasses C2 but still waits on C1.
-        p32 = 0.7
-        ps1 = 0.9
-        success = priors_fn({C1: ps1, C2: self.PS2})
-        p3 = partition(C3, fixed=(C1,), bypassed=(C2,), product=p32)
-        expected = {
-            (C1, C2): ps1 * p32,
-            (C1,): ps1 * p32,
-            (C2,): (1 - ps1) * p32,
-            (): (1 - ps1) * p32,
-        }
-        for base, want in expected.items():
-            got = needed_probability(self.node(C3, tuple(base)), p3, success)
-            assert got == want, base
-
-    def test_case_four_third_change_may_pass_both(self):
-        # FT3 < FT2 < FT1: every build of C3 carries both order chances.
-        p31, p32 = 0.9, 0.8
-        p3 = partition(C3, bypassed=(C1, C2), product=p31 * p32)
-        for base in [(C1, C2), (C1,), (C2,), ()]:
-            got = needed_probability(self.node(C3, base), p3, self.success)
-            assert got == p31 * p32, base
-        # C2 may pass C1 as well.
-        p21 = 0.6
-        p2 = partition(C2, bypassed=(C1,), product=p21)
-        assert needed_probability(self.node(C2, (C1,)), p2, self.success) == p21
-        assert needed_probability(self.node(C2, ()), p2, self.success) == p21
-
-    def test_case_five_mixed(self):
-        # FT3 < FT1 < FT2: C3 scores as in case four, C2 as in case one.
-        p31, p32 = 0.9, 0.8
-        p3 = partition(C3, bypassed=(C1, C2), product=p31 * p32)
-        for base in [(C1, C2), (C1,), (C2,), ()]:
-            assert (
-                needed_probability(self.node(C3, base), p3, self.success) == p31 * p32
-            )
-        p2 = partition(C2, fixed=(C1,))
-        assert needed_probability(self.node(C2, (C1,)), p2, self.success) == self.PS1
-        assert needed_probability(self.node(C2, ()), p2, self.success) == 1 - self.PS1
 
 
 class TestNeededProbability:

@@ -348,15 +348,23 @@ def wide_params(seed):
 
 @st.composite
 def dense_runs(draw):
-    """A small dense workload at an edge-heavy configuration, and a strategy."""
+    """A small dense workload at an edge-heavy configuration, and a
+    strategy. In half of them each linked long change takes a second
+    link, which can bridge conflict groups as in BRIDGED."""
     cfg = EngineConfig(
         speculation_threshold=draw(st.sampled_from((0.0, 0.3, 1.0))),
         bypass_eligibility_threshold=draw(st.sampled_from((0.0, 0.5, 1.0))),
         executor_capacity=draw(st.sampled_from((1, 3, 8))),
         depth_cap=draw(st.sampled_from((1, 2, 6))),
     )
-    w = dense(draw(st.integers(2, 14)), draw(st.integers(0, 10_000)))
-    return replace(w, config=cfg), draw(st.sampled_from(STRATEGIES))
+    params = GeneratorParams(
+        n_changes=draw(st.integers(2, 14)),
+        arrival_rate=1.5,
+        conflict_density=0.8,
+        long_second_link=draw(st.sampled_from((0.0, 1.0))),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    return generate_workload(params, config=cfg), draw(st.sampled_from(STRATEGIES))
 
 
 WIDE = EngineConfig(executor_capacity=72)

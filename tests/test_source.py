@@ -1,4 +1,5 @@
-"""Checks on the package source itself, read with `ast`."""
+"""Checks on the package source, and on the imports of the test modules,
+read with `ast`."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ PACKAGE = ROOT / "src" / "specqueue"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 # an __init__.py imports names to re-export them, not to use them
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +31,11 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TESTS,
+    ids=lambda p: str(p.relative_to(PACKAGE if PACKAGE in p.parents else ROOT)),
+)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

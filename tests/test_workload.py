@@ -20,6 +20,7 @@ from specqueue.simulator.workload import (
     GeneratorParams,
     WorkloadError,
     WorkloadSpec,
+    _calibrated_rows,
     _generate_changes,
     format_workload,
     generate_workload,
@@ -27,11 +28,7 @@ from specqueue.simulator.workload import (
     static_conflict_rate,
 )
 
-from oracles import (
-    reference_calibrated_rows,
-    reference_generate_changes,
-    reference_generate_rows,
-)
+from oracles import reference_calibrated_rows, reference_generate_changes
 
 
 def spec(seq, label, at, targets, **kw):
@@ -357,31 +354,62 @@ GENERATORS = {
 }
 
 
-def full_bisection_rows(params):
-    """The kept stream's rows as found by drawing all 18 probes and the
-    kept stream in full, reusing none."""
-    if params.conflict_density <= 0.0:
-        p_link = 0.0
-    elif params.conflict_density >= 1.0:
-        p_link = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(18):
-            mid = (lo + hi) / 2.0
-            if _generate_changes(params, mid)[1] < params.conflict_density:
-                lo = mid
-            else:
-                hi = mid
-        p_link = (lo + hi) / 2.0
-    return _generate_changes(params, p_link)[0]
+def named(rows):
+    """Rows with their targets named as `generate_workload` names them."""
+    return [(row[0], {f"t{t}" for t in row[1]}, *row[2:]) for row in rows]
+
+
+# the benchmark's stream shapes; at density 0.3 their bisection settles
+# p_link near 0.13-0.18
+BENCH_SHAPES = {
+    "steady": GeneratorParams(n_changes=1000, arrival_rate=0.25),
+    "overload": GeneratorParams(n_changes=100, arrival_rate=1.0),
+    "contended": dataclasses.replace(GENERATORS["criterion-5"], n_changes=500),
+}
 
 
 class TestStreamReuse:
+    """The row loop and the bisection that reuses its streams, against
+    the references kept in tests/oracles.py: the loop that calls the
+    `random` methods whose arithmetic the row loop makes inline, and a
+    bisection over it that draws every probe."""
+
+    def assert_same_streams(self, params, p_links):
+        for p_link in p_links:
+            rows, *rest = _generate_changes(params, p_link)
+            assert (named(rows), *rest) == reference_generate_changes(params, p_link)
+        assert named(_calibrated_rows(params)) == reference_calibrated_rows(params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        params=st.builds(
+            GeneratorParams,
+            n_changes=st.integers(1, 200),
+            arrival_rate=st.floats(0.01, 10.0),
+            conflict_density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+            short_fraction=st.floats(0.0, 1.0),
+            fail_rate=st.floats(0.0, 1.0),
+            breaker_rate=st.floats(0.0, 1.0),
+            long_target_bias=st.floats(0.0, 1.0),
+            long_second_link=st.floats(0.0, 1.0),
+            seed=st.integers(0, 2**32),
+        ),
+        p_link=st.floats(0.0, 1.0),
+    )
+    def test_random_streams_match(self, params, p_link):
+        self.assert_same_streams(params, [p_link])
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    @pytest.mark.parametrize("shape", BENCH_SHAPES)
+    def test_bench_streams_match(self, shape, seed):
+        params = dataclasses.replace(BENCH_SHAPES[shape], seed=seed)
+        self.assert_same_streams(params, [0.1, 0.18, 0.5])
+
     @pytest.mark.parametrize("n_changes", [1, 2, 7, 300])
     @pytest.mark.parametrize("generator", GENERATORS)
-    def test_same_text_as_drawing_every_probe(
-        self, monkeypatch, generator, n_changes
-    ):
+    def test_same_text_as_drawing_every_probe(self, generator, n_changes):
+        # the rows the workload text is written from
         for seed, density in itertools.product(
             range(10), (0.0, 0.05, 0.3, 0.6, 0.95, 1.0)
         ):
@@ -391,10 +419,7 @@ class TestStreamReuse:
                 seed=seed,
                 conflict_density=density,
             )
-            text = format_workload(generate_workload(params))
-            with monkeypatch.context() as m:
-                m.setattr(workload, "_calibrated_rows", full_bisection_rows)
-                assert format_workload(generate_workload(params)) == text, params
+            self.assert_same_streams(params, [density])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -449,98 +474,6 @@ class TestStreamReuse:
         params = GeneratorParams(n_changes=1000, conflict_density=density, seed=1000)
         generate_workload(params)
         assert drawn == [density]
-
-
-def named(rows):
-    """Rows with their targets named as `generate_workload` names them."""
-    return [(row[0], {f"t{t}" for t in row[1]}, *row[2:]) for row in rows]
-
-
-# the benchmark's stream shapes; at density 0.3 their bisection settles
-# p_link near 0.13-0.18
-BENCH_SHAPES = {
-    "steady": GeneratorParams(n_changes=1000, arrival_rate=0.25),
-    "overload": GeneratorParams(n_changes=100, arrival_rate=1.0),
-    "contended": dataclasses.replace(GENERATORS["criterion-5"], n_changes=500),
-}
-
-
-class TestRowLoop:
-    """The row loop against the one it replaced, kept in tests/oracles.py."""
-
-    def assert_same_stream(self, params, p_link):
-        rows, share, below, above = _generate_changes(params, p_link)
-        reference = reference_generate_changes(params, p_link)
-        assert (named(rows), share, below, above) == reference
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        generator=st.sampled_from(sorted(GENERATORS)),
-        n_changes=st.integers(1, 60),
-        seed=st.integers(0, 2**32),
-        p_link=st.floats(0.0, 1.0),
-    )
-    def test_small_streams_match(self, generator, n_changes, seed, p_link):
-        params = dataclasses.replace(
-            GENERATORS[generator], n_changes=n_changes, seed=seed
-        )
-        self.assert_same_stream(params, p_link)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32))
-    @pytest.mark.parametrize("p_link", [0.1, 0.18, 0.5])
-    @pytest.mark.parametrize("shape", BENCH_SHAPES)
-    def test_bench_streams_match(self, shape, p_link, seed):
-        params = dataclasses.replace(BENCH_SHAPES[shape], seed=seed)
-        self.assert_same_stream(params, p_link)
-
-
-class TestInlinedDraws:
-    """The row loop and bisection against the versions that call the
-    `random` methods whose arithmetic the loop makes inline, kept in
-    tests/oracles.py."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        n_changes=st.integers(1, 200),
-        density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-        arrival_rate=st.floats(0.01, 10.0),
-        short_fraction=st.floats(0.0, 1.0),
-        fail_rate=st.floats(0.0, 1.0),
-        breaker_rate=st.floats(0.0, 1.0),
-        long_target_bias=st.floats(0.0, 1.0),
-        long_second_link=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**32),
-        p_link=st.floats(0.0, 1.0),
-    )
-    def test_rows_equal_the_random_method_draws(
-        self,
-        n_changes,
-        density,
-        arrival_rate,
-        short_fraction,
-        fail_rate,
-        breaker_rate,
-        long_target_bias,
-        long_second_link,
-        seed,
-        p_link,
-    ):
-        params = GeneratorParams(
-            n_changes=n_changes,
-            arrival_rate=arrival_rate,
-            conflict_density=density,
-            short_fraction=short_fraction,
-            fail_rate=fail_rate,
-            breaker_rate=breaker_rate,
-            seed=seed,
-            long_target_bias=long_target_bias,
-            long_second_link=long_second_link,
-        )
-        assert workload._calibrated_rows(params) == reference_calibrated_rows(params)
-        assert _generate_changes(params, p_link) == reference_generate_rows(
-            params, p_link
-        )
 
 
 class TestStaticConflictRate:

@@ -1,5 +1,6 @@
-"""Reference implementations that tests compare the package against, and
-the engine with its kept state checked after every event."""
+"""Reference implementations that tests compare the package against, the
+engine with its kept state checked after every event, and the five
+worked scoring cases."""
 
 from __future__ import annotations
 
@@ -12,7 +13,12 @@ from typing import Iterable, Mapping, Sequence
 from specqueue.core import BuildOutcome, ChangeId, ConflictGraph
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest
 from specqueue.prediction import DurationEstimate
-from specqueue.prioritize import BypassPartition, SuccessFn, rank_builds
+from specqueue.prioritize import (
+    BypassPartition,
+    SuccessFn,
+    needed_probability,
+    rank_builds,
+)
 from specqueue.selection import (
     Decision,
     DecisionKind,
@@ -250,20 +256,23 @@ def reference_generate_changes(
     return rows, len(conflicted) / params.n_changes, below, above
 
 
-def reference_calibrated_rows(params: GeneratorParams) -> list[tuple]:
+def reference_calibrated_rows(
+    params: GeneratorParams, generate=reference_generate_changes
+) -> list[tuple]:
     """The rows of the stream whose link probability is bisected against
     params.conflict_density, drawing all 18 probes and the kept stream in
-    full and reusing none."""
+    full and reusing none. `generate(params, p_link)` draws one stream as
+    (rows, share, below, above); the reference loop by default."""
     if params.conflict_density in (0.0, 1.0):  # no link, or every link
-        return reference_generate_changes(params, params.conflict_density)[0]
+        return generate(params, params.conflict_density)[0]
     lo, hi = 0.0, 1.0
     for _ in range(18):
         mid = (lo + hi) / 2.0
-        if reference_generate_changes(params, mid)[1] < params.conflict_density:
+        if generate(params, mid)[1] < params.conflict_density:
             lo = mid
         else:
             hi = mid
-    return reference_generate_changes(params, (lo + hi) / 2.0)[0]
+    return generate(params, (lo + hi) / 2.0)[0]
 
 
 def reference_duration(seed: int, spec: ChangeSpec, base: Sequence[ChangeId]) -> float:
@@ -319,3 +328,77 @@ def reference_ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
         for size in range(len(window), -1, -1)
         for base in combinations(window, size)
     )
+
+
+# The five worked scoring cases. C1, C2 and C3 share one target, so C3's
+# four builds cover every landed/failed combination, and which formula
+# applies depends only on the expected finish order. Each case lists
+# (change, base, partition, the needed probability it scores exactly)
+# under success priors PS1 for C1 and PS2 for C2.
+C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
+PS1, PS2 = 0.8, 0.7
+P_ORDER, P31, P32, P21 = 0.7, 0.9, 0.8, 0.6  # finish-order chances
+C3_BASES = [(C1, C2), (C1,), (C2,), ()]
+
+
+def partition(change, fixed=(), bypassed=(), product=1.0) -> BypassPartition:
+    return BypassPartition(
+        change=change,
+        non_bypassable=tuple(fixed),
+        bypassable=tuple(bypassed),
+        bypass_product=product,
+        fallback_active=False,
+    )
+
+
+_C2_WAITS = [
+    (C2, (C1,), partition(C2, fixed=(C1,)), PS1),
+    (C2, (), partition(C2, fixed=(C1,)), 1 - PS1),
+]
+_C3_OVERTAKES_BOTH = [
+    (C3, base, partition(C3, bypassed=(C1, C2), product=P31 * P32), P31 * P32)
+    for base in C3_BASES
+]
+SCORING_CASES = {
+    # FT1 < FT2 < FT3, everyone waits: outcome terms only
+    "one": [
+        (C1, (), partition(C1), 1.0),
+        *_C2_WAITS,
+        (C3, (C1, C2), partition(C3, fixed=(C1, C2)), PS1 * PS2),
+    ],
+    # FT2 < FT1: both of C2's builds carry the finish-order chance
+    "two": [
+        (C2, base, partition(C2, bypassed=(C1,), product=P_ORDER), P_ORDER)
+        for base in [(C1,), ()]
+    ],
+    # FT1 < FT3 < FT2: C3 overtakes C2 but still waits on C1
+    "three": [
+        (
+            C3,
+            base,
+            partition(C3, fixed=(C1,), bypassed=(C2,), product=P_ORDER),
+            (PS1 if C1 in base else 1 - PS1) * P_ORDER,
+        )
+        for base in C3_BASES
+    ],
+    # FT3 < FT2 < FT1: every build of C3 carries both order chances, and
+    # C2 may overtake C1
+    "four": [
+        *_C3_OVERTAKES_BOTH,
+        *[
+            (C2, base, partition(C2, bypassed=(C1,), product=P21), P21)
+            for base in [(C1,), ()]
+        ],
+    ],
+    # FT3 < FT1 < FT2: C3 scores as in case four, C2 as in case one
+    "five": [*_C3_OVERTAKES_BOTH, *_C2_WAITS],
+}
+
+
+def assert_scoring_case(forest: SpeculationForest, case: str) -> None:
+    """Each listed build of the three-change forest scores exactly."""
+    priors = {C1: PS1, C2: PS2}
+    success = lambda pred, context: priors[pred]
+    for change, base, part, want in SCORING_CASES[case]:
+        got = needed_probability(forest.node(change, base), part, success)
+        assert got == want, (case, change, base)

@@ -19,13 +19,15 @@ from specqueue.completion import normal_cdf, z_score
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 from specqueue.forest import enumerate_forest
 from specqueue.prediction import DurationEstimate, mape
-from specqueue.prioritize import BypassPartition, needed_probability, profile_change
+from specqueue.prioritize import needed_probability, profile_change
 from specqueue.simulator import (
     GeneratorParams,
     generate_workload,
     nearest_rank,
     run,
 )
+
+from oracles import SCORING_CASES, assert_scoring_case
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
@@ -39,16 +41,6 @@ def triangle(depth_cap=6):
     targets = {ChangeId(i, f"C{i}"): {"t"} for i in (1, 2, 3)}
     g = build_conflict_graph(targets)
     return enumerate_forest(list(targets), g, depth_cap)
-
-
-def partition(change, fixed=(), bypassed=(), product=1.0):
-    return BypassPartition(
-        change=change,
-        non_bypassable=tuple(fixed),
-        bypassable=tuple(bypassed),
-        bypass_product=product,
-        fallback_active=False,
-    )
 
 
 def decision_lines(trace):
@@ -84,49 +76,8 @@ def test_criterion_1_finish_order_cdf_worked_examples(capsys):
 
 def test_criterion_2_five_case_formula_conformance(capsys):
     forest = triangle()
-    ps1, ps2, p_order = 0.8, 0.7, 0.7
-    success = lambda pred, context: {C1: ps1, C2: ps2}[pred]
-    node = forest.node
-
-    # case 1, everyone waits: outcome terms only
-    p2 = partition(C2, fixed=(C1,))
-    p3 = partition(C3, fixed=(C1, C2))
-    assert needed_probability(node(C1, ()), partition(C1), success) == 1.0
-    assert needed_probability(node(C2, (C1,)), p2, success) == ps1
-    assert needed_probability(node(C2, ()), p2, success) == 1 - ps1
-    assert needed_probability(node(C3, (C1, C2)), p3, success) == ps1 * ps2
-
-    # case 2, second change may overtake the head: both builds carry p
-    p2 = partition(C2, bypassed=(C1,), product=p_order)
-    assert needed_probability(node(C2, (C1,)), p2, success) == p_order
-    assert needed_probability(node(C2, ()), p2, success) == p_order
-
-    # case 3, third change may overtake the second only
-    p3 = partition(C3, fixed=(C1,), bypassed=(C2,), product=p_order)
-    for base, want in [
-        ((C1, C2), ps1 * p_order),
-        ((C1,), ps1 * p_order),
-        ((C2,), (1 - ps1) * p_order),
-        ((), (1 - ps1) * p_order),
-    ]:
-        assert needed_probability(node(C3, base), p3, success) == want
-
-    # case 4, third change may overtake both; second may overtake head
-    p31, p32, p21 = 0.9, 0.8, 0.6
-    p3 = partition(C3, bypassed=(C1, C2), product=p31 * p32)
-    for base in [(C1, C2), (C1,), (C2,), ()]:
-        assert needed_probability(node(C3, base), p3, success) == p31 * p32
-    p2 = partition(C2, bypassed=(C1,), product=p21)
-    assert needed_probability(node(C2, (C1,)), p2, success) == p21
-    assert needed_probability(node(C2, ()), p2, success) == p21
-
-    # case 5, third change overtakes both while the second waits
-    p3 = partition(C3, bypassed=(C1, C2), product=p31 * p32)
-    for base in [(C1, C2), (C1,), (C2,), ()]:
-        assert needed_probability(node(C3, base), p3, success) == p31 * p32
-    p2 = partition(C2, fixed=(C1,))
-    assert needed_probability(node(C2, (C1,)), p2, success) == ps1
-    assert needed_probability(node(C2, ()), p2, success) == 1 - ps1
+    for case in SCORING_CASES:
+        assert_scoring_case(forest, case)
 
     verdict(
         capsys, 2, "five-case formula conformance",

@@ -11,14 +11,13 @@ from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 from specqueue.forest import BuildOutcome, SpeculationForest, enumerate_forest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import (
-    BypassPartition,
     finish_time_model,
     needed_probability,
     profile_change,
     rank_builds,
 )
 
-from oracles import rank_all
+from oracles import assert_scoring_case, partition, rank_all
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
@@ -43,14 +42,24 @@ def priors_fn(priors: dict[ChangeId, float]):
     return lambda pred, context: priors[pred]
 
 
-def partition(change, fixed=(), bypassed=(), product=1.0):
-    return BypassPartition(
-        change=change,
-        non_bypassable=tuple(fixed),
-        bypassable=tuple(bypassed),
-        bypass_product=product,
-        fallback_active=False,
-    )
+class TestFiveCaseConformance:
+    """The five worked scoring cases of tests/oracles.py, one test each;
+    acceptance criterion 2 runs them together."""
+
+    def test_case_one_everyone_waits(self):
+        assert_scoring_case(triangle(), "one")
+
+    def test_case_two_second_change_may_pass_first(self):
+        assert_scoring_case(triangle(), "two")
+
+    def test_case_three_third_change_may_pass_second_only(self):
+        assert_scoring_case(triangle(), "three")
+
+    def test_case_four_third_change_may_pass_both(self):
+        assert_scoring_case(triangle(), "four")
+
+    def test_case_five_mixed(self):
+        assert_scoring_case(triangle(), "five")
 
 
 class TestNeededProbability:

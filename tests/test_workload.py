@@ -368,17 +368,48 @@ BENCH_SHAPES = {
 }
 
 
-class TestStreamReuse:
-    """The row loop and the bisection that reuses its streams, against
-    the references kept in tests/oracles.py: the loop that calls the
-    `random` methods whose arithmetic the row loop makes inline, and a
-    bisection over it that draws every probe."""
+def assert_same_stream(params, p_link):
+    """The row loop against the reference loop in tests/oracles.py."""
+    rows, *rest = _generate_changes(params, p_link)
+    assert (named(rows), *rest) == reference_generate_changes(params, p_link)
 
-    def assert_same_streams(self, params, p_links):
-        for p_link in p_links:
-            rows, *rest = _generate_changes(params, p_link)
-            assert (named(rows), *rest) == reference_generate_changes(params, p_link)
-        assert named(_calibrated_rows(params)) == reference_calibrated_rows(params)
+
+def assert_same_calibration(params):
+    """The bisection that reuses streams against the reference bisection
+    in tests/oracles.py, which draws every probe."""
+    assert named(_calibrated_rows(params)) == reference_calibrated_rows(params)
+
+
+class TestRowLoop:
+    """The row loop against the reference loop, on the named generators
+    and the benchmark's stream shapes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        generator=st.sampled_from(sorted(GENERATORS)),
+        n_changes=st.integers(1, 60),
+        seed=st.integers(0, 2**32),
+        p_link=st.floats(0.0, 1.0),
+    )
+    def test_small_streams_match(self, generator, n_changes, seed, p_link):
+        params = dataclasses.replace(
+            GENERATORS[generator], n_changes=n_changes, seed=seed
+        )
+        assert_same_stream(params, p_link)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    @pytest.mark.parametrize("p_link", [0.1, 0.18, 0.5])
+    @pytest.mark.parametrize("shape", BENCH_SHAPES)
+    def test_bench_streams_match(self, shape, p_link, seed):
+        params = dataclasses.replace(BENCH_SHAPES[shape], seed=seed)
+        assert_same_stream(params, p_link)
+
+
+class TestInlinedDraws:
+    """The row loop and bisection, which make the `random` methods'
+    arithmetic inline, against the references that call them, on random
+    parameters."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -396,15 +427,20 @@ class TestStreamReuse:
         ),
         p_link=st.floats(0.0, 1.0),
     )
-    def test_random_streams_match(self, params, p_link):
-        self.assert_same_streams(params, [p_link])
+    def test_rows_equal_the_random_method_draws(self, params, p_link):
+        assert_same_stream(params, p_link)
+        assert_same_calibration(params)
+
+
+class TestStreamReuse:
+    """The bisection that reuses streams, against the reference
+    bisection, and the streams it draws."""
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**32))
     @pytest.mark.parametrize("shape", BENCH_SHAPES)
-    def test_bench_streams_match(self, shape, seed):
-        params = dataclasses.replace(BENCH_SHAPES[shape], seed=seed)
-        self.assert_same_streams(params, [0.1, 0.18, 0.5])
+    def test_bench_calibration_matches(self, shape, seed):
+        assert_same_calibration(dataclasses.replace(BENCH_SHAPES[shape], seed=seed))
 
     @pytest.mark.parametrize("n_changes", [1, 2, 7, 300])
     @pytest.mark.parametrize("generator", GENERATORS)
@@ -419,7 +455,12 @@ class TestStreamReuse:
                 seed=seed,
                 conflict_density=density,
             )
-            self.assert_same_streams(params, [density])
+            assert_same_stream(params, density)
+            # the reference bisection over the row loop, which the tests
+            # above hold to the reference loop; over the reference loop
+            # itself this grid takes about 2.5 s longer
+            reference = reference_calibrated_rows(params, _generate_changes)
+            assert _calibrated_rows(params) == reference
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -131,6 +131,23 @@ def predict_duration(
     raise TypeError(f"unknown predictor spec: {spec!r}")
 
 
+def estimates_stay_finite(spec: PredictorSpec, truth: DurationEstimate) -> bool:
+    """Whether every estimate `spec` can make from `truth`, or from a truth
+    no larger in mean and in variance, is finite. An oracle scales the
+    truth by 1 + bias + eta, for noise eta in [-spread, spread], and its
+    estimate only grows with the scale's size, so the two ends of that
+    range bound every estimate; a constant's estimate is its own."""
+    if isinstance(spec, OracleWithNoise):
+        for eta in (-spec.relative_spread, spec.relative_spread):
+            scale = 1.0 + spec.relative_bias + eta
+            if not (
+                truth.mean * scale < math.inf
+                and truth.variance * scale * scale < math.inf
+            ):
+                return False
+    return True
+
+
 def mape(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Mean absolute percentage error, in percent."""
     if len(predicted) != len(actual):

@@ -47,6 +47,7 @@ from specqueue.forest import (
 from specqueue.prediction import (
     DurationEstimate,
     PredictionFeatures,
+    estimates_stay_finite,
     predict_duration,
 )
 from specqueue.prioritize import (
@@ -64,6 +65,7 @@ from specqueue.selection import (
 from specqueue.simulator.metrics import MetricsReport, WaitRecord
 from specqueue.simulator.workload import (
     STRATEGIES,
+    WorkloadError,
     WorkloadSpec,
     static_conflict_rate,
 )
@@ -73,6 +75,7 @@ TraceLog = tuple[str, ...]
 _ARRIVAL, _FINISH = 0, 1
 _TWOPI = 2.0 * math.pi
 _LABEL = attrgetter("label")
+_MEAN, _VARIANCE = attrgetter("mean"), attrgetter("variance")
 
 
 class GroundTruth:
@@ -152,6 +155,18 @@ class _Simulation:
         self.true_durations = tuple(
             DurationEstimate(s.true_mean, s.true_variance) for s in workload.changes
         )
+        # an estimate grows with its truth, so the largest true mean and
+        # variance bound every estimate the predictor makes in this run
+        largest = DurationEstimate(
+            max(map(_MEAN, self.true_durations)),
+            max(map(_VARIANCE, self.true_durations)),
+        )
+        if not estimates_stay_finite(workload.predictor, largest):
+            raise WorkloadError(
+                f"predictor {workload.predictor!r} overflows a duration estimate: "
+                f"the largest true mean is {largest.mean!r} and variance "
+                f"{largest.variance!r}"
+            )
         # one immutable record per distinct (targets, conflicts, height)
         self._features: dict[tuple[int, int, int], PredictionFeatures] = {}
         self.truth = GroundTruth(workload)

@@ -246,9 +246,9 @@ class GeneratorParams:
 
 
 def _generate_changes(
-    params: GeneratorParams, p_link: float
-) -> tuple[list[tuple], float, float, float]:
-    """One full change stream for a candidate link probability, the
+    params: GeneratorParams, p_link: float, *, probe: bool = False
+) -> tuple[list[tuple] | None, float, float, float]:
+    """One change stream for a candidate link probability: its rows, the
     share of its changes that share a target with another, and the
     interval (below, above] of link probabilities that draw this stream.
 
@@ -258,16 +258,21 @@ def _generate_changes(
     targets, and rounds the arrival and clamps the prior as it does.
     Targets and breakers are row indices, and row i owns target i. A
     link reaches back LINK_WINDOW rows at most, and a chain-forming link
-    reads only those; a row is long iff its mean is LONG_MEAN. A change
-    shares a target iff it has a predecessor on its targets or is one.
-    A target's members (the rows touching it) are ascending, and all
-    but its owner are conflicted already, since each linked to it.
+    reads only those long rows, which `is_long` marks. A change shares a
+    target iff it has a predecessor on its targets or is one. A target's
+    members (the rows touching it) are ascending, and all but its owner
+    are conflicted already, since each linked to it.
 
     The stream depends on p_link only through its link draws' `u <
     p_link`, and every other draw follows from those. So every p in
     (below, above] draws the same stream, where below is the largest
     link draw under p_link and above the smallest at or over it (each
     infinite if there is none).
+
+    A probe, which the bisection makes, returns None for the rows and
+    builds none: it makes every draw in the same order, so it finds the
+    same share and interval, but a row's pass, breaker, prior and
+    arrival draws are only made, not read.
 
     A draw of `expovariate`, `uniform` or `randrange(start, stop)` is
     made inline: one call of `rng.random`, in C, or of `rng._randbelow`,
@@ -285,22 +290,21 @@ def _generate_changes(
     long_target_bias = params.long_target_bias
     long_second_link = params.long_second_link
     n = params.n_changes
-    rows: list[tuple] = []
+    rows: list[tuple] | None = None if probe else []
     arrival = 0.0
     below, above = -math.inf, math.inf
     # members[t]: the rows touching target t, once a later row links to it
     members: dict[int, list[int]] = {}
     conflicted = bytearray(n)
+    is_long = bytearray(n)
     # the breakers of every row without any, one list for all of them: a
     # list per row would be one more object for the garbage collector to
     # track (nothing mutates a row)
     no_breakers: list[int] = []
     for i in range(n):
         is_short = draw() < short_fraction
-        if is_short:
-            mean, variance = SHORT_MEAN, SHORT_VARIANCE
-        else:
-            mean, variance = LONG_MEAN, LONG_VARIANCE
+        if not is_short:
+            is_long[i] = 1
 
         linked = False
         if i > 0:
@@ -312,12 +316,17 @@ def _generate_changes(
             elif u < above:
                 above = u
         if not linked:
+            if probe:  # the pass, prior and arrival draws
+                draw()
+                draw()
+                draw()
+                continue
             passes_alone = draw() >= fail_rate
             targets, breakers = (i,), no_breakers
         else:
             window_start = max(0, i - LINK_WINDOW)
             recent_longs = long_target_bias > 0 and [
-                j for j in range(window_start, i) if rows[j][2] == LONG_MEAN
+                j for j in range(window_start, i) if is_long[j]
             ]
             if recent_longs and draw() < long_target_bias:
                 # chain-forming: extend an existing conflict run when
@@ -329,7 +338,6 @@ def _generate_changes(
             k = j
             if not is_short and long_second_link > 0 and draw() < long_second_link:
                 k = window_start + randbelow(i - window_start)
-            passes_alone = draw() >= fail_rate
             on_j = members.setdefault(j, [j])
             if k == j:
                 targets, preds = (i, j), on_j
@@ -338,9 +346,20 @@ def _generate_changes(
                 targets, preds = (i, j, k), sorted({*on_j, *on_k})
                 on_k.append(i)
                 conflicted[k] = 1
-            breakers = [p for p in preds if draw() < breaker_rate]
+            if probe:  # the pass, breaker, prior and arrival draws
+                for _ in range(len(preds) + 3):
+                    draw()
+            else:
+                passes_alone = draw() >= fail_rate
+                breakers = [p for p in preds if draw() < breaker_rate]
             on_j.append(i)
             conflicted[i] = conflicted[j] = 1
+            if probe:
+                continue
+        if is_short:
+            mean, variance = SHORT_MEAN, SHORT_VARIANCE
+        else:
+            mean, variance = LONG_MEAN, LONG_VARIANCE
         # uniform(-0.04, 0.04)
         prior = (0.92 if passes_alone else 0.15) + (-0.04 + (0.04 - -0.04) * draw())
         rows.append((arrival, targets, mean, variance, passes_alone, breakers, prior))
@@ -351,34 +370,36 @@ def _generate_changes(
 
 def _calibrated_rows(params: GeneratorParams) -> list[tuple]:
     """The rows of the stream whose link probability is bisected against
-    params.conflict_density, drawing each distinct stream once.
+    params.conflict_density. The bisection's probes build no rows, and
+    each distinct stream is probed once; the rows are drawn once, in
+    full, at the final midpoint.
 
-    Only the streams last probed below the target (`low`) and at or over
-    it (`high`) are kept, as (rows, share, below, above). A midpoint
-    inside either's interval takes its answer without drawing. That is
-    enough: an interval is convex, and every earlier probe lies at or
-    under lo or at or over hi, so an earlier stream whose interval holds
-    the midpoint also holds lo or hi, and draws the stream kept there.
+    Only the probes last made below the target (`low`) and at or over it
+    (`high`) are kept, as (share, below, above). A midpoint inside
+    either's interval takes its answer without drawing. That is enough:
+    an interval is convex, and every earlier probe lies at or under lo
+    or at or over hi, so an earlier stream whose interval holds the
+    midpoint also holds lo or hi, and draws the stream kept there.
     """
-    if params.conflict_density in (0.0, 1.0):  # no link, or every link
-        return _generate_changes(params, params.conflict_density)[0]
-
-    def stream_at(p: float) -> tuple:
-        for kept in (low, high):
-            if kept is not None and kept[2] < p <= kept[3]:
-                return kept
-        return _generate_changes(params, p)
+    density = params.conflict_density
+    if density in (0.0, 1.0):  # no link, or every link
+        return _generate_changes(params, density)[0]
 
     lo, hi = 0.0, 1.0
     low = high = None
     for _ in range(18):
         mid = (lo + hi) / 2.0
-        stream = stream_at(mid)
-        if stream[1] < params.conflict_density:
-            lo, low = mid, stream
+        if low is not None and low[1] < mid <= low[2]:
+            probed = low
+        elif high is not None and high[1] < mid <= high[2]:
+            probed = high
         else:
-            hi, high = mid, stream
-    return stream_at((lo + hi) / 2.0)[0]
+            probed = _generate_changes(params, mid, probe=True)[1:]
+        if probed[0] < density:
+            lo, low = mid, probed
+        else:
+            hi, high = mid, probed
+    return _generate_changes(params, (lo + hi) / 2.0)[0]
 
 
 def generate_workload(

@@ -256,15 +256,15 @@ def reference_generate_changes(
     return rows, len(conflicted) / params.n_changes, below, above
 
 
-def reference_calibrated_rows(
+def reference_link_probability(
     params: GeneratorParams, generate=reference_generate_changes
-) -> list[tuple]:
-    """The rows of the stream whose link probability is bisected against
-    params.conflict_density, drawing all 18 probes and the kept stream in
-    full and reusing none. `generate(params, p_link)` draws one stream as
-    (rows, share, below, above); the reference loop by default."""
+) -> float:
+    """The link probability bisected against params.conflict_density,
+    drawing all 18 probes in full and reusing none. `generate(params,
+    p_link)` draws one stream as (rows, share, below, above); the
+    reference loop by default."""
     if params.conflict_density in (0.0, 1.0):  # no link, or every link
-        return generate(params, params.conflict_density)[0]
+        return params.conflict_density
     lo, hi = 0.0, 1.0
     for _ in range(18):
         mid = (lo + hi) / 2.0
@@ -272,7 +272,14 @@ def reference_calibrated_rows(
             lo = mid
         else:
             hi = mid
-    return generate(params, (lo + hi) / 2.0)[0]
+    return (lo + hi) / 2.0
+
+
+def reference_calibrated_rows(
+    params: GeneratorParams, generate=reference_generate_changes
+) -> list[tuple]:
+    """The rows `generate` draws at the bisected link probability."""
+    return generate(params, reference_link_probability(params, generate))[0]
 
 
 def reference_duration(seed: int, spec: ChangeSpec, base: Sequence[ChangeId]) -> float:

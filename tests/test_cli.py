@@ -375,6 +375,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize(
+        "predictor, variance",
+        [("oracle bias=1e200", "4.0"), ("oracle bias=0.5", "1e308")],
+        ids=["bias", "variance"],
+    )
+    def test_a_predictor_that_overflows_an_estimate_is_two(
+        self, capsys, tmp_path, command, predictor, variance
+    ):
+        # the file parses; the estimate overflows once a run is set up
+        path = tmp_path / "w.txt"
+        path.write_text(
+            f"predictor {predictor}\n"
+            f"change id=C0 at=0.0 targets=a mu=10.0 var={variance}\n"
+        )
+        out = tmp_path / "m.csv"
+        assert main([command, "--workload", str(path),
+                     "--out-metrics", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: predictor OracleWithNoise(")
+        assert "overflows a duration estimate" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("rate", ["inf", "nan"])
     def test_non_finite_arrival_rate_is_two(self, capsys, tmp_path, rate):
         out = tmp_path / "x.txt"

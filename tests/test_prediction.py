@@ -13,6 +13,7 @@ from specqueue.prediction import (
     DurationEstimate,
     OracleWithNoise,
     PredictionFeatures,
+    estimates_stay_finite,
     mape,
     predict_duration,
 )
@@ -108,6 +109,26 @@ class TestPredictDuration:
         spec = OracleWithNoise(relative_bias=-1.5, relative_spread=0.0, seed=0)
         got = predict_duration(spec, FEATURES, truth=DurationEstimate(20.0, 16.0))
         assert got.mean == pytest.approx(0.01)
+
+    @given(
+        bias=st.floats(0.0, 308.0).map(lambda e: 10.0**e) | st.floats(-2.0, 2.0),
+        negative=st.booleans(),
+        spread=st.just(0.0) | st.floats(0.0, 308.0).map(lambda e: 10.0**e),
+        mean=st.floats(0.01, 1000.0),
+        variance=st.just(0.0) | st.floats(-2.0, 308.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 100),
+    )
+    def test_estimates_stay_finite_bounds_every_estimate(
+        self, bias, negative, spread, mean, variance, seed
+    ):
+        spec = OracleWithNoise(-bias if negative else bias, spread, seed)
+        truth = DurationEstimate(mean, variance)
+        if estimates_stay_finite(spec, truth):
+            for height in range(8):
+                predict_duration(spec, PredictionFeatures(1, 0, height), truth)
+        elif spread == 0.0:  # one scale, so the bound is the estimate
+            with pytest.raises(ValueError, match="must be finite"):
+                predict_duration(spec, FEATURES, truth)
 
     def test_oracle_requires_truth(self):
         with pytest.raises(ValueError):

@@ -357,11 +357,14 @@ def dense_runs(draw):
         executor_capacity=draw(st.sampled_from((1, 3, 8))),
         depth_cap=draw(st.sampled_from((1, 2, 6))),
     )
+    # a bridge shows in a start's label only once a few changes queue, so
+    # bridged workloads draw 12-14 changes
+    long_second_link = draw(st.sampled_from((0.0, 1.0)))
     params = GeneratorParams(
-        n_changes=draw(st.integers(2, 14)),
+        n_changes=draw(st.integers(12 if long_second_link else 2, 14)),
         arrival_rate=1.5,
         conflict_density=0.8,
-        long_second_link=draw(st.sampled_from((0.0, 1.0))),
+        long_second_link=long_second_link,
         seed=draw(st.integers(0, 10_000)),
     )
     return generate_workload(params, config=cfg), draw(st.sampled_from(STRATEGIES))

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import specqueue.simulator.workload as workload
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 from specqueue.prediction import ConstantPredictor, OracleWithNoise
+from specqueue.simulator import run
 from specqueue.simulator.workload import (
+    STRATEGIES,
     ChangeSpec,
     GeneratorParams,
     WorkloadError,
@@ -28,7 +30,11 @@ from specqueue.simulator.workload import (
     static_conflict_rate,
 )
 
-from oracles import reference_calibrated_rows, reference_generate_changes
+from oracles import (
+    reference_calibrated_rows,
+    reference_generate_changes,
+    reference_link_probability,
+)
 
 
 def spec(seq, label, at, targets, **kw):
@@ -369,9 +375,11 @@ BENCH_SHAPES = {
 
 
 def assert_same_stream(params, p_link):
-    """The row loop against the reference loop in tests/oracles.py."""
+    """The row loop against the reference loop in tests/oracles.py, and
+    its row-free probe against both."""
     rows, *rest = _generate_changes(params, p_link)
     assert (named(rows), *rest) == reference_generate_changes(params, p_link)
+    assert _generate_changes(params, p_link, probe=True) == (None, *rest)
 
 
 def assert_same_calibration(params):
@@ -492,29 +500,36 @@ class TestStreamReuse:
 
     @pytest.fixture
     def drawn(self, monkeypatch):
-        """The link probabilities of the streams drawn, in order."""
+        """The streams drawn, in order, as (link probability, whether the
+        draw built rows)."""
         calls = []
 
-        def counted(params, p_link):
-            calls.append(p_link)
-            return _generate_changes(params, p_link)
+        def counted(params, p_link, **mode):
+            stream = _generate_changes(params, p_link, **mode)
+            calls.append((p_link, stream[0] is not None))
+            return stream
 
         monkeypatch.setattr(workload, "_generate_changes", counted)
         return calls
 
     def test_steady_stream_draws_at_most_eleven_streams(self, drawn):
-        # the benchmark's steady stream shape; drawing every probe takes 19
+        # the benchmark's steady stream shape; drawing every probe takes 19.
+        # Every stream but the last is a row-free probe, and the last, the
+        # one full draw, is at the plain bisection's final midpoint.
         params = GeneratorParams(
             n_changes=1000, arrival_rate=0.25, conflict_density=0.3, seed=1000
         )
         generate_workload(params)
         assert len(drawn) <= 11
+        assert [built for _, built in drawn] == [False] * (len(drawn) - 1) + [True]
+        assert drawn[-1][0] == reference_link_probability(params, _generate_changes)
 
     @pytest.mark.parametrize("density", [0.0, 1.0])
     def test_extreme_density_draws_one_stream(self, drawn, density):
+        # one full draw and no probe
         params = GeneratorParams(n_changes=1000, conflict_density=density, seed=1000)
         generate_workload(params)
-        assert drawn == [density]
+        assert drawn == [(density, True)]
 
 
 class TestStaticConflictRate:
@@ -959,6 +974,46 @@ class TestErrorMessages:
         with pytest.raises(WorkloadError) as info:
             build()
         assert str(info.value) == message
+
+
+# predictor records that parse, but that can scale some change's true
+# duration to an infinite estimate: (record, that change's true variance)
+OVERFLOWING_PREDICTORS = {
+    "bias": ("oracle bias=1e200", 4.0),
+    # the estimate's mean is clamped to its floor, its variance overflows
+    "negative-bias": ("oracle bias=-1e200", 4.0),
+    "variance": ("oracle bias=0.5", 1e308),
+    "spread": ("oracle spread=1e200 seed=3", 4.0),
+}
+
+
+def two_change_workload(predictor, variance):
+    return parse_workload(
+        f"predictor {predictor}\n"
+        "change id=C0 at=0.0 targets=a mu=5.0 var=1.0\n"
+        f"change id=C1 at=1.0 targets=a mu=10.0 var={variance!r}\n"
+    )
+
+
+class TestPredictorOverflow:
+    """A predictor that can make an infinite estimate of a change is a
+    workload error, raised as the run is set up, before its first event."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("case", OVERFLOWING_PREDICTORS)
+    def test_raises_a_workload_error_naming_the_predictor(self, case, strategy):
+        w = two_change_workload(*OVERFLOWING_PREDICTORS[case])
+        with pytest.raises(WorkloadError) as info:
+            run(w, strategy)
+        message = str(info.value)
+        assert message.startswith(f"predictor {w.predictor!r} overflows")
+        assert "the largest true mean is 10.0" in message
+
+    def test_a_predictor_whose_estimates_stay_finite_runs(self):
+        # 1e150 squared times 4 is about 4e300, short of the largest float
+        w = two_change_workload("oracle bias=1e150", 4.0)
+        report, _ = run(w, "enhanced")
+        assert report.changes_decided == 2
 
 
 class TestIntegerFields:

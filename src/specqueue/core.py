@@ -3,7 +3,7 @@ configuration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Mapping
 
@@ -61,13 +61,23 @@ class BuildOutcome(Enum):
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Symmetric, irreflexive conflict relation over a set of changes."""
+    """Symmetric, irreflexive conflict relation over a set of changes: two
+    conflict when they touch a common target. ``targets[c]`` is c's targets
+    as given, and ``changes[t]`` the changes touching t, each once, in order.
+    """
 
-    adjacency: Mapping[ChangeId, frozenset[ChangeId]] = field(default_factory=dict)
+    targets: Mapping[ChangeId, Collection[str]]
+    changes: Mapping[str, list[ChangeId]]
 
     def neighbors(self, c: ChangeId) -> frozenset[ChangeId]:
         """The changes c conflicts with; KeyError if c is not in the graph."""
-        return self.adjacency[c]
+        changes = self.changes
+        return frozenset([o for t in self.targets[c] for o in changes[t] if o != c])
+
+    @property
+    def adjacency(self) -> dict[ChangeId, frozenset[ChangeId]]:
+        """Every change's neighbours, derived on each read."""
+        return {c: self.neighbors(c) for c in self.targets}
 
 
 @dataclass(frozen=True)
@@ -108,22 +118,13 @@ class EngineConfig:
 def build_conflict_graph(
     targets: Mapping[ChangeId, Collection[str]],
 ) -> ConflictGraph:
-    """Conflict graph over the given changes, from each one's build targets.
-
-    Two changes conflict when they touch a common target. The graph is
-    built from an index of the changes touching each target, so only
-    changes that share a target are ever paired.
-    """
-    by_target: dict[str, list[ChangeId]] = {}
-    adjacency: dict[ChangeId, set[ChangeId]] = {}
+    """Conflict graph over the given changes, from each one's build targets:
+    one pass files each change under each target it touches, and pairs none."""
+    changes: dict[str, list[ChangeId]] = {}
     for cid, touched in targets.items():
-        adjacency[cid] = set()
         for target in touched:
-            by_target.setdefault(target, []).append(cid)
-    for sharing in by_target.values():
-        if len(sharing) > 1:
-            for cid in sharing:
-                adjacency[cid].update(sharing)
-    return ConflictGraph(
-        {cid: frozenset(nbrs - {cid}) for cid, nbrs in adjacency.items()}
-    )
+            users = changes.setdefault(target, [])
+            # a target listed twice by one change is filed once
+            if not users or users[-1] != cid:
+                users.append(cid)
+    return ConflictGraph(dict(targets), changes)

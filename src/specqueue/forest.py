@@ -93,8 +93,8 @@ class SpeculationForest:
     nearest ``depth_cap`` queued conflicting predecessors, and the keys
     of ``windows`` are the queue, in that order. Each node is built
     once and filed twice: in ``by_change[c]``, c's nodes in read order,
-    and in ``nodes``, by key. A window is read from the change's
-    conflict neighbours rather than from a scan of the queue. A node
+    and in ``nodes``, by key. A window is read from the changes filed
+    under the change's targets rather than from a scan of the queue. A node
     holds what is known of its build: its estimate, and its outcome once
     it finished; which builds run is kept by the engine alone. Mutation
     is single-writer (the engine), and reads hand out the nodes
@@ -116,18 +116,37 @@ class SpeculationForest:
 
     def conflicting_ahead(self, c: ChangeId) -> BaseKey:
         """Every queued conflicting predecessor of c, in queue order."""
-        windows = self.windows
-        ahead = [p for p in self.graph.adjacency[c] if p < c and p in windows]
-        ahead.sort()
-        return tuple(ahead)
+        queued, g = self.windows, self.graph
+        ahead = {p for t in g.targets[c] for p in g.changes[t] if p < c and p in queued}
+        return tuple(sorted(ahead))
 
     def conflicting_after(self, c: ChangeId) -> BaseKey:
         """Queued changes after c that conflict with it, in queue order:
         the only windows c is in, so the only ones its resolution moves."""
-        windows = self.windows
-        after = [s for s in self.graph.adjacency[c] if s > c and s in windows]
-        after.sort()
-        return tuple(after)
+        queued, g = self.windows, self.graph
+        after = {s for t in g.targets[c] for s in g.changes[t] if s > c and s in queued}
+        return tuple(sorted(after))
+
+    def heads_component(self, c: ChangeId) -> bool:
+        """Whether c is the first queued change of its conflict component
+        among the queued changes; the trace labels its build mandatory.
+        The walk reads each target's changes once and queues each change
+        once."""
+        queued, g = self.windows, self.graph
+        if queued[c]:
+            return False  # a conflicting predecessor is queued ahead
+        seen, walked, frontier = {c}, set(), [c]
+        while frontier:
+            for t in g.targets[frontier.pop()]:
+                if t not in walked:
+                    walked.add(t)
+                    for other in g.changes[t]:
+                        if other in queued and other not in seen:
+                            if other < c:
+                                return False
+                            seen.add(other)
+                            frontier.append(other)
+        return True
 
     def node(self, change: ChangeId, base: BaseKey) -> BuildNode:
         return self.nodes[(change, base)]

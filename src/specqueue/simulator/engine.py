@@ -375,28 +375,11 @@ class _Simulation:
             self.heap,
             (self.now + duration, _FINISH, node.change.seq, run.number, run),
         )
-        head = "yes" if self._heads_component(node.change) else "no"
+        head = "yes" if self.forest.heads_component(node.change) else "no"
         self._log(
             f"start {node.change.label} base={_base_str(node.base)} "
             f"p={p_needed:.4f} mandatory={head} eta={node.estimate.mean:.2f}"
         )
-
-    def _heads_component(self, c: ChangeId) -> bool:
-        """Whether c is the first queued change of its conflict component
-        among the queued changes; the trace labels its build mandatory."""
-        windows = self.forest.windows
-        if windows[c]:
-            return False  # a conflicting predecessor is queued ahead
-        adjacency = self.forest.graph.adjacency
-        seen, frontier = {c}, [c]
-        while frontier:
-            for other in adjacency[frontier.pop()]:
-                if other in windows and other not in seen:
-                    if other < c:
-                        return False
-                    seen.add(other)
-                    frontier.append(other)
-        return True
 
     def _abort(self, run: _Run) -> None:
         """Account a run that left the executor before it finished."""

@@ -439,8 +439,9 @@ def generate_workload(
 def static_conflict_rate(workload: WorkloadSpec) -> float:
     """Percentage of changes sharing a target with any other change."""
     g = build_conflict_graph({s.id: s.targets for s in workload.changes})
-    with_conflicts = sum(1 for s in workload.changes if g.neighbors(s.id))
-    return 100.0 * with_conflicts / len(workload.changes)
+    # each target lists a change once, so two users are two changes
+    shared = {c for users in g.changes.values() if len(users) > 1 for c in users}
+    return 100.0 * len(shared) / len(workload.changes)
 
 
 def format_workload(w: WorkloadSpec) -> str:

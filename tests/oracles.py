@@ -8,9 +8,9 @@ import hashlib
 import math
 import random
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Collection, Iterable, Mapping, Sequence
 
-from specqueue.core import BuildOutcome, ChangeId, ConflictGraph
+from specqueue.core import BuildOutcome, ChangeId
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import (
@@ -66,10 +66,31 @@ def chosen_nodes(
     return chosen
 
 
+# The conflict graph's pairwise form, as `build_conflict_graph` stored it
+# before it kept memberships alone, kept verbatim but for its return.
+def reference_adjacency(
+    targets: Mapping[ChangeId, Collection[str]],
+) -> dict[ChangeId, frozenset[ChangeId]]:
+    """Each change's neighbours, the changes sharing a target with it,
+    from every pair of changes that share one."""
+    by_target: dict[str, list[ChangeId]] = {}
+    adjacency: dict[ChangeId, set[ChangeId]] = {}
+    for cid, touched in targets.items():
+        adjacency[cid] = set()
+        for target in touched:
+            by_target.setdefault(target, []).append(cid)
+    for sharing in by_target.values():
+        if len(sharing) > 1:
+            for cid in sharing:
+                adjacency[cid].update(sharing)
+    return {cid: frozenset(nbrs - {cid}) for cid, nbrs in adjacency.items()}
+
+
 def connected_components(
-    g: ConflictGraph, changes: Sequence[ChangeId]
+    adjacency: Mapping[ChangeId, AbstractSet[ChangeId]], changes: Sequence[ChangeId]
 ) -> list[list[ChangeId]]:
-    """Partition the changes into conflict-connected components.
+    """Partition the changes into conflict-connected components, given
+    each change's neighbours.
 
     Components are listed in order of their earliest member; within a
     component the original arrival order is preserved. A component's
@@ -87,7 +108,7 @@ def connected_components(
         frontier = [cid]
         while frontier:
             current = frontier.pop()
-            for nbr in g.neighbors(current):
+            for nbr in adjacency[current]:
                 if nbr in order and nbr not in assigned:
                     assigned[nbr] = index
                     members.append(nbr)
@@ -107,6 +128,8 @@ class CheckedSimulation(_Simulation):
 
     def __init__(self, workload, strategy):
         super().__init__(workload, strategy)
+        targets = {s.id: s.targets for s in workload.changes}
+        self.adjacency = reference_adjacency(targets)
         self.labels: set[str] = set()
         self.scans = 0
         scan = self.forest.conflicting_after
@@ -132,7 +155,7 @@ class CheckedSimulation(_Simulation):
         for c in forest.queue:
             decision = decide_change(c, forest, allow_bypass=self.enhanced)
             assert decision.kind is DecisionKind.WAIT, (self.now, decision)
-        components = connected_components(forest.graph, forest.queue)
+        components = connected_components(self.adjacency, forest.queue)
         heads = {members[0].label for members in components}
         logged = len(self.trace)
         super()._reschedule()

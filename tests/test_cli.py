@@ -6,7 +6,10 @@ import csv
 import io
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +128,37 @@ class TestSimulate:
         second = ((tmp_path / "m.csv").read_bytes(), (tmp_path / "t.log").read_bytes())
         assert first == second
         capsys.readouterr()
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # target names are strings in sets, so their iteration order moves
+        # with the hash seed; a bridged stream joins components through
+        # long changes' second targets
+        script = (
+            "import sys\n"
+            "from specqueue.cli import main\n"
+            "out = sys.argv[1]\n"
+            "assert main(['gen-workload', '--n-changes', '200', '--seed', '3',\n"
+            "             '--long-target-bias', '1', '--long-second-link', '1',\n"
+            "             '--out', out + '/w.txt']) == 0\n"
+            "for s in ('enhanced', 'baseline'):\n"
+            "    assert main(['simulate', '--workload', out + '/w.txt',\n"
+            "                 '--strategy', s, '--out-metrics', f'{out}/{s}.csv',\n"
+            "                 '--out-trace', f'{out}/{s}.log']) == 0\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            out.mkdir()
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            subprocess.run(
+                [sys.executable, "-c", script, str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_config_flags_take_their_field_types(self, command):

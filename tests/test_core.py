@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import copy
 import pickle
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
+from specqueue.forest import carry_map, enumerate_forest, resolve_change
+from specqueue.simulator import ChangeSpec, WorkloadSpec, static_conflict_rate
 
-from oracles import connected_components
+from oracles import connected_components, reference_adjacency
 
 
 C0, C1 = ChangeId(0, "C0"), ChangeId(1, "C1")
@@ -122,21 +125,99 @@ class TestConflictGraph:
             assert g.neighbors(a) == expected
 
 
+@st.composite
+def target_maps(draw) -> dict[ChangeId, tuple[str, ...]]:
+    """Up to 12 changes' target lists over a few targets, with one hot
+    target, two changes that share two or three targets of their own, and
+    one change that lists a target twice."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    lists = [draw(st.lists(st.sampled_from("abcde"), max_size=3)) for _ in range(n)]
+    for touched in lists:
+        if draw(st.booleans()):
+            touched.append("hot")
+    first = draw(st.integers(min_value=0, max_value=n - 2))
+    second = draw(st.integers(min_value=first + 1, max_value=n - 1))
+    shared = ["s1", "s2", "s3"][: draw(st.integers(min_value=2, max_value=3))]
+    lists[first] += shared
+    lists[second] += shared
+    # `own` is a target no other change touches
+    twice = draw(st.sampled_from(["a", "b", "hot", "own"]))
+    lists[draw(st.integers(min_value=0, max_value=n - 1))] += [twice, twice]
+    return {ChangeId(i, f"C{i}"): tuple(t) for i, t in enumerate(lists)}
+
+
+class TestMemberships:
+    @settings(max_examples=150, deadline=None)
+    @given(target_maps(), st.integers(min_value=1, max_value=3), st.data())
+    def test_answers_as_the_pairwise_reference(self, targets, depth_cap, data):
+        reference = reference_adjacency(targets)
+        g = build_conflict_graph(targets)
+        # each target's changes, each once, in the order they were given
+        assert g.changes == {
+            t: [c for c, touched in targets.items() if t in touched]
+            for t in set().union(*targets.values())
+        }
+        assert g.adjacency == reference
+        for c in targets:
+            assert g.neighbors(c) == reference[c]
+        specs = [ChangeSpec(c, 0.0, frozenset(targets[c]), 10.0, 4.0) for c in targets]
+        workload = WorkloadSpec(tuple(specs))
+        conflicted = sum(1 for c in targets if reference[c])
+        assert static_conflict_rate(workload) == 100.0 * conflicted / len(targets)
+        # random arrivals and land/reject resolutions, the windows read
+        # from memberships checked against the pairs after each
+        arrivals = list(targets)
+        forest = enumerate_forest([], g, depth_cap)
+        while arrivals or forest.queue:
+            if arrivals and (not forest.queue or data.draw(st.booleans())):
+                forest.add_change(arrivals.pop(0))
+            else:
+                resolved = data.draw(st.sampled_from(forest.queue))
+                landed = data.draw(st.booleans())
+                resolve_change(forest, resolved, carry_map(forest, resolved, landed))
+            queue = forest.queue
+            heads = {m[0] for m in connected_components(reference, queue)}
+            for c in queue:
+                queued = sorted(reference[c] & set(queue))
+                assert forest.conflicting_ahead(c) == tuple(p for p in queued if p < c)
+                assert forest.conflicting_after(c) == tuple(s for s in queued if s > c)
+                assert forest.heads_component(c) == (c in heads)
+
+    def test_memory_stays_linear_in_a_hot_targets_users(self):
+        # 1,000 changes on one target are about 10^6 conflicting pairs, and
+        # memberships hold 1,000: the pairs peaked at 63 MiB, these at 0.1
+        workload = WorkloadSpec(
+            tuple(
+                ChangeSpec(ChangeId(i, f"C{i}"), 0.0, frozenset({"hot"}), 10.0, 4.0)
+                for i in range(1000)
+            )
+        )
+        targets = {s.id: s.targets for s in workload.changes}
+        tracemalloc.start()
+        try:
+            build_conflict_graph(targets)
+            assert static_conflict_rate(workload) == 100.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
 class TestConnectedComponents:
     def test_chain_forms_one_component(self):
         # x-y, y-z overlap links all three even though ends are disjoint.
         targets = targets_by_id({"x"}, {"x", "y"}, {"y"})
-        comps = connected_components(build_conflict_graph(targets), list(targets))
+        comps = connected_components(reference_adjacency(targets), list(targets))
         assert comps == [list(targets)]
 
     def test_isolated_changes_are_singletons(self):
         targets = targets_by_id(*({f"t{i}"} for i in range(3)))
-        comps = connected_components(build_conflict_graph(targets), list(targets))
+        comps = connected_components(reference_adjacency(targets), list(targets))
         assert comps == [[c] for c in targets]
 
     def test_component_order_follows_earliest_member(self):
         targets = targets_by_id({"a"}, {"b"}, {"a"}, {"b"})
-        comps = connected_components(build_conflict_graph(targets), list(targets))
+        comps = connected_components(reference_adjacency(targets), list(targets))
         ids = list(targets)
         assert comps == [[ids[0], ids[2]], [ids[1], ids[3]]]
 

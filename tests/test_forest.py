@@ -10,12 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specqueue.core import (
-    BuildOutcome,
-    ChangeId,
-    ConflictGraph,
-    build_conflict_graph,
-)
+from specqueue.core import BuildOutcome, ChangeId, build_conflict_graph
 import specqueue.forest as forest_module
 from specqueue.forest import (
     BuildNode,
@@ -343,15 +338,20 @@ class TestQueueOrder:
             enumerate_forest([queue[1], queue[0]], g, 6)
 
     def test_a_change_is_neither_ahead_of_nor_after_itself(self):
-        # ConflictGraph does not enforce irreflexivity; a self-listed
-        # change must still never enter its own window.
-        queue, chain = chain_graph(3)
-        g = ConflictGraph({c: chain.neighbors(c) | {c} for c in queue})
-        forest = enumerate_forest(queue, g, 6)
-        assert forest.conflicting_ahead(queue[1]) == (queue[0],)
-        assert forest.conflicting_after(queue[1]) == (queue[2],)
-        resolve_change(forest, queue[0], carry_map(forest, queue[0], True))
-        assert forest.windows[queue[2]] == (queue[1],)
+        # every change is filed under its own targets, C2 under one of
+        # them twice, and C1 and C2 share two: a change must still never
+        # enter its own window, and a neighbour is listed once
+        targets = {C1: ("s", "t"), C2: ("s", "t", "t"), C3: ("t",)}
+        forest = enumerate_forest(list(targets), build_conflict_graph(targets), 6)
+        assert forest.conflicting_ahead(C1) == ()
+        assert forest.conflicting_after(C1) == (C2, C3)
+        assert forest.conflicting_ahead(C2) == (C1,)
+        assert forest.conflicting_after(C2) == (C3,)
+        assert forest.conflicting_ahead(C3) == (C1, C2)
+        assert forest.conflicting_after(C3) == ()
+        resolve_change(forest, C1, carry_map(forest, C1, True))
+        assert forest.windows[C2] == () and forest.windows[C3] == (C2,)
+        assert forest.conflicting_after(C2) == (C3,)
 
     def test_queue_reads_the_windows_in_order(self):
         queue, g = chain_graph(4)

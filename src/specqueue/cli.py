@@ -23,7 +23,7 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from specqueue.completion import normal_cdf, z_score
 from specqueue.core import EngineConfig
@@ -42,18 +42,11 @@ from specqueue.simulator.workload import CONFIG_FIELDS, STRATEGIES
 
 
 # gen-workload's flag keys and the GeneratorParams fields they set, one
-# for each field. A flag is "--" and its key with "-" for "_", and takes
-# its field's type and default.
+# for each field, keyed by the field's name unless renamed here. A flag is
+# "--" and its key with "-" for "_", and takes its field's type and default.
+_FLAG_RENAMES = {"conflict_density": "density"}
 GENERATOR_FLAGS = {
-    "n_changes": "n_changes",
-    "arrival_rate": "arrival_rate",
-    "density": "conflict_density",
-    "short_fraction": "short_fraction",
-    "fail_rate": "fail_rate",
-    "breaker_rate": "breaker_rate",
-    "seed": "seed",
-    "long_target_bias": "long_target_bias",
-    "long_second_link": "long_second_link",
+    _FLAG_RENAMES.get(f.name, f.name): f.name for f in fields(GeneratorParams)
 }
 
 

@@ -92,7 +92,7 @@ class EngineConfig:
         below this, scoring falls back to the outcome-only model (epsilon).
     executor_capacity: maximum concurrently running builds.
     depth_cap: maximum number of conflicting predecessors expanded per
-        change; node count per change is two to this power.
+        change, at most 16; node count per change is two to this power.
     """
 
     speculation_threshold: float = 0.3
@@ -113,6 +113,8 @@ class EngineConfig:
             raise ValueError("executor_capacity must be >= 1")
         if self.depth_cap < 1:
             raise ValueError("depth_cap must be >= 1")
+        if self.depth_cap > 16:
+            raise ValueError("depth_cap must be <= 16")
 
 
 def build_conflict_graph(

@@ -73,7 +73,6 @@ from specqueue.simulator.workload import (
 TraceLog = tuple[str, ...]
 
 _ARRIVAL, _FINISH = 0, 1
-_TWOPI = 2.0 * math.pi
 _LABEL = attrgetter("label")
 _MEAN, _VARIANCE = attrgetter("mean"), attrgetter("variance")
 
@@ -86,9 +85,8 @@ class GroundTruth:
     started, or its assumed base. Durations are drawn once per (change,
     base) from the change's true normal, so reruns of the same build
     take equally long. A draw is `Random(s).gauss(mean, sd)` for s the
-    blake2b hash of "seed|change|base". One generator's C-level state is
-    reseeded per draw and gauss's first Box-Muller value is taken from
-    its next two uniforms, so no draw depends on an earlier one.
+    blake2b hash of "seed|change|base": one generator is reseeded per
+    draw, so no draw depends on an earlier one.
     """
 
     def __init__(self, workload: WorkloadSpec):
@@ -98,11 +96,7 @@ class GroundTruth:
         self._normal = tuple(
             (s.true_mean, math.sqrt(s.true_variance)) for s in self._changes
         )
-        rng = random.Random()
-        # Random.seed's Python wrapper only adds clearing gauss's spare,
-        # which a draw never reads
-        self._seed = super(random.Random, rng).seed
-        self._uniform = rng.random
+        self._rng = random.Random()
 
     def outcome(
         self, change: ChangeId, landed: AbstractSet[ChangeId], base: BaseKey
@@ -117,17 +111,12 @@ class GroundTruth:
 
     def duration(self, change: ChangeId, base: BaseKey) -> float:
         key = self._prefix[change] + _base_str(base)
-        self._seed(
+        self._rng.seed(
             int.from_bytes(
                 hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
             )
         )
-        # Random.gauss's Box-Muller step, as it runs with no spare cached
-        uniform = self._uniform
-        x2pi = uniform() * _TWOPI
-        g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
-        mu, sigma = self._normal[change]
-        return max(0.01, mu + (math.cos(x2pi) * g2rad) * sigma)
+        return max(0.01, self._rng.gauss(*self._normal[change]))
 
 
 @dataclass(slots=True)
@@ -257,7 +246,6 @@ class _Simulation:
         and `moved`, and return the changes it re-windowed. It bypassed
         the predecessors in its window, read before the forest resolves it."""
         c = decision.change
-        spec = self.workload.changes[c]
         landed = decision.kind is DecisionKind.LAND
         nodes = self.forest.nodes_for_change(c)
         post_build_wait = self.now - max([n.finished_at for n in nodes])
@@ -279,7 +267,7 @@ class _Simulation:
             self.landed_set.add(c)
         record = WaitRecord(
             change=c.label,
-            arrival=spec.arrival_time,
+            arrival=self.arrivals[c],
             decided_at=self.now,
             landed=landed,
             via_bypass=bool(bypassed),

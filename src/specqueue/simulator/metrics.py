@@ -6,10 +6,21 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-CSV_HEADER = (
-    "strategy,builds_started,changes_decided,ratio,executor_minutes,"
-    "p50_wait,p95_wait,bypass_rate,conflict_rate,aborts"
+# the CSV's columns: header, the MetricsReport attribute written, and
+# its format spec
+_COLUMNS = (
+    ("strategy", "strategy", ""),
+    ("builds_started", "builds_started", ""),
+    ("changes_decided", "changes_decided", ""),
+    ("ratio", "builds_to_changes_ratio", ".4f"),
+    ("executor_minutes", "executor_minutes", ".2f"),
+    ("p50_wait", "p50_wait", ".2f"),
+    ("p95_wait", "p95_wait", ".2f"),
+    ("bypass_rate", "bypass_trigger_rate", ".2f"),
+    ("conflict_rate", "conflict_rate", ".2f"),
+    ("aborts", "abort_count", ""),
 )
+CSV_HEADER = ",".join([header for header, _, _ in _COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -73,18 +84,7 @@ class MetricsReport:
 
     def to_csv_row(self) -> str:
         return ",".join(
-            (
-                self.strategy,
-                str(self.builds_started),
-                str(self.changes_decided),
-                f"{self.builds_to_changes_ratio:.4f}",
-                f"{self.executor_minutes:.2f}",
-                f"{self.p50_wait:.2f}",
-                f"{self.p95_wait:.2f}",
-                f"{self.bypass_trigger_rate:.2f}",
-                f"{self.conflict_rate:.2f}",
-                str(self.abort_count),
-            )
+            [format(getattr(self, attr), spec) for _, attr, spec in _COLUMNS]
         )
 
 

@@ -324,6 +324,12 @@ class TestExitCodes:
                      "--delta", "1.5"]) == 1
         capsys.readouterr()
 
+    def test_depth_cap_over_sixteen_is_usage_error(self, capsys, workload_file, runs):
+        assert main(["simulate", "--workload", str(workload_file),
+                     "--depth-cap", "17"]) == 1
+        assert "depth_cap must be <= 16" in capsys.readouterr().err
+        assert runs == []
+
     def test_single_variant_compare_is_usage_error(self, capsys, workload_file):
         assert main(["compare", "--workload", str(workload_file),
                      "--strategies", "enhanced"]) == 1

@@ -234,6 +234,7 @@ class TestEngineConfig:
             {"bypass_product_floor": 0.0},
             {"executor_capacity": 0},
             {"depth_cap": 0},
+            {"depth_cap": 17},
         ],
     )
     def test_rejects_bad_values(self, kw):

@@ -901,6 +901,11 @@ PARSE_ERRORS = [
         "line 1: speculation_threshold must be in [0, 1]",
     ),
     (
+        "config-depth-cap",
+        "config depth_cap=17\n" + CHANGE_C0,
+        "line 1: depth_cap must be <= 16",
+    ),
+    (
         "later-line",
         "seed 1\n# comment\n\n" + CHANGE_C0 + "\n" + CHANGE_C1 + " mu=x",
         "line 5: repeated field 'mu'",
@@ -1062,7 +1067,7 @@ class TestIntegerFields:
             bypass_eligibility_threshold=st.floats(0.0, 1.0),
             bypass_product_floor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
             executor_capacity=st.integers(1, 10**6),
-            depth_cap=st.integers(1, 20),
+            depth_cap=st.integers(1, 16),
         ),
         predictor=st.none()
         | st.builds(

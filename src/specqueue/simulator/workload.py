@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass
 from math import log
 from typing import Container, Mapping
 
@@ -61,31 +62,21 @@ class WorkloadError(ValueError):
     """Malformed workload data (bad file, bad parameters)."""
 
 
-def _is_list_item(text: str) -> bool:
-    """Whether the file format writes text back as one list item.
-
-    The format splits fields on whitespace and lists on commas; split()
-    is [text] only for a non-empty text with no whitespace.
-    """
-    return "," not in text and text.split() == [text]
-
-
 # the breakers of every change without any, one set for all of them
 _NO_BREAKERS: frozenset[ChangeId] = frozenset()
 
+# Whether the file format writes a text back as one list item: non-empty,
+# with no comma and no whitespace. The format splits lists on commas and
+# fields on str.split()'s whitespace, the characters \s matches.
+_list_item = re.compile(r"[^\s,]+").fullmatch
 
-@dataclass(frozen=True, slots=True, init=False)
+
+@dataclass(frozen=True, slots=True)
 class ChangeSpec:
     """The one record of a change: its arrival, its build targets, its
     success prior, and its true, hidden build behavior. The generator
     and the parser give every change without breakers the one default
-    empty set.
-
-    `__init__` is written out, since set-up builds every record twice:
-    it sets each slot through its member descriptor, in about half the
-    time of the `object.__setattr__` calls that a frozen dataclass's
-    generated `__init__` makes, then makes the record's checks. Its
-    parameters are the fields, in order, with their defaults."""
+    empty set."""
 
     id: ChangeId
     arrival_time: float
@@ -96,60 +87,28 @@ class ChangeSpec:
     breakers: frozenset[ChangeId] = _NO_BREAKERS
     success_prior: float = 0.9
 
-    def __init__(
-        self,
-        id: ChangeId,
-        arrival_time: float,
-        targets: frozenset[str],
-        true_mean: float,
-        true_variance: float,
-        passes_alone: bool = True,
-        breakers: frozenset[ChangeId] = _NO_BREAKERS,
-        success_prior: float = 0.9,
-    ) -> None:
-        _set_id(self, id)
-        _set_arrival_time(self, arrival_time)
-        _set_targets(self, targets)
-        _set_true_mean(self, true_mean)
-        _set_true_variance(self, true_variance)
-        _set_passes_alone(self, passes_alone)
-        _set_breakers(self, breakers)
-        _set_success_prior(self, success_prior)
-        label = id.label
-        if not _is_list_item(label):
+    def __post_init__(self) -> None:
+        cid, targets = self.id, self.targets
+        if not _list_item(cid.label):
             raise WorkloadError(
-                f"change id {label!r} must be non-empty, with no comma or whitespace"
+                f"change id {cid.label!r} must be non-empty, "
+                "with no comma or whitespace"
             )
         for target in targets:
-            if not _is_list_item(target):
-                bad = min(t for t in targets if not _is_list_item(t))
+            if not _list_item(target):
+                bad = min(t for t in targets if not _list_item(t))
                 raise WorkloadError(
-                    f"{id}: target {bad!r} must be non-empty, "
+                    f"{cid}: target {bad!r} must be non-empty, "
                     "with no comma or whitespace"
                 )
-        if not 0 <= arrival_time < math.inf:
-            raise WorkloadError(f"{id}: arrival_time must be finite and >= 0")
-        if not 0 < true_mean < math.inf:
-            raise WorkloadError(f"{id}: true_mean must be finite and > 0")
-        if not 0 <= true_variance < math.inf:
-            raise WorkloadError(f"{id}: true_variance must be finite and >= 0")
-        if not 0.0 <= success_prior <= 1.0:
-            raise WorkloadError(f"{id}: success_prior must be in [0, 1]")
-
-
-# ChangeSpec.__init__'s setters: each slot's member descriptor's __set__
-(
-    _set_id,
-    _set_arrival_time,
-    _set_targets,
-    _set_true_mean,
-    _set_true_variance,
-    _set_passes_alone,
-    _set_breakers,
-    _set_success_prior,
-) = (getattr(ChangeSpec, f.name).__set__ for f in fields(ChangeSpec))
-# ChangeSpec's field defaults; with slots, its class attributes are descriptors
-_CHANGE_DEFAULTS = {f.name: f.default for f in fields(ChangeSpec)}
+        if not 0 <= self.arrival_time < math.inf:
+            raise WorkloadError(f"{cid}: arrival_time must be finite and >= 0")
+        if not 0 < self.true_mean < math.inf:
+            raise WorkloadError(f"{cid}: true_mean must be finite and > 0")
+        if not 0 <= self.true_variance < math.inf:
+            raise WorkloadError(f"{cid}: true_variance must be finite and >= 0")
+        if not 0.0 <= self.success_prior <= 1.0:
+            raise WorkloadError(f"{cid}: success_prior must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -570,19 +529,19 @@ def _parse_change(tokens: list[str], labels: dict[str, ChangeId]) -> ChangeSpec:
             raise WorkloadError(f"breaker {b!r} is not an earlier change")
     cid = ChangeId(len(labels), label)
     labels[label] = cid
-    passes_alone = (
-        _parse_bool(f["passes"]) if "passes" in f else _CHANGE_DEFAULTS["passes_alone"]
-    )
-    success_prior = (
-        float(f["prior"]) if "prior" in f else _CHANGE_DEFAULTS["success_prior"]
-    )
+    given = {}
+    if "passes" in f:
+        given["passes_alone"] = _parse_bool(f["passes"])
+    if "prior" in f:
+        given["success_prior"] = float(f["prior"])
     return ChangeSpec(
         cid,
         float(f["at"]),
         frozenset(filter(None, f.get("targets", "").split(","))),
         float(f["mu"]),
         float(f["var"]),
-        passes_alone,
-        frozenset(map(labels.__getitem__, breakers)) if breakers else _NO_BREAKERS,
-        success_prior,
+        breakers=(
+            frozenset(map(labels.__getitem__, breakers)) if breakers else _NO_BREAKERS
+        ),
+        **given,
     )

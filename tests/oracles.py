@@ -124,13 +124,16 @@ class CheckedSimulation(_Simulation):
     across events is what a pass from scratch derives. Selection, starts
     and aborts change no node, the rank order or the queue, so what is
     read around a reschedule is what scoring and its start lines saw.
-    `labels` collects the mandatory labels logged."""
+    `labels` collects the mandatory labels logged, and `capped` counts
+    the starts of changes with more queued conflicting predecessors than
+    `depth_cap`, whose windows leave some out."""
 
     def __init__(self, workload, strategy):
         super().__init__(workload, strategy)
         targets = {s.id: s.targets for s in workload.changes}
         self.adjacency = reference_adjacency(targets)
         self.labels: set[str] = set()
+        self.capped = 0
         self.scans = 0
         scan = self.forest.conflicting_after
 
@@ -148,6 +151,11 @@ class CheckedSimulation(_Simulation):
         queued = self.forest.windows
         assert all(c in queued for c in self.moved), (self.now, self.moved)
         assert all(node.change in queued for _, node in self.order.entries), self.now
+
+    def _start(self, node, p_needed) -> None:
+        if len(self.forest.conflicting_ahead(node.change)) > self.cfg.depth_cap:
+            self.capped += 1
+        super()._start(node, p_needed)
 
     def _reschedule(self) -> None:
         forest = self.forest
@@ -183,6 +191,17 @@ class CheckedSimulation(_Simulation):
                 expected = "yes" if not fields["base"] and label in heads else "no"
                 assert fields["mandatory"] == expected, line
                 self.labels.add(expected)
+
+
+# ChangeSpec's rule for a label or target as it was before it became one
+# regular expression, kept verbatim.
+def reference_is_list_item(text: str) -> bool:
+    """Whether the file format writes text back as one list item.
+
+    The format splits fields on whitespace and lists on commas; split()
+    is [text] only for a non-empty text with no whitespace.
+    """
+    return "," not in text and text.split() == [text]
 
 
 # The generator's row loop as it was before its rows kept targets as

@@ -74,8 +74,11 @@ BUDGET = {
 # and parse the text back, measured plus 10%. Before the generator made
 # its draws' arithmetic inline and ChangeSpec set its slots through their
 # descriptors, the count was 40.27 (30.94 generating, 0.06 formatting
-# and 9.28 parsing); before the bisection's probes built no rows, 15.40.
-SET_UP_BUDGET = 13.83 * 1.1
+# and 9.28 parsing); before the bisection's probes built no rows, 15.40;
+# before ChangeSpec became a plain dataclass, whose `__post_init__` checks
+# each label and target with one regular expression's C match in place of
+# a Python helper, 13.83.
+SET_UP_BUDGET = 11.49 * 1.1
 
 
 def python_calls(work):

@@ -7,6 +7,7 @@ stated means exactly and event times can be checked to the minute.
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specqueue.core import ChangeId, EngineConfig
-from specqueue.prediction import OracleWithNoise
+from specqueue.prediction import ConstantPredictor, OracleWithNoise
 from specqueue.simulator import (
     CSV_HEADER,
     GeneratorParams,
@@ -380,17 +381,67 @@ DENSE_STREAM = GeneratorParams(
 BRIDGED = GeneratorParams(
     n_changes=120, arrival_rate=1.5, conflict_density=0.8, long_second_link=1.0
 )
-# dense_runs draws at most 14 changes and capacities of at most 8
+
+
+def generated(params, config, predictor=None):
+    """The stream `params` draws, run on `config`, whatever the strategy."""
+
+    def build(strategy):
+        w = generate_workload(params, config=config)
+        return w if predictor is None else replace(w, predictor=predictor)
+
+    return build
+
+
+def hot(seed, **n_changes):
+    """A stream at density 0.3 on 72 executors with target "hot" added to
+    a fifth of its changes, so queued chains outgrow the depth cap; it
+    takes `n_changes[strategy]` changes."""
+
+    def build(strategy):
+        params = GeneratorParams(
+            n_changes=n_changes[strategy],
+            arrival_rate=1.0,
+            conflict_density=0.3,
+            breaker_rate=0.0,
+            seed=seed,
+        )
+        w = generate_workload(params, config=WIDE)
+        rng = random.Random(5)
+        changes = tuple(
+            replace(s, targets=s.targets | {"hot"}) if rng.random() < 0.2 else s
+            for s in w.changes
+        )
+        return replace(w, changes=changes)
+
+    return build
+
+
+# Each builds its workload for a strategy. dense_runs draws at most 14
+# changes and capacities of at most 8, and no generated stream caps a window.
 CHECKED_STREAMS = {
     # criterion-5 streams on 72 executors have long chosen prefixes, where
     # one event can start or abort many builds
-    **{f"wide-{s}": (wide_params(s), WIDE) for s in range(5)},
+    **{f"wide-{s}": generated(wide_params(s), WIDE) for s in range(5)},
     # the contended benchmark's stream at seed 1000, where decisions
     # cascade and carry many builds
-    "contended-1000": (replace(wide_params(1000), n_changes=500), WIDE),
-    **{f"bridged-{s}": (replace(BRIDGED, seed=s), EngineConfig()) for s in range(3)},
+    "contended-1000": generated(replace(wide_params(1000), n_changes=500), WIDE),
+    **{
+        f"bridged-{s}": generated(replace(BRIDGED, seed=s), EngineConfig())
+        for s in range(3)
+    },
     # where most scored builds fall below the speculation threshold
-    "dense-3": (replace(DENSE_STREAM, n_changes=70), WIDE),
+    "dense-3": generated(replace(DENSE_STREAM, n_changes=70), WIDE),
+    # every estimate a point mass, so completion compares finish times
+    "dense-3-point-mass": generated(
+        replace(DENSE_STREAM, n_changes=70), WIDE, ConstantPredictor(25.0, 0.0)
+    ),
+    # where windows are capped, so carry maps drop a successor's nodes when
+    # a change outside its window lands: hot-1 caps 34 enhanced starts and
+    # 161 baseline ones, and only hot-6's enhanced run blocks a bypass (10
+    # decisions) because predecessors fell outside a window
+    "hot-1": hot(1, enhanced=100, baseline=60),
+    "hot-6": hot(6, enhanced=60, baseline=50),
 }
 
 
@@ -424,10 +475,11 @@ class TestEventDecisions:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("stream", CHECKED_STREAMS)
     def test_kept_state_holds_on_a_stream(self, stream, strategy):
-        params, config = CHECKED_STREAMS[stream]
-        sim = checked_run(generate_workload(params, config=config), strategy)
+        sim = checked_run(CHECKED_STREAMS[stream](strategy), strategy)
         if stream.startswith("bridged"):
             assert sim.labels == {"yes", "no"}
+        if stream.startswith("hot"):
+            assert sim.capped > 0
 
     # The first three were recorded with the fixed-point sweep that the
     # event rule replaced, the edge configurations with the forest that

@@ -33,6 +33,7 @@ from specqueue.simulator.workload import (
 from oracles import (
     reference_calibrated_rows,
     reference_generate_changes,
+    reference_is_list_item,
     reference_link_probability,
 )
 
@@ -46,6 +47,29 @@ def spec(seq, label, at, targets, **kw):
         true_variance=kw.pop("var", 4.0),
         **kw,
     )
+
+
+# str.split()'s whitespace beyond the space, then a zero-width space, which
+# it keeps, and a comma
+EXOTIC = (
+    "\t\n\v\f\r\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000\u200b,"
+)
+
+
+def assert_list_item_rule_matches_reference(text):
+    """ChangeSpec takes text as a label, and as a target, exactly when the
+    old rule does, and what it takes reads back from the file format."""
+    for label, targets in ((text, {"a"}), ("C0", {"a", text})):
+        try:
+            s = spec(0, label, 0.0, targets)
+        except WorkloadError:
+            assert not reference_is_list_item(text)
+            continue
+        assert reference_is_list_item(text)
+        (back,) = parse_workload(format_workload(WorkloadSpec((s,)))).changes
+        assert (back.id.label, back) == (label, s)
 
 
 class TestChangeSpec:
@@ -90,10 +114,17 @@ class TestChangeSpec:
         with pytest.raises(WorkloadError, match="C0: target .* no comma or whitespace"):
             spec(0, "C0", 0.0, {"a", target})
 
+    @pytest.mark.parametrize("ch", list(EXOTIC))
+    def test_list_item_rule_matches_the_old_one_on(self, ch):
+        assert_list_item_rule_matches_reference(f"a{ch}b")
+
+    @given(st.text())
+    def test_list_item_rule_matches_the_old_one(self, text):
+        assert_list_item_rule_matches_reference(text)
 
     def test_init_takes_the_fields_in_order_with_their_defaults(self):
-        # the hand-written __init__ must follow the fields, so a new field
-        # cannot be missed
+        # the parser and the generator pass fields by position, so __init__
+        # must take every field, in order, with its default
         params = list(inspect.signature(ChangeSpec.__init__).parameters.values())
         assert params[0].name == "self"
         # a default's repr tells True from 1 and 1.0 from 1

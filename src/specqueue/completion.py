@@ -4,24 +4,15 @@ A change's finish time is when the last of its outstanding builds
 completes. Each build duration is modeled as a normal distribution, the
 change's builds are pooled into one combined normal, and the probability
 that one change finishes before another reduces to the standard normal
-CDF of a Z-score over the difference of the two finish-time models.
+CDF of a Z-score over the two changes' arrivals and pooled estimates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from specqueue.prediction import DurationEstimate
-
-
-@dataclass(frozen=True)
-class FinishTimeModel:
-    """When a change arrived and how long its remaining builds will take."""
-
-    arrival: float
-    combined: DurationEstimate
 
 
 def combine_estimates(builds: Sequence[DurationEstimate]) -> DurationEstimate:
@@ -63,6 +54,9 @@ def normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def p_finishes_before(y: FinishTimeModel, x: FinishTimeModel) -> float:
-    """Probability that change y's builds all finish before change x's do."""
-    return normal_cdf(z_score(x.arrival, x.combined, y.arrival, y.combined))
+def p_finishes_before(
+    at_y: float, est_y: DurationEstimate, at_x: float, est_x: DurationEstimate
+) -> float:
+    """Probability that change y, arrived at `at_y` with pooled estimate
+    `est_y`, has all its builds finish before change x's do."""
+    return normal_cdf(z_score(at_x, est_x, at_y, est_y))

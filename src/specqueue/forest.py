@@ -93,8 +93,10 @@ class SpeculationForest:
     nearest ``depth_cap`` queued conflicting predecessors, and the keys
     of ``windows`` are the queue, in that order. Each node is built
     once and filed twice: in ``by_change[c]``, c's nodes in read order,
-    and in ``nodes``, by key. A window is read from the changes filed
-    under the change's targets rather than from a scan of the queue. A node
+    and in ``nodes``, by key. A window is read from ``queued[t]``, the
+    queued changes on each of c's targets t in queue order. Of ``graph``
+    only each change's targets are read; it still covers the workload,
+    built by the engine where `bench/spans.py` wraps that build. A node
     holds what is known of its build: its estimate, and its outcome once
     it finished; which builds run is kept by the engine alone. Mutation
     is single-writer (the engine), and reads hand out the nodes
@@ -108,6 +110,7 @@ class SpeculationForest:
     windows: dict[ChangeId, BaseKey] = field(default_factory=dict)
     by_change: dict[ChangeId, tuple[BuildNode, ...]] = field(default_factory=dict)
     nodes: dict[NodeKey, BuildNode] = field(default_factory=dict)
+    queued: dict[str, list[ChangeId]] = field(default_factory=dict)
 
     @property
     def queue(self) -> tuple[ChangeId, ...]:
@@ -116,15 +119,13 @@ class SpeculationForest:
 
     def conflicting_ahead(self, c: ChangeId) -> BaseKey:
         """Every queued conflicting predecessor of c, in queue order."""
-        queued, g = self.windows, self.graph
-        ahead = {p for t in g.targets[c] for p in g.changes[t] if p < c and p in queued}
+        ahead = {p for t in self.graph.targets[c] for p in self.queued[t] if p < c}
         return tuple(sorted(ahead))
 
     def conflicting_after(self, c: ChangeId) -> BaseKey:
         """Queued changes after c that conflict with it, in queue order:
         the only windows c is in, so the only ones its resolution moves."""
-        queued, g = self.windows, self.graph
-        after = {s for t in g.targets[c] for s in g.changes[t] if s > c and s in queued}
+        after = {s for t in self.graph.targets[c] for s in self.queued[t] if s > c}
         return tuple(sorted(after))
 
     def heads_component(self, c: ChangeId) -> bool:
@@ -132,16 +133,16 @@ class SpeculationForest:
         among the queued changes; the trace labels its build mandatory.
         The walk reads each target's changes once and queues each change
         once."""
-        queued, g = self.windows, self.graph
-        if queued[c]:
+        if self.windows[c]:
             return False  # a conflicting predecessor is queued ahead
+        queued, targets = self.queued, self.graph.targets
         seen, walked, frontier = {c}, set(), [c]
         while frontier:
-            for t in g.targets[frontier.pop()]:
+            for t in targets[frontier.pop()]:
                 if t not in walked:
                     walked.add(t)
-                    for other in g.changes[t]:
-                        if other in queued and other not in seen:
+                    for other in queued[t]:
+                        if other not in seen:
                             if other < c:
                                 return False
                             seen.add(other)
@@ -165,6 +166,8 @@ class SpeculationForest:
         """
         if self.windows and c <= next(reversed(self.windows)):
             raise ValueError(f"change {c} does not sort after the queue's tail")
+        for t in set(self.graph.targets[c]):
+            self.queued.setdefault(t, []).append(c)
         return self._set_window(c, {})
 
     def _set_window(
@@ -242,6 +245,11 @@ def resolve_change(
     returned; an unknown change raises KeyError before anything changes.
     """
     del forest.windows[resolved], forest.by_change[resolved]
+    queued = forest.queued
+    for t in set(forest.graph.targets[resolved]):
+        queued[t].remove(resolved)
+        if not queued[t]:
+            del queued[t]
     carried: dict[ChangeId, dict[BaseKey, BuildNode]] = {}
     for node, base in mapping.items():
         del forest.nodes[(node.change, node.base)]

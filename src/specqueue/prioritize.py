@@ -17,11 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from specqueue.completion import (
-    FinishTimeModel,
-    combine_estimates,
-    p_finishes_before,
-)
+from specqueue.completion import combine_estimates, p_finishes_before
 from specqueue.core import ChangeId, EngineConfig
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest
 from specqueue.prediction import DurationEstimate
@@ -56,30 +52,21 @@ class BypassPartition:
         object.__setattr__(self, "predecessors", waited.union(self.bypassable))
 
 
-def _remaining(c: ChangeId, forest: SpeculationForest) -> list[DurationEstimate]:
-    """The remaining time of each of c's builds: none for a finished
-    one, else its predicted duration. A pending node with no estimate
-    raises."""
-    estimates = []
-    for node in forest.nodes_for_change(c):
-        if node.outcome is not None:
-            estimates.append(_ZERO_REMAINING)
-        else:
-            if node.estimate is None:
-                raise ValueError(f"node {node.key} has no duration estimate")
-            estimates.append(node.estimate)
-    return estimates
-
-
-def finish_time_model(
-    c: ChangeId, forest: SpeculationForest, arrival: float
-) -> FinishTimeModel:
+def finish_time_model(c: ChangeId, forest: SpeculationForest) -> DurationEstimate:
     """Pool the change's builds into one finish-time normal.
 
-    Finished builds have no remaining time; every other node
-    contributes its predicted duration.
+    A finished build has no remaining time; every other node contributes
+    its predicted duration, and a pending node with no estimate raises.
     """
-    return FinishTimeModel(arrival, combine_estimates(_remaining(c, forest)))
+    remaining = []
+    for node in forest.nodes_for_change(c):
+        if node.outcome is not None:
+            remaining.append(_ZERO_REMAINING)
+        elif node.estimate is None:
+            raise ValueError(f"node {node.key} has no duration estimate")
+        else:
+            remaining.append(node.estimate)
+    return combine_estimates(remaining)
 
 
 def outcome_partition(
@@ -104,20 +91,22 @@ def profile_change(
     on finish order is pointless and scoring falls back to the
     `outcome_partition`, flagged as a fallback. `arrivals[c]` is change
     c's arrival time: a map by id, or a sequence indexed by id. A
-    change with an empty window has nothing to partition, so no model
-    is built for it; its nodes are still checked for estimates.
+    change with an empty window has nothing to partition, so nothing is
+    pooled for it; its one node is still checked for an estimate.
     """
     window = forest.windows[c]
     if not window:
-        _remaining(c, forest)
+        (node,) = forest.nodes_for_change(c)
+        if node.outcome is None and node.estimate is None:
+            raise ValueError(f"node {node.key} has no duration estimate")
         return outcome_partition(c, forest)
-    model_c = finish_time_model(c, forest, arrivals[c])
+    at_c, est_c = arrivals[c], finish_time_model(c, forest)
     non_bypassable: list[ChangeId] = []
     bypassable: list[ChangeId] = []
     product = 1.0
     for pred in window:
-        model_pred = finish_time_model(pred, forest, arrivals[pred])
-        p_first = p_finishes_before(model_c, model_pred)
+        est_pred = finish_time_model(pred, forest)
+        p_first = p_finishes_before(at_c, est_c, arrivals[pred], est_pred)
         if p_first >= cfg.bypass_eligibility_threshold:
             bypassable.append(pred)
             product *= p_first

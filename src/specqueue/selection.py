@@ -118,14 +118,20 @@ def decide_change(
     its one build speaks for the real merge. With predecessors in the
     window the decision bypasses them, which is blocked when bypass is
     off or when conflicting predecessors fell outside the window, since
-    no build covered those combinations.
+    no build covered those combinations. Only a window of ``depth_cap``
+    changes can leave one out.
     """
     window = forest.windows[c]
     nodes = forest.nodes_for_change(c)
     # outcomes compare by identity: an Enum member hashes in Python
     outcome = nodes[0].outcome
     if outcome is None or (
-        window and (not allow_bypass or len(forest.conflicting_ahead(c)) > len(window))
+        window
+        and (
+            not allow_bypass
+            or len(window) == forest.depth_cap
+            and len(forest.conflicting_ahead(c)) > len(window)
+        )
     ):
         return Decision(DecisionKind.WAIT, c)
     for node in nodes:

@@ -6,11 +6,11 @@ decision can only unblock the later queued changes that conflict with
 it, which are decided next in queue order.
 
 After every event the engine re-profiles and re-scores only what the
-event moved. A change's finish-time model moves when it arrives, when
+event moved. A change's pooled estimate moves when it arrives, when
 one of its builds finishes, and when a decision re-derives its window;
 starts and aborts touch no node, since the table of live runs alone
-records which builds run. A change is re-scored when its model moved
-or its window holds a change whose model moved, since its partition
+records which builds run. A change is re-scored when its estimate moved
+or its window holds a change whose estimate moved, since its partition
 and scores read nothing else; its builds at or above the strategy's
 floor replace its builds in the `selection.RankOrder` kept across
 events, and a change leaves it when it is decided. Builds that fell out
@@ -172,7 +172,7 @@ class _Simulation:
         # aborted run leaves, so a completion event whose run is no
         # longer here is stale
         self.running: dict[BuildNode, _Run] = {}
-        # changes whose finish-time model moved since the last reschedule
+        # changes whose pooled estimate moved since the last reschedule
         self.moved: set[ChangeId] = set()
         self.order = RankOrder()
         self.trace: list[str] = []

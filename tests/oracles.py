@@ -121,12 +121,16 @@ def connected_components(
 
 class CheckedSimulation(_Simulation):
     """The engine, asserting after every event that the state it keeps
-    across events is what a pass from scratch derives. Selection, starts
-    and aborts change no node, the rank order or the queue, so what is
-    read around a reschedule is what scoring and its start lines saw.
-    `labels` collects the mandatory labels logged, and `capped` counts
-    the starts of changes with more queued conflicting predecessors than
-    `depth_cap`, whose windows leave some out."""
+    across events is what a pass from scratch derives, and that every
+    decision it applies, and every queued change it leaves waiting, is
+    the one `reference_decide_change` takes. Queued conflicting
+    predecessors are counted from `reference_adjacency`, not read from
+    the forest. Selection, starts and aborts change no node, the rank
+    order or the queue, so what is read around a reschedule is what
+    scoring and its start lines saw. `labels` collects the mandatory
+    labels logged, and `capped` counts the starts of changes with more
+    queued conflicting predecessors than `depth_cap`, whose windows
+    leave some out."""
 
     def __init__(self, workload, strategy):
         super().__init__(workload, strategy)
@@ -143,6 +147,16 @@ class CheckedSimulation(_Simulation):
 
         self.forest.conflicting_after = counted
 
+    def _ahead(self, c) -> int:
+        """How many queued changes ahead of c conflict with it."""
+        queued = self.forest.windows
+        return sum(1 for p in self.adjacency[c] if p < c and p in queued)
+
+    def _reference_decision(self, c) -> Decision:
+        return reference_decide_change(
+            c, self.forest, allow_bypass=self.enhanced, ahead=self._ahead(c)
+        )
+
     def _decide(self, finished) -> None:
         scans, decided = self.scans, len(self.waits)
         super()._decide(finished)
@@ -152,8 +166,13 @@ class CheckedSimulation(_Simulation):
         assert all(c in queued for c in self.moved), (self.now, self.moved)
         assert all(node.change in queued for _, node in self.order.entries), self.now
 
+    def _apply(self, decision):
+        expected = self._reference_decision(decision.change)
+        assert decision == expected, (self.now, decision, expected)
+        return super()._apply(decision)
+
     def _start(self, node, p_needed) -> None:
-        if len(self.forest.conflicting_ahead(node.change)) > self.cfg.depth_cap:
+        if self._ahead(node.change) > self.cfg.depth_cap:
             self.capped += 1
         super()._start(node, p_needed)
 
@@ -162,6 +181,7 @@ class CheckedSimulation(_Simulation):
         # sweeping the queue until nothing resolves would decide nothing
         for c in forest.queue:
             decision = decide_change(c, forest, allow_bypass=self.enhanced)
+            assert decision == self._reference_decision(c), (self.now, decision)
             assert decision.kind is DecisionKind.WAIT, (self.now, decision)
         components = connected_components(self.adjacency, forest.queue)
         heads = {members[0].label for members in components}
@@ -341,18 +361,23 @@ def reference_duration(seed: int, spec: ChangeSpec, base: Sequence[ChangeId]) ->
 # event path compared outcomes by identity and built its tuples and sums
 # without generators.
 def reference_decide_change(
-    c: ChangeId, forest: SpeculationForest, *, allow_bypass: bool = True
+    c: ChangeId,
+    forest: SpeculationForest,
+    *,
+    allow_bypass: bool = True,
+    ahead: int | None = None,
 ) -> Decision:
-    """`decide_change` over the set of c's node outcomes."""
+    """`decide_change` over the set of c's node outcomes, blocking a
+    bypass whenever c has more queued conflicting predecessors, `ahead`
+    (by default the forest's count), than its window holds."""
     window = forest.windows[c]
+    if ahead is None:
+        ahead = len(forest.conflicting_ahead(c))
     outcomes = {n.outcome for n in forest.nodes_for_change(c)}
     if (
         None in outcomes
         or len(outcomes) > 1
-        or (
-            window
-            and (not allow_bypass or len(forest.conflicting_ahead(c)) > len(window))
-        )
+        or (window and (not allow_bypass or ahead > len(window)))
     ):
         return Decision(DecisionKind.WAIT, c)
     if outcomes == {BuildOutcome.PASS}:

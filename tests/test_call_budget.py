@@ -61,11 +61,15 @@ STREAMS = {
 # draws a duration through `Random.seed` and `Random.gauss` themselves,
 # not an inline copy of them, they read 49.37 and 46.25 (contended) and
 # 45.27 and 42.07 (overload), up from 48.31 and 45.00 and from 44.23 and
-# 41.01.
+# 41.01. Since profiling pools a change's builds in one function and
+# compares arrivals beside the pooled estimates, with no finish-time
+# record, and a decision scans for queued predecessors outside a window
+# only when the window is full, enhanced runs read 47.96 (contended) and
+# 44.31 (overload); baseline runs are unchanged.
 BUDGET = {
-    ("contended", "enhanced"): 48.94 * 1.1,
+    ("contended", "enhanced"): 47.96 * 1.1,
     ("contended", "baseline"): 45.62 * 1.1,
-    ("overload", "enhanced"): 44.87 * 1.1,
+    ("overload", "enhanced"): 44.31 * 1.1,
     ("overload", "baseline"): 41.65 * 1.1,
 }
 

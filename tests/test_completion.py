@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specqueue.completion import (
-    FinishTimeModel,
     combine_estimates,
     normal_cdf,
     p_finishes_before,
@@ -118,19 +117,19 @@ class TestNormalCdf:
 
 class TestPFinishesBefore:
     def test_dead_heat_is_even_odds(self):
-        x = FinishTimeModel(0.0, DurationEstimate(25, 25))
-        y = FinishTimeModel(5.0, DurationEstimate(20, 16))
-        assert p_finishes_before(y, x) == pytest.approx(0.5)
+        x = (0.0, DurationEstimate(25, 25))
+        y = (5.0, DurationEstimate(20, 16))
+        assert p_finishes_before(*y, *x) == pytest.approx(0.5)
 
     def test_hours_late_arrival_cannot_win(self):
-        x = FinishTimeModel(0.0, DurationEstimate(20, 16))
-        y = FinishTimeModel(480.0, DurationEstimate(5, 4))
-        assert p_finishes_before(y, x) < 1e-15
+        x = (0.0, DurationEstimate(20, 16))
+        y = (480.0, DurationEstimate(5, 4))
+        assert p_finishes_before(*y, *x) < 1e-15
 
     def test_quick_follower_nearly_certain(self):
-        x = FinishTimeModel(0.0, DurationEstimate(35, 36))
-        y = FinishTimeModel(1.0, DurationEstimate(15, 9))
-        assert p_finishes_before(y, x) == pytest.approx(0.9977, abs=5e-4)
+        x = (0.0, DurationEstimate(35, 36))
+        y = (1.0, DurationEstimate(15, 9))
+        assert p_finishes_before(*y, *x) == pytest.approx(0.9977, abs=5e-4)
 
     @given(
         st.floats(min_value=0, max_value=100),
@@ -141,9 +140,9 @@ class TestPFinishesBefore:
         st.floats(min_value=0.1, max_value=50),
     )
     def test_complementarity(self, ax, mx, vx, ay, my, vy):
-        x = FinishTimeModel(ax, DurationEstimate(mx, vx))
-        y = FinishTimeModel(ay, DurationEstimate(my, vy))
-        assert p_finishes_before(y, x) + p_finishes_before(x, y) == pytest.approx(
+        x = (ax, DurationEstimate(mx, vx))
+        y = (ay, DurationEstimate(my, vy))
+        assert p_finishes_before(*y, *x) + p_finishes_before(*x, *y) == pytest.approx(
             1.0, abs=1e-9
         )
 
@@ -153,19 +152,21 @@ class TestPFinishesBefore:
         st.floats(min_value=0, max_value=20),
     )
     def test_slower_y_never_helps(self, my, vy, bump):
-        x = FinishTimeModel(0.0, DurationEstimate(30, 25))
-        y_fast = FinishTimeModel(5.0, DurationEstimate(my, vy))
-        y_slow = FinishTimeModel(5.0, DurationEstimate(my + bump, vy))
-        assert p_finishes_before(y_slow, x) <= p_finishes_before(y_fast, x) + 1e-12
+        x = (0.0, DurationEstimate(30, 25))
+        y_fast = (5.0, DurationEstimate(my, vy))
+        y_slow = (5.0, DurationEstimate(my + bump, vy))
+        assert p_finishes_before(*y_slow, *x) <= p_finishes_before(*y_fast, *x) + 1e-12
 
     def test_monte_carlo_agreement(self):
         import numpy as np
 
         rng = np.random.default_rng(2024)
-        x = FinishTimeModel(3.0, DurationEstimate(40, 30))
-        y = FinishTimeModel(10.0, DurationEstimate(28, 12))
+        at_x, est_x = 3.0, DurationEstimate(40, 30)
+        at_y, est_y = 10.0, DurationEstimate(28, 12)
         n = 1_000_000
-        ft_x = x.arrival + rng.normal(40, math.sqrt(30), n)
-        ft_y = y.arrival + rng.normal(28, math.sqrt(12), n)
+        ft_x = at_x + rng.normal(40, math.sqrt(30), n)
+        ft_y = at_y + rng.normal(28, math.sqrt(12), n)
         observed = float(np.mean(ft_y < ft_x))
-        assert p_finishes_before(y, x) == pytest.approx(observed, abs=0.01)
+        assert p_finishes_before(at_y, est_y, at_x, est_x) == pytest.approx(
+            observed, abs=0.01
+        )

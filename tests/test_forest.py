@@ -362,10 +362,12 @@ class TestQueueOrder:
 
 
 def structure(forest) -> tuple:
-    """Everything but node state: queue, windows, node keys and their order."""
+    """Everything but node state: queue, windows, each target's queued
+    changes, node keys and their order."""
     return (
         forest.queue,
         dict(forest.windows),
+        dict(forest.queued),
         sorted(forest.nodes, key=lambda k: (k[0].seq, [b.seq for b in k[1]])),
         {c: [n.key for n in forest.nodes_for_change(c)] for c in forest.queue},
     )
@@ -376,6 +378,11 @@ def assert_matches_fresh(forest) -> None:
     fresh = enumerate_forest(forest.queue, forest.graph, forest.depth_cap)
     assert structure(forest) == structure(fresh)
     assert list(forest.queue) == sorted(forest.queue, key=lambda c: c.seq)
+    targets = forest.graph.targets
+    assert forest.queued == {
+        t: [c for c in forest.queue if t in targets[c]]
+        for t in {t for c in forest.queue for t in targets[c]}
+    }
     for i, c in enumerate(forest.queue):
         ahead = [p for p in forest.queue[:i] if p in forest.graph.neighbors(c)]
         nearest = ahead[max(0, len(ahead) - forest.depth_cap) :]

@@ -162,24 +162,21 @@ class TestFinishTimeModel:
     def test_pools_all_nodes(self):
         forest = triangle(n=2)
         annotate(forest, mean=15.0, var=9.0)
-        model = finish_time_model(C2, forest, arrival=1.0)
-        assert model.arrival == 1.0
-        assert model.combined == DurationEstimate(15.0, 9.0)
+        assert finish_time_model(C2, forest) == DurationEstimate(15.0, 9.0)
 
     def test_completed_nodes_contribute_zero(self):
         forest = triangle(n=2)
         annotate(forest, mean=15.0, var=9.0)
         forest.node(C2, (C1,)).complete(BuildOutcome.PASS, 5.0)
-        model = finish_time_model(C2, forest, arrival=1.0)
-        assert model.combined == DurationEstimate(7.5, 4.5)
+        assert finish_time_model(C2, forest) == DurationEstimate(7.5, 4.5)
 
     def test_missing_estimate_rejected(self):
         forest = triangle(n=1)
         with pytest.raises(ValueError):
-            finish_time_model(C1, forest, arrival=0.0)
+            finish_time_model(C1, forest)
 
     def test_empty_window_profile_still_checks_estimates(self):
-        # C1 has no predecessor, so profiling builds no model of it, but
+        # C1 has no predecessor, so profiling pools nothing for it, but
         # its pending node without an estimate still raises
         forest = triangle(n=1)
         with pytest.raises(ValueError, match="has no duration estimate"):
@@ -241,9 +238,9 @@ class TestProfileChange:
         arrivals = {C1: 0.0, C2: 0.5, C3: 1.0}
         part = profile_change(C3, forest, arrivals, self.CFG)
         assert part.bypassable == (C1, C2)
-        m3 = finish_time_model(C3, forest, 1.0)
-        expected = p_finishes_before(m3, finish_time_model(C1, forest, 0.0))
-        expected *= p_finishes_before(m3, finish_time_model(C2, forest, 0.5))
+        est3 = finish_time_model(C3, forest)
+        expected = p_finishes_before(1.0, est3, 0.0, finish_time_model(C1, forest))
+        expected *= p_finishes_before(1.0, est3, 0.5, finish_time_model(C2, forest))
         assert part.bypass_product == pytest.approx(expected)
 
     def test_unknown_change_rejected(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specqueue.core import ChangeId, EngineConfig
+from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.prediction import ConstantPredictor, OracleWithNoise
 from specqueue.simulator import (
     CSV_HEADER,
@@ -26,6 +26,8 @@ from specqueue.simulator import (
     reports_to_csv,
     run,
 )
+from specqueue.selection import Decision, DecisionKind
+from specqueue.simulator import engine
 from specqueue.simulator.engine import GroundTruth, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
@@ -438,11 +440,28 @@ CHECKED_STREAMS = {
     ),
     # where windows are capped, so carry maps drop a successor's nodes when
     # a change outside its window lands: hot-1 caps 34 enhanced starts and
-    # 161 baseline ones, and only hot-6's enhanced run blocks a bypass (10
-    # decisions) because predecessors fell outside a window
+    # 161 baseline ones, and only hot-9's enhanced run blocks a bypass (one
+    # decision) because predecessors fell outside a window
     "hot-1": hot(1, enhanced=100, baseline=60),
     "hot-6": hot(6, enhanced=60, baseline=50),
+    "hot-9": hot(9, enhanced=80, baseline=50),
 }
+
+
+def uncapped_decide_change(c, forest, *, allow_bypass=True):
+    """`decide_change` without its capped-window block, so it bypasses
+    conflicting predecessors that fell outside c's window."""
+    window = forest.windows[c]
+    nodes = forest.nodes_for_change(c)
+    outcome = nodes[0].outcome
+    if outcome is None or (window and not allow_bypass):
+        return Decision(DecisionKind.WAIT, c)
+    for node in nodes:
+        if node.outcome is not outcome:
+            return Decision(DecisionKind.WAIT, c)
+    if outcome is BuildOutcome.PASS:
+        return Decision(DecisionKind.LAND, c)
+    return Decision(DecisionKind.REJECT, c)
 
 
 def checked_run(w, strategy):
@@ -480,6 +499,16 @@ class TestEventDecisions:
             assert sim.labels == {"yes", "no"}
         if stream.startswith("hot"):
             assert sim.capped > 0
+
+    def test_a_decision_past_a_capped_window_is_caught(self, monkeypatch):
+        # hot-9's enhanced run is the checked one where a window's cap
+        # blocks a bypass, so an engine that ignores the cap decides a
+        # change the reference rule leaves waiting
+        monkeypatch.setattr(engine, "decide_change", uncapped_decide_change)
+        sim = CheckedSimulation(CHECKED_STREAMS["hot-9"]("enhanced"), "enhanced")
+        with pytest.raises(AssertionError) as raised:
+            sim.execute()
+        assert raised.traceback[-1].name == "_apply"
 
     # The first three were recorded with the fixed-point sweep that the
     # event rule replaced, the edge configurations with the forest that

@@ -149,7 +149,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     csv_text = reports_to_csv([report])
     outputs = {args.out_metrics: csv_text}
     if args.out_trace:
-        outputs[args.out_trace] = "\n".join(trace) + "\n"
+        outputs[args.out_trace] = "\n".join([*trace, ""])
     _write_outputs(outputs)
     sys.stdout.write(csv_text)
     return 0

@@ -20,6 +20,7 @@ import random
 import re
 from dataclasses import dataclass
 from math import log
+from operator import lt
 from typing import Container, Mapping
 
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph, require_ints
@@ -62,9 +63,6 @@ class WorkloadError(ValueError):
     """Malformed workload data (bad file, bad parameters)."""
 
 
-# the breakers of every change without any, one set for all of them
-_NO_BREAKERS: frozenset[ChangeId] = frozenset()
-
 # Whether the file format writes a text back as one list item: non-empty,
 # with no comma and no whitespace. The format splits lists on commas and
 # fields on str.split()'s whitespace, the characters \s matches.
@@ -76,29 +74,46 @@ class ChangeSpec:
     """The one record of a change: its arrival, its build targets, its
     success prior, and its true, hidden build behavior. The generator
     and the parser give every change without breakers the one default
-    empty set."""
+    empty tuple.
+
+    Targets and breakers are strictly increasing tuples, the order the
+    file format writes them in: a tuple holds a one-target change in
+    less than a quarter of a frozenset's bytes. A tuple already in that
+    form is kept after one check made in C; any other collection (a set,
+    a list, an unsorted tuple or one with repeats) is replaced by its
+    distinct members, sorted."""
 
     id: ChangeId
     arrival_time: float
-    targets: frozenset[str]
+    targets: tuple[str, ...]
     true_mean: float
     true_variance: float
     passes_alone: bool = True
-    breakers: frozenset[ChangeId] = _NO_BREAKERS
+    breakers: tuple[ChangeId, ...] = ()
     success_prior: float = 0.9
 
     def __post_init__(self) -> None:
-        cid, targets = self.id, self.targets
+        cid, targets, breakers = self.id, self.targets, self.breakers
         if not _list_item(cid.label):
             raise WorkloadError(
                 f"change id {cid.label!r} must be non-empty, "
                 "with no comma or whitespace"
             )
+        # a tuple of at most one item is in order, a longer one is checked;
+        # written out twice, since a helper would add a Python call per field
+        if type(targets) is not tuple or (
+            len(targets) > 1 and not all(map(lt, targets, targets[1:]))
+        ):
+            targets = tuple(sorted(set(targets)))
+            object.__setattr__(self, "targets", targets)
+        if type(breakers) is not tuple or (
+            len(breakers) > 1 and not all(map(lt, breakers, breakers[1:]))
+        ):
+            object.__setattr__(self, "breakers", tuple(sorted(set(breakers))))
         for target in targets:
             if not _list_item(target):
-                bad = min(t for t in targets if not _list_item(t))
                 raise WorkloadError(
-                    f"{cid}: target {bad!r} must be non-empty, "
+                    f"{cid}: target {target!r} must be non-empty, "
                     "with no comma or whitespace"
                 )
         if not 0 <= self.arrival_time < math.inf:
@@ -152,13 +167,13 @@ class WorkloadSpec:
                 unknown = [b for b in spec.breakers if seqs.get(b.label) != b]
                 if unknown:
                     raise WorkloadError(
-                        f"{cid}: breakers must be earlier changes, "
-                        f"got {sorted(unknown)}"
+                        f"{cid}: breakers must be earlier changes, got {unknown}"
                     )
                 # the engine orders only conflicting changes, so a breaker that
                 # shares no target could land after the change it breaks
-                for b in sorted(spec.breakers):
-                    if spec.targets.isdisjoint(self.changes[b].targets):
+                targets = set(spec.targets)
+                for b in spec.breakers:
+                    if targets.isdisjoint(self.changes[b].targets):
                         raise WorkloadError(
                             f"{cid}: breaker {b.label!r} shares no target with it"
                         )
@@ -381,11 +396,11 @@ def generate_workload(
         ChangeSpec(
             cid,
             round(arrival, 2),
-            frozenset(map(names.__getitem__, targets)),
+            tuple(sorted(map(names.__getitem__, targets))),
             mean,
             variance,
             passes,
-            frozenset(map(ids.__getitem__, breakers)) if breakers else _NO_BREAKERS,
+            tuple(map(ids.__getitem__, breakers)) if breakers else (),
             min(1.0, max(0.0, prior)),
         )
         for cid, (arrival, targets, mean, variance, passes, breakers, prior) in zip(
@@ -419,10 +434,10 @@ def format_workload(w: WorkloadSpec) -> str:
     ]
     lines += [
         "change "
-        f"id={s.id.label} at={s.arrival_time!r} targets={','.join(sorted(s.targets))} "
+        f"id={s.id.label} at={s.arrival_time!r} targets={','.join(s.targets)} "
         f"mu={s.true_mean!r} var={s.true_variance!r} "
         f"passes={'true' if s.passes_alone else 'false'} breakers="
-        f"{','.join([b.label for b in sorted(s.breakers)]) if s.breakers else ''} "
+        f"{','.join([b.label for b in s.breakers]) if s.breakers else ''} "
         f"prior={s.success_prior!r}"
         for s in w.changes
     ]
@@ -537,11 +552,9 @@ def _parse_change(tokens: list[str], labels: dict[str, ChangeId]) -> ChangeSpec:
     return ChangeSpec(
         cid,
         float(f["at"]),
-        frozenset(filter(None, f.get("targets", "").split(","))),
+        tuple(filter(None, f.get("targets", "").split(","))),
         float(f["mu"]),
         float(f["var"]),
-        breakers=(
-            frozenset(map(labels.__getitem__, breakers)) if breakers else _NO_BREAKERS
-        ),
+        breakers=tuple(map(labels.__getitem__, breakers)) if breakers else (),
         **given,
     )

@@ -10,8 +10,8 @@ import random
 from itertools import combinations
 from typing import AbstractSet, Collection, Iterable, Mapping, Sequence
 
-from specqueue.core import BuildOutcome, ChangeId
-from specqueue.forest import BaseKey, BuildNode, SpeculationForest
+from specqueue.core import BuildOutcome, ChangeId, build_conflict_graph
+from specqueue.forest import BaseKey, BuildNode, SpeculationForest, enumerate_forest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import (
     BypassPartition,
@@ -402,6 +402,12 @@ def reference_ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
         for size in range(len(window), -1, -1)
         for base in combinations(window, size)
     )
+
+
+def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
+    """The forest of the first n of C1, C2 and C3, all touching one target."""
+    targets = {ChangeId(i, f"C{i}"): {"t"} for i in range(1, n + 1)}
+    return enumerate_forest(list(targets), build_conflict_graph(targets), depth_cap)
 
 
 # The five worked scoring cases. C1, C2 and C3 share one target, so C3's

@@ -27,7 +27,7 @@ from specqueue.simulator import (
     run,
 )
 
-from oracles import SCORING_CASES, assert_scoring_case
+from oracles import SCORING_CASES, assert_scoring_case, triangle
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
@@ -35,12 +35,6 @@ C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 def verdict(capsys, number, name, detail):
     with capsys.disabled():
         print(f"\ncriterion {number} ({name}): PASS - {detail}")
-
-
-def triangle(depth_cap=6):
-    targets = {ChangeId(i, f"C{i}"): {"t"} for i in (1, 2, 3)}
-    g = build_conflict_graph(targets)
-    return enumerate_forest(list(targets), g, depth_cap)
 
 
 def decision_lines(trace):

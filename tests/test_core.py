@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
 from specqueue.forest import carry_map, enumerate_forest, resolve_change
-from specqueue.simulator import ChangeSpec, WorkloadSpec, static_conflict_rate
+from specqueue.simulator import (
+    ChangeSpec,
+    GeneratorParams,
+    WorkloadSpec,
+    format_workload,
+    generate_workload,
+    parse_workload,
+    static_conflict_rate,
+)
 
 from oracles import connected_components, reference_adjacency
 
@@ -201,6 +209,24 @@ class TestMemberships:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_a_parsed_steady_record_holds_at_most_680_bytes(self):
+        # a benchmark run holds every parsed stream to its end, so a record's
+        # bytes add to its peak memory: 783 with frozensets of targets and
+        # breakers, 609 with sorted tuples
+        params = GeneratorParams(
+            seed=1000, n_changes=1000, arrival_rate=0.25, conflict_density=0.3
+        )
+        text = format_workload(generate_workload(params))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            workload = parse_workload(text)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(workload.changes) == params.n_changes
+        assert (held - before) / params.n_changes <= 680
 
 
 class TestConnectedComponents:

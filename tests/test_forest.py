@@ -20,7 +20,7 @@ from specqueue.forest import (
 )
 from specqueue.prediction import DurationEstimate
 
-from oracles import reference_ordered_bases
+from oracles import reference_ordered_bases, triangle
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
@@ -35,20 +35,13 @@ def targets_from_labels(
     }
 
 
-def triangle_forest(depth_cap: int = 6):
-    """Three mutually conflicting changes."""
-    targets = targets_from_labels({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
-    g = build_conflict_graph(targets)
-    return enumerate_forest(list(targets), g, depth_cap)
-
-
 def base_keys(forest, c: ChangeId) -> set[tuple[str, ...]]:
     return {tuple(b.label for b in n.base) for n in forest.nodes_for_change(c)}
 
 
 class TestEnumerate:
     def test_three_way_conflict_gives_seven_nodes(self):
-        forest = triangle_forest()
+        forest = triangle()
         assert len(forest.nodes) == 7
         assert base_keys(forest, C1) == {()}
         assert base_keys(forest, C2) == {(), ("C1",)}
@@ -81,18 +74,18 @@ class TestEnumerate:
         assert len(forest.nodes_for_change(last)) == 4
 
     def test_node_order_is_deepest_then_lexicographic(self):
-        forest = triangle_forest()
+        forest = triangle()
         ordered = [tuple(b.label for b in n.base) for n in forest.nodes_for_change(C3)]
         assert ordered == [("C1", "C2"), ("C1",), ("C2",), ()]
 
     def test_unknown_change_rejected(self):
-        forest = triangle_forest()
+        forest = triangle()
         with pytest.raises(KeyError):
             forest.nodes_for_change(ChangeId(9, "C9"))
 
     def test_deterministic_rebuild(self):
-        a = triangle_forest()
-        b = triangle_forest()
+        a = triangle()
+        b = triangle()
         assert list(a.nodes) == list(b.nodes)
 
 
@@ -128,7 +121,7 @@ class TestNodeCountLaw:
 
 class TestResolve:
     def test_land_head_filters_and_relabels(self):
-        forest = triangle_forest()
+        forest = triangle()
         after = resolve_change(forest, C1, carry_map(forest, C1, True))
         assert after.queue == (C2, C3)
         assert base_keys(after, C2) == {()}
@@ -136,13 +129,13 @@ class TestResolve:
         assert len(after.nodes) == 3
 
     def test_reject_head_filters_without_relabel(self):
-        forest = triangle_forest()
+        forest = triangle()
         after = resolve_change(forest, C1, carry_map(forest, C1, False))
         assert base_keys(after, C2) == {()}
         assert base_keys(after, C3) == {(), ("C2",)}
 
     def test_land_carries_node_state_by_assumed_base(self):
-        forest = triangle_forest()
+        forest = triangle()
         speculative = forest.node(C2, (C1,))
         speculative.estimate = DurationEstimate(12.0, 4.0)
         speculative.complete(BuildOutcome.PASS, 9.0)
@@ -159,7 +152,7 @@ class TestResolve:
         # landing C1 re-derives C3's window; its pending node on (C1, C2)
         # moves to (C2,) and keeps its estimate, and its finished node on
         # (C1,) moves to () and keeps its outcome
-        forest = triangle_forest()
+        forest = triangle()
         pending = forest.node(C3, (C1, C2))
         pending.estimate = DurationEstimate(30.0, 9.0)
         done = forest.node(C3, (C1,))
@@ -177,7 +170,7 @@ class TestResolve:
         assert (done.outcome, done.finished_at) == (BuildOutcome.FAIL, 7.0)
 
     def test_reject_carries_the_mainline_node(self):
-        forest = triangle_forest()
+        forest = triangle()
         mainline = forest.node(C2, ())
         after = resolve_change(forest, C1, carry_map(forest, C1, False))
         assert after.node(C2, ()) is mainline
@@ -220,7 +213,7 @@ class TestResolve:
         assert after.windows[c4] == (C1, C3)
 
     def test_total_node_count_never_increases(self):
-        forest = triangle_forest()
+        forest = triangle()
         total = len(forest.nodes)
         for resolved, landed in [(C1, True), (C2, False)]:
             mapping = carry_map(forest, resolved, landed)
@@ -230,7 +223,7 @@ class TestResolve:
 
     def test_bypass_land_keeps_predecessor_builds(self):
         # C2 lands past its still-building predecessor C1.
-        forest = triangle_forest()
+        forest = triangle()
         predecessor = forest.node(C1, ())
         after = resolve_change(forest, C2, carry_map(forest, C2, True))
         assert after.queue == (C1, C3)
@@ -239,19 +232,19 @@ class TestResolve:
         assert base_keys(after, C3) == {(), ("C1",)}
 
     def test_unknown_change_rejected(self):
-        forest = triangle_forest()
+        forest = triangle()
         with pytest.raises(KeyError):
             c99 = ChangeId(99, "C99")
             resolve_change(forest, c99, carry_map(forest, c99, True))
 
     def test_double_decision_rejected(self):
-        forest = triangle_forest()
+        forest = triangle()
         after = resolve_change(forest, C1, carry_map(forest, C1, True))
         with pytest.raises(KeyError):
             resolve_change(after, C1, carry_map(after, C1, True))
 
     def test_updates_the_given_forest(self):
-        forest = triangle_forest()
+        forest = triangle()
         assert resolve_change(forest, C1, carry_map(forest, C1, True)) is forest
         assert forest.queue == (C2, C3)
 
@@ -279,7 +272,7 @@ class TestResolve:
 
     def test_a_node_carried_outside_its_new_window_raises(self):
         # a rejection's map that keeps C3's node on (C1,) under C1
-        forest = triangle_forest()
+        forest = triangle()
         mapping = carry_map(forest, C1, False)
         mapping[forest.node(C3, (C1,))] = (C1,)
         with pytest.raises(AssertionError) as raised:
@@ -287,7 +280,7 @@ class TestResolve:
         assert str(raised.value) == f"carried node {(C3, (C1,))} maps outside the forest"
 
     def test_failed_resolution_leaves_the_forest_unchanged(self):
-        forest = triangle_forest()
+        forest = triangle()
         forest.node(C3, (C1,)).complete(BuildOutcome.PASS, 2.0)
         resolve_change(forest, C2, carry_map(forest, C2, False))
         before, queue = asdict(forest), forest.queue
@@ -316,14 +309,14 @@ class TestCarryMap:
         }
 
     def test_earlier_changes_are_not_listed(self):
-        forest = triangle_forest()
+        forest = triangle()
         mapping = carry_map(forest, C2, landed=True)
         assert {node.change for node in mapping} == {C2, C3}
         assert all(new is None for node, new in mapping.items() if node.change == C2)
 
     def test_unknown_change_rejected(self):
         with pytest.raises(KeyError):
-            carry_map(triangle_forest(), ChangeId(9, "C9"), landed=True)
+            carry_map(triangle(), ChangeId(9, "C9"), landed=True)
 
 
 class TestQueueOrder:

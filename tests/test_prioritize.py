@@ -17,16 +17,9 @@ from specqueue.prioritize import (
     rank_builds,
 )
 
-from oracles import assert_scoring_case, partition, rank_all
+from oracles import assert_scoring_case, partition, rank_all, triangle
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
-
-
-def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
-    """First n of C1..C3, all touching one target."""
-    targets = {ChangeId(i, f"C{i}"): {"t"} for i in range(1, n + 1)}
-    g = build_conflict_graph(targets)
-    return enumerate_forest(list(targets), g, depth_cap)
 
 
 def annotate(forest: SpeculationForest, mean: float = 20.0, var: float = 9.0) -> None:

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specqueue.core import BuildOutcome, ChangeId, build_conflict_graph
-from specqueue.forest import (
-    BuildNode,
-    SpeculationForest,
-    carry_map,
-    enumerate_forest,
-    resolve_change,
-)
+from specqueue.core import BuildOutcome, ChangeId
+from specqueue.forest import BuildNode, carry_map, resolve_change
 from specqueue.prioritize import BypassPartition, outcome_partition, rank_builds
 from specqueue.selection import (
     DecisionKind,
@@ -24,15 +18,9 @@ from specqueue.selection import (
     select_builds,
 )
 
-from oracles import chosen_nodes, reference_decide_change
+from oracles import chosen_nodes, reference_decide_change, triangle
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
-
-
-def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
-    targets = {ChangeId(i, f"C{i}"): {"t"} for i in range(1, n + 1)}
-    g = build_conflict_graph(targets)
-    return enumerate_forest(list(targets), g, depth_cap)
 
 
 DELTA = 0.3  # the speculation threshold, the floor builds are kept at

@@ -38,6 +38,9 @@ from oracles import (
 )
 
 
+C0, C2, C3 = ChangeId(0, "C0"), ChangeId(2, "C2"), ChangeId(3, "C3")
+
+
 def spec(seq, label, at, targets, **kw):
     return ChangeSpec(
         id=ChangeId(seq, label),
@@ -142,6 +145,31 @@ class TestChangeSpec:
         ]
         default = {f.name: f.default for f in dataclasses.fields(ChangeSpec)}
         assert spec(0, "C0", 0.0, {"a"}).breakers is default["breakers"]
+
+    @pytest.mark.parametrize(
+        "targets, breakers",
+        [
+            (frozenset({"b", "a"}), frozenset({C2, C0})),
+            ({"b", "a"}, {C2, C0}),
+            (["b", "a", "b"], [C2, C0, C2]),
+            (("b", "a"), (C2, C0)),
+            (("a", "b"), (C0, C2)),
+        ],
+        ids=["frozenset", "set", "list", "unsorted-tuple", "sorted-tuple"],
+    )
+    def test_targets_and_breakers_are_sorted_distinct_tuples(self, targets, breakers):
+        s = ChangeSpec(C3, 0.0, targets, 10.0, 4.0, breakers=breakers)
+        assert (s.targets, s.breakers) == (("a", "b"), (C0, C2))
+        assert type(s.targets) is type(s.breakers) is tuple
+        # a distinct count, as a frozenset's was: PredictionFeatures reads it
+        assert len(s.targets) == 2
+        other = ChangeSpec(C3, 0.0, ("c",), 10.0, 4.0)
+        assert dataclasses.replace(other, targets=targets, breakers=breakers) == s
+
+    def test_a_sorted_tuple_is_kept_as_given(self):
+        targets, breakers = ("a", "b"), (C0, C2)
+        s = ChangeSpec(C3, 0.0, targets, 10.0, 4.0, breakers=breakers)
+        assert s.targets is targets and s.breakers is breakers
 
     def test_stays_frozen_and_replace_checks_the_new_record(self):
         s = spec(0, "C0", 0.0, {"a"})
@@ -611,8 +639,18 @@ class TestFileFormat:
             )
         )
         parsed = self.round_trip(w)
-        assert parsed.changes[1].breakers == frozenset({ChangeId(0, "C0")})
+        assert parsed.changes[1].breakers == (ChangeId(0, "C0"),)
         assert parsed.changes[1].passes_alone is False
+
+    def test_a_hand_written_change_reads_sorted_and_distinct(self):
+        w = parse_workload(
+            "change id=C0 at=0.0 targets=a mu=10.0 var=4.0\n"
+            "change id=C1 at=1.0 targets=b,a,b mu=10.0 var=4.0 breakers=C0,C0\n"
+        )
+        c1 = w.changes[1]
+        assert (c1.targets, c1.breakers) == (("a", "b"), (C0,))
+        line = format_workload(w).splitlines()[-1]
+        assert " targets=a,b " in line and " breakers=C0 " in line
 
     def test_comments_and_blank_lines_ignored(self):
         text = format_workload(WorkloadSpec(changes=(spec(0, "C0", 0.0, {"a"}),)))

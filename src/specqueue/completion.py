@@ -1,28 +1,18 @@
 """Finish-time ordering probabilities for pairs of queued changes.
 
 A change's finish time is when the last of its outstanding builds
-completes. Each build duration is modeled as a normal distribution, the
-change's builds are pooled into one combined normal, and the probability
-that one change finishes before another reduces to the standard normal
-CDF of a Z-score over the two changes' arrivals and pooled estimates.
+completes. Each build duration is modeled as a normal distribution, and
+`prioritize.finish_time_model` pools a change's builds into one normal.
+The probability that one change finishes before another then reduces to
+the standard normal CDF of a Z-score over the two changes' arrivals and
+pooled estimates.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from specqueue.prediction import DurationEstimate
-
-
-def combine_estimates(builds: Sequence[DurationEstimate]) -> DurationEstimate:
-    """Pool several builds into one normal by averaging means and variances."""
-    if not builds:
-        raise ValueError("combine_estimates requires at least one build")
-    n = len(builds)
-    mean = sum([b.mean for b in builds]) / n
-    variance = sum([b.variance for b in builds]) / n
-    return DurationEstimate(mean, variance)
 
 
 def z_score(

@@ -16,8 +16,8 @@ _MIN_MEAN_MINUTES = 0.01
 class DurationEstimate:
     """Normal build-duration model in minutes: N(mean, variance).
 
-    A mean of zero is allowed so that an already-finished build can
-    contribute "no remaining time" to a combined estimate; estimators
+    A mean of zero is allowed: it is the pooled estimate of a change
+    whose builds have all finished, with no time remaining. Estimators
     themselves never return a mean below 0.01 minutes.
     """
 

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from specqueue.completion import combine_estimates, p_finishes_before
+from specqueue.completion import p_finishes_before
 from specqueue.core import ChangeId, EngineConfig
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest
 from specqueue.prediction import DurationEstimate
@@ -27,8 +27,6 @@ from specqueue.prediction import DurationEstimate
 # window), so callers can substitute observed outcomes for finished
 # builds while tests can pass plain priors.
 SuccessFn = Callable[[ChangeId, BaseKey], float]
-
-_ZERO_REMAINING = DurationEstimate(0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -53,20 +51,25 @@ class BypassPartition:
 
 
 def finish_time_model(c: ChangeId, forest: SpeculationForest) -> DurationEstimate:
-    """Pool the change's builds into one finish-time normal.
+    """Pool the change's builds into one finish-time normal, averaging
+    their means and their variances.
 
-    A finished build has no remaining time; every other node contributes
-    its predicted duration, and a pending node with no estimate raises.
+    A finished build has no remaining time, so it adds nothing but counts
+    in the average; a pending node with no estimate raises. Both sums
+    run left to right over the nodes in the forest's order, so the
+    pooled floats are the same on every Python: the builtin `sum` rounds
+    floats with compensation from 3.12 on.
     """
-    remaining = []
-    for node in forest.nodes_for_change(c):
-        if node.outcome is not None:
-            remaining.append(_ZERO_REMAINING)
-        elif node.estimate is None:
-            raise ValueError(f"node {node.key} has no duration estimate")
-        else:
-            remaining.append(node.estimate)
-    return combine_estimates(remaining)
+    nodes = forest.nodes_for_change(c)
+    mean = variance = 0.0
+    for node in nodes:
+        if node.outcome is None:
+            estimate = node.estimate
+            if estimate is None:
+                raise ValueError(f"node {node.key} has no duration estimate")
+            mean += estimate.mean
+            variance += estimate.variance
+    return DurationEstimate(mean / len(nodes), variance / len(nodes))
 
 
 def outcome_partition(

@@ -385,14 +385,18 @@ def reference_decide_change(
     return Decision(DecisionKind.REJECT, c)
 
 
-def reference_combine_estimates(builds: Sequence[DurationEstimate]) -> DurationEstimate:
-    """`combine_estimates` summing generator expressions."""
-    if not builds:
-        raise ValueError("combine_estimates requires at least one build")
-    n = len(builds)
-    mean = sum(b.mean for b in builds) / n
-    variance = sum(b.variance for b in builds) / n
-    return DurationEstimate(mean, variance)
+def reference_finish_time_model(builds: Sequence[BuildNode]) -> DurationEstimate:
+    """`finish_time_model` over a change's builds, adding every build's
+    mean and variance in turn, left to right, and 0.0 for a finished one."""
+    mean = variance = 0.0
+    for build in builds:
+        if build.outcome is None:
+            mean += build.estimate.mean
+            variance += build.estimate.variance
+        else:
+            mean += 0.0
+            variance += 0.0
+    return DurationEstimate(mean / len(builds), variance / len(builds))
 
 
 def reference_ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:

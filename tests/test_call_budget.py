@@ -65,11 +65,14 @@ STREAMS = {
 # compares arrivals beside the pooled estimates, with no finish-time
 # record, and a decision scans for queued predecessors outside a window
 # only when the window is full, enhanced runs read 47.96 (contended) and
-# 44.31 (overload); baseline runs are unchanged.
+# 44.31 (overload); baseline runs are unchanged. Since a change's builds
+# are pooled in one pass with `+=`, not through a padded list and a
+# helper, enhanced runs read 46.66 (contended) and 43.66 (overload), and
+# baseline runs 46.25 and 42.07 as before.
 BUDGET = {
-    ("contended", "enhanced"): 47.96 * 1.1,
+    ("contended", "enhanced"): 46.66 * 1.1,
     ("contended", "baseline"): 45.62 * 1.1,
-    ("overload", "enhanced"): 44.31 * 1.1,
+    ("overload", "enhanced"): 43.66 * 1.1,
     ("overload", "baseline"): 41.65 * 1.1,
 }
 

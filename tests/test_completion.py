@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specqueue.completion import (
-    combine_estimates,
-    normal_cdf,
-    p_finishes_before,
-    z_score,
-)
+from specqueue.completion import normal_cdf, p_finishes_before, z_score
+from specqueue.core import BuildOutcome, ChangeId
+from specqueue.forest import BuildNode, SpeculationForest
 from specqueue.prediction import DurationEstimate
+from specqueue.prioritize import finish_time_model
 
-from oracles import reference_combine_estimates
+from oracles import reference_finish_time_model, triangle
 
 
 def phi_by_quadrature(z: float, steps: int = 20000) -> float:
@@ -31,38 +29,59 @@ def phi_by_quadrature(z: float, steps: int = 20000) -> float:
     return 0.5 + half if z >= 0 else 0.5 - half
 
 
+def last_change(builds) -> tuple[SpeculationForest, tuple[BuildNode, ...]]:
+    """`triangle(n)` and the 2**(n-1) builds of its last change, C<n>,
+    which take `builds`' (mean, variance, finished) in the forest's order."""
+    n = len(builds).bit_length()
+    forest = triangle(n)
+    nodes = forest.nodes_for_change(ChangeId(n, f"C{n}"))
+    for node, (mean, variance, finished) in zip(nodes, builds, strict=True):
+        node.estimate = DurationEstimate(mean, variance)
+        if finished:
+            node.complete(BuildOutcome.PASS, 1.0)
+    return forest, nodes
+
+
+def pooled(builds) -> DurationEstimate:
+    forest, nodes = last_change(builds)
+    return finish_time_model(nodes[0].change, forest)
+
+
 class TestCombineEstimates:
+    """How `finish_time_model` pools a change's builds: it averages their
+    means and their variances, and a finished build counts as zero."""
+
     def test_two_builds(self):
-        got = combine_estimates([DurationEstimate(20, 25), DurationEstimate(30, 9)])
+        got = pooled([(20, 25, False), (30, 9, False)])
         assert got == DurationEstimate(25, 17)
 
     def test_singleton_identity(self):
-        assert combine_estimates([DurationEstimate(25, 25)]) == DurationEstimate(25, 25)
+        assert pooled([(25, 25, False)]) == DurationEstimate(25, 25)
 
     def test_three_builds(self):
-        got = combine_estimates(
-            [DurationEstimate(10, 4), DurationEstimate(20, 4), DurationEstimate(30, 4)]
-        )
-        assert got == DurationEstimate(20, 4)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            combine_estimates([])
+        # the fourth build has passed, so its estimate no longer counts
+        got = pooled([(10, 4, False), (20, 4, False), (30, 4, False), (40, 4, True)])
+        assert got == DurationEstimate(15, 3)
 
     @given(
-        st.lists(
-            st.builds(
-                DurationEstimate,
-                st.floats(0, 1e6, allow_nan=False),
-                st.floats(0, 1e6, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=70,
+        st.integers(0, 6).flatmap(
+            lambda k: st.lists(
+                st.tuples(
+                    st.floats(0, 1e6, allow_nan=False),
+                    st.floats(0, 1e6, allow_nan=False),
+                    st.booleans(),
+                ),
+                min_size=2**k,
+                max_size=2**k,
+            )
         )
     )
     def test_equals_the_generator_sums(self, builds):
-        got = combine_estimates(builds)
-        expected = reference_combine_estimates(builds)
+        # up to 64 builds, some finished: the pooled floats equal the
+        # reference's, which adds them one by one, left to right
+        forest, nodes = last_change(builds)
+        got = finish_time_model(nodes[0].change, forest)
+        expected = reference_finish_time_model(nodes)
         assert (got.mean, got.variance) == (expected.mean, expected.variance)
 
 

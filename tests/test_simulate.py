@@ -409,6 +409,11 @@ def generated(params, config, predictor=None):
     return build
 
 
+def noisy(seed):
+    """An oracle off by 10% on average, with a 50% relative spread."""
+    return OracleWithNoise(relative_bias=0.1, relative_spread=0.5, seed=seed)
+
+
 def hot(seed, **n_changes):
     """A stream at density 0.3 on 72 executors with target "hot" added to
     a fifth of its changes, so queued chains outgrow the depth cap; it
@@ -448,6 +453,8 @@ CHECKED_STREAMS = {
     },
     # where most scored builds fall below the speculation threshold
     "dense-3": generated(replace(DENSE_STREAM, n_changes=70), WIDE),
+    # every build's estimate its own inexact float, so pooling sums them
+    "dense-3-noisy": generated(replace(DENSE_STREAM, n_changes=70), WIDE, noisy(3)),
     # every estimate a point mass, so completion compares finish times
     "dense-3-point-mass": generated(
         replace(DENSE_STREAM, n_changes=70), WIDE, ConstantPredictor(25.0, 0.0)
@@ -558,6 +565,25 @@ class TestEventDecisions:
     )
     def test_golden_digest_pins_a_wide_stream(self, strategy, seed, expected):
         w = generate_workload(wide_params(seed), config=WIDE)
+        assert run_digest(w, strategy) == expected
+
+    # Recorded before a change's builds were pooled in one left-to-right
+    # pass: a noisy predictor gives each build its own estimate, so the
+    # pooled means and variances are sums of inexact floats, which the
+    # builtin `sum` may round otherwise from Python 3.12 on.
+    @pytest.mark.parametrize(
+        "strategy, seed, expected",
+        [
+            ("baseline", 0, "1914b8b0db87b267ae3f12b243927752"),
+            ("enhanced", 0, "81fb9256f40477643c9a552a78ea498b"),
+            ("baseline", 1, "2157ccf882803e9698c795747f533090"),
+            ("enhanced", 1, "76be27a5e8db96d45e7f0c40db951fe2"),
+        ],
+    )
+    def test_golden_digest_pins_a_wide_stream_under_a_noisy_predictor(
+        self, strategy, seed, expected
+    ):
+        w = generated(wide_params(seed), WIDE, noisy(seed))(strategy)
         assert run_digest(w, strategy) == expected
 
     # Recorded before the speculation threshold was applied where builds

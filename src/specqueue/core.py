@@ -69,15 +69,14 @@ class ConflictGraph:
     targets: Mapping[ChangeId, Collection[str]]
     changes: Mapping[str, list[ChangeId]]
 
-    def neighbors(self, c: ChangeId) -> frozenset[ChangeId]:
-        """The changes c conflicts with; KeyError if c is not in the graph."""
-        changes = self.changes
-        return frozenset([o for t in self.targets[c] for o in changes[t] if o != c])
-
     @property
     def adjacency(self) -> dict[ChangeId, frozenset[ChangeId]]:
         """Every change's neighbours, derived on each read."""
-        return {c: self.neighbors(c) for c in self.targets}
+        changes = self.changes
+        return {
+            c: frozenset([o for t in touched for o in changes[t] if o != c])
+            for c, touched in self.targets.items()
+        }
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
-from specqueue.core import BuildOutcome, ChangeId, ConflictGraph
+from specqueue.core import BuildOutcome, ChangeId
 from specqueue.prediction import DurationEstimate
 
 BaseKey = tuple[ChangeId, ...]
@@ -89,23 +89,21 @@ def _ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
 class SpeculationForest:
     """All speculative builds for the current pending queue, kept in place.
 
-    Queue order is ChangeId order. ``windows[c]`` is c's window, its
-    nearest ``depth_cap`` queued conflicting predecessors, and the keys
-    of ``windows`` are the queue, in that order. Each node is built
-    once and filed twice: in ``by_change[c]``, c's nodes in read order,
-    and in ``nodes``, by key. A window is read from ``queued[t]``, the
-    queued changes on each of c's targets t in queue order. Of ``graph``
-    only each change's targets are read; it still covers the workload,
-    built by the engine where `bench/spans.py` wraps that build. A node
-    holds what is known of its build: its estimate, and its outcome once
-    it finished; which builds run is kept by the engine alone. Mutation
-    is single-writer (the engine), and reads hand out the nodes
-    themselves, so a held node sees every later update to it; one
-    carried to a new base has ``node.key`` equal to its new key. Only
-    the forest files nodes.
+    Queue order is ChangeId order. ``targets[c]`` is c's targets, for every
+    change that may arrive. ``windows[c]`` is c's window, its nearest
+    ``depth_cap`` queued conflicting predecessors, and the keys of
+    ``windows`` are the queue, in that order. Each node is built once and
+    filed twice: in ``by_change[c]``, c's nodes in read order, and in
+    ``nodes``, by key. A window is read from ``queued[t]``, the queued
+    changes on each of c's targets t in queue order. A node holds what is
+    known of its build: its estimate, and its outcome once it finished;
+    which builds run is kept by the engine alone. Mutation is single-writer
+    (the engine), and reads hand out the nodes themselves, so a held node
+    sees every later update to it; one carried to a new base has
+    ``node.key`` equal to its new key. Only the forest files nodes.
     """
 
-    graph: ConflictGraph
+    targets: Mapping[ChangeId, Collection[str]]
     depth_cap: int
     windows: dict[ChangeId, BaseKey] = field(default_factory=dict)
     by_change: dict[ChangeId, tuple[BuildNode, ...]] = field(default_factory=dict)
@@ -119,13 +117,13 @@ class SpeculationForest:
 
     def conflicting_ahead(self, c: ChangeId) -> BaseKey:
         """Every queued conflicting predecessor of c, in queue order."""
-        ahead = {p for t in self.graph.targets[c] for p in self.queued[t] if p < c}
+        ahead = {p for t in self.targets[c] for p in self.queued[t] if p < c}
         return tuple(sorted(ahead))
 
     def conflicting_after(self, c: ChangeId) -> BaseKey:
         """Queued changes after c that conflict with it, in queue order:
         the only windows c is in, so the only ones its resolution moves."""
-        after = {s for t in self.graph.targets[c] for s in self.queued[t] if s > c}
+        after = {s for t in self.targets[c] for s in self.queued[t] if s > c}
         return tuple(sorted(after))
 
     def heads_component(self, c: ChangeId) -> bool:
@@ -135,7 +133,7 @@ class SpeculationForest:
         once."""
         if self.windows[c]:
             return False  # a conflicting predecessor is queued ahead
-        queued, targets = self.queued, self.graph.targets
+        queued, targets = self.queued, self.targets
         seen, walked, frontier = {c}, set(), [c]
         while frontier:
             for t in targets[frontier.pop()]:
@@ -166,7 +164,7 @@ class SpeculationForest:
         """
         if self.windows and c <= next(reversed(self.windows)):
             raise ValueError(f"change {c} does not sort after the queue's tail")
-        for t in set(self.graph.targets[c]):
+        for t in set(self.targets[c]):
             self.queued.setdefault(t, []).append(c)
         return self._set_window(c, {})
 
@@ -194,10 +192,12 @@ class SpeculationForest:
 
 
 def enumerate_forest(
-    queue: Sequence[ChangeId], g: ConflictGraph, depth_cap: int
+    queue: Sequence[ChangeId],
+    targets: Mapping[ChangeId, Collection[str]],
+    depth_cap: int,
 ) -> SpeculationForest:
     """Build a fresh all-pending forest by adding the queue in order."""
-    forest = SpeculationForest(graph=g, depth_cap=depth_cap)
+    forest = SpeculationForest(targets=targets, depth_cap=depth_cap)
     for c in queue:
         forest.add_change(c)
     return forest
@@ -246,7 +246,7 @@ def resolve_change(
     """
     del forest.windows[resolved], forest.by_change[resolved]
     queued = forest.queued
-    for t in set(forest.graph.targets[resolved]):
+    for t in set(forest.targets[resolved]):
         queued[t].remove(resolved)
         if not queued[t]:
             del queued[t]

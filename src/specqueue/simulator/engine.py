@@ -19,8 +19,8 @@ holds its build's node, so a decision leaves the runs it carries as
 they are and aborts only those whose nodes vanish. All times are
 virtual minutes; a run is a pure function of its workload.
 
-Per-change data is indexed by change id, which is the change's
-position in the workload's change tuple.
+Per-change data, the targets the forest reads included, is indexed by
+change id, which is the change's position in the workload's change tuple.
 """
 
 from __future__ import annotations
@@ -164,7 +164,8 @@ class _Simulation:
         self.heap: list[tuple] = []
         self.forest: SpeculationForest = enumerate_forest(
             [],
-            build_conflict_graph({s.id: s.targets for s in workload.changes}),
+            # the forest reads only targets; bench/spans.py times this build
+            build_conflict_graph({s.id: s.targets for s in workload.changes}).targets,
             self.cfg.depth_cap,
         )
         self.landed_set: set[ChangeId] = set()

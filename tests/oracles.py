@@ -10,7 +10,7 @@ import random
 from itertools import combinations
 from typing import AbstractSet, Collection, Iterable, Mapping, Sequence
 
-from specqueue.core import BuildOutcome, ChangeId, build_conflict_graph
+from specqueue.core import BuildOutcome, ChangeId
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest, enumerate_forest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import (
@@ -86,6 +86,22 @@ def reference_adjacency(
     return {cid: frozenset(nbrs - {cid}) for cid, nbrs in adjacency.items()}
 
 
+def reference_windows(
+    queue: Sequence[ChangeId],
+    targets: Mapping[ChangeId, Collection[str]],
+    depth_cap: int,
+) -> dict[ChangeId, BaseKey]:
+    """Each queued change's window, in queue order: the nearest
+    `depth_cap` of the changes ahead of it in the queue that share a
+    target with it, from `reference_adjacency`."""
+    adjacency = reference_adjacency(targets)
+    windows: dict[ChangeId, BaseKey] = {}
+    for i, c in enumerate(queue):
+        ahead = [p for p in queue[:i] if p in adjacency[c]]
+        windows[c] = tuple(ahead[max(0, len(ahead) - depth_cap) :])
+    return windows
+
+
 def connected_components(
     adjacency: Mapping[ChangeId, AbstractSet[ChangeId]], changes: Sequence[ChangeId]
 ) -> list[list[ChangeId]]:
@@ -119,23 +135,38 @@ def connected_components(
     return components
 
 
+class ArrivedTargets(dict):
+    """Each change's targets, asserting on every read that the change
+    has arrived; `arrived` lists those that have."""
+
+    def __init__(self, targets: Mapping[ChangeId, Collection[str]]):
+        super().__init__(targets)
+        self.arrived: set[ChangeId] = set()
+
+    def __getitem__(self, c: ChangeId) -> Collection[str]:
+        assert c in self.arrived, f"targets of {c} read before it arrived"
+        return super().__getitem__(c)
+
+
 class CheckedSimulation(_Simulation):
     """The engine, asserting after every event that the state it keeps
     across events is what a pass from scratch derives, and that every
-    decision it applies, and every queued change it leaves waiting, is
-    the one `reference_decide_change` takes. Queued conflicting
-    predecessors are counted from `reference_adjacency`, not read from
-    the forest. Selection, starts and aborts change no node, the rank
-    order or the queue, so what is read around a reschedule is what
-    scoring and its start lines saw. `labels` collects the mandatory
-    labels logged, and `capped` counts the starts of changes with more
-    queued conflicting predecessors than `depth_cap`, whose windows
-    leave some out."""
+    decision it applies, and every queued change it leaves waiting, is the
+    one `reference_decide_change` takes. The forest's targets are an
+    `ArrivedTargets`, so reading a change's targets before it arrives fails.
+    Queued conflicting predecessors are counted from `reference_adjacency`,
+    not read from the forest. Selection, starts and aborts change no node,
+    the rank order or the queue, so what is read around a reschedule is what
+    scoring and its start lines saw. `labels` collects the mandatory labels
+    logged, and `capped` counts the starts of changes with more queued
+    conflicting predecessors than `depth_cap`, whose windows leave some
+    out."""
 
     def __init__(self, workload, strategy):
         super().__init__(workload, strategy)
         targets = {s.id: s.targets for s in workload.changes}
         self.adjacency = reference_adjacency(targets)
+        self.forest.targets = ArrivedTargets(self.forest.targets)
         self.labels: set[str] = set()
         self.capped = 0
         self.scans = 0
@@ -146,6 +177,10 @@ class CheckedSimulation(_Simulation):
             return scan(c)
 
         self.forest.conflicting_after = counted
+
+    def _arrive(self, c) -> None:
+        self.forest.targets.arrived.add(c)
+        super()._arrive(c)
 
     def _ahead(self, c) -> int:
         """How many queued changes ahead of c conflict with it."""
@@ -411,7 +446,7 @@ def reference_ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
 def triangle(n: int = 3, depth_cap: int = 6) -> SpeculationForest:
     """The forest of the first n of C1, C2 and C3, all touching one target."""
     targets = {ChangeId(i, f"C{i}"): {"t"} for i in range(1, n + 1)}
-    return enumerate_forest(list(targets), build_conflict_graph(targets), depth_cap)
+    return enumerate_forest(list(targets), targets, depth_cap)
 
 
 # The five worked scoring cases. C1, C2 and C3 share one target, so C3's

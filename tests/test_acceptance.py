@@ -16,7 +16,7 @@ import numpy as np
 
 from specqueue.cli import main as cli_main
 from specqueue.completion import normal_cdf, z_score
-from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
+from specqueue.core import ChangeId, EngineConfig
 from specqueue.forest import enumerate_forest
 from specqueue.prediction import DurationEstimate, mape
 from specqueue.prioritize import needed_probability, profile_change
@@ -27,7 +27,13 @@ from specqueue.simulator import (
     run,
 )
 
-from oracles import SCORING_CASES, assert_scoring_case, triangle
+from oracles import (
+    SCORING_CASES,
+    assert_scoring_case,
+    reference_adjacency,
+    reference_windows,
+    triangle,
+)
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
@@ -208,7 +214,7 @@ def test_criterion_5_resource_and_latency_ab(capsys):
         enhanced, _ = run(w)
         baseline, _ = run(w, "baseline")
 
-        g = build_conflict_graph({s.id: s.targets for s in w.changes})
+        adjacency = reference_adjacency({s.id: s.targets for s in w.changes})
         by_label = {s.id.label: s for s in w.changes}
 
         def held_short_p95(report):
@@ -219,7 +225,7 @@ def test_criterion_5_resource_and_latency_ab(capsys):
                     continue
                 if any(
                     p.seq < s.id.seq and by_label[p.label].true_mean > 30
-                    for p in g.neighbors(s.id)
+                    for p in adjacency[s.id]
                 ):
                     waits.append(rec.wait)
             return nearest_rank(waits, 95)
@@ -348,13 +354,10 @@ def test_criterion_9_enumeration_law(capsys):
             )
             for i in range(n)
         }
-        g = build_conflict_graph(targets)
         queue = list(targets)
-        forest = enumerate_forest(queue, g, depth_cap)
-        for i, c in enumerate(queue):
-            ahead = [p for p in queue[:i] if p in g.neighbors(c)]
-            k = min(depth_cap, len(ahead))
-            nearest = sorted(ahead, key=lambda p: p.seq)[len(ahead) - k:]
+        forest = enumerate_forest(queue, targets, depth_cap)
+        for c, nearest in reference_windows(queue, targets, depth_cap).items():
+            k = len(nearest)
             expected = {
                 frozenset(combo)
                 for size in range(k + 1)

@@ -93,44 +93,43 @@ class TestChangeId:
 class TestConflicts:
     def test_shared_target_conflicts(self):
         g = build_conflict_graph(targets_by_id({"lib/auth", "lib/net"}, {"lib/net"}))
-        assert g.neighbors(C0) == {C1}
+        assert g.adjacency[C0] == {C1}
 
     def test_disjoint_targets_do_not_conflict(self):
         g = build_conflict_graph(targets_by_id({"lib/auth"}, {"lib/net"}))
-        assert not g.neighbors(C0)
-        assert not g.neighbors(C1)
+        assert g.adjacency == {C0: frozenset(), C1: frozenset()}
 
     @given(
         st.frozensets(st.sampled_from("abcdef"), max_size=4),
         st.frozensets(st.sampled_from("abcdef"), max_size=4),
     )
     def test_symmetric(self, ta, tb):
-        g = build_conflict_graph(targets_by_id(ta, tb))
-        assert (C1 in g.neighbors(C0)) == (C0 in g.neighbors(C1))
+        adjacency = build_conflict_graph(targets_by_id(ta, tb)).adjacency
+        assert (C1 in adjacency[C0]) == (C0 in adjacency[C1])
 
 
 class TestConflictGraph:
     def test_graph_is_symmetric_and_irreflexive(self):
         targets = targets_by_id({"x"}, {"x", "y"}, {"y"}, {"z"})
-        g = build_conflict_graph(targets)
+        adjacency = build_conflict_graph(targets).adjacency
         for c in targets:
-            assert c not in g.neighbors(c)
-            for nbr in g.neighbors(c):
-                assert c in g.neighbors(nbr)
+            assert c not in adjacency[c]
+            for nbr in adjacency[c]:
+                assert c in adjacency[nbr]
         ids = list(targets)
-        assert ids[1] in g.neighbors(ids[0])
-        assert ids[2] not in g.neighbors(ids[0])
+        assert ids[1] in adjacency[ids[0]]
+        assert ids[2] not in adjacency[ids[0]]
 
     @given(
         st.lists(st.frozensets(st.sampled_from("abcdefg"), max_size=4), max_size=12)
     )
     def test_equals_pairwise_conflicts(self, target_sets):
         targets = targets_by_id(*target_sets)
-        g = build_conflict_graph(targets)
-        assert set(g.adjacency) == set(targets)
+        adjacency = build_conflict_graph(targets).adjacency
+        assert set(adjacency) == set(targets)
         for a in targets:
             expected = {b for b in targets if b != a and bool(targets[a] & targets[b])}
-            assert g.neighbors(a) == expected
+            assert adjacency[a] == expected
 
 
 @st.composite
@@ -166,8 +165,6 @@ class TestMemberships:
             for t in set().union(*targets.values())
         }
         assert g.adjacency == reference
-        for c in targets:
-            assert g.neighbors(c) == reference[c]
         specs = [ChangeSpec(c, 0.0, frozenset(targets[c]), 10.0, 4.0) for c in targets]
         workload = WorkloadSpec(tuple(specs))
         conflicted = sum(1 for c in targets if reference[c])
@@ -175,7 +172,7 @@ class TestMemberships:
         # random arrivals and land/reject resolutions, the windows read
         # from memberships checked against the pairs after each
         arrivals = list(targets)
-        forest = enumerate_forest([], g, depth_cap)
+        forest = enumerate_forest([], targets, depth_cap)
         while arrivals or forest.queue:
             if arrivals and (not forest.queue or data.draw(st.booleans())):
                 forest.add_change(arrivals.pop(0))

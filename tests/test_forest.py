@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specqueue.core import BuildOutcome, ChangeId, build_conflict_graph
+from specqueue.core import BuildOutcome, ChangeId
 import specqueue.forest as forest_module
 from specqueue.forest import (
     BuildNode,
@@ -20,7 +20,12 @@ from specqueue.forest import (
 )
 from specqueue.prediction import DurationEstimate
 
-from oracles import reference_ordered_bases, triangle
+from oracles import (
+    reference_adjacency,
+    reference_ordered_bases,
+    reference_windows,
+    triangle,
+)
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
@@ -49,8 +54,7 @@ class TestEnumerate:
 
     def test_independent_changes_get_single_nodes(self):
         targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}})
-        g = build_conflict_graph(targets)
-        forest = enumerate_forest(list(targets), g, 6)
+        forest = enumerate_forest(list(targets), targets, 6)
         assert len(forest.nodes) == 2
         assert base_keys(forest, C1) == {()}
         assert base_keys(forest, C2) == {()}
@@ -59,16 +63,14 @@ class TestEnumerate:
     def test_independent_middle_change_never_enters_bases(self):
         # C3 conflicts with C1 only; C2 shares nothing with C3.
         targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"a"}})
-        g = build_conflict_graph(targets)
-        forest = enumerate_forest(list(targets), g, 6)
+        forest = enumerate_forest(list(targets), targets, 6)
         assert base_keys(forest, C3) == {(), ("C1",)}
 
     def test_depth_cap_keeps_nearest_predecessors(self):
         labels = {f"C{i}": {"t"} for i in range(1, 6)}
         targets = targets_from_labels(labels)
-        g = build_conflict_graph(targets)
         queue = list(targets)
-        forest = enumerate_forest(queue, g, 2)
+        forest = enumerate_forest(queue, targets, 2)
         last = queue[-1]
         assert forest.windows[last] == (queue[2], queue[3])
         assert len(forest.nodes_for_change(last)) == 4
@@ -103,16 +105,13 @@ class TestNodeCountLaw:
         targets = {
             ChangeId(i, f"C{i}"): t for i, t in enumerate(target_sets, start=1)
         }
-        g = build_conflict_graph(targets)
         queue = list(targets)
-        forest = enumerate_forest(queue, g, depth_cap)
-        for i, c in enumerate(queue):
-            conflicting_ahead = [p for p in queue[:i] if p in g.neighbors(c)]
-            k = min(depth_cap, len(conflicting_ahead))
+        forest = enumerate_forest(queue, targets, depth_cap)
+        for c, window in reference_windows(queue, targets, depth_cap).items():
+            k = len(window)
             assert len(forest.nodes_for_change(c)) == 2**k
             # Independent oracle: bases are exactly the subsets of the
             # nearest-k conflicting predecessors.
-            window = conflicting_ahead[len(conflicting_ahead) - k :]
             expected = set()
             for size in range(k + 1):
                 expected.update(combinations(window, size))
@@ -177,8 +176,7 @@ class TestResolve:
 
     def test_resolving_independent_change_leaves_others_untouched(self):
         targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"b"}})
-        g = build_conflict_graph(targets)
-        forest = enumerate_forest(list(targets), g, 6)
+        forest = enumerate_forest(list(targets), targets, 6)
         speculative = forest.node(C3, (C2,))
         after = resolve_change(forest, C1, carry_map(forest, C1, True))
         assert base_keys(after, C3) == {(), ("C2",)}
@@ -187,8 +185,7 @@ class TestResolve:
     def test_landed_beyond_window_predecessor_invalidates_builds(self):
         # depth_cap 1: C3's window holds only C2, yet C1 conflicts too.
         targets = targets_from_labels({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
-        g = build_conflict_graph(targets)
-        forest = enumerate_forest(list(targets), g, 1)
+        forest = enumerate_forest(list(targets), targets, 1)
         assert forest.windows[C3] == (C2,)
         forest.node(C3, (C2,)).complete(BuildOutcome.PASS, 5.0)
         after = resolve_change(forest, C1, carry_map(forest, C1, True))
@@ -197,16 +194,14 @@ class TestResolve:
 
     def test_rejected_beyond_window_predecessor_preserves_builds(self):
         targets = targets_from_labels({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
-        g = build_conflict_graph(targets)
-        forest = enumerate_forest(list(targets), g, 1)
+        forest = enumerate_forest(list(targets), targets, 1)
         forest.node(C3, (C2,)).complete(BuildOutcome.FAIL, 5.0)
         after = resolve_change(forest, C1, carry_map(forest, C1, False))
         assert after.node(C3, (C2,)).outcome is BuildOutcome.FAIL
 
     def test_window_expands_after_resolution(self):
         targets = targets_from_labels({f"C{i}": {"t"} for i in range(1, 5)})
-        g = build_conflict_graph(targets)
-        forest = enumerate_forest(list(targets), g, 2)
+        forest = enumerate_forest(list(targets), targets, 2)
         c4 = list(targets)[3]
         assert forest.windows[c4] == (C2, C3)
         after = resolve_change(forest, C2, carry_map(forest, C2, False))
@@ -252,8 +247,8 @@ class TestResolve:
     def test_a_carried_base_gets_no_fresh_node(self, landed, monkeypatch):
         # every node of C2 and C3 survives C1's decision, so none is built;
         # an arrival still builds one node per base of its window
-        queue, g = chain_graph(4)
-        forest = enumerate_forest(queue[:3], g, 6)
+        queue, targets = chain(4)
+        forest = enumerate_forest(queue[:3], targets, 6)
         built = []
 
         def build(**fields):
@@ -294,8 +289,7 @@ class TestCarryMap:
     def test_lists_only_the_resolved_change_and_its_conflicting_successors(self):
         # C2 conflicts with nothing; C3 conflicts with C1 only.
         targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"a"}})
-        g = build_conflict_graph(targets)
-        forest = enumerate_forest(list(targets), g, 6)
+        forest = enumerate_forest(list(targets), targets, 6)
         c1, c3_on_c1, c3 = forest.node(C1, ()), forest.node(C3, (C1,)), forest.node(C3, ())
         assert carry_map(forest, C1, landed=True) == {
             c1: None,
@@ -321,21 +315,21 @@ class TestCarryMap:
 
 class TestQueueOrder:
     def test_out_of_order_arrival_rejected(self):
-        queue, g = chain_graph(3)
-        forest = enumerate_forest([queue[0], queue[2]], g, 6)
+        queue, targets = chain(3)
+        forest = enumerate_forest([queue[0], queue[2]], targets, 6)
         before, order = asdict(forest), forest.queue
         with pytest.raises(ValueError):
             forest.add_change(queue[1])
         assert asdict(forest) == before and forest.queue == order
         with pytest.raises(ValueError):
-            enumerate_forest([queue[1], queue[0]], g, 6)
+            enumerate_forest([queue[1], queue[0]], targets, 6)
 
     def test_a_change_is_neither_ahead_of_nor_after_itself(self):
         # every change is filed under its own targets, C2 under one of
         # them twice, and C1 and C2 share two: a change must still never
         # enter its own window, and a neighbour is listed once
         targets = {C1: ("s", "t"), C2: ("s", "t", "t"), C3: ("t",)}
-        forest = enumerate_forest(list(targets), build_conflict_graph(targets), 6)
+        forest = enumerate_forest(list(targets), targets, 6)
         assert forest.conflicting_ahead(C1) == ()
         assert forest.conflicting_after(C1) == (C2, C3)
         assert forest.conflicting_ahead(C2) == (C1,)
@@ -347,8 +341,8 @@ class TestQueueOrder:
         assert forest.conflicting_after(C2) == (C3,)
 
     def test_queue_reads_the_windows_in_order(self):
-        queue, g = chain_graph(4)
-        forest = enumerate_forest(queue, g, 2)
+        queue, targets = chain(4)
+        forest = enumerate_forest(queue, targets, 2)
         resolve_change(forest, queue[1], carry_map(forest, queue[1], False))
         assert forest.queue == (queue[0], queue[2], queue[3])
         assert tuple(forest.by_change) == forest.queue
@@ -368,25 +362,23 @@ def structure(forest) -> tuple:
 
 def assert_matches_fresh(forest) -> None:
     """The incrementally kept forest equals a fresh enumeration of its queue."""
-    fresh = enumerate_forest(forest.queue, forest.graph, forest.depth_cap)
+    fresh = enumerate_forest(forest.queue, forest.targets, forest.depth_cap)
     assert structure(forest) == structure(fresh)
     assert list(forest.queue) == sorted(forest.queue, key=lambda c: c.seq)
-    targets = forest.graph.targets
+    targets = forest.targets
     assert forest.queued == {
         t: [c for c in forest.queue if t in targets[c]]
         for t in {t for c in forest.queue for t in targets[c]}
     }
-    for i, c in enumerate(forest.queue):
-        ahead = [p for p in forest.queue[:i] if p in forest.graph.neighbors(c)]
-        nearest = ahead[max(0, len(ahead) - forest.depth_cap) :]
-        assert forest.windows[c] == tuple(nearest)
+    assert forest.windows == reference_windows(forest.queue, targets, forest.depth_cap)
+    for c in forest.queue:
         keys = [n.key for n in forest.nodes_for_change(c)]
         assert keys == sorted(keys, key=lambda k: (-len(k[1]), [b.seq for b in k[1]]))
 
 
-def chain_graph(n: int):
+def chain(n: int):
     targets = targets_from_labels({f"C{i}": {"t"} for i in range(1, n + 1)})
-    return list(targets), build_conflict_graph(targets)
+    return list(targets), targets
 
 
 class TestIncrementalForest:
@@ -404,9 +396,9 @@ class TestIncrementalForest:
         targets = {
             ChangeId(i, f"C{i}"): t for i, t in enumerate(target_sets, start=1)
         }
-        g = build_conflict_graph(targets)
+        adjacency = reference_adjacency(targets)
         arrivals = list(targets)
-        forest = enumerate_forest([], g, depth_cap)
+        forest = enumerate_forest([], targets, depth_cap)
         while arrivals or forest.queue:
             if arrivals and (not forest.queue or data.draw(st.booleans())):
                 forest.add_change(arrivals.pop(0))
@@ -419,7 +411,7 @@ class TestIncrementalForest:
                 landed = data.draw(st.booleans())
                 successors = [
                     s for s in forest.queue
-                    if s.seq > resolved.seq and s in forest.graph.neighbors(resolved)
+                    if s.seq > resolved.seq and s in adjacency[resolved]
                 ]
                 before = {
                     key: (node, node.outcome, node.finished_at)
@@ -444,7 +436,7 @@ class TestIncrementalForest:
                 assert structure(forest) == structure(twin)
                 assert asdict(forest)["nodes"] == asdict(twin)["nodes"]
                 assert all(node.key == k for k, node in forest.nodes.items())
-                targets = set(new_keys.values())
+                destinations = set(new_keys.values())
                 for key, (node, outcome, finished_at) in before.items():
                     new_key = new_keys.get(key, key)
                     if new_key is not None:
@@ -452,7 +444,7 @@ class TestIncrementalForest:
                         assert forest.nodes[new_key] is node
                         assert node.key == new_key
                         assert (node.outcome, node.finished_at) == (outcome, finished_at)
-                    elif key in forest.nodes and key not in targets:
+                    elif key in forest.nodes and key not in destinations:
                         # a vanished node's key may only come back fresh
                         assert forest.nodes[key] is not node
                         assert asdict(forest.nodes[key]) == asdict(
@@ -466,8 +458,8 @@ class TestIncrementalForest:
             assert len(forest.nodes) == len(filed)
 
     def test_empty_queue(self):
-        queue, g = chain_graph(2)
-        forest = enumerate_forest([], g, 2)
+        queue, targets = chain(2)
+        forest = enumerate_forest([], targets, 2)
         assert_matches_fresh(forest)
         assert forest.queue == () and not forest.nodes
         forest.add_change(queue[0])
@@ -478,8 +470,8 @@ class TestIncrementalForest:
         assert_matches_fresh(forest)
 
     def test_depth_cap_one_resolving_the_head(self):
-        queue, g = chain_graph(4)
-        forest = enumerate_forest([], g, 1)
+        queue, targets = chain(4)
+        forest = enumerate_forest([], targets, 1)
         for c in queue:
             forest.add_change(c)
             assert_matches_fresh(forest)
@@ -492,8 +484,7 @@ class TestIncrementalForest:
 
     def test_resolving_the_head_rewindows_only_conflicting_successors(self):
         targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"a", "b"}})
-        g = build_conflict_graph(targets)
-        forest = enumerate_forest(list(targets), g, 6)
+        forest = enumerate_forest(list(targets), targets, 6)
         independent = forest.node(C2, ())
         after = resolve_change(forest, C1, carry_map(forest, C1, True))
         assert_matches_fresh(after)
@@ -501,8 +492,8 @@ class TestIncrementalForest:
         assert after.windows[C3] == (C2,)
 
     def test_arrival_keeps_earlier_nodes(self):
-        queue, g = chain_graph(3)
-        forest = enumerate_forest(queue[:2], g, 6)
+        queue, targets = chain(3)
+        forest = enumerate_forest(queue[:2], targets, 6)
         done = forest.node(queue[1], (queue[0],))
         done.complete(BuildOutcome.PASS, 3.0)
         forest.add_change(queue[2])
@@ -510,8 +501,8 @@ class TestIncrementalForest:
         assert_matches_fresh(forest)
 
     def test_arrival_of_queued_change_rejected(self):
-        queue, g = chain_graph(2)
-        forest = enumerate_forest(queue, g, 6)
+        queue, targets = chain(2)
+        forest = enumerate_forest(queue, targets, 6)
         with pytest.raises(ValueError):
             forest.add_change(queue[1])
 

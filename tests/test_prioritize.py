@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specqueue.completion import p_finishes_before
-from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
+from specqueue.core import ChangeId, EngineConfig
 from specqueue.forest import BuildOutcome, SpeculationForest, enumerate_forest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import (
@@ -266,8 +266,7 @@ class TestRankBuilds:
         assert -ranked[1][0][0] == -ranked[2][0][0] == pytest.approx(0.9)
 
     def test_independent_heads_order_by_arrival(self):
-        g = build_conflict_graph({C1: {"a"}, C2: {"b"}})
-        forest = enumerate_forest([C1, C2], g, 6)
+        forest = enumerate_forest([C1, C2], {C1: {"a"}, C2: {"b"}}, 6)
         partitions = {C1: partition(C1), C2: partition(C2)}
         ranked = rank_all(forest, partitions, priors_fn({}))
         got = [(node.change, -key[0]) for key, node in ranked]

@@ -531,6 +531,17 @@ class TestEventDecisions:
             sim.execute()
         assert raised.traceback[-1].name == "_apply"
 
+    def test_a_read_of_a_change_that_has_not_arrived_is_caught(self):
+        # the checked engine's forest holds every change's targets from
+        # the start, but answers only for changes that arrived
+        w = CHECKED_STREAMS["hot-1"]("enhanced")
+        first, second = w.changes[0].id, w.changes[1].id
+        sim = CheckedSimulation(w, "enhanced")
+        sim._arrive(first)
+        assert sim.forest.conflicting_ahead(first) == ()
+        with pytest.raises(AssertionError, match=f"^targets of {second} read"):
+            sim.forest.conflicting_ahead(second)
+
     # The first three were recorded with the fixed-point sweep that the
     # event rule replaced, the edge configurations with the forest that
     # copied itself on every decision: any change in the order decisions
@@ -585,6 +596,28 @@ class TestEventDecisions:
     ):
         w = generated(wide_params(seed), WIDE, noisy(seed))(strategy)
         assert run_digest(w, strategy) == expected
+
+    # Recorded before the forest took each change's targets in place of a
+    # conflict graph. Each node is estimated at the first reschedule after
+    # it is filed, from that moment's window length and base height; with
+    # noise, estimating a node when a decision re-windows its change
+    # instead moves four of these six.
+    @pytest.mark.parametrize(
+        "strategy, seed, expected",
+        [
+            ("baseline", 1, "1ef16be0a1a16d6911ac183e0203eda4"),
+            ("enhanced", 1, "60e1005dca4984c3f891742a84841cce"),
+            ("baseline", 6, "77e192ac7d840abe9b2f46e632c33dce"),
+            ("enhanced", 6, "1fdae87312426a4601c8e60d55e457a3"),
+            ("baseline", 9, "b1e69f8a52deac20c07a8fa6484bd60a"),
+            ("enhanced", 9, "7529c26cac167faaf3fdf8c8755d51a8"),
+        ],
+    )
+    def test_golden_digest_pins_a_hot_stream_under_a_noisy_predictor(
+        self, strategy, seed, expected
+    ):
+        w = CHECKED_STREAMS[f"hot-{seed}"](strategy)
+        assert run_digest(replace(w, predictor=noisy(seed)), strategy) == expected
 
     # Recorded before the speculation threshold was applied where builds
     # are scored: 87% of this stream's enhanced scores fall below it.

@@ -241,3 +241,72 @@ def test_the_check_sees_each_sum():
         "            return sum(())\n        return sum\n"
     )
     assert sum_readers(source) == ["<module>", "f", "f", "h", "inner"]
+
+
+GRAPH_NAMES = ("ConflictGraph", "build_conflict_graph")
+
+
+def graph_reads(source: str) -> list[str]:
+    """Each read of the conflict graph's builder or type, by name, as an
+    attribute or in an import, as `function:name`, sorted; module level
+    reads as `<module>`."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name):
+                names = [child.id]
+            elif isinstance(child, ast.Attribute):
+                names = [child.attr]
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [a.name.split(".")[-1] for a in child.names]
+            else:
+                names = []
+            found.extend(f"{owner}:{n}" for n in names if n in GRAPH_NAMES)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+# The forest takes each change's targets, so only core.py names the graph's
+# type, and the package builds a graph in two places: the engine's set-up
+# and `static_conflict_rate`. These are the two builds bench/spans.py
+# times; ROADMAP items 1 and 17 retire them with their spans.
+GRAPH_READS = {
+    "core.py": ["build_conflict_graph:ConflictGraph"] * 2,
+    "simulator/engine.py": [
+        "<module>:build_conflict_graph",
+        "__init__:build_conflict_graph",
+    ],
+    "simulator/workload.py": [
+        "<module>:build_conflict_graph",
+        "static_conflict_rate:build_conflict_graph",
+    ],
+}
+
+
+def test_only_the_engine_and_the_conflict_rate_build_a_conflict_graph():
+    reads = {
+        path.relative_to(PACKAGE).as_posix(): graph_reads(
+            path.read_text(encoding="utf-8")
+        )
+        for path in SOURCES
+    }
+    assert {name: found for name, found in reads.items() if found} == GRAPH_READS
+
+
+def test_the_check_sees_each_graph_read():
+    source = (
+        "import specqueue.core as core\nfrom specqueue.core import ConflictGraph as G\n"
+        "def f(t):\n    return core.build_conflict_graph(t)\n"
+        "class K:\n    def h(self, g: 'x') -> ConflictGraph:\n        return g\n"
+    )
+    assert graph_reads(source) == [
+        "<module>:ConflictGraph",
+        "f:build_conflict_graph",
+        "h:ConflictGraph",
+    ]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specqueue.simulator.workload as workload
-from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
+from specqueue.core import ChangeId, EngineConfig
 from specqueue.prediction import ConstantPredictor, OracleWithNoise
 from specqueue.simulator import run
 from specqueue.simulator.workload import (
@@ -31,6 +31,7 @@ from specqueue.simulator.workload import (
 )
 
 from oracles import (
+    reference_adjacency,
     reference_calibrated_rows,
     reference_generate_changes,
     reference_is_list_item,
@@ -316,8 +317,8 @@ class TestGenerator:
 
     def test_zero_density_yields_empty_conflict_graph(self):
         w = generate_workload(GeneratorParams(n_changes=200, conflict_density=0.0))
-        g = build_conflict_graph({s.id: s.targets for s in w.changes})
-        assert all(not g.neighbors(s.id) for s in w.changes)
+        adjacency = reference_adjacency({s.id: s.targets for s in w.changes})
+        assert all(not adjacency[s.id] for s in w.changes)
         assert static_conflict_rate(w) == 0.0
 
     def test_density_calibration_at_reference_point(self):
@@ -370,8 +371,8 @@ class TestGenerator:
                 rows, share, _, _ = _generate_changes(
                     dataclasses.replace(params, seed=seed), p_link
                 )
-                g = build_conflict_graph({i: row[1] for i, row in enumerate(rows)})
-                with_neighbours = sum(1 for i in range(len(rows)) if g.neighbors(i))
+                adjacency = reference_adjacency(dict(enumerate(row[1] for row in rows)))
+                with_neighbours = sum(1 for i in range(len(rows)) if adjacency[i])
                 assert share == with_neighbours / len(rows)
 
     def test_arrivals_nondecreasing_and_ids_sequential(self):
@@ -384,11 +385,11 @@ class TestGenerator:
         w = generate_workload(
             GeneratorParams(n_changes=300, conflict_density=0.5, breaker_rate=0.8, seed=6)
         )
-        g = build_conflict_graph({s.id: s.targets for s in w.changes})
+        adjacency = reference_adjacency({s.id: s.targets for s in w.changes})
         for s in w.changes:
             for b in s.breakers:
                 assert b.seq < s.id.seq
-                assert b in g.neighbors(s.id)
+                assert b in adjacency[s.id]
 
     def test_bimodal_durations(self):
         w = generate_workload(GeneratorParams(n_changes=300, seed=7))

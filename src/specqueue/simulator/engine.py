@@ -6,14 +6,17 @@ decision can only unblock the later queued changes that conflict with
 it, which are decided next in queue order.
 
 After every event the engine re-profiles and re-scores only what the
-event moved. A change's pooled estimate moves when it arrives, when
-one of its builds finishes, and when a decision re-derives its window;
-starts and aborts touch no node, since the table of live runs alone
-records which builds run. A change is re-scored when its estimate moved
-or its window holds a change whose estimate moved, since its partition
-and scores read nothing else; its builds at or above the strategy's
-floor replace its builds in the `selection.RankOrder` kept across
-events, and a change leaves it when it is decided. Builds that fell out
+event moved, and an event that moved nothing rescores nothing. A
+change's pooled estimate moves when it arrives, when one of its builds
+finishes, and when a decision re-derives its window; starts and aborts
+touch no node, since the table of live runs alone records which builds
+run. A change is re-scored when its estimate moved or its window holds
+a change whose estimate moved, since its partition and scores read
+nothing else; its builds at or above the strategy's floor replace its
+builds in the `selection.RankOrder` kept across events, and a change
+leaves it when it is decided. A change with an empty window waits on
+nobody, so its one build scores exactly 1 under either strategy: it is
+ranked by that rule, neither profiled nor scored. Builds that fell out
 of the order's first capacity abort, newly chosen ones start. A run
 holds its build's node, so a decision leaves the runs it carries as
 they are and aborts only those whose nodes vanish. All times are
@@ -261,8 +264,9 @@ class _Simulation:
         # a run whose base assumption was contradicted aborts; its node is
         # gone from the forest
         gone = [n for n, new in mapping.items() if new is None and n in self.running]
-        for run in sorted(map(self.running.pop, gone), key=lambda run: run.number):
-            self._abort(run)
+        if gone:
+            for run in sorted(map(self.running.pop, gone), key=lambda run: run.number):
+                self._abort(run)
 
         if landed:
             self.landed_set.add(c)
@@ -296,7 +300,12 @@ class _Simulation:
 
     def _rescore(self) -> None:
         """Bring the rank order up to date with the events since the last
-        reschedule, re-profiling only the changes they moved."""
+        reschedule, re-profiling only the changes they moved. A change
+        with an empty window waits on nobody, so its one node scores 1
+        under either strategy and is ranked by that rule, unprofiled; a
+        pending one with no estimate raises, as `profile_change` does."""
+        if not self.moved:
+            return  # the events moved no node, window or estimate
         windows = self.forest.windows
         moved = sorted(self.moved)
         self.moved.clear()
@@ -309,12 +318,19 @@ class _Simulation:
                     [d for d in self.forest.conflicting_after(m) if m in windows[d]]
                 )
         for c in sorted(rescore):
-            ranked = rank_builds(
-                self.forest.nodes_for_change(c),
-                self._partition(c),
-                self._success_fn,
-                self.floor,
-            )
+            nodes = self.forest.nodes_for_change(c)
+            if windows[c]:
+                ranked = rank_builds(
+                    nodes, self._partition(c), self._success_fn, self.floor
+                )
+            else:
+                (node,) = nodes
+                if node.outcome is not None:
+                    ranked = []
+                elif node.estimate is None:
+                    raise ValueError(f"node {node.key} has no duration estimate")
+                else:
+                    ranked = [(node, 1.0)]
             self.order.put(c, ranked)
 
     def _partition(self, c: ChangeId) -> BypassPartition:

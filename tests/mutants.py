@@ -1,0 +1,207 @@
+"""Named mutants of the engine's rules, each with the cheapest check that
+must fail on it.
+
+A mutant is one edit of one function's source: the text `old`, which
+must appear in it exactly once, becomes `new`. `mutate` compiles the
+edited function in its own module's namespace, at its own file's line
+numbers, and `tests/test_mutants.py` monkeypatches it over
+`owner.attribute`. Each check passes on the package as it is and raises
+`AssertionError` under its mutant. A row whose `old` no longer appears
+fails, so a refactor that moves a rule must move its row with it; a
+mutant that survives its check is a finding, and its row stays.
+"""
+
+from __future__ import annotations
+
+import __future__
+import ast
+import inspect
+import textwrap
+from dataclasses import dataclass, replace
+from typing import Callable
+
+from specqueue.core import BuildOutcome, ChangeId, EngineConfig
+from specqueue.prediction import OracleWithNoise
+from specqueue.selection import RankOrder, rank_key
+from specqueue.simulator import WorkloadSpec
+from specqueue.simulator.engine import _Simulation
+from specqueue.simulator.workload import STRATEGIES, ChangeSpec
+
+from oracles import C1, C2, C3, CheckedSimulation, triangle
+
+
+def mutate(function: Callable, old: str, new: str) -> Callable:
+    """`function` recompiled with the one occurrence of `old` in its
+    source replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(function))
+    found = source.count(old)
+    if found != 1:
+        raise ValueError(f"{function.__qualname__} holds {old!r} {found} times, not once")
+    tree = ast.parse(source.replace(old, new))
+    ast.increment_lineno(tree, function.__code__.co_firstlineno - 1)
+    code = compile(
+        tree,
+        inspect.getsourcefile(function),
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace: dict[str, Callable] = {}
+    exec(code, function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+def _change(seq: int, at: float, targets: set[str], passes: bool = True) -> ChangeSpec:
+    return ChangeSpec(
+        id=ChangeId(seq, f"C{seq}"),
+        arrival_time=at,
+        targets=frozenset(targets),
+        true_mean=10.0,
+        true_variance=0.0,
+        passes_alone=passes,
+        success_prior=0.5,
+    )
+
+
+# C0 and C1 share a target, so C1 waits on C0; C2 shares none, so its
+# window is empty though C0 is queued ahead of it
+HEADS = WorkloadSpec(
+    changes=(_change(0, 0.0, {"a"}), _change(1, 1.0, {"a"}), _change(2, 2.0, {"b"})),
+    predictor=OracleWithNoise(),
+)
+# C0 fails alone, so its rejection contradicts C1's running build on C0
+CONTRADICTED = WorkloadSpec(
+    changes=(_change(0, 0.0, {"a"}, passes=False), _change(1, 1.0, {"a"})),
+    predictor=OracleWithNoise(),
+)
+
+
+def check_a_head_keeps_its_build_at_1(strategy: str, delta: float) -> None:
+    """A queued change with an empty window keeps its one build, scored
+    exactly 1, however high the threshold; once that build has finished
+    it keeps none. Every change of `HEADS` arrives and the rank order is
+    brought up to date; nothing starts."""
+    sim = _Simulation(
+        replace(HEADS, config=EngineConfig(speculation_threshold=delta)), strategy
+    )
+    for spec in HEADS.changes:
+        sim._arrive(spec.id)
+    sim._rescore()
+    for c in (HEADS.changes[0].id, HEADS.changes[2].id):
+        (node,) = sim.forest.nodes_for_change(c)
+        kept = [entry for entry in sim.order.entries if entry[1].change == c]
+        assert kept == [(rank_key(node, 1.0), node)], (c, delta)
+        node.complete(BuildOutcome.PASS, 10.0)
+        sim.moved.add(c)
+        sim._rescore()
+        assert all(n.change != c for _, n in sim.order.entries), (c, delta)
+
+
+def check_a_head_without_an_estimate_raises(strategy: str) -> None:
+    """A reschedule raises `ValueError` for a queued change with an empty
+    window whose pending build has no duration estimate, before it
+    starts anything."""
+    sim = _Simulation(HEADS, strategy)
+    sim._annotate = lambda changes: None
+    sim._start = lambda node, p: None
+    c = HEADS.changes[0].id
+    sim._arrive(c)
+    try:
+        sim._reschedule()
+    except ValueError as error:
+        assert str(error) == f"node {(c, ())} has no duration estimate", error
+    else:
+        raise AssertionError(f"{strategy}: a build with no estimate was ranked")
+
+
+def check_heads_keep_their_builds_at_1() -> None:
+    """`check_a_head_keeps_its_build_at_1` under both strategies, at
+    thresholds 0 and 1."""
+    for strategy in STRATEGIES:
+        for delta in (0.0, 1.0):
+            check_a_head_keeps_its_build_at_1(strategy, delta)
+
+
+def check_heads_without_estimates_raise() -> None:
+    """`check_a_head_without_an_estimate_raises` under both strategies."""
+    for strategy in STRATEGIES:
+        check_a_head_without_an_estimate_raises(strategy)
+
+
+def check_kept_state_on(workload: WorkloadSpec) -> Callable[[], None]:
+    """`CheckedSimulation` on the workload under both strategies."""
+
+    def run_all() -> None:
+        for strategy in STRATEGIES:
+            CheckedSimulation(workload, strategy).execute()
+
+    return run_all
+
+
+def check_a_dropped_change_leaves_no_entry() -> None:
+    """Putting a change twice, then dropping it, leaves the order empty."""
+    forest = triangle()
+    order = RankOrder()
+    for c in (C1, C2, C3):
+        order.put(c, [(node, 0.5) for node in forest.nodes_for_change(c)])
+    order.put(C3, [(forest.node(C3, ()), 0.9)])
+    for c in (C3, C1, C2):
+        order.drop(c)
+    assert order.entries == [], order.entries
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """One rule broken by one edit of `owner.attribute`'s source, and the
+    cheapest check that must fail on it."""
+
+    name: str
+    owner: type
+    attribute: str
+    old: str
+    new: str
+    check: Callable[[], None]
+
+
+MUTANTS = (
+    Mutant(
+        "a head ranks below 1",
+        _Simulation,
+        "_rescore",
+        "ranked = [(node, 1.0)]",
+        "ranked = [(node, 0.999)]",
+        check_heads_keep_their_builds_at_1,
+    ),
+    Mutant(
+        "rescoring returns early with a change moved",
+        _Simulation,
+        "_rescore",
+        "if not self.moved:",
+        "if len(self.moved) < 2:",
+        check_heads_keep_their_builds_at_1,
+    ),
+    Mutant(
+        "rescoring ranks a head with no estimate",
+        _Simulation,
+        "_rescore",
+        "elif node.estimate is None:",
+        "elif False:",
+        check_heads_without_estimates_raise,
+    ),
+    Mutant(
+        "a decision leaves a contradicted run running",
+        _Simulation,
+        "_apply",
+        "gone = [n for n, new in mapping.items() if new is None and n in self.running]",
+        "gone = []",
+        check_kept_state_on(CONTRADICTED),
+    ),
+    Mutant(
+        "dropping a change leaves a stale entry",
+        RankOrder,
+        "drop",
+        "for entry in self._by_change.pop(c, ()):",
+        "for entry in self._by_change.pop(c, ())[1:]:",
+        check_a_dropped_change_leaves_no_entry,
+    ),
+)

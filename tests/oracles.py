@@ -152,7 +152,8 @@ class CheckedSimulation(_Simulation):
     """The engine, asserting after every event that the state it keeps
     across events is what a pass from scratch derives, and that every
     decision it applies, and every queued change it leaves waiting, is the
-    one `reference_decide_change` takes. The forest's targets are an
+    one `reference_decide_change` takes, and that each decision leaves no
+    run whose node it dropped. The forest's targets are an
     `ArrivedTargets`, so reading a change's targets before it arrives fails.
     Queued conflicting predecessors are counted from `reference_adjacency`,
     not read from the forest. Selection, starts and aborts change no node,
@@ -204,7 +205,11 @@ class CheckedSimulation(_Simulation):
     def _apply(self, decision):
         expected = self._reference_decision(decision.change)
         assert decision == expected, (self.now, decision, expected)
-        return super()._apply(decision)
+        rewindowed = super()._apply(decision)
+        # a run whose node the decision dropped left with it
+        for node in self.running:
+            assert self.forest.nodes.get(node.key) is node, (self.now, node.key)
+        return rewindowed
 
     def _start(self, node, p_needed) -> None:
         if self._ahead(node.change) > self.cfg.depth_cap:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -31,6 +32,10 @@ from specqueue.simulator import engine
 from specqueue.simulator.engine import GroundTruth, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
+from mutants import (
+    check_a_head_keeps_its_build_at_1,
+    check_a_head_without_an_estimate_raises,
+)
 from oracles import CheckedSimulation, reference_duration
 
 
@@ -521,6 +526,20 @@ class TestEventDecisions:
         if stream.startswith("hot"):
             assert sim.capped > 0
 
+    # capacity 1 runs only the queue head's mainline build, and depth_cap 1
+    # caps a window at one predecessor; each at the four (delta, tau) corners
+    @pytest.mark.parametrize("delta, tau", DELTA_TAU_CORNERS)
+    @pytest.mark.parametrize("knob", ["executor_capacity", "depth_cap"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("stream", ["dense-3", "hot-6"])
+    def test_kept_state_holds_at_an_edge_configuration(
+        self, stream, strategy, knob, delta, tau
+    ):
+        w = CHECKED_STREAMS[stream](strategy)
+        sim = checked_run(replace(w, config=edge(knob, delta, tau)), strategy)
+        if knob == "depth_cap":
+            assert sim.capped > 0
+
     def test_a_decision_past_a_capped_window_is_caught(self, monkeypatch):
         # hot-9's enhanced run is the checked one where a window's cap
         # blocks a bypass, so an engine that ignores the cap decides a
@@ -631,6 +650,45 @@ class TestEventDecisions:
     def test_golden_digest_pins_a_dense_stream(self, strategy, expected):
         w = generate_workload(DENSE_STREAM, config=WIDE)
         assert run_digest(w, strategy) == expected
+
+
+class TestHeadRule:
+    """A change with an empty window waits on nobody, so the engine ranks
+    its one build at exactly 1 under either strategy, without profiling or
+    scoring it, and a reschedule after an event that moved nothing
+    rescores nothing."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_head_keeps_its_one_build_at_1(self, strategy, delta):
+        check_a_head_keeps_its_build_at_1(strategy, delta)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_head_without_an_estimate_raises_from_a_reschedule(self, strategy):
+        check_a_head_without_an_estimate_raises(strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_changes_that_share_no_target_are_never_scored(self, strategy, monkeypatch):
+        # every change is a head, and a finish lands its change, moving
+        # nothing: only arrivals estimate, and nothing is profiled or scored
+        w = generate_workload(
+            GeneratorParams(n_changes=40, conflict_density=0.0, seed=1)
+        )
+        calls = Counter()
+
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return call
+
+        for name in ("profile_change", "outcome_partition", "rank_builds"):
+            monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+        sim = _Simulation(w, strategy)
+        sim._annotate = counted("annotate", sim._annotate)
+        assert sim.execute() == run(w, strategy)
+        assert calls == {"annotate": len(w.changes)}
 
 
 class TestCompare:

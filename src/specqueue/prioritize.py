@@ -94,15 +94,12 @@ def profile_change(
     on finish order is pointless and scoring falls back to the
     `outcome_partition`, flagged as a fallback. `arrivals[c]` is change
     c's arrival time: a map by id, or a sequence indexed by id. A
-    change with an empty window has nothing to partition, so nothing is
-    pooled for it; its one node is still checked for an estimate.
+    change with an empty window has nothing to partition, so it gets
+    the `outcome_partition`, with product 1 and no fallback; pooling its
+    estimate still checks that its pending node has one. The engine
+    ranks such a change by rule and never profiles it.
     """
     window = forest.windows[c]
-    if not window:
-        (node,) = forest.nodes_for_change(c)
-        if node.outcome is None and node.estimate is None:
-            raise ValueError(f"node {node.key} has no duration estimate")
-        return outcome_partition(c, forest)
     at_c, est_c = arrivals[c], finish_time_model(c, forest)
     non_bypassable: list[ChangeId] = []
     bypassable: list[ChangeId] = []

@@ -289,7 +289,8 @@ class _Simulation:
     # -- scheduling ---------------------------------------------------
 
     def _reschedule(self) -> None:
-        self._rescore()
+        if self.moved:  # else the events moved no node, window or estimate
+            self._rescore()
         to_start, to_abort = select_builds(
             self.order, self.running, self.cfg.executor_capacity
         )
@@ -300,12 +301,11 @@ class _Simulation:
 
     def _rescore(self) -> None:
         """Bring the rank order up to date with the events since the last
-        reschedule, re-profiling only the changes they moved. A change
-        with an empty window waits on nobody, so its one node scores 1
-        under either strategy and is ranked by that rule, unprofiled; a
-        pending one with no estimate raises, as `profile_change` does."""
-        if not self.moved:
-            return  # the events moved no node, window or estimate
+        reschedule, re-profiling only the changes they moved; the caller
+        skips it when they moved none. A change with an empty window
+        waits on nobody, so its one node scores 1 under either strategy
+        and is ranked by that rule, unprofiled; a pending one with no
+        estimate raises, as `profile_change` does."""
         windows = self.forest.windows
         moved = sorted(self.moved)
         self.moved.clear()

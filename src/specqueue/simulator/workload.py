@@ -485,10 +485,18 @@ def _parse_bool(value: str) -> bool:
 def parse_workload(text: str) -> WorkloadSpec:
     """Parse the text form; a WorkloadError names the first malformed line.
     An omitted seed, strategy, predictor or config keeps WorkloadSpec's.
-    A line is split once; its first token is the record's kind."""
+    A line is split once; its first token is the record's kind.
+
+    A parsed stream is held for as long as it runs, so its records share
+    what they repeat: one float per distinct `mu` or `var` text, and one
+    string per distinct target name. Each table is keyed by the text, so
+    `-0.0` and `0.0` stay two floats and a target named `5.0` stays a
+    string; both tables live only as long as this call."""
     records: dict[str, object] = {}
     specs: list[ChangeSpec] = []
     labels: dict[str, ChangeId] = {}
+    floats: dict[str, float] = {}
+    names: dict[str, str] = {}
     given: set[str] = set()
 
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -498,7 +506,7 @@ def parse_workload(text: str) -> WorkloadSpec:
         kind = tokens[0]
         try:
             if kind == "change":
-                specs.append(_parse_change(tokens[1:], labels))
+                specs.append(_parse_change(tokens[1:], labels, floats, names))
                 continue
             if kind in given:  # any other record may be given once
                 raise WorkloadError(f"repeated {kind!r} record")
@@ -529,10 +537,18 @@ def parse_workload(text: str) -> WorkloadSpec:
     return WorkloadSpec(changes=tuple(specs), **records)
 
 
-def _parse_change(tokens: list[str], labels: dict[str, ChangeId]) -> ChangeSpec:
+def _parse_change(
+    tokens: list[str],
+    labels: dict[str, ChangeId],
+    floats: dict[str, float],
+    names: dict[str, str],
+) -> ChangeSpec:
     """One change record's key=value tokens. `labels` maps the earlier
     changes' labels to their ids; the new change's label is added to it.
-    An omitted `passes` or `prior` keeps ChangeSpec's default."""
+    `floats` and `names` map each `mu`/`var` text and each target name
+    read so far to the one object every record shares, and gain this
+    record's new ones. An omitted `passes` or `prior` keeps ChangeSpec's
+    default."""
     f = _parse_fields(tokens, _CHANGE_KEYS)
     label = f["id"]
     if label in labels:
@@ -549,12 +565,21 @@ def _parse_change(tokens: list[str], labels: dict[str, ChangeId]) -> ChangeSpec:
         given["passes_alone"] = _parse_bool(f["passes"])
     if "prior" in f:
         given["success_prior"] = float(f["prior"])
+    at = float(f["at"])
+    # setdefault keeps the first object stored for a text, in C, with no
+    # Python call per record; `get` skips parsing a stored text, and a
+    # stored zero, which is falsy, comes back from setdefault instead
+    mu = f["mu"]
+    mu = floats.get(mu) or floats.setdefault(mu, float(mu))
+    var = f["var"]
+    var = floats.get(var) or floats.setdefault(var, float(var))
+    targets = f.get("targets", "").split(",")
     return ChangeSpec(
         cid,
-        float(f["at"]),
-        tuple(filter(None, f.get("targets", "").split(","))),
-        float(f["mu"]),
-        float(f["var"]),
+        at,
+        tuple(filter(None, map(names.setdefault, targets, targets))),
+        mu,
+        var,
         breakers=tuple(map(labels.__getitem__, breakers)) if breakers else (),
         **given,
     )

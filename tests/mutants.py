@@ -23,8 +23,8 @@ from typing import Callable
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.prediction import OracleWithNoise
 from specqueue.selection import RankOrder, rank_key
-from specqueue.simulator import WorkloadSpec
-from specqueue.simulator.engine import _Simulation
+from specqueue.simulator import WorkloadSpec, engine
+from specqueue.simulator.engine import GroundTruth, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
 from oracles import C1, C2, C3, CheckedSimulation, triangle
@@ -51,14 +51,22 @@ def mutate(function: Callable, old: str, new: str) -> Callable:
     return namespace[function.__name__]
 
 
-def _change(seq: int, at: float, targets: set[str], passes: bool = True) -> ChangeSpec:
+def _change(
+    seq: int,
+    at: float,
+    targets: set[str],
+    passes: bool = True,
+    mean: float = 10.0,
+    breakers: tuple[int, ...] = (),
+) -> ChangeSpec:
     return ChangeSpec(
         id=ChangeId(seq, f"C{seq}"),
         arrival_time=at,
         targets=frozenset(targets),
-        true_mean=10.0,
+        true_mean=mean,
         true_variance=0.0,
         passes_alone=passes,
+        breakers=tuple(ChangeId(b, f"C{b}") for b in breakers),
         success_prior=0.5,
     )
 
@@ -72,6 +80,24 @@ HEADS = WorkloadSpec(
 # C0 fails alone, so its rejection contradicts C1's running build on C0
 CONTRADICTED = WorkloadSpec(
     changes=(_change(0, 0.0, {"a"}, passes=False), _change(1, 1.0, {"a"})),
+    predictor=OracleWithNoise(),
+)
+# one executor, so of HEADS' four builds only the queue head's runs
+ONE_EXECUTOR = replace(HEADS, config=EngineConfig(executor_capacity=1))
+# C1's builds both pass at 11, 49 minutes before C0's, so only a bypass
+# could land it first, which the baseline never makes
+OVERTAKEN = WorkloadSpec(
+    changes=(_change(0, 0.0, {"a"}, mean=60.0), _change(1, 1.0, {"a"})),
+    predictor=OracleWithNoise(),
+)
+# C0 breaks C1 and C2. C1's build on C0 fails, so C1 is rejected once C0
+# lands; C2 arrives after that, and its one build fails on the mainline
+BROKEN = WorkloadSpec(
+    changes=(
+        _change(0, 0.0, {"a"}),
+        _change(1, 1.0, {"a"}, breakers=(0,)),
+        _change(2, 20.0, {"a"}, breakers=(0,)),
+    ),
     predictor=OracleWithNoise(),
 )
 
@@ -114,6 +140,17 @@ def check_a_head_without_an_estimate_raises(strategy: str) -> None:
         raise AssertionError(f"{strategy}: a build with no estimate was ranked")
 
 
+def check_an_arrival_starts_its_build() -> None:
+    """Under both strategies, a reschedule after one change arrives, the
+    one change its event moved, ranks and starts that change's build."""
+    c = HEADS.changes[0].id
+    for strategy in STRATEGIES:
+        sim = _Simulation(HEADS, strategy)
+        sim._arrive(c)
+        sim._reschedule()
+        assert list(sim.running) == [sim.forest.node(c, ())], strategy
+
+
 def check_heads_keep_their_builds_at_1() -> None:
     """`check_a_head_keeps_its_build_at_1` under both strategies, at
     thresholds 0 and 1."""
@@ -138,6 +175,23 @@ def check_kept_state_on(workload: WorkloadSpec) -> Callable[[], None]:
     return run_all
 
 
+def check_green_mainline_on(workload: WorkloadSpec) -> Callable[[], None]:
+    """Criterion 4's green-mainline rule on a run of the workload under
+    both strategies: no landed change fails alone or lands beside one of
+    its breakers."""
+
+    def run_all() -> None:
+        for strategy in STRATEGIES:
+            report, _ = _Simulation(workload, strategy).execute()
+            landed = {w.change for w in report.waits if w.landed}
+            for spec in workload.changes:
+                if spec.id.label in landed:
+                    broken = [b.label for b in spec.breakers if b.label in landed]
+                    assert spec.passes_alone and not broken, (strategy, spec.id)
+
+    return run_all
+
+
 def check_a_dropped_change_leaves_no_entry() -> None:
     """Putting a change twice, then dropping it, leaves the order empty."""
     forest = triangle()
@@ -156,7 +210,7 @@ class Mutant:
     cheapest check that must fail on it."""
 
     name: str
-    owner: type
+    owner: object  # a class, or the engine module for a name it imports
     attribute: str
     old: str
     new: str
@@ -175,10 +229,10 @@ MUTANTS = (
     Mutant(
         "rescoring returns early with a change moved",
         _Simulation,
-        "_rescore",
-        "if not self.moved:",
-        "if len(self.moved) < 2:",
-        check_heads_keep_their_builds_at_1,
+        "_reschedule",
+        "if self.moved:",
+        "if len(self.moved) > 1:",
+        check_an_arrival_starts_its_build,
     ),
     Mutant(
         "rescoring ranks a head with no estimate",
@@ -203,5 +257,29 @@ MUTANTS = (
         "for entry in self._by_change.pop(c, ()):",
         "for entry in self._by_change.pop(c, ())[1:]:",
         check_a_dropped_change_leaves_no_entry,
+    ),
+    Mutant(
+        "selection chooses one build over capacity",
+        engine,
+        "select_builds",
+        "chosen = order.entries[:capacity]",
+        "chosen = order.entries[: capacity + 1]",
+        check_kept_state_on(ONE_EXECUTOR),
+    ),
+    Mutant(
+        "the ground truth ignores breakers",
+        GroundTruth,
+        "outcome",
+        "if b in landed or b in base:",
+        "if False:",
+        check_green_mainline_on(BROKEN),
+    ),
+    Mutant(
+        "a decision bypasses with bypass off",
+        engine,
+        "decide_change",
+        "not allow_bypass",
+        "False",
+        check_kept_state_on(OVERTAKEN),
     ),
 )

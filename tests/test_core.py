@@ -226,6 +226,25 @@ class TestMemberships:
         assert (held - before) / params.n_changes <= 680
 
 
+class TestRecordMemory:
+    def test_a_parsed_steady_record_holds_at_most_588_bytes(self):
+        # parsing shares each repeated mu/var text's float and each target
+        # name: 591 bytes per record before, 534 since, bounded at 534 + 10%
+        params = GeneratorParams(
+            seed=1000, n_changes=1000, arrival_rate=0.25, conflict_density=0.3
+        )
+        text = format_workload(generate_workload(params))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            workload = parse_workload(text)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(workload.changes) == params.n_changes
+        assert (held - before) / params.n_changes <= 588
+
+
 class TestConnectedComponents:
     def test_chain_forms_one_component(self):
         # x-y, y-z overlap links all three even though ends are disjoint.

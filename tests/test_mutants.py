@@ -22,8 +22,8 @@ def test_the_check_passes_and_the_mutant_fails_it(mutant, monkeypatch):
 
 
 def test_a_mutant_keeps_its_function_s_file_lines_and_module():
-    original = vars(_Simulation)["_rescore"]
-    mutated = mutate(original, "if not self.moved:", "if not self.moved or True:")
+    original = vars(_Simulation)["_reschedule"]
+    mutated = mutate(original, "if self.moved:", "if self.moved or True:")
     assert mutated is not original
     for name in ("co_filename", "co_firstlineno", "co_name"):
         assert getattr(mutated.__code__, name) == getattr(original.__code__, name)

@@ -653,6 +653,45 @@ class TestFileFormat:
         line = format_workload(w).splitlines()[-1]
         assert " targets=a,b " in line and " breakers=C0 " in line
 
+    def test_a_parsed_stream_holds_one_object_per_distinct_text(self):
+        # a held stream shares the durations and target names it repeats:
+        # one float per distinct mu/var text, one string per target name
+        w = self.round_trip(generate_workload(GeneratorParams(n_changes=200, seed=3)))
+        durations = [x for s in w.changes for x in (s.true_mean, s.true_variance)]
+        assert len({id(x) for x in durations}) == len({repr(x) for x in durations}) == 4
+        targets = [t for s in w.changes for t in s.targets]
+        assert len(targets) > len(w.changes)
+        assert len({id(t) for t in targets}) == len(set(targets))
+
+    def test_a_target_named_like_a_duration_stays_a_shared_string(self):
+        first, second = parse_workload(
+            "change id=C0 at=0.0 targets=5.0 mu=5.0 var=1.0\n"
+            "change id=C1 at=1.0 targets=5.0,b mu=5.0 var=5.0\n"
+        ).changes
+        assert first.targets == ("5.0",) and second.targets == ("5.0", "b")
+        assert type(first.targets[0]) is str
+        assert second.targets[0] is first.targets[0]
+        assert type(first.true_mean) is float
+        assert second.true_mean is second.true_variance is first.true_mean
+
+    def test_negative_and_positive_zero_variances_round_trip_byte_for_byte(self):
+        # the float table is keyed by text, and -0.0 == 0.0, so a table
+        # keyed by value would write one of them back as the other
+        text = format_workload(
+            WorkloadSpec(
+                changes=tuple(
+                    spec(i, f"C{i}", float(i), {"a"}, var=v)
+                    for i, v in enumerate((-0.0, 0.0, -0.0, 0.0))
+                )
+            )
+        )
+        assert " var=-0.0 " in text and " var=0.0 " in text
+        parsed = parse_workload(text)
+        assert format_workload(parsed) == text
+        variances = [s.true_variance for s in parsed.changes]
+        assert variances[2] is variances[0] and variances[3] is variances[1]
+        assert variances[0] is not variances[1]
+
     def test_comments_and_blank_lines_ignored(self):
         text = format_workload(WorkloadSpec(changes=(spec(0, "C0", 0.0, {"a"}),)))
         noisy = "# header\n\n" + text + "\n# trailing\n"

@@ -5,7 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Collection, Mapping
+
+
+# `C<seq>` labels by seq, one string per seq ever given its `C<seq>`
+# label; an entry is only ever its own seq's label
+_LABELS: dict[int, str] = {}
 
 
 class ChangeId(int):
@@ -16,14 +22,31 @@ class ChangeId(int):
     equals the order in which changes entered the queue. ``label`` is
     the human-facing name used in workload files and traces. Ids are
     immutable.
+
+    An id takes one of two forms, decided by its int value and label.
+    One labelled ``C<seq>``, for a seq of 0 or more, is a ``ChangeId``
+    with no ``__dict__``: it holds only its int and reads its label from
+    a process-wide table, in C. The table keeps one string per seq ever
+    created in that form, shared by every id of that seq. An id with any
+    other label is a ``_NamedChangeId``, which keeps the label in its
+    own dict. The two forms hash, compare and order alike at equal seq.
     """
 
-    label: str
+    __slots__ = ()
+
+    label = property(_LABELS.__getitem__)
     seq = property(int)
 
     def __new__(cls, seq: int, label: str) -> "ChangeId":
-        self = int.__new__(cls, seq)
-        self.__dict__["label"] = label
+        value = int(seq)
+        shared = _LABELS.get(value)
+        # a string is built only for a seq the table does not hold yet
+        if shared is None and value >= 0 and label == f"C{value}":
+            shared = _LABELS[value] = label
+        if label == shared:
+            return int.__new__(ChangeId, value)
+        self = int.__new__(_NamedChangeId, value)
+        self.__dict__["_label"] = label
         return self
 
     def __getnewargs__(self) -> tuple[int, str]:
@@ -40,6 +63,13 @@ class ChangeId(int):
 
     def __repr__(self) -> str:
         return f"ChangeId(seq={int(self)}, label={self.label!r})"
+
+
+class _NamedChangeId(ChangeId):
+    """A ChangeId whose label is not its seq's ``C<seq>``; it keeps the
+    label in its own dict."""
+
+    label = property(attrgetter("_label"))
 
 
 def require_ints(

@@ -20,7 +20,9 @@ import textwrap
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import specqueue.forest
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
+from specqueue.forest import SpeculationForest, carry_map, enumerate_forest
 from specqueue.prediction import OracleWithNoise
 from specqueue.selection import RankOrder, rank_key
 from specqueue.simulator import WorkloadSpec, engine
@@ -32,7 +34,10 @@ from oracles import C1, C2, C3, CheckedSimulation, triangle
 
 def mutate(function: Callable, old: str, new: str) -> Callable:
     """`function` recompiled with the one occurrence of `old` in its
-    source replaced by `new`."""
+    source replaced by `new`; a static method, such as a class's
+    `__new__`, comes back as one."""
+    if isinstance(function, staticmethod):
+        return staticmethod(mutate(function.__func__, old, new))
     source = textwrap.dedent(inspect.getsource(function))
     found = source.count(old)
     if found != 1:
@@ -204,13 +209,39 @@ def check_a_dropped_change_leaves_no_entry() -> None:
     assert order.entries == [], order.entries
 
 
+def check_a_hand_label_is_kept() -> None:
+    """An id labelled other than `C<seq>` keeps its label, also at a seq
+    whose `C<seq>` label the shared table holds."""
+    assert ChangeId(5, "C5").label == "C5"
+    c = ChangeId(5, "lib-fix")
+    assert (c.label, str(c)) == ("lib-fix", "lib-fix"), c
+
+
+def check_a_resolved_change_empties_no_target() -> None:
+    """Resolving the one change queued on a target leaves no entry for
+    that target in `queued`."""
+    forest = triangle(1)
+    specqueue.forest.resolve_change(forest, C1, carry_map(forest, C1, True))
+    assert forest.queued == {}, forest.queued
+
+
+def check_a_bridged_component_has_one_head() -> None:
+    """C3 touches C1's target and C2's, so it bridges them into one
+    component that C1 heads; C2's window is empty, but it heads nothing."""
+    targets = {C1: ("a",), C2: ("b",), C3: ("a", "b")}
+    forest = enumerate_forest(list(targets), targets, 6)
+    assert forest.windows[C2] == ()
+    heads = [forest.heads_component(c) for c in targets]
+    assert heads == [True, False, False], heads
+
+
 @dataclass(frozen=True)
 class Mutant:
     """One rule broken by one edit of `owner.attribute`'s source, and the
     cheapest check that must fail on it."""
 
     name: str
-    owner: object  # a class, or the engine module for a name it imports
+    owner: object  # a class, or a module for a function it holds or imports
     attribute: str
     old: str
     new: str
@@ -281,5 +312,29 @@ MUTANTS = (
         "not allow_bypass",
         "False",
         check_kept_state_on(OVERTAKEN),
+    ),
+    Mutant(
+        "an id takes the shared label for any label",
+        ChangeId,
+        "__new__",
+        "if label == shared:",
+        "if True:",
+        check_a_hand_label_is_kept,
+    ),
+    Mutant(
+        "resolving a change keeps an emptied target",
+        specqueue.forest,
+        "resolve_change",
+        "del queued[t]",
+        "pass",
+        check_a_resolved_change_empties_no_target,
+    ),
+    Mutant(
+        "a bridged component gets a second head",
+        SpeculationForest,
+        "heads_component",
+        "frontier.append(other)",
+        "pass",
+        check_a_bridged_component_has_one_head,
     ),
 )

@@ -75,7 +75,8 @@ STREAMS = {
 # every row is re-measured: 42.60 and 43.21 (contended) and 39.34 and
 # 38.74 (overload), enhanced and baseline. Since a reschedule calls
 # `_rescore` only when its events moved a change, they read 42.20 and
-# 42.83 (contended) and 38.92 and 38.32 (overload).
+# 42.83 (contended) and 38.92 and 38.32 (overload). A `C<seq>` id reads
+# its label from one shared table, in C, and the counts are unchanged.
 BUDGET = {
     ("contended", "enhanced"): 42.20 * 1.1,
     ("contended", "baseline"): 42.83 * 1.1,
@@ -93,7 +94,8 @@ BUDGET = {
 # each label and target with one regular expression's C match in place of
 # a Python helper, 13.83. Parsing shares each repeated `mu`/`var` text's
 # float and each target name through two dicts' C `setdefault`, so the
-# count is unchanged at 11.49.
+# count is unchanged at 11.49; so is it since an id's constructor looks
+# its seq up in the shared label table, in C.
 SET_UP_BUDGET = 11.49 * 1.1
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 import tracemalloc
 
 import pytest
@@ -69,9 +70,65 @@ class TestChangeId:
     def test_copies_keep_sequence_and_label(self, round_trip):
         c = ChangeId(7, "change-7")
         copied = round_trip(c)
-        assert type(copied) is ChangeId
+        assert type(copied) is type(c)
         assert (copied.seq, copied.label) == (7, "change-7")
         assert copied == c and hash(copied) == hash(c)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_the_shared_form(self, round_trip):
+        c = ChangeId(7, "C7")
+        copied = round_trip(c)
+        assert type(copied) is type(c) and not hasattr(copied, "__dict__")
+        assert copied.seq == 7 and copied.label is c.label
+
+    def test_a_generated_label_is_shared_and_the_id_holds_no_dict(self):
+        c = ChangeId(7, "C7")
+        assert not hasattr(c, "__dict__")
+        assert ChangeId(7, "".join(["C", "7"])).label is c.label
+
+    def test_a_hand_label_is_kept(self):
+        ChangeId(8, "C8")
+        c = ChangeId(8, "lib-fix")
+        assert hasattr(c, "__dict__")
+        assert (c.seq, c.label, str(c)) == (8, "lib-fix", "lib-fix")
+        assert repr(c) == "ChangeId(seq=8, label='lib-fix')"
+        assert ChangeId(8, "C8").label == "C8"
+
+    @given(st.integers(0, 10_000), st.integers(0, 10_000))
+    def test_both_forms_compare_hash_and_sort_alike(self, a, b):
+        shared, named = ChangeId(a, f"C{a}"), ChangeId(a, f"n{a}")
+        other = ChangeId(b, f"n{b}")
+        assert type(shared) is not type(named)
+        assert shared == named and hash(shared) == hash(named) == a
+        assert {shared: 1}[named] == 1
+        for c in (shared, named):
+            assert (c < other, c == other, c > other) == (a < b, a == b, a > b)
+            assert [x.seq for x in sorted([other, c])] == sorted([a, b])
+
+    @pytest.mark.parametrize(
+        "seq, label, value, has_dict",
+        [(True, "C1", 1, False), (2.5, "C2", 2, False), (-1, "C-1", -1, True)],
+        ids=["bool", "float", "negative"],
+    )
+    def test_a_bool_float_or_negative_seq(self, seq, label, value, has_dict):
+        c = ChangeId(seq, label)
+        assert type(c.seq) is int and c.seq == value
+        assert (c.label, str(c)) == (label, label)
+        assert repr(c) == f"ChangeId(seq={value}, label={label!r})"
+        assert c == value and hash(c) == hash(value)
+        assert hasattr(c, "__dict__") == has_dict
+        copied = pickle.loads(pickle.dumps(c))
+        assert (type(copied), copied.seq, copied.label) == (type(c), value, label)
+
+    def test_two_parses_of_one_text_share_each_label(self):
+        text = format_workload(generate_workload(GeneratorParams(n_changes=40)))
+        first, second = parse_workload(text), parse_workload(text)
+        for a, b in zip(first.changes, second.changes, strict=True):
+            assert a.id.label is b.id.label
 
     def test_is_immutable(self):
         c = ChangeId(3, "C3")
@@ -153,6 +210,20 @@ def target_maps(draw) -> dict[ChangeId, tuple[str, ...]]:
     return {ChangeId(i, f"C{i}"): tuple(t) for i, t in enumerate(lists)}
 
 
+def _held_bytes_per_record(text: str, n_changes: int) -> float:
+    """Bytes a parse of `text` holds per change record, under
+    `tracemalloc`."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        workload = parse_workload(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(workload.changes) == n_changes
+    return (held - before) / n_changes
+
+
 class TestMemberships:
     @settings(max_examples=150, deadline=None)
     @given(target_maps(), st.integers(min_value=1, max_value=3), st.data())
@@ -215,34 +286,28 @@ class TestMemberships:
             seed=1000, n_changes=1000, arrival_rate=0.25, conflict_density=0.3
         )
         text = format_workload(generate_workload(params))
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            workload = parse_workload(text)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(workload.changes) == params.n_changes
-        assert (held - before) / params.n_changes <= 680
+        assert _held_bytes_per_record(text, params.n_changes) <= 680
 
 
 class TestRecordMemory:
-    def test_a_parsed_steady_record_holds_at_most_588_bytes(self):
+    PARAMS = GeneratorParams(
+        seed=1000, n_changes=1000, arrival_rate=0.25, conflict_density=0.3
+    )
+
+    def test_a_parsed_steady_record_holds_at_most_334_bytes(self):
         # parsing shares each repeated mu/var text's float and each target
-        # name: 591 bytes per record before, 534 since, bounded at 534 + 10%
-        params = GeneratorParams(
-            seed=1000, n_changes=1000, arrival_rate=0.25, conflict_density=0.3
-        )
-        text = format_workload(generate_workload(params))
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            workload = parse_workload(text)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(workload.changes) == params.n_changes
-        assert (held - before) / params.n_changes <= 588
+        # name: 591 bytes per record before, 534 since; a `C<seq>` id reads
+        # its label from one shared table, 303 since, bounded at 303 + 10%
+        text = format_workload(generate_workload(self.PARAMS))
+        assert _held_bytes_per_record(text, self.PARAMS.n_changes) <= 334
+
+    def test_a_hand_labelled_steady_record_holds_at_most_588_bytes(self):
+        # an id labelled other than `C<seq>` keeps its label in its own
+        # dict, 543 bytes per record, bounded at the shared form's old 588
+        text = format_workload(generate_workload(self.PARAMS))
+        text = re.sub(r"\bC(\d+)\b", r"change-\1", text)
+        assert "id=change-999 " in text
+        assert _held_bytes_per_record(text, self.PARAMS.n_changes) <= 588
 
 
 class TestConnectedComponents:

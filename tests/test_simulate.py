@@ -691,6 +691,49 @@ class TestHeadRule:
         assert calls == {"annotate": len(w.changes)}
 
 
+# Four changes on one target at depth_cap 1, so each window is its
+# change's one nearest predecessor. C0 breaks C1, so C1's build on C0
+# fails at 6 while its empty-base build passes: C1 waits on C0 until 60.
+# From 6 to 60, C1 is queued with its empty-base build finished, and C1
+# is outside C3's window (C2,). A score that reads predecessors outside
+# its window must be redone for C3 at 6.
+OUTSIDE_FINISH = WorkloadSpec(
+    changes=(
+        spec(0, "C0", 0.0, {"a"}, 60.0, prior=0.5),
+        replace(spec(1, "C1", 1.0, {"a"}, 5.0), breakers=(ChangeId(0, "C0"),)),
+        spec(2, "C2", 2.0, {"a"}, 30.0),
+        spec(3, "C3", 3.0, {"a"}, 30.0),
+    ),
+    predictor=OracleWithNoise(),
+    config=EngineConfig(depth_cap=1),
+)
+
+
+class TestOutsideWindowFinish:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_an_outside_predecessor_finishes_its_empty_base_build_while_queued(
+        self, strategy
+    ):
+        sim = checked_run(OUTSIDE_FINISH, strategy)
+        assert sim.capped > 0
+        _, trace = run(OUTSIDE_FINISH, strategy)
+        events = [line.split()[:4] for line in trace]
+        finished = events.index(["t=6.00", "finish", "C1", "base="])
+        assert events.index(["t=60.00", "reject", "C1", "via_bypass=no"]) > finished
+        assert ["t=3.00", "arrive", "C3", "pending_conflicts=3"] in events[:finished]
+        assert events.index(["t=90.00", "land", "C2", "via_bypass=no"]) > finished
+
+    @pytest.mark.parametrize(
+        "strategy, expected",
+        [
+            ("enhanced", "ffa145d07372e4942a8490753e8ad92f"),
+            ("baseline", "de1bc6ac43f0822c398d8fede1b6d6cd"),
+        ],
+    )
+    def test_golden_digest_pins_it(self, strategy, expected):
+        assert run_digest(OUTSIDE_FINISH, strategy) == expected
+
+
 class TestCompare:
     def test_threshold_zero_starts_at_least_as_many_builds(self):
         w = generate_workload(

@@ -1,7 +1,8 @@
 """Pruned speculation forest over the pending queue.
 
 Each pending change gets one build node per subset of its unresolved
-conflicting predecessors (capped at the nearest ``depth_cap`` of them).
+conflicting predecessors (capped at the nearest ``depth_cap`` of them;
+the older ones are filed as outside its window).
 Non-conflicting predecessors never enter a base set: speculation paths
 that differ only in an independent change would produce identical merge
 results, so they are merged away. Changes in different conflict
@@ -92,7 +93,9 @@ class SpeculationForest:
     Queue order is ChangeId order. ``targets[c]`` is c's targets, for every
     change that may arrive. ``windows[c]`` is c's window, its nearest
     ``depth_cap`` queued conflicting predecessors, and the keys of
-    ``windows`` are the queue, in that order. Each node is built once and
+    ``windows`` are the queue, in that order. ``outside[c]`` is the older
+    ones the cap left out, in queue order, so ``outside[c] + windows[c]``
+    is every queued conflicting predecessor of c. Each node is built once and
     filed twice: in ``by_change[c]``, c's nodes in read order, and in
     ``nodes``, by key. A window is read from ``queued[t]``, the queued
     changes on each of c's targets t in queue order. A node holds what is
@@ -106,6 +109,7 @@ class SpeculationForest:
     targets: Mapping[ChangeId, Collection[str]]
     depth_cap: int
     windows: dict[ChangeId, BaseKey] = field(default_factory=dict)
+    outside: dict[ChangeId, BaseKey] = field(default_factory=dict)
     by_change: dict[ChangeId, tuple[BuildNode, ...]] = field(default_factory=dict)
     nodes: dict[NodeKey, BuildNode] = field(default_factory=dict)
     queued: dict[str, list[ChangeId]] = field(default_factory=dict)
@@ -114,11 +118,6 @@ class SpeculationForest:
     def queue(self) -> tuple[ChangeId, ...]:
         """The queued changes, in queue order."""
         return tuple(self.windows)
-
-    def conflicting_ahead(self, c: ChangeId) -> BaseKey:
-        """Every queued conflicting predecessor of c, in queue order."""
-        ahead = {p for t in self.targets[c] for p in self.queued[t] if p < c}
-        return tuple(sorted(ahead))
 
     def conflicting_after(self, c: ChangeId) -> BaseKey:
         """Queued changes after c that conflict with it, in queue order:
@@ -154,9 +153,9 @@ class SpeculationForest:
         """All nodes of c, largest base first, then base lexicographic."""
         return self.by_change[c]
 
-    def add_change(self, c: ChangeId) -> BaseKey:
-        """Append an arriving change with its window and pending nodes,
-        and return `conflicting_ahead(c)`.
+    def add_change(self, c: ChangeId) -> None:
+        """Append an arriving change with its window, the predecessors its
+        cap left outside, and its pending nodes.
 
         c must sort after the queue's tail. A later arrival never enters
         an earlier change's window, so every existing window, base and
@@ -166,16 +165,17 @@ class SpeculationForest:
             raise ValueError(f"change {c} does not sort after the queue's tail")
         for t in set(self.targets[c]):
             self.queued.setdefault(t, []).append(c)
-        return self._set_window(c, {})
+        self._set_window(c, {})
 
-    def _set_window(
-        self, c: ChangeId, carried: Mapping[BaseKey, BuildNode]
-    ) -> BaseKey:
-        """(Re)derive c's window and file per base the node carried to it,
-        else a fresh pending one. A carried node that finds no base raises.
-        Returns `conflicting_ahead(c)`, the window before its cap."""
-        ahead = self.conflicting_ahead(c)
+    def _set_window(self, c: ChangeId, carried: Mapping[BaseKey, BuildNode]) -> None:
+        """(Re)derive c's window and the predecessors its cap left outside,
+        and file per base the node carried to it, else a fresh pending one.
+        A carried node that finds no base raises."""
+        ahead = tuple(
+            sorted({p for t in self.targets[c] for p in self.queued[t] if p < c})
+        )
         window = self.windows[c] = ahead[-self.depth_cap :]
+        self.outside[c] = ahead[: -self.depth_cap]
         filed = self.by_change[c] = tuple(
             [
                 carried[base] if base in carried else BuildNode(change=c, base=base)
@@ -188,7 +188,6 @@ class SpeculationForest:
         for base, node in carried.items():
             if nodes.get((c, base)) is not node:
                 raise AssertionError(f"carried node {node.key} maps outside the forest")
-        return ahead
 
 
 def enumerate_forest(
@@ -244,7 +243,7 @@ def resolve_change(
     change keeps its window and nodes. The forest is updated in place and
     returned; an unknown change raises KeyError before anything changes.
     """
-    del forest.windows[resolved], forest.by_change[resolved]
+    del forest.windows[resolved], forest.outside[resolved], forest.by_change[resolved]
     queued = forest.queued
     for t in set(forest.targets[resolved]):
         queued[t].remove(resolved)

@@ -8,7 +8,9 @@ of the group terms is the node's needed-probability, which drives build
 scheduling order. A build below its strategy's floor, the speculation
 threshold, never runs, so scoring stops early and drops it. A change's
 partition and scores read only its own builds, its window and its window
-members' builds, so a caller can keep them until one of those moves.
+members' builds, so a caller can keep them until one of those moves. No
+score reads the queued conflicting predecessors the window's cap left
+out, which the forest files as ``outside[c]``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from specqueue.forest import BaseKey, BuildNode, SpeculationForest
 from specqueue.prediction import DurationEstimate
 
 # Success-probability source for a predecessor build: takes the
-# predecessor and the path context (assumed-landed members of its own
-# window), so callers can substitute observed outcomes for finished
-# builds while tests can pass plain priors.
+# predecessor and the path context, the scored node's base members ahead
+# of it, assumed landed. The engine cuts the context to the members in
+# the predecessor's own window, which names one of its builds, and reads
+# that build's observed outcome once it finished; tests can pass plain
+# priors.
 SuccessFn = Callable[[ChangeId, BaseKey], float]
 
 

@@ -111,28 +111,20 @@ def decide_change(
 ) -> Decision:
     """Resolve a change now if its builds make the outcome certain.
 
-    Its only inputs are c's window, c's nodes and c's queued conflicting
-    predecessors. The change waits while a variant is pending, while the
-    variants disagree, or while it is blocked; otherwise it lands on a
-    unanimous pass and rejects on a unanimous fail. With an empty window
-    its one build speaks for the real merge. With predecessors in the
-    window the decision bypasses them, which is blocked when bypass is
-    off or when conflicting predecessors fell outside the window, since
-    no build covered those combinations. Only a window of ``depth_cap``
-    changes can leave one out.
+    Its only inputs are c's window, the queued conflicting predecessors
+    its cap left outside, and c's nodes. The change waits while a variant
+    is pending, while the variants disagree, or while it is blocked;
+    otherwise it lands on a unanimous pass and rejects on a unanimous
+    fail. With an empty window its one build speaks for the real merge.
+    With predecessors in the window the decision bypasses them, which is
+    blocked when bypass is off or when ``forest.outside[c]`` is not
+    empty, since no build covered those predecessors.
     """
     window = forest.windows[c]
     nodes = forest.nodes_for_change(c)
     # outcomes compare by identity: an Enum member hashes in Python
     outcome = nodes[0].outcome
-    if outcome is None or (
-        window
-        and (
-            not allow_bypass
-            or len(window) == forest.depth_cap
-            and len(forest.conflicting_ahead(c)) > len(window)
-        )
-    ):
+    if outcome is None or (window and (not allow_bypass or forest.outside[c])):
         return Decision(DecisionKind.WAIT, c)
     for node in nodes:
         if node.outcome is not outcome:

@@ -209,7 +209,9 @@ class _Simulation:
         return self._report(), tuple(self.trace)
 
     def _arrive(self, c: ChangeId) -> None:
-        conflicts_pending = len(self.forest.add_change(c))
+        forest = self.forest
+        forest.add_change(c)
+        conflicts_pending = len(forest.windows[c]) + len(forest.outside[c])
         self.moved.add(c)
         if conflicts_pending:
             self.waited_on_conflicts += 1

@@ -24,7 +24,7 @@ import specqueue.forest
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.forest import SpeculationForest, carry_map, enumerate_forest
 from specqueue.prediction import OracleWithNoise
-from specqueue.selection import RankOrder, rank_key
+from specqueue.selection import DecisionKind, RankOrder, rank_key
 from specqueue.simulator import WorkloadSpec, engine
 from specqueue.simulator.engine import GroundTruth, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
@@ -235,6 +235,34 @@ def check_a_bridged_component_has_one_head() -> None:
     assert heads == [True, False, False], heads
 
 
+def check_a_capped_window_blocks_a_bypass() -> None:
+    """At `depth_cap` 1, C3's window is (C2,) and C1 is outside it, so the
+    engine's rule cannot land C3 on builds that all passed while C1 is
+    queued."""
+    forest = triangle(depth_cap=1)
+    for node in forest.nodes_for_change(C3):
+        node.complete(BuildOutcome.PASS, 10.0)
+    assert engine.decide_change(C3, forest).kind is DecisionKind.WAIT
+
+
+def check_disagreeing_variants_wait() -> None:
+    """C2's build on C1 passed and its build on the mainline failed, so
+    the engine's rule leaves C2 waiting."""
+    forest = triangle(2)
+    forest.node(C2, (C1,)).complete(BuildOutcome.PASS, 10.0)
+    forest.node(C2, ()).complete(BuildOutcome.FAIL, 10.0)
+    assert engine.decide_change(C2, forest).kind is DecisionKind.WAIT
+
+
+def check_outside_files_the_oldest() -> None:
+    """At `depth_cap` 1 the cap leaves C3's oldest predecessor, C1,
+    outside its window, and landing C1 leaves nothing outside."""
+    forest = triangle(depth_cap=1)
+    assert forest.outside == {C1: (), C2: (), C3: (C1,)}, forest.outside
+    specqueue.forest.resolve_change(forest, C1, carry_map(forest, C1, True))
+    assert forest.outside == {C2: (), C3: ()}, forest.outside
+
+
 @dataclass(frozen=True)
 class Mutant:
     """One rule broken by one edit of `owner.attribute`'s source, and the
@@ -336,5 +364,37 @@ MUTANTS = (
         "frontier.append(other)",
         "pass",
         check_a_bridged_component_has_one_head,
+    ),
+    Mutant(
+        "a decision bypasses predecessors its window's cap left out",
+        engine,
+        "decide_change",
+        " or forest.outside[c]",
+        "",
+        check_a_capped_window_blocks_a_bypass,
+    ),
+    Mutant(
+        "a decision lands on the first pass, without unanimity",
+        engine,
+        "decide_change",
+        "for node in nodes:",
+        "for node in nodes[:1]:",
+        check_disagreeing_variants_wait,
+    ),
+    Mutant(
+        "a re-window keeps a stale outside entry",
+        SpeculationForest,
+        "_set_window",
+        "self.outside[c] = ahead[: -self.depth_cap]",
+        "self.outside.setdefault(c, ahead[: -self.depth_cap])",
+        check_outside_files_the_oldest,
+    ),
+    Mutant(
+        "outside keeps the nearest predecessors, not the oldest",
+        SpeculationForest,
+        "_set_window",
+        "ahead[: -self.depth_cap]",
+        "ahead[self.depth_cap :]",
+        check_outside_files_the_oldest,
     ),
 )

@@ -155,10 +155,11 @@ class CheckedSimulation(_Simulation):
     one `reference_decide_change` takes, and that each decision leaves no
     run whose node it dropped. The forest's targets are an
     `ArrivedTargets`, so reading a change's targets before it arrives fails.
-    Queued conflicting predecessors are counted from `reference_adjacency`,
-    not read from the forest. Selection, starts and aborts change no node,
-    the rank order or the queue, so what is read around a reschedule is what
-    scoring and its start lines saw. `labels` collects the mandatory labels
+    Queued conflicting predecessors are taken from `reference_adjacency`,
+    not read from the forest, and after every event each queued change's
+    `outside[c] + windows[c]` must list them. Selection, starts and aborts
+    change no node, the rank order or the queue, so what is read around a
+    reschedule is what scoring and its start lines saw. `labels` collects the mandatory labels
     logged, and `capped` counts the starts of changes with more queued
     conflicting predecessors than `depth_cap`, whose windows leave some
     out."""
@@ -183,14 +184,14 @@ class CheckedSimulation(_Simulation):
         self.forest.targets.arrived.add(c)
         super()._arrive(c)
 
-    def _ahead(self, c) -> int:
-        """How many queued changes ahead of c conflict with it."""
+    def _ahead(self, c) -> BaseKey:
+        """The queued changes ahead of c that conflict with it, in queue order."""
         queued = self.forest.windows
-        return sum(1 for p in self.adjacency[c] if p < c and p in queued)
+        return tuple(sorted(p for p in self.adjacency[c] if p < c and p in queued))
 
     def _reference_decision(self, c) -> Decision:
         return reference_decide_change(
-            c, self.forest, allow_bypass=self.enhanced, ahead=self._ahead(c)
+            c, self.forest, allow_bypass=self.enhanced, ahead=len(self._ahead(c))
         )
 
     def _decide(self, finished) -> None:
@@ -212,12 +213,18 @@ class CheckedSimulation(_Simulation):
         return rewindowed
 
     def _start(self, node, p_needed) -> None:
-        if self._ahead(node.change) > self.cfg.depth_cap:
+        if len(self._ahead(node.change)) > self.cfg.depth_cap:
             self.capped += 1
         super()._start(node, p_needed)
 
     def _reschedule(self) -> None:
         forest = self.forest
+        # the filed predecessors outside each window are the reference's
+        # oldest, and a decided change leaves none filed
+        assert forest.outside.keys() == forest.windows.keys(), self.now
+        for c in forest.queue:
+            filed = forest.outside[c] + forest.windows[c]
+            assert filed == self._ahead(c), (self.now, c, filed)
         # sweeping the queue until nothing resolves would decide nothing
         for c in forest.queue:
             decision = decide_change(c, forest, allow_bypass=self.enhanced)
@@ -409,10 +416,12 @@ def reference_decide_change(
 ) -> Decision:
     """`decide_change` over the set of c's node outcomes, blocking a
     bypass whenever c has more queued conflicting predecessors, `ahead`
-    (by default the forest's count), than its window holds."""
+    (by default counted from the forest's `queued`), than its window
+    holds."""
     window = forest.windows[c]
     if ahead is None:
-        ahead = len(forest.conflicting_ahead(c))
+        queued = forest.queued
+        ahead = len({p for t in forest.targets[c] for p in queued[t] if p < c})
     outcomes = {n.outcome for n in forest.nodes_for_change(c)}
     if (
         None in outcomes

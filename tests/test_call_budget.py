@@ -77,11 +77,14 @@ STREAMS = {
 # `_rescore` only when its events moved a change, they read 42.20 and
 # 42.83 (contended) and 38.92 and 38.32 (overload). A `C<seq>` id reads
 # its label from one shared table, in C, and the counts are unchanged.
+# Since the forest files the predecessors a window's cap leaves out and a
+# decision reads them, with no queue scan, they read 41.61 and 42.25
+# (contended) and 38.34 and 37.74 (overload).
 BUDGET = {
-    ("contended", "enhanced"): 42.20 * 1.1,
-    ("contended", "baseline"): 42.83 * 1.1,
-    ("overload", "enhanced"): 38.92 * 1.1,
-    ("overload", "baseline"): 38.32 * 1.1,
+    ("contended", "enhanced"): 41.61 * 1.1,
+    ("contended", "baseline"): 42.25 * 1.1,
+    ("overload", "enhanced"): 38.34 * 1.1,
+    ("overload", "baseline"): 37.74 * 1.1,
 }
 
 

@@ -255,7 +255,8 @@ class TestMemberships:
             heads = {m[0] for m in connected_components(reference, queue)}
             for c in queue:
                 queued = sorted(reference[c] & set(queue))
-                assert forest.conflicting_ahead(c) == tuple(p for p in queued if p < c)
+                ahead = tuple(p for p in queued if p < c)
+                assert forest.outside[c] + forest.windows[c] == ahead
                 assert forest.conflicting_after(c) == tuple(s for s in queued if s > c)
                 assert forest.heads_component(c) == (c in heads)
 

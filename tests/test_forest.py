@@ -330,11 +330,11 @@ class TestQueueOrder:
         # enter its own window, and a neighbour is listed once
         targets = {C1: ("s", "t"), C2: ("s", "t", "t"), C3: ("t",)}
         forest = enumerate_forest(list(targets), targets, 6)
-        assert forest.conflicting_ahead(C1) == ()
+        assert forest.windows[C1] == ()
         assert forest.conflicting_after(C1) == (C2, C3)
-        assert forest.conflicting_ahead(C2) == (C1,)
+        assert forest.windows[C2] == (C1,)
         assert forest.conflicting_after(C2) == (C3,)
-        assert forest.conflicting_ahead(C3) == (C1, C2)
+        assert forest.windows[C3] == (C1, C2)
         assert forest.conflicting_after(C3) == ()
         resolve_change(forest, C1, carry_map(forest, C1, True))
         assert forest.windows[C2] == () and forest.windows[C3] == (C2,)

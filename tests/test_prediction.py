@@ -64,6 +64,10 @@ class TestPredictDuration:
         assert predict_duration(spec, FEATURES) == DurationEstimate(25.0, 25.0)
         assert predict_duration(spec, PredictionFeatures()) == DurationEstimate(25.0, 25.0)
 
+    def test_an_unknown_spec_is_refused(self):
+        with pytest.raises(TypeError, match="^unknown predictor spec: 'magic'$"):
+            predict_duration("magic", FEATURES)
+
     def test_zero_noise_oracle_is_identity(self):
         spec = OracleWithNoise(relative_bias=0.0, relative_spread=0.0, seed=7)
         truth = DurationEstimate(20.0, 16.0)

@@ -11,6 +11,7 @@ from specqueue.core import ChangeId, EngineConfig
 from specqueue.forest import BuildOutcome, SpeculationForest, enumerate_forest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import (
+    BypassPartition,
     finish_time_model,
     needed_probability,
     profile_change,
@@ -33,6 +34,17 @@ ODDS = st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 def priors_fn(priors: dict[ChangeId, float]):
     return lambda pred, context: priors[pred]
+
+
+class TestBypassPartition:
+    def test_a_predecessor_cannot_be_both_bypassable_and_not(self):
+        with pytest.raises(ValueError, match="^a predecessor cannot be both"):
+            BypassPartition(C3, (C1, C2), (C2,), 0.5, False)
+
+    @pytest.mark.parametrize("product", [-0.25, 1.25, float("nan")])
+    def test_a_bypass_product_outside_0_1_is_refused(self, product):
+        with pytest.raises(ValueError, match=r"^bypass_product must be in \[0, 1\]$"):
+            BypassPartition(C3, (C1,), (C2,), product, False)
 
 
 class TestFiveCaseConformance:

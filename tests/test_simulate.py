@@ -557,9 +557,9 @@ class TestEventDecisions:
         first, second = w.changes[0].id, w.changes[1].id
         sim = CheckedSimulation(w, "enhanced")
         sim._arrive(first)
-        assert sim.forest.conflicting_ahead(first) == ()
+        assert sim.forest.conflicting_after(first) == ()
         with pytest.raises(AssertionError, match=f"^targets of {second} read"):
-            sim.forest.conflicting_ahead(second)
+            sim.forest.conflicting_after(second)
 
     # The first three were recorded with the fixed-point sweep that the
     # event rule replaced, the edge configurations with the forest that
@@ -744,6 +744,13 @@ class TestCompare:
             for delta in (0.0, 0.3, 0.7)
         ]
         assert rows[0].builds_started >= rows[1].builds_started >= rows[2].builds_started
+
+
+class TestUnknownStrategy:
+    def test_run_refuses_an_unknown_strategy(self):
+        w = WorkloadSpec(changes=(spec(0, "C0", 0.0, {"a"}, 10.0),))
+        with pytest.raises(ValueError, match="^unknown strategy 'greedy'$"):
+            run(w, "greedy")
 
 
 class TestNearestRank:

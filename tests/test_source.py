@@ -1,5 +1,5 @@
-"""Checks on the package source, and on the imports of the test modules,
-read with `ast`."""
+"""Checks on the package source, and on the imports of the test modules
+and the tools, read with `ast`."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ SOURCES = sorted(PACKAGE.rglob("*.py"))
 # an __init__.py imports names to re-export them, not to use them
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +34,7 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize(
     "path",
-    MODULES + TESTS,
+    MODULES + TESTS + TOOLS,
     ids=lambda p: str(p.relative_to(PACKAGE if PACKAGE in p.parents else ROOT)),
 )
 def test_no_module_imports_a_name_it_never_uses(path):
@@ -59,6 +60,11 @@ def foreign_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_the_package_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TOOLS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_the_tools_import_only_the_standard_library(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 

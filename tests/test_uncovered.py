@@ -1,0 +1,51 @@
+"""The line tracer of `tools/uncovered.py`, on a small module."""
+
+from __future__ import annotations
+
+import importlib.util
+import runpy
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("uncovered", ROOT / "tools" / "uncovered.py")
+uncovered = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(uncovered)
+
+SMALL = '''\
+def pick(x):
+    if x:
+        return "yes"
+    return "no"
+
+
+def unused():
+    return [
+        n for n in range(3)
+    ]
+
+
+class Box:
+    size = 1
+'''
+
+
+def test_the_tracer_lists_the_lines_a_run_never_reached(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "small.py").write_text(SMALL, encoding="utf-8")
+    (tmp_path / "outside.py").write_text("x = 1\n", encoding="utf-8")
+    previous = sys.gettrace()
+    with uncovered.LineTracer(package) as tracer:
+        pick = runpy.run_path(str(package / "small.py"))["pick"]
+        assert pick(True) == "yes"
+        runpy.run_path(str(tmp_path / "outside.py"))
+    assert sys.gettrace() is previous
+    assert list(tracer.ran) == [str(package / "small.py")]
+    # the `else` return, and the body and comprehension of the uncalled function
+    assert uncovered.unrun_lines(package, tracer.ran) == {
+        package / "small.py": [4, 8, 9]
+    }
+    assert uncovered.unrun_lines(package, {}) == {
+        package / "small.py": sorted(uncovered.executable_lines(package / "small.py"))
+    }

@@ -1045,6 +1045,12 @@ SPEC_ERRORS = {
         lambda: WorkloadSpec((spec(0, "C0", 0.0, {"a"}),), strategy="greedy"),
         "unknown strategy 'greedy'",
     ),
+    "predictor-without-file-form": (
+        lambda: format_workload(
+            WorkloadSpec((spec(0, "C0", 0.0, {"a"}),), predictor="magic")
+        ),
+        "predictor 'magic' has no file form",
+    ),
     "duplicate-label": (
         lambda: WorkloadSpec(
             (spec(0, "C0", 0.0, {"a"}), spec(1, "C0", 1.0, {"a"}))

@@ -72,16 +72,27 @@ class _NamedChangeId(ChangeId):
     label = property(attrgetter("_label"))
 
 
-def require_ints(
-    record: object, names: tuple[str, ...], error: type[ValueError] = ValueError
+def require_types(
+    record: object,
+    names: Collection[str] | None = None,
+    error: type[ValueError] = ValueError,
 ) -> None:
-    """Raise `error` naming the first of the record's fields `names` whose
-    value is not an int. A float or a bool is not one: the file format
-    would write it in a form that its parser rejects."""
-    for name in names:
-        value = getattr(record, name)
-        if type(value) is not int:
+    """Raise `error` naming the first field in `names`, or of all the
+    dataclass record's fields, whose value the file format would write in
+    a form that does not read back, and that value. A field declared an
+    int must hold an int, not a float or a bool; one declared a bool, a
+    bool; one declared a float, anything but a bool, written `True`."""
+    # each record's module postpones annotations, so a type is its name;
+    # the fields are read from the class's table, with no Python call
+    declared = record.__dataclass_fields__
+    for name in declared if names is None else names:
+        kind, value = declared[name].type, getattr(record, name)
+        if kind == "int" and type(value) is not int:
             raise error(f"{name} must be an int, got {value!r}")
+        if kind == "float" and type(value) is bool:
+            raise error(f"{name} must be a float, got {value!r}")
+        if kind == "bool" and type(value) is not bool:
+            raise error(f"{name} must be a bool, got {value!r}")
 
 
 class BuildOutcome(Enum):
@@ -131,7 +142,7 @@ class EngineConfig:
     depth_cap: int = 6
 
     def __post_init__(self) -> None:
-        require_ints(self, ("executor_capacity", "depth_cap"))
+        require_types(self)
         if not 0.0 <= self.speculation_threshold <= 1.0:
             raise ValueError("speculation_threshold must be in [0, 1]")
         if not 0.0 <= self.bypass_eligibility_threshold <= 1.0:

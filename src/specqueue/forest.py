@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import lt
 from typing import Collection, Mapping, Sequence
 
 from specqueue.core import BuildOutcome, ChangeId
@@ -50,7 +51,8 @@ class BuildNode:
     def __post_init__(self) -> None:
         base = self.base
         if base:
-            if list(base) != sorted(base):
+            # strictly, so a repeated member is out of order too
+            if len(base) > 1 and not all(map(lt, base, base[1:])):
                 raise ValueError("base must be sorted in queue order")
             # sorted, so its last member is its largest
             if base[-1] >= self.change:

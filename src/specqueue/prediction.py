@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from specqueue.core import require_ints
+from specqueue.core import require_types
 
 _MIN_MEAN_MINUTES = 0.01
 
@@ -59,7 +59,7 @@ class OracleWithNoise:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_ints(self, ("seed",))
+        require_types(self)
         if not math.isfinite(self.relative_bias):
             raise ValueError("relative_bias must be finite")
         if not math.isfinite(self.relative_spread) or self.relative_spread < 0:
@@ -72,6 +72,7 @@ class ConstantPredictor:
     variance: float = 25.0
 
     def __post_init__(self) -> None:
+        require_types(self)
         if not math.isfinite(self.mean) or self.mean < _MIN_MEAN_MINUTES:
             raise ValueError(f"mean must be finite and >= {_MIN_MEAN_MINUTES}")
         if not math.isfinite(self.variance) or self.variance < 0:

@@ -77,28 +77,41 @@ TraceLog = tuple[str, ...]
 
 _ARRIVAL, _FINISH = 0, 1
 _LABEL = attrgetter("label")
-_MEAN, _VARIANCE = attrgetter("mean"), attrgetter("variance")
 
 
 class GroundTruth:
-    """Deterministic real outcomes and durations behind the predictor.
+    """The engine's one reader of each change's hidden truth: whether it
+    passes alone, its breakers, and `durations`, the run's one table of
+    true duration normals by id, which the oracle predictor reads too.
 
     A build fails iff its change does not pass alone or any breaker is
     in the code the build ran against: the changes landed when it
     started, or its assumed base. Durations are drawn once per (change,
     base) from the change's true normal, so reruns of the same build
-    take equally long. A draw is `Random(s).gauss(mean, sd)` for s the
-    blake2b hash of "seed|change|base": one generator is reseeded per
-    draw, so no draw depends on an earlier one.
+    take equally long. A draw is `Random(s).gauss(mean, sqrt(variance))`
+    for s the blake2b hash of "seed|change|base": one generator is
+    reseeded per draw, so no draw depends on an earlier one. Set-up
+    raises `WorkloadError` if the predictor can overflow an estimate.
     """
 
     def __init__(self, workload: WorkloadSpec):
-        self._changes = workload.changes
-        # per change, by id: its hash key's prefix and its true (mean, sd)
-        self._prefix = tuple(f"{workload.seed}|{s.id.label}|" for s in self._changes)
-        self._normal = tuple(
-            (s.true_mean, math.sqrt(s.true_variance)) for s in self._changes
+        changes = self._changes = workload.changes
+        # per change, by id: its hash key's prefix
+        self._prefix = tuple(f"{workload.seed}|{s.id.label}|" for s in changes)
+        self.durations = tuple(
+            [DurationEstimate(s.true_mean, s.true_variance) for s in changes]
         )
+        # an estimate grows with its truth, so the largest true mean and
+        # variance bound every estimate the predictor makes in this run
+        largest = DurationEstimate(
+            max([s.true_mean for s in changes]), max([s.true_variance for s in changes])
+        )
+        if not estimates_stay_finite(workload.predictor, largest):
+            raise WorkloadError(
+                f"predictor {workload.predictor!r} overflows a duration estimate: "
+                f"the largest true mean is {largest.mean!r} and variance "
+                f"{largest.variance!r}"
+            )
         self._rng = random.Random()
 
     def outcome(
@@ -119,7 +132,8 @@ class GroundTruth:
                 hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
             )
         )
-        return max(0.01, self._rng.gauss(*self._normal[change]))
+        normal = self.durations[change]
+        return max(0.01, self._rng.gauss(normal.mean, math.sqrt(normal.variance)))
 
 
 @dataclass(slots=True)
@@ -134,6 +148,10 @@ class _Run:
 
 
 class _Simulation:
+    """One run under one strategy: the scheduler's state and the event
+    loop's. It reads no change's hidden truth but through `truth`, as
+    tests/test_source.py pins."""
+
     def __init__(self, workload: WorkloadSpec, strategy: str):
         self.workload = workload
         self.strategy = strategy
@@ -144,24 +162,9 @@ class _Simulation:
         self.floor = self.cfg.speculation_threshold if self.enhanced else 0.0
         # indexed by change id: an id is its position in workload.changes
         self.arrivals = tuple(s.arrival_time for s in workload.changes)
-        self.true_durations = tuple(
-            DurationEstimate(s.true_mean, s.true_variance) for s in workload.changes
-        )
-        # an estimate grows with its truth, so the largest true mean and
-        # variance bound every estimate the predictor makes in this run
-        largest = DurationEstimate(
-            max(map(_MEAN, self.true_durations)),
-            max(map(_VARIANCE, self.true_durations)),
-        )
-        if not estimates_stay_finite(workload.predictor, largest):
-            raise WorkloadError(
-                f"predictor {workload.predictor!r} overflows a duration estimate: "
-                f"the largest true mean is {largest.mean!r} and variance "
-                f"{largest.variance!r}"
-            )
+        self.truth = GroundTruth(workload)
         # one immutable record per distinct (targets, conflicts, height)
         self._features: dict[tuple[int, int, int], PredictionFeatures] = {}
-        self.truth = GroundTruth(workload)
         self.now = 0.0
         self._stamp = ""  # "t=<now> ", the prefix of every line an event logs
         self.heap: list[tuple] = []
@@ -358,7 +361,7 @@ class _Simulation:
                 node.estimate = predict_duration(
                     self.workload.predictor,
                     features,
-                    truth=self.true_durations[c],
+                    truth=self.truth.durations[c],
                 )
 
     def _success_fn(self, pred: ChangeId, context: BaseKey) -> float:

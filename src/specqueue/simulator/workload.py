@@ -23,7 +23,7 @@ from math import log
 from operator import lt
 from typing import Container, Mapping
 
-from specqueue.core import ChangeId, EngineConfig, build_conflict_graph, require_ints
+from specqueue.core import ChangeId, EngineConfig, build_conflict_graph, require_types
 from specqueue.prediction import (
     ConstantPredictor,
     OracleWithNoise,
@@ -116,6 +116,17 @@ class ChangeSpec:
                     f"{cid}: target {target!r} must be non-empty, "
                     "with no comma or whitespace"
                 )
+        # a bool in a float field is written `True`, which the parser
+        # rejects, and a passes_alone but a bool reads back as one; one
+        # expression tests all five, and the rule names the field
+        if (
+            type(self.arrival_time) is bool
+            or type(self.true_mean) is bool
+            or type(self.true_variance) is bool
+            or type(self.success_prior) is bool
+            or type(self.passes_alone) is not bool
+        ):
+            require_types(self, error=WorkloadError)
         if not 0 <= self.arrival_time < math.inf:
             raise WorkloadError(f"{cid}: arrival_time must be finite and >= 0")
         if not 0 < self.true_mean < math.inf:
@@ -139,7 +150,7 @@ class WorkloadSpec:
     config: EngineConfig | None = None
 
     def __post_init__(self) -> None:
-        require_ints(self, ("seed",), WorkloadError)
+        require_types(self, ("seed",), WorkloadError)
         if self.predictor is None:
             object.__setattr__(self, "predictor", OracleWithNoise(seed=self.seed))
         if self.config is None:
@@ -202,7 +213,7 @@ class GeneratorParams:
     long_second_link: float = 0.0
 
     def __post_init__(self) -> None:
-        require_ints(self, ("n_changes", "seed"), WorkloadError)
+        require_types(self, ("n_changes", "seed"), WorkloadError)
         if self.n_changes < 1:
             raise WorkloadError("n_changes must be >= 1")
         if not 0 < self.arrival_rate < math.inf:

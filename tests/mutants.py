@@ -21,15 +21,16 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import specqueue.forest
+import specqueue.prioritize
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
-from specqueue.forest import SpeculationForest, carry_map, enumerate_forest
+from specqueue.forest import BuildNode, SpeculationForest, carry_map, enumerate_forest
 from specqueue.prediction import OracleWithNoise
 from specqueue.selection import DecisionKind, RankOrder, rank_key
 from specqueue.simulator import WorkloadSpec, engine
 from specqueue.simulator.engine import GroundTruth, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
-from oracles import C1, C2, C3, CheckedSimulation, triangle
+from oracles import C1, C2, C3, CheckedSimulation, partition, triangle
 
 
 def mutate(function: Callable, old: str, new: str) -> Callable:
@@ -263,6 +264,65 @@ def check_outside_files_the_oldest() -> None:
     assert forest.outside == {C2: (), C3: ()}, forest.outside
 
 
+def check_a_decision_keeps_the_nodes_that_agree_with_it() -> None:
+    """Landing C1 keeps exactly the later nodes that assumed it landed,
+    with C1 taken out of their bases; rejecting it keeps exactly the
+    ones that did not assume it."""
+    forest = triangle()
+    kept = {
+        landed: {
+            node.key: base
+            for node, base in specqueue.forest.carry_map(forest, C1, landed).items()
+            if base is not None
+        }
+        for landed in (True, False)
+    }
+    assert kept[True] == {(C2, (C1,)): (), (C3, (C1, C2)): (C2,), (C3, (C1,)): ()}
+    assert kept[False] == {(C2, ()): (), (C3, (C2,)): (C2,), (C3, ()): ()}
+
+
+def check_a_finished_predecessor_scores_its_outcome() -> None:
+    """A predecessor's success chance is its prior, 0.5, while its build
+    is pending, then 1 or 0 by the build's outcome. `_success_fn` is
+    called itself: a fresh scoring would call the same mutant."""
+    c = HEADS.changes[0].id
+    for outcome, expected in ((BuildOutcome.PASS, 1.0), (BuildOutcome.FAIL, 0.0)):
+        sim = _Simulation(HEADS, "enhanced")
+        sim._arrive(c)
+        assert sim._success_fn(c, ()) == 0.5
+        sim.forest.node(c, ()).complete(outcome, 10.0)
+        assert sim._success_fn(c, ()) == expected, outcome
+
+
+def check_a_product_at_the_floor_takes_its_next_term() -> None:
+    """A product equal to the floor is not below it, so scoring takes the
+    next term. At δ = 0.3, C3's build on C1 and C2, both waited out and
+    assumed landed, with priors 0.3 and 0.5 and bypass product 1, scores
+    0.3 after C1's term and 0.15 after C2's, so it is dropped."""
+    node = BuildNode(change=C3, base=(C1, C2))
+    part = partition(C3, fixed=(C1, C2))
+    priors = {C1: 0.3, C2: 0.5}
+
+    def success(pred: ChangeId, context: tuple) -> float:
+        return priors[pred]
+
+    p = specqueue.prioritize.needed_probability(node, part, success, 0.3)
+    assert p == 0.15, p
+    ranked = specqueue.prioritize.rank_builds([node], part, success, 0.3)
+    assert ranked == [], ranked
+
+
+def check_aborts_come_in_key_order() -> None:
+    """With no build chosen, every running build aborts, in `key_order`
+    whatever order the running builds are held in."""
+    forest = triangle()
+    running = [forest.node(C3, ()), forest.node(C2, (C1,)), forest.node(C3, (C1,))]
+    to_start, to_abort = engine.select_builds(RankOrder(), running, 2)
+    assert to_start == (), to_start
+    keys = [node.key for node in to_abort]
+    assert keys == [(C2, (C1,)), (C3, ()), (C3, (C1,))], keys
+
+
 @dataclass(frozen=True)
 class Mutant:
     """One rule broken by one edit of `owner.attribute`'s source, and the
@@ -396,5 +456,37 @@ MUTANTS = (
         "ahead[: -self.depth_cap]",
         "ahead[self.depth_cap :]",
         check_outside_files_the_oldest,
+    ),
+    Mutant(
+        "a decision keeps the nodes that contradict it",
+        specqueue.forest,
+        "carry_map",
+        "(resolved in node.base) == landed",
+        "(resolved in node.base) != landed",
+        check_a_decision_keeps_the_nodes_that_agree_with_it,
+    ),
+    Mutant(
+        "a finished predecessor scores its prior",
+        _Simulation,
+        "_success_fn",
+        "if node.outcome is None:",
+        "if True:",
+        check_a_finished_predecessor_scores_its_outcome,
+    ),
+    Mutant(
+        "scoring stops at a product equal to the floor",
+        specqueue.prioritize,
+        "needed_probability",
+        "if p < floor:",
+        "if p <= floor:",
+        check_a_product_at_the_floor_takes_its_next_term,
+    ),
+    Mutant(
+        "selection aborts in running order, not key order",
+        engine,
+        "select_builds",
+        "tuple(sorted(to_abort, key=key_order))",
+        "tuple(to_abort)",
+        check_aborts_come_in_key_order,
     ),
 )

@@ -546,6 +546,8 @@ class TestBuildNodeTransitions:
             # both wrong: the order is checked first
             (C1, (C3, C2), "base must be sorted in queue order"),
             (C2, (C3, C1), "base must be sorted in queue order"),
+            # a repeated member is out of order
+            (C2, (C1, C1), "base must be sorted in queue order"),
         ],
     )
     def test_invalid_base_messages(self, change, base, message):

@@ -316,3 +316,107 @@ def test_the_check_sees_each_graph_read():
         "f:build_conflict_graph",
         "h:ConflictGraph",
     ]
+
+
+HIDDEN = frozenset({"passes_alone", "breakers", "true_mean", "true_variance"})
+
+
+def hidden_reads(source: str) -> list[str]:
+    """Each read of a change's hidden truth, as an attribute or as a
+    string naming it (as `getattr` takes it), as `owner:name`, sorted.
+    The owner is the dotted name of the enclosing classes and functions;
+    module level reads as `<module>`."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{owner}.{child.name}" if owner != "<module>" else child.name
+                visit(child, inner)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in HIDDEN:
+                found.append(f"{owner}:{child.attr}")
+            elif isinstance(child, ast.Constant) and child.value in HIDDEN:
+                found.append(f"{owner}:{child.value}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+# The workload module holds the records, the generator and the file form,
+# so it reads the hidden truth throughout; in the rest of the package only
+# `GroundTruth` does. The oracle predictor's truth is
+# `GroundTruth.durations`, the one declared read from outside it.
+TRUTH_MODULE = "simulator/workload.py"
+TRUTH_READER = "GroundTruth"
+
+
+def outside_hidden_reads(sources: dict[str, str]) -> list[str]:
+    """The reads of a change's hidden truth, as `path:owner:name`, made
+    outside the workload module and `GroundTruth`'s methods."""
+    return [
+        f"{name}:{read}"
+        for name, source in sorted(sources.items())
+        if name != TRUTH_MODULE
+        for read in hidden_reads(source)
+        if not read.startswith(f"{TRUTH_READER}.")
+    ]
+
+
+def package_sources() -> dict[str, str]:
+    return {
+        path.relative_to(PACKAGE).as_posix(): path.read_text(encoding="utf-8")
+        for path in SOURCES
+    }
+
+
+def test_only_the_workload_and_the_ground_truth_read_a_change_s_hidden_truth():
+    sources = package_sources()
+    assert outside_hidden_reads(sources) == []
+    # the fence has something to fence: the ground truth reads each name
+    readers = hidden_reads(sources["simulator/engine.py"])
+    assert {read.split(":")[1] for read in readers} == HIDDEN
+
+
+def test_the_check_sees_each_hidden_read():
+    source = (
+        "x = spec.breakers\nclass K:\n    def f(self, s):\n"
+        "        return getattr(s, 'true_mean') + s.true_variance\n"
+        "    class Inner:\n        def g(self, s):\n"
+        "            def h():\n                return s.passes_alone\n"
+        "            return h\n"
+        "def k(s):\n    return ChangeSpec(s.id, passes_alone=True, doc='breakers?')\n"
+    )
+    assert hidden_reads(source) == [
+        "<module>:breakers",
+        "K.Inner.g.h:passes_alone",
+        "K.f:true_mean",
+        "K.f:true_variance",
+    ]
+
+
+ENGINE = (PACKAGE / "simulator" / "engine.py").read_text(encoding="utf-8")
+SIMULATION = next(
+    node
+    for node in ast.parse(ENGINE).body
+    if isinstance(node, ast.ClassDef) and node.name == "_Simulation"
+)
+
+
+@pytest.mark.parametrize(
+    "method",
+    [node for node in SIMULATION.body if isinstance(node, ast.FunctionDef)],
+    ids=lambda node: node.name,
+)
+def test_the_check_fails_when_a_simulation_method_reads_a_true_mean(method):
+    # the read opens the method's body, at its first statement's indent
+    first = method.body[0]
+    lines = ENGINE.splitlines(keepends=True)
+    read = " " * first.col_offset + "self.workload.changes[0].true_mean\n"
+    lines.insert(first.lineno - 1, read)
+    sources = package_sources()
+    sources["simulator/engine.py"] = "".join(lines)
+    assert outside_hidden_reads(sources) == [
+        f"simulator/engine.py:_Simulation.{method.name}:true_mean"
+    ]

@@ -1212,3 +1212,52 @@ class TestIntegerFields:
             predictor=predictor,
         )
         assert parse_workload(format_workload(w)) == w
+
+
+def change_with(**kw):
+    return dataclasses.replace(spec(0, "C0", 0.0, {"a"}), **kw)
+
+
+# every float field the file form writes, by record
+FLOAT_FIELDS = {
+    "delta": (EngineConfig, "speculation_threshold", ValueError),
+    "tau": (EngineConfig, "bypass_eligibility_threshold", ValueError),
+    "epsilon": (EngineConfig, "bypass_product_floor", ValueError),
+    "oracle-bias": (OracleWithNoise, "relative_bias", ValueError),
+    "oracle-spread": (OracleWithNoise, "relative_spread", ValueError),
+    "constant-mu": (ConstantPredictor, "mean", ValueError),
+    "constant-var": (ConstantPredictor, "variance", ValueError),
+    "at": (change_with, "arrival_time", WorkloadError),
+    "mu": (change_with, "true_mean", WorkloadError),
+    "var": (change_with, "true_variance", WorkloadError),
+    "prior": (change_with, "success_prior", WorkloadError),
+}
+
+
+class TestFloatFields:
+    """A bool where a float belongs would be written `True` or `False`,
+    which the parser rejects, so each record refuses it and names the
+    field and the value. An int is a float's value and reads back equal."""
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("case", FLOAT_FIELDS)
+    def test_rejects_a_bool(self, case, value):
+        build, field, error = FLOAT_FIELDS[case]
+        with pytest.raises(error, match=f"^{field} must be a float, got {value!r}$"):
+            build(**{field: value})
+
+    @pytest.mark.parametrize("value", ["yes", 1, 0, None])
+    def test_a_change_rejects_a_non_bool_passes_alone(self, value):
+        message = f"^passes_alone must be a bool, got {value!r}$"
+        with pytest.raises(WorkloadError, match=message):
+            change_with(passes_alone=value)
+
+    def test_an_int_in_a_float_field_reads_back_equal(self):
+        change = change_with(
+            arrival_time=1, true_mean=5, true_variance=0, success_prior=1
+        )
+        config = EngineConfig(speculation_threshold=0, bypass_eligibility_threshold=1)
+        w = WorkloadSpec(
+            (change,), predictor=ConstantPredictor(mean=3, variance=2), config=config
+        )
+        assert parse_workload(format_workload(w)) == w

@@ -72,20 +72,17 @@ class _NamedChangeId(ChangeId):
     label = property(attrgetter("_label"))
 
 
-def require_types(
-    record: object,
-    names: Collection[str] | None = None,
-    error: type[ValueError] = ValueError,
-) -> None:
-    """Raise `error` naming the first field in `names`, or of all the
-    dataclass record's fields, whose value the file format would write in
-    a form that does not read back, and that value. A field declared an
-    int must hold an int, not a float or a bool; one declared a bool, a
-    bool; one declared a float, anything but a bool, written `True`."""
+def require_types(record: object, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` naming the first of the dataclass record's fields
+    whose value the file format would write in a form that does not read
+    back, and that value. A field declared an int must hold an int, not a
+    float or a bool; one declared a bool, a bool; one declared a float,
+    anything but a bool, written `True`. A field of any other type is not
+    checked."""
     # each record's module postpones annotations, so a type is its name;
     # the fields are read from the class's table, with no Python call
     declared = record.__dataclass_fields__
-    for name in declared if names is None else names:
+    for name in declared:
         kind, value = declared[name].type, getattr(record, name)
         if kind == "int" and type(value) is not int:
             raise error(f"{name} must be an int, got {value!r}")

@@ -97,7 +97,11 @@ class SpeculationForest:
     ``depth_cap`` queued conflicting predecessors, and the keys of
     ``windows`` are the queue, in that order. ``outside[c]`` is the older
     ones the cap left out, in queue order, so ``outside[c] + windows[c]``
-    is every queued conflicting predecessor of c. Each node is built once and
+    is every queued conflicting predecessor of c. ``after[c]`` is every
+    queued conflicting successor of c, in queue order: the only changes
+    whose windows c is in, so the only ones its resolution moves. Only an
+    arrival and a resolution change it, since the conflict relation among
+    queued changes is fixed. Each node is built once and
     filed twice: in ``by_change[c]``, c's nodes in read order, and in
     ``nodes``, by key. A window is read from ``queued[t]``, the queued
     changes on each of c's targets t in queue order. A node holds what is
@@ -112,6 +116,7 @@ class SpeculationForest:
     depth_cap: int
     windows: dict[ChangeId, BaseKey] = field(default_factory=dict)
     outside: dict[ChangeId, BaseKey] = field(default_factory=dict)
+    after: dict[ChangeId, list[ChangeId]] = field(default_factory=dict)
     by_change: dict[ChangeId, tuple[BuildNode, ...]] = field(default_factory=dict)
     nodes: dict[NodeKey, BuildNode] = field(default_factory=dict)
     queued: dict[str, list[ChangeId]] = field(default_factory=dict)
@@ -120,12 +125,6 @@ class SpeculationForest:
     def queue(self) -> tuple[ChangeId, ...]:
         """The queued changes, in queue order."""
         return tuple(self.windows)
-
-    def conflicting_after(self, c: ChangeId) -> BaseKey:
-        """Queued changes after c that conflict with it, in queue order:
-        the only windows c is in, so the only ones its resolution moves."""
-        after = {s for t in self.targets[c] for s in self.queued[t] if s > c}
-        return tuple(sorted(after))
 
     def heads_component(self, c: ChangeId) -> bool:
         """Whether c is the first queued change of its conflict component
@@ -157,17 +156,22 @@ class SpeculationForest:
 
     def add_change(self, c: ChangeId) -> None:
         """Append an arriving change with its window, the predecessors its
-        cap left outside, and its pending nodes.
+        cap left outside, and its pending nodes, and file it as the last
+        successor of each of its queued conflicting predecessors.
 
         c must sort after the queue's tail. A later arrival never enters
         an earlier change's window, so every existing window, base and
-        node stays as it is.
+        node stays as it is, and appending c keeps each list of
+        successors in queue order.
         """
         if self.windows and c <= next(reversed(self.windows)):
             raise ValueError(f"change {c} does not sort after the queue's tail")
         for t in set(self.targets[c]):
             self.queued.setdefault(t, []).append(c)
         self._set_window(c, {})
+        for p in self.outside[c] + self.windows[c]:
+            self.after[p].append(c)
+        self.after[c] = []
 
     def _set_window(self, c: ChangeId, carried: Mapping[BaseKey, BuildNode]) -> None:
         """(Re)derive c's window and the predecessors its cap left outside,
@@ -209,9 +213,10 @@ def carry_map(
 ) -> dict[BuildNode, BaseKey | None]:
     """Where each node that `resolved`'s decision moves goes.
 
-    Only the nodes of the resolved change and of the queued later changes
-    that conflict with it are listed; each maps to its new base, or to
-    None when it vanishes. The resolved change's own nodes always vanish.
+    Only the nodes of the resolved change and of its filed successors,
+    ``forest.after[resolved]``, the queued later changes that conflict with
+    it, are listed; each maps to its new base, or to None when it
+    vanishes. The resolved change's own nodes always vanish.
     Every other node keeps its base: builds of earlier changes never
     included it (when it landed early by bypass, the consistency of its
     own variants proved the two changes commute). A successor's node
@@ -220,7 +225,7 @@ def carry_map(
     """
     by_change = forest.by_change
     mapping: dict[BuildNode, BaseKey | None] = dict.fromkeys(by_change[resolved])
-    for c in forest.conflicting_after(resolved):
+    for c in forest.after[resolved]:
         for node in by_change[c]:
             if (resolved in node.base) == landed:
                 mapping[node] = tuple([b for b in node.base if b != resolved])
@@ -242,10 +247,15 @@ def resolve_change(
     resolved change landed it joins mainline, so a node that assumed it in
     the base describes the same merge with the base member removed. A base
     no carried node fills gets a fresh pending node, built once; every other
-    change keeps its window and nodes. The forest is updated in place and
-    returned; an unknown change raises KeyError before anything changes.
+    change keeps its window and nodes. The resolved change leaves its
+    predecessors' lists of successors, and its own list goes. The forest is
+    updated in place and returned; an unknown change raises KeyError before
+    anything changes.
     """
+    for p in forest.outside[resolved] + forest.windows[resolved]:
+        forest.after[p].remove(resolved)
     del forest.windows[resolved], forest.outside[resolved], forest.by_change[resolved]
+    del forest.after[resolved]
     queued = forest.queued
     for t in set(forest.targets[resolved]):
         queued[t].remove(resolved)

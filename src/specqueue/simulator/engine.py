@@ -250,19 +250,21 @@ class _Simulation:
                 if later not in candidates:
                     heapq.heappush(candidates, later)
 
-    def _apply(self, decision) -> dict[ChangeId, None]:
+    def _apply(self, decision) -> list[ChangeId]:
         """Land or reject the decided change, which leaves the rank order
-        and `moved`, and return the changes it re-windowed. It bypassed
-        the predecessors in its window, read before the forest resolves it."""
+        and `moved`, and return the changes it re-windowed: its queued
+        conflicting successors, in queue order. It bypassed the
+        predecessors in its window. Both are read before the forest
+        resolves it."""
         c = decision.change
         landed = decision.kind is DecisionKind.LAND
         nodes = self.forest.nodes_for_change(c)
         post_build_wait = self.now - max([n.finished_at for n in nodes])
         bypassed = self.forest.windows[c]
 
+        rewindowed = self.forest.after[c]
         mapping = carry_map(self.forest, c, landed)
         resolve_change(self.forest, c, mapping)
-        rewindowed = dict.fromkeys([n.change for n in mapping if n.change != c])
         self.moved.update(rewindowed)
         self.moved.discard(c)
         self.order.drop(c)
@@ -306,7 +308,9 @@ class _Simulation:
 
     def _rescore(self) -> None:
         """Bring the rank order up to date with the events since the last
-        reschedule, re-profiling only the changes they moved; the caller
+        reschedule, re-profiling only the changes they moved, and of each
+        moved m's filed successors `forest.after[m]` those whose window
+        holds m, since a score reads only its change's window; the caller
         skips it when they moved none. A change with an empty window
         waits on nobody, so its one node scores 1 under either strategy
         and is ranked by that rule, unprofiled; a pending one with no
@@ -316,12 +320,8 @@ class _Simulation:
         self.moved.clear()
         self._annotate(moved)
         rescore = set(moved)
-        tail = next(reversed(windows), None)
         for m in moved:
-            if m != tail:  # no queued change follows the tail
-                rescore.update(
-                    [d for d in self.forest.conflicting_after(m) if m in windows[d]]
-                )
+            rescore.update([d for d in self.forest.after[m] if m in windows[d]])
         for c in sorted(rescore):
             nodes = self.forest.nodes_for_change(c)
             if windows[c]:

@@ -81,7 +81,8 @@ class ChangeSpec:
     less than a quarter of a frozenset's bytes. A tuple already in that
     form is kept after one check made in C; any other collection (a set,
     a list, an unsorted tuple or one with repeats) is replaced by its
-    distinct members, sorted."""
+    distinct members, sorted. A `str` or `bytes` is refused, since its
+    members are its characters."""
 
     id: ChangeId
     arrival_time: float
@@ -104,11 +105,15 @@ class ChangeSpec:
         if type(targets) is not tuple or (
             len(targets) > 1 and not all(map(lt, targets, targets[1:]))
         ):
+            if isinstance(targets, (str, bytes)):
+                raise WorkloadError(f"{cid}: targets must not be a text: {targets!r}")
             targets = tuple(sorted(set(targets)))
             object.__setattr__(self, "targets", targets)
         if type(breakers) is not tuple or (
             len(breakers) > 1 and not all(map(lt, breakers, breakers[1:]))
         ):
+            if isinstance(breakers, (str, bytes)):
+                raise WorkloadError(f"{cid}: breakers must not be a text: {breakers!r}")
             object.__setattr__(self, "breakers", tuple(sorted(set(breakers))))
         for target in targets:
             if not _list_item(target):
@@ -126,7 +131,7 @@ class ChangeSpec:
             or type(self.success_prior) is bool
             or type(self.passes_alone) is not bool
         ):
-            require_types(self, error=WorkloadError)
+            require_types(self, WorkloadError)
         if not 0 <= self.arrival_time < math.inf:
             raise WorkloadError(f"{cid}: arrival_time must be finite and >= 0")
         if not 0 < self.true_mean < math.inf:
@@ -150,7 +155,7 @@ class WorkloadSpec:
     config: EngineConfig | None = None
 
     def __post_init__(self) -> None:
-        require_types(self, ("seed",), WorkloadError)
+        require_types(self, WorkloadError)
         if self.predictor is None:
             object.__setattr__(self, "predictor", OracleWithNoise(seed=self.seed))
         if self.config is None:
@@ -213,7 +218,7 @@ class GeneratorParams:
     long_second_link: float = 0.0
 
     def __post_init__(self) -> None:
-        require_types(self, ("n_changes", "seed"), WorkloadError)
+        require_types(self, WorkloadError)
         if self.n_changes < 1:
             raise WorkloadError("n_changes must be >= 1")
         if not 0 < self.arrival_rate < math.inf:

@@ -264,6 +264,15 @@ def check_outside_files_the_oldest() -> None:
     assert forest.outside == {C2: (), C3: ()}, forest.outside
 
 
+def check_successors_are_filed_in_queue_order() -> None:
+    """At `depth_cap` 1, C1 is outside C3's window and C2 in it, and C3
+    is filed as a successor of both; rejecting C3 leaves it in no list."""
+    forest = triangle(depth_cap=1)
+    assert forest.after == {C1: [C2, C3], C2: [C3], C3: []}, forest.after
+    specqueue.forest.resolve_change(forest, C3, carry_map(forest, C3, False))
+    assert forest.after == {C1: [C2], C2: []}, forest.after
+
+
 def check_a_decision_keeps_the_nodes_that_agree_with_it() -> None:
     """Landing C1 keeps exactly the later nodes that assumed it landed,
     with C1 taken out of their bases; rejecting it keeps exactly the
@@ -456,6 +465,22 @@ MUTANTS = (
         "ahead[: -self.depth_cap]",
         "ahead[self.depth_cap :]",
         check_outside_files_the_oldest,
+    ),
+    Mutant(
+        "an arrival is filed as no predecessor's successor",
+        SpeculationForest,
+        "add_change",
+        "self.after[p].append(c)",
+        "pass",
+        check_successors_are_filed_in_queue_order,
+    ),
+    Mutant(
+        "a resolved change stays filed as its predecessors' successor",
+        specqueue.forest,
+        "resolve_change",
+        "forest.after[p].remove(resolved)",
+        "pass",
+        check_successors_are_filed_in_queue_order,
     ),
     Mutant(
         "a decision keeps the nodes that contradict it",

@@ -155,9 +155,10 @@ class CheckedSimulation(_Simulation):
     one `reference_decide_change` takes, and that each decision leaves no
     run whose node it dropped. The forest's targets are an
     `ArrivedTargets`, so reading a change's targets before it arrives fails.
-    Queued conflicting predecessors are taken from `reference_adjacency`,
-    not read from the forest, and after every event each queued change's
-    `outside[c] + windows[c]` must list them. Selection, starts and aborts
+    Queued conflicting predecessors and successors are taken from
+    `reference_adjacency`, not read from the forest, and after every event
+    each queued change's `outside[c] + windows[c]` must list the former and
+    its `after[c]` the latter. Selection, starts and aborts
     change no node, the rank order or the queue, so what is read around a
     reschedule is what scoring and its start lines saw. `labels` collects the mandatory labels
     logged, and `capped` counts the starts of changes with more queued
@@ -171,14 +172,6 @@ class CheckedSimulation(_Simulation):
         self.forest.targets = ArrivedTargets(self.forest.targets)
         self.labels: set[str] = set()
         self.capped = 0
-        self.scans = 0
-        scan = self.forest.conflicting_after
-
-        def counted(c):
-            self.scans += 1
-            return scan(c)
-
-        self.forest.conflicting_after = counted
 
     def _arrive(self, c) -> None:
         self.forest.targets.arrived.add(c)
@@ -189,16 +182,19 @@ class CheckedSimulation(_Simulation):
         queued = self.forest.windows
         return tuple(sorted(p for p in self.adjacency[c] if p < c and p in queued))
 
+    def _behind(self, c) -> list[ChangeId]:
+        """The queued changes after c that conflict with it, in queue order."""
+        queued = self.forest.windows
+        return sorted(s for s in self.adjacency[c] if s > c and s in queued)
+
     def _reference_decision(self, c) -> Decision:
         return reference_decide_change(
             c, self.forest, allow_bypass=self.enhanced, ahead=len(self._ahead(c))
         )
 
     def _decide(self, finished) -> None:
-        scans, decided = self.scans, len(self.waits)
         super()._decide(finished)
-        # one successor scan per decision, and no decided change kept
-        assert self.scans - scans == len(self.waits) - decided, self.now
+        # no decided change kept
         queued = self.forest.windows
         assert all(c in queued for c in self.moved), (self.now, self.moved)
         assert all(node.change in queued for _, node in self.order.entries), self.now
@@ -220,11 +216,14 @@ class CheckedSimulation(_Simulation):
     def _reschedule(self) -> None:
         forest = self.forest
         # the filed predecessors outside each window are the reference's
-        # oldest, and a decided change leaves none filed
+        # oldest, the filed successors are the reference's, and a decided
+        # change leaves none filed
         assert forest.outside.keys() == forest.windows.keys(), self.now
+        assert forest.after.keys() == forest.windows.keys(), self.now
         for c in forest.queue:
             filed = forest.outside[c] + forest.windows[c]
             assert filed == self._ahead(c), (self.now, c, filed)
+            assert forest.after[c] == self._behind(c), (self.now, c, forest.after[c])
         # sweeping the queue until nothing resolves would decide nothing
         for c in forest.queue:
             decision = decide_change(c, forest, allow_bypass=self.enhanced)

@@ -257,7 +257,7 @@ class TestMemberships:
                 queued = sorted(reference[c] & set(queue))
                 ahead = tuple(p for p in queued if p < c)
                 assert forest.outside[c] + forest.windows[c] == ahead
-                assert forest.conflicting_after(c) == tuple(s for s in queued if s > c)
+                assert forest.after[c] == [s for s in queued if s > c]
                 assert forest.heads_component(c) == (c in heads)
 
     def test_memory_stays_linear_in_a_hot_targets_users(self):

@@ -557,9 +557,9 @@ class TestEventDecisions:
         first, second = w.changes[0].id, w.changes[1].id
         sim = CheckedSimulation(w, "enhanced")
         sim._arrive(first)
-        assert sim.forest.conflicting_after(first) == ()
+        assert sim.forest.after[first] == []
         with pytest.raises(AssertionError, match=f"^targets of {second} read"):
-            sim.forest.conflicting_after(second)
+            sim.forest.add_change(second)
 
     # The first three were recorded with the fixed-point sweep that the
     # event rule replaced, the edge configurations with the forest that

@@ -167,6 +167,15 @@ class TestChangeSpec:
         other = ChangeSpec(C3, 0.0, ("c",), 10.0, 4.0)
         assert dataclasses.replace(other, targets=targets, breakers=breakers) == s
 
+    @pytest.mark.parametrize(
+        "field, value", [("targets", "t12"), ("targets", b"a"), ("breakers", "C0")]
+    )
+    def test_rejects_a_text_for_a_collection(self, field, value):
+        # a text iterates as its characters, which would read as one
+        # target or breaker each
+        with pytest.raises(WorkloadError, match=f"^C0: {field} must not be a text: "):
+            change_with(**{field: value})
+
     def test_a_sorted_tuple_is_kept_as_given(self):
         targets, breakers = ("a", "b"), (C0, C2)
         s = ChangeSpec(C3, 0.0, targets, 10.0, 4.0, breakers=breakers)
@@ -1218,7 +1227,7 @@ def change_with(**kw):
     return dataclasses.replace(spec(0, "C0", 0.0, {"a"}), **kw)
 
 
-# every float field the file form writes, by record
+# every float field the file form writes, by record, and the generator's
 FLOAT_FIELDS = {
     "delta": (EngineConfig, "speculation_threshold", ValueError),
     "tau": (EngineConfig, "bypass_eligibility_threshold", ValueError),
@@ -1231,6 +1240,13 @@ FLOAT_FIELDS = {
     "mu": (change_with, "true_mean", WorkloadError),
     "var": (change_with, "true_variance", WorkloadError),
     "prior": (change_with, "success_prior", WorkloadError),
+    "arrival-rate": (GeneratorParams, "arrival_rate", WorkloadError),
+    "density": (GeneratorParams, "conflict_density", WorkloadError),
+    "short": (GeneratorParams, "short_fraction", WorkloadError),
+    "fail-rate": (GeneratorParams, "fail_rate", WorkloadError),
+    "breaker-rate": (GeneratorParams, "breaker_rate", WorkloadError),
+    "long-bias": (GeneratorParams, "long_target_bias", WorkloadError),
+    "second-link": (GeneratorParams, "long_second_link", WorkloadError),
 }
 
 

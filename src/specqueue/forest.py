@@ -101,15 +101,17 @@ class SpeculationForest:
     queued conflicting successor of c, in queue order: the only changes
     whose windows c is in, so the only ones its resolution moves. Only an
     arrival and a resolution change it, since the conflict relation among
-    queued changes is fixed. Each node is built once and
-    filed twice: in ``by_change[c]``, c's nodes in read order, and in
-    ``nodes``, by key. A window is read from ``queued[t]``, the queued
-    changes on each of c's targets t in queue order. A node holds what is
-    known of its build: its estimate, and its outcome once it finished;
-    which builds run is kept by the engine alone. Mutation is single-writer
-    (the engine), and reads hand out the nodes themselves, so a held node
-    sees every later update to it; one carried to a new base has
-    ``node.key`` equal to its new key. Only the forest files nodes.
+    queued changes is fixed. For the same reason c's predecessors are
+    derived once, on arrival, from ``queued[t]``, the queued changes on
+    each of c's targets t in queue order; a re-window takes them from
+    ``outside[c] + windows[c]``. Each node is built once and filed twice:
+    in ``by_change[c]``, c's nodes in read order, and in ``nodes``, by key.
+    A node holds what is known of its build: its estimate, and its outcome
+    once it finished; which builds run is kept by the engine alone.
+    Mutation is single-writer (the engine), and reads hand out the nodes
+    themselves, so a held node sees every later update to it; one carried
+    to a new base has ``node.key`` equal to its new key. Only the forest
+    files nodes.
     """
 
     targets: Mapping[ChangeId, Collection[str]]
@@ -159,27 +161,33 @@ class SpeculationForest:
         cap left outside, and its pending nodes, and file it as the last
         successor of each of its queued conflicting predecessors.
 
-        c must sort after the queue's tail. A later arrival never enters
-        an earlier change's window, so every existing window, base and
-        node stays as it is, and appending c keeps each list of
-        successors in queue order.
+        c must sort after the queue's tail, so every change queued on one
+        of its targets is ahead of it: this one read of ``queued`` is the
+        only derivation of c's predecessors, which a re-window takes from
+        what is filed here. A later arrival never enters an earlier
+        change's window, so every existing window, base and node stays as
+        it is, and appending c keeps each list of successors in queue
+        order.
         """
         if self.windows and c <= next(reversed(self.windows)):
             raise ValueError(f"change {c} does not sort after the queue's tail")
-        for t in set(self.targets[c]):
-            self.queued.setdefault(t, []).append(c)
-        self._set_window(c, {})
-        for p in self.outside[c] + self.windows[c]:
+        targets, queued = set(self.targets[c]), self.queued
+        ahead = tuple(sorted({p for t in targets for p in queued.get(t, ())}))
+        for t in targets:
+            queued.setdefault(t, []).append(c)
+        self._set_window(c, ahead, {})
+        for p in ahead:
             self.after[p].append(c)
         self.after[c] = []
 
-    def _set_window(self, c: ChangeId, carried: Mapping[BaseKey, BuildNode]) -> None:
-        """(Re)derive c's window and the predecessors its cap left outside,
-        and file per base the node carried to it, else a fresh pending one.
-        A carried node that finds no base raises."""
-        ahead = tuple(
-            sorted({p for t in self.targets[c] for p in self.queued[t] if p < c})
-        )
+    def _set_window(
+        self, c: ChangeId, ahead: BaseKey, carried: Mapping[BaseKey, BuildNode]
+    ) -> None:
+        """(Re)file c's window, the nearest ``depth_cap`` of ``ahead``, c's
+        queued conflicting predecessors in queue order, and the older ones
+        the cap left outside, and file per base the node carried to it,
+        else a fresh pending one. A carried node that finds no base
+        raises."""
         window = self.windows[c] = ahead[-self.depth_cap :]
         self.outside[c] = ahead[: -self.depth_cap]
         filed = self.by_change[c] = tuple(
@@ -242,7 +250,11 @@ def resolve_change(
     """Remove a decided change and drop every node its outcome contradicts.
 
     It re-windows exactly the other changes whose nodes ``mapping`` lists,
-    so ``mapping`` must be ``carry_map(forest, resolved, landed)``. A
+    so ``mapping`` must be ``carry_map(forest, resolved, landed)``. Each
+    keeps its filed predecessors, ``outside[c] + windows[c]``, less the
+    resolved change: the conflict relation among queued changes is fixed,
+    so that is what a read of the queue would give, and only the resolved
+    change's targets are read. A
     surviving node is the same node, its base rewritten in place: when the
     resolved change landed it joins mainline, so a node that assumed it in
     the base describes the same merge with the base member removed. A base
@@ -270,5 +282,6 @@ def resolve_change(
             kept[base] = node
     del carried[resolved]
     for c, kept in carried.items():
-        forest._set_window(c, kept)
+        ahead = forest.outside[c] + forest.windows[c]
+        forest._set_window(c, tuple([p for p in ahead if p != resolved]), kept)
     return forest

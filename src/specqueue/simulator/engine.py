@@ -377,14 +377,17 @@ class _Simulation:
     def _start(self, node: BuildNode, p_needed: float) -> None:
         outcome = self.truth.outcome(node.change, self.landed_set, node.base)
         duration = self.truth.duration(node.change, node.base)
+        finish = self.now + duration
+        if math.isinf(finish):
+            raise WorkloadError(
+                f"{node.change.label}'s build started at {self.now!r} takes "
+                f"{duration!r} minutes, so it finishes past the largest float"
+            )
         self.builds_started += 1
         run = _Run(node, self.now, duration, outcome, self.builds_started)
         self.running[node] = run
         # the start count breaks ties, so the run itself is never compared
-        heapq.heappush(
-            self.heap,
-            (self.now + duration, _FINISH, node.change.seq, run.number, run),
-        )
+        heapq.heappush(self.heap, (finish, _FINISH, node.change.seq, run.number, run))
         head = "yes" if self.forest.heads_component(node.change) else "no"
         self._log(
             f"start {node.change.label} base={_base_str(node.base)} "
@@ -405,6 +408,11 @@ class _Simulation:
         self.trace.append(self._stamp + message)
 
     def _report(self) -> MetricsReport:
+        if math.isinf(self.executor_minutes):
+            raise WorkloadError(
+                "the run's executor minutes overflow: each build is finite, "
+                "but their sum is past the largest float"
+            )
         return MetricsReport(
             strategy=self.strategy,
             builds_started=self.builds_started,

@@ -467,6 +467,14 @@ MUTANTS = (
         check_outside_files_the_oldest,
     ),
     Mutant(
+        "a re-window keeps the resolved change",
+        specqueue.forest,
+        "resolve_change",
+        "p != resolved",
+        "True",
+        check_outside_files_the_oldest,
+    ),
+    Mutant(
         "an arrival is filed as no predecessor's successor",
         SpeculationForest,
         "add_change",

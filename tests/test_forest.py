@@ -127,6 +127,27 @@ class TestResolve:
         assert base_keys(after, C3) == {(), ("C2",)}
         assert len(after.nodes) == 3
 
+    def test_a_resolution_reads_only_the_resolved_change_s_targets(self):
+        # C2 and C4 conflict with C1 and are re-windowed from the
+        # predecessors filed when they arrived; C3 does not
+        read = []
+
+        class Recording(dict):
+            def __getitem__(self, c):
+                read.append(c)
+                return super().__getitem__(c)
+
+        targets = Recording(
+            targets_from_labels(
+                {"C1": {"a"}, "C2": {"a"}, "C3": {"b"}, "C4": {"a", "b"}}
+            )
+        )
+        forest = enumerate_forest(list(targets), targets, 6)
+        read.clear()
+        resolve_change(forest, C1, carry_map(forest, C1, True))
+        assert read == [C1]
+        assert forest.windows == {C2: (), C3: (), ChangeId(4, "C4"): (C2, C3)}
+
     def test_reject_head_filters_without_relabel(self):
         forest = triangle()
         after = resolve_change(forest, C1, carry_map(forest, C1, False))

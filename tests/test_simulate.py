@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specqueue.cli import main
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.prediction import ConstantPredictor, OracleWithNoise
 from specqueue.simulator import (
@@ -22,6 +23,7 @@ from specqueue.simulator import (
     GeneratorParams,
     MetricsReport,
     WorkloadSpec,
+    format_workload,
     generate_workload,
     nearest_rank,
     reports_to_csv,
@@ -30,7 +32,7 @@ from specqueue.simulator import (
 from specqueue.selection import Decision, DecisionKind
 from specqueue.simulator import engine
 from specqueue.simulator.engine import GroundTruth, _Simulation
-from specqueue.simulator.workload import STRATEGIES, ChangeSpec
+from specqueue.simulator.workload import STRATEGIES, ChangeSpec, WorkloadError
 
 from mutants import (
     check_a_head_keeps_its_build_at_1,
@@ -751,6 +753,41 @@ class TestUnknownStrategy:
         w = WorkloadSpec(changes=(spec(0, "C0", 0.0, {"a"}, 10.0),))
         with pytest.raises(ValueError, match="^unknown strategy 'greedy'$"):
             run(w, "greedy")
+
+
+def overflowing(second_arrival):
+    """Two changes on separate targets, each with a true mean of 1e308."""
+    return workload(
+        tuple(
+            replace(spec(seq, f"C{seq}", at, {t}, 1e308), true_variance=1.0)
+            for seq, at, t in ((0, 0.0, "a"), (1, second_arrival, "b"))
+        )
+    )
+
+
+class TestOverflowingTimes:
+    # each build ends at a finite time, but the two together run 2e308
+    # executor minutes; a build that starts at 1e308 ends past the largest
+    # float, where its wait would read inf and its post-build wait nan
+    @pytest.mark.parametrize(
+        "second_arrival, message",
+        [
+            (0.0, "^the run's executor minutes overflow"),
+            (1e308, "^C1's build started at 1e\\+308 takes .* past the largest float$"),
+        ],
+        ids=["executor-minutes", "finish-time"],
+    )
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_run_raises_and_the_cli_exits_2(
+        self, second_arrival, message, strategy, tmp_path, capsys
+    ):
+        w = overflowing(second_arrival)
+        with pytest.raises(WorkloadError, match=message):
+            run(w, strategy)
+        path = tmp_path / "w.txt"
+        path.write_text(format_workload(w), encoding="utf-8")
+        assert main(["simulate", "--workload", str(path), "--strategy", strategy]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestNearestRank:

@@ -1,4 +1,5 @@
-"""The parsing of `tools/trajectory.py`, on a canned run_bench.py output."""
+"""The parsing of `tools/trajectory.py`, on a canned run_bench.py output,
+and its stress scenarios' trace digests at reduced sizes."""
 
 from __future__ import annotations
 
@@ -6,6 +7,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+import specqueue.forest
+from specqueue.simulator.workload import STRATEGIES
 
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location(
@@ -81,3 +85,42 @@ def test_each_run_is_the_benchmark_s_command_at_seed_1_untraced():
         "--trace",
         "0",
     ]
+
+
+# Each stress scenario at a reduced size: its changes, and the trace
+# digests of its enhanced and baseline runs. The sizes and seeds are fixed
+# like every other pinned workload's.
+PINNED_STRESS = {
+    "hot-1": (
+        60,
+        "fc93ac9e12f50b46a2d0abacf169281b",
+        "d6575c6538749c94b8c990fcc6baa8e1",
+    ),
+    "hot-3": (
+        60,
+        "deb3311c26ce9ab79d72ff68907e1e18",
+        "46b672358bb2d24496b6652b027b7869",
+    ),
+    "dense-3": (
+        100,
+        "5f101043e31c96037e17e0aeb5f6ae79",
+        "04786a0c35acdd84f6e10f707aa9c7f1",
+    ),
+    "scale-1": (
+        1000,
+        "b4231124e1495e5ed4259bd0013d2e1b",
+        "4c3ab51dd43388f3c857ecfe2992d195",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_STRESS))
+def test_a_stress_scenario_keeps_its_trace_digests_at_a_reduced_size(name):
+    recipe, seed, _ = trajectory.STRESS[name]
+    n_changes, *digests = PINNED_STRESS[name]
+    workload = recipe(seed, n_changes)
+    original = specqueue.forest.BuildNode
+    runs = [trajectory.stress_run(workload, strategy) for strategy in STRATEGIES]
+    assert specqueue.forest.BuildNode is original
+    assert [run["trace_digest"] for run in runs] == digests
+    assert all(run["nodes_made"] >= len(workload.changes) for run in runs)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +50,37 @@ def test_the_tracer_lists_the_lines_a_run_never_reached(tmp_path):
     assert uncovered.unrun_lines(package, {}) == {
         package / "small.py": sorted(uncovered.executable_lines(package / "small.py"))
     }
+
+
+def test_the_tracer_holds_no_memory_while_traced_code_runs(tmp_path):
+    # a first call of a file, its first run of each line and every call
+    # after them leave nothing allocated, so a test that measures what
+    # code holds under `tracemalloc` measures that code alone
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "small.py").write_text(SMALL, encoding="utf-8")
+    pick = runpy.run_path(str(package / "small.py"))["pick"]
+    flags = (True, False) * 100
+
+    def other(frame, event, arg):
+        return other
+
+    # the interpreter gives a code object a line table the first time it
+    # traces it, whatever the tracer, and keeps it
+    previous = sys.gettrace()
+    sys.settrace(other)
+    for flag in (True, False):
+        pick(flag)
+    sys.settrace(previous)
+    with uncovered.LineTracer(package) as tracer:
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for flag in flags:
+                pick(flag)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert held - before == 0
+    # pick's first line, where each call starts, and its body
+    assert tracer.ran == {str(package / "small.py"): {1, 2, 3, 4}}

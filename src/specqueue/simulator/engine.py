@@ -22,6 +22,13 @@ holds its build's node, so a decision leaves the runs it carries as
 they are and aborts only those whose nodes vanish. All times are
 virtual minutes; a run is a pure function of its workload.
 
+The `Scheduler` is the planner: it keeps the forest, the rank order and
+the changes whose estimates moved, and it decides, scores and selects.
+`_Simulation` keeps virtual time, the ground truth, the live runs, the
+waits and the trace: it feeds each arrival and finished build to the
+scheduler, logs the decisions it returns, and starts and aborts the
+builds it selects.
+
 Per-change data, the targets the forest reads included, is indexed by
 change id, which is the change's position in the workload's change tuple.
 """
@@ -34,7 +41,7 @@ import math
 import random
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Collection, Sequence
 
 # bench/spans.py wraps the layer functions imported below by name in this
 # module's namespace, so they stay imported and called here
@@ -60,6 +67,7 @@ from specqueue.prioritize import (
     rank_builds,
 )
 from specqueue.selection import (
+    Decision,
     DecisionKind,
     RankOrder,
     decide_change,
@@ -77,6 +85,7 @@ TraceLog = tuple[str, ...]
 
 _ARRIVAL, _FINISH = 0, 1
 _LABEL = attrgetter("label")
+_NUMBER = attrgetter("number")
 
 
 class GroundTruth:
@@ -147,14 +156,21 @@ class _Run:
     number: int  # start order; a decision logs its aborts in this order
 
 
-class _Simulation:
-    """One run under one strategy: the scheduler's state and the event
-    loop's. It reads no change's hidden truth but through `truth`, as
-    tests/test_source.py pins."""
+class Scheduler:
+    """The planner of one run under one strategy: it keeps the forest, the
+    rank order and the changes whose estimates moved, and it decides,
+    scores and selects. The simulator feeds it arrivals and finished
+    builds and runs what it selects. Of a change's hidden truth it reads
+    only `durations`, the true duration normals the oracle predictor
+    takes, as tests/test_source.py pins."""
 
-    def __init__(self, workload: WorkloadSpec, strategy: str):
+    def __init__(
+        self,
+        workload: WorkloadSpec,
+        strategy: str,
+        durations: Sequence[DurationEstimate],
+    ):
         self.workload = workload
-        self.strategy = strategy
         self.enhanced = strategy == "enhanced"
         self.cfg = workload.config
         # the lowest score a build may run at: the baseline has no
@@ -162,149 +178,80 @@ class _Simulation:
         self.floor = self.cfg.speculation_threshold if self.enhanced else 0.0
         # indexed by change id: an id is its position in workload.changes
         self.arrivals = tuple(s.arrival_time for s in workload.changes)
-        self.truth = GroundTruth(workload)
+        self.durations = durations
         # one immutable record per distinct (targets, conflicts, height)
         self._features: dict[tuple[int, int, int], PredictionFeatures] = {}
-        self.now = 0.0
-        self._stamp = ""  # "t=<now> ", the prefix of every line an event logs
-        self.heap: list[tuple] = []
         self.forest: SpeculationForest = enumerate_forest(
             [],
             # the forest reads only targets; bench/spans.py times this build
             build_conflict_graph({s.id: s.targets for s in workload.changes}).targets,
             self.cfg.depth_cap,
         )
-        self.landed_set: set[ChangeId] = set()
-        # live runs, the one record of which builds run; a finished or
-        # aborted run leaves, so a completion event whose run is no
-        # longer here is stale
-        self.running: dict[BuildNode, _Run] = {}
         # changes whose pooled estimate moved since the last reschedule
         self.moved: set[ChangeId] = set()
         self.order = RankOrder()
-        self.trace: list[str] = []
-        self.waits: list[WaitRecord] = []
-        self.builds_started = 0
-        self.abort_count = 0
-        self.executor_minutes = 0.0
-        self.waited_on_conflicts = 0
 
-    # -- event loop ---------------------------------------------------
-
-    def execute(self) -> tuple[MetricsReport, TraceLog]:
-        for spec in self.workload.changes:
-            heapq.heappush(self.heap, (spec.arrival_time, _ARRIVAL, spec.id.seq))
-        while self.heap:
-            entry = heapq.heappop(self.heap)
-            if entry[1] == _FINISH and self.running.get(entry[4].node) is not entry[4]:
-                continue  # stale completion: the run was aborted; nothing changed
-            self.now = entry[0]
-            self._stamp = f"t={self.now:.2f} "
-            if entry[1] == _ARRIVAL:
-                self._arrive(self.workload.changes[entry[2]].id)
-            else:
-                self._decide(self._finish(entry[4]))
-            self._reschedule()
-        if self.forest.queue or self.running:
-            raise RuntimeError(
-                f"simulation drained with {len(self.forest.queue)} undecided changes"
-            )
-        return self._report(), tuple(self.trace)
-
-    def _arrive(self, c: ChangeId) -> None:
+    def arrive(self, c: ChangeId) -> int:
+        """Queue the arrived change; return how many queued changes ahead
+        of it conflict with it."""
         forest = self.forest
         forest.add_change(c)
-        conflicts_pending = len(forest.windows[c]) + len(forest.outside[c])
         self.moved.add(c)
-        if conflicts_pending:
-            self.waited_on_conflicts += 1
-        self._log(f"arrive {c.label} pending_conflicts={conflicts_pending}")
+        return len(forest.windows[c]) + len(forest.outside[c])
 
-    def _finish(self, run: _Run) -> ChangeId:
-        """Complete a live run's node."""
-        node = run.node
-        del self.running[node]
-        node.complete(run.outcome, self.now)
+    def finish(self, node: BuildNode, outcome: BuildOutcome, now: float) -> list:
+        """Complete the node, then decide its change and whatever that
+        unblocks: the changes each decision re-windowed. A candidate is
+        only ever added by an earlier one, so the heap takes them in queue
+        order, as a sweep of the queue would. Returns what `_apply` gives
+        for each decision applied, in order."""
+        node.complete(outcome, now)
         self.moved.add(node.change)
-        self.executor_minutes += run.duration
-        self._log(
-            f"finish {node.change.label} base={_base_str(node.base)} "
-            f"outcome={run.outcome.value} elapsed={run.duration:.2f}"
-        )
-        return node.change
-
-    # -- decisions ----------------------------------------------------
-
-    def _decide(self, finished: ChangeId) -> None:
-        """Decide the finished build's change, then whatever that unblocks:
-        the changes each decision re-windowed. A candidate is only ever
-        added by an earlier one, so the heap takes them in queue order,
-        as a sweep of the queue would."""
-        candidates = [finished]
+        applied = []
+        candidates = [node.change]
         while candidates:
             c = heapq.heappop(candidates)
             decision = decide_change(c, self.forest, allow_bypass=self.enhanced)
             if decision.kind is DecisionKind.WAIT:
                 continue
-            for later in self._apply(decision):
+            record, rewindowed = self._apply(decision)
+            applied.append(record)
+            for later in rewindowed:
                 if later not in candidates:
                     heapq.heappush(candidates, later)
+        return applied
 
-    def _apply(self, decision) -> list[ChangeId]:
+    def _apply(self, decision: Decision) -> tuple[tuple, list[ChangeId]]:
         """Land or reject the decided change, which leaves the rank order
-        and `moved`, and return the changes it re-windowed: its queued
-        conflicting successors, in queue order. It bypassed the
-        predecessors in its window. Both are read before the forest
-        resolves it."""
+        and `moved`. Returns the record the simulator logs, `(decision,
+        bypassed, finished_at, dropped)`: the predecessors in the change's
+        window, which it bypassed, the time its last build finished, and
+        every node the decision took out of the forest, its own change's
+        included. With it come the changes it re-windowed: its queued
+        conflicting successors, in queue order. The window and the
+        successors are read before the forest resolves it."""
         c = decision.change
-        landed = decision.kind is DecisionKind.LAND
-        nodes = self.forest.nodes_for_change(c)
-        post_build_wait = self.now - max([n.finished_at for n in nodes])
+        finished_at = max([n.finished_at for n in self.forest.nodes_for_change(c)])
         bypassed = self.forest.windows[c]
 
         rewindowed = self.forest.after[c]
-        mapping = carry_map(self.forest, c, landed)
+        mapping = carry_map(self.forest, c, decision.kind is DecisionKind.LAND)
         resolve_change(self.forest, c, mapping)
         self.moved.update(rewindowed)
         self.moved.discard(c)
         self.order.drop(c)
-        # a run whose base assumption was contradicted aborts; its node is
-        # gone from the forest
-        gone = [n for n, new in mapping.items() if new is None and n in self.running]
-        if gone:
-            for run in sorted(map(self.running.pop, gone), key=lambda run: run.number):
-                self._abort(run)
+        # a run whose base assumption was contradicted aborts: its node is
+        # among those gone from the forest
+        dropped = [n for n, new in mapping.items() if new is None]
+        return (decision, bypassed, finished_at, dropped), rewindowed
 
-        if landed:
-            self.landed_set.add(c)
-        record = WaitRecord(
-            change=c.label,
-            arrival=self.arrivals[c],
-            decided_at=self.now,
-            landed=landed,
-            via_bypass=bool(bypassed),
-        )
-        self.waits.append(record)
-        verb = "land" if landed else "reject"
-        self._log(
-            f"{verb} {c.label} via_bypass={'yes' if record.via_bypass else 'no'} "
-            f"bypassed={_base_str(bypassed)} wait={record.wait:.2f} "
-            f"post_wait={post_build_wait:.2f}"
-        )
-        return rewindowed
-
-    # -- scheduling ---------------------------------------------------
-
-    def _reschedule(self) -> None:
+    def reschedule(self, running: Collection[BuildNode]) -> tuple[tuple, tuple]:
+        """Bring the rank order up to date, then return the builds to
+        start, with their scores, and the running ones to abort, as
+        `select_builds` does."""
         if self.moved:  # else the events moved no node, window or estimate
             self._rescore()
-        to_start, to_abort = select_builds(
-            self.order, self.running, self.cfg.executor_capacity
-        )
-        for node in to_abort:
-            self._abort(self.running.pop(node))
-        for node, p in to_start:
-            self._start(node, p)
+        return select_builds(self.order, running, self.cfg.executor_capacity)
 
     def _rescore(self) -> None:
         """Bring the rank order up to date with the events since the last
@@ -361,7 +308,7 @@ class _Simulation:
                 node.estimate = predict_duration(
                     self.workload.predictor,
                     features,
-                    truth=self.truth.durations[c],
+                    truth=self.durations[c],
                 )
 
     def _success_fn(self, pred: ChangeId, context: BaseKey) -> float:
@@ -374,6 +321,102 @@ class _Simulation:
             return self.workload.changes[pred].success_prior
         return 1.0 if node.outcome is BuildOutcome.PASS else 0.0
 
+
+class _Simulation:
+    """One run under one strategy: the event loop, the ground truth, the
+    live runs, the waits and the trace. Its `scheduler` decides, scores
+    and selects; the simulation reads its forest only to render the
+    trace and to check that the run drained. It reads no change's hidden
+    truth but through `truth`, as tests/test_source.py pins."""
+
+    def __init__(self, workload: WorkloadSpec, strategy: str):
+        self.workload = workload
+        self.strategy = strategy
+        self.truth = GroundTruth(workload)
+        self.scheduler = Scheduler(workload, strategy, self.truth.durations)
+        self.now = 0.0
+        self._stamp = ""  # "t=<now> ", the prefix of every line an event logs
+        self.heap: list[tuple] = []
+        self.landed_set: set[ChangeId] = set()
+        # live runs, the one record of which builds run; a finished or
+        # aborted run leaves, so a completion event whose run is no
+        # longer here is stale
+        self.running: dict[BuildNode, _Run] = {}
+        self.trace: list[str] = []
+        self.waits: list[WaitRecord] = []
+        self.builds_started = 0
+        self.abort_count = 0
+        self.executor_minutes = 0.0
+        self.waited_on_conflicts = 0
+
+    # -- event loop ---------------------------------------------------
+
+    def execute(self) -> tuple[MetricsReport, TraceLog]:
+        for spec in self.workload.changes:
+            heapq.heappush(self.heap, (spec.arrival_time, _ARRIVAL, spec.id.seq))
+        while self.heap:
+            entry = heapq.heappop(self.heap)
+            if entry[1] == _FINISH and self.running.get(entry[4].node) is not entry[4]:
+                continue  # stale completion: the run was aborted; nothing changed
+            self.now = entry[0]
+            self._stamp = f"t={self.now:.2f} "
+            if entry[1] == _ARRIVAL:
+                c = self.workload.changes[entry[2]].id
+                pending = self.scheduler.arrive(c)
+                if pending:
+                    self.waited_on_conflicts += 1
+                self._log(f"arrive {c.label} pending_conflicts={pending}")
+            else:
+                self._finish(entry[4])
+            self._reschedule()
+        left = self.scheduler.forest.queue
+        if left or self.running:
+            raise RuntimeError(f"simulation drained with {len(left)} undecided changes")
+        return self._report(), tuple(self.trace)
+
+    def _finish(self, run: _Run) -> None:
+        """Complete a live run, then log each decision it led to: abort,
+        in start order, the runs whose nodes the decision dropped, then
+        record and log the decided change's wait."""
+        node = run.node
+        del self.running[node]
+        self.executor_minutes += run.duration
+        self._log(
+            f"finish {node.change.label} base={_base_str(node.base)} "
+            f"outcome={run.outcome.value} elapsed={run.duration:.2f}"
+        )
+        decided = self.scheduler.finish(node, run.outcome, self.now)
+        for decision, bypassed, finished_at, dropped in decided:
+            c = decision.change
+            landed = decision.kind is DecisionKind.LAND
+            gone = self.running.keys() & dropped
+            if gone:
+                for aborted in sorted(map(self.running.pop, gone), key=_NUMBER):
+                    self._abort(aborted)
+            if landed:
+                self.landed_set.add(c)
+            record = WaitRecord(
+                change=c.label,
+                arrival=self.scheduler.arrivals[c],
+                decided_at=self.now,
+                landed=landed,
+                via_bypass=bool(bypassed),
+            )
+            self.waits.append(record)
+            verb = "land" if landed else "reject"
+            self._log(
+                f"{verb} {c.label} via_bypass={'yes' if record.via_bypass else 'no'} "
+                f"bypassed={_base_str(bypassed)} wait={record.wait:.2f} "
+                f"post_wait={self.now - finished_at:.2f}"
+            )
+
+    def _reschedule(self) -> None:
+        to_start, to_abort = self.scheduler.reschedule(self.running)
+        for node in to_abort:
+            self._abort(self.running.pop(node))
+        for node, p in to_start:
+            self._start(node, p)
+
     def _start(self, node: BuildNode, p_needed: float) -> None:
         outcome = self.truth.outcome(node.change, self.landed_set, node.base)
         duration = self.truth.duration(node.change, node.base)
@@ -383,12 +426,19 @@ class _Simulation:
                 f"{node.change.label}'s build started at {self.now!r} takes "
                 f"{duration!r} minutes, so it finishes past the largest float"
             )
+        # the trace gives times to 0.01 minute, so a finish time must keep
+        # the duration to within half of that
+        if abs((finish - self.now) - duration) >= 0.005:
+            raise WorkloadError(
+                f"{node.change.label}'s build started at {self.now!r} takes "
+                f"{duration!r} minutes, which a finish time that late cannot resolve"
+            )
         self.builds_started += 1
         run = _Run(node, self.now, duration, outcome, self.builds_started)
         self.running[node] = run
         # the start count breaks ties, so the run itself is never compared
         heapq.heappush(self.heap, (finish, _FINISH, node.change.seq, run.number, run))
-        head = "yes" if self.forest.heads_component(node.change) else "no"
+        head = "yes" if self.scheduler.forest.heads_component(node.change) else "no"
         self._log(
             f"start {node.change.label} base={_base_str(node.base)} "
             f"p={p_needed:.4f} mandatory={head} eta={node.estimate.mean:.2f}"

@@ -27,7 +27,7 @@ from specqueue.forest import BuildNode, SpeculationForest, carry_map, enumerate_
 from specqueue.prediction import OracleWithNoise
 from specqueue.selection import DecisionKind, RankOrder, rank_key
 from specqueue.simulator import WorkloadSpec, engine
-from specqueue.simulator.engine import GroundTruth, _Simulation
+from specqueue.simulator.engine import GroundTruth, Scheduler, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
 from oracles import C1, C2, C3, CheckedSimulation, partition, triangle
@@ -108,38 +108,42 @@ BROKEN = WorkloadSpec(
 )
 
 
+def scheduler_of(workload: WorkloadSpec, strategy: str) -> Scheduler:
+    """The workload's scheduler, with no simulation around it."""
+    return Scheduler(workload, strategy, GroundTruth(workload).durations)
+
+
 def check_a_head_keeps_its_build_at_1(strategy: str, delta: float) -> None:
     """A queued change with an empty window keeps its one build, scored
     exactly 1, however high the threshold; once that build has finished
     it keeps none. Every change of `HEADS` arrives and the rank order is
     brought up to date; nothing starts."""
-    sim = _Simulation(
+    scheduler = scheduler_of(
         replace(HEADS, config=EngineConfig(speculation_threshold=delta)), strategy
     )
     for spec in HEADS.changes:
-        sim._arrive(spec.id)
-    sim._rescore()
+        scheduler.arrive(spec.id)
+    scheduler._rescore()
     for c in (HEADS.changes[0].id, HEADS.changes[2].id):
-        (node,) = sim.forest.nodes_for_change(c)
-        kept = [entry for entry in sim.order.entries if entry[1].change == c]
+        (node,) = scheduler.forest.nodes_for_change(c)
+        kept = [entry for entry in scheduler.order.entries if entry[1].change == c]
         assert kept == [(rank_key(node, 1.0), node)], (c, delta)
         node.complete(BuildOutcome.PASS, 10.0)
-        sim.moved.add(c)
-        sim._rescore()
-        assert all(n.change != c for _, n in sim.order.entries), (c, delta)
+        scheduler.moved.add(c)
+        scheduler._rescore()
+        assert all(n.change != c for _, n in scheduler.order.entries), (c, delta)
 
 
 def check_a_head_without_an_estimate_raises(strategy: str) -> None:
     """A reschedule raises `ValueError` for a queued change with an empty
     window whose pending build has no duration estimate, before it
     starts anything."""
-    sim = _Simulation(HEADS, strategy)
-    sim._annotate = lambda changes: None
-    sim._start = lambda node, p: None
+    scheduler = scheduler_of(HEADS, strategy)
+    scheduler._annotate = lambda changes: None
     c = HEADS.changes[0].id
-    sim._arrive(c)
+    scheduler.arrive(c)
     try:
-        sim._reschedule()
+        scheduler.reschedule({})
     except ValueError as error:
         assert str(error) == f"node {(c, ())} has no duration estimate", error
     else:
@@ -152,9 +156,9 @@ def check_an_arrival_starts_its_build() -> None:
     c = HEADS.changes[0].id
     for strategy in STRATEGIES:
         sim = _Simulation(HEADS, strategy)
-        sim._arrive(c)
+        sim.scheduler.arrive(c)
         sim._reschedule()
-        assert list(sim.running) == [sim.forest.node(c, ())], strategy
+        assert list(sim.running) == [sim.scheduler.forest.node(c, ())], strategy
 
 
 def check_heads_keep_their_builds_at_1() -> None:
@@ -296,11 +300,11 @@ def check_a_finished_predecessor_scores_its_outcome() -> None:
     called itself: a fresh scoring would call the same mutant."""
     c = HEADS.changes[0].id
     for outcome, expected in ((BuildOutcome.PASS, 1.0), (BuildOutcome.FAIL, 0.0)):
-        sim = _Simulation(HEADS, "enhanced")
-        sim._arrive(c)
-        assert sim._success_fn(c, ()) == 0.5
-        sim.forest.node(c, ()).complete(outcome, 10.0)
-        assert sim._success_fn(c, ()) == expected, outcome
+        scheduler = scheduler_of(HEADS, "enhanced")
+        scheduler.arrive(c)
+        assert scheduler._success_fn(c, ()) == 0.5
+        scheduler.forest.node(c, ()).complete(outcome, 10.0)
+        assert scheduler._success_fn(c, ()) == expected, outcome
 
 
 def check_a_product_at_the_floor_takes_its_next_term() -> None:
@@ -348,7 +352,7 @@ class Mutant:
 MUTANTS = (
     Mutant(
         "a head ranks below 1",
-        _Simulation,
+        Scheduler,
         "_rescore",
         "ranked = [(node, 1.0)]",
         "ranked = [(node, 0.999)]",
@@ -356,15 +360,15 @@ MUTANTS = (
     ),
     Mutant(
         "rescoring returns early with a change moved",
-        _Simulation,
-        "_reschedule",
+        Scheduler,
+        "reschedule",
         "if self.moved:",
         "if len(self.moved) > 1:",
         check_an_arrival_starts_its_build,
     ),
     Mutant(
         "rescoring ranks a head with no estimate",
-        _Simulation,
+        Scheduler,
         "_rescore",
         "elif node.estimate is None:",
         "elif False:",
@@ -372,10 +376,10 @@ MUTANTS = (
     ),
     Mutant(
         "a decision leaves a contradicted run running",
-        _Simulation,
+        Scheduler,
         "_apply",
-        "gone = [n for n, new in mapping.items() if new is None and n in self.running]",
-        "gone = []",
+        "dropped = [n for n, new in mapping.items() if new is None]",
+        "dropped = []",
         check_kept_state_on(CONTRADICTED),
     ),
     Mutant(
@@ -500,7 +504,7 @@ MUTANTS = (
     ),
     Mutant(
         "a finished predecessor scores its prior",
-        _Simulation,
+        Scheduler,
         "_success_fn",
         "if node.outcome is None:",
         "if True:",

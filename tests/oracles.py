@@ -1,6 +1,6 @@
 """Reference implementations that tests compare the package against, the
-engine with its kept state checked after every event, and the five
-worked scoring cases."""
+scheduler and the engine with their kept state checked after every
+event, and the five worked scoring cases."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from specqueue.selection import (
     rank_key,
     select_builds,
 )
-from specqueue.simulator.engine import _Simulation
+from specqueue.simulator.engine import Scheduler, _Simulation
 from specqueue.simulator.workload import (
     LINK_WINDOW,
     LONG_MEAN,
@@ -148,34 +148,30 @@ class ArrivedTargets(dict):
         return super().__getitem__(c)
 
 
-class CheckedSimulation(_Simulation):
-    """The engine, asserting after every event that the state it keeps
-    across events is what a pass from scratch derives, and that every
-    decision it applies, and every queued change it leaves waiting, is the
-    one `reference_decide_change` takes, and that each decision leaves no
-    run whose node it dropped. The forest's targets are an
-    `ArrivedTargets`, so reading a change's targets before it arrives fails.
-    Queued conflicting predecessors and successors are taken from
-    `reference_adjacency`, not read from the forest, and after every event
-    each queued change's `outside[c] + windows[c]` must list the former and
-    its `after[c]` the latter. Selection, starts and aborts
-    change no node, the rank order or the queue, so what is read around a
-    reschedule is what scoring and its start lines saw. `labels` collects the mandatory labels
-    logged, and `capped` counts the starts of changes with more queued
-    conflicting predecessors than `depth_cap`, whose windows leave some
-    out."""
+class CheckedScheduler(Scheduler):
+    """The scheduler, asserting around every call the simulation makes
+    that the state it keeps across events is what a pass from scratch
+    derives, and that every decision it applies, and every queued change
+    it leaves waiting, is the one `reference_decide_change` takes. The
+    forest's targets are an `ArrivedTargets`, so reading a change's
+    targets before it arrives fails. Queued conflicting predecessors and
+    successors are taken from `reference_adjacency`, not read from the
+    forest, and before every reschedule each queued change's
+    `outside[c] + windows[c]` must list the former and its `after[c]` the
+    latter. After it, the kept order must be a fresh one filtered at the
+    floor, and the builds it starts and aborts must leave running what
+    the fresh one chooses, which it keeps as `chosen`."""
 
-    def __init__(self, workload, strategy):
-        super().__init__(workload, strategy)
+    def __init__(self, workload, strategy, durations):
+        super().__init__(workload, strategy, durations)
         targets = {s.id: s.targets for s in workload.changes}
         self.adjacency = reference_adjacency(targets)
         self.forest.targets = ArrivedTargets(self.forest.targets)
-        self.labels: set[str] = set()
-        self.capped = 0
+        self.chosen: set[BuildNode] = set()
 
-    def _arrive(self, c) -> None:
+    def arrive(self, c) -> int:
         self.forest.targets.arrived.add(c)
-        super()._arrive(c)
+        return super().arrive(c)
 
     def _ahead(self, c) -> BaseKey:
         """The queued changes ahead of c that conflict with it, in queue order."""
@@ -192,63 +188,97 @@ class CheckedSimulation(_Simulation):
             c, self.forest, allow_bypass=self.enhanced, ahead=len(self._ahead(c))
         )
 
-    def _decide(self, finished) -> None:
-        super()._decide(finished)
+    def finish(self, node, outcome, now) -> list:
+        applied = super().finish(node, outcome, now)
         # no decided change kept
         queued = self.forest.windows
-        assert all(c in queued for c in self.moved), (self.now, self.moved)
-        assert all(node.change in queued for _, node in self.order.entries), self.now
+        assert all(c in queued for c in self.moved), (now, self.moved)
+        assert all(node.change in queued for _, node in self.order.entries), now
+        return applied
 
     def _apply(self, decision):
         expected = self._reference_decision(decision.change)
-        assert decision == expected, (self.now, decision, expected)
-        rewindowed = super()._apply(decision)
-        # a run whose node the decision dropped left with it
-        for node in self.running:
-            assert self.forest.nodes.get(node.key) is node, (self.now, node.key)
-        return rewindowed
+        assert decision == expected, (decision, expected)
+        return super()._apply(decision)
 
-    def _start(self, node, p_needed) -> None:
-        if len(self._ahead(node.change)) > self.cfg.depth_cap:
-            self.capped += 1
-        super()._start(node, p_needed)
-
-    def _reschedule(self) -> None:
+    def reschedule(self, running):
         forest = self.forest
         # the filed predecessors outside each window are the reference's
         # oldest, the filed successors are the reference's, and a decided
         # change leaves none filed
-        assert forest.outside.keys() == forest.windows.keys(), self.now
-        assert forest.after.keys() == forest.windows.keys(), self.now
+        assert forest.outside.keys() == forest.windows.keys()
+        assert forest.after.keys() == forest.windows.keys()
         for c in forest.queue:
             filed = forest.outside[c] + forest.windows[c]
-            assert filed == self._ahead(c), (self.now, c, filed)
-            assert forest.after[c] == self._behind(c), (self.now, c, forest.after[c])
+            assert filed == self._ahead(c), (c, filed)
+            assert forest.after[c] == self._behind(c), (c, forest.after[c])
         # sweeping the queue until nothing resolves would decide nothing
         for c in forest.queue:
             decision = decide_change(c, forest, allow_bypass=self.enhanced)
-            assert decision == self._reference_decision(c), (self.now, decision)
-            assert decision.kind is DecisionKind.WAIT, (self.now, decision)
-        components = connected_components(self.adjacency, forest.queue)
-        heads = {members[0].label for members in components}
-        logged = len(self.trace)
-        super()._reschedule()
-        # the kept order is a fresh one filtered at the floor, the runs are
-        # what the fresh one chooses, and every node is the forest's
+            assert decision == self._reference_decision(c), decision
+            assert decision.kind is DecisionKind.WAIT, decision
+        to_start, to_abort = super().reschedule(running)
+        # the kept order is a fresh one filtered at the floor, what runs
+        # after the starts and aborts is what the fresh one chooses, and
+        # every node is the forest's
         partitions = {c: self._partition(c) for c in forest.queue}
         fresh = rank_all(forest, partitions, self._success_fn)
         kept = [(k, node) for k, node in fresh if -k[0] >= self.floor]
-        assert self.order.entries == kept, self.now
+        assert self.order.entries == kept
         capacity = self.cfg.executor_capacity
-        assert set(self.running) == chosen_nodes(fresh, capacity, self.floor), self.now
+        self.chosen = chosen_nodes(fresh, capacity, self.floor)
+        started = {node for node, _ in to_start}
+        assert set(running).difference(to_abort) | started == self.chosen
+        assert set(to_abort) <= set(running) and not started & set(running)
+        for k, node in self.order.entries:
+            assert k == rank_key(node, -k[0]), k
+            assert forest.nodes[node.key] is node, k
+        return to_start, to_abort
+
+
+class CheckedSimulation(_Simulation):
+    """The engine with a `CheckedScheduler`, asserting after every finish
+    that each decision left no run whose node it dropped, and after every
+    reschedule that the runs are the ones the scheduler chose, at most
+    capacity, each on its forest's pending node. Selection, starts and
+    aborts change no node, the rank order or the queue, so what is read
+    around a reschedule is what scoring and its start lines saw. `labels`
+    collects the mandatory labels logged, and `capped` counts the starts
+    of changes with more queued conflicting predecessors than
+    `depth_cap`, whose windows leave some out."""
+
+    def __init__(self, workload, strategy):
+        super().__init__(workload, strategy)
+        self.scheduler = CheckedScheduler(workload, strategy, self.truth.durations)
+        self.labels: set[str] = set()
+        self.capped = 0
+
+    def _finish(self, run) -> None:
+        super()._finish(run)
+        # a run whose node a decision dropped left with it
+        for node in self.running:
+            assert self.scheduler.forest.nodes.get(node.key) is node, (self.now, node)
+
+    def _start(self, node, p_needed) -> None:
+        scheduler = self.scheduler
+        if len(scheduler._ahead(node.change)) > scheduler.cfg.depth_cap:
+            self.capped += 1
+        super()._start(node, p_needed)
+
+    def _reschedule(self) -> None:
+        scheduler = self.scheduler
+        forest = scheduler.forest
+        components = connected_components(scheduler.adjacency, forest.queue)
+        heads = {members[0].label for members in components}
+        logged = len(self.trace)
+        super()._reschedule()
+        capacity = scheduler.cfg.executor_capacity
+        assert set(self.running) == scheduler.chosen, self.now
         assert len(self.running) <= capacity, self.now
-        assert select_builds(self.order, self.running, capacity) == ((), ())
+        assert select_builds(scheduler.order, self.running, capacity) == ((), ())
         for node, run in self.running.items():
             assert forest.nodes.get(node.key) is node, (self.now, node.key)
             assert run.node is node and node.outcome is None, (self.now, node.key)
-        for k, node in self.order.entries:
-            assert k == rank_key(node, -k[0]), (self.now, k)
-            assert forest.nodes[node.key] is node, (self.now, k)
         # a start is mandatory iff it is its component head's mainline build
         for line in self.trace[logged:]:
             _, verb, label, *rest = line.split()

@@ -85,7 +85,10 @@ STREAMS = {
 # and 37.35 and 36.75 (overload). Since the forest files each queued
 # change's conflicting successors, and no decision or rescore scans the
 # queue for them, they read 39.45 and 40.07 (contended) and 36.19 and
-# 35.58 (overload).
+# 35.58 (overload). Since a `Scheduler` decides, scores and selects apart
+# from the simulation, each event makes one more call, its `reschedule`,
+# and they read 40.43 and 40.97 (contended) and 37.19 and 36.58
+# (overload); the rows were left as they were.
 BUDGET = {
     ("contended", "enhanced"): 39.45 * 1.1,
     ("contended", "baseline"): 40.07 * 1.1,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from specqueue.simulator.engine import _Simulation
+from specqueue.simulator.engine import Scheduler
 
 from mutants import MUTANTS, mutate
 
@@ -22,7 +22,7 @@ def test_the_check_passes_and_the_mutant_fails_it(mutant, monkeypatch):
 
 
 def test_a_mutant_keeps_its_function_s_file_lines_and_module():
-    original = vars(_Simulation)["_reschedule"]
+    original = vars(Scheduler)["reschedule"]
     mutated = mutate(original, "if self.moved:", "if self.moved or True:")
     assert mutated is not original
     for name in ("co_filename", "co_firstlineno", "co_name"):
@@ -33,4 +33,4 @@ def test_a_mutant_keeps_its_function_s_file_lines_and_module():
 @pytest.mark.parametrize("old", ["if self.moved is None:", "self."])
 def test_an_edit_must_match_once(old):
     with pytest.raises(ValueError, match="times, not once$"):
-        mutate(vars(_Simulation)["_rescore"], old, "")
+        mutate(vars(Scheduler)["_rescore"], old, "")

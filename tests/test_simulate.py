@@ -558,10 +558,10 @@ class TestEventDecisions:
         w = CHECKED_STREAMS["hot-1"]("enhanced")
         first, second = w.changes[0].id, w.changes[1].id
         sim = CheckedSimulation(w, "enhanced")
-        sim._arrive(first)
-        assert sim.forest.after[first] == []
+        sim.scheduler.arrive(first)
+        assert sim.scheduler.forest.after[first] == []
         with pytest.raises(AssertionError, match=f"^targets of {second} read"):
-            sim.forest.add_change(second)
+            sim.scheduler.forest.add_change(second)
 
     # The first three were recorded with the fixed-point sweep that the
     # event rule replaced, the edge configurations with the forest that
@@ -688,7 +688,7 @@ class TestHeadRule:
         for name in ("profile_change", "outcome_partition", "rank_builds"):
             monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
         sim = _Simulation(w, strategy)
-        sim._annotate = counted("annotate", sim._annotate)
+        sim.scheduler._annotate = counted("annotate", sim.scheduler._annotate)
         assert sim.execute() == run(w, strategy)
         assert calls == {"annotate": len(w.changes)}
 
@@ -788,6 +788,28 @@ class TestOverflowingTimes:
         path.write_text(format_workload(w), encoding="utf-8")
         assert main(["simulate", "--workload", str(path), "--strategy", strategy]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # from about 9.3e289 on, an arrival plus a build's 4 to 60 minutes
+    # rounds back to the arrival, so each build would finish as it starts
+    # and every wait would read 0
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_duration_lost_to_rounding_raises_and_the_cli_exits_2(
+        self, strategy, tmp_path, capsys
+    ):
+        path = tmp_path / "w.txt"
+        generate = ["--seed", "3", "--n-changes", "30", "--arrival-rate", "1e-290"]
+        assert main(["gen-workload", *generate, "--out", str(path)]) == 0
+        w = generate_workload(GeneratorParams(seed=3, n_changes=30, arrival_rate=1e-290))
+        assert path.read_text(encoding="utf-8") == format_workload(w)
+        message = (
+            "^C1's build started at 9.261391653744257e\\+289 takes 4.17.* minutes, "
+            "which a finish time that late cannot resolve$"
+        )
+        with pytest.raises(WorkloadError, match=message):
+            run(w, strategy)
+        capsys.readouterr()
+        assert main(["simulate", "--workload", str(path), "--strategy", strategy]) == 2
+        assert capsys.readouterr().err.startswith("error: C1's build started at ")
 
 
 class TestNearestRank:

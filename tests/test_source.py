@@ -397,26 +397,97 @@ def test_the_check_sees_each_hidden_read():
 
 
 ENGINE = (PACKAGE / "simulator" / "engine.py").read_text(encoding="utf-8")
-SIMULATION = next(
-    node
-    for node in ast.parse(ENGINE).body
-    if isinstance(node, ast.ClassDef) and node.name == "_Simulation"
+SIMULATION, SCHEDULER = (
+    next(
+        node
+        for node in ast.parse(ENGINE).body
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+    for name in ("_Simulation", "Scheduler")
 )
 
 
-@pytest.mark.parametrize(
-    "method",
-    [node for node in SIMULATION.body if isinstance(node, ast.FunctionDef)],
-    ids=lambda node: node.name,
-)
-def test_the_check_fails_when_a_simulation_method_reads_a_true_mean(method):
-    # the read opens the method's body, at its first statement's indent
+def methods(owner: ast.ClassDef) -> list[ast.FunctionDef]:
+    return [node for node in owner.body if isinstance(node, ast.FunctionDef)]
+
+
+def injected_true_mean_reads(method: ast.FunctionDef) -> list[str]:
+    """The package's reads of hidden truth outside the workload module and
+    `GroundTruth` once a read of `true_mean` opens the engine method's body,
+    at its first statement's indent."""
     first = method.body[0]
     lines = ENGINE.splitlines(keepends=True)
     read = " " * first.col_offset + "self.workload.changes[0].true_mean\n"
     lines.insert(first.lineno - 1, read)
     sources = package_sources()
     sources["simulator/engine.py"] = "".join(lines)
-    assert outside_hidden_reads(sources) == [
+    return outside_hidden_reads(sources)
+
+
+@pytest.mark.parametrize("method", methods(SIMULATION), ids=lambda node: node.name)
+def test_the_check_fails_when_a_simulation_method_reads_a_true_mean(method):
+    assert injected_true_mean_reads(method) == [
         f"simulator/engine.py:_Simulation.{method.name}:true_mean"
     ]
+
+
+@pytest.mark.parametrize("method", methods(SCHEDULER), ids=lambda node: node.name)
+def test_the_check_fails_when_a_scheduler_method_reads_a_true_mean(method):
+    assert injected_true_mean_reads(method) == [
+        f"simulator/engine.py:Scheduler.{method.name}:true_mean"
+    ]
+
+
+def class_reads(owner: ast.ClassDef) -> set[str]:
+    """The names and attributes the class's methods use, read or set,
+    the functions nested in them included; a call uses the name it
+    calls, as `f(...)` or `x.f(...)`."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for method in methods(owner)
+        for node in ast.walk(method)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_the_check_sees_each_class_read():
+    source = (
+        "class K:\n    def f(self):\n        return g(self.h.m()) + T\n"
+        "    def n(self):\n        def inner():\n            return x.truth\n"
+        "        return inner\n"
+        "    y = z\n"
+    )
+    (owner,) = ast.parse(source).body
+    assert class_reads(owner) == {"T", "g", "h", "m", "self", "inner", "truth", "x"}
+
+
+# The simulator keeps time, the ground truth, the runs and the trace; the
+# `Scheduler` alone decides, scores, selects and updates the forest, and of
+# the hidden truth holds only `GroundTruth.durations`, not the ground truth.
+SCHEDULING = frozenset(
+    {
+        "decide_change",
+        "carry_map",
+        "resolve_change",
+        "profile_change",
+        "outcome_partition",
+        "rank_builds",
+        "select_builds",
+        "predict_duration",
+        "add_change",
+        "complete",
+    }
+)
+TRUTH = frozenset({"GroundTruth", "truth"})
+
+
+def test_the_simulation_makes_no_scheduling_call():
+    assert class_reads(SIMULATION) & SCHEDULING == set()
+    # the fence has something to fence: the scheduler makes each call
+    assert class_reads(SCHEDULER) >= SCHEDULING
+
+
+def test_the_scheduler_holds_no_ground_truth():
+    assert class_reads(SCHEDULER) & TRUTH == set()
+    assert "durations" in class_reads(SCHEDULER)
+    assert class_reads(SIMULATION) >= TRUTH

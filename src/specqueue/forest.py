@@ -12,7 +12,8 @@ rather than one tree over the whole queue.
 The forest is kept in place. A node is the one record of its build's
 estimate and outcome, and is updated where it stands: an estimate is
 set on it, a finished build completes it, and a decision that carries
-it rewrites its base and files it under its new key.
+it rewrites its base and files it under that base in its change's
+map, the forest's one index of nodes.
 """
 
 from __future__ import annotations
@@ -104,9 +105,10 @@ class SpeculationForest:
     queued changes is fixed. For the same reason c's predecessors are
     derived once, on arrival, from ``queued[t]``, the queued changes on
     each of c's targets t in queue order; a re-window takes them from
-    ``outside[c] + windows[c]``. Each node is built once and filed twice:
-    in ``by_change[c]``, c's nodes in read order, and in ``nodes``, by key.
-    A node holds what is known of its build: its estimate, and its outcome
+    ``outside[c] + windows[c]``. Each node is built once and filed once,
+    by base, in its change's map ``by_change[c]``, whose order is read
+    order; ``nodes``, every node by key, is derived on each read. A node
+    holds what is known of its build: its estimate, and its outcome
     once it finished; which builds run is kept by the engine alone.
     Mutation is single-writer (the engine), and reads hand out the nodes
     themselves, so a held node sees every later update to it; one carried
@@ -119,14 +121,18 @@ class SpeculationForest:
     windows: dict[ChangeId, BaseKey] = field(default_factory=dict)
     outside: dict[ChangeId, BaseKey] = field(default_factory=dict)
     after: dict[ChangeId, list[ChangeId]] = field(default_factory=dict)
-    by_change: dict[ChangeId, tuple[BuildNode, ...]] = field(default_factory=dict)
-    nodes: dict[NodeKey, BuildNode] = field(default_factory=dict)
+    by_change: dict[ChangeId, dict[BaseKey, BuildNode]] = field(default_factory=dict)
     queued: dict[str, list[ChangeId]] = field(default_factory=dict)
 
     @property
     def queue(self) -> tuple[ChangeId, ...]:
         """The queued changes, in queue order."""
         return tuple(self.windows)
+
+    @property
+    def nodes(self) -> Mapping[NodeKey, BuildNode]:
+        """Every node by key, derived on each read."""
+        return {n.key: n for filed in self.by_change.values() for n in filed.values()}
 
     def heads_component(self, c: ChangeId) -> bool:
         """Whether c is the first queued change of its conflict component
@@ -149,12 +155,9 @@ class SpeculationForest:
                             frontier.append(other)
         return True
 
-    def node(self, change: ChangeId, base: BaseKey) -> BuildNode:
-        return self.nodes[(change, base)]
-
-    def nodes_for_change(self, c: ChangeId) -> tuple[BuildNode, ...]:
+    def nodes_for_change(self, c: ChangeId) -> Collection[BuildNode]:
         """All nodes of c, largest base first, then base lexicographic."""
-        return self.by_change[c]
+        return self.by_change[c].values()
 
     def add_change(self, c: ChangeId) -> None:
         """Append an arriving change with its window, the predecessors its
@@ -190,18 +193,13 @@ class SpeculationForest:
         raises."""
         window = self.windows[c] = ahead[-self.depth_cap :]
         self.outside[c] = ahead[: -self.depth_cap]
-        filed = self.by_change[c] = tuple(
-            [
-                carried[base] if base in carried else BuildNode(change=c, base=base)
-                for base in _ordered_bases(window)
-            ]
-        )
-        nodes = self.nodes
-        for node in filed:
-            nodes[(c, node.base)] = node
-        for base, node in carried.items():
-            if nodes.get((c, base)) is not node:
-                raise AssertionError(f"carried node {node.key} maps outside the forest")
+        filed = self.by_change[c] = {
+            base: carried[base] if base in carried else BuildNode(change=c, base=base)
+            for base in _ordered_bases(window)
+        }
+        if not carried.keys() <= filed.keys():
+            stray = next(node for base, node in carried.items() if base not in filed)
+            raise AssertionError(f"carried node {stray.key} maps outside the forest")
 
 
 def enumerate_forest(
@@ -231,10 +229,10 @@ def carry_map(
     survives a landing iff it assumed the landing (the member moves from
     base to mainline), and survives a rejection iff it did not.
     """
-    by_change = forest.by_change
-    mapping: dict[BuildNode, BaseKey | None] = dict.fromkeys(by_change[resolved])
+    filed = forest.by_change
+    mapping: dict[BuildNode, BaseKey | None] = dict.fromkeys(filed[resolved].values())
     for c in forest.after[resolved]:
-        for node in by_change[c]:
+        for node in filed[c].values():
             if (resolved in node.base) == landed:
                 mapping[node] = tuple([b for b in node.base if b != resolved])
             else:
@@ -275,7 +273,6 @@ def resolve_change(
             del queued[t]
     carried: dict[ChangeId, dict[BaseKey, BuildNode]] = {}
     for node, base in mapping.items():
-        del forest.nodes[(node.change, node.base)]
         kept = carried.setdefault(node.change, {})
         if base is not None:
             node.base = base

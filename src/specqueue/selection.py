@@ -121,9 +121,9 @@ def decide_change(
     empty, since no build covered those predecessors.
     """
     window = forest.windows[c]
-    nodes = forest.nodes_for_change(c)
+    nodes = iter(forest.nodes_for_change(c))
     # outcomes compare by identity: an Enum member hashes in Python
-    outcome = nodes[0].outcome
+    outcome = next(nodes).outcome
     if outcome is None or (window and (not allow_bypass or forest.outside[c])):
         return Decision(DecisionKind.WAIT, c)
     for node in nodes:

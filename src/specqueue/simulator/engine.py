@@ -316,7 +316,7 @@ class Scheduler:
         prior. A scored predecessor is in a queued change's window, so it
         is queued, and `context` within its window is one of its bases."""
         window = self.forest.windows[pred]
-        node = self.forest.nodes[(pred, tuple([b for b in context if b in window]))]
+        node = self.forest.by_change[pred][tuple([b for b in context if b in window])]
         if node.outcome is None:
             return self.workload.changes[pred].success_prior
         return 1.0 if node.outcome is BuildOutcome.PASS else 0.0

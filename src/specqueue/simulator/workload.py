@@ -404,8 +404,17 @@ def generate_workload(
     links) cannot drift the density. Breakers are drawn only
     from a change's conflicting predecessors, so landing order decided
     purely among non-conflicting changes can never break anyone. Every
-    field but the seed and config keeps WorkloadSpec's default.
+    field but the seed and config keeps WorkloadSpec's default. A stream
+    whose last arrival is at or past 2**45 minutes raises, naming
+    arrival_rate, since no run could resolve its times.
     """
+    rows = _calibrated_rows(params)
+    # past 2**46 minutes half an ulp of a time exceeds the 0.005 minute a
+    # run keeps a build's duration to; 2**45 leaves a run room to grow
+    if rows[-1][0] >= 2.0**45:
+        raise WorkloadError(
+            f"arrival_rate {params.arrival_rate!r} draws arrivals past 2**45 minutes"
+        )
     ids = [ChangeId(i, f"C{i}") for i in range(params.n_changes)]
     names = [f"t{i}" for i in range(params.n_changes)]
     specs = [
@@ -420,7 +429,7 @@ def generate_workload(
             min(1.0, max(0.0, prior)),
         )
         for cid, (arrival, targets, mean, variance, passes, breakers, prior) in zip(
-            ids, _calibrated_rows(params)
+            ids, rows
         )
     ]
     return WorkloadSpec(changes=tuple(specs), seed=params.seed, config=config)

@@ -232,7 +232,7 @@ class CheckedScheduler(Scheduler):
         assert set(to_abort) <= set(running) and not started & set(running)
         for k, node in self.order.entries:
             assert k == rank_key(node, -k[0]), k
-            assert forest.nodes[node.key] is node, k
+            assert is_filed(forest, node), k
         return to_start, to_abort
 
 
@@ -257,7 +257,7 @@ class CheckedSimulation(_Simulation):
         super()._finish(run)
         # a run whose node a decision dropped left with it
         for node in self.running:
-            assert self.scheduler.forest.nodes.get(node.key) is node, (self.now, node)
+            assert is_filed(self.scheduler.forest, node), (self.now, node)
 
     def _start(self, node, p_needed) -> None:
         scheduler = self.scheduler
@@ -277,7 +277,7 @@ class CheckedSimulation(_Simulation):
         assert len(self.running) <= capacity, self.now
         assert select_builds(scheduler.order, self.running, capacity) == ((), ())
         for node, run in self.running.items():
-            assert forest.nodes.get(node.key) is node, (self.now, node.key)
+            assert is_filed(forest, node), (self.now, node.key)
             assert run.node is node and node.outcome is None, (self.now, node.key)
         # a start is mandatory iff it is its component head's mainline build
         for line in self.trace[logged:]:
@@ -477,6 +477,12 @@ def reference_finish_time_model(builds: Sequence[BuildNode]) -> DurationEstimate
     return DurationEstimate(mean / len(builds), variance / len(builds))
 
 
+def is_filed(forest: SpeculationForest, node: BuildNode) -> bool:
+    """Whether node is the one its forest files under its key. It reads
+    the change's map, so a per-event check builds no `forest.nodes`."""
+    return forest.by_change.get(node.change, {}).get(node.base) is node
+
+
 def reference_ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
     """Every base of a window, largest first, then base lexicographic."""
     return tuple(
@@ -562,5 +568,5 @@ def assert_scoring_case(forest: SpeculationForest, case: str) -> None:
     priors = {C1: PS1, C2: PS2}
     success = lambda pred, context: priors[pred]
     for change, base, part, want in SCORING_CASES[case]:
-        got = needed_probability(forest.node(change, base), part, success)
+        got = needed_probability(forest.by_change[change][base], part, success)
         assert got == want, (case, change, base)

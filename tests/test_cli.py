@@ -446,6 +446,18 @@ class TestExitCodes:
         assert "arrival_rate must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_stream_too_late_to_simulate_is_two(self, capsys, tmp_path):
+        # its last arrival would be near 3e291 minutes, where a time cannot
+        # keep a build's duration
+        out = tmp_path / "x.txt"
+        generate = ["--seed", "3", "--n-changes", "30", "--arrival-rate", "1e-290"]
+        assert main(["gen-workload", *generate, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        message = "arrival_rate 1e-290 draws arrivals past 2**45 minutes"
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestAtomicOutput:
     def test_failed_run_leaves_no_files(self, capsys, tmp_path):

@@ -34,7 +34,7 @@ def last_change(builds) -> tuple[SpeculationForest, tuple[BuildNode, ...]]:
     which take `builds`' (mean, variance, finished) in the forest's order."""
     n = len(builds).bit_length()
     forest = triangle(n)
-    nodes = forest.nodes_for_change(ChangeId(n, f"C{n}"))
+    nodes = tuple(forest.nodes_for_change(ChangeId(n, f"C{n}")))
     for node, (mean, variance, finished) in zip(nodes, builds, strict=True):
         node.estimate = DurationEstimate(mean, variance)
         if finished:

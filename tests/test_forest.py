@@ -156,13 +156,13 @@ class TestResolve:
 
     def test_land_carries_node_state_by_assumed_base(self):
         forest = triangle()
-        speculative = forest.node(C2, (C1,))
+        speculative = forest.by_change[C2][(C1,)]
         speculative.estimate = DurationEstimate(12.0, 4.0)
         speculative.complete(BuildOutcome.PASS, 9.0)
-        forest.node(C2, ()).complete(BuildOutcome.FAIL, 8.0)
+        forest.by_change[C2][()].complete(BuildOutcome.FAIL, 8.0)
         after = resolve_change(forest, C1, carry_map(forest, C1, True))
         # the same node, its base rewritten in place
-        assert after.node(C2, ()) is speculative
+        assert after.by_change[C2][()] is speculative
         assert speculative.key == (C2, ())
         assert speculative.outcome is BuildOutcome.PASS
         assert speculative.finished_at == 9.0
@@ -173,42 +173,42 @@ class TestResolve:
         # moves to (C2,) and keeps its estimate, and its finished node on
         # (C1,) moves to () and keeps its outcome
         forest = triangle()
-        pending = forest.node(C3, (C1, C2))
+        pending = forest.by_change[C3][(C1, C2)]
         pending.estimate = DurationEstimate(30.0, 9.0)
-        done = forest.node(C3, (C1,))
+        done = forest.by_change[C3][(C1,)]
         done.estimate = DurationEstimate(20.0, 1.0)
         done.complete(BuildOutcome.FAIL, 7.0)
         resolve_change(forest, C1, carry_map(forest, C1, True))
         assert forest.windows[C3] == (C2,)
-        assert forest.node(C3, (C2,)) is pending
+        assert forest.by_change[C3][(C2,)] is pending
         assert pending.key == (C3, (C2,))
         assert pending.estimate == DurationEstimate(30.0, 9.0)
         assert pending.outcome is None and pending.finished_at is None
-        assert forest.node(C3, ()) is done
+        assert forest.by_change[C3][()] is done
         assert done.key == (C3, ())
         assert done.estimate == DurationEstimate(20.0, 1.0)
         assert (done.outcome, done.finished_at) == (BuildOutcome.FAIL, 7.0)
 
     def test_reject_carries_the_mainline_node(self):
         forest = triangle()
-        mainline = forest.node(C2, ())
+        mainline = forest.by_change[C2][()]
         after = resolve_change(forest, C1, carry_map(forest, C1, False))
-        assert after.node(C2, ()) is mainline
+        assert after.by_change[C2][()] is mainline
 
     def test_resolving_independent_change_leaves_others_untouched(self):
         targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"b"}})
         forest = enumerate_forest(list(targets), targets, 6)
-        speculative = forest.node(C3, (C2,))
+        speculative = forest.by_change[C3][(C2,)]
         after = resolve_change(forest, C1, carry_map(forest, C1, True))
         assert base_keys(after, C3) == {(), ("C2",)}
-        assert after.node(C3, (C2,)) is speculative
+        assert after.by_change[C3][(C2,)] is speculative
 
     def test_landed_beyond_window_predecessor_invalidates_builds(self):
         # depth_cap 1: C3's window holds only C2, yet C1 conflicts too.
         targets = targets_from_labels({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
         forest = enumerate_forest(list(targets), targets, 1)
         assert forest.windows[C3] == (C2,)
-        forest.node(C3, (C2,)).complete(BuildOutcome.PASS, 5.0)
+        forest.by_change[C3][(C2,)].complete(BuildOutcome.PASS, 5.0)
         after = resolve_change(forest, C1, carry_map(forest, C1, True))
         # Mainline gained C1, which none of C3's builds included: all fresh.
         assert all(n.outcome is None for n in after.nodes_for_change(C3))
@@ -216,9 +216,9 @@ class TestResolve:
     def test_rejected_beyond_window_predecessor_preserves_builds(self):
         targets = targets_from_labels({"C1": {"t"}, "C2": {"t"}, "C3": {"t"}})
         forest = enumerate_forest(list(targets), targets, 1)
-        forest.node(C3, (C2,)).complete(BuildOutcome.FAIL, 5.0)
+        forest.by_change[C3][(C2,)].complete(BuildOutcome.FAIL, 5.0)
         after = resolve_change(forest, C1, carry_map(forest, C1, False))
-        assert after.node(C3, (C2,)).outcome is BuildOutcome.FAIL
+        assert after.by_change[C3][(C2,)].outcome is BuildOutcome.FAIL
 
     def test_window_expands_after_resolution(self):
         targets = targets_from_labels({f"C{i}": {"t"} for i in range(1, 5)})
@@ -240,10 +240,10 @@ class TestResolve:
     def test_bypass_land_keeps_predecessor_builds(self):
         # C2 lands past its still-building predecessor C1.
         forest = triangle()
-        predecessor = forest.node(C1, ())
+        predecessor = forest.by_change[C1][()]
         after = resolve_change(forest, C2, carry_map(forest, C2, True))
         assert after.queue == (C1, C3)
-        assert after.node(C1, ()) is predecessor
+        assert after.by_change[C1][()] is predecessor
         # C3 keeps the variants that assumed C2 landed, relabelled.
         assert base_keys(after, C3) == {(), ("C1",)}
 
@@ -290,14 +290,14 @@ class TestResolve:
         # a rejection's map that keeps C3's node on (C1,) under C1
         forest = triangle()
         mapping = carry_map(forest, C1, False)
-        mapping[forest.node(C3, (C1,))] = (C1,)
+        mapping[forest.by_change[C3][(C1,)]] = (C1,)
         with pytest.raises(AssertionError) as raised:
             resolve_change(forest, C1, mapping)
         assert str(raised.value) == f"carried node {(C3, (C1,))} maps outside the forest"
 
     def test_failed_resolution_leaves_the_forest_unchanged(self):
         forest = triangle()
-        forest.node(C3, (C1,)).complete(BuildOutcome.PASS, 2.0)
+        forest.by_change[C3][(C1,)].complete(BuildOutcome.PASS, 2.0)
         resolve_change(forest, C2, carry_map(forest, C2, False))
         before, queue = asdict(forest), forest.queue
         for resolved in (C2, ChangeId(9, "C9")):
@@ -311,7 +311,8 @@ class TestCarryMap:
         # C2 conflicts with nothing; C3 conflicts with C1 only.
         targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"a"}})
         forest = enumerate_forest(list(targets), targets, 6)
-        c1, c3_on_c1, c3 = forest.node(C1, ()), forest.node(C3, (C1,)), forest.node(C3, ())
+        c1 = forest.by_change[C1][()]
+        c3_on_c1, c3 = forest.by_change[C3][(C1,)], forest.by_change[C3][()]
         assert carry_map(forest, C1, landed=True) == {
             c1: None,
             c3_on_c1: (),
@@ -455,7 +456,7 @@ class TestIncrementalForest:
                 twin_mapping = carry_map(twin, resolved, landed)
                 resolve_change(twin, resolved, twin_mapping)
                 assert structure(forest) == structure(twin)
-                assert asdict(forest)["nodes"] == asdict(twin)["nodes"]
+                assert asdict(forest)["by_change"] == asdict(twin)["by_change"]
                 assert all(node.key == k for k, node in forest.nodes.items())
                 destinations = set(new_keys.values())
                 for key, (node, outcome, finished_at) in before.items():
@@ -472,11 +473,18 @@ class TestIncrementalForest:
                             BuildNode(change=key[0], base=key[1])
                         )
             assert_matches_fresh(forest)
-            # both indexes file the same nodes: each read-order node is the
-            # one filed under its key, and nothing else is filed
-            filed = [n for c in forest.queue for n in forest.nodes_for_change(c)]
-            assert all(forest.nodes[n.key] is n for n in filed)
-            assert len(forest.nodes) == len(filed)
+            # each change's map files its window's bases in read order, each
+            # under its own key, and the derived index is their union
+            assert list(forest.by_change) == list(forest.queue)
+            union = {}
+            for c, filed in forest.by_change.items():
+                assert list(filed) == list(reference_ordered_bases(forest.windows[c]))
+                for base, node in filed.items():
+                    assert node.key == (c, base)
+                    union[(c, base)] = node
+                assert list(forest.nodes_for_change(c)) == list(filed.values())
+            # nodes compare by identity, so this is the same nodes, not copies
+            assert forest.nodes == union
 
     def test_empty_queue(self):
         queue, targets = chain(2)
@@ -506,19 +514,19 @@ class TestIncrementalForest:
     def test_resolving_the_head_rewindows_only_conflicting_successors(self):
         targets = targets_from_labels({"C1": {"a"}, "C2": {"b"}, "C3": {"a", "b"}})
         forest = enumerate_forest(list(targets), targets, 6)
-        independent = forest.node(C2, ())
+        independent = forest.by_change[C2][()]
         after = resolve_change(forest, C1, carry_map(forest, C1, True))
         assert_matches_fresh(after)
-        assert after.node(C2, ()) is independent
+        assert after.by_change[C2][()] is independent
         assert after.windows[C3] == (C2,)
 
     def test_arrival_keeps_earlier_nodes(self):
         queue, targets = chain(3)
         forest = enumerate_forest(queue[:2], targets, 6)
-        done = forest.node(queue[1], (queue[0],))
+        done = forest.by_change[queue[1]][(queue[0],)]
         done.complete(BuildOutcome.PASS, 3.0)
         forest.add_change(queue[2])
-        assert forest.node(queue[1], (queue[0],)) is done
+        assert forest.by_change[queue[1]][(queue[0],)] is done
         assert_matches_fresh(forest)
 
     def test_arrival_of_queued_change_rejected(self):

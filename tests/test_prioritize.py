@@ -78,20 +78,20 @@ class TestNeededProbability:
         assert part.fallback_active
         assert (part.non_bypassable, part.bypassable) == ((C1, C2), ())
         success = priors_fn({C1: 0.8, C2: 0.7})
-        got = needed_probability(forest.node(C3, (C1,)), part, success)
+        got = needed_probability(forest.by_change[C3][(C1,)], part, success)
         assert got == pytest.approx(0.8 * (1 - 0.7))
 
     def test_foreign_node_rejected(self):
         forest = triangle()
         part = partition(C2, fixed=(C1,))
         with pytest.raises(ValueError):
-            needed_probability(forest.node(C3, ()), part, priors_fn({C1: 0.5}))
+            needed_probability(forest.by_change[C3][()], part, priors_fn({C1: 0.5}))
 
     def test_base_outside_partition_rejected(self):
         forest = triangle()
         part = partition(C3, fixed=(C1,))  # C2 missing entirely
         with pytest.raises(ValueError):
-            needed_probability(forest.node(C3, (C2,)), part, priors_fn({C1: 0.5}))
+            needed_probability(forest.by_change[C3][(C2,)], part, priors_fn({C1: 0.5}))
 
     def test_observed_outcomes_flow_through_context(self):
         # The success source sees which predecessors the node assumes
@@ -104,7 +104,7 @@ class TestNeededProbability:
             return 0.5
 
         part = partition(C3, fixed=(C1, C2))
-        needed_probability(forest.node(C3, (C1, C2)), part, recording)
+        needed_probability(forest.by_change[C3][(C1, C2)], part, recording)
         assert seen == [(C1, ()), (C2, (C1,))]
 
     @given(
@@ -118,8 +118,8 @@ class TestNeededProbability:
         forest = triangle()
         part = partition(C3, fixed=(C1,), bypassed=(C2,), product=p_order)
         success = priors_fn({C1: prior, C2: prior})
-        with_c2 = needed_probability(forest.node(C3, (C1, C2)), part, success)
-        without_c2 = needed_probability(forest.node(C3, (C1,)), part, success)
+        with_c2 = needed_probability(forest.by_change[C3][(C1, C2)], part, success)
+        without_c2 = needed_probability(forest.by_change[C3][(C1,)], part, success)
         assert with_c2 == without_c2
 
     @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
@@ -140,11 +140,11 @@ class TestNeededProbability:
             return 0.2
 
         part = partition(C3, fixed=(C1, C2), product=0.9)
-        got = needed_probability(forest.node(C3, (C1, C2)), part, recording, 0.5)
+        got = needed_probability(forest.by_change[C3][(C1, C2)], part, recording, 0.5)
         assert got == pytest.approx(0.9 * 0.2)
         assert seen == [C1]
         low = partition(C3, fixed=(C1, C2), product=0.4)
-        assert needed_probability(forest.node(C3, ()), low, recording, 0.5) == 0.4
+        assert needed_probability(forest.by_change[C3][()], low, recording, 0.5) == 0.4
         assert seen == [C1]
 
     @given(ODDS, st.floats(0.0, 1.0), st.floats(0.0, 1.0), ODDS)
@@ -172,7 +172,7 @@ class TestFinishTimeModel:
     def test_completed_nodes_contribute_zero(self):
         forest = triangle(n=2)
         annotate(forest, mean=15.0, var=9.0)
-        forest.node(C2, (C1,)).complete(BuildOutcome.PASS, 5.0)
+        forest.by_change[C2][(C1,)].complete(BuildOutcome.PASS, 5.0)
         assert finish_time_model(C2, forest) == DurationEstimate(7.5, 4.5)
 
     def test_missing_estimate_rejected(self):
@@ -286,7 +286,7 @@ class TestRankBuilds:
 
     def test_completed_nodes_drop_out(self):
         forest = triangle(n=2)
-        forest.node(C1, ()).complete(BuildOutcome.PASS, 3.0)
+        forest.by_change[C1][()].complete(BuildOutcome.PASS, 3.0)
         partitions = {C1: partition(C1), C2: partition(C2, fixed=(C1,))}
         ranked = rank_all(forest, partitions, priors_fn({C1: 0.9}))
         assert all(node.change == C2 for _, node in ranked)
@@ -309,7 +309,7 @@ class TestRankBuilds:
         scored = rank_builds(
             forest.nodes_for_change(C2), part, priors_fn({C1: 0.9}), 0.3
         )
-        assert scored == [(forest.node(C2, (C1,)), pytest.approx(0.9))]
+        assert scored == [(forest.by_change[C2][(C1,)], pytest.approx(0.9))]
 
     def test_head_clears_a_floor_of_one(self):
         # a head has no predecessor to wait on, so its one build scores
@@ -317,14 +317,17 @@ class TestRankBuilds:
         forest = triangle(n=1)
         nodes = forest.nodes_for_change(C1)
         scored = rank_builds(nodes, partition(C1), priors_fn({}), 1.0)
-        assert scored == [(forest.node(C1, ()), 1.0)]
+        assert scored == [(forest.by_change[C1][()], 1.0)]
 
     def test_floor_zero_keeps_a_zero_score(self):
         # C1 surely passes, so the path where it fails scores exactly 0
         forest = triangle(n=2)
         part = partition(C2, fixed=(C1,))
         scored = rank_builds(forest.nodes_for_change(C2), part, priors_fn({C1: 1.0}))
-        assert dict(scored) == {forest.node(C2, (C1,)): 1.0, forest.node(C2, ()): 0.0}
+        assert dict(scored) == {
+            forest.by_change[C2][(C1,)]: 1.0,
+            forest.by_change[C2][()]: 0.0,
+        }
 
     def test_builds_come_back_in_input_order_with_their_scores(self):
         forest = triangle(n=2)
@@ -332,8 +335,8 @@ class TestRankBuilds:
         scored = rank_builds(nodes, partition(C2, fixed=(C1,)), priors_fn({C1: 0.9}))
         assert [node for node, _ in scored] == list(nodes)
         assert dict(scored) == {
-            forest.node(C2, (C1,)): pytest.approx(0.9),
-            forest.node(C2, ()): pytest.approx(0.1),
+            forest.by_change[C2][(C1,)]: pytest.approx(0.9),
+            forest.by_change[C2][()]: pytest.approx(0.1),
         }
 
     def test_score_must_be_probability(self):
@@ -341,7 +344,7 @@ class TestRankBuilds:
         forest = triangle(n=2)
         with pytest.raises(ValueError, match="outside"):
             rank_builds(
-                [forest.node(C2, (C1,))],
+                [forest.by_change[C2][(C1,)]],
                 partition(C2, fixed=(C1,)),
                 priors_fn({C1: 1.5}),
             )

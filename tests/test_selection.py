@@ -50,7 +50,7 @@ def first_call(forest, scores: dict, running, capacity):
     the builds to start and the nodes to abort."""
     builds: dict[ChangeId, list[tuple[BuildNode, float]]] = {}
     for (change, base), p in scores.items():
-        builds.setdefault(change, []).append((forest.node(change, base), p))
+        builds.setdefault(change, []).append((forest.by_change[change][base], p))
     order = RankOrder()
     for change, scored in builds.items():
         order.put(change, at_floor(scored, DELTA))
@@ -58,7 +58,7 @@ def first_call(forest, scores: dict, running, capacity):
 
 
 def finish(forest, change, base, outcome, at=10.0):
-    forest.node(change, base).complete(outcome, at)
+    forest.by_change[change][base].complete(outcome, at)
 
 
 class TestSelectBuilds:
@@ -67,7 +67,10 @@ class TestSelectBuilds:
         order, to_start, to_abort = first_call(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}, [], 3
         )
-        assert to_start == ((forest.node(C1, ()), 1.0), (forest.node(C2, (C1,)), 0.9))
+        assert to_start == (
+            (forest.by_change[C1][()], 1.0),
+            (forest.by_change[C2][(C1,)], 0.9),
+        )
         assert to_abort == ()
 
     def test_equal_scores_all_start(self):
@@ -82,17 +85,17 @@ class TestSelectBuilds:
         _, _, to_abort = first_call(
             forest,
             {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1},
-            {forest.node(C2, ())},
+            {forest.by_change[C2][()]},
             3,
         )
-        assert to_abort == (forest.node(C2, ()),)
+        assert to_abort == (forest.by_change[C2][()],)
 
     def test_running_build_in_the_cut_is_kept_not_restarted(self):
         forest = triangle(n=2)
         _, to_start, to_abort = first_call(
             forest,
             {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1},
-            {forest.node(C1, ())},
+            {forest.by_change[C1][()]},
             3,
         )
         assert to_abort == ()
@@ -126,7 +129,7 @@ class TestSelectBuilds:
 
     def test_lists_are_disjoint(self):
         forest = triangle(n=2)
-        running = {forest.node(C1, ()), forest.node(C2, ())}
+        running = {forest.by_change[C1][()], forest.by_change[C2][()]}
         _, to_start, to_abort = first_call(
             forest, {(C1, ()): 1.0, (C2, (C1,)): 0.9, (C2, ()): 0.1}, running, 3
         )
@@ -146,14 +149,18 @@ class TestSelectBuildsAfterACut:
         self.order = RankOrder()
         self.running: set = set()
 
+    def node(self, key):
+        c, base = key
+        return self.forest.by_change[c][base]
+
     def put(self, key, p):
         """Put key's change with its one build scored p, kept at DELTA."""
-        self.order.put(key[0], at_floor([(self.forest.node(*key), p)], DELTA))
+        self.order.put(key[0], at_floor([(self.node(key), p)], DELTA))
 
     def finish(self, key):
         """The build finished: its run leaves, and its change has no build
         left that could run."""
-        self.running.discard(self.forest.node(*key))
+        self.running.discard(self.node(key))
         self.order.put(key[0], [])
 
     def select(self):
@@ -228,7 +235,7 @@ class TestSelectBuildsAfterACut:
         self.put(self.A, 1.0)
         self.put(self.B, 0.9)
         assert self.select() == ([self.A, self.B], [])
-        self.running.discard(self.forest.node(*self.B))
+        self.running.discard(self.node(self.B))
         assert self.select() == ([self.B], [])
 
 

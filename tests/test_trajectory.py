@@ -1,5 +1,6 @@
-"""The parsing of `tools/trajectory.py`, on a canned run_bench.py output,
-and its stress scenarios' trace digests at reduced sizes."""
+"""The parsing of `tools/trajectory.py`, on canned run_bench.py outputs,
+its layer table's arithmetic on a canned span table, and its stress
+scenarios' trace digests at reduced sizes."""
 
 from __future__ import annotations
 
@@ -85,6 +86,64 @@ def test_each_run_is_the_benchmark_s_command_at_seed_1_untraced():
         "--trace",
         "0",
     ]
+    assert trajectory.bench_command("steady", 1)[1:] == [
+        *trajectory.bench_command("steady")[1:-1],
+        "1",
+    ]
+
+
+TRACED_RESULT = (
+    '{"correct": true, "attempted": 56, "failed": 0, "metrics": '
+    '{"forest.carry_map.calls": {"value": 2800, "unit": "count"}, '
+    '"forest.carry_map.self_s": {"value": 0.004528226127149537, "unit": "s"}, '
+    '"simulator.host_us_per_event": {"value": 32.3740911033604, "unit": "us"}}}'
+)
+CANNED_TRACED = f"""\
+workload overload seed 1 trace 1: 28 streams x ['enhanced'], nproc 2, Python 3.11.7
+  forest.carry_map.calls = 2800 count
+  forest.carry_map.self_s = 0.004528226127149537 s
+  simulator.host_us_per_event = 32.3740911033604 us
+  failed_share = 0.0 ratio (0 of 56 simulation runs)
+  wait samples (changes decided by enhanced runs) = 2800
+  (untraced run_s = 0.37204305495981765)
+  (traced run_s = 0.4466967748510431)
+  digest workload = 5533476a95b241eb5d224f36bdeaf52f
+  digest metrics = 6128bc071b28448f36bba4fbf620ce99
+  digest trace = 346b11f2fb5f3a92075b646ad2b5dc57
+{TRACED_RESULT}
+"""
+
+
+def test_a_traced_run_s_per_layer_metrics_are_kept():
+    parsed = trajectory.parse_run(CANNED_TRACED)
+    assert parsed["result"]["correct"] is True
+    assert parsed["result"]["metrics"] == {
+        "forest.carry_map.calls": {"value": 2800, "unit": "count"},
+        "forest.carry_map.self_s": {"value": 0.004528226127149537, "unit": "s"},
+        "simulator.host_us_per_event": {"value": 32.3740911033604, "unit": "us"},
+    }
+    assert list(parsed["digests"]) == ["workload", "metrics", "trace"]
+
+
+def test_a_layer_table_gives_the_time_no_span_wraps_as_engine_rest():
+    # as `SpanRecorder.drain` gives them: [calls, self seconds] by span
+    drained = {
+        "prioritize.rank_builds": [40, 0.5],
+        "forest.carry_map": [3, 0.25],
+        "selection.decide_change": [7, 0.125],
+    }
+    assert trajectory.layer_table(drained, 1.5) == {
+        "wall_s": 1.5,
+        "forest.carry_map.calls": 3,
+        "forest.carry_map.self_s": 0.25,
+        "prioritize.rank_builds.calls": 40,
+        "prioritize.rank_builds.self_s": 0.5,
+        "selection.decide_change.calls": 7,
+        "selection.decide_change.self_s": 0.125,
+        "engine.rest.self_s": 0.625,
+    }
+    nothing = trajectory.layer_table({}, 0.75)
+    assert nothing == {"wall_s": 0.75, "engine.rest.self_s": 0.75}
 
 
 # Each stress scenario at a reduced size: its changes, and the trace

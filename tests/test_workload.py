@@ -280,6 +280,23 @@ class TestGeneratorParams:
 
 
 class TestGenerator:
+    def test_a_stream_that_arrives_too_late_to_simulate_raises(self):
+        # past 2**46 minutes half an ulp of a time exceeds the 0.005 minute
+        # a run keeps a duration to, so no stream may arrive past 2**45
+        params = GeneratorParams(seed=3, n_changes=30, arrival_rate=1.0)
+        at_one = generate_workload(params).changes[-1].arrival_time
+        # the rate only divides the arrival draws, so it scales the stream
+        fits = dataclasses.replace(params, arrival_rate=at_one / 2**45 * 1.001)
+        assert 2**44 < generate_workload(fits).changes[-1].arrival_time < 2**45
+        for rate in (at_one / 2**45 * 0.999, 1e-290):
+            late = dataclasses.replace(params, arrival_rate=rate)
+            message = f"^arrival_rate {rate!r} draws arrivals past 2\\*\\*45 minutes$"
+            with pytest.raises(WorkloadError, match=message):
+                generate_workload(late)
+        # the bound is on the drawn stream: a lone change arrives at 0
+        alone = dataclasses.replace(params, n_changes=1, arrival_rate=1e-290)
+        assert generate_workload(alone).changes[0].arrival_time == 0.0
+
     def test_golden_digest_pins_rng_draw_order(self):
         # Recorded before the generator indexed its conflicting
         # predecessors; any change in the order of RNG draws moves it.

@@ -4,13 +4,15 @@ fixed stress scenarios run in process.
     python3 tools/trajectory.py PR
 
 For each workload that BENCHMARK.json declares, in its order, it runs
-the unchanged benchmark from the repository root,
+the unchanged benchmark from the repository root twice,
 
-    python3 bench/run_bench.py --workload W --seed 1 --seconds 30 --trace 0
+    python3 bench/run_bench.py --workload W --seed 1 --seconds 30 --trace T
 
-one subprocess at a time, under the interpreter that runs this script.
-From each run it keeps the JSON object on the last line of standard
-output, and the digests the run prints. It then runs each scenario of
+with T 0 and then 1, one subprocess at a time, under the interpreter
+that runs this script. From each run it keeps the JSON object on the
+last line of standard output, and the digests the run prints: the
+untraced run's under `workloads`, and the traced run's, whose metrics
+are the per-layer ones, under `layers`. It then runs each scenario of
 `STRESS` through `specqueue.simulator.run` in this process, under both
 strategies, one run at a time:
 
@@ -25,20 +27,29 @@ Of each run it records the wall time of `run` alone, executor minutes,
 builds started, aborts, the P50 and P95 wait, the build nodes the forest
 made and the digest of the trace. Nodes are counted by a `BuildNode`
 subclass swapped into `specqueue.forest` for the run, so the wall time
-includes the counting. It records the commit checked out (`git
-rev-parse HEAD`, or null outside a git checkout), whether tracked files
-differ from it, the PR number given, the host's CPU count as
-`os.cpu_count()` gives it (the `nproc` that run_bench.py prints) and the
-Python version. It writes all of that to `BENCH_<pr>.json` at the
-repository root, and exits 1 when a benchmark run is not correct, 0
-otherwise. A run that fails or prints no result stops it before anything
-is written. It uses only the standard library and the package.
+includes the counting. Each run is then made a second time inside
+`bench/spans.py`'s `SpanRecorder().installed()`, loaded by path, and its
+`layers` give each span's calls and self seconds, the traced wall time,
+and `engine.rest.self_s`: that wall time less the spans' self seconds,
+the time in the engine's own code (the event loop, rescoring, success
+reads), which no span wraps. The plain run's wall time stays the
+headline figure, since the spans slow a run down.
+
+It records the commit checked out (`git rev-parse HEAD`, or null
+outside a git checkout), whether tracked files differ from it, the PR
+number given, the host's CPU count as `os.cpu_count()` gives it (the
+`nproc` that run_bench.py prints) and the Python version. It writes all
+of that to `BENCH_<pr>.json` at the repository root, and exits 1 when a
+benchmark run is not correct, 0 otherwise. A run that fails or prints
+no result stops it before anything is written. It uses only the
+standard library, the package and `bench/spans.py`.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -48,6 +59,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Mapping, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # run as a script: find the package without an install
@@ -67,7 +79,7 @@ SEED = 1
 DIGEST_PREFIX = "digest "
 
 
-def bench_command(workload: str) -> list[str]:
+def bench_command(workload: str, trace: int = 0) -> list[str]:
     return [
         sys.executable,
         "bench/run_bench.py",
@@ -78,7 +90,7 @@ def bench_command(workload: str) -> list[str]:
         "--seconds",
         "30",
         "--trace",
-        "0",
+        str(trace),
     ]
 
 
@@ -105,15 +117,19 @@ def parse_run(stdout: str) -> dict:
     return {"result": result, "digests": digests}
 
 
-def run_workload(workload: str) -> dict:
+def run_workload(workload: str, trace: int = 0) -> dict:
     """One benchmark run of `workload`, parsed; a failed run raises."""
     done = subprocess.run(
-        bench_command(workload), cwd=ROOT, capture_output=True, text=True, check=False
+        bench_command(workload, trace),
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=False,
     )
     if done.returncode != 0:
         raise RuntimeError(
-            f"run_bench.py --workload {workload} exited {done.returncode}: "
-            f"{done.stderr.strip()}"
+            f"run_bench.py --workload {workload} --trace {trace} exited "
+            f"{done.returncode}: {done.stderr.strip()}"
         )
     return parse_run(done.stdout)
 
@@ -196,12 +212,48 @@ def stress_run(workload: WorkloadSpec, strategy: str) -> dict:
     }
 
 
+def load_spans():
+    """`bench/spans.py`, loaded by its path: `bench/` is no package."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def layer_table(spans: Mapping[str, Sequence[float]], wall_s: float) -> dict:
+    """A traced run's layers: each span's calls and self seconds, from
+    `SpanRecorder.drain`'s [calls, self seconds] by span name, the traced
+    wall time, and as `engine.rest.self_s` that wall time less the spans'
+    self seconds, the time no span wraps."""
+    table: dict = {"wall_s": wall_s}
+    for name, (calls, self_s) in sorted(spans.items()):
+        table[f"{name}.calls"] = calls
+        table[f"{name}.self_s"] = self_s
+    table["engine.rest.self_s"] = wall_s - sum([self_s for _, self_s in spans.values()])
+    return table
+
+
+def traced_run(spans, workload: WorkloadSpec, strategy: str) -> dict:
+    """One run of `workload` with every layer's spans recorded, as its
+    `layer_table`. `run` is called unwrapped, so no span encloses it."""
+    recorder = spans.SpanRecorder()
+    with recorder.installed():
+        started = time.perf_counter()
+        run(workload, strategy)
+        wall_s = time.perf_counter() - started
+    return layer_table(recorder.drain(), wall_s)
+
+
 def stress() -> dict:
-    """Each scenario of `STRESS` under each strategy."""
+    """Each scenario of `STRESS` under each strategy, with its layers."""
+    spans = load_spans()
     results = {}
     for name, (recipe, seed, n_changes) in STRESS.items():
         workload = recipe(seed, n_changes)
-        results[name] = {s: stress_run(workload, s) for s in STRATEGIES}
+        results[name] = {
+            s: {**stress_run(workload, s), "layers": traced_run(spans, workload, s)}
+            for s in STRATEGIES
+        }
     return results
 
 
@@ -229,6 +281,7 @@ def trajectory(pr: int) -> dict:
         "python": platform.python_version(),
         "seed": SEED,
         "workloads": {w["name"]: run_workload(w["name"]) for w in spec["workloads"]},
+        "layers": {w["name"]: run_workload(w["name"], 1) for w in spec["workloads"]},
         "stress": stress(),
     }
 
@@ -240,7 +293,12 @@ def main(argv: list[str] | None = None) -> int:
     document = trajectory(args.pr)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    wrong = [w for w, run in document["workloads"].items() if not run["result"]["correct"]]
+    wrong = [
+        f"{w} ({kind})"
+        for kind in ("workloads", "layers")
+        for w, run in document[kind].items()
+        if not run["result"]["correct"]
+    ]
     if wrong:
         print(f"error: not correct on {', '.join(wrong)}", file=sys.stderr)
         return 1

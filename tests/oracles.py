@@ -1,16 +1,20 @@
 """Reference implementations that tests compare the package against, the
 scheduler and the engine with their kept state checked after every
-event, and the five worked scoring cases."""
+event, the five worked scoring cases, and the tools and the benchmark's
+streams as tests load them."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib.util
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 from typing import AbstractSet, Collection, Iterable, Mapping, Sequence
 
-from specqueue.core import BuildOutcome, ChangeId
+from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest, enumerate_forest
 from specqueue.prediction import DurationEstimate
 from specqueue.prioritize import (
@@ -36,6 +40,25 @@ from specqueue.simulator.workload import (
     ChangeSpec,
     GeneratorParams,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def load_tool(name: str):
+    """`tools/<name>.py`, loaded by its path once per session: `tools/`
+    is no package."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_stream(name: str, k: int = 0) -> tuple[GeneratorParams, EngineConfig]:
+    """Stream k of benchmark workload `name`'s batch at the pinned seed of
+    bench/reference.json, drawn as bench/harness.py draws it, from
+    `tools/trajectory.py`'s one reading of that file."""
+    return load_tool("trajectory").benchmark_stream(name, k)
 
 
 def rank_all(

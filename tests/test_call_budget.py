@@ -17,38 +17,9 @@ import sys
 
 import pytest
 
-from specqueue.core import EngineConfig
-from specqueue.simulator import (
-    GeneratorParams,
-    format_workload,
-    generate_workload,
-    parse_workload,
-    run,
-)
+from specqueue.simulator import format_workload, generate_workload, parse_workload, run
 
-# the benchmark's `contended` stream parameters, and an `overload`-shaped
-# stream of 100 changes arriving faster than capacity 8 clears them
-STREAMS = {
-    "contended": (
-        GeneratorParams(
-            seed=1000,
-            n_changes=500,
-            arrival_rate=0.45,
-            conflict_density=0.3,
-            short_fraction=0.25,
-            breaker_rate=0.0,
-            long_target_bias=1.0,
-            long_second_link=1.0,
-        ),
-        EngineConfig(executor_capacity=72),
-    ),
-    "overload": (
-        GeneratorParams(
-            seed=1000, n_changes=100, arrival_rate=1.0, conflict_density=0.3
-        ),
-        EngineConfig(executor_capacity=8),
-    ),
-}
+from oracles import benchmark_stream
 
 # Python calls per event, measured plus 10%. Before the event path built
 # no generator frames or unread records the counts were 77.09 and 69.73
@@ -97,7 +68,7 @@ BUDGET = {
 }
 
 
-# Python calls per change to generate a `steady`-shaped stream, format it
+# Python calls per change to generate the first `steady` stream, format it
 # and parse the text back, measured plus 10%. Before the generator made
 # its draws' arithmetic inline and ChangeSpec set its slots through their
 # descriptors, the count was 40.27 (30.94 generating, 0.06 formatting
@@ -139,15 +110,15 @@ def calls_per_event(workload, strategy: str) -> float:
 
 @pytest.mark.parametrize("stream, strategy", sorted(BUDGET))
 def test_python_calls_per_event_within_budget(stream, strategy):
-    params, config = STREAMS[stream]
+    # the first stream of the benchmark workload's batch
+    params, config = benchmark_stream(stream)
     workload = generate_workload(params, config=config)
     assert calls_per_event(workload, strategy) <= BUDGET[(stream, strategy)]
 
 
 def test_python_calls_per_change_to_set_up_within_budget():
-    params = GeneratorParams(
-        seed=1000, n_changes=1000, arrival_rate=0.25, conflict_density=0.3
-    )
+    # drawn through the CLI, which generates on the default config
+    params, _ = benchmark_stream("steady")
     calls, w = python_calls(
         lambda: parse_workload(format_workload(generate_workload(params)))
     )

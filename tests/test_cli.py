@@ -233,7 +233,7 @@ class TestParserReuse:
             n_changes=30, arrival_rate=0.5, conflict_density=0.6,
             short_fraction=0.4, fail_rate=0.2, breaker_rate=0.5, seed=11,
         )))
-        # the benchmark's contended stream, which sets the two long-change knobs
+        # a criterion-5 stream, which sets the two long-change knobs
         code, out = run_cli(capsys, [
             "gen-workload", "--n-changes", "500", "--arrival-rate", "0.45",
             "--density", "0.3", "--short-fraction", "0.25", "--breaker-rate", "0.0",

@@ -23,7 +23,7 @@ from specqueue.simulator import (
     static_conflict_rate,
 )
 
-from oracles import connected_components, reference_adjacency
+from oracles import benchmark_stream, connected_components, reference_adjacency
 
 
 C0, C1 = ChangeId(0, "C0"), ChangeId(1, "C1")
@@ -282,18 +282,15 @@ class TestMemberships:
     def test_a_parsed_steady_record_holds_at_most_680_bytes(self):
         # a benchmark run holds every parsed stream to its end, so a record's
         # bytes add to its peak memory: 783 with frozensets of targets and
-        # breakers, 609 with sorted tuples
-        params = GeneratorParams(
-            seed=1000, n_changes=1000, arrival_rate=0.25, conflict_density=0.3
-        )
+        # breakers, 609 with sorted tuples, on the first `steady` stream
+        params, _ = benchmark_stream("steady")
         text = format_workload(generate_workload(params))
         assert _held_bytes_per_record(text, params.n_changes) <= 680
 
 
 class TestRecordMemory:
-    PARAMS = GeneratorParams(
-        seed=1000, n_changes=1000, arrival_rate=0.25, conflict_density=0.3
-    )
+    # the first stream of the benchmark's `steady` batch
+    PARAMS, _ = benchmark_stream("steady")
 
     def test_a_parsed_steady_record_holds_at_most_334_bytes(self):
         # parsing shares each repeated mu/var text's float and each target

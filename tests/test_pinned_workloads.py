@@ -12,22 +12,16 @@ Nothing under `bench/` is written.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 import pytest
 
 from specqueue.cli import GENERATOR_FLAGS, main
-from specqueue.core import EngineConfig
-from specqueue.simulator import GeneratorParams, format_workload, generate_workload
+from specqueue.simulator import format_workload, generate_workload
 
-REFERENCE = json.loads(
-    (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text(
-        encoding="utf-8"
-    )
-)
-# stream k of a run with seed s gets seed s * SEED_STRIDE + k
-SEED_STRIDE = 1000
+from oracles import benchmark_stream, load_tool
+
+REFERENCE = load_tool("trajectory").reference()
 # the gen-workload flag of each generator field
 CLI_FLAGS = {
     field: "--" + key.replace("_", "-") for key, field in GENERATOR_FLAGS.items()
@@ -38,25 +32,25 @@ def digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-def stream_text(definition: dict, seed: int, path: Path) -> str:
-    """One stream's workload text, made as the benchmark's set-up makes it."""
-    if definition["via_cli"]:
-        argv = ["gen-workload", "--seed", str(seed), "--out", str(path)]
-        for key, value in definition["generator"].items():
-            argv += [CLI_FLAGS[key], str(value)]
+def stream_text(name: str, k: int, path: Path) -> str:
+    """Stream k's workload text, made as the benchmark's set-up makes it:
+    through `gen-workload`, given every generator field as a flag, for a
+    workload drawn through the CLI."""
+    params, config = benchmark_stream(name, k)
+    if REFERENCE["workloads"][name]["via_cli"]:
+        argv = ["gen-workload", "--out", str(path)]
+        for field, flag in CLI_FLAGS.items():
+            argv += [flag, str(getattr(params, field))]
         assert main(argv) == 0
         return path.read_text(encoding="utf-8")
-    params = GeneratorParams(seed=seed, **definition["generator"])
-    config = EngineConfig(**definition.get("config", {}))
     return format_workload(generate_workload(params, config=config))
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE["workloads"]))
 def test_the_pinned_seed_draws_the_pinned_workloads(name, tmp_path):
     definition = REFERENCE["workloads"][name]
-    seed = REFERENCE["pinned_seed"]
     texts = [
-        stream_text(definition, seed * SEED_STRIDE + k, tmp_path / f"w{k}.txt")
+        stream_text(name, k, tmp_path / f"w{k}.txt")
         for k in range(definition["instances"])
     ]
     batch = " ".join(digest(text.encode("utf-8")) for text in texts)
@@ -66,14 +60,11 @@ def test_the_pinned_seed_draws_the_pinned_workloads(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(REFERENCE["workloads"]))
 def test_the_pinned_seed_gives_the_pinned_metrics_and_traces(name, tmp_path):
     definition = REFERENCE["workloads"][name]
-    seed = REFERENCE["pinned_seed"]
     metrics_path, trace_path = tmp_path / "metrics.csv", tmp_path / "trace.log"
     metrics, traces = [], []
     for k in range(definition["instances"]):
         path = tmp_path / f"w{k}.txt"
-        path.write_text(
-            stream_text(definition, seed * SEED_STRIDE + k, path), encoding="utf-8"
-        )
+        path.write_text(stream_text(name, k, path), encoding="utf-8")
         for strategy in definition["strategies"]:
             argv = [
                 "simulate", "--workload", str(path), "--strategy", strategy,

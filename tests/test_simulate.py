@@ -7,7 +7,6 @@ stated means exactly and event times can be checked to the minute.
 from __future__ import annotations
 
 import hashlib
-import random
 from collections import Counter
 from dataclasses import replace
 
@@ -31,14 +30,16 @@ from specqueue.simulator import (
 )
 from specqueue.selection import Decision, DecisionKind
 from specqueue.simulator import engine
-from specqueue.simulator.engine import GroundTruth, _Simulation
+from specqueue.simulator.engine import GroundTruth, Scheduler, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec, WorkloadError
 
 from mutants import (
     check_a_head_keeps_its_build_at_1,
     check_a_head_without_an_estimate_raises,
 )
-from oracles import CheckedSimulation, reference_duration
+from oracles import CheckedSimulation, benchmark_stream, load_tool, reference_duration
+
+trajectory = load_tool("trajectory")
 
 
 def spec(seq, label, at, targets, mu, passes=True, prior=0.9):
@@ -347,17 +348,9 @@ def edge(knob, delta, tau):
     )
 
 
-def dense(n_changes, seed):
-    return generate_workload(
-        GeneratorParams(
-            n_changes=n_changes, arrival_rate=1.5, conflict_density=0.8, seed=seed
-        )
-    )
-
-
 def wide_params(seed):
-    """The criterion-5 generator at 60 changes, as the contended benchmark
-    draws it; run on capacity 72."""
+    """The criterion-5 generator at 60 changes, pinned apart from the
+    benchmark's streams; run on capacity 72."""
     return GeneratorParams(
         n_changes=60,
         arrival_rate=0.45,
@@ -395,9 +388,6 @@ def dense_runs(draw):
 
 
 WIDE = EngineConfig(executor_capacity=72)
-DENSE_STREAM = GeneratorParams(
-    n_changes=300, arrival_rate=1.0, conflict_density=0.9, long_target_bias=1.0, seed=3
-)
 # Long changes that touch a second target bridge conflict groups, so a
 # change with no conflicting predecessor queued can still have its
 # component's head ahead of it.
@@ -406,11 +396,12 @@ BRIDGED = GeneratorParams(
 )
 
 
-def generated(params, config, predictor=None):
-    """The stream `params` draws, run on `config`, whatever the strategy."""
+def drawn(recipe, *args, predictor=None):
+    """The workload `recipe(*args)` draws, whatever the strategy, under
+    `predictor` if one is given."""
 
     def build(strategy):
-        w = generate_workload(params, config=config)
+        w = recipe(*args)
         return w if predictor is None else replace(w, predictor=predictor)
 
     return build
@@ -421,28 +412,9 @@ def noisy(seed):
     return OracleWithNoise(relative_bias=0.1, relative_spread=0.5, seed=seed)
 
 
-def hot(seed, **n_changes):
-    """A stream at density 0.3 on 72 executors with target "hot" added to
-    a fifth of its changes, so queued chains outgrow the depth cap; it
-    takes `n_changes[strategy]` changes."""
-
-    def build(strategy):
-        params = GeneratorParams(
-            n_changes=n_changes[strategy],
-            arrival_rate=1.0,
-            conflict_density=0.3,
-            breaker_rate=0.0,
-            seed=seed,
-        )
-        w = generate_workload(params, config=WIDE)
-        rng = random.Random(5)
-        changes = tuple(
-            replace(s, targets=(*s.targets, "hot")) if rng.random() < 0.2 else s
-            for s in w.changes
-        )
-        return replace(w, changes=changes)
-
-    return build
+def sized(recipe, seed, **n_changes):
+    """`recipe`'s stream at `seed` with `n_changes[strategy]` changes."""
+    return lambda strategy: recipe(seed, n_changes[strategy])
 
 
 # Each builds its workload for a strategy. dense_runs draws at most 14
@@ -450,29 +422,33 @@ def hot(seed, **n_changes):
 CHECKED_STREAMS = {
     # criterion-5 streams on 72 executors have long chosen prefixes, where
     # one event can start or abort many builds
-    **{f"wide-{s}": generated(wide_params(s), WIDE) for s in range(5)},
-    # the contended benchmark's stream at seed 1000, where decisions
+    **{f"wide-{s}": drawn(generate_workload, wide_params(s), WIDE) for s in range(5)},
+    # the first stream of the contended benchmark's batch, where decisions
     # cascade and carry many builds
-    "contended-1000": generated(replace(wide_params(1000), n_changes=500), WIDE),
+    "contended-1000": drawn(generate_workload, *benchmark_stream("contended")),
     **{
-        f"bridged-{s}": generated(replace(BRIDGED, seed=s), EngineConfig())
+        f"bridged-{s}": drawn(
+            generate_workload, replace(BRIDGED, seed=s), EngineConfig()
+        )
         for s in range(3)
     },
-    # where most scored builds fall below the speculation threshold
-    "dense-3": generated(replace(DENSE_STREAM, n_changes=70), WIDE),
+    # tools/trajectory.py's `dense` stream, where most scored builds fall
+    # below the speculation threshold
+    "dense-3": drawn(trajectory.dense, 3, 70),
     # every build's estimate its own inexact float, so pooling sums them
-    "dense-3-noisy": generated(replace(DENSE_STREAM, n_changes=70), WIDE, noisy(3)),
+    "dense-3-noisy": drawn(trajectory.dense, 3, 70, predictor=noisy(3)),
     # every estimate a point mass, so completion compares finish times
-    "dense-3-point-mass": generated(
-        replace(DENSE_STREAM, n_changes=70), WIDE, ConstantPredictor(25.0, 0.0)
+    "dense-3-point-mass": drawn(
+        trajectory.dense, 3, 70, predictor=ConstantPredictor(25.0, 0.0)
     ),
-    # where windows are capped, so carry maps drop a successor's nodes when
-    # a change outside its window lands: hot-1 caps 34 enhanced starts and
-    # 161 baseline ones, and only hot-9's enhanced run blocks a bypass (one
-    # decision) because predecessors fell outside a window
-    "hot-1": hot(1, enhanced=100, baseline=60),
-    "hot-6": hot(6, enhanced=60, baseline=50),
-    "hot-9": hot(9, enhanced=80, baseline=50),
+    # tools/trajectory.py's `hot` streams, where windows are capped, so
+    # carry maps drop a successor's nodes when a change outside its window
+    # lands: hot-1 caps 34 enhanced starts and 161 baseline ones, and only
+    # hot-9's enhanced run blocks a bypass (one decision) because
+    # predecessors fell outside a window
+    "hot-1": sized(trajectory.hot, 1, enhanced=100, baseline=60),
+    "hot-6": sized(trajectory.hot, 6, enhanced=60, baseline=50),
+    "hot-9": sized(trajectory.hot, 9, enhanced=80, baseline=50),
 }
 
 
@@ -581,7 +557,11 @@ class TestEventDecisions:
         ],
     )
     def test_golden_digest_pins_decision_order(self, strategy, config, expected):
-        assert run_digest(replace(dense(20, 0), config=config), strategy) == expected
+        params = GeneratorParams(
+            n_changes=20, arrival_rate=1.5, conflict_density=0.8, seed=0
+        )
+        w = generate_workload(params, config=config)
+        assert run_digest(w, strategy) == expected
 
     # Recorded before build nodes were updated in place: on 72 executors
     # decisions carry many running builds to rewritten bases, and enhanced
@@ -615,7 +595,8 @@ class TestEventDecisions:
     def test_golden_digest_pins_a_wide_stream_under_a_noisy_predictor(
         self, strategy, seed, expected
     ):
-        w = generated(wide_params(seed), WIDE, noisy(seed))(strategy)
+        w = generate_workload(wide_params(seed), config=WIDE)
+        w = replace(w, predictor=noisy(seed))
         assert run_digest(w, strategy) == expected
 
     # Recorded before the forest took each change's targets in place of a
@@ -650,7 +631,7 @@ class TestEventDecisions:
         ],
     )
     def test_golden_digest_pins_a_dense_stream(self, strategy, expected):
-        w = generate_workload(DENSE_STREAM, config=WIDE)
+        w = trajectory.dense(3, 300)
         assert run_digest(w, strategy) == expected
 
 
@@ -753,6 +734,28 @@ class TestUnknownStrategy:
         w = WorkloadSpec(changes=(spec(0, "C0", 0.0, {"a"}, 10.0),))
         with pytest.raises(ValueError, match="^unknown strategy 'greedy'$"):
             run(w, "greedy")
+
+
+class UndecidingScheduler(Scheduler):
+    """A scheduler that completes each finished build and applies no
+    decision, so every change stays queued."""
+
+    def finish(self, node, outcome, now):
+        node.complete(outcome, now)
+        self.moved.add(node.change)
+        return []
+
+
+class TestDrainCheck:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_run_that_drains_with_changes_undecided_raises(self, strategy):
+        w = generate_workload(GeneratorParams(seed=3, n_changes=5))
+        sim = _Simulation(w, strategy)
+        sim.scheduler = UndecidingScheduler(w, strategy, sim.truth.durations)
+        with pytest.raises(
+            RuntimeError, match="^simulation drained with 5 undecided changes$"
+        ):
+            sim.execute()
 
 
 def overflowing(second_arrival):

@@ -1,23 +1,18 @@
 """The parsing of `tools/trajectory.py`, on canned run_bench.py outputs,
 its layer table's arithmetic on a canned span table, and its stress
-scenarios' trace digests at reduced sizes."""
+scenarios' trace digests and arrival counts at reduced sizes."""
 
 from __future__ import annotations
-
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 import specqueue.forest
+from specqueue.forest import SpeculationForest
 from specqueue.simulator.workload import STRATEGIES
 
-ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location(
-    "trajectory", ROOT / "tools" / "trajectory.py"
-)
-trajectory = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(trajectory)
+from oracles import load_tool
+
+trajectory = load_tool("trajectory")
 
 RESULT = (
     '{"correct": true, "attempted": 10, "failed": 0, "metrics": '
@@ -173,13 +168,28 @@ PINNED_STRESS = {
 }
 
 
+# Each stress scenario's arrivals at the same sizes, enhanced and baseline:
+# the most conflicting predecessors queued ahead of one, and how many had
+# more of them than depth_cap 6.
+PINNED_TRAFFIC = {
+    "hot-1": [(5, 0), (11, 5)],
+    "hot-3": [(6, 0), (12, 6)],
+    "dense-3": [(6, 0), (6, 0)],
+    "scale-1": [(3, 0), (3, 0)],
+}
+
+
 @pytest.mark.parametrize("name", list(PINNED_STRESS))
 def test_a_stress_scenario_keeps_its_trace_digests_at_a_reduced_size(name):
     recipe, seed, _ = trajectory.STRESS[name]
     n_changes, *digests = PINNED_STRESS[name]
     workload = recipe(seed, n_changes)
     original = specqueue.forest.BuildNode
+    add_change = SpeculationForest.add_change
     runs = [trajectory.stress_run(workload, strategy) for strategy in STRATEGIES]
     assert specqueue.forest.BuildNode is original
+    assert SpeculationForest.add_change is add_change
     assert [run["trace_digest"] for run in runs] == digests
     assert all(run["nodes_made"] >= len(workload.changes) for run in runs)
+    traffic = [(run["max_predecessors"], run["capped"]) for run in runs]
+    assert traffic == PINNED_TRAFFIC[name]

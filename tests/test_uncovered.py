@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import importlib.util
 import runpy
 import sys
 import tracemalloc
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location("uncovered", ROOT / "tools" / "uncovered.py")
-uncovered = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(uncovered)
+from oracles import load_tool
+
+uncovered = load_tool("uncovered")
 
 SMALL = '''\
 def pick(x):

@@ -31,6 +31,7 @@ from specqueue.simulator.workload import (
 )
 
 from oracles import (
+    benchmark_stream,
     reference_adjacency,
     reference_calibrated_rows,
     reference_generate_changes,
@@ -451,12 +452,10 @@ def named(rows):
     return [(row[0], {f"t{t}" for t in row[1]}, *row[2:]) for row in rows]
 
 
-# the benchmark's stream shapes; at density 0.3 their bisection settles
-# p_link near 0.13-0.18
+# the benchmark's stream shapes, each test drawing its own seeds; at
+# density 0.3 their bisection settles p_link near 0.13-0.18
 BENCH_SHAPES = {
-    "steady": GeneratorParams(n_changes=1000, arrival_rate=0.25),
-    "overload": GeneratorParams(n_changes=100, arrival_rate=1.0),
-    "contended": dataclasses.replace(GENERATORS["criterion-5"], n_changes=500),
+    name: benchmark_stream(name)[0] for name in ("steady", "overload", "contended")
 }
 
 
@@ -599,7 +598,8 @@ class TestStreamReuse:
         return calls
 
     def test_steady_stream_draws_at_most_eleven_streams(self, drawn):
-        # the benchmark's steady stream shape; drawing every probe takes 19.
+        # 1,000 changes at 0.25/min, the shape of `steady`'s streams, pinned
+        # on parameters of its own; drawing every probe takes 19.
         # Every stream but the last is a row-free probe, and the last, the
         # one full draw, is at the plain bisection's final midpoint.
         params = GeneratorParams(

@@ -25,8 +25,14 @@ strategies, one run at a time:
 
 Of each run it records the wall time of `run` alone, executor minutes,
 builds started, aborts, the P50 and P95 wait, the build nodes the forest
-made and the digest of the trace. Nodes are counted by a `BuildNode`
-subclass swapped into `specqueue.forest` for the run, so the wall time
+made, the digest of the trace, and where the depth cap binds:
+`max_predecessors`, the most queued conflicting predecessors any change
+had on arrival, and `capped`, the changes that had more of them than
+`depth_cap`, so that their window left some out. Arrival is when a
+change has the most, since its predecessors only leave the queue after
+it. Nodes are counted by a `BuildNode` subclass swapped into
+`specqueue.forest` for the run, and arrivals by a wrap of
+`SpeculationForest.add_change`, both restored after it, so the wall time
 includes the counting. Each run is then made a second time inside
 `bench/spans.py`'s `SpanRecorder().installed()`, loaded by path, and its
 `layers` give each span's calls and self seconds, the traced wall time,
@@ -35,6 +41,12 @@ the time in the engine's own code (the event loop, rescoring, success
 reads), which no span wraps. The plain run's wall time stays the
 headline figure, since the spans slow a run down.
 
+Under `traffic` it records the same two arrival counts for each
+workload's batch at the pinned seed of `bench/reference.json`, every
+stream drawn in process as `benchmark_stream` draws it and run under
+each strategy: the most predecessors over the batch, and the capped
+changes summed over it.
+
 It records the commit checked out (`git rev-parse HEAD`, or null
 outside a git checkout), whether tracked files differ from it, the PR
 number given, the host's CPU count as `os.cpu_count()` gives it (the
@@ -42,12 +54,15 @@ number given, the host's CPU count as `os.cpu_count()` gives it (the
 of that to `BENCH_<pr>.json` at the repository root, and exits 1 when a
 benchmark run is not correct, 0 otherwise. A run that fails or prints
 no result stops it before anything is written. It uses only the
-standard library, the package and `bench/spans.py`.
+standard library, the package and `bench/spans.py`. Tests draw the
+benchmark's streams through `benchmark_stream` and the `hot` and `dense`
+streams through their recipes here, so each has one definition.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.util
 import json
@@ -67,6 +82,7 @@ if __name__ == "__main__":  # run as a script: find the package without an insta
 
 import specqueue.forest  # noqa: E402
 from specqueue.core import EngineConfig  # noqa: E402
+from specqueue.forest import SpeculationForest  # noqa: E402
 from specqueue.simulator import (  # noqa: E402
     GeneratorParams,
     WorkloadSpec,
@@ -77,6 +93,8 @@ from specqueue.simulator.workload import STRATEGIES  # noqa: E402
 
 SEED = 1
 DIGEST_PREFIX = "digest "
+# bench/harness.py's: stream k of a batch at seed s gets seed s * SEED_STRIDE + k
+SEED_STRIDE = 1000
 
 
 def bench_command(workload: str, trace: int = 0) -> list[str]:
@@ -134,6 +152,23 @@ def run_workload(workload: str, trace: int = 0) -> dict:
     return parse_run(done.stdout)
 
 
+@functools.cache
+def reference() -> dict:
+    """`bench/reference.json`, read once: each workload's definition and
+    the pinned seed."""
+    return json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
+
+
+def benchmark_stream(name: str, k: int = 0) -> tuple[GeneratorParams, EngineConfig]:
+    """Stream k of benchmark workload `name`'s batch at the pinned seed,
+    drawn as bench/harness.py draws it. A workload drawn through the CLI
+    takes the default config, as `gen-workload` does."""
+    definition = reference()["workloads"][name]
+    seed = reference()["pinned_seed"] * SEED_STRIDE + k
+    config = {} if definition["via_cli"] else definition.get("config", {})
+    return GeneratorParams(seed=seed, **definition["generator"]), EngineConfig(**config)
+
+
 def hot(seed: int, n_changes: int) -> WorkloadSpec:
     params = GeneratorParams(
         n_changes=n_changes,
@@ -179,9 +214,11 @@ STRESS = {
 
 
 def stress_run(workload: WorkloadSpec, strategy: str) -> dict:
-    """One in-process run of `workload`, with the nodes its forest made."""
-    made = 0
+    """One in-process run of `workload`, with the nodes its forest made
+    and the conflicting predecessors its arrivals queued behind."""
+    made = max_predecessors = capped = 0
     original = specqueue.forest.BuildNode
+    add_change = SpeculationForest.add_change
 
     class CountedNode(original):
         __slots__ = ()
@@ -191,13 +228,22 @@ def stress_run(workload: WorkloadSpec, strategy: str) -> dict:
             made += 1
             super().__init__(*args, **fields)
 
+    def counted_add_change(forest: SpeculationForest, c) -> None:
+        nonlocal max_predecessors, capped
+        add_change(forest, c)
+        ahead = len(forest.windows[c]) + len(forest.outside[c])
+        max_predecessors = max(max_predecessors, ahead)
+        capped += ahead > forest.depth_cap
+
     specqueue.forest.BuildNode = CountedNode
+    SpeculationForest.add_change = counted_add_change
     try:
         started = time.perf_counter()
         report, trace = run(workload, strategy)
         wall_s = time.perf_counter() - started
     finally:
         specqueue.forest.BuildNode = original
+        SpeculationForest.add_change = add_change
     return {
         "wall_s": wall_s,
         "executor_minutes": report.executor_minutes,
@@ -206,6 +252,8 @@ def stress_run(workload: WorkloadSpec, strategy: str) -> dict:
         "p50_wait_min": report.p50_wait,
         "p95_wait_min": report.p95_wait,
         "nodes_made": made,
+        "max_predecessors": max_predecessors,
+        "capped": capped,
         "trace_digest": hashlib.blake2b(
             ("\n".join(trace) + "\n").encode("utf-8"), digest_size=16
         ).hexdigest(),
@@ -257,6 +305,24 @@ def stress() -> dict:
     return results
 
 
+def traffic(name: str) -> dict:
+    """Under each strategy, the most conflicting predecessors a change of
+    benchmark workload `name`'s batch queued behind on arrival, and the
+    changes past `depth_cap` summed over the batch."""
+    workloads = []
+    for k in range(reference()["workloads"][name]["instances"]):
+        params, config = benchmark_stream(name, k)
+        workloads.append(generate_workload(params, config=config))
+    results = {}
+    for strategy in STRATEGIES:
+        runs = [stress_run(w, strategy) for w in workloads]
+        results[strategy] = {
+            "max_predecessors": max([r["max_predecessors"] for r in runs]),
+            "capped": sum([r["capped"] for r in runs]),
+        }
+    return results
+
+
 def git(*args: str) -> str | None:
     """A git command's output in the repository root, or None when it fails."""
     try:
@@ -282,6 +348,7 @@ def trajectory(pr: int) -> dict:
         "seed": SEED,
         "workloads": {w["name"]: run_workload(w["name"]) for w in spec["workloads"]},
         "layers": {w["name"]: run_workload(w["name"], 1) for w in spec["workloads"]},
+        "traffic": {w["name"]: traffic(w["name"]) for w in spec["workloads"]},
         "stress": stress(),
     }
 

@@ -271,8 +271,15 @@ class TestGeneratorParams:
         ],
     )
     def test_rejects_out_of_range(self, kw):
-        with pytest.raises(WorkloadError):
+        # each case must raise its own field's check, not another field's
+        ((field, _),) = kw.items()
+        message = {
+            "n_changes": "n_changes must be >= 1",
+            "arrival_rate": "arrival_rate must be finite and > 0",
+        }.get(field, f"{field} must be in [0, 1]")
+        with pytest.raises(WorkloadError) as info:
             GeneratorParams(**kw)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_rejects_non_finite_arrival_rate(self, rate):
@@ -823,10 +830,7 @@ class TestFileFormat:
             "change id=C0 at=0.0 targets=a mu=inf var=4.0",
             "change id=C0 at=0.0 targets=a mu=nan var=4.0",
             "change id=C0 at=0.0 targets=a mu=10.0 var=nan",
-            "predictor oracle bias=nan\n" + CHANGE_C0,
-            "predictor oracle spread=inf\n" + CHANGE_C0,
             "predictor constant mu=inf\n" + CHANGE_C0,
-            "predictor constant var=nan\n" + CHANGE_C0,
             # labels the format cannot write back or name as breakers
             "change id= at=0.0 targets=a mu=10.0 var=4.0",
             "change id=a,b at=0.0 targets=a mu=10.0 var=4.0",
@@ -1019,6 +1023,21 @@ PARSE_ERRORS = [
         "predictor-value",
         "predictor constant mu=inf\n" + CHANGE_C0,
         "line 1: mean must be finite and >= 0.01",
+    ),
+    (
+        "predictor-variance",
+        "predictor constant var=nan\n" + CHANGE_C0,
+        "line 1: variance must be finite and >= 0",
+    ),
+    (
+        "predictor-bias",
+        "predictor oracle bias=nan\n" + CHANGE_C0,
+        "line 1: relative_bias must be finite",
+    ),
+    (
+        "predictor-spread",
+        "predictor oracle spread=inf\n" + CHANGE_C0,
+        "line 1: relative_spread must be finite and >= 0",
     ),
     (
         "config-field",

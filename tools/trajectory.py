@@ -30,16 +30,16 @@ made, the digest of the trace, and where the depth cap binds:
 had on arrival, and `capped`, the changes that had more of them than
 `depth_cap`, so that their window left some out. Arrival is when a
 change has the most, since its predecessors only leave the queue after
-it. Nodes are counted by a `BuildNode` subclass swapped into
-`specqueue.forest` for the run, and arrivals by a wrap of
-`SpeculationForest.add_change`, both restored after it, so the wall time
-includes the counting. Each run is then made a second time inside
-`bench/spans.py`'s `SpanRecorder().installed()`, loaded by path, and its
-`layers` give each span's calls and self seconds, the traced wall time,
-and `engine.rest.self_s`: that wall time less the spans' self seconds,
-the time in the engine's own code (the event loop, rescoring, success
-reads), which no span wraps. The plain run's wall time stays the
-headline figure, since the spans slow a run down.
+it. Both counts are read from the trace's `arrive C<n>
+pending_conflicts=N` lines. Nodes are counted by a `BuildNode` subclass
+swapped into `specqueue.forest` for the run and restored after it, so
+the wall time includes the counting. Each run is then made a second
+time inside `bench/spans.py`'s `SpanRecorder().installed()`, loaded by
+path, and its `layers` give each span's calls and self seconds, the
+traced wall time, and `engine.rest.self_s`: that wall time less the
+spans' self seconds, the time in the engine's own code (the event loop,
+rescoring, success reads), which no span wraps. The plain run's wall
+time stays the headline figure, since the spans slow a run down.
 
 Under `traffic` it records the same two arrival counts for each
 workload's batch at the pinned seed of `bench/reference.json`, every
@@ -82,7 +82,6 @@ if __name__ == "__main__":  # run as a script: find the package without an insta
 
 import specqueue.forest  # noqa: E402
 from specqueue.core import EngineConfig  # noqa: E402
-from specqueue.forest import SpeculationForest  # noqa: E402
 from specqueue.simulator import (  # noqa: E402
     GeneratorParams,
     WorkloadSpec,
@@ -215,10 +214,10 @@ STRESS = {
 
 def stress_run(workload: WorkloadSpec, strategy: str) -> dict:
     """One in-process run of `workload`, with the nodes its forest made
-    and the conflicting predecessors its arrivals queued behind."""
-    made = max_predecessors = capped = 0
+    and, from its trace's `arrive` lines, the conflicting predecessors its
+    arrivals queued behind."""
+    made = 0
     original = specqueue.forest.BuildNode
-    add_change = SpeculationForest.add_change
 
     class CountedNode(original):
         __slots__ = ()
@@ -228,22 +227,19 @@ def stress_run(workload: WorkloadSpec, strategy: str) -> dict:
             made += 1
             super().__init__(*args, **fields)
 
-    def counted_add_change(forest: SpeculationForest, c) -> None:
-        nonlocal max_predecessors, capped
-        add_change(forest, c)
-        ahead = len(forest.windows[c]) + len(forest.outside[c])
-        max_predecessors = max(max_predecessors, ahead)
-        capped += ahead > forest.depth_cap
-
     specqueue.forest.BuildNode = CountedNode
-    SpeculationForest.add_change = counted_add_change
     try:
         started = time.perf_counter()
         report, trace = run(workload, strategy)
         wall_s = time.perf_counter() - started
     finally:
         specqueue.forest.BuildNode = original
-        SpeculationForest.add_change = add_change
+    # "t=<now> arrive C<n> pending_conflicts=N"
+    ahead = [
+        int(tokens[3].partition("=")[2])
+        for tokens in map(str.split, trace)
+        if tokens[1] == "arrive"
+    ]
     return {
         "wall_s": wall_s,
         "executor_minutes": report.executor_minutes,
@@ -252,8 +248,8 @@ def stress_run(workload: WorkloadSpec, strategy: str) -> dict:
         "p50_wait_min": report.p50_wait,
         "p95_wait_min": report.p95_wait,
         "nodes_made": made,
-        "max_predecessors": max_predecessors,
-        "capped": capped,
+        "max_predecessors": max(ahead),
+        "capped": sum(n > workload.config.depth_cap for n in ahead),
         "trace_digest": hashlib.blake2b(
             ("\n".join(trace) + "\n").encode("utf-8"), digest_size=16
         ).hexdigest(),

@@ -1,9 +1,11 @@
 """Virtual-time event loop driving the queue under a chosen strategy.
 
-Arrivals and build completions are the only events. An arrival decides
-nothing; a finished build can only make its own change decidable, and a
-decision can only unblock the later queued changes that conflict with
-it, which are decided next in queue order.
+Arrivals and build completions are the only events. Arrivals are read
+from the workload in queue order, which is arrival order; only
+completions wait in a heap, and at a tie an arrival comes first. An
+arrival decides nothing; a finished build can only make its own change
+decidable, and a decision can only unblock the later queued changes that
+conflict with it, which are decided next in queue order.
 
 After every event the engine re-profiles and re-scores only what the
 event moved, and an event that moved nothing rescores nothing. A
@@ -12,9 +14,11 @@ finishes, and when a decision re-derives its window; starts and aborts
 touch no node, since the table of live runs alone records which builds
 run. A change is re-scored when its estimate moved or its window holds
 a change whose estimate moved, since its partition and scores read
-nothing else; its builds at or above the strategy's floor replace its
-builds in the `selection.RankOrder` kept across events, and a change
-leaves it when it is decided. A change with an empty window waits on
+nothing else. One pass in queue order estimates each moved change's new
+builds and ranks each re-scored change: a re-scored change's builds at
+or above the strategy's floor replace its builds in the
+`selection.RankOrder` kept across events, and a change leaves it when
+it is decided. A change with an empty window waits on
 nobody, so its one build scores exactly 1 under either strategy: it is
 ranked by that rule, neither profiled nor scored. Builds that fell out
 of the order's first capacity abort, newly chosen ones start. A run
@@ -83,7 +87,6 @@ from specqueue.simulator.workload import (
 
 TraceLog = tuple[str, ...]
 
-_ARRIVAL, _FINISH = 0, 1
 _LABEL = attrgetter("label")
 _NUMBER = attrgetter("number")
 
@@ -258,19 +261,22 @@ class Scheduler:
         reschedule, re-profiling only the changes they moved, and of each
         moved m's filed successors `forest.after[m]` those whose window
         holds m, since a score reads only its change's window; the caller
-        skips it when they moved none. A change with an empty window
-        waits on nobody, so its one node scores 1 under either strategy
-        and is ranked by that rule, unprofiled; a pending one with no
-        estimate raises, as `profile_change` does."""
+        skips it when they moved none. One pass in queue order reads each
+        rescored change's nodes once, estimating a moved change's new
+        nodes just before ranking them: the window predecessors a score
+        reads come earlier, so they are estimated by then. A change with
+        an empty window waits on nobody, so its one node scores 1 under
+        either strategy and is ranked by that rule, unprofiled; a pending
+        one with no estimate raises, as `profile_change` does."""
         windows = self.forest.windows
-        moved = sorted(self.moved)
-        self.moved.clear()
-        self._annotate(moved)
+        moved, self.moved = self.moved, set()
         rescore = set(moved)
         for m in moved:
             rescore.update([d for d in self.forest.after[m] if m in windows[d]])
         for c in sorted(rescore):
             nodes = self.forest.nodes_for_change(c)
+            if c in moved:
+                self._annotate(c, nodes)
             if windows[c]:
                 ranked = rank_builds(
                     nodes, self._partition(c), self._success_fn, self.floor
@@ -291,25 +297,24 @@ class Scheduler:
         # Baseline: every conflicting predecessor is waited out.
         return outcome_partition(c, self.forest)
 
-    def _annotate(self, changes: Sequence[ChangeId]) -> None:
-        """Estimate the nodes that have none. Only an arrived or
-        re-windowed change has such nodes: a node carried across a
-        re-window keeps its estimate."""
-        for c in changes:
-            targets = len(self.workload.changes[c].targets)
-            conflicts = len(self.forest.windows[c])
-            for node in self.forest.nodes_for_change(c):
-                if node.estimate is not None:
-                    continue
-                key = (targets, conflicts, len(node.base))
-                features = self._features.get(key)
-                if features is None:
-                    features = self._features[key] = PredictionFeatures(*key)
-                node.estimate = predict_duration(
-                    self.workload.predictor,
-                    features,
-                    truth=self.durations[c],
-                )
+    def _annotate(self, c: ChangeId, nodes: Collection[BuildNode]) -> None:
+        """Estimate those of c's nodes that have none. Only an arrived or
+        re-windowed change has such nodes, and either is in `moved`: a
+        node carried across a re-window keeps its estimate."""
+        targets = len(self.workload.changes[c].targets)
+        conflicts = len(self.forest.windows[c])
+        for node in nodes:
+            if node.estimate is not None:
+                continue
+            key = (targets, conflicts, len(node.base))
+            features = self._features.get(key)
+            if features is None:
+                features = self._features[key] = PredictionFeatures(*key)
+            node.estimate = predict_duration(
+                self.workload.predictor,
+                features,
+                truth=self.durations[c],
+            )
 
     def _success_fn(self, pred: ChangeId, context: BaseKey) -> float:
         """pred's observed outcome on the path `context` assumes, else its
@@ -352,22 +357,29 @@ class _Simulation:
     # -- event loop ---------------------------------------------------
 
     def execute(self) -> tuple[MetricsReport, TraceLog]:
-        for spec in self.workload.changes:
-            heapq.heappush(self.heap, (spec.arrival_time, _ARRIVAL, spec.id.seq))
-        while self.heap:
-            entry = heapq.heappop(self.heap)
-            if entry[1] == _FINISH and self.running.get(entry[4].node) is not entry[4]:
-                continue  # stale completion: the run was aborted; nothing changed
-            self.now = entry[0]
-            self._stamp = f"t={self.now:.2f} "
-            if entry[1] == _ARRIVAL:
-                c = self.workload.changes[entry[2]].id
+        """Run every event: the arrivals in the workload's (arrival time,
+        seq) order, merged with the completions in the heap's (finish,
+        seq, start) order, an arrival first at a tie. A completion whose
+        run was aborted is stale: it sets no time, logs nothing and does
+        not reschedule. Returns the report and the trace."""
+        arrivals = iter(self.workload.changes)
+        spec = next(arrivals, None)
+        while spec is not None or self.heap:
+            if self.heap and (spec is None or self.heap[0][0] < spec.arrival_time):
+                finish, _, _, run = heapq.heappop(self.heap)
+                if self.running.get(run.node) is not run:
+                    continue  # stale completion: the run was aborted; nothing changed
+                self.now = finish
+                self._stamp = f"t={finish:.2f} "
+                self._finish(run)
+            else:
+                self.now, c = spec.arrival_time, spec.id
+                self._stamp = f"t={self.now:.2f} "
                 pending = self.scheduler.arrive(c)
                 if pending:
                     self.waited_on_conflicts += 1
                 self._log(f"arrive {c.label} pending_conflicts={pending}")
-            else:
-                self._finish(entry[4])
+                spec = next(arrivals, None)
             self._reschedule()
         left = self.scheduler.forest.queue
         if left or self.running:
@@ -397,7 +409,7 @@ class _Simulation:
                 self.landed_set.add(c)
             record = WaitRecord(
                 change=c.label,
-                arrival=self.scheduler.arrivals[c],
+                arrival=self.workload.changes[c].arrival_time,
                 decided_at=self.now,
                 landed=landed,
                 via_bypass=bool(bypassed),
@@ -437,7 +449,7 @@ class _Simulation:
         run = _Run(node, self.now, duration, outcome, self.builds_started)
         self.running[node] = run
         # the start count breaks ties, so the run itself is never compared
-        heapq.heappush(self.heap, (finish, _FINISH, node.change.seq, run.number, run))
+        heapq.heappush(self.heap, (finish, node.change.seq, run.number, run))
         head = "yes" if self.scheduler.forest.heads_component(node.change) else "no"
         self._log(
             f"start {node.change.label} base={_base_str(node.base)} "

@@ -96,6 +96,11 @@ OVERTAKEN = WorkloadSpec(
     changes=(_change(0, 0.0, {"a"}, mean=60.0), _change(1, 1.0, {"a"})),
     predictor=OracleWithNoise(),
 )
+# C0's point-mass build finishes at 10, the minute C1 arrives on its target
+TIED = WorkloadSpec(
+    changes=(_change(0, 0.0, {"a"}), _change(1, 10.0, {"a"})),
+    predictor=OracleWithNoise(),
+)
 # C0 breaks C1 and C2. C1's build on C0 fails, so C1 is rejected once C0
 # lands; C2 arrives after that, and its one build fails on the mainline
 BROKEN = WorkloadSpec(
@@ -139,7 +144,7 @@ def check_a_head_without_an_estimate_raises(strategy: str) -> None:
     window whose pending build has no duration estimate, before it
     starts anything."""
     scheduler = scheduler_of(HEADS, strategy)
-    scheduler._annotate = lambda changes: None
+    scheduler._annotate = lambda c, nodes: None
     c = HEADS.changes[0].id
     scheduler.arrive(c)
     try:
@@ -152,13 +157,28 @@ def check_a_head_without_an_estimate_raises(strategy: str) -> None:
 
 def check_an_arrival_starts_its_build() -> None:
     """Under both strategies, a reschedule after one change arrives, the
-    one change its event moved, ranks and starts that change's build."""
+    one change its event moved, estimates, ranks and starts that change's
+    build."""
     c = HEADS.changes[0].id
     for strategy in STRATEGIES:
         sim = _Simulation(HEADS, strategy)
         sim.scheduler.arrive(c)
-        sim._reschedule()
+        try:
+            sim._reschedule()
+        except ValueError as error:  # a build with no estimate
+            raise AssertionError(strategy) from error
         assert list(sim.running) == [sim.scheduler.forest.by_change[c][()]], strategy
+
+
+def check_an_arrival_comes_before_a_finish_at_its_minute() -> None:
+    """Under both strategies, C1 of `TIED` arrives behind a queued C0, and
+    only then does C0's build finish, at the same minute."""
+    arrival = "t=10.00 arrive C1 pending_conflicts=1"
+    for strategy in STRATEGIES:
+        _, trace = _Simulation(TIED, strategy).execute()
+        assert arrival in trace, (strategy, trace)
+        finish = next(line for line in trace if " finish C0 " in line)
+        assert trace.index(arrival) < trace.index(finish), (strategy, trace)
 
 
 def check_heads_keep_their_builds_at_1() -> None:
@@ -366,6 +386,22 @@ MUTANTS = (
         "if self.moved:",
         "if len(self.moved) > 1:",
         check_an_arrival_starts_its_build,
+    ),
+    Mutant(
+        "rescoring estimates no moved change",
+        Scheduler,
+        "_rescore",
+        "if c in moved:",
+        "if False:",
+        check_an_arrival_starts_its_build,
+    ),
+    Mutant(
+        "a completion at an arrival's minute comes first",
+        _Simulation,
+        "execute",
+        "self.heap[0][0] < spec.arrival_time",
+        "self.heap[0][0] <= spec.arrival_time",
+        check_an_arrival_comes_before_a_finish_at_its_minute,
     ),
     Mutant(
         "rescoring ranks a head with no estimate",

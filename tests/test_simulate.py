@@ -36,6 +36,7 @@ from specqueue.simulator.workload import STRATEGIES, ChangeSpec, WorkloadError
 from mutants import (
     check_a_head_keeps_its_build_at_1,
     check_a_head_without_an_estimate_raises,
+    check_an_arrival_comes_before_a_finish_at_its_minute,
 )
 from oracles import CheckedSimulation, benchmark_stream, load_tool, reference_duration
 
@@ -417,6 +418,29 @@ def sized(recipe, seed, **n_changes):
     return lambda strategy: recipe(seed, n_changes[strategy])
 
 
+# Point-mass builds whose finishes fall on arrival minutes: at 5, 10, 20
+# and 30 an arrival ties a finish, at 0, 10 and 20 arrivals tie each
+# other, and C2 fails alone and C1 breaks C4, so both strategies abort
+# builds, some at the minute they would have finished.
+TIES = workload(
+    (
+        spec(0, "C0", 0.0, {"a"}, 10.0, prior=0.5),
+        spec(1, "C1", 0.0, {"a", "b"}, 10.0),
+        spec(2, "C2", 0.0, {"b"}, 5.0, passes=False, prior=0.5),
+        spec(3, "C3", 5.0, {"b"}, 5.0),
+        replace(
+            spec(4, "C4", 10.0, {"a"}, 10.0, prior=0.5), breakers=(ChangeId(1, "C1"),)
+        ),
+        spec(5, "C5", 10.0, {"c"}, 10.0),
+        spec(6, "C6", 15.0, {"a", "c"}, 5.0),
+        spec(7, "C7", 20.0, {"a"}, 10.0, prior=0.5),
+        spec(8, "C8", 20.0, {"b"}, 10.0),
+        spec(9, "C9", 30.0, {"a", "b"}, 10.0),
+    ),
+    config=EngineConfig(executor_capacity=6),
+)
+
+
 # Each builds its workload for a strategy. dense_runs draws at most 14
 # changes and capacities of at most 8, and no generated stream caps a window.
 CHECKED_STREAMS = {
@@ -449,6 +473,8 @@ CHECKED_STREAMS = {
     "hot-1": sized(trajectory.hot, 1, enhanced=100, baseline=60),
     "hot-6": sized(trajectory.hot, 6, enhanced=60, baseline=50),
     "hot-9": sized(trajectory.hot, 9, enhanced=80, baseline=50),
+    # arrivals and finishes at the same minute, taken arrivals first
+    "ties": lambda strategy: TIES,
 }
 
 
@@ -634,6 +660,18 @@ class TestEventDecisions:
         w = trajectory.dense(3, 300)
         assert run_digest(w, strategy) == expected
 
+    # Recorded while arrivals still went through the event heap, ahead of
+    # completions at their minute by a kind tag.
+    @pytest.mark.parametrize(
+        "strategy, expected",
+        [
+            ("enhanced", "0afb90eebd7bc03586da06e71ddf8ced"),
+            ("baseline", "448d214927c571ff7b457173485dcf16"),
+        ],
+    )
+    def test_golden_digest_pins_the_tied_stream(self, strategy, expected):
+        assert run_digest(TIES, strategy) == expected
+
 
 class TestHeadRule:
     """A change with an empty window waits on nobody, so the engine ranks
@@ -715,6 +753,37 @@ class TestOutsideWindowFinish:
     )
     def test_golden_digest_pins_it(self, strategy, expected):
         assert run_digest(OUTSIDE_FINISH, strategy) == expected
+
+
+# C2's build on C0 starts at 1 and its mainline build at 5, once C1 frees
+# an executor; C0 lands at 10 and aborts the mainline build, and C2 lands
+# at 21, so the aborted build's completion at 25 is the run's last event.
+LATE_STALE = workload(
+    (
+        spec(0, "C0", 0.0, {"a"}, 10.0, prior=0.6),
+        spec(1, "C1", 0.0, {"b"}, 5.0),
+        spec(2, "C2", 1.0, {"a"}, 20.0),
+    ),
+    config=EngineConfig(executor_capacity=3),
+)
+
+
+class TestEventOrder:
+    def test_an_arrival_comes_before_a_finish_at_its_minute(self):
+        check_an_arrival_comes_before_a_finish_at_its_minute()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("w", [LATE_STALE, TIES], ids=["late-stale", "ties"])
+    def test_a_stale_completion_does_nothing(self, w, strategy):
+        sim = _Simulation(w, strategy)
+        reschedules = []
+        reschedule = sim._reschedule
+        sim._reschedule = lambda: reschedules.append(reschedule())
+        report, trace = sim.execute()
+        assert report.abort_count > 0
+        events = [line for line in trace if line.split()[1] in ("arrive", "finish")]
+        assert len(reschedules) == len(events)
+        assert sim.now == float(trace[-1].split()[0].removeprefix("t="))
 
 
 class TestCompare:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -207,23 +208,33 @@ def test_the_check_sees_the_wraps_and_the_calls():
     assert called_names("from m import f, g, h\nf(1)\nx = g\nobj.h()\n") == {"f"}
 
 
-def sum_readers(source: str) -> list[str]:
-    """The functions that read the name `sum`, by calling the builtin or
-    passing it on, once per read, sorted; module level reads as
-    `<module>`."""
+def owned_reads(source: str, match: Callable[[ast.AST], list[str]]) -> list[str]:
+    """Each name `match` finds in a node of the module, as `owner:name`,
+    sorted. The owner is the dotted name of the enclosing classes and
+    functions; module level reads as `<module>`."""
     found = []
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{owner}.{child.name}" if owner != "<module>" else child.name
+                visit(child, inner)
                 continue
-            if isinstance(child, ast.Name) and child.id == "sum":
-                found.append(owner)
+            found.extend(f"{owner}:{name}" for name in match(child))
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return sorted(found)
+
+
+def sum_readers(source: str) -> list[str]:
+    """The owners that read the name `sum`, by calling the builtin or
+    passing it on, once per read, sorted."""
+
+    def match(node: ast.AST) -> list[str]:
+        return ["sum"] if isinstance(node, ast.Name) and node.id == "sum" else []
+
+    return sorted(read.rpartition(":")[0] for read in owned_reads(source, match))
 
 
 # From Python 3.12 the builtin `sum` adds floats with compensation
@@ -231,7 +242,7 @@ def sum_readers(source: str) -> list[str]:
 # than on 3.10 and 3.11 and move a score, and with it a trace. The package
 # adds floats with `+=` in an order it sets; the one `sum` it keeps counts
 # the report's bypassed changes, booleans, which every version adds exactly.
-SUM_READERS = {"simulator/engine.py": ["_report"]}
+SUM_READERS = {"simulator/engine.py": ["_Simulation._report"]}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
@@ -246,7 +257,7 @@ def test_the_check_sees_each_sum():
         "class K:\n    def h(self):\n        def inner():\n"
         "            return sum(())\n        return sum\n"
     )
-    assert sum_readers(source) == ["<module>", "f", "f", "h", "inner"]
+    assert sum_readers(source) == ["<module>", "K.h", "K.h.inner", "f", "f"]
 
 
 GRAPH_NAMES = ("ConflictGraph", "build_conflict_graph")
@@ -254,28 +265,20 @@ GRAPH_NAMES = ("ConflictGraph", "build_conflict_graph")
 
 def graph_reads(source: str) -> list[str]:
     """Each read of the conflict graph's builder or type, by name, as an
-    attribute or in an import, as `function:name`, sorted; module level
-    reads as `<module>`."""
-    found = []
+    attribute or in an import, as `owner:name`, sorted."""
 
-    def visit(node: ast.AST, owner: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Name):
-                names = [child.id]
-            elif isinstance(child, ast.Attribute):
-                names = [child.attr]
-            elif isinstance(child, (ast.Import, ast.ImportFrom)):
-                names = [a.name.split(".")[-1] for a in child.names]
-            else:
-                names = []
-            found.extend(f"{owner}:{n}" for n in names if n in GRAPH_NAMES)
-            visit(child, owner)
+    def match(node: ast.AST) -> list[str]:
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.split(".")[-1] for a in node.names]
+        else:
+            names = []
+        return [n for n in names if n in GRAPH_NAMES]
 
-    visit(ast.parse(source), "<module>")
-    return sorted(found)
+    return owned_reads(source, match)
 
 
 # The forest takes each change's targets, so only core.py names the graph's
@@ -286,7 +289,7 @@ GRAPH_READS = {
     "core.py": ["build_conflict_graph:ConflictGraph"] * 2,
     "simulator/engine.py": [
         "<module>:build_conflict_graph",
-        "__init__:build_conflict_graph",
+        "Scheduler.__init__:build_conflict_graph",
     ],
     "simulator/workload.py": [
         "<module>:build_conflict_graph",
@@ -313,8 +316,8 @@ def test_the_check_sees_each_graph_read():
     )
     assert graph_reads(source) == [
         "<module>:ConflictGraph",
+        "K.h:ConflictGraph",
         "f:build_conflict_graph",
-        "h:ConflictGraph",
     ]
 
 
@@ -323,25 +326,16 @@ HIDDEN = frozenset({"passes_alone", "breakers", "true_mean", "true_variance"})
 
 def hidden_reads(source: str) -> list[str]:
     """Each read of a change's hidden truth, as an attribute or as a
-    string naming it (as `getattr` takes it), as `owner:name`, sorted.
-    The owner is the dotted name of the enclosing classes and functions;
-    module level reads as `<module>`."""
-    found = []
+    string naming it (as `getattr` takes it), as `owner:name`, sorted."""
 
-    def visit(node: ast.AST, owner: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = f"{owner}.{child.name}" if owner != "<module>" else child.name
-                visit(child, inner)
-                continue
-            if isinstance(child, ast.Attribute) and child.attr in HIDDEN:
-                found.append(f"{owner}:{child.attr}")
-            elif isinstance(child, ast.Constant) and child.value in HIDDEN:
-                found.append(f"{owner}:{child.value}")
-            visit(child, owner)
+    def match(node: ast.AST) -> list[str]:
+        if isinstance(node, ast.Attribute) and node.attr in HIDDEN:
+            return [node.attr]
+        if isinstance(node, ast.Constant) and node.value in HIDDEN:
+            return [node.value]
+        return []
 
-    visit(ast.parse(source), "<module>")
-    return sorted(found)
+    return owned_reads(source, match)
 
 
 # The workload module holds the records, the generator and the file form,

@@ -93,12 +93,13 @@ def _ordered_bases(window: BaseKey) -> tuple[BaseKey, ...]:
 class SpeculationForest:
     """All speculative builds for the current pending queue, kept in place.
 
-    Queue order is ChangeId order. ``targets[c]`` is c's targets, for every
-    change that may arrive. ``windows[c]`` is c's window, its nearest
-    ``depth_cap`` queued conflicting predecessors, and the keys of
-    ``windows`` are the queue, in that order. ``outside[c]`` is the older
-    ones the cap left out, in queue order, so ``outside[c] + windows[c]``
-    is every queued conflicting predecessor of c. ``after[c]`` is every
+    Queue order is ChangeId order. ``targets[c]`` is c's targets, filed
+    when c arrives and dropped when it is decided, so the forest holds
+    the targets of queued changes only. ``windows[c]`` is c's window,
+    its nearest ``depth_cap`` queued conflicting predecessors, and the
+    keys of ``windows`` are the queue, in that order. ``outside[c]`` is
+    the older ones the cap left out, in queue order, so ``outside[c] +
+    windows[c]`` is every queued conflicting predecessor of c. ``after[c]`` is every
     queued conflicting successor of c, in queue order: the only changes
     whose windows c is in, so the only ones its resolution moves. Only an
     arrival and a resolution change it, since the conflict relation among
@@ -116,8 +117,8 @@ class SpeculationForest:
     files nodes.
     """
 
-    targets: Mapping[ChangeId, Collection[str]]
     depth_cap: int
+    targets: dict[ChangeId, Collection[str]] = field(default_factory=dict)
     windows: dict[ChangeId, BaseKey] = field(default_factory=dict)
     outside: dict[ChangeId, BaseKey] = field(default_factory=dict)
     after: dict[ChangeId, list[ChangeId]] = field(default_factory=dict)
@@ -159,10 +160,11 @@ class SpeculationForest:
         """All nodes of c, largest base first, then base lexicographic."""
         return self.by_change[c].values()
 
-    def add_change(self, c: ChangeId) -> None:
-        """Append an arriving change with its window, the predecessors its
-        cap left outside, and its pending nodes, and file it as the last
-        successor of each of its queued conflicting predecessors.
+    def add_change(self, c: ChangeId, targets: Collection[str]) -> None:
+        """Append an arriving change with its targets, its window, the
+        predecessors its cap left outside, and its pending nodes, and file
+        it as the last successor of each of its queued conflicting
+        predecessors.
 
         c must sort after the queue's tail, so every change queued on one
         of its targets is ahead of it: this one read of ``queued`` is the
@@ -174,9 +176,9 @@ class SpeculationForest:
         """
         if self.windows and c <= next(reversed(self.windows)):
             raise ValueError(f"change {c} does not sort after the queue's tail")
-        targets, queued = set(self.targets[c]), self.queued
+        self.targets[c], queued = targets, self.queued
         ahead = tuple(sorted({p for t in targets for p in queued.get(t, ())}))
-        for t in targets:
+        for t in set(targets):
             queued.setdefault(t, []).append(c)
         self._set_window(c, ahead, {})
         for p in ahead:
@@ -207,10 +209,11 @@ def enumerate_forest(
     targets: Mapping[ChangeId, Collection[str]],
     depth_cap: int,
 ) -> SpeculationForest:
-    """Build a fresh all-pending forest by adding the queue in order."""
-    forest = SpeculationForest(targets=targets, depth_cap=depth_cap)
+    """Build a fresh all-pending forest by adding the queue in order,
+    each change with its ``targets[c]``."""
+    forest = SpeculationForest(depth_cap=depth_cap)
     for c in queue:
-        forest.add_change(c)
+        forest.add_change(c, targets[c])
     return forest
 
 
@@ -252,22 +255,21 @@ def resolve_change(
     keeps its filed predecessors, ``outside[c] + windows[c]``, less the
     resolved change: the conflict relation among queued changes is fixed,
     so that is what a read of the queue would give, and only the resolved
-    change's targets are read. A
-    surviving node is the same node, its base rewritten in place: when the
-    resolved change landed it joins mainline, so a node that assumed it in
-    the base describes the same merge with the base member removed. A base
-    no carried node fills gets a fresh pending node, built once; every other
-    change keeps its window and nodes. The resolved change leaves its
-    predecessors' lists of successors, and its own list goes. The forest is
-    updated in place and returned; an unknown change raises KeyError before
-    anything changes.
+    change's targets are read. A surviving node is the same node, its base
+    rewritten in place: when the resolved change landed it joins mainline,
+    so a node that assumed it in the base describes the same merge with the
+    base member removed. A base no carried node fills gets a fresh pending
+    node, built once; every other change keeps its window and nodes. The
+    resolved change leaves its predecessors' lists of successors, and its
+    own list and its targets go. The forest is updated in place and
+    returned; an unknown change raises KeyError before anything changes.
     """
     for p in forest.outside[resolved] + forest.windows[resolved]:
         forest.after[p].remove(resolved)
     del forest.windows[resolved], forest.outside[resolved], forest.by_change[resolved]
     del forest.after[resolved]
     queued = forest.queued
-    for t in set(forest.targets[resolved]):
+    for t in set(forest.targets.pop(resolved)):
         queued[t].remove(resolved)
         if not queued[t]:
             del queued[t]

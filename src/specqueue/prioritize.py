@@ -119,11 +119,7 @@ def profile_change(
     if product < cfg.bypass_product_floor:
         return outcome_partition(c, forest, fallback_active=True)
     return BypassPartition(
-        change=c,
-        non_bypassable=tuple(non_bypassable),
-        bypassable=tuple(bypassable),
-        bypass_product=product,
-        fallback_active=False,
+        c, tuple(non_bypassable), tuple(bypassable), product, fallback_active=False
     )
 
 

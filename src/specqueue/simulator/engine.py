@@ -28,13 +28,17 @@ virtual minutes; a run is a pure function of its workload.
 
 The `Scheduler` is the planner: it keeps the forest, the rank order and
 the changes whose estimates moved, and it decides, scores and selects.
-`_Simulation` keeps virtual time, the ground truth, the live runs, the
-waits and the trace: it feeds each arrival and finished build to the
-scheduler, logs the decisions it returns, and starts and aborts the
-builds it selects.
+It is built from the strategy, the engine config and the predictor
+alone, and learns of each change only when the change arrives: its
+arrival time, targets, success prior and the true duration normal the
+oracle predictor reads. So it cannot read a change before that change
+arrives. `_Simulation` keeps the workload, virtual time, the ground
+truth, the live runs, the waits and the trace: it feeds each arrival
+and finished build to the scheduler, logs the decisions it returns,
+and starts and aborts the builds it selects.
 
-Per-change data, the targets the forest reads included, is indexed by
-change id, which is the change's position in the workload's change tuple.
+Per-change data is indexed by change id, which is the change's position
+in the workload's change tuple, and so in arrival order.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import AbstractSet, Collection, Sequence
 
 # bench/spans.py wraps the layer functions imported below by name in this
 # module's namespace, so they stay imported and called here
-from specqueue.core import BuildOutcome, ChangeId, build_conflict_graph
+from specqueue.core import BuildOutcome, ChangeId, EngineConfig, build_conflict_graph
 from specqueue.forest import (
     BaseKey,
     BuildNode,
@@ -61,6 +65,7 @@ from specqueue.forest import (
 from specqueue.prediction import (
     DurationEstimate,
     PredictionFeatures,
+    PredictorSpec,
     estimates_stay_finite,
     predict_duration,
 )
@@ -162,45 +167,48 @@ class _Run:
 class Scheduler:
     """The planner of one run under one strategy: it keeps the forest, the
     rank order and the changes whose estimates moved, and it decides,
-    scores and selects. The simulator feeds it arrivals and finished
-    builds and runs what it selects. Of a change's hidden truth it reads
-    only `durations`, the true duration normals the oracle predictor
-    takes, as tests/test_source.py pins."""
+    scores and selects. It holds no workload: the simulator hands it each
+    change as it arrives, feeds it finished builds and runs what it
+    selects. Of a change's hidden truth it holds only `durations`, the
+    true duration normals the oracle predictor takes, as
+    tests/test_source.py pins."""
 
-    def __init__(
-        self,
-        workload: WorkloadSpec,
-        strategy: str,
-        durations: Sequence[DurationEstimate],
-    ):
-        self.workload = workload
+    def __init__(self, strategy: str, config: EngineConfig, predictor: PredictorSpec):
         self.enhanced = strategy == "enhanced"
-        self.cfg = workload.config
+        self.cfg, self.predictor = config, predictor
         # the lowest score a build may run at: the baseline has no
         # speculation threshold, it fills capacity regardless of score
-        self.floor = self.cfg.speculation_threshold if self.enhanced else 0.0
-        # indexed by change id: an id is its position in workload.changes
-        self.arrivals = tuple(s.arrival_time for s in workload.changes)
-        self.durations = durations
+        self.floor = config.speculation_threshold if self.enhanced else 0.0
+        # per arrived change, by id, as `arrive` appends them
+        self.arrivals: list[float] = []
+        self.priors: list[float] = []
+        self.durations: list[DurationEstimate] = []
         # one immutable record per distinct (targets, conflicts, height)
         self._features: dict[tuple[int, int, int], PredictionFeatures] = {}
-        self.forest: SpeculationForest = enumerate_forest(
-            [],
-            # the forest reads only targets; bench/spans.py times this build
-            build_conflict_graph({s.id: s.targets for s in workload.changes}).targets,
-            self.cfg.depth_cap,
-        )
+        self.forest: SpeculationForest = enumerate_forest([], {}, config.depth_cap)
         # changes whose pooled estimate moved since the last reschedule
         self.moved: set[ChangeId] = set()
         self.order = RankOrder()
 
-    def arrive(self, c: ChangeId) -> int:
-        """Queue the arrived change; return how many queued changes ahead
-        of it conflict with it."""
-        forest = self.forest
-        forest.add_change(c)
+    def arrive(
+        self,
+        c: ChangeId,
+        arrival: float,
+        targets: Collection[str],
+        prior: float,
+        normal: DurationEstimate,
+    ) -> int:
+        """Queue the arriving change c with what the scheduler may know of
+        it: its arrival time, targets, success prior and the true duration
+        normal the oracle predictor reads. Ids arrive in order, 0 first,
+        so each list entry appended here is filed under its id. Return how
+        many queued changes ahead of c conflict with it."""
+        self.arrivals.append(arrival)
+        self.priors.append(prior)
+        self.durations.append(normal)
+        self.forest.add_change(c, targets)
         self.moved.add(c)
-        return len(forest.windows[c]) + len(forest.outside[c])
+        return len(self.forest.windows[c]) + len(self.forest.outside[c])
 
     def finish(self, node: BuildNode, outcome: BuildOutcome, now: float) -> list:
         """Complete the node, then decide its change and whatever that
@@ -301,7 +309,7 @@ class Scheduler:
         """Estimate those of c's nodes that have none. Only an arrived or
         re-windowed change has such nodes, and either is in `moved`: a
         node carried across a re-window keeps its estimate."""
-        targets = len(self.workload.changes[c].targets)
+        targets = len(self.forest.targets[c])
         conflicts = len(self.forest.windows[c])
         for node in nodes:
             if node.estimate is not None:
@@ -311,9 +319,7 @@ class Scheduler:
             if features is None:
                 features = self._features[key] = PredictionFeatures(*key)
             node.estimate = predict_duration(
-                self.workload.predictor,
-                features,
-                truth=self.durations[c],
+                self.predictor, features, truth=self.durations[c]
             )
 
     def _success_fn(self, pred: ChangeId, context: BaseKey) -> float:
@@ -323,7 +329,7 @@ class Scheduler:
         window = self.forest.windows[pred]
         node = self.forest.by_change[pred][tuple([b for b in context if b in window])]
         if node.outcome is None:
-            return self.workload.changes[pred].success_prior
+            return self.priors[pred]
         return 1.0 if node.outcome is BuildOutcome.PASS else 0.0
 
 
@@ -338,7 +344,11 @@ class _Simulation:
         self.workload = workload
         self.strategy = strategy
         self.truth = GroundTruth(workload)
-        self.scheduler = Scheduler(workload, strategy, self.truth.durations)
+        # each change's targets, handed to the scheduler when it arrives;
+        # bench/spans.py times this build
+        graph = build_conflict_graph({s.id: s.targets for s in workload.changes})
+        self.targets = graph.targets
+        self.scheduler = Scheduler(strategy, workload.config, workload.predictor)
         self.now = 0.0
         self._stamp = ""  # "t=<now> ", the prefix of every line an event logs
         self.heap: list[tuple] = []
@@ -375,7 +385,10 @@ class _Simulation:
             else:
                 self.now, c = spec.arrival_time, spec.id
                 self._stamp = f"t={self.now:.2f} "
-                pending = self.scheduler.arrive(c)
+                normal = self.truth.durations[c]
+                pending = self.scheduler.arrive(
+                    c, self.now, self.targets[c], spec.success_prior, normal
+                )
                 if pending:
                     self.waited_on_conflicts += 1
                 self._log(f"arrive {c.label} pending_conflicts={pending}")

@@ -24,13 +24,13 @@ import specqueue.forest
 import specqueue.prioritize
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.forest import BuildNode, SpeculationForest, carry_map, enumerate_forest
-from specqueue.prediction import OracleWithNoise
+from specqueue.prediction import DurationEstimate, OracleWithNoise
 from specqueue.selection import DecisionKind, RankOrder, rank_key
 from specqueue.simulator import WorkloadSpec, engine
 from specqueue.simulator.engine import GroundTruth, Scheduler, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec
 
-from oracles import C1, C2, C3, CheckedSimulation, partition, triangle
+from oracles import C1, C2, C3, CheckedSimulation, load_tool, partition, triangle
 
 
 def mutate(function: Callable, old: str, new: str) -> Callable:
@@ -115,7 +115,15 @@ BROKEN = WorkloadSpec(
 
 def scheduler_of(workload: WorkloadSpec, strategy: str) -> Scheduler:
     """The workload's scheduler, with no simulation around it."""
-    return Scheduler(workload, strategy, GroundTruth(workload).durations)
+    return Scheduler(strategy, workload.config, workload.predictor)
+
+
+def arrive(scheduler: Scheduler, spec: ChangeSpec) -> int:
+    """Hand the scheduler the change as the simulation does on its arrival."""
+    normal = DurationEstimate(spec.true_mean, spec.true_variance)
+    return scheduler.arrive(
+        spec.id, spec.arrival_time, spec.targets, spec.success_prior, normal
+    )
 
 
 def check_a_head_keeps_its_build_at_1(strategy: str, delta: float) -> None:
@@ -127,7 +135,7 @@ def check_a_head_keeps_its_build_at_1(strategy: str, delta: float) -> None:
         replace(HEADS, config=EngineConfig(speculation_threshold=delta)), strategy
     )
     for spec in HEADS.changes:
-        scheduler.arrive(spec.id)
+        arrive(scheduler, spec)
     scheduler._rescore()
     for c in (HEADS.changes[0].id, HEADS.changes[2].id):
         (node,) = scheduler.forest.nodes_for_change(c)
@@ -146,7 +154,7 @@ def check_a_head_without_an_estimate_raises(strategy: str) -> None:
     scheduler = scheduler_of(HEADS, strategy)
     scheduler._annotate = lambda c, nodes: None
     c = HEADS.changes[0].id
-    scheduler.arrive(c)
+    arrive(scheduler, HEADS.changes[0])
     try:
         scheduler.reschedule({})
     except ValueError as error:
@@ -162,7 +170,7 @@ def check_an_arrival_starts_its_build() -> None:
     c = HEADS.changes[0].id
     for strategy in STRATEGIES:
         sim = _Simulation(HEADS, strategy)
-        sim.scheduler.arrive(c)
+        arrive(sim.scheduler, HEADS.changes[0])
         try:
             sim._reschedule()
         except ValueError as error:  # a build with no estimate
@@ -179,6 +187,32 @@ def check_an_arrival_comes_before_a_finish_at_its_minute() -> None:
         assert arrival in trace, (strategy, trace)
         finish = next(line for line in trace if " finish C0 " in line)
         assert trace.index(arrival) < trace.index(finish), (strategy, trace)
+
+
+def logged_before(trace: tuple[str, ...], stamp: float) -> list[str]:
+    """The trace's lines stamped below `stamp`, a minute to two places."""
+    return [line for line in trace if float(line.split()[0][2:]) < stamp]
+
+
+def check_a_cut_stream_keeps_its_prefix(workload: WorkloadSpec, k: int) -> None:
+    """Under both strategies, a run of the workload's first k changes logs
+    below the stamp of change k's arrival the lines that a run of the
+    whole stream logs there: nothing before an arrival reads the change."""
+    cut = replace(workload, changes=workload.changes[:k])
+    stamp = float(f"{workload.changes[k].arrival_time:.2f}")
+    for strategy in STRATEGIES:
+        whole = logged_before(_Simulation(workload, strategy).execute()[1], stamp)
+        part = logged_before(_Simulation(cut, strategy).execute()[1], stamp)
+        assert part == whole, (strategy, k)
+
+
+def check_cut_hot_streams_keep_their_prefixes() -> None:
+    """`check_a_cut_stream_keeps_its_prefix` on tools/trajectory.py's `hot`
+    stream at seed 1, 40 changes, cut after 10 and after 20; builds that
+    wait on queued predecessors start before either cut."""
+    w = load_tool("trajectory").hot(1, 40)
+    for k in (10, 20):
+        check_a_cut_stream_keeps_its_prefix(w, k)
 
 
 def check_heads_keep_their_builds_at_1() -> None:
@@ -321,7 +355,7 @@ def check_a_finished_predecessor_scores_its_outcome() -> None:
     c = HEADS.changes[0].id
     for outcome, expected in ((BuildOutcome.PASS, 1.0), (BuildOutcome.FAIL, 0.0)):
         scheduler = scheduler_of(HEADS, "enhanced")
-        scheduler.arrive(c)
+        arrive(scheduler, HEADS.changes[0])
         assert scheduler._success_fn(c, ()) == 0.5
         scheduler.forest.by_change[c][()].complete(outcome, 10.0)
         assert scheduler._success_fn(c, ()) == expected, outcome
@@ -402,6 +436,14 @@ MUTANTS = (
         "self.heap[0][0] < spec.arrival_time",
         "self.heap[0][0] <= spec.arrival_time",
         check_an_arrival_comes_before_a_finish_at_its_minute,
+    ),
+    Mutant(
+        "an arrival hands over the last change's success prior",
+        _Simulation,
+        "execute",
+        "spec.success_prior",
+        "self.workload.changes[-1].success_prior",
+        check_cut_hot_streams_keep_their_prefixes,
     ),
     Mutant(
         "rescoring ranks a head with no estimate",

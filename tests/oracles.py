@@ -158,43 +158,24 @@ def connected_components(
     return components
 
 
-class ArrivedTargets(dict):
-    """Each change's targets, asserting on every read that the change
-    has arrived; `arrived` lists those that have."""
-
-    def __init__(self, targets: Mapping[ChangeId, Collection[str]]):
-        super().__init__(targets)
-        self.arrived: set[ChangeId] = set()
-
-    def __getitem__(self, c: ChangeId) -> Collection[str]:
-        assert c in self.arrived, f"targets of {c} read before it arrived"
-        return super().__getitem__(c)
-
-
 class CheckedScheduler(Scheduler):
     """The scheduler, asserting around every call the simulation makes
     that the state it keeps across events is what a pass from scratch
     derives, and that every decision it applies, and every queued change
-    it leaves waiting, is the one `reference_decide_change` takes. The
-    forest's targets are an `ArrivedTargets`, so reading a change's
-    targets before it arrives fails. Queued conflicting predecessors and
-    successors are taken from `reference_adjacency`, not read from the
-    forest, and before every reschedule each queued change's
-    `outside[c] + windows[c]` must list the former and its `after[c]` the
-    latter. After it, the kept order must be a fresh one filtered at the
-    floor, and the builds it starts and aborts must leave running what
-    the fresh one chooses, which it keeps as `chosen`."""
+    it leaves waiting, is the one `reference_decide_change` takes. Queued
+    conflicting predecessors and successors are taken from `adjacency`,
+    the run's `reference_adjacency`, not read from the forest, and before
+    every reschedule each queued change's `outside[c] + windows[c]` must
+    list the former and its `after[c]` the latter, and the forest must
+    hold the targets of the queued changes alone. After it, the kept
+    order must be a fresh one filtered at the floor, and the builds it
+    starts and aborts must leave running what the fresh one chooses,
+    which it keeps as `chosen`."""
 
-    def __init__(self, workload, strategy, durations):
-        super().__init__(workload, strategy, durations)
-        targets = {s.id: s.targets for s in workload.changes}
-        self.adjacency = reference_adjacency(targets)
-        self.forest.targets = ArrivedTargets(self.forest.targets)
+    def __init__(self, strategy, config, predictor, adjacency):
+        super().__init__(strategy, config, predictor)
+        self.adjacency = adjacency
         self.chosen: set[BuildNode] = set()
-
-    def arrive(self, c) -> int:
-        self.forest.targets.arrived.add(c)
-        return super().arrive(c)
 
     def _ahead(self, c) -> BaseKey:
         """The queued changes ahead of c that conflict with it, in queue order."""
@@ -228,9 +209,10 @@ class CheckedScheduler(Scheduler):
         forest = self.forest
         # the filed predecessors outside each window are the reference's
         # oldest, the filed successors are the reference's, and a decided
-        # change leaves none filed
+        # change leaves none filed, nor its targets
         assert forest.outside.keys() == forest.windows.keys()
         assert forest.after.keys() == forest.windows.keys()
+        assert forest.targets.keys() == forest.windows.keys()
         for c in forest.queue:
             filed = forest.outside[c] + forest.windows[c]
             assert filed == self._ahead(c), (c, filed)
@@ -272,7 +254,12 @@ class CheckedSimulation(_Simulation):
 
     def __init__(self, workload, strategy):
         super().__init__(workload, strategy)
-        self.scheduler = CheckedScheduler(workload, strategy, self.truth.durations)
+        self.scheduler = CheckedScheduler(
+            strategy,
+            workload.config,
+            workload.predictor,
+            reference_adjacency({s.id: s.targets for s in workload.changes}),
+        )
         self.labels: set[str] = set()
         self.capped = 0
 

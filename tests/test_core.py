@@ -246,7 +246,8 @@ class TestMemberships:
         forest = enumerate_forest([], targets, depth_cap)
         while arrivals or forest.queue:
             if arrivals and (not forest.queue or data.draw(st.booleans())):
-                forest.add_change(arrivals.pop(0))
+                c = arrivals.pop(0)
+                forest.add_change(c, targets[c])
             else:
                 resolved = data.draw(st.sampled_from(forest.queue))
                 landed = data.draw(st.booleans())

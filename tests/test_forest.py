@@ -129,7 +129,8 @@ class TestResolve:
 
     def test_a_resolution_reads_only_the_resolved_change_s_targets(self):
         # C2 and C4 conflict with C1 and are re-windowed from the
-        # predecessors filed when they arrived; C3 does not
+        # predecessors filed when they arrived; C3 does not. The resolved
+        # change's targets are read as they leave the forest
         read = []
 
         class Recording(dict):
@@ -137,15 +138,18 @@ class TestResolve:
                 read.append(c)
                 return super().__getitem__(c)
 
-        targets = Recording(
-            targets_from_labels(
-                {"C1": {"a"}, "C2": {"a"}, "C3": {"b"}, "C4": {"a", "b"}}
-            )
+            def pop(self, c):
+                read.append(c)
+                return super().pop(c)
+
+        targets = targets_from_labels(
+            {"C1": {"a"}, "C2": {"a"}, "C3": {"b"}, "C4": {"a", "b"}}
         )
         forest = enumerate_forest(list(targets), targets, 6)
-        read.clear()
+        forest.targets = Recording(forest.targets)
         resolve_change(forest, C1, carry_map(forest, C1, True))
         assert read == [C1]
+        assert forest.targets.keys() == forest.windows.keys()
         assert forest.windows == {C2: (), C3: (), ChangeId(4, "C4"): (C2, C3)}
 
     def test_reject_head_filters_without_relabel(self):
@@ -279,7 +283,7 @@ class TestResolve:
         monkeypatch.setattr(forest_module, "BuildNode", build)
         resolve_change(forest, C1, carry_map(forest, C1, landed))
         assert built == []
-        forest.add_change(queue[3])
+        forest.add_change(queue[3], targets[queue[3]])
         assert forest.windows[queue[3]] == (queue[1], queue[2])
         assert len(built) == 2**2
         assert built == list(forest.nodes_for_change(queue[3]))
@@ -341,7 +345,7 @@ class TestQueueOrder:
         forest = enumerate_forest([queue[0], queue[2]], targets, 6)
         before, order = asdict(forest), forest.queue
         with pytest.raises(ValueError):
-            forest.add_change(queue[1])
+            forest.add_change(queue[1], targets[queue[1]])
         assert asdict(forest) == before and forest.queue == order
         with pytest.raises(ValueError):
             enumerate_forest([queue[1], queue[0]], targets, 6)
@@ -423,7 +427,8 @@ class TestIncrementalForest:
         forest = enumerate_forest([], targets, depth_cap)
         while arrivals or forest.queue:
             if arrivals and (not forest.queue or data.draw(st.booleans())):
-                forest.add_change(arrivals.pop(0))
+                c = arrivals.pop(0)
+                forest.add_change(c, targets[c])
             else:
                 # finish one node so resolutions carry outcomes too
                 node = data.draw(st.sampled_from(list(forest.nodes.values())))
@@ -491,7 +496,7 @@ class TestIncrementalForest:
         forest = enumerate_forest([], targets, 2)
         assert_matches_fresh(forest)
         assert forest.queue == () and not forest.nodes
-        forest.add_change(queue[0])
+        forest.add_change(queue[0], targets[queue[0]])
         assert_matches_fresh(forest)
         mapping = carry_map(forest, queue[0], True)
         forest = resolve_change(forest, queue[0], mapping)
@@ -502,7 +507,7 @@ class TestIncrementalForest:
         queue, targets = chain(4)
         forest = enumerate_forest([], targets, 1)
         for c in queue:
-            forest.add_change(c)
+            forest.add_change(c, targets[c])
             assert_matches_fresh(forest)
         assert forest.windows[queue[3]] == (queue[2],)
         for landed in (True, False, True, False):
@@ -525,7 +530,7 @@ class TestIncrementalForest:
         forest = enumerate_forest(queue[:2], targets, 6)
         done = forest.by_change[queue[1]][(queue[0],)]
         done.complete(BuildOutcome.PASS, 3.0)
-        forest.add_change(queue[2])
+        forest.add_change(queue[2], targets[queue[2]])
         assert forest.by_change[queue[1]][(queue[0],)] is done
         assert_matches_fresh(forest)
 
@@ -533,7 +538,7 @@ class TestIncrementalForest:
         queue, targets = chain(2)
         forest = enumerate_forest(queue, targets, 6)
         with pytest.raises(ValueError):
-            forest.add_change(queue[1])
+            forest.add_change(queue[1], targets[queue[1]])
 
 
 class TestBuildNodeTransitions:

@@ -1,7 +1,8 @@
-"""The scheduler driven by hand, with no simulation around it: no ground
-truth, no event heap and no trace. A test plays the executor: it feeds
-arrivals and finished builds in, runs what each reschedule starts and
-stops what it aborts, and stops the runs whose nodes a decision dropped.
+"""The scheduler driven by hand, with no simulation around it: no
+workload, no ground truth, no event heap and no trace. A test plays the
+simulation: it hands each change over as it arrives, feeds finished
+builds in, runs what each reschedule starts and stops what it aborts,
+and stops the runs whose nodes a decision dropped.
 
 C0 and C1 share a target and C2 shares none. C0 takes 60 minutes and C1
 5, so C1 finishes first with a chance that rounds to 1. Two executors
@@ -12,39 +13,17 @@ from __future__ import annotations
 
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.prediction import DurationEstimate, OracleWithNoise
-from specqueue.simulator import WorkloadSpec
 from specqueue.simulator.engine import Scheduler
-from specqueue.simulator.workload import ChangeSpec
 
-
-def change(seq: int, at: float, target: str, mean: float) -> ChangeSpec:
-    return ChangeSpec(
-        id=ChangeId(seq, f"C{seq}"),
-        arrival_time=at,
-        targets=frozenset({target}),
-        true_mean=mean,
-        true_variance=4.0,
-        passes_alone=True,
-        success_prior=0.9,
-    )
-
-
-STREAM = WorkloadSpec(
-    changes=(
-        change(0, 0.0, "a", 60.0),
-        change(1, 1.0, "a", 5.0),
-        change(2, 2.0, "b", 10.0),
-    ),
-    predictor=OracleWithNoise(),
-    config=EngineConfig(executor_capacity=2),
-)
-C0, C1, C2 = (spec.id for spec in STREAM.changes)
-# the oracle predictor's truth, the scheduler's one hidden input
-DURATIONS = (
-    DurationEstimate(60.0, 4.0),
-    DurationEstimate(5.0, 4.0),
-    DurationEstimate(10.0, 4.0),
-)
+C0, C1, C2 = (ChangeId(seq, f"C{seq}") for seq in range(3))
+# what the scheduler is handed as each change arrives: its arrival time,
+# targets and success prior, and the true duration normal that the
+# oracle predictor reads, the scheduler's one hidden input
+ARRIVALS = {
+    C0: (0.0, frozenset({"a"}), 0.9, DurationEstimate(60.0, 4.0)),
+    C1: (1.0, frozenset({"a"}), 0.9, DurationEstimate(5.0, 4.0)),
+    C2: (2.0, frozenset({"b"}), 0.9, DurationEstimate(10.0, 4.0)),
+}
 
 
 def name(node) -> str:
@@ -57,8 +36,14 @@ class Executor:
     """Runs what the scheduler chooses, as a set of nodes."""
 
     def __init__(self, strategy: str):
-        self.scheduler = Scheduler(STREAM, strategy, DURATIONS)
+        config = EngineConfig(executor_capacity=2)
+        self.scheduler = Scheduler(strategy, config, OracleWithNoise())
         self.running: set = set()
+
+    def arrive(self, c: ChangeId) -> int:
+        """Hand the change over as it arrives; return how many queued
+        changes ahead of it conflict with it."""
+        return self.scheduler.arrive(c, *ARRIVALS[c])
 
     def reschedule(self) -> tuple[list[tuple[str, float]], list[str]]:
         """The builds started, with their scores to four places as the
@@ -87,12 +72,12 @@ class Executor:
 
 def test_the_enhanced_scheduler_lands_the_short_change_by_bypass():
     run = Executor("enhanced")
-    assert run.scheduler.arrive(C0) == 0
+    assert run.arrive(C0) == 0
     assert run.reschedule() == ([("C0/", 1.0)], [])
-    assert run.scheduler.arrive(C1) == 1
+    assert run.arrive(C1) == 1
     # C1 bypasses C0, so both its builds score 1; the deeper one ranks first
     assert run.reschedule() == ([("C1/C0", 1.0)], [])
-    assert run.scheduler.arrive(C2) == 0
+    assert run.arrive(C2) == 0
     # C2's one build scores 1 too, but ranks after the earlier change's
     assert run.reschedule() == ([], [])
     assert run.finish("C1/C0", 6.0) == []
@@ -109,12 +94,12 @@ def test_the_enhanced_scheduler_lands_the_short_change_by_bypass():
 
 def test_the_baseline_scheduler_waits_out_the_head():
     run = Executor("baseline")
-    assert run.scheduler.arrive(C0) == 0
+    assert run.arrive(C0) == 0
     assert run.reschedule() == ([("C0/", 1.0)], [])
-    assert run.scheduler.arrive(C1) == 1
+    assert run.arrive(C1) == 1
     # C1's build on C0 scores C0's prior, its mainline build the rest
     assert run.reschedule() == ([("C1/C0", 0.9)], [])
-    assert run.scheduler.arrive(C2) == 0
+    assert run.arrive(C2) == 0
     # C2's build at 1 takes the executor of C1's at 0.9
     assert run.reschedule() == ([("C2/", 1.0)], ["C1/C0"])
     assert run.finish("C2/", 12.0) == [("land", "C2", "", 12.0, ["C2/"])]

@@ -554,16 +554,27 @@ class TestEventDecisions:
             sim.execute()
         assert raised.traceback[-1].name == "_apply"
 
-    def test_a_read_of_a_change_that_has_not_arrived_is_caught(self):
-        # the checked engine's forest holds every change's targets from
-        # the start, but answers only for changes that arrived
-        w = CHECKED_STREAMS["hot-1"]("enhanced")
-        first, second = w.changes[0].id, w.changes[1].id
-        sim = CheckedSimulation(w, "enhanced")
-        sim.scheduler.arrive(first)
-        assert sim.scheduler.forest.after[first] == []
-        with pytest.raises(AssertionError, match=f"^targets of {second} read"):
-            sim.scheduler.forest.add_change(second)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_the_scheduler_learns_each_change_as_it_arrives(self, strategy):
+        # as a change arrives the scheduler holds one entry per earlier
+        # change, and its forest the targets of the queued ones alone
+        w = CHECKED_STREAMS["hot-1"](strategy)
+        sim = _Simulation(w, strategy)
+        scheduler = sim.scheduler
+        arrive = scheduler.arrive
+
+        def checked(c, *known):
+            held = scheduler.arrivals, scheduler.priors, scheduler.durations
+            assert [len(entries) for entries in held] == [c] * 3, c
+            assert scheduler.forest.targets.keys() == scheduler.forest.windows.keys()
+            return arrive(c, *known)
+
+        scheduler.arrive = checked
+        sim.execute()
+        assert scheduler.arrivals == [s.arrival_time for s in w.changes]
+        assert scheduler.priors == [s.success_prior for s in w.changes]
+        assert scheduler.durations == list(sim.truth.durations)
+        assert scheduler.forest.targets == {}
 
     # The first three were recorded with the fixed-point sweep that the
     # event rule replaced, the edge configurations with the forest that
@@ -820,7 +831,7 @@ class TestDrainCheck:
     def test_a_run_that_drains_with_changes_undecided_raises(self, strategy):
         w = generate_workload(GeneratorParams(seed=3, n_changes=5))
         sim = _Simulation(w, strategy)
-        sim.scheduler = UndecidingScheduler(w, strategy, sim.truth.durations)
+        sim.scheduler = UndecidingScheduler(strategy, w.config, w.predictor)
         with pytest.raises(
             RuntimeError, match="^simulation drained with 5 undecided changes$"
         ):

@@ -282,14 +282,15 @@ def graph_reads(source: str) -> list[str]:
 
 
 # The forest takes each change's targets, so only core.py names the graph's
-# type, and the package builds a graph in two places: the engine's set-up
+# type, and the package builds a graph in two places: the simulation's
+# set-up, which hands each change's targets to the scheduler on arrival,
 # and `static_conflict_rate`. These are the two builds bench/spans.py
 # times; ROADMAP items 1 and 17 retire them with their spans.
 GRAPH_READS = {
     "core.py": ["build_conflict_graph:ConflictGraph"] * 2,
     "simulator/engine.py": [
         "<module>:build_conflict_graph",
-        "Scheduler.__init__:build_conflict_graph",
+        "_Simulation.__init__:build_conflict_graph",
     ],
     "simulator/workload.py": [
         "<module>:build_conflict_graph",
@@ -485,3 +486,14 @@ def test_the_scheduler_holds_no_ground_truth():
     assert class_reads(SCHEDULER) & TRUTH == set()
     assert "durations" in class_reads(SCHEDULER)
     assert class_reads(SIMULATION) >= TRUTH
+
+
+# The simulation hands the scheduler each change as it arrives, so no
+# scheduler method can read a change that has not arrived yet.
+WORKLOAD = frozenset({"workload", "WorkloadSpec"})
+
+
+def test_the_scheduler_reads_no_workload():
+    assert class_reads(SCHEDULER) & WORKLOAD == set()
+    # the fence has something to fence: the simulation reads the workload
+    assert "workload" in class_reads(SIMULATION)

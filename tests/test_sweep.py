@@ -4,15 +4,22 @@ engine configurations, pinning the file format and the engine together.
 Each run writes its workload out and reads it back before simulating,
 so the digest covers the formatter, the parser, the metrics CSV and the
 trace. A digest moves only when output is meant to change.
+
+The same generators, with tools/trajectory.py's `hot` recipe, also draw
+the streams that check the engine is online: a run of a stream's first
+k changes logs what the whole stream's run logs before change k arrives.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specqueue.core import EngineConfig
 from specqueue.simulator import (
@@ -24,6 +31,9 @@ from specqueue.simulator import (
     run,
 )
 from specqueue.simulator.workload import STRATEGIES
+
+from mutants import check_a_cut_stream_keeps_its_prefix
+from oracles import load_tool
 
 GENERATORS = {
     "default": {},
@@ -73,3 +83,35 @@ def test_edge_config_sweep_is_pinned(generator):
             for part in (text, reports_to_csv([report]), "\n".join(trace) + "\n"):
                 digest.update(part.encode("utf-8"))
     assert digest.hexdigest() == SWEEP_DIGESTS[generator]
+
+
+@st.composite
+def cut_streams(draw):
+    """A stream of 2-40 changes from a generator above or the `hot` recipe,
+    and a cut k, 0 < k < its length. In half the draws its arrivals are
+    snapped down to whole ten minutes, so changes arrive together, and k
+    falls between two that arrive at the same minute when any do."""
+    name = draw(st.sampled_from([*GENERATORS, "hot"]))
+    n, seed = draw(st.integers(2, 40)), draw(st.integers(0, 10_000))
+    if name == "hot":
+        w = load_tool("trajectory").hot(seed, n)
+    else:
+        w = generate_workload(
+            GeneratorParams(n_changes=n, seed=seed, **GENERATORS[name])
+        )
+    cuts = range(1, n)
+    if draw(st.booleans()):
+        snapped = [
+            replace(s, arrival_time=10.0 * math.floor(s.arrival_time / 10.0))
+            for s in w.changes
+        ]
+        w = replace(w, changes=tuple(snapped))
+        at = [s.arrival_time for s in snapped]
+        cuts = [k for k in cuts if at[k] == at[k - 1]] or cuts
+    return w, draw(st.sampled_from(cuts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut_streams())
+def test_a_cut_stream_runs_as_the_whole_stream_did_until_the_cut(case):
+    check_a_cut_stream_keeps_its_prefix(*case)

@@ -201,8 +201,11 @@ class Scheduler:
         """Queue the arriving change c with what the scheduler may know of
         it: its arrival time, targets, success prior and the true duration
         normal the oracle predictor reads. Ids arrive in order, 0 first,
-        so each list entry appended here is filed under its id. Return how
-        many queued changes ahead of c conflict with it."""
+        so each list entry appended here is filed under its id; an id out
+        of turn raises ValueError before anything is kept. Return how many
+        queued changes ahead of c conflict with it."""
+        if c != len(self.arrivals):
+            raise ValueError(f"{c!r} arrives, but seq {len(self.arrivals)} is next")
         self.arrivals.append(arrival)
         self.priors.append(prior)
         self.durations.append(normal)

@@ -265,14 +265,26 @@ def _generate_changes(
     arrival draws are only made, not read.
 
     A draw of `expovariate`, `uniform` or `randrange(start, stop)` is
-    made inline: one call of `rng.random`, in C, or of `rng._randbelow`,
-    then that method's own arithmetic on the result, so it must equal
-    what the method returns. tests/oracles.py keeps the loop that calls
-    the methods. The parameters are read into locals once per stream.
+    made inline: one call of `rng.random`, in C, or of the local
+    `randbelow`, then that method's own arithmetic on the result, so it
+    must equal what the method returns. `randbelow` draws as `random`'s
+    own does, from the public `rng.getrandbits`. tests/oracles.py keeps
+    the loop that calls the methods. The parameters are read into locals
+    once per stream.
     """
     rng = random.Random(params.seed)
     draw = rng.random
-    randbelow = rng._randbelow  # randrange(a, b) is a + randbelow(b - a)
+    getrandbits = rng.getrandbits
+
+    def randbelow(n: int) -> int:
+        """An int in [0, n): `n.bit_length()` bits, redrawn while >= n.
+        randrange(a, b) is a + randbelow(b - a)."""
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     rate = params.arrival_rate
     short_fraction = params.short_fraction
     fail_rate = params.fail_rate

@@ -1,7 +1,7 @@
 """Reference implementations that tests compare the package against, the
 scheduler and the engine with their kept state checked after every
-event, the five worked scoring cases, and the tools and the benchmark's
-streams as tests load them."""
+event, the five worked scoring cases, the tools and the benchmark's
+streams as tests load them, and the named generator streams."""
 
 from __future__ import annotations
 
@@ -10,10 +10,12 @@ import hashlib
 import importlib.util
 import math
 import random
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 from typing import AbstractSet, Collection, Iterable, Mapping, Sequence
 
+from specqueue.cli import GENERATOR_FLAGS
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest, enumerate_forest
 from specqueue.prediction import DurationEstimate
@@ -59,6 +61,30 @@ def benchmark_stream(name: str, k: int = 0) -> tuple[GeneratorParams, EngineConf
     bench/reference.json, drawn as bench/harness.py draws it, from
     `tools/trajectory.py`'s one reading of that file."""
     return load_tool("trajectory").benchmark_stream(name, k)
+
+
+# The named generator streams; a test sets a stream's size and seed with
+# `replace`. `criterion-5` is the contended benchmark's stream, whose
+# long changes take chain-forming and second links, and `chained` the
+# same with chain-forming links alone. `bridged` takes second links
+# without the bias, so they can join conflict groups.
+_CRITERION_5 = benchmark_stream("contended")[0]
+GENERATORS = {
+    "default": GeneratorParams(),
+    "criterion-5": _CRITERION_5,
+    "chained": replace(_CRITERION_5, long_second_link=0.0),
+    "bridged": GeneratorParams(long_second_link=1.0),
+    "failing": GeneratorParams(fail_rate=0.5, breaker_rate=0.8),
+}
+
+
+def gen_workload_argv(params: GeneratorParams) -> list[str]:
+    """The `specqueue gen-workload` argv that draws `params`' stream,
+    every field given as its flag."""
+    argv = ["gen-workload"]
+    for key, field in GENERATOR_FLAGS.items():
+        argv += ["--" + key.replace("_", "-"), str(getattr(params, field))]
+    return argv
 
 
 def rank_all(

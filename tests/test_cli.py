@@ -24,6 +24,8 @@ from specqueue.simulator import (
     run,
 )
 
+from oracles import GENERATORS, gen_workload_argv
+
 
 @pytest.fixture
 def workload_file(tmp_path):
@@ -233,19 +235,11 @@ class TestParserReuse:
             n_changes=30, arrival_rate=0.5, conflict_density=0.6,
             short_fraction=0.4, fail_rate=0.2, breaker_rate=0.5, seed=11,
         )))
-        # a criterion-5 stream, which sets the two long-change knobs
-        code, out = run_cli(capsys, [
-            "gen-workload", "--n-changes", "500", "--arrival-rate", "0.45",
-            "--density", "0.3", "--short-fraction", "0.25", "--breaker-rate", "0.0",
-            "--long-target-bias", "1.0", "--long-second-link", "1.0",
-            "--seed", "1000",
-        ])
+        # the criterion-5 stream, which sets the two long-change knobs
+        params = GENERATORS["criterion-5"]
+        code, out = run_cli(capsys, gen_workload_argv(params))
         assert code == 0
-        assert out == format_workload(generate_workload(GeneratorParams(
-            n_changes=500, arrival_rate=0.45, conflict_density=0.3,
-            short_fraction=0.25, breaker_rate=0.0, long_target_bias=1.0,
-            long_second_link=1.0, seed=1000,
-        )))
+        assert out == format_workload(generate_workload(params))
         code, out = run_cli(capsys, ["gen-workload"])
         assert code == 0
         assert out == format_workload(generate_workload(GeneratorParams()))

@@ -16,16 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from specqueue.cli import GENERATOR_FLAGS, main
+from specqueue.cli import main
 from specqueue.simulator import format_workload, generate_workload
 
-from oracles import benchmark_stream, load_tool
+from oracles import benchmark_stream, gen_workload_argv, load_tool
 
 REFERENCE = load_tool("trajectory").reference()
-# the gen-workload flag of each generator field
-CLI_FLAGS = {
-    field: "--" + key.replace("_", "-") for key, field in GENERATOR_FLAGS.items()
-}
 
 
 def digest(data: bytes) -> str:
@@ -38,10 +34,7 @@ def stream_text(name: str, k: int, path: Path) -> str:
     workload drawn through the CLI."""
     params, config = benchmark_stream(name, k)
     if REFERENCE["workloads"][name]["via_cli"]:
-        argv = ["gen-workload", "--out", str(path)]
-        for field, flag in CLI_FLAGS.items():
-            argv += [flag, str(getattr(params, field))]
-        assert main(argv) == 0
+        assert main(gen_workload_argv(params) + ["--out", str(path)]) == 0
         return path.read_text(encoding="utf-8")
     return format_workload(generate_workload(params, config=config))
 

@@ -18,7 +18,7 @@ from specqueue.prioritize import (
     rank_builds,
 )
 
-from oracles import assert_scoring_case, partition, rank_all, triangle
+from oracles import partition, rank_all, triangle
 
 C1, C2, C3 = ChangeId(1, "C1"), ChangeId(2, "C2"), ChangeId(3, "C3")
 
@@ -45,26 +45,6 @@ class TestBypassPartition:
     def test_a_bypass_product_outside_0_1_is_refused(self, product):
         with pytest.raises(ValueError, match=r"^bypass_product must be in \[0, 1\]$"):
             BypassPartition(C3, (C1,), (C2,), product, False)
-
-
-class TestFiveCaseConformance:
-    """The five worked scoring cases of tests/oracles.py, one test each;
-    acceptance criterion 2 runs them together."""
-
-    def test_case_one_everyone_waits(self):
-        assert_scoring_case(triangle(), "one")
-
-    def test_case_two_second_change_may_pass_first(self):
-        assert_scoring_case(triangle(), "two")
-
-    def test_case_three_third_change_may_pass_second_only(self):
-        assert_scoring_case(triangle(), "three")
-
-    def test_case_four_third_change_may_pass_both(self):
-        assert_scoring_case(triangle(), "four")
-
-    def test_case_five_mixed(self):
-        assert_scoring_case(triangle(), "five")
 
 
 class TestNeededProbability:

@@ -6,14 +6,17 @@ and stops the runs whose nodes a decision dropped.
 
 C0 and C1 share a target and C2 shares none. C0 takes 60 minutes and C1
 5, so C1 finishes first with a chance that rounds to 1. Two executors
-run at most two of the four builds.
+run at most two of the four builds. Ids must arrive in order, 0 first.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.prediction import DurationEstimate, OracleWithNoise
 from specqueue.simulator.engine import Scheduler
+from specqueue.simulator.workload import STRATEGIES
 
 C0, C1, C2 = (ChangeId(seq, f"C{seq}") for seq in range(3))
 # what the scheduler is handed as each change arrives: its arrival time,
@@ -116,3 +119,23 @@ def test_the_baseline_scheduler_waits_out_the_head():
     ]
     assert run.reschedule() == ([], [])
     assert run.scheduler.forest.queue == () and run.running == set()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_an_id_out_of_turn_raises_and_keeps_nothing(strategy):
+    run = Executor(strategy)
+    run.arrive(C0)
+    scheduler = run.scheduler
+
+    def kept():
+        lists = (scheduler.arrivals, scheduler.priors, scheduler.durations)
+        return [list(entries) for entries in lists], dict(scheduler.forest.targets)
+
+    before = kept()
+    # C0 a second time, and C2 before C1
+    for c in (C0, C2):
+        with pytest.raises(ValueError) as info:
+            run.arrive(c)
+        assert str(info.value) == f"{c!r} arrives, but seq 1 is next"
+        assert kept() == before
+    assert run.arrive(C1) == 1

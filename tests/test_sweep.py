@@ -1,5 +1,7 @@
-"""Edge-config equivalence sweep: one digest per generator over a grid of
-engine configurations, pinning the file format and the engine together.
+"""Edge-config equivalence sweep: one digest per named generator stream
+of tests/oracles.py (`default`, `criterion-5`, `chained`, `bridged` and
+`failing`) over a grid of engine configurations, pinning the file format
+and the engine together.
 
 Each run writes its workload out and reads it back before simulating,
 so the digest covers the formatter, the parser, the metrics CSV and the
@@ -23,7 +25,6 @@ from hypothesis import strategies as st
 
 from specqueue.core import EngineConfig
 from specqueue.simulator import (
-    GeneratorParams,
     format_workload,
     generate_workload,
     parse_workload,
@@ -33,19 +34,8 @@ from specqueue.simulator import (
 from specqueue.simulator.workload import STRATEGIES
 
 from mutants import check_a_cut_stream_keeps_its_prefix
-from oracles import load_tool
+from oracles import GENERATORS, load_tool
 
-GENERATORS = {
-    "default": {},
-    "criterion-5": {
-        "arrival_rate": 0.45,
-        "short_fraction": 0.25,
-        "breaker_rate": 0.0,
-        "long_target_bias": 1.0,
-    },
-    "bridged": {"long_second_link": 1.0},
-    "failing": {"fail_rate": 0.5, "breaker_rate": 0.8},
-}
 SEEDS = range(6)
 CAPACITIES = (1, 4, 72)
 DEPTH_CAPS = (1, 6)
@@ -53,10 +43,12 @@ DELTAS = (0.0, 0.3, 1.0)
 TAUS = (0.0, 1.0)
 
 # Recorded before the config and predictor records shared one parse and
-# one format path, and before the engine read changes by position.
+# one format path, and before the engine read changes by position;
+# `criterion-5`'s when it became the contended benchmark's stream.
 SWEEP_DIGESTS = {
     "default": "8c08ac3953b475e4f9b8f1c6cd6ac489",
-    "criterion-5": "d5d55f73a22a5eee330961286cd8c8b4",
+    "criterion-5": "e87567697b6e7c6693112af381c8fcec",
+    "chained": "d5d55f73a22a5eee330961286cd8c8b4",
     "bridged": "31b539272cbfdef55e8d90f9cf29f90d",
     "failing": "1924aee55ca1821205a05f3c67c10b16",
 }
@@ -66,9 +58,7 @@ SWEEP_DIGESTS = {
 def test_edge_config_sweep_is_pinned(generator):
     digest = hashlib.blake2b(digest_size=16)
     for seed in SEEDS:
-        w = generate_workload(
-            GeneratorParams(n_changes=30, seed=seed, **GENERATORS[generator])
-        )
+        w = generate_workload(replace(GENERATORS[generator], n_changes=30, seed=seed))
         for capacity, depth_cap, delta, tau, strategy in itertools.product(
             CAPACITIES, DEPTH_CAPS, DELTAS, TAUS, STRATEGIES
         ):
@@ -96,9 +86,7 @@ def cut_streams(draw):
     if name == "hot":
         w = load_tool("trajectory").hot(seed, n)
     else:
-        w = generate_workload(
-            GeneratorParams(n_changes=n, seed=seed, **GENERATORS[name])
-        )
+        w = generate_workload(replace(GENERATORS[name], n_changes=n, seed=seed))
     cuts = range(1, n)
     if draw(st.booleans()):
         snapped = [

@@ -201,12 +201,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_cdf(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.at_x) and math.isfinite(args.at_y)):
         raise ValueError("--at-x and --at-y must be finite")
-    z = z_score(
-        args.at_x,
-        DurationEstimate(args.mu_x, args.var_x),
-        args.at_y,
-        DurationEstimate(args.mu_y, args.var_y),
-    )
+    est_x = DurationEstimate(args.mu_x, args.var_x)
+    est_y = DurationEstimate(args.mu_y, args.var_y)
+    # the margin by which y finishes first: past the largest float, Z
+    # would read nan
+    if not math.isfinite((args.at_x - args.at_y) - (est_y.mean - est_x.mean)):
+        raise ValueError("the margin (at_x - at_y) - (mu_y - mu_x) must be finite")
+    z = z_score(args.at_x, est_x, args.at_y, est_y)
     print(f"Z = {z:.4f}")
     print(f"P(y finishes before x) = {normal_cdf(z):.6f}")
     return 0

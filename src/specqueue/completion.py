@@ -25,7 +25,9 @@ def z_score(
 
     With both variances zero the comparison is between two point masses:
     the result is +inf, -inf, or 0 by strict order of the deterministic
-    finish times.
+    finish times. Two finite variances can sum past the largest float;
+    the deviation is then the hypotenuse of the two deviations, which is
+    finite.
     """
     mean_diff = est_y.mean - est_x.mean
     total_variance = est_x.variance + est_y.variance
@@ -36,7 +38,11 @@ def z_score(
         if margin < 0:
             return -math.inf
         return 0.0
-    return ((at_x - at_y) - mean_diff) / math.sqrt(total_variance)
+    if total_variance == math.inf:
+        deviation = math.hypot(math.sqrt(est_x.variance), math.sqrt(est_y.variance))
+    else:
+        deviation = math.sqrt(total_variance)
+    return ((at_x - at_y) - mean_diff) / deviation
 
 
 def normal_cdf(z: float) -> float:

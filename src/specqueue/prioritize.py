@@ -62,7 +62,8 @@ def finish_time_model(c: ChangeId, forest: SpeculationForest) -> DurationEstimat
     in the average; a pending node with no estimate raises. Both sums
     run left to right over the nodes in the forest's order, so the
     pooled floats are the same on every Python: the builtin `sum` rounds
-    floats with compensation from 3.12 on.
+    floats with compensation from 3.12 on. A sum past the largest float
+    raises OverflowError.
     """
     nodes = forest.nodes_for_change(c)
     mean = variance = 0.0
@@ -73,7 +74,13 @@ def finish_time_model(c: ChangeId, forest: SpeculationForest) -> DurationEstimat
                 raise ValueError(f"node {node.key} has no duration estimate")
             mean += estimate.mean
             variance += estimate.variance
-    return DurationEstimate(mean / len(nodes), variance / len(nodes))
+    try:
+        return DurationEstimate(mean / len(nodes), variance / len(nodes))
+    except ValueError:
+        # each estimate is finite and >= 0, so only a sum can fail the check
+        raise OverflowError(
+            f"{c.label}'s {len(nodes)} builds pool past the largest float"
+        ) from None
 
 
 def outcome_partition(

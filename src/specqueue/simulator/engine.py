@@ -304,7 +304,11 @@ class Scheduler:
 
     def _partition(self, c: ChangeId) -> BypassPartition:
         if self.enhanced:
-            return profile_change(c, self.forest, self.arrivals, self.cfg)
+            # each estimate is finite, but a change's pooled sum need not be
+            try:
+                return profile_change(c, self.forest, self.arrivals, self.cfg)
+            except OverflowError as exc:
+                raise WorkloadError(str(exc)) from None
         # Baseline: every conflicting predecessor is waited out.
         return outcome_partition(c, self.forest)
 

@@ -22,7 +22,7 @@ from specqueue.simulator import format_workload, generate_workload, parse_worklo
 from oracles import benchmark_stream
 
 # Python calls per event, measured plus 10% when each row was set. The
-# counts now read 39.83 and 40.35 (contended) and 36.61 and 35.99
+# counts now read 39.34 and 39.87 (contended) and 36.10 and 35.49
 # (overload), enhanced and baseline.
 BUDGET = {
     ("contended", "enhanced"): 39.45 * 1.1,

@@ -17,6 +17,7 @@ from specqueue import cli
 from specqueue.cli import build_parser, main
 from specqueue.simulator import (
     GeneratorParams,
+    WorkloadError,
     format_workload,
     generate_workload,
     parse_workload,
@@ -73,6 +74,11 @@ class TestCdf:
             ["--at-y", "inf"],
             ["--var-y", "nan"],
             ["--mu-x", "inf", "--var-x", "inf"],
+            # finite inputs whose margin is past the largest float
+            ["--at-x=1e308", "--mu-x=0", "--var-x=1e308",
+             "--at-y=-1e308", "--mu-y=0", "--var-y=1e308"],
+            ["--at-x=1e308", "--mu-x=1e308", "--var-x=1e308",
+             "--at-y=0", "--mu-y=0", "--var-y=1e308"],
         ],
     )
     def test_non_finite_input_is_usage_error(self, capsys, override):
@@ -83,6 +89,17 @@ class TestCdf:
         code, out = run_cli(capsys, argv + override)
         assert code == 1
         assert out == ""
+
+    def test_variances_that_sum_past_the_largest_float_keep_their_order(
+        self, capsys
+    ):
+        # Z is 1e200 over the hypotenuse of two 1e154 deviations, about 7.1e45
+        code, out = run_cli(capsys, [
+            "cdf", "--at-x=1e200", "--mu-x=0", "--var-x=1e308",
+            "--at-y=0", "--mu-y=0", "--var-y=1e308",
+        ])
+        assert code == 0
+        assert out.splitlines()[1] == "P(y finishes before x) = 1.000000"
 
 
 class TestGenWorkload:
@@ -172,6 +189,17 @@ class TestSimulate:
         for dest, value in expected.items():
             assert getattr(args, dest) == value
             assert type(getattr(args, dest)) is type(value)
+
+    def test_variances_that_sum_past_the_largest_float_keep_their_order(self):
+        # C1 finishes before C0 by a Z of about 6.7e145, though their pooled
+        # variances sum past the largest float
+        w = parse_workload(
+            "change id=C0 at=0.0 targets=a mu=1e300 var=1.7e308\n"
+            "change id=C1 at=1.0 targets=a mu=5.0 var=5e307\n"
+        )
+        _, trace = run(w, "enhanced")
+        starts = [line.split()[2:5] for line in trace if " start C1 " in line]
+        assert starts == [["C1", "base=C0", "p=1.0000"], ["C1", "base=", "p=1.0000"]]
 
     def test_config_overrides_change_the_run(self, capsys, workload_file):
         _, default_out = run_cli(capsys, ["simulate", "--workload", str(workload_file)])
@@ -432,6 +460,23 @@ class TestExitCodes:
         assert "overflows a duration estimate" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_a_pooled_estimate_that_overflows_is_two(self, capsys, tmp_path):
+        # each estimate is finite, but C1's two builds pool past the largest
+        # float; the baseline never pools, so it runs
+        path = tmp_path / "w.txt"
+        path.write_text(
+            "change id=C0 at=0.0 targets=a mu=1e300 var=1e308\n"
+            "change id=C1 at=1.0 targets=a mu=5.0 var=1e308\n"
+        )
+        message = "C1's 2 builds pool past the largest float"
+        with pytest.raises(WorkloadError, match=f"^{message}$"):
+            run(parse_workload(path.read_text()), "enhanced")
+        assert main(["simulate", "--workload", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["simulate", "--workload", str(path),
+                     "--strategy", "baseline"]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("rate", ["inf", "nan"])
     def test_non_finite_arrival_rate_is_two(self, capsys, tmp_path, rate):

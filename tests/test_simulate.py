@@ -334,25 +334,15 @@ class TestAccounting:
 DELTA_TAU_CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
-# by (strategy, knob set to 1), in DELTA_TAU_CORNERS order
-EDGE_DIGESTS = {
-    ("baseline", "executor_capacity"): ["5b5929aa8ec1ad7b84b64499c8118e1f"] * 4,
-    ("baseline", "depth_cap"): ["cabbd6016fcf5fc349c5cf0d63e7554f"] * 4,
-    ("enhanced", "executor_capacity"): ["1b94cba47491e5094556ec8314fb1721"] * 4,
-    ("enhanced", "depth_cap"): [
-        "551272f8361004841555ca0a3c6d8a65",
-        "0aa4b0fdc34f9cd010d2fc2f96c328e6",
-        "7231cace5f5aa9434504bc911beace57",
-        "7231cace5f5aa9434504bc911beace57",
-    ],
-}
-
-
 def edge(knob, delta, tau):
     """Capacity 1 or depth_cap 1, with delta and tau at the given corner."""
     return EngineConfig(
         speculation_threshold=delta, bypass_eligibility_threshold=tau, **{knob: 1}
     )
+
+
+# a small dense stream where decisions cascade, at any configuration
+ORDER = GeneratorParams(n_changes=20, arrival_rate=1.5, conflict_density=0.8, seed=0)
 
 
 def wide_params(seed):
@@ -566,113 +556,6 @@ class TestEventDecisions:
         assert scheduler.durations == list(sim.truth.durations)
         assert scheduler.forest.targets == {}
 
-    # The first three were recorded with the fixed-point sweep that the
-    # event rule replaced, the edge configurations with the forest that
-    # copied itself on every decision: any change in the order decisions
-    # are taken, or in which builds a decision carries, moves a digest.
-    @pytest.mark.parametrize(
-        "strategy, config, expected",
-        [
-            ("baseline", EngineConfig(), "6bce4a4d4d981a8ba9b87665aa08c3c2"),
-            ("enhanced", EngineConfig(), "0807879965eecb8f7b1f06e626893780"),
-            ("enhanced", EngineConfig(depth_cap=1), "5827267651b4546b9d5ae90dc178af59"),
-            *(
-                (strategy, edge(knob, delta, tau), expected)
-                for (strategy, knob), digests in EDGE_DIGESTS.items()
-                for (delta, tau), expected in zip(DELTA_TAU_CORNERS, digests)
-            ),
-        ],
-    )
-    def test_golden_digest_pins_decision_order(self, strategy, config, expected):
-        params = GeneratorParams(
-            n_changes=20, arrival_rate=1.5, conflict_density=0.8, seed=0
-        )
-        w = generate_workload(params, config=config)
-        assert run_digest(w, strategy) == expected
-
-    # Recorded before build nodes were updated in place: on 72 executors
-    # decisions carry many running builds to rewritten bases, and enhanced
-    # runs bypass, so a carried node that drifted from its key moves these.
-    @pytest.mark.parametrize(
-        "strategy, seed, expected",
-        [
-            ("baseline", 0, "f63f74639d8c579556b69779c112f992"),
-            ("enhanced", 0, "c1dfe4e6867810455f1113b83d8d1872"),
-            ("baseline", 1, "e00dad5a0a72cdf84cefb41b5a99b15c"),
-            ("enhanced", 1, "fc69345306e8f7a7750aefc83cad7380"),
-        ],
-    )
-    def test_golden_digest_pins_a_wide_stream(self, strategy, seed, expected):
-        w = generate_workload(wide_params(seed), config=WIDE)
-        assert run_digest(w, strategy) == expected
-
-    # Recorded before a change's builds were pooled in one left-to-right
-    # pass: a noisy predictor gives each build its own estimate, so the
-    # pooled means and variances are sums of inexact floats, which the
-    # builtin `sum` may round otherwise from Python 3.12 on.
-    @pytest.mark.parametrize(
-        "strategy, seed, expected",
-        [
-            ("baseline", 0, "1914b8b0db87b267ae3f12b243927752"),
-            ("enhanced", 0, "81fb9256f40477643c9a552a78ea498b"),
-            ("baseline", 1, "2157ccf882803e9698c795747f533090"),
-            ("enhanced", 1, "76be27a5e8db96d45e7f0c40db951fe2"),
-        ],
-    )
-    def test_golden_digest_pins_a_wide_stream_under_a_noisy_predictor(
-        self, strategy, seed, expected
-    ):
-        w = generate_workload(wide_params(seed), config=WIDE)
-        w = replace(w, predictor=noisy(seed))
-        assert run_digest(w, strategy) == expected
-
-    # Recorded before the forest took each change's targets in place of a
-    # conflict graph. Each node is estimated at the first reschedule after
-    # it is filed, from that moment's window length and base height; with
-    # noise, estimating a node when a decision re-windows its change
-    # instead moves four of these six.
-    @pytest.mark.parametrize(
-        "strategy, seed, expected",
-        [
-            ("baseline", 1, "1ef16be0a1a16d6911ac183e0203eda4"),
-            ("enhanced", 1, "60e1005dca4984c3f891742a84841cce"),
-            ("baseline", 6, "77e192ac7d840abe9b2f46e632c33dce"),
-            ("enhanced", 6, "1fdae87312426a4601c8e60d55e457a3"),
-            ("baseline", 9, "b1e69f8a52deac20c07a8fa6484bd60a"),
-            ("enhanced", 9, "7529c26cac167faaf3fdf8c8755d51a8"),
-        ],
-    )
-    def test_golden_digest_pins_a_hot_stream_under_a_noisy_predictor(
-        self, strategy, seed, expected
-    ):
-        w = CHECKED_STREAMS[f"hot-{seed}"](strategy)
-        assert run_digest(replace(w, predictor=noisy(seed)), strategy) == expected
-
-    # Recorded before the speculation threshold was applied where builds
-    # are scored: 87% of this stream's enhanced scores fall below it.
-    @pytest.mark.parametrize(
-        "strategy, expected",
-        [
-            ("enhanced", "c79c8f84612c90bfe157b2f0734aaeca"),
-            ("baseline", "ece6983ea3d7b65b19af5af3e237bd3e"),
-        ],
-    )
-    def test_golden_digest_pins_a_dense_stream(self, strategy, expected):
-        w = trajectory.dense(3, 300)
-        assert run_digest(w, strategy) == expected
-
-    # Recorded while arrivals still went through the event heap, ahead of
-    # completions at their minute by a kind tag.
-    @pytest.mark.parametrize(
-        "strategy, expected",
-        [
-            ("enhanced", "0afb90eebd7bc03586da06e71ddf8ced"),
-            ("baseline", "448d214927c571ff7b457173485dcf16"),
-        ],
-    )
-    def test_golden_digest_pins_the_tied_stream(self, strategy, expected):
-        assert run_digest(TIES, strategy) == expected
-
 
 class TestHeadRule:
     """A change with an empty window waits on nobody, so the engine ranks
@@ -745,15 +628,104 @@ class TestOutsideWindowFinish:
         assert ["t=3.00", "arrive", "C3", "pending_conflicts=3"] in events[:finished]
         assert events.index(["t=90.00", "land", "C2", "via_bypass=no"]) > finished
 
-    @pytest.mark.parametrize(
-        "strategy, expected",
-        [
-            ("enhanced", "ffa145d07372e4942a8490753e8ad92f"),
-            ("baseline", "de1bc6ac43f0822c398d8fede1b6d6cd"),
-        ],
+
+def noisier(stream, seed):
+    """The checked `stream` under `noisy(seed)`."""
+    return lambda strategy: replace(
+        CHECKED_STREAMS[stream](strategy), predictor=noisy(seed)
     )
-    def test_golden_digest_pins_it(self, strategy, expected):
-        assert run_digest(OUTSIDE_FINISH, strategy) == expected
+
+
+# Each builds its workload for a strategy.
+PINNED_STREAMS = {
+    "order": drawn(generate_workload, ORDER, EngineConfig()),
+    "order-depth_cap-1": drawn(generate_workload, ORDER, EngineConfig(depth_cap=1)),
+    **{
+        f"edge-{knob}-{delta:g}-{tau:g}": drawn(
+            generate_workload, ORDER, edge(knob, delta, tau)
+        )
+        for knob in ("executor_capacity", "depth_cap")
+        for delta, tau in DELTA_TAU_CORNERS
+    },
+    **{s: CHECKED_STREAMS[s] for s in ("wide-0", "wide-1", "ties")},
+    **{f"wide-{s}-noisy": noisier(f"wide-{s}", s) for s in (0, 1)},
+    **{f"hot-{s}-noisy": noisier(f"hot-{s}", s) for s in (1, 6, 9)},
+    "dense-3-300": drawn(trajectory.dense, 3, 300),
+    "outside-finish": lambda strategy: OUTSIDE_FINISH,
+}
+
+
+# (stream, strategy, digest of the run's metrics and trace). Any change in
+# the order decisions are taken, in which builds run or in what they are
+# scored moves a digest. Each group was recorded before the rule its note
+# names.
+PINNED_RUNS = [
+    # the event rule, which replaced a fixed-point sweep
+    ("order", "baseline", "6bce4a4d4d981a8ba9b87665aa08c3c2"),
+    ("order", "enhanced", "0807879965eecb8f7b1f06e626893780"),
+    ("order-depth_cap-1", "enhanced", "5827267651b4546b9d5ae90dc178af59"),
+    # a forest kept across decisions, in place of one copied on each; capacity
+    # 1 runs only the head's mainline build, depth_cap 1 caps each window at
+    # one predecessor
+    ("edge-executor_capacity-0-0", "baseline", "5b5929aa8ec1ad7b84b64499c8118e1f"),
+    ("edge-executor_capacity-0-1", "baseline", "5b5929aa8ec1ad7b84b64499c8118e1f"),
+    ("edge-executor_capacity-1-0", "baseline", "5b5929aa8ec1ad7b84b64499c8118e1f"),
+    ("edge-executor_capacity-1-1", "baseline", "5b5929aa8ec1ad7b84b64499c8118e1f"),
+    ("edge-depth_cap-0-0", "baseline", "cabbd6016fcf5fc349c5cf0d63e7554f"),
+    ("edge-depth_cap-0-1", "baseline", "cabbd6016fcf5fc349c5cf0d63e7554f"),
+    ("edge-depth_cap-1-0", "baseline", "cabbd6016fcf5fc349c5cf0d63e7554f"),
+    ("edge-depth_cap-1-1", "baseline", "cabbd6016fcf5fc349c5cf0d63e7554f"),
+    ("edge-executor_capacity-0-0", "enhanced", "1b94cba47491e5094556ec8314fb1721"),
+    ("edge-executor_capacity-0-1", "enhanced", "1b94cba47491e5094556ec8314fb1721"),
+    ("edge-executor_capacity-1-0", "enhanced", "1b94cba47491e5094556ec8314fb1721"),
+    ("edge-executor_capacity-1-1", "enhanced", "1b94cba47491e5094556ec8314fb1721"),
+    ("edge-depth_cap-0-0", "enhanced", "551272f8361004841555ca0a3c6d8a65"),
+    ("edge-depth_cap-0-1", "enhanced", "0aa4b0fdc34f9cd010d2fc2f96c328e6"),
+    ("edge-depth_cap-1-0", "enhanced", "7231cace5f5aa9434504bc911beace57"),
+    ("edge-depth_cap-1-1", "enhanced", "7231cace5f5aa9434504bc911beace57"),
+    # build nodes updated in place: on 72 executors decisions carry many
+    # running builds to rewritten bases, and enhanced runs bypass, so a
+    # carried node that drifted from its key moves these
+    ("wide-0", "baseline", "f63f74639d8c579556b69779c112f992"),
+    ("wide-0", "enhanced", "c1dfe4e6867810455f1113b83d8d1872"),
+    ("wide-1", "baseline", "e00dad5a0a72cdf84cefb41b5a99b15c"),
+    ("wide-1", "enhanced", "fc69345306e8f7a7750aefc83cad7380"),
+    # a change's builds pooled in one left-to-right pass: a noisy predictor
+    # gives each build its own estimate, so the pooled means and variances
+    # are sums of inexact floats, which the builtin `sum` may round
+    # otherwise from Python 3.12 on
+    ("wide-0-noisy", "baseline", "1914b8b0db87b267ae3f12b243927752"),
+    ("wide-0-noisy", "enhanced", "81fb9256f40477643c9a552a78ea498b"),
+    ("wide-1-noisy", "baseline", "2157ccf882803e9698c795747f533090"),
+    ("wide-1-noisy", "enhanced", "76be27a5e8db96d45e7f0c40db951fe2"),
+    # the forest taking each change's targets in place of a conflict graph:
+    # each node is estimated at the first reschedule after it is filed, from
+    # that moment's window length and base height; with noise, estimating a
+    # node when a decision re-windows its change instead moves four of these
+    ("hot-1-noisy", "baseline", "1ef16be0a1a16d6911ac183e0203eda4"),
+    ("hot-1-noisy", "enhanced", "60e1005dca4984c3f891742a84841cce"),
+    ("hot-6-noisy", "baseline", "77e192ac7d840abe9b2f46e632c33dce"),
+    ("hot-6-noisy", "enhanced", "1fdae87312426a4601c8e60d55e457a3"),
+    ("hot-9-noisy", "baseline", "b1e69f8a52deac20c07a8fa6484bd60a"),
+    ("hot-9-noisy", "enhanced", "7529c26cac167faaf3fdf8c8755d51a8"),
+    # the speculation threshold applied where builds are scored: 87% of
+    # this stream's enhanced scores fall below it
+    ("dense-3-300", "enhanced", "c79c8f84612c90bfe157b2f0734aaeca"),
+    ("dense-3-300", "baseline", "ece6983ea3d7b65b19af5af3e237bd3e"),
+    # arrivals read in queue order: they went through the event heap, ahead
+    # of completions at their minute by a kind tag
+    ("ties", "enhanced", "0afb90eebd7bc03586da06e71ddf8ced"),
+    ("ties", "baseline", "448d214927c571ff7b457173485dcf16"),
+    # rescoring exactly what a score read: a score that read predecessors
+    # outside its window would be redone when C1 finishes a build
+    ("outside-finish", "enhanced", "ffa145d07372e4942a8490753e8ad92f"),
+    ("outside-finish", "baseline", "de1bc6ac43f0822c398d8fede1b6d6cd"),
+]
+
+
+@pytest.mark.parametrize("stream, strategy, expected", PINNED_RUNS)
+def test_a_pinned_run_keeps_its_digest(stream, strategy, expected):
+    assert run_digest(PINNED_STREAMS[stream](strategy), strategy) == expected
 
 
 # C2's build on C0 starts at 1 and its mainline build at 5, once C1 frees

@@ -10,7 +10,8 @@ UTF-8 or malformed workload). A command's outputs must name distinct
 files other than its workload. Its output files are each written to a
 temp file and renamed into place only once all are written, so a
 failed run leaves no output behind; they get the mode a plain open()
-would give them.
+would give them. An output that is a symlink is written through to its
+target; one that is a directory, pipe, device or socket exits 2.
 """
 
 from __future__ import annotations
@@ -250,42 +251,57 @@ def _load_workload(args: argparse.Namespace) -> WorkloadSpec:
 def _write_outputs(outputs: dict[str | None, str]) -> None:
     """Write each text to its path, skipping a None path, all or none.
 
-    Every text goes to a temp file beside its path, and the temp files
-    are renamed into place only once all are written. A file gets the
-    mode open() would give it: an overwritten file keeps its mode, a new
-    one gets 0o666 less the umask, where mkstemp alone would give 0o600.
-    An error names the path it was given, never a temp file.
+    Every text goes to a temp file beside the file its path names, and
+    the temp files are renamed into place only once all are written. A
+    symlink is written through to its target, as open() would, and an
+    output whose file exists but is no regular file is refused before
+    anything is staged. A file gets the mode open() would give it: an
+    overwritten file keeps its mode, a new one gets 0o666 less the umask,
+    where mkstemp alone would give 0o600. An error names the path it was
+    given, never a temp file or a link's target.
     """
-    staged: list[tuple[str, str]] = []  # (path, temp file), not yet renamed
+    files: list[tuple[str, str, int]] = []  # (path, file it names, mode)
+    staged: list[tuple[str, str, str]] = []  # (path, file, temp file), not yet renamed
     try:
-        for path, text in outputs.items():
-            if path is None:
-                continue
-            try:
-                st = os.stat(path)
-            except FileNotFoundError:
-                umask = os.umask(0o022)
-                os.umask(umask)
-                mode = 0o666 & ~umask
-            else:
-                if stat.S_ISDIR(st.st_mode):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                mode = stat.S_IMODE(st.st_mode)
-            directory = os.path.dirname(os.path.abspath(path))
+        for path in outputs:
+            if path is not None:
+                files.append((path, *_output_file(path)))
+        for path, file, mode in files:
+            directory = os.path.dirname(os.path.abspath(file))
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".specqueue-")
-            staged.append((path, tmp))
+            staged.append((path, file, tmp))
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 os.fchmod(fh.fileno(), mode)
-                fh.write(text)
+                fh.write(outputs[path])
         while staged:
-            path, tmp = staged[-1]
-            os.replace(tmp, path)
+            path, file, tmp = staged[-1]
+            os.replace(tmp, file)
             staged.pop()
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
-        for _, tmp in staged:
+        for _, _, tmp in staged:
             os.unlink(tmp)
+
+
+def _output_file(path: str) -> tuple[str, int]:
+    """The file an output path names and the mode it is written with: a
+    symlink's resolved target, a dangling one's included, else the path
+    itself. An existing file must be a regular one."""
+    try:
+        st = os.lstat(path)
+        if stat.S_ISLNK(st.st_mode):
+            path = os.path.realpath(path)
+            st = os.stat(path)
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        return path, 0o666 & ~umask
+    if stat.S_ISDIR(st.st_mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    if not stat.S_ISREG(st.st_mode):
+        raise OSError(errno.EINVAL, "not a regular file")
+    return path, stat.S_IMODE(st.st_mode)
 
 
 if __name__ == "__main__":

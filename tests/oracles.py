@@ -15,6 +15,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import AbstractSet, Collection, Iterable, Mapping, Sequence
 
+from hypothesis import strategies as st
+
 from specqueue.cli import GENERATOR_FLAGS
 from specqueue.core import BuildOutcome, ChangeId, EngineConfig
 from specqueue.forest import BaseKey, BuildNode, SpeculationForest, enumerate_forest
@@ -135,20 +137,55 @@ def reference_adjacency(
     return {cid: frozenset(nbrs - {cid}) for cid, nbrs in adjacency.items()}
 
 
+def reference_queued_conflicts(
+    adjacency: Mapping[ChangeId, AbstractSet[ChangeId]],
+    queued: Collection[ChangeId],
+    c: ChangeId,
+) -> tuple[BaseKey, list[ChangeId]]:
+    """The queued changes before c and after it that share a target with
+    it, each in queue order, which is `ChangeId` order: the former as a
+    tuple, as `outside[c] + windows[c]` files them, the latter as a list,
+    as `after[c]` does."""
+    conflicts = sorted(p for p in adjacency[c] if p in queued)
+    ahead = tuple(p for p in conflicts if p < c)
+    return ahead, conflicts[len(ahead) :]
+
+
 def reference_windows(
     queue: Sequence[ChangeId],
     targets: Mapping[ChangeId, Collection[str]],
     depth_cap: int,
 ) -> dict[ChangeId, BaseKey]:
     """Each queued change's window, in queue order: the nearest
-    `depth_cap` of the changes ahead of it in the queue that share a
-    target with it, from `reference_adjacency`."""
+    `depth_cap` of its queued conflicting predecessors, from
+    `reference_adjacency`."""
     adjacency = reference_adjacency(targets)
-    windows: dict[ChangeId, BaseKey] = {}
-    for i, c in enumerate(queue):
-        ahead = [p for p in queue[:i] if p in adjacency[c]]
-        windows[c] = tuple(ahead[max(0, len(ahead) - depth_cap) :])
-    return windows
+    queued = set(queue)
+    return {
+        c: reference_queued_conflicts(adjacency, queued, c)[0][-depth_cap:]
+        for c in queue
+    }
+
+
+@st.composite
+def target_maps(draw) -> dict[ChangeId, tuple[str, ...]]:
+    """Up to 12 changes' target lists over a few targets, with one hot
+    target, two changes that share two or three targets of their own, and
+    one change that lists a target twice."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    lists = [draw(st.lists(st.sampled_from("abcde"), max_size=3)) for _ in range(n)]
+    for touched in lists:
+        if draw(st.booleans()):
+            touched.append("hot")
+    first = draw(st.integers(min_value=0, max_value=n - 2))
+    second = draw(st.integers(min_value=first + 1, max_value=n - 1))
+    shared = ["s1", "s2", "s3"][: draw(st.integers(min_value=2, max_value=3))]
+    lists[first] += shared
+    lists[second] += shared
+    # `own` is a target no other change touches
+    twice = draw(st.sampled_from(["a", "b", "hot", "own"]))
+    lists[draw(st.integers(min_value=0, max_value=n - 1))] += [twice, twice]
+    return {ChangeId(i, f"C{i}"): tuple(t) for i, t in enumerate(lists)}
 
 
 def connected_components(
@@ -189,11 +226,11 @@ class CheckedScheduler(Scheduler):
     that the state it keeps across events is what a pass from scratch
     derives, and that every decision it applies, and every queued change
     it leaves waiting, is the one `reference_decide_change` takes. Queued
-    conflicting predecessors and successors are taken from `adjacency`,
-    the run's `reference_adjacency`, not read from the forest, and before
-    every reschedule each queued change's `outside[c] + windows[c]` must
-    list the former and its `after[c]` the latter, and the forest must
-    hold the targets of the queued changes alone. After it, the kept
+    conflicting predecessors and successors are `reference_queued_conflicts`
+    over `adjacency`, the run's `reference_adjacency`, not read from the
+    forest, and before every reschedule each queued change's `outside[c]
+    + windows[c]` must list the former and its `after[c]` the latter, and
+    the forest must hold the targets of the queued changes alone. After it, the kept
     order must be a fresh one filtered at the floor, and the builds it
     starts and aborts must leave running what the fresh one chooses,
     which it keeps as `chosen`."""
@@ -203,19 +240,13 @@ class CheckedScheduler(Scheduler):
         self.adjacency = adjacency
         self.chosen: set[BuildNode] = set()
 
-    def _ahead(self, c) -> BaseKey:
-        """The queued changes ahead of c that conflict with it, in queue order."""
-        queued = self.forest.windows
-        return tuple(sorted(p for p in self.adjacency[c] if p < c and p in queued))
-
-    def _behind(self, c) -> list[ChangeId]:
-        """The queued changes after c that conflict with it, in queue order."""
-        queued = self.forest.windows
-        return sorted(s for s in self.adjacency[c] if s > c and s in queued)
+    def _conflicts(self, c) -> tuple[BaseKey, list[ChangeId]]:
+        return reference_queued_conflicts(self.adjacency, self.forest.windows, c)
 
     def _reference_decision(self, c) -> Decision:
+        ahead = len(self._conflicts(c)[0])
         return reference_decide_change(
-            c, self.forest, allow_bypass=self.enhanced, ahead=len(self._ahead(c))
+            c, self.forest, allow_bypass=self.enhanced, ahead=ahead
         )
 
     def finish(self, node, outcome, now) -> list:
@@ -240,9 +271,10 @@ class CheckedScheduler(Scheduler):
         assert forest.after.keys() == forest.windows.keys()
         assert forest.targets.keys() == forest.windows.keys()
         for c in forest.queue:
+            ahead, behind = self._conflicts(c)
             filed = forest.outside[c] + forest.windows[c]
-            assert filed == self._ahead(c), (c, filed)
-            assert forest.after[c] == self._behind(c), (c, forest.after[c])
+            assert filed == ahead, (c, filed)
+            assert forest.after[c] == behind, (c, forest.after[c])
         # sweeping the queue until nothing resolves would decide nothing
         for c in forest.queue:
             decision = decide_change(c, forest, allow_bypass=self.enhanced)
@@ -297,7 +329,7 @@ class CheckedSimulation(_Simulation):
 
     def _start(self, node, p_needed) -> None:
         scheduler = self.scheduler
-        if len(scheduler._ahead(node.change)) > scheduler.cfg.depth_cap:
+        if len(scheduler._conflicts(node.change)[0]) > scheduler.cfg.depth_cap:
             self.capped += 1
         super()._start(node, p_needed)
 

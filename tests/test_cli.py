@@ -571,3 +571,60 @@ class TestAtomicOutput:
         capsys.readouterr()
         assert stat.S_IMODE(out.stat().st_mode) == 0o604
         assert out.read_text() != "old\n"
+
+    def test_a_symlink_output_is_written_through_to_its_target(
+        self, capsys, workload_file, tmp_path
+    ):
+        real = tmp_path / "real"
+        real.mkdir()
+        target = real / "metrics.csv"
+        target.write_text("old\n")
+        target.chmod(0o604)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, out = run_cli(capsys, ["simulate", "--workload", str(workload_file),
+                                     "--out-metrics", str(link)])
+        assert code == 0
+        assert link.is_symlink() and target.read_text() == out
+        assert stat.S_IMODE(target.stat().st_mode) == 0o604
+        assert os.listdir(real) == ["metrics.csv"]
+
+    def test_gen_workload_writes_through_a_relative_symlink(self, capsys, tmp_path):
+        target = tmp_path / "real.txt"
+        target.write_text("old\n")
+        link = tmp_path / "w.txt"
+        link.symlink_to("real.txt")
+        argv = ["gen-workload", "--n-changes", "5"]
+        _, text = run_cli(capsys, argv)
+        assert run_cli(capsys, [*argv, "--out", str(link)]) == (0, "")
+        assert link.is_symlink() and target.read_text() == text
+        assert sorted(os.listdir(tmp_path)) == ["real.txt", "w.txt"]
+
+    def test_a_dangling_symlink_creates_its_target(self, capsys, tmp_path, umask_027):
+        target = tmp_path / "new.txt"
+        link = tmp_path / "w.txt"
+        link.symlink_to(target)
+        assert main(["gen-workload", "--n-changes", "5", "--out", str(link)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink() and target.read_text().startswith("workload-version")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_a_pipe_output_is_two_and_stays_a_pipe(
+        self, capsys, workload_file, tmp_path
+    ):
+        # the pipe is never opened: no reader waits on it, so an open
+        # would block
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        link = tmp_path / "link"
+        link.symlink_to(pipe)
+        metrics = tmp_path / "m.csv"
+        argv = ["simulate", "--workload", str(workload_file)]
+        for outputs in (["--out-metrics", str(metrics), "--out-trace", str(pipe)],
+                        ["--out-metrics", str(link)]):
+            assert main([*argv, *outputs]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ")
+            assert err.endswith(f"not a regular file: '{outputs[-1]}'\n")
+        assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["link", "pipe", "w.txt"]

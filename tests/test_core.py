@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specqueue.core import ChangeId, EngineConfig, build_conflict_graph
-from specqueue.forest import carry_map, enumerate_forest, resolve_change
 from specqueue.simulator import (
     ChangeSpec,
     GeneratorParams,
@@ -23,7 +22,12 @@ from specqueue.simulator import (
     static_conflict_rate,
 )
 
-from oracles import benchmark_stream, connected_components, reference_adjacency
+from oracles import (
+    benchmark_stream,
+    connected_components,
+    reference_adjacency,
+    target_maps,
+)
 
 
 C0, C1 = ChangeId(0, "C0"), ChangeId(1, "C1")
@@ -32,6 +36,14 @@ C0, C1 = ChangeId(0, "C0"), ChangeId(1, "C1")
 def targets_by_id(*target_sets: set[str]) -> dict[ChangeId, frozenset[str]]:
     """Change C<i> touches target_sets[i]."""
     return {ChangeId(i, f"C{i}"): frozenset(t) for i, t in enumerate(target_sets)}
+
+
+# a copy, a deep copy and a pickle round trip of a change id
+ROUND_TRIPS = pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+    ids=["copy", "deepcopy", "pickle"],
+)
 
 
 class TestChangeId:
@@ -62,11 +74,7 @@ class TestChangeId:
         ids = {ChangeId(seq, f"C{seq}") for seq in seqs}
         assert [c.seq for c in ids] == list(set(seqs))
 
-    @pytest.mark.parametrize(
-        "round_trip",
-        [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
-        ids=["copy", "deepcopy", "pickle"],
-    )
+    @ROUND_TRIPS
     def test_copies_keep_sequence_and_label(self, round_trip):
         c = ChangeId(7, "change-7")
         copied = round_trip(c)
@@ -74,11 +82,7 @@ class TestChangeId:
         assert (copied.seq, copied.label) == (7, "change-7")
         assert copied == c and hash(copied) == hash(c)
 
-    @pytest.mark.parametrize(
-        "round_trip",
-        [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
-        ids=["copy", "deepcopy", "pickle"],
-    )
+    @ROUND_TRIPS
     def test_copies_keep_the_shared_form(self, round_trip):
         c = ChangeId(7, "C7")
         copied = round_trip(c)
@@ -189,27 +193,6 @@ class TestConflictGraph:
             assert adjacency[a] == expected
 
 
-@st.composite
-def target_maps(draw) -> dict[ChangeId, tuple[str, ...]]:
-    """Up to 12 changes' target lists over a few targets, with one hot
-    target, two changes that share two or three targets of their own, and
-    one change that lists a target twice."""
-    n = draw(st.integers(min_value=2, max_value=12))
-    lists = [draw(st.lists(st.sampled_from("abcde"), max_size=3)) for _ in range(n)]
-    for touched in lists:
-        if draw(st.booleans()):
-            touched.append("hot")
-    first = draw(st.integers(min_value=0, max_value=n - 2))
-    second = draw(st.integers(min_value=first + 1, max_value=n - 1))
-    shared = ["s1", "s2", "s3"][: draw(st.integers(min_value=2, max_value=3))]
-    lists[first] += shared
-    lists[second] += shared
-    # `own` is a target no other change touches
-    twice = draw(st.sampled_from(["a", "b", "hot", "own"]))
-    lists[draw(st.integers(min_value=0, max_value=n - 1))] += [twice, twice]
-    return {ChangeId(i, f"C{i}"): tuple(t) for i, t in enumerate(lists)}
-
-
 def _held_bytes_per_record(text: str, n_changes: int) -> float:
     """Bytes a parse of `text` holds per change record, under
     `tracemalloc`."""
@@ -226,8 +209,8 @@ def _held_bytes_per_record(text: str, n_changes: int) -> float:
 
 class TestMemberships:
     @settings(max_examples=150, deadline=None)
-    @given(target_maps(), st.integers(min_value=1, max_value=3), st.data())
-    def test_answers_as_the_pairwise_reference(self, targets, depth_cap, data):
+    @given(target_maps())
+    def test_answers_as_the_pairwise_reference(self, targets):
         reference = reference_adjacency(targets)
         g = build_conflict_graph(targets)
         # each target's changes, each once, in the order they were given
@@ -240,26 +223,6 @@ class TestMemberships:
         workload = WorkloadSpec(tuple(specs))
         conflicted = sum(1 for c in targets if reference[c])
         assert static_conflict_rate(workload) == 100.0 * conflicted / len(targets)
-        # random arrivals and land/reject resolutions, the windows read
-        # from memberships checked against the pairs after each
-        arrivals = list(targets)
-        forest = enumerate_forest([], targets, depth_cap)
-        while arrivals or forest.queue:
-            if arrivals and (not forest.queue or data.draw(st.booleans())):
-                c = arrivals.pop(0)
-                forest.add_change(c, targets[c])
-            else:
-                resolved = data.draw(st.sampled_from(forest.queue))
-                landed = data.draw(st.booleans())
-                resolve_change(forest, resolved, carry_map(forest, resolved, landed))
-            queue = forest.queue
-            heads = {m[0] for m in connected_components(reference, queue)}
-            for c in queue:
-                queued = sorted(reference[c] & set(queue))
-                ahead = tuple(p for p in queued if p < c)
-                assert forest.outside[c] + forest.windows[c] == ahead
-                assert forest.after[c] == [s for s in queued if s > c]
-                assert forest.heads_component(c) == (c in heads)
 
     def test_memory_stays_linear_in_a_hot_targets_users(self):
         # 1,000 changes on one target are about 10^6 conflicting pairs, and

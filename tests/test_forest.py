@@ -21,9 +21,12 @@ from specqueue.forest import (
 from specqueue.prediction import DurationEstimate
 
 from oracles import (
+    connected_components,
     reference_adjacency,
     reference_ordered_bases,
+    reference_queued_conflicts,
     reference_windows,
+    target_maps,
     triangle,
 )
 
@@ -387,7 +390,10 @@ def structure(forest) -> tuple:
 
 
 def assert_matches_fresh(forest) -> None:
-    """The incrementally kept forest equals a fresh enumeration of its queue."""
+    """The incrementally kept forest equals a fresh enumeration of its
+    queue, and files each change's queued conflicting predecessors,
+    successors and whether it heads its component as the pairwise
+    reference finds them."""
     fresh = enumerate_forest(forest.queue, forest.targets, forest.depth_cap)
     assert structure(forest) == structure(fresh)
     assert list(forest.queue) == sorted(forest.queue, key=lambda c: c.seq)
@@ -397,7 +403,13 @@ def assert_matches_fresh(forest) -> None:
         for t in {t for c in forest.queue for t in targets[c]}
     }
     assert forest.windows == reference_windows(forest.queue, targets, forest.depth_cap)
+    adjacency = reference_adjacency(targets)
+    heads = {members[0] for members in connected_components(adjacency, forest.queue)}
     for c in forest.queue:
+        ahead, behind = reference_queued_conflicts(adjacency, targets, c)
+        assert forest.outside[c] + forest.windows[c] == ahead, c
+        assert forest.after[c] == behind, c
+        assert forest.heads_component(c) == (c in heads), c
         keys = [n.key for n in forest.nodes_for_change(c)]
         assert keys == sorted(keys, key=lambda k: (-len(k[1]), [b.seq for b in k[1]]))
 
@@ -407,21 +419,17 @@ def chain(n: int):
     return list(targets), targets
 
 
+# up to 9 changes from C1, each on at most two of four targets
+SMALL_TARGET_MAPS = st.lists(
+    st.frozensets(st.sampled_from("abcd"), max_size=2), min_size=1, max_size=9
+).map(lambda sets: {ChangeId(i, f"C{i}"): t for i, t in enumerate(sets, start=1)})
+
+
 class TestIncrementalForest:
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_random_arrivals_and_resolutions_match_fresh(self, data):
-        target_sets = data.draw(
-            st.lists(
-                st.frozensets(st.sampled_from("abcd"), max_size=2),
-                min_size=1,
-                max_size=9,
-            )
-        )
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(SMALL_TARGET_MAPS, target_maps()), st.data())
+    def test_random_arrivals_and_resolutions_match_fresh(self, targets, data):
         depth_cap = data.draw(st.integers(min_value=1, max_value=3))
-        targets = {
-            ChangeId(i, f"C{i}"): t for i, t in enumerate(target_sets, start=1)
-        }
         adjacency = reference_adjacency(targets)
         arrivals = list(targets)
         forest = enumerate_forest([], targets, depth_cap)
@@ -436,10 +444,9 @@ class TestIncrementalForest:
                     node.complete(BuildOutcome.PASS, 1.0)
                 resolved = data.draw(st.sampled_from(forest.queue))
                 landed = data.draw(st.booleans())
-                successors = [
-                    s for s in forest.queue
-                    if s.seq > resolved.seq and s in adjacency[resolved]
-                ]
+                _, successors = reference_queued_conflicts(
+                    adjacency, forest.queue, resolved
+                )
                 before = {
                     key: (node, node.outcome, node.finished_at)
                     for key, node in forest.nodes.items()

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specqueue.cli import main
-from specqueue.core import BuildOutcome, ChangeId, EngineConfig
+from specqueue.core import ChangeId, EngineConfig
 from specqueue.prediction import ConstantPredictor, OracleWithNoise
 from specqueue.simulator import (
     CSV_HEADER,
@@ -28,15 +28,17 @@ from specqueue.simulator import (
     reports_to_csv,
     run,
 )
-from specqueue.selection import Decision, DecisionKind
 from specqueue.simulator import engine
 from specqueue.simulator.engine import GroundTruth, Scheduler, _Simulation
 from specqueue.simulator.workload import STRATEGIES, ChangeSpec, WorkloadError
 
 from mutants import (
+    MUTANTS,
+    check_a_capped_window_blocks_a_bypass,
     check_a_head_keeps_its_build_at_1,
     check_a_head_without_an_estimate_raises,
     check_an_arrival_comes_before_a_finish_at_its_minute,
+    mutate,
 )
 from oracles import (
     GENERATORS,
@@ -465,22 +467,6 @@ CHECKED_STREAMS = {
 }
 
 
-def uncapped_decide_change(c, forest, *, allow_bypass=True):
-    """`decide_change` without its capped-window block, so it bypasses
-    conflicting predecessors that fell outside c's window."""
-    window = forest.windows[c]
-    nodes = iter(forest.nodes_for_change(c))
-    outcome = next(nodes).outcome
-    if outcome is None or (window and not allow_bypass):
-        return Decision(DecisionKind.WAIT, c)
-    for node in nodes:
-        if node.outcome is not outcome:
-            return Decision(DecisionKind.WAIT, c)
-    if outcome is BuildOutcome.PASS:
-        return Decision(DecisionKind.LAND, c)
-    return Decision(DecisionKind.REJECT, c)
-
-
 def checked_run(w, strategy):
     """A run that checks the engine's kept state after every event; it
     must equal the plain run."""
@@ -526,9 +512,14 @@ class TestEventDecisions:
 
     def test_a_decision_past_a_capped_window_is_caught(self, monkeypatch):
         # hot-9's enhanced run is the checked one where a window's cap
-        # blocks a bypass, so an engine that ignores the cap decides a
-        # change the reference rule leaves waiting
-        monkeypatch.setattr(engine, "decide_change", uncapped_decide_change)
+        # blocks a bypass, so an engine that ignores the cap, by its
+        # mutant row's edit, decides a change the reference rule leaves
+        # waiting
+        row = next(
+            m for m in MUTANTS if m.check is check_a_capped_window_blocks_a_bypass
+        )
+        uncapped = mutate(vars(row.owner)[row.attribute], row.old, row.new)
+        monkeypatch.setattr(row.owner, row.attribute, uncapped)
         sim = CheckedSimulation(CHECKED_STREAMS["hot-9"]("enhanced"), "enhanced")
         with pytest.raises(AssertionError) as raised:
             sim.execute()
